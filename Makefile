@@ -14,7 +14,9 @@ bench:
 
 # check is the PR gate: build, static analysis, and race-enabled tests over
 # the whole tree — the sharded decision engine, the replica broadcast mode
-# and the event kernel all carry concurrency-sensitive invariants.
+# and the event kernel all carry concurrency-sensitive invariants — plus
+# vet and tests of the benchmark module, which has its own go.mod (so the
+# root ./... cannot see it) and compiles against the engine and server APIs.
 # thanoslint runs after vet and mechanically enforces the paper's hardware
 # invariants: hot-path allocation freedom, simulation determinism, latency
 # constants, the engine's snapshot/epoch protocol, and the telemetry layer's
@@ -25,6 +27,7 @@ check: build
 	$(GO) vet ./...
 	$(GO) run ./cmd/thanoslint .
 	$(GO) test -race ./...
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # check-lint2 is the fast-iteration loop for the v2 call-graph analyzers:
 # only the four serving-stack analyzers over the real tree, plus their

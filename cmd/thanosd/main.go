@@ -36,7 +36,7 @@ import (
 func main() {
 	tcp := flag.String("tcp", "", "TCP listen address (e.g. :9090); empty disables")
 	uds := flag.String("uds", "", "Unix domain socket path; empty disables")
-	shards := flag.Int("shards", 0, "engine shards (0 = GOMAXPROCS)")
+	shards := flag.Int("shards", 0, "engine shards: table replicas, each deciding for one caller at a time, so the bound on concurrent decides (0 = GOMAXPROCS)")
 	capacity := flag.Int("capacity", 4096, "resource slots per replica table")
 	schema := flag.String("schema", "cpu,mem,bw", "comma-separated metric attributes")
 	policyPath := flag.String("policy", "", "policy DSL file (default: min over the first attribute)")

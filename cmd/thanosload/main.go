@@ -90,7 +90,7 @@ func main() {
 	flows := flag.Int("flows", 1_000_000, "distinct flow keys offered")
 	duration := flag.Duration("duration", 10*time.Second, "measured load window")
 	resources := flag.Int("resources", 1024, "table entries to install before the run")
-	shards := flag.Int("shards", 0, "engine shards for -spawn (0 = GOMAXPROCS)")
+	shards := flag.Int("shards", 0, "engine shards (table replicas = bound on concurrent decides) for -spawn (0 = GOMAXPROCS)")
 	seed := flag.Int64("seed", 1, "flow population seed")
 	jsonOut := flag.String("json", "", "write the run summary as JSON to this file (\"-\" = stdout)")
 	traceEvery := flag.Int("trace-every", 0, "sample 1 in N batches for end-to-end tracing (0 = off; requires a v2 server)")

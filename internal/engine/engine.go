@@ -1,11 +1,13 @@
 // Package engine implements a concurrent, sharded decision engine over the
 // Thanos filter module — the software analogue of a multi-pipelined data
 // plane (§5.1.5 of the paper). Where internal/core and policy.Module model a
-// single pipeline making one decision at a time, the engine runs one
-// goroutine per pipeline replica ("shard"), each owning its own SMBM replica
-// and flattened policy interpreter with fixed scratch vectors, so decisions
-// proceed in parallel at up to GOMAXPROCS-way concurrency without sharing a
-// single hot data structure.
+// single pipeline making one decision at a time, the engine holds one
+// pipeline replica ("shard") per configured pipeline, each owning its own
+// SMBM replica and flattened policy interpreter with fixed scratch vectors.
+// A shard is a table replica, not a thread: the goroutine that calls
+// DecideBatch executes its packets on the shards they steer to, so decisions
+// from different callers proceed in parallel on different shards — at most
+// Shards at once — without sharing a single hot data structure.
 //
 // # Reads never stall on writes
 //
@@ -15,27 +17,32 @@
 // publication. Each shard holds two complete replicas of the table+interp
 // pair. Readers always execute against the shard's active snapshot; a write
 // mutates the shadow replica, atomically swaps it in as the new active
-// snapshot, waits for the (single) reader goroutine to drain the old epoch,
-// and then replays the same operation on the retired snapshot so both stay
-// in sync. Decisions therefore always observe an atomic, fully-written table
-// — never a half-applied add — and the decision path contains no locks.
+// snapshot, waits for the shard's (single) current reader to drain the old
+// epoch, and then replays the same operation on the retired snapshot so both
+// stay in sync. Decisions therefore always observe an atomic, fully-written
+// table — never a half-applied add — and never wait for a writer.
 //
-// # Batched decisions
+// # Batched decisions, run to completion
 //
 // DecideBatch is the data-plane entry point: the caller hands a batch of
 // packets, the engine steers each packet to a shard by its Key (a flow hash;
 // one flow always lands on the same pipeline, exactly how a multi-pipeline
-// switch partitions traffic), enqueues per-shard work descriptors on SPSC
-// ring buffers, and blocks until every decision is written back into the
-// batch in place. The steady-state path — partitioning, ring hand-off,
-// policy execution, fallback resolution — performs zero heap allocations.
+// switch partitions traffic), and the calling goroutine then visits each
+// shard the batch touches: it takes that shard's lock, pins the shard's
+// active snapshot, decides the shard's packets in batch order, and moves on.
+// The packets themselves carry the partition (see steerTag), so callers
+// share no scratch outside a shard lock.
+// The only ordering a stateful data plane owes is per flow key, which the
+// shard lock gives; there is no engine-wide lock, queue or hand-off on the
+// path. The steady-state path — steering, policy execution, fallback
+// resolution — performs zero heap allocations.
 //
 // # Graceful degradation
 //
 // A replica that diverges from the authoritative table (memory corruption, a
 // failed broadcast write) is not a crash: the shard moves through a health
 // state machine (healthy → quarantined → resyncing → healthy). Quarantined
-// shards are skipped by the batch partitioner — their traffic fails over to
+// shards are left out of the steering table — their traffic fails over to
 // healthy shards — while a background loop rebuilds both snapshots from an
 // epoch-consistent view of the authoritative table, with capped exponential
 // backoff between failed attempts. Likewise, using the engine after Close
@@ -44,13 +51,10 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/pprof"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,16 +67,6 @@ import (
 // ErrClosed is returned by control-plane writes issued after Close.
 var ErrClosed = errors.New("engine: closed")
 
-// DefaultChunkSize is the number of packets per ring-buffer work descriptor:
-// large enough to amortize the hand-off, small enough that a batch spreads
-// across shards promptly.
-const DefaultChunkSize = 256
-
-// ringSlots is the capacity of each shard's SPSC work ring. With producers
-// serialized and each batch awaited before the next, a small ring suffices;
-// extra slots let a producer stream chunks ahead of the consumer.
-const ringSlots = 8
-
 // Packet is one decision request flowing through DecideBatch. The engine
 // fills ID and OK in place.
 type Packet struct {
@@ -83,6 +77,8 @@ type Packet struct {
 	// policies); fallback chains are followed as usual (§4.2.3).
 	Out int
 	// ID is the selected resource id, valid when OK is true; -1 otherwise.
+	// While DecideBatch runs, the ID of a packet not yet decided holds the
+	// shard it was steered to (see steerTag).
 	ID int
 	// OK reports whether any resource was selected (false when even the
 	// fallback table came up empty).
@@ -91,8 +87,8 @@ type Packet struct {
 
 // Config configures New.
 type Config struct {
-	// Shards is the number of pipeline replicas (decision goroutines);
-	// 0 or negative selects GOMAXPROCS.
+	// Shards is the number of pipeline replicas, which is also the number
+	// of callers that can decide at once; 0 or negative selects GOMAXPROCS.
 	Shards int
 	// Capacity is N, the resource-slot count of every replica table.
 	Capacity int
@@ -100,15 +96,12 @@ type Config struct {
 	Schema policy.Schema
 	// Policy is the filter policy every shard executes.
 	Policy *policy.Policy
-	// ChunkSize is the number of packets per work descriptor;
-	// 0 selects DefaultChunkSize.
-	ChunkSize int
 	// Telemetry, when non-nil, registers the engine's metrics — per-shard
-	// decision counts, chain selectivity, table op counts, batch-size and
-	// ring-occupancy histograms, epoch swap/staleness counters — under this
-	// registry and enables a per-shard sampled decision tracer. All handles
-	// are created here, at construction; the decision path stays free of
-	// allocation and locking whether or not telemetry is attached.
+	// decision counts, chain selectivity, table op counts, the batch-size
+	// histogram, epoch swap/staleness counters — under this registry and
+	// enables a per-shard sampled decision tracer. All handles are created
+	// here, at construction; telemetry adds no allocation and no lock to the
+	// decision path.
 	Telemetry *telemetry.Registry
 	// TraceEvery samples one decision in every TraceEvery per shard;
 	// 0 selects DefaultTraceEvery. Ignored without Telemetry.
@@ -148,9 +141,9 @@ const DefaultTraceEvery = 1024
 const DefaultTraceCapacity = 256
 
 // snapshot is one complete replica: an SMBM plus an interpreter bound to it.
-// A snapshot is only ever executed by its shard's reader goroutine and only
-// ever mutated by a writer that has proven (via the epoch protocol) that the
-// reader is not using it.
+// A snapshot is only ever executed under its shard's lock and only ever
+// mutated by a writer that has proven (via the epoch protocol) that no
+// reader is using it.
 //
 // Both halves are arena-packed: the SMBM stores its dimensions in padded
 // columnar arenas and the interpreter carves every step buffer from one
@@ -166,35 +159,28 @@ type snapshot struct {
 	pol *policy.Policy
 }
 
-// work is one ring-buffer descriptor: decide packets pkts[i] for i in idx,
-// then signal wg.
-type work struct {
-	pkts []Packet
-	idx  []int32
-	wg   *sync.WaitGroup
-}
-
-// shard is one pipeline replica: a reader goroutine, its double-buffered
-// snapshots, and the SPSC ring feeding it work.
+// shard is one pipeline replica: its double-buffered snapshots and the lock
+// under which callers execute on them.
 type shard struct {
 	states [2]*snapshot
 	active atomic.Pointer[snapshot] // the snapshot new batches execute against
-	inUse  atomic.Pointer[snapshot] // the snapshot the reader is executing now (nil = idle)
+	inUse  atomic.Pointer[snapshot] // the snapshot a caller is executing now (nil = idle)
 
-	ring []work
-	head atomic.Uint32 // consumer cursor
-	tail atomic.Uint32 // producer cursor
-	wake chan struct{} // capacity-1 doorbell, producer -> consumer
-	quit chan struct{}
-
-	// pidx is the producer-side packet-index scratch for the batch being
-	// partitioned; guarded by Engine.pmu and reused across batches so the
-	// steady-state producer path does not allocate.
-	pidx []int32
+	// mu admits one deciding caller at a time. It owns everything a decision
+	// writes: both snapshots' interpreter scratch, the inUse pin, closed, idx
+	// and the hot-path telemetry handles below. Writers never take it — they
+	// synchronise with the reader through active/inUse alone — so a decision
+	// waits only for another decision on the same shard.
+	mu sync.Mutex
+	// closed is set by Close; packets steered here afterwards fail in place.
+	closed bool
+	// idx is the packet-index scratch of the visit in progress, reused
+	// across visits so the steady state does not allocate.
+	idx []int32
 
 	// health is the shard's position in the degradation state machine
 	// (Healthy/Quarantined/Resyncing). Transitions happen under Engine.wmu;
-	// the atomic lets the partitioner and scrapers read it lock-free.
+	// the atomic lets scrapers read it lock-free.
 	health atomic.Int32
 	// lastErr records the divergence that quarantined the shard; guarded by
 	// Engine.wmu.
@@ -202,9 +188,9 @@ type shard struct {
 
 	// Telemetry handles, nil unless Config.Telemetry was set. decCtr and
 	// emptyCtr are this shard's padded slots of the engine-wide sharded
-	// counters; tracer is this shard's provenance tracer. Only the shard's
-	// reader goroutine touches them on the hot path. chainTel/tableTel are
-	// kept so resync can re-attach the shard's stats to rebuilt snapshots.
+	// counters; tracer is this shard's provenance tracer. On the hot path
+	// they are touched only under mu. chainTel/tableTel are kept so resync
+	// can re-attach the shard's stats to rebuilt snapshots.
 	decCtr   *telemetry.Counter
 	emptyCtr *telemetry.Counter
 	tracer   *telemetry.Tracer
@@ -212,45 +198,46 @@ type shard struct {
 	tableTel *telemetry.TableStats
 }
 
+// steering maps a packet's home shard (Key mod Shards) to the shard that
+// serves it: the identity while every shard is healthy, a healthy substitute
+// for quarantined homes (failover), and -1 everywhere while live==0. A
+// steering table is immutable once published through Engine.steer.
+type steering struct {
+	to   []int32
+	live int // healthy shards
+}
+
 // Engine is a concurrent sharded decision engine. Decisions (DecideBatch,
 // Decide) and writes (Add, Delete, Update, Upsert) may be issued
 // concurrently from any number of goroutines.
 type Engine struct {
 	shards []*shard
-	pol    *policy.Policy
 	schema policy.Schema
-	chunk  int
+
+	// pol is the most recently published policy. Stored under wmu (SwapPolicy)
+	// and read by resync under wmu; atomic so Policy() needs no lock.
+	pol atomic.Pointer[policy.Policy]
 
 	// auth is the authoritative control-plane table: every accepted write
 	// lands here first, and quarantined shards rebuild from it. Guarded by
 	// wmu; never read by the decision path.
 	auth *smbm.SMBM
 
-	// counts is the per-shard packet tally for the batch being partitioned;
-	// guarded by pmu, sized once in New, reused across batches.
-	counts []int32
+	// steer is the current steering table, replaced wholesale under wmu on
+	// every health transition and loaded once per batch. A batch that loaded
+	// the previous table may still execute on a shard quarantined since; the
+	// epoch protocol keeps that safe (resync waits out the inUse pin) and the
+	// decision is one the shard could have given just before the transition.
+	steer atomic.Pointer[steering]
 
-	// steer maps a packet's home shard (Key mod Shards) to the shard that
-	// actually serves it: the identity while every shard is healthy, a
-	// healthy substitute for quarantined homes (failover), and unused while
-	// live==0. Guarded by pmu; rebuilt on every health transition.
-	steer []int32
-	// live is the number of healthy shards; guarded by pmu.
-	live int
-
-	// pmu serializes producers, keeping each ring single-producer and the
-	// producer scratch (pidx, counts, batch WaitGroup, one) reusable.
-	pmu    sync.Mutex
-	wg     sync.WaitGroup // completion of the batch in flight; reused
-	one    [1]Packet      // scratch for Decide
-	rrKey  uint64         // round-robin steering key for Decide
-	closed bool
+	rrKey  atomic.Uint64 // round-robin steering key for Decide
+	closed atomic.Bool   // Close has begun
 
 	// wmu serializes writers, so the two snapshots of every shard advance
-	// through the same operation sequence. Lock order: wmu before pmu.
+	// through the same operation sequence. Shard locks are never taken
+	// under it.
 	wmu sync.Mutex
 
-	running  sync.WaitGroup // shard goroutines, for Close
 	bg       sync.WaitGroup // background resync goroutines, for Close
 	closedCh chan struct{}  // closed by Close; bails writers and resync loops
 
@@ -267,12 +254,11 @@ type Engine struct {
 	// Read under wmu.
 	resyncFailHook func(shard, attempt int) error
 
-	// Telemetry, nil unless Config.Telemetry was set. batchHist/ringHist
-	// are observed on the (pmu-serialized) producer path; swaps/waitSpins
-	// on the (wmu-serialized) write path.
+	// Telemetry, nil unless Config.Telemetry was set. All handles are atomic
+	// instruments: batchHist and the failover/failed counters are observed
+	// by deciding callers, swaps/waitSpins on the (wmu-serialized) write path.
 	reg       *telemetry.Registry
 	batchHist *telemetry.Histogram // DecideBatch sizes
-	ringHist  *telemetry.Histogram // ring occupancy at each chunk push
 	swaps     *telemetry.Counter   // active-snapshot publishes (one per shard per write)
 	waitSpins *telemetry.Counter   // writer spins on a reader-pinned retired snapshot (staleness)
 	polSwaps  *telemetry.Counter   // policy hot-swaps published (SwapPolicy successes)
@@ -282,14 +268,15 @@ type Engine struct {
 	resyncCtr   *telemetry.Counter // resyncs completed
 	retryCtr    *telemetry.Counter // failed resync attempts (will back off + retry)
 	failoverCtr *telemetry.Counter // decisions diverted to a non-home shard
-	failedCtr   *telemetry.Counter // decisions failed: engine closed or no healthy shard
+	failedCtr   *telemetry.Counter // decisions failed: engine closed, no healthy shard, or no such output
 	quarGauge   *telemetry.Gauge   // shards currently quarantined or resyncing
 }
 
 // New builds the engine: per shard, two complete table+interpreter replicas
-// (the double buffer) and a decision goroutine. All replicas start empty and
-// identical; every interpreter draws the same deterministic seed assignment,
-// so shards model identically-configured pipeline replicas.
+// (the double buffer). All replicas start empty and identical; every
+// interpreter draws the same deterministic seed assignment, so shards model
+// identically-configured pipeline replicas. A healthy engine owns no
+// goroutines.
 func New(cfg Config) (*Engine, error) {
 	n := cfg.Shards
 	if n <= 0 {
@@ -301,39 +288,24 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("engine: nil policy")
 	}
-	chunk := cfg.ChunkSize
-	if chunk <= 0 {
-		chunk = DefaultChunkSize
-	}
 	e := &Engine{
-		pol:        cfg.Policy,
 		schema:     cfg.Schema,
-		chunk:      chunk,
 		auth:       smbm.New(cfg.Capacity, len(cfg.Schema.Attrs)),
-		counts:     make([]int32, n),
-		steer:      make([]int32, n),
-		live:       n,
 		closedCh:   make(chan struct{}),
 		flight:     cfg.Flight,
 		onQuar:     cfg.OnQuarantine,
 		resyncBase: cfg.ResyncBase,
 		resyncMax:  cfg.ResyncMax,
 	}
+	e.pol.Store(cfg.Policy)
 	if e.resyncBase <= 0 {
 		e.resyncBase = DefaultResyncBase
 	}
 	if e.resyncMax <= 0 {
 		e.resyncMax = DefaultResyncMax
 	}
-	for i := range e.steer {
-		e.steer[i] = int32(i)
-	}
 	for i := 0; i < n; i++ {
-		s := &shard{
-			ring: make([]work, ringSlots),
-			wake: make(chan struct{}, 1),
-			quit: make(chan struct{}),
-		}
+		s := &shard{}
 		for j := range s.states {
 			t := smbm.New(cfg.Capacity, len(cfg.Schema.Attrs))
 			it, err := policy.NewInterp(t, cfg.Schema, cfg.Policy)
@@ -345,26 +317,16 @@ func New(cfg Config) (*Engine, error) {
 		s.active.Store(s.states[0])
 		e.shards = append(e.shards, s)
 	}
+	e.rebuildSteering()
 	if cfg.Telemetry != nil {
 		e.setupTelemetry(cfg, n)
-	}
-	for i, s := range e.shards {
-		e.running.Add(1)
-		go func(i int, s *shard) {
-			// Label the shard goroutine so CPU profiles break down by
-			// pipeline replica.
-			pprof.Do(context.Background(), pprof.Labels("thanos_shard", strconv.Itoa(i)), func(context.Context) {
-				s.run(&e.running)
-			})
-		}(i, s)
 	}
 	return e, nil
 }
 
 // setupTelemetry registers the engine's metric set under cfg.Telemetry and
 // hands each shard its padded counter slots, chain/table stats and tracer.
-// Runs once, before the shard goroutines start, so no synchronization with
-// readers is needed.
+// Runs once, inside New, so no synchronization with readers is needed.
 func (e *Engine) setupTelemetry(cfg Config, n int) {
 	reg := cfg.Telemetry
 	e.reg = reg
@@ -374,7 +336,6 @@ func (e *Engine) setupTelemetry(cfg Config, n int) {
 	dec := reg.NewShardedCounter("thanos_engine_decisions_total", "decisions executed across all shards", n)
 	empty := reg.NewShardedCounter("thanos_engine_empty_decisions_total", "decisions whose final candidate set was empty", n)
 	e.batchHist = reg.NewHistogram("thanos_engine_batch_size", "DecideBatch request sizes in packets")
-	e.ringHist = reg.NewHistogram("thanos_engine_ring_occupancy", "SPSC ring depth observed at each chunk enqueue")
 	e.swaps = reg.NewCounter("thanos_engine_epoch_swaps_total", "active-snapshot publishes (one per shard per table write)")
 	e.waitSpins = reg.NewCounter("thanos_engine_epoch_wait_spins_total", "writer spins waiting for a reader to drain a retired snapshot")
 	e.polSwaps = reg.NewCounter("thanos_engine_policy_swaps_total", "policy hot-swaps published through the epoch-snapshot mechanism")
@@ -382,11 +343,11 @@ func (e *Engine) setupTelemetry(cfg Config, n int) {
 	e.resyncCtr = reg.NewCounter("thanos_engine_resyncs_completed_total", "quarantined shards rebuilt from the authoritative table and returned to service")
 	e.retryCtr = reg.NewCounter("thanos_engine_resync_retries_total", "failed resync attempts, retried with capped exponential backoff")
 	e.failoverCtr = reg.NewCounter("thanos_engine_failover_decisions_total", "decisions diverted from a quarantined home shard to a healthy one")
-	e.failedCtr = reg.NewCounter("thanos_engine_failed_decisions_total", "decisions failed because the engine was closed or no shard was healthy")
+	e.failedCtr = reg.NewCounter("thanos_engine_failed_decisions_total", "decisions failed because the engine was closed, no shard was healthy, or the policy has no such output")
 	e.quarGauge = reg.NewGauge("thanos_engine_quarantined_shards", "shards currently quarantined or resyncing")
 	reg.NewGaugeFunc("thanos_engine_shards", "pipeline replicas", func() int64 { return int64(n) })
 	// thanos_engine_table_size (the TableStats gauge above) tracks the
-	// replica size as the readers apply writes; this one asks the
+	// replica size as writes reach the replicas; this one asks the
 	// authoritative replica directly at scrape time.
 	reg.NewGaugeFunc("thanos_engine_resources", "resources in the authoritative replica at scrape time", func() int64 { return int64(e.Size()) })
 	every := cfg.TraceEvery
@@ -403,7 +364,7 @@ func (e *Engine) setupTelemetry(cfg Config, n int) {
 		s.tracer = telemetry.NewTracer(every, capacity, i)
 		s.chainTel = chains[i]
 		s.tableTel = tables[i]
-		// Both snapshots of a shard run on the same reader goroutine (never
+		// Both snapshots of a shard run under the same shard lock (never
 		// concurrently), so they can share the shard's handles.
 		for _, st := range s.states {
 			st.interp.AttachTelemetry(chains[i])
@@ -416,16 +377,15 @@ func (e *Engine) setupTelemetry(cfg Config, n int) {
 func (e *Engine) Telemetry() *telemetry.Registry { return e.reg }
 
 // TraceSnapshot returns the sampled decision traces of every shard, merged
-// in ascending (Seq, Shard) order. It briefly takes the producer lock:
-// since every batch completes before DecideBatch releases that lock,
-// holding it guarantees no shard is mid-decision, which is the tracers'
-// snapshot precondition.
+// in ascending (Seq, Shard) order. Each shard's tracer is read under that
+// shard's lock, so no decision is mid-flight on it — the tracers' snapshot
+// precondition.
 func (e *Engine) TraceSnapshot() []telemetry.Trace {
-	e.pmu.Lock()
-	defer e.pmu.Unlock()
 	var out []telemetry.Trace
 	for _, s := range e.shards {
+		s.mu.Lock()
 		out = append(out, s.tracer.Snapshot()...)
+		s.mu.Unlock()
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].Seq != out[b].Seq {
@@ -441,11 +401,7 @@ func (e *Engine) Shards() int { return len(e.shards) }
 
 // Policy returns the policy every shard currently executes. With policy
 // hot-swaps in flight the result is the most recently published policy.
-func (e *Engine) Policy() *policy.Policy {
-	e.pmu.Lock()
-	defer e.pmu.Unlock()
-	return e.pol
-}
+func (e *Engine) Policy() *policy.Policy { return e.pol.Load() }
 
 // Schema returns the metric-dimension schema the engine was built with.
 // The schema is immutable for the engine's lifetime: hot-swaps replace the
@@ -457,33 +413,37 @@ func (e *Engine) Schema() policy.Schema { return e.schema }
 // would race the epoch writer for no benefit.
 func (e *Engine) Capacity() int { return e.auth.Capacity() }
 
-// Close stops every shard goroutine and any background resyncs, and waits
-// for them to exit. Pending batches are drained first; Close is idempotent.
-// Using the engine after Close degrades instead of crashing: DecideBatch and
-// Decide fill every packet with ID=-1/OK=false (a batch racing Close may
-// still be served by the draining shards), and control-plane writes return
-// ErrClosed.
+// Close shuts the engine down: it marks every shard closed under that
+// shard's lock — so it returns only after every decision already executing
+// has finished — and stops and waits for any background resyncs. Close is
+// idempotent. Using the engine after Close degrades instead of crashing:
+// DecideBatch and Decide fill every packet with ID=-1/OK=false (a batch
+// racing Close is served on the shards it reached first), and control-plane
+// writes return ErrClosed.
 func (e *Engine) Close() {
-	e.pmu.Lock()
-	if e.closed {
-		e.pmu.Unlock()
+	if !e.closed.CompareAndSwap(false, true) {
 		return
 	}
-	e.closed = true
-	e.pmu.Unlock()
 	close(e.closedCh)
 	for _, s := range e.shards {
-		close(s.quit)
+		s.mu.Lock()
+		s.closed = true
+		s.mu.Unlock()
 	}
-	e.running.Wait()
 	e.bg.Wait()
 }
 
-// DecideBatch runs one policy decision per packet, in parallel across the
-// engine's shards, writing each result into the packet in place. It returns
-// when every packet in the batch has been decided. Safe for concurrent use;
-// concurrent batches are serialized on the producer side while their
-// decisions still fan out across all shards.
+// steerTag marks a packet as steered but not yet decided: DecideBatch sets
+// ID to steerTag-shard, and a decision overwrites it with a result ≥ -1. The
+// packets double as the partition, so concurrent callers share no scratch.
+const steerTag = -2
+
+// DecideBatch runs one policy decision per packet, writing each result into
+// the packet in place, and returns when every packet has been decided. The
+// calling goroutine does the work: it steers each packet to a shard, then
+// executes each shard's packets under that shard's lock, in batch order.
+// Safe for concurrent use; concurrent batches run in parallel except where
+// they meet on a shard.
 //
 // The steady-state path performs no heap allocations.
 //
@@ -492,188 +452,77 @@ func (e *Engine) DecideBatch(pkts []Packet) {
 	if len(pkts) == 0 {
 		return
 	}
-	e.pmu.Lock()
-	defer e.pmu.Unlock()
-	e.decideBatchLocked(pkts)
-}
-
-// Decide runs a single decision for policy output 0, steering it to shards
-// round-robin. It is the convenience path simulators use; batch callers get
-// far better throughput from DecideBatch.
-//
-//thanos:hotpath
-func (e *Engine) Decide() (id int, ok bool) {
-	e.pmu.Lock()
-	defer e.pmu.Unlock()
-	e.one[0] = Packet{Key: e.rrKey}
-	e.rrKey++
-	e.decideBatchLocked(e.one[:])
-	return e.one[0].ID, e.one[0].OK
-}
-
-func (e *Engine) decideBatchLocked(pkts []Packet) {
-	if e.closed || e.live == 0 {
-		// Degraded: the engine is closed, or every shard is quarantined.
-		// Fail the batch in place — callers observe OK=false — instead of
-		// panicking out of a benign shutdown race or a total fault.
-		e.failBatch(pkts)
-		return
-	}
-	// A packet naming an output the current policy does not have fails in
-	// place (ID=-1, OK=false) instead of panicking: with policy hot-swaps a
-	// caller's view of the output count is inherently racy, so an
-	// out-of-range index is a degradation, not a programming error. Shards
-	// re-check against their own pinned snapshot's policy in process().
-	nOut := len(e.pol.Outputs)
-	var invalid uint64
-	// Partition the batch across shards by steering key: a counting pass
-	// sizes each shard's index list exactly, so the fill pass below extends
-	// within capacity and the steady state never grows a slice. steer
-	// redirects packets homed on quarantined shards to healthy ones.
-	ns := uint64(len(e.shards))
-	for i := range e.counts {
-		e.counts[i] = 0
-	}
-	var diverted uint64
-	for i := range pkts {
-		if pkts[i].Out < 0 || pkts[i].Out >= nOut {
+	st := e.steer.Load()
+	if st.live == 0 {
+		// Degraded: every shard is quarantined. Fail the batch in place —
+		// callers observe OK=false — instead of blocking on a total fault.
+		for i := range pkts {
 			pkts[i].ID = -1
 			pkts[i].OK = false
-			invalid++
-			continue
 		}
+		e.failedCtr.Add(uint64(len(pkts)))
+		return
+	}
+	e.batchHist.Observe(uint64(len(pkts)))
+	ns := uint64(len(e.shards))
+	var diverted uint64
+	for i := range pkts {
 		home := pkts[i].Key % ns
-		tgt := e.steer[home]
+		tgt := st.to[home]
 		if uint64(tgt) != home {
 			diverted++
 		}
-		e.counts[tgt]++
-	}
-	if invalid != 0 {
-		e.failedCtr.Add(invalid)
-		if invalid == uint64(len(pkts)) {
-			return
-		}
+		pkts[i].ID = steerTag - int(tgt)
 	}
 	if diverted != 0 {
 		e.failoverCtr.Add(diverted)
 	}
-	for si, s := range e.shards {
-		s.reservePidx(int(e.counts[si]))
-	}
+	// Visit shards in order of first appearance: the first packet still
+	// tagged names the next shard, which then decides all of its packets.
+	var failed uint64
 	for i := range pkts {
-		if pkts[i].Out < 0 || pkts[i].Out >= nOut {
-			continue
-		}
-		s := e.shards[e.steer[pkts[i].Key%ns]]
-		n := len(s.pidx)
-		s.pidx = s.pidx[:n+1]
-		s.pidx[n] = int32(i)
-	}
-	chunks := 0
-	for _, s := range e.shards {
-		chunks += (len(s.pidx) + e.chunk - 1) / e.chunk
-	}
-	e.batchHist.Observe(uint64(len(pkts)))
-	e.wg.Add(chunks)
-	for _, s := range e.shards {
-		for off := 0; off < len(s.pidx); off += e.chunk {
-			end := off + e.chunk
-			if end > len(s.pidx) {
-				end = len(s.pidx)
-			}
-			// Ring occupancy sampled producer-side at every enqueue: a
-			// persistently deep ring means the consumer is the bottleneck.
-			e.ringHist.Observe(uint64(s.tail.Load() - s.head.Load()))
-			s.push(work{pkts: pkts, idx: s.pidx[off:end], wg: &e.wg})
+		if tag := pkts[i].ID; tag <= steerTag {
+			failed += e.shards[steerTag-tag].process(pkts[i:], tag)
 		}
 	}
-	e.wg.Wait()
-}
-
-// failBatch marks every packet undecided (ID=-1, OK=false) and counts the
-// failures. Allocation-free: it runs on the hot path's degraded branch.
-func (e *Engine) failBatch(pkts []Packet) {
-	for i := range pkts {
-		pkts[i].ID = -1
-		pkts[i].OK = false
-	}
-	e.failedCtr.Add(uint64(len(pkts)))
-}
-
-// reservePidx empties the shard's packet-index scratch and ensures capacity
-// for n entries.
-//
-//thanos:coldpath amortized: grows only when a batch steers more packets to this shard than any batch before it; steady state is a re-slice
-func (s *shard) reservePidx(n int) {
-	if cap(s.pidx) < n {
-		s.pidx = make([]int32, 0, n)
-	}
-	s.pidx = s.pidx[:0]
-}
-
-// push enqueues one work descriptor on the shard's SPSC ring, spinning when
-// the ring is full (the consumer is draining it concurrently), and rings the
-// doorbell.
-func (s *shard) push(w work) {
-	for s.tail.Load()-s.head.Load() == uint32(len(s.ring)) {
-		runtime.Gosched()
-	}
-	s.ring[s.tail.Load()%uint32(len(s.ring))] = w
-	s.tail.Add(1)
-	select {
-	case s.wake <- struct{}{}:
-	default:
+	if failed != 0 {
+		e.failedCtr.Add(failed)
 	}
 }
 
-// pop dequeues one work descriptor, or reports the ring empty.
-func (s *shard) pop() (work, bool) {
-	h := s.head.Load()
-	if h == s.tail.Load() {
-		return work{}, false
-	}
-	slot := h % uint32(len(s.ring))
-	w := s.ring[slot]
-	s.ring[slot] = work{} // release references
-	s.head.Add(1)
-	return w, true
-}
-
-// run is the shard's reader goroutine: drain the ring, park on the doorbell.
-func (s *shard) run(done *sync.WaitGroup) {
-	defer done.Done()
-	for {
-		for {
-			w, ok := s.pop()
-			if !ok {
-				break
-			}
-			s.process(w)
-		}
-		select {
-		case <-s.wake:
-		case <-s.quit:
-			// Drain work enqueued before shutdown so no batch waits forever.
-			for {
-				w, ok := s.pop()
-				if !ok {
-					return
-				}
-				s.process(w)
-			}
-		}
-	}
-}
-
-// process executes one work descriptor against the shard's active snapshot.
-// The inUse pointer is the shard's half of the epoch protocol: publish the
-// snapshot being read, re-check that it is still active (a writer may have
-// swapped in between), execute, clear. Writers spin on inUse before mutating
-// a retired snapshot, so execution never observes a table mid-write.
+// Decide runs a single decision for policy output 0, steering it to shards
+// round-robin. It is the convenience path simulators use.
 //
 //thanos:hotpath
-func (s *shard) process(w work) {
+func (e *Engine) Decide() (id int, ok bool) {
+	one := [1]Packet{{Key: e.rrKey.Add(1) - 1}}
+	e.DecideBatch(one[:])
+	return one[0].ID, one[0].OK
+}
+
+// reserveIdx returns the shard's index scratch with room for n entries.
+//
+//thanos:coldpath amortized: grows only when a visit scans more packets than any before it on this shard; steady state is a re-slice
+func (s *shard) reserveIdx(n int) []int32 {
+	if cap(s.idx) < n {
+		s.idx = make([]int32, n)
+	}
+	return s.idx[:n]
+}
+
+// process decides, in order, every packet of pkts tagged for this shard,
+// against the shard's active snapshot, and returns how many it had to fail.
+// The inUse pointer is the reader's half of the epoch protocol: publish the
+// snapshot being read, re-check that it is still active (a writer may have
+// swapped in between), execute, clear. Writers spin on inUse before mutating
+// a retired snapshot, so execution never observes a table mid-write; mu
+// makes the caller the shard's only reader, which is what lets one inUse
+// slot stand for all of them.
+//
+//thanos:hotpath
+func (s *shard) process(pkts []Packet, tag int) (failed uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var st *snapshot
 	for {
 		st = s.active.Load()
@@ -683,20 +532,34 @@ func (s *shard) process(w work) {
 		}
 		s.inUse.Store(nil) // writer swapped underneath us; retry on the new epoch
 	}
-	var dec, empty uint64
+	// A packet naming an output the pinned policy does not have fails in
+	// place (ID=-1, OK=false) instead of panicking in Resolve: with policy
+	// hot-swaps a caller's view of the output count is inherently racy, so an
+	// out-of-range index is a degradation, not a programming error. A closed
+	// shard has no outputs to offer at all.
 	nOut := len(st.pol.Outputs)
-	for _, i := range w.idx {
-		p := &w.pkts[i]
-		// The partitioner validated Out against the policy it saw, but a
-		// hot-swap may have published a snapshot with fewer outputs between
-		// partitioning and execution. Degrade such packets instead of letting
-		// Resolve panic: each decision is consistent with the snapshot it ran
-		// against.
-		if p.Out >= nOut {
+	if s.closed {
+		nOut = 0
+	}
+	// Gather this shard's packets first, with a conditional increment the
+	// compiler renders branch-free: skipping foreign packets inside the
+	// decision loop instead put an unpredictable branch in front of every
+	// interpreter call (+9% on serve_filter's 1024-packet batches).
+	idx := s.reserveIdx(len(pkts))
+	n := 0
+	for i := range pkts {
+		idx[n] = int32(i)
+		if pkts[i].ID == tag {
+			n++
+		}
+	}
+	var dec, empty uint64
+	for _, i := range idx[:n] {
+		p := &pkts[i]
+		if p.Out < 0 || p.Out >= nOut {
 			p.ID = -1
 			p.OK = false
-			dec++
-			empty++
+			failed++
 			continue
 		}
 		tr := s.tracer.Sample()
@@ -710,7 +573,7 @@ func (s *shard) process(w work) {
 		}
 		tr.Finish(p.Out, p.ID, p.OK)
 	}
-	// One telemetry publish per chunk, not per decision. The snapshot (and
+	// One telemetry publish per visit, not per decision. The snapshot (and
 	// so its table version) stays pinned until inUse clears below, which is
 	// what FlushStats's same-version contract requires.
 	s.decCtr.Add(dec)
@@ -719,7 +582,7 @@ func (s *shard) process(w work) {
 	}
 	st.interp.FlushStats(dec)
 	s.inUse.Store(nil)
-	w.wg.Done()
+	return failed
 }
 
 // Add inserts a resource into every replica. See apply for the propagation
@@ -788,7 +651,7 @@ func (e *Engine) apply(op func(*smbm.SMBM) error) error {
 // applyShard propagates one already-validated operation to both snapshots of
 // a shard without ever stalling readers: mutate the shadow snapshot,
 // atomically publish it as the new active epoch, wait for the reader to
-// finish any batch pinned to the old epoch, then replay the operation on the
+// finish any visit pinned to the old epoch, then replay the operation on the
 // retired snapshot. This mirrors the paper's pipelined 2-cycle SMBM writes
 // (§5.1.4): reads issued at any moment see a complete, consistent table.
 // Caller holds wmu.

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/policy"
@@ -222,16 +223,15 @@ func TestEngineDecideSingle(t *testing.T) {
 	}
 }
 
-// TestEngineBigBatchAllShards pushes a batch much larger than the chunk size
-// so the ring-buffer streaming path (multiple chunks per shard per batch) is
-// exercised.
+// TestEngineBigBatchAllShards pushes one large batch whose keys cover every
+// shard, so a single call visits all of them and each decides a long run of
+// interleaved packets.
 func TestEngineBigBatchAllShards(t *testing.T) {
 	e, err := New(Config{
-		Shards:    4,
-		Capacity:  64,
-		Schema:    testSchema,
-		Policy:    policy.MustParse(minPolicySrc),
-		ChunkSize: 16,
+		Shards:   4,
+		Capacity: 64,
+		Schema:   testSchema,
+		Policy:   policy.MustParse(minPolicySrc),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -249,6 +249,30 @@ func TestEngineBigBatchAllShards(t *testing.T) {
 		if !p.OK || p.ID != 5 {
 			t.Fatalf("packet %d: got (%d,%v), want (5,true)", i, p.ID, p.OK)
 		}
+	}
+}
+
+// TestEngineOwnsNoGoroutines pins the run-to-completion contract: decisions
+// execute on their callers, so a healthy engine starts no goroutine, and one
+// whose Close was forgotten leaks none.
+func TestEngineOwnsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e, err := New(Config{Shards: 4, Capacity: 64, Schema: testSchema, Policy: policy.MustParse(minPolicySrc)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillRandom(t, e, 16, 1)
+	pkts := make([]Packet, 64)
+	for n := 0; n < 1000; n++ {
+		for i := range pkts {
+			pkts[i] = Packet{Key: uint64(n*len(pkts) + i)}
+		}
+		e.DecideBatch(pkts)
+	}
+	// No Close. Goroutines that earlier tests left winding down can only
+	// lower the count.
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d before New, %d after 1000 batches; the engine must own none", before, after)
 	}
 }
 

@@ -3,7 +3,9 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -251,8 +253,9 @@ func TestEngineAllShardsQuarantined(t *testing.T) {
 
 // TestEngineCloseConcurrentDecideBatch is the shutdown-race regression test:
 // Close racing in-flight DecideBatch callers must neither panic nor
-// deadlock — batches either complete or come back undecided. Run under
-// -race (make check / check-fault).
+// deadlock — packets either are decided or come back undecided — and a
+// batch begun after Close returned comes back (-1,false) throughout. Run
+// under -race (make check / check-fault).
 func TestEngineCloseConcurrentDecideBatch(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		e, err := New(Config{Shards: 4, Capacity: 32, Schema: testSchema, Policy: policy.MustParse(minPolicySrc)})
@@ -260,6 +263,7 @@ func TestEngineCloseConcurrentDecideBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		fillRandom(t, e, 8, int64(trial))
+		var closeReturned atomic.Bool
 		var wg sync.WaitGroup
 		start := make(chan struct{})
 		for g := 0; g < 4; g++ {
@@ -272,12 +276,16 @@ func TestEngineCloseConcurrentDecideBatch(t *testing.T) {
 					for i := range pkts {
 						pkts[i] = Packet{Key: uint64(g*1000 + i)}
 					}
+					late := closeReturned.Load()
 					e.DecideBatch(pkts)
 					for i, p := range pkts {
 						// Either decided (pre-Close) or failed (post-Close);
 						// never a stale in-between.
 						if p.OK && p.ID < 0 {
 							t.Errorf("packet %d: OK with negative id", i)
+						}
+						if late && (p.OK || p.ID != -1) {
+							t.Errorf("packet %d: (%d,%v) from a batch begun after Close returned", i, p.ID, p.OK)
 						}
 					}
 				}
@@ -288,10 +296,48 @@ func TestEngineCloseConcurrentDecideBatch(t *testing.T) {
 			defer wg.Done()
 			<-start
 			e.Close()
+			closeReturned.Store(true)
 		}()
 		close(start)
 		wg.Wait()
 		e.Close()
+	}
+}
+
+// TestEngineCloseWaitsForInflightDecision: Close returns only once the
+// decisions already executing have finished. Holding a shard's lock stands
+// in for a caller mid-visit on that shard.
+func TestEngineCloseWaitsForInflightDecision(t *testing.T) {
+	e, err := New(Config{Shards: 4, Capacity: 32, Schema: testSchema, Policy: policy.MustParse(minPolicySrc)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillRandom(t, e, 8, 1)
+	s := e.shards[2]
+	s.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		e.Close()
+		close(done)
+	}()
+	for !e.closed.Load() {
+		runtime.Gosched()
+	}
+	// Close has begun and cannot get past shard 2 while the lock is held.
+	select {
+	case <-done:
+		s.mu.Unlock()
+		t.Fatal("Close returned while a decision still held shard 2")
+	default:
+	}
+	s.mu.Unlock()
+	<-done
+	pkts := []Packet{{Key: 0, ID: 7, OK: true}, {Key: 1}, {Key: 2}, {Key: 3}}
+	e.DecideBatch(pkts)
+	for i, p := range pkts {
+		if p.OK || p.ID != -1 {
+			t.Fatalf("packet %d after Close: (%d,%v), want (-1,false)", i, p.ID, p.OK)
+		}
 	}
 }
 

@@ -14,12 +14,12 @@ import (
 //
 // A shard is Healthy while its two snapshots track the authoritative table
 // op-for-op. The first write it rejects after the authority accepted it (or
-// a divergence found by VerifyReplicas) moves it to Quarantined: the batch
-// partitioner steers its traffic to healthy shards and writers stop
-// broadcasting to it. A background loop then moves it Quarantined →
-// Resyncing while it rebuilds both snapshots from the authority, and back to
-// Healthy on success — or back to Quarantined, to retry with capped
-// exponential backoff, on failure.
+// a divergence found by VerifyReplicas) moves it to Quarantined: the steering
+// table sends its traffic to healthy shards and writers stop broadcasting to
+// it. A background loop then moves it Quarantined → Resyncing while it
+// rebuilds both snapshots from the authority, and back to Healthy on success
+// — or back to Quarantined, to retry with capped exponential backoff, on
+// failure.
 type ShardHealth int32
 
 const (
@@ -52,11 +52,7 @@ func (e *Engine) Health(si int) ShardHealth {
 }
 
 // HealthyShards returns the number of shards currently in the serving set.
-func (e *Engine) HealthyShards() int {
-	e.pmu.Lock()
-	defer e.pmu.Unlock()
-	return e.live
-}
+func (e *Engine) HealthyShards() int { return e.steer.Load().live }
 
 // LastShardError returns the divergence that most recently quarantined
 // shard si, or nil if it never diverged.
@@ -89,14 +85,15 @@ type EngineStatus struct {
 
 // Introspect snapshots the engine's degradation state: per-shard health,
 // last divergence, and active-table version/size, plus the authoritative
-// table's view. Control-plane only — it takes the writer lock (then the
-// producer lock for the live count; lock order wmu → pmu), so the snapshot
-// is consistent with respect to writes, while decisions keep flowing.
+// table's view. Control-plane only — it takes the writer lock, so the
+// snapshot is consistent with respect to writes and health transitions,
+// while decisions keep flowing.
 func (e *Engine) Introspect() EngineStatus {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
 	st := EngineStatus{
 		Shards:      make([]ShardStatus, 0, len(e.shards)),
+		Live:        e.steer.Load().live,
 		Resources:   e.auth.Size(),
 		AuthVersion: e.auth.Version(),
 	}
@@ -112,9 +109,6 @@ func (e *Engine) Introspect() EngineStatus {
 		ss.TableSize = act.table.Size()
 		st.Shards = append(st.Shards, ss)
 	}
-	e.pmu.Lock()
-	st.Live = e.live
-	e.pmu.Unlock()
 	return st
 }
 
@@ -141,37 +135,33 @@ func (e *Engine) quarantineLocked(si int, cause error) {
 }
 
 // rebuildSteering recomputes the home-shard → serving-shard table from the
-// current health states. Healthy shards serve themselves; a quarantined
-// home's traffic is spread over the healthy shards deterministically (k-th
-// dead shard → k mod live). With no healthy shards every entry is -1 and
-// the partitioner fails batches instead of dispatching them. Callers hold
-// wmu; this takes pmu (lock order wmu → pmu), so it also serializes with
-// in-flight batch partitioning.
+// current health states and publishes it. Healthy shards serve themselves; a
+// quarantined home's traffic is spread over the healthy shards
+// deterministically (k-th dead shard → k mod live). With no healthy shards
+// every entry is -1 and DecideBatch fails batches instead of executing them.
+// Callers hold wmu (or are New), which makes them the table's only writer;
+// batches already steered by the previous table finish on it.
 func (e *Engine) rebuildSteering() {
-	e.pmu.Lock()
-	defer e.pmu.Unlock()
+	to := make([]int32, len(e.shards))
 	liveIdx := make([]int32, 0, len(e.shards))
 	for i, s := range e.shards {
 		if ShardHealth(s.health.Load()) == Healthy {
 			liveIdx = append(liveIdx, int32(i))
 		}
 	}
-	e.live = len(liveIdx)
-	if e.live == 0 {
-		for i := range e.steer {
-			e.steer[i] = -1
-		}
-		return
-	}
 	k := 0
-	for i := range e.steer {
-		if ShardHealth(e.shards[i].health.Load()) == Healthy {
-			e.steer[i] = int32(i)
-		} else {
-			e.steer[i] = liveIdx[k%len(liveIdx)]
+	for i := range to {
+		switch {
+		case len(liveIdx) == 0:
+			to[i] = -1
+		case ShardHealth(e.shards[i].health.Load()) == Healthy:
+			to[i] = int32(i)
+		default:
+			to[i] = liveIdx[k%len(liveIdx)]
 			k++
 		}
 	}
+	e.steer.Store(&steering{to: to, live: len(liveIdx)})
 }
 
 // resyncLoop drives one quarantined shard back to health, retrying failed
@@ -235,6 +225,7 @@ func (e *Engine) resyncShard(si, attempt int) error {
 	s.health.Store(int32(Resyncing))
 	old0, old1 := s.states[0], s.states[1]
 	ids := e.auth.Members().IDs()
+	pol := e.pol.Load()
 	var fresh [2]*snapshot
 	for j := range fresh {
 		t := smbm.New(e.auth.Capacity(), e.auth.NumMetrics())
@@ -249,7 +240,7 @@ func (e *Engine) resyncShard(si, attempt int) error {
 				return fmt.Errorf("engine: resync shard %d: %w", si, err)
 			}
 		}
-		it, err := policy.NewInterp(t, e.schema, e.pol)
+		it, err := policy.NewInterp(t, e.schema, pol)
 		if err != nil {
 			s.health.Store(int32(Quarantined))
 			return fmt.Errorf("engine: resync shard %d: %w", si, err)
@@ -264,7 +255,7 @@ func (e *Engine) resyncShard(si, attempt int) error {
 		if s.tableTel != nil {
 			t.AttachTelemetry(s.tableTel)
 		}
-		fresh[j] = &snapshot{table: t, interp: it, pol: e.pol}
+		fresh[j] = &snapshot{table: t, interp: it, pol: pol}
 	}
 	s.states[0], s.states[1] = fresh[0], fresh[1]
 	s.active.Store(fresh[0])
@@ -334,7 +325,7 @@ func (e *Engine) VerifyReplicas() int {
 
 // verifyShard compares both snapshots of a shard against the authoritative
 // contents. Caller holds wmu (no writes in flight); snapshot reads are safe
-// concurrently with the shard's reader, which never mutates tables.
+// concurrently with a deciding caller, which never mutates tables.
 func (e *Engine) verifyShard(s *shard, ids []int) error {
 	for sti, st := range s.states {
 		if st.table.Size() != len(ids) {

@@ -1,9 +1,15 @@
 package engine
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/policy"
+	"repro/internal/smbm"
 )
 
 // TestEngineConcurrentDecideAndWrite hammers DecideBatch from several
@@ -88,6 +94,140 @@ func TestEngineConcurrentDecideAndWrite(t *testing.T) {
 	}
 }
 
+// bothPolicySrc and bothAltPolicySrc are two programs of different shape
+// that give the same two deterministic answers, so a decision is the same
+// whichever of them a hot-swap has published.
+const bothPolicySrc = `
+policy both
+out best  = min(table, cpu)
+out worst = max(table, cpu)
+`
+
+const bothAltPolicySrc = `
+policy bothalt
+let all = filter(table, cpu >= 0)
+out best  = min(all, cpu)
+out worst = max(all, cpu)
+`
+
+// TestEngineConcurrentDecideAndWriteOracle runs several callers inside the
+// engine at once — they execute on the shards themselves, so under -race at
+// GOMAXPROCS ≥ 4 (make check-race-depth) they truly overlap — beside a
+// table writer, a policy flipper and a corrupt-and-scrub loop that cycles
+// shards through quarantine and resync. The table pins its minimum to id 1
+// and its maximum to id 2 whatever the writer and the corruptor do, and both
+// policies agree, so every decision has one right answer: the one a private,
+// single-threaded, never-written oracle engine gives for the same packet.
+func TestEngineConcurrentDecideAndWriteOracle(t *testing.T) {
+	fillPinned := func(e *Engine) {
+		for id, cpu := range []int64{500, 100, 900} {
+			if err := e.Add(id, []int64{cpu, 0, 0}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for id := 3; id <= 10; id++ {
+			if err := e.Add(id, []int64{700, 0, 0}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	e := newTestEngine(t, 4, bothPolicySrc)
+	fillPinned(e)
+
+	const (
+		callers          = 4
+		batchesPerCaller = 200
+	)
+	var stop atomic.Bool
+	var quarantines atomic.Int32
+	// Callers keep going until the corruptor has produced a few quarantine
+	// cycles, bounded so a wedged resync fails instead of hanging.
+	deadline := time.Now().Add(20 * time.Second)
+	var callersWG, mutatorsWG sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		oracle := newTestEngine(t, 1, bothPolicySrc)
+		fillPinned(oracle)
+		callersWG.Add(1)
+		go func(seed int64) {
+			defer callersWG.Done()
+			r := rand.New(rand.NewSource(seed))
+			pkts := make([]Packet, 64)
+			want := make([]Packet, len(pkts))
+			for b := 0; b < batchesPerCaller || (quarantines.Load() < 3 && time.Now().Before(deadline)); b++ {
+				for i := range pkts {
+					pkts[i] = Packet{Key: r.Uint64(), Out: r.Intn(2)}
+				}
+				copy(want, pkts)
+				e.DecideBatch(pkts)
+				oracle.DecideBatch(want)
+				for i := range pkts {
+					if pkts[i] != want[i] {
+						t.Errorf("batch %d packet %d: got %+v, oracle %+v", b, i, pkts[i], want[i])
+						return
+					}
+				}
+			}
+		}(int64(g + 1))
+	}
+
+	// Writer: churn scratch ids whose cpu sits between the pinned extremes.
+	mutatorsWG.Add(1)
+	go func() {
+		defer mutatorsWG.Done()
+		r := rand.New(rand.NewSource(99))
+		for !stop.Load() {
+			id := 40 + r.Intn(10)
+			for _, err := range []error{e.Add(id, []int64{600, 0, 0}), e.Delete(id)} {
+				if err != nil && !errors.Is(err, smbm.ErrReplicaDivergence) {
+					t.Errorf("writer: %v", err)
+					return
+				}
+			}
+		}
+	}()
+	// Flipper: hot-swap between the two equivalent programs.
+	mutatorsWG.Add(1)
+	go func() {
+		defer mutatorsWG.Done()
+		pols := []*policy.Policy{policy.MustParse(bothAltPolicySrc), policy.MustParse(bothPolicySrc)}
+		for i := 0; !stop.Load(); i++ {
+			if err := e.SwapPolicy(pols[i%2]); err != nil {
+				t.Errorf("swap: %v", err)
+				return
+			}
+		}
+	}()
+	// Corruptor: drop a mid-range id from one shard's replicas, then audit so
+	// the shard is quarantined and resynced; one shard out at a time.
+	mutatorsWG.Add(1)
+	go func() {
+		defer mutatorsWG.Done()
+		r := rand.New(rand.NewSource(7))
+		for !stop.Load() {
+			if e.HealthyShards() < 4 {
+				time.Sleep(100 * time.Microsecond)
+				continue
+			}
+			if err := e.CorruptReplica(r.Intn(4), 3+r.Intn(8)); err == nil {
+				quarantines.Add(int32(e.VerifyReplicas()))
+			}
+		}
+	}()
+
+	callersWG.Wait()
+	stop.Store(true)
+	mutatorsWG.Wait()
+	if quarantines.Load() == 0 {
+		t.Fatal("no shard was ever quarantined; the test did not cover failover")
+	}
+	for si := 0; si < 4; si++ {
+		waitHealth(t, e, si, Healthy)
+	}
+	if err := e.CheckSync(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestEngineConcurrentWriters checks that the writer path itself is safe
 // under contention: many goroutines upserting disjoint id ranges must leave
 // all replicas identical.
@@ -118,8 +258,8 @@ func TestEngineConcurrentWriters(t *testing.T) {
 }
 
 // TestEngineDecideBatchZeroAlloc pins the steady-state allocation contract:
-// once the engine is warm, a full batched decision — partitioning, ring
-// hand-off, per-packet policy execution on every shard, write-back — must
+// once the engine is warm, a full batched decision — steering, per-packet
+// policy execution on every shard, write-back — must
 // not touch the heap, matching the PR 1 ExecInto contract under concurrency.
 func TestEngineDecideBatchZeroAlloc(t *testing.T) {
 	e := newTestEngine(t, 4, testPolicySrc)
@@ -129,7 +269,7 @@ func TestEngineDecideBatchZeroAlloc(t *testing.T) {
 	for i := range pkts {
 		pkts[i] = Packet{Key: uint64(i) * 0x9E3779B97F4A7C15, Out: i % 2}
 	}
-	e.DecideBatch(pkts) // warm up ring scratch and index buffers
+	e.DecideBatch(pkts) // warm the version-cached sets
 
 	allocs := testing.AllocsPerRun(100, func() {
 		e.DecideBatch(pkts)

@@ -74,12 +74,8 @@ func (e *Engine) SwapPolicy(p *policy.Policy) error {
 	for _, pd := range plan {
 		e.swapShard(pd.s, pd.act, pd.shd, p)
 	}
-	// Publish the policy the partitioner validates against. pmu is taken so
-	// concurrent DecideBatch partitioning (which reads e.pol under pmu) never
-	// races the store; lock order wmu → pmu matches rebuildSteering.
-	e.pmu.Lock()
-	e.pol = p
-	e.pmu.Unlock()
+	// Publish the policy Policy() reports and later resyncs build from.
+	e.pol.Store(p)
 	e.polSwaps.Inc()
 	e.flight.Event(telemetry.EventSwap, 0, time.Now().UnixNano(), int64(len(plan)))
 	return nil

@@ -93,7 +93,7 @@ func TestSwapPolicyValidation(t *testing.T) {
 
 // TestSwapPolicyOutputCountShrink: packets addressing an output that the
 // swapped-in policy no longer has degrade to (-1,false); valid outputs keep
-// working. Exercises both the partitioner check and the per-snapshot check.
+// working. Exercises the output check against the pinned snapshot's policy.
 func TestSwapPolicyOutputCountShrink(t *testing.T) {
 	e := newTestEngine(t, 2, twoOutSrc)
 	for id, cpu := range []int64{30, 10, 50} {

@@ -124,7 +124,7 @@ func TestEngineDecideBatchZeroAllocWithTelemetry(t *testing.T) {
 	for i := range pkts {
 		pkts[i] = Packet{Key: uint64(i) * 0x9E3779B97F4A7C15, Out: i % 2}
 	}
-	e.DecideBatch(pkts) // warm up ring scratch and index buffers
+	e.DecideBatch(pkts) // warm the version-cached sets
 
 	allocs := testing.AllocsPerRun(100, func() {
 		e.DecideBatch(pkts)

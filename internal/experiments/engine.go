@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/engine"
@@ -17,6 +18,7 @@ import (
 // concurrent decision-engine sweep.
 type EngineSweepPoint struct {
 	Shards          int     `json:"shards"`
+	Callers         int     `json:"callers"` // goroutines driving DecideBatch at once: one per shard, capped at GOMAXPROCS
 	Batch           int     `json:"batch"`
 	TableSize       int     `json:"table_size"`
 	Batches         int     `json:"batches"`
@@ -35,10 +37,10 @@ func (r EngineSweepResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Sharded decision engine throughput (software multi-pipeline, §5.1.5; GOMAXPROCS=%d) ==\n", r.GOMAXPROCS)
 	for _, p := range r.Points {
-		fmt.Fprintf(&b, "shards=%d  %.2fM decisions/s  %.0f ns/decision  speedup %.2fx\n",
-			p.Shards, p.DecisionsPerSec/1e6, p.NsPerDecision, p.Speedup)
+		fmt.Fprintf(&b, "shards=%d callers=%d  %.2fM decisions/s  %.0f ns/decision  speedup %.2fx\n",
+			p.Shards, p.Callers, p.DecisionsPerSec/1e6, p.NsPerDecision, p.Speedup)
 	}
-	b.WriteString("(speedup is bounded by GOMAXPROCS; shard counts beyond the core count add no parallelism)\n")
+	b.WriteString("(a shard is a table replica that admits one caller at a time; the sweep drives one caller per shard, capped at GOMAXPROCS, so shard counts beyond the core count add no parallelism)\n")
 	return b.String()
 }
 
@@ -60,9 +62,12 @@ func EngineShardCounts(max int) []int {
 
 // EngineSweep measures batched decision throughput of the concurrent sharded
 // engine across shard counts, under the resource-aware load-balancing policy
-// (Policy 2 of §7.2.2) over a table of tableSize servers. Points run
-// strictly serially — each point's parallelism is the engine's own, so a
-// worker pool would distort the measurement.
+// (Policy 2 of §7.2.2) over a table of tableSize servers. The engine runs
+// decisions on its callers, so each point is driven by one caller goroutine
+// per shard (capped at GOMAXPROCS): a single caller would measure one core
+// at every shard count. Points run strictly serially — each point's
+// parallelism is its own callers', so a worker pool would distort the
+// measurement.
 func EngineSweep(shardCounts []int, batch, tableSize, batches int, seed int64) (EngineSweepResult, error) {
 	res := EngineSweepResult{GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	if batch <= 0 || tableSize <= 0 || batches <= 0 {
@@ -128,26 +133,39 @@ func measureEnginePoint(shards, batch, tableSize, batches int, seed int64) (Engi
 	return pt, nil
 }
 
-// timeEnginePoint drives batches through the engine and fills in the
-// point's throughput numbers.
+// timeEnginePoint drives batches through the engine from one caller per
+// shard (capped at GOMAXPROCS), each deciding its own copy of the batch
+// `batches` times, and fills in the point's aggregate throughput numbers.
 //
 //thanos:wallclock throughput measurement: this harness reports real decisions/sec of the host, which is inherently wall-clock; simulated results use hw.Clock cycles instead
 func timeEnginePoint(e *engine.Engine, pt *EngineSweepPoint, batch, batches int) {
-	pkts := sweepPackets(batch)
-	e.DecideBatch(pkts) // warm up scratch buffers
-	start := time.Now()
-	for i := 0; i < batches; i++ {
-		e.DecideBatch(pkts)
+	pt.Callers = min(e.Shards(), runtime.GOMAXPROCS(0))
+	bufs := make([][]engine.Packet, pt.Callers)
+	for c := range bufs {
+		bufs[c] = sweepPackets(batch)
 	}
+	e.DecideBatch(bufs[0]) // warm the version-cached sets and index scratch
+	var wg sync.WaitGroup
+	start := time.Now()
+	for _, pkts := range bufs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < batches; i++ {
+				e.DecideBatch(pkts)
+			}
+		}()
+	}
+	wg.Wait()
 	elapsed := time.Since(start)
-	decisions := float64(batch) * float64(batches)
+	decisions := float64(pt.Callers) * float64(batch) * float64(batches)
 	pt.DecisionsPerSec = decisions / elapsed.Seconds()
 	pt.NsPerDecision = float64(elapsed.Nanoseconds()) / decisions
 }
 
 // EngineTelemetry is one instrumented engine run: the measured throughput
 // point plus the telemetry it produced — the full metric snapshot (per-stage
-// selectivity, ring occupancy and batch-size histograms, epoch swaps) and
+// selectivity, the batch-size histogram, epoch swaps) and
 // the sampled decision traces. The registry is retained so callers can also
 // export Prometheus text or Chrome traces.
 type EngineTelemetry struct {

@@ -74,7 +74,7 @@ func (u *ControlUpdater) Stale() uint64 { return u.stale }
 func (u *ControlUpdater) Decide() (int, bool) { return u.backend.Decide() }
 
 // Close releases the wrapped backend if it owns resources (e.g. the
-// sharded engine's decision goroutines).
+// sharded engine's background resyncs).
 func (u *ControlUpdater) Close() {
 	if c, ok := u.backend.(interface{ Close() }); ok {
 		c.Close()

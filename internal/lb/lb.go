@@ -256,7 +256,7 @@ func NewBalancerWithBackend(backend Backend, connCapacity int) (*Balancer, error
 func (b *Balancer) Module() *policy.Module { return b.module }
 
 // Close releases the backend if it owns resources (the sharded engine's
-// decision goroutines); module-backed balancers need no cleanup.
+// background resyncs); module-backed balancers need no cleanup.
 func (b *Balancer) Close() {
 	if c, ok := b.backend.(interface{ Close() }); ok {
 		c.Close()

@@ -44,7 +44,7 @@ func DefaultConfig() Config {
 		Contract: DefaultContract,
 		Snapshot: SnapshotConfig{
 			Pkg:        "repro/internal/engine",
-			Types:      []string{"snapshot"},
+			Types:      []string{"snapshot", "steering"},
 			AllowFuncs: []string{"New", "apply", "applyShard", "resyncShard", "swapShard"},
 			StoreFields: map[string][]string{
 				// active is the epoch publish pointer: only construction, the
@@ -52,15 +52,19 @@ func DefaultConfig() Config {
 				// CorruptReplica fault hook), the quarantine-recovery
 				// rebuild, and the policy hot-swap may store it.
 				"active": {"New", "applyShard", "resyncShard", "swapShard"},
-				// inUse is the reader's epoch pin: only the shard reader's
-				// execution function may store it.
+				// inUse is the reader's epoch pin: only process, a caller's
+				// visit to the shard under the shard lock, may store it.
 				"inUse": {"process"},
+				// steer is the steering table's publish pointer: a table is
+				// built whole and stored once, on a health transition.
+				"steer": {"rebuildSteering"},
 			},
 		},
 		Goroutine: GoroutineConfig{
 			Pkgs: []string{"repro/internal/engine", "repro/internal/server", "repro/internal/netsim"},
 			// The teardown entry points whose drain paths prove shutdown
-			// edges: Engine.Close, Server.Close, conn.shutdown, the
+			// edges: Engine.Close (the engine's only goroutines are its
+			// resync loops), Server.Close, conn.shutdown, the
 			// client's Close/teardown pair, and Parallel.Close (which
 			// closes quit to stop every LP loop).
 			Roots: []string{"Close", "Stop", "shutdown", "teardown"},
@@ -76,11 +80,12 @@ func DefaultConfig() Config {
 		},
 		Publish: PublishConfig{
 			Pkg:        "repro/internal/engine",
-			Types:      []string{"snapshot"},
+			Types:      []string{"snapshot", "steering"},
 			AllowFuncs: []string{"New", "apply", "applyShard", "resyncShard", "swapShard"},
-			// active is the epoch publish pointer; inUse is the reader's pin
-			// and deliberately not listed (storing it is not a publish).
-			PublishFields: []string{"active"},
+			// active and steer are the publish pointers; inUse is the
+			// reader's pin and deliberately not listed (storing it is not a
+			// publish).
+			PublishFields: []string{"active", "steer"},
 		},
 		Wire: WireConfig{
 			Pkg:        "repro/internal/server",

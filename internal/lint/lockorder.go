@@ -19,7 +19,7 @@ import (
 //     already held;
 //   - blocking operations under a lock: channel send/receive/range, selects
 //     without a default arm, and net/bufio I/O. A non-blocking select (with
-//     a default arm) is exempt — that is the engine's doorbell idiom. I/O is
+//     a default arm) is exempt — it cannot block. I/O is
 //     only reported for mixed-use locks: a mutex whose every critical
 //     section performs I/O is a dedicated write-serialization lock (the
 //     server's per-connection wmu) and is by design held across Flush.

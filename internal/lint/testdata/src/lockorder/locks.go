@@ -72,7 +72,7 @@ func (s *S) BlockingSelect() {
 	s.mu.Unlock()
 }
 
-// Doorbell is the engine's push idiom: a select with a default arm never
+// Doorbell is the wake-if-idle idiom: a select with a default arm never
 // blocks, so holding the lock across it is fine.
 func (s *S) Doorbell() {
 	s.mu.Lock()

@@ -390,8 +390,8 @@ func (it *Interp) AttachTelemetry(cs *telemetry.ChainStats) {
 
 // FlushStats publishes per-step counts for the n executions performed since
 // the previous flush into the attached ChainStats. Callers pick the
-// publication granularity: the sharded engine flushes once per work chunk
-// (its snapshot's table is pinned for the chunk), the single-threaded
+// publication granularity: the sharded engine flushes once per shard visit
+// (its snapshot's table is pinned for the visit), the single-threaded
 // module once per decision. All n executions must have run at the table's
 // current version — flush before mutating the table — which lets the flush
 // charge every pop-static step n × its cached popcount without any
@@ -472,7 +472,7 @@ func (it *Interp) ExecTraced(tr *telemetry.Trace) []*bitvec.Vector {
 	}
 	if tr != nil {
 		// Sampled decisions read live popcounts: the static cache may lag
-		// the buffers mid-chunk, and a trace is rare enough that a popcount
+		// the buffers mid-visit, and a trace is rare enough that a popcount
 		// per step costs nothing at the engine level.
 		for i := range it.prog {
 			tr.AddStage(it.labels[i], it.vals[i].Count(), uint64(it.cycles[i]))

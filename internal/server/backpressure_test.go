@@ -28,14 +28,14 @@ func (b *blockBackend) DecideBatch(pkts []engine.Packet) {
 		pkts[i].ID, pkts[i].OK = 1, true
 	}
 }
-func (b *blockBackend) Add(int, []int64) error           { return nil }
-func (b *blockBackend) Update(int, []int64) error        { return nil }
-func (b *blockBackend) Upsert(int, []int64) error        { return nil }
-func (b *blockBackend) Delete(int) error                 { return nil }
-func (b *blockBackend) SwapPolicy(*policy.Policy) error  { return nil }
-func (b *blockBackend) Schema() policy.Schema            { return policy.Schema{Attrs: []string{"cpu"}} }
-func (b *blockBackend) Capacity() int                    { return 8 }
-func (b *blockBackend) Shards() int                      { return 1 }
+func (b *blockBackend) Add(int, []int64) error          { return nil }
+func (b *blockBackend) Update(int, []int64) error       { return nil }
+func (b *blockBackend) Upsert(int, []int64) error       { return nil }
+func (b *blockBackend) Delete(int) error                { return nil }
+func (b *blockBackend) SwapPolicy(*policy.Policy) error { return nil }
+func (b *blockBackend) Schema() policy.Schema           { return policy.Schema{Attrs: []string{"cpu"}} }
+func (b *blockBackend) Capacity() int                   { return 8 }
+func (b *blockBackend) Shards() int                     { return 1 }
 func (b *blockBackend) Policy() *policy.Policy {
 	return policy.MustParse("policy bp\nout best = min(table, cpu)\n")
 }
@@ -177,6 +177,14 @@ func TestBackpressureRecovery(t *testing.T) {
 	close(be.gate)
 	if op, seq, _, err = fr.Next(); err != nil || op != OpDecided || seq != 1 {
 		t.Fatalf("op=%#x seq=%d err=%v, want Decided seq=1", op, seq, err)
+	}
+	// The worker recycles the request slot after it has written the reply;
+	// wait for that, as a client backing off after EAGAIN would.
+	for deadline := time.Now().Add(2 * time.Second); srv.Introspect().Conns[0].FreeSlots == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("request slot never returned to the free list")
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 	// The rejected request retried after EAGAIN now succeeds.
 	if _, err := nc.Write(AppendDecide(nil, 3, []uint64{2}, []uint16{0})); err != nil {

@@ -110,7 +110,7 @@ type spanSlot struct {
 // SpanRing is a fixed ring of recent spans shared by many writers.
 // Record claims a slot with one atomic increment plus a CAS and publishes
 // through a per-slot seqlock — no locks, no allocation — so it is safe on
-// packet paths and inside the engine's shard goroutines. Readers
+// packet paths and inside the engine's shard visits. Readers
 // (Snapshot) are scrape-path only and tolerate writers: a slot caught
 // mid-write is skipped. Under extreme wrap pressure two writers can claim
 // the same slot concurrently; the CAS makes the later one drop its record

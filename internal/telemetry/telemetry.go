@@ -7,7 +7,7 @@
 // over storage that is fully pre-allocated at construction:
 //
 //   - Counter: a cache-line-padded atomic counter. Padding matters because
-//     the engine runs one decision goroutine per shard; two shards bumping
+//     callers decide on different engine shards at once; two shards bumping
 //     neighbouring counters must not ping-pong a cache line.
 //   - ShardedCounter: one logical metric backed by one padded Counter slot
 //     per shard. Hot code increments its own shard's slot; the registry
