@@ -113,7 +113,11 @@ func (g *Graph) PrereqClosure(course int) []int {
 // FilterQuery evaluates a filter policy over the catalog and returns the
 // matching course ids as a bit vector — the server-side query engine, using
 // the same relational-filter semantics as the switch pipeline. Interpreters
-// are cached per policy so repeated queries are cheap.
+// are cached per policy so repeated queries are cheap: between catalog
+// writes a repeated query re-evaluates only its stateful operators. The
+// result is a read-only view of that cached interpreter's buffer, valid
+// until the catalog is next written or the same policy is queried again
+// (see policy.Interp.Exec); take IDs() or Clone() to keep or change it.
 func (g *Graph) FilterQuery(pol *policy.Policy) (*bitvec.Vector, error) {
 	it, ok := g.interps[pol]
 	if !ok {

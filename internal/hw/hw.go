@@ -59,11 +59,19 @@ func (l *LFSR) Next() uint16 {
 // modulo, matching the single-cycle index generation in §5.2.1 ("generate a
 // random number r between 0 and N-1 using a standard random number generator
 // such as LFSR"). It panics if n <= 0.
+//
+// The remainder is taken in uint32: the state is 16 bits wide, and a 64-bit
+// signed division per random unit per packet was a fifth of a 1024-resource
+// load-balancing decision. An n past the state's range leaves it unchanged.
 func (l *LFSR) NextBelow(n int) int {
 	if n <= 0 {
 		panic("hw: NextBelow requires n > 0")
 	}
-	return int(l.Next()) % n
+	r := uint32(l.Next())
+	if n <= 0xFFFF {
+		r %= uint32(n)
+	}
+	return int(r)
 }
 
 // PriorityEncodeFirst returns the index of the first (lowest-index) set bit

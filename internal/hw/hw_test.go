@@ -65,6 +65,39 @@ func TestLFSRNextBelow(t *testing.T) {
 	}
 }
 
+// TestLFSRNextBelowGolden pins the index sequence: every random unit's
+// picks — and through them every seeded simulation result — depend on it.
+// The golden values were produced by the original int(l.Next()) % n.
+func TestLFSRNextBelowGolden(t *testing.T) {
+	golden := []struct {
+		n    int
+		want []int
+	}{
+		{1, []int{0, 0, 0, 0, 0, 0, 0, 0}},
+		{3, []int{2, 1, 2, 1, 2, 0, 2, 0}},
+		{64, []int{48, 56, 28, 14, 39, 19, 9, 4}},
+		{1000, []int{968, 984, 492, 246, 623, 843, 809, 860}},
+		{1024, []int{624, 312, 156, 78, 551, 787, 393, 708}},
+		{65535, []int{57968, 28984, 14492, 7246, 3623, 45843, 60809, 49860}},
+		{1 << 20, []int{57968, 28984, 14492, 7246, 3623, 45843, 60809, 49860}},
+	}
+	for _, g := range golden {
+		l := NewLFSR(0xACE1)
+		for i, want := range g.want {
+			if got := l.NextBelow(g.n); got != want {
+				t.Fatalf("seed 0xACE1 n=%d draw %d = %d, want %d", g.n, i, got, want)
+			}
+		}
+		// Over the full period the narrow remainder must equal the wide one.
+		a, b := NewLFSR(0xACE1), NewLFSR(0xACE1)
+		for i := 0; i < 65535; i++ {
+			if got, want := a.NextBelow(g.n), int(b.Next())%g.n; got != want {
+				t.Fatalf("n=%d draw %d = %d, want %d", g.n, i, got, want)
+			}
+		}
+	}
+}
+
 func TestLFSRNextBelowPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -185,6 +185,7 @@ func Set() []Benchmark {
 		{Name: "SMBMUpdateChurn", Iters: 4 * churnCycle, Setup: setupSMBMUpdateChurn},
 		{Name: "SMBMUpdateBatch", Iters: 20000, Threshold: tableThreshold, Setup: setupSMBMUpdateBatch},
 		{Name: "EngineDecideBatch", Iters: 100, Reps: 3, Threshold: simThreshold, Setup: setupEngineDecideBatch},
+		{Name: "EngineDecideBatchLB1024", Iters: 400, Reps: 3, Setup: setupEngineDecideBatchLB1024},
 	}
 }
 
@@ -295,9 +296,29 @@ func setupSMBMUpdateChurn() (func(int), error) {
 // 4096-packet batch across 4 pipeline replicas under the resource-aware
 // load-balancing policy.
 func setupEngineDecideBatch() (func(int), error) {
+	return setupEngineBatch(4, 64, 4096, [3]int{1000, 1000, 1000})
+}
+
+// setupEngineDecideBatchLB1024 is the benchmark's serve_filter workload at
+// the engine boundary: one replica, 1024 resources drawn so the policy's
+// three predicates leave a non-empty primary set, one 1024-packet batch.
+// Here a decision is three predicate passes and a fused AND over 16-word
+// vectors that move only when the table does, plus two random picks that
+// move per packet — EngineDecideBatch's 64-entry table is one word wide, so
+// it cannot see whether the first group is evaluated per packet or per
+// table version.
+func setupEngineDecideBatchLB1024() (func(int), error) {
+	return setupEngineBatch(1, 1024, 1024, [3]int{100, 8192, 10000})
+}
+
+// setupEngineBatch builds an engine over lb.Schema and
+// lb.PolicyResourceAware with every resource slot filled — metric j drawn
+// uniformly below ranges[j] — and returns one DecideBatch of batch packets
+// per iteration.
+func setupEngineBatch(shards, resources, batch int, ranges [3]int) (func(int), error) {
 	e, err := engine.New(engine.Config{
-		Shards:   4,
-		Capacity: 64,
+		Shards:   shards,
+		Capacity: resources,
 		Schema:   lb.Schema,
 		Policy:   policy.MustParse(lb.PolicyResourceAware),
 	})
@@ -305,17 +326,16 @@ func setupEngineDecideBatch() (func(int), error) {
 		return nil, err
 	}
 	r := rand.New(rand.NewSource(2))
-	nm := len(lb.Schema.Attrs)
-	for id := 0; id < 64; id++ {
-		vals := make([]int64, nm)
+	for id := 0; id < resources; id++ {
+		vals := make([]int64, len(ranges))
 		for j := range vals {
-			vals[j] = int64(r.Intn(1000))
+			vals[j] = int64(r.Intn(ranges[j]))
 		}
 		if err := e.Add(id, vals); err != nil {
 			return nil, err
 		}
 	}
-	pkts := make([]engine.Packet, 4096)
+	pkts := make([]engine.Packet, batch)
 	for i := range pkts {
 		pkts[i] = engine.Packet{Key: uint64(i) * 0x9E3779B97F4A7C15}
 	}

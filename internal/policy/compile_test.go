@@ -112,8 +112,8 @@ func TestTable5PoliciesCompileOnDefaultParams(t *testing.T) {
 
 // TestCompiledMatchesInterp is the central equivalence property: the
 // compiled pipeline must produce exactly the same tables as direct AST
-// interpretation, packet after packet, across table mutations, for every
-// Table 5 policy.
+// interpretation, packet after packet, within and across table versions,
+// for every Table 5 policy.
 func TestCompiledMatchesInterp(t *testing.T) {
 	for name, src := range Table5Policies {
 		t.Run(name, func(t *testing.T) {
@@ -149,7 +149,13 @@ func TestCompiledMatchesInterp(t *testing.T) {
 							step, i, got[i], want[i])
 					}
 				}
-				// Mutate the table between packets, as probe packets would.
+				// Mutate the table after about every other packet, as probe
+				// packets would: the packets in between run against an
+				// unchanged table version, where the interpreter reuses its
+				// content-static buffers and the pipeline recomputes them.
+				if r.Intn(2) == 0 {
+					continue
+				}
 				id := r.Intn(16)
 				vals := make([]int64, len(schema.Attrs))
 				for j := range vals {

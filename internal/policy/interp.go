@@ -25,6 +25,16 @@ import (
 // multi-operand AND step (same tables, fewer output passes), and all step
 // buffers are carved from a single cache-line-aligned bitvec arena so the
 // program's working set is contiguous in memory.
+//
+// Evaluation is two-phase. The table changes when a probe writes it, not
+// when a packet arrives (§3, §5.1.4), and the interpreter takes no
+// per-packet input, so a step that no stateful unit feeds is a pure function
+// of the table contents: its buffer, once computed, is right until the next
+// write. Such content-static steps run once per table version; only the
+// content-dynamic ones — a stateful unit and everything downstream of one —
+// run on every execution. The compiled pipeline evaluates every unit on
+// every packet, which is what keeps Compile==Interp a differential against
+// an uncached reference.
 type Interp struct {
 	table  *smbm.SMBM
 	schema Schema
@@ -37,37 +47,38 @@ type Interp struct {
 	cycles []uint32         // cycles[i] = modeled latency of step i (§5.2)
 	stats  *telemetry.ChainStats
 
-	// Telemetry needs the candidate-set popcount after every step, but the
-	// interpreter runs over the table with no per-execution input, so most
-	// steps repeat themselves between table versions. Two levels of
-	// "varies per execution" matter here:
+	// The two phases, as step-index lists in program order (built once, in
+	// NewInterp). A content-static step never reads a content-dynamic one,
+	// so running staticIdx before dynIdx preserves every dependency.
+	// staticVersion is the table version the static buffers — and cachedPop
+	// below — were computed at; staticValid distinguishes "never computed"
+	// from version 0.
+	staticIdx     []int
+	dynIdx        []int
+	staticVersion uint64
+	staticValid   bool
+
+	// Telemetry needs the candidate-set popcount after every step. A step's
+	// output POPCOUNT varies between executions at a fixed table version
+	// (dynPop) on strictly fewer steps than its content does: a selection
+	// unit over a content-static input always emits the same number of
+	// entries (one per active chain position while candidates remain, zero
+	// after), so its popcount is version-static even though which entries it
+	// picks is not. Only steps downstream of a stateful unit's output are
+	// dynPop.
 	//
-	//   - dynContent: the step's output table differs between executions
-	//     at a fixed table version — true iff a stateful unit (random,
-	//     round-robin) feeds the step.
-	//   - dynPop: the step's output POPCOUNT differs between executions.
-	//     Strictly narrower: a selection unit over a content-static input
-	//     always emits the same number of entries (one per active chain
-	//     position while candidates remain, zero after), so its popcount
-	//     is version-static even though which entries it picks is not.
-	//     Only steps downstream of a stateful unit's output are dynPop.
-	//
-	// Telemetry consumes popcounts only, so accounting keys on dynPop:
-	// pop-static counts are computed once per table version into cachedPop
-	// and charged in bulk (n × cachedPop) when FlushStats(n) publishes,
-	// while the (typically zero) dynPop steps accumulate per execution via
-	// dynIdx into pendCand. A policy with no dynPop steps therefore pays
-	// NOTHING per execution for exact per-step candidate accounting — two
-	// pointer loads and an untaken branch. Only the interpreter's owning
-	// goroutine touches any of this; the shared ChainStats counters absorb
-	// the deltas on FlushStats.
-	dynContent []bool
-	dynPop     []bool
-	dynIdx     []int // indices of dynPop steps, for the post-exec count pass
-	cachedPop  []uint32
-	popVersion uint64
-	popValid   bool
-	pendCand   []uint64 // dynPop per-step candidate sums awaiting FlushStats
+	// Accounting keys on dynPop: pop-static counts are taken once per table
+	// version into cachedPop, by the execution that refreshes the static
+	// buffers, and charged in bulk (n × cachedPop) when FlushStats(n)
+	// publishes, while the (typically zero) dynPop steps accumulate per
+	// execution via popIdx into pendCand. A policy with no dynPop steps
+	// therefore pays NOTHING per execution for exact per-step candidate
+	// accounting. Only the interpreter's owning goroutine touches any of
+	// this; the shared ChainStats counters absorb the deltas on FlushStats.
+	dynPop    []bool
+	popIdx    []int // indices of dynPop steps, for the post-exec count pass
+	cachedPop []uint32
+	pendCand  []uint64 // dynPop per-step candidate sums awaiting FlushStats
 }
 
 // interpStep is one instruction of the flattened evaluation program. Table
@@ -148,6 +159,10 @@ func NewInterp(table *smbm.SMBM, schema Schema, p *Policy) (*Interp, error) {
 		return v
 	}
 	idx := make(map[Expr]int) // build-time only; Exec never touches maps
+	// dynContent[i]: step i's output table differs between executions at a
+	// fixed table version — true iff a stateful unit (random, round-robin)
+	// is, or feeds, the step. It decides the step's phase.
+	var dynContent []bool
 	var build func(e Expr) (int, error)
 	build = func(e Expr) (int, error) {
 		if i, done := idx[e]; done {
@@ -162,7 +177,7 @@ func NewInterp(table *smbm.SMBM, schema Schema, p *Policy) (*Interp, error) {
 			it.vals = append(it.vals, table.MembersView())
 			it.labels = append(it.labels, n.String())
 			it.cycles = append(it.cycles, 0) // the table view is free (§5.1.4)
-			it.dynContent = append(it.dynContent, false)
+			dynContent = append(dynContent, false)
 			it.dynPop = append(it.dynPop, false)
 			idx[e] = i
 			return i, nil
@@ -184,7 +199,7 @@ func NewInterp(table *smbm.SMBM, schema Schema, p *Policy) (*Interp, error) {
 			it.vals = append(it.vals, nextBuf())
 			it.labels = append(it.labels, n.String())
 			it.cycles = append(it.cycles, uint32(u.Latency()))
-			it.dynContent = append(it.dynContent, u.Stateful() || it.dynContent[a])
+			dynContent = append(dynContent, u.Stateful() || dynContent[a])
 			// A unary step's popcount varies only when its input's CONTENT
 			// does: every opcode (copy, predicate, or selection) emits a
 			// deterministic count for a fixed input table. No-op forwards
@@ -192,7 +207,7 @@ func NewInterp(table *smbm.SMBM, schema Schema, p *Policy) (*Interp, error) {
 			if n.Op == filter.UNoOp {
 				it.dynPop = append(it.dynPop, it.dynPop[a])
 			} else {
-				it.dynPop = append(it.dynPop, it.dynContent[a])
+				it.dynPop = append(it.dynPop, dynContent[a])
 			}
 			idx[e] = i
 			return i, nil
@@ -211,7 +226,7 @@ func NewInterp(table *smbm.SMBM, schema Schema, p *Policy) (*Interp, error) {
 						return 0, err
 					}
 					fsrcs[j] = it.vals[li]
-					dyn = dyn || it.dynContent[li]
+					dyn = dyn || dynContent[li]
 				}
 				i := len(it.prog)
 				it.prog = append(it.prog, interpStep{kind: stepFused, fsrcs: fsrcs})
@@ -219,7 +234,7 @@ func NewInterp(table *smbm.SMBM, schema Schema, p *Policy) (*Interp, error) {
 				it.labels = append(it.labels, n.String())
 				// Same total as the (len(leaves)-1)-node BFPU chain.
 				it.cycles = append(it.cycles, uint32(len(leaves)-1)*filter.BFPUCycles)
-				it.dynContent = append(it.dynContent, dyn)
+				dynContent = append(dynContent, dyn)
 				it.dynPop = append(it.dynPop, dyn)
 				idx[e] = i
 				return i, nil
@@ -243,8 +258,8 @@ func NewInterp(table *smbm.SMBM, schema Schema, p *Policy) (*Interp, error) {
 			it.cycles = append(it.cycles, uint32(filter.BFPUCycles))
 			// A set operation over content-dynamic operands has a
 			// content-dependent (so execution-dependent) result size.
-			dyn := it.dynContent[a] || it.dynContent[bIdx]
-			it.dynContent = append(it.dynContent, dyn)
+			dyn := dynContent[a] || dynContent[bIdx]
+			dynContent = append(dynContent, dyn)
 			it.dynPop = append(it.dynPop, dyn)
 			idx[e] = i
 			return i, nil
@@ -260,9 +275,15 @@ func NewInterp(table *smbm.SMBM, schema Schema, p *Policy) (*Interp, error) {
 	}
 	it.outs = make([]*bitvec.Vector, len(p.Outputs))
 	it.cachedPop = make([]uint32, len(it.prog))
-	for i, dyn := range it.dynPop {
-		if dyn {
+	for i := range it.prog {
+		switch {
+		case dynContent[i]:
 			it.dynIdx = append(it.dynIdx, i)
+		case it.prog[i].kind != stepTable: // the live membership view needs no evaluation
+			it.staticIdx = append(it.staticIdx, i)
+		}
+		if it.dynPop[i] {
+			it.popIdx = append(it.popIdx, i)
 		}
 	}
 	return it, nil
@@ -382,7 +403,6 @@ func (it *Interp) AttachTelemetry(cs *telemetry.ChainStats) {
 	}
 	it.stats = cs
 	it.pendCand = nil
-	it.popValid = false
 	if cs != nil {
 		it.pendCand = make([]uint64, len(it.prog))
 	}
@@ -394,9 +414,8 @@ func (it *Interp) AttachTelemetry(cs *telemetry.ChainStats) {
 // (its snapshot's table is pinned for the visit), the single-threaded
 // module once per decision. All n executions must have run at the table's
 // current version — flush before mutating the table — which lets the flush
-// charge every pop-static step n × its cached popcount without any
-// per-execution bookkeeping. The cache refreshes here, from the step
-// buffers the last execution left behind, whenever the version moved.
+// charge every pop-static step n × the popcount the version's first
+// execution cached, without any per-execution bookkeeping.
 // No-op without attached telemetry or when n is zero.
 //
 //thanos:hotpath
@@ -405,17 +424,9 @@ func (it *Interp) FlushStats(n uint64) {
 	if cs == nil || n == 0 {
 		return
 	}
-	if ver := it.table.Version(); !it.popValid || it.popVersion != ver {
-		for i, dyn := range it.dynPop {
-			if !dyn {
-				it.cachedPop[i] = uint32(it.vals[i].Count())
-			}
-		}
-		it.popVersion, it.popValid = ver, true
-	}
 	for i := range it.pendCand {
-		// Every step executes exactly once per execution, so one shared
-		// count covers all invocation columns.
+		// Every step's output is part of every execution, whichever phase
+		// computed it, so one shared count covers all invocation columns.
 		cs.Invocations[i].Add(n)
 		var c uint64
 		if it.dynPop[i] {
@@ -434,27 +445,76 @@ func (it *Interp) FlushStats(n uint64) {
 // returns one table (bit vector) per output, in output order. Shared
 // subexpressions are evaluated once per call.
 //
-// The returned slice and the vectors it holds are the interpreter's own
-// reusable buffers: they are valid until the next Exec call, which
-// overwrites them. Callers must copy anything they need to keep.
+// The returned slice and the vectors it holds are read-only views of the
+// interpreter's own buffers, valid until the next table write or Exec call,
+// whichever comes first. A content-static output's buffer is not rewritten
+// until the table's version moves, so a caller that modified it in place
+// would corrupt every later result at that version: copy (Clone, IDs)
+// anything that must be kept or changed.
 //
 //thanos:hotpath
 func (it *Interp) Exec() []*bitvec.Vector {
 	return it.ExecTraced(nil)
 }
 
-// ExecTraced is Exec with provenance: when tr is non-nil the candidate-set
-// popcount after every step is recorded into it, and when chain telemetry
-// is attached each pop-dynamic step's popcount is accumulated for the next
-// FlushStats (pop-static steps are charged wholesale at flush time from
-// the version-keyed cache). Accounting stays exact but the steady-state
-// instrumented execution — stats attached, no dynPop steps, trace not
-// sampled — is byte-for-byte the uninstrumented one plus two untaken
-// branches.
+// ExecTraced is Exec — same two phases, same read-only result views — with
+// provenance: when tr is non-nil the candidate-set popcount after every
+// step is recorded into it, and when chain telemetry is attached each
+// pop-dynamic step's popcount is accumulated for the next FlushStats
+// (pop-static steps are charged wholesale at flush time from cachedPop).
+//
+// The content-static steps run only when the table's version differs from
+// the one their buffers hold; the content-dynamic steps run on every call,
+// in program order, so LFSR and round-robin state advances once per packet
+// exactly as a configured hardware unit's does. Both phases go through the
+// one evaluation loop (run), and the outputs are bit-identical to evaluating
+// the whole program every time: a skipped step would have recomputed the
+// buffer it already holds.
 //
 //thanos:hotpath
 func (it *Interp) ExecTraced(tr *telemetry.Trace) []*bitvec.Vector {
-	for i := range it.prog {
+	ver := it.table.Version()
+	stale := !it.staticValid || it.staticVersion != ver
+	if stale {
+		it.run(it.staticIdx)
+	}
+	it.run(it.dynIdx)
+	if stale {
+		// Pop-static includes selection units over static inputs, whose
+		// buffers the dynamic phase just filled — hence after both phases.
+		for i, dyn := range it.dynPop {
+			if !dyn {
+				it.cachedPop[i] = uint32(it.vals[i].Count())
+			}
+		}
+		it.staticVersion, it.staticValid = ver, true
+	}
+	if it.popIdx != nil && it.stats != nil {
+		for _, i := range it.popIdx {
+			it.pendCand[i] += uint64(it.vals[i].Count())
+		}
+	}
+	if tr != nil {
+		// Sampled decisions read live popcounts from the step buffers —
+		// static ones still hold their version's result — and a trace is
+		// rare enough that a popcount per step costs nothing at the engine
+		// level.
+		for i := range it.prog {
+			tr.AddStage(it.labels[i], it.vals[i].Count(), uint64(it.cycles[i]))
+		}
+	}
+	for i, si := range it.outIdx {
+		it.outs[i] = it.vals[si]
+	}
+	return it.outs
+}
+
+// run evaluates the listed steps, in list order, each into its own buffer —
+// the interpreter's only evaluation loop, shared by both phases.
+//
+//thanos:hotpath
+func (it *Interp) run(steps []int) {
+	for _, i := range steps {
 		st := &it.prog[i]
 		switch st.kind {
 		case stepUnary:
@@ -465,23 +525,6 @@ func (it *Interp) ExecTraced(tr *telemetry.Trace) []*bitvec.Vector {
 			it.vals[i].AndInto(st.fsrcs...)
 		}
 	}
-	if it.dynIdx != nil && it.stats != nil {
-		for _, i := range it.dynIdx {
-			it.pendCand[i] += uint64(it.vals[i].Count())
-		}
-	}
-	if tr != nil {
-		// Sampled decisions read live popcounts: the static cache may lag
-		// the buffers mid-visit, and a trace is rare enough that a popcount
-		// per step costs nothing at the engine level.
-		for i := range it.prog {
-			tr.AddStage(it.labels[i], it.vals[i].Count(), uint64(it.cycles[i]))
-		}
-	}
-	for i, si := range it.outIdx {
-		it.outs[i] = it.vals[si]
-	}
-	return it.outs
 }
 
 // ResetState resets all stateful units (round-robin pointers, LFSRs) in

@@ -89,7 +89,9 @@ func (m *Module) Metrics(id int) ([]int64, bool) {
 
 // Exec evaluates the policy and returns the raw output tables, for callers
 // that need more than a single id (e.g. diagnosis queries that filter a
-// set).
+// set). The tables are read-only views of the interpreter's buffers, valid
+// until the next write to the table or the next Exec or Decide (see
+// Interp.Exec); copy what must outlive that, never modify them in place.
 func (m *Module) Exec() []*bitvec.Vector { return m.interp.Exec() }
 
 // ResetState resets the stateful filter units (round-robin, LFSRs).
