@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test bench check check-debug check-fault check-lint2 check-obs check-perf check-psim check-race-depth check-server experiments fuzz-smoke overhead-smoke metrics-demo load-smoke
+.PHONY: build test bench check check-debug check-fault check-lint2 check-obs check-perf check-psim check-race-depth experiments fuzz-smoke overhead-smoke metrics-demo load-smoke
 
 build:
 	$(GO) build ./...
@@ -22,7 +22,9 @@ bench:
 # constants, the engine's snapshot/epoch protocol, and the telemetry layer's
 # lock-free hot-safe API discipline — plus the v2 call-graph analyzers
 # (goroutineleak, lockorder, publishsafety, wireproto) over the serving
-# stack's concurrency and protocol contracts.
+# stack's concurrency and protocol contracts. The race pass covers the
+# serving frontend too, with the short fault-injected soak (`go test -tags
+# soak ./internal/server/` selects the long one).
 check: build
 	$(GO) vet ./...
 	$(GO) run ./cmd/thanoslint .
@@ -85,13 +87,6 @@ PERFCHECK_OUT ?= bench_fresh.json
 check-perf:
 	$(GO) run ./cmd/thanosbench -checkpoint $(PERFCHECK_OUT) \
 		-against "$$(ls BENCH_*.json | sort -t_ -k2 -n | tail -1)"
-
-# check-server runs the serving-frontend suite under the race detector: the
-# wire codec, backpressure/admission control, the randomized wire-vs-oracle
-# differential, and the fault-injected soak (short window; `go test -tags
-# soak ./internal/server/` selects the long run).
-check-server:
-	$(GO) test -race -count=1 ./internal/server/...
 
 # fuzz-smoke runs each native fuzz target for FUZZTIME (30s default) from
 # its checked-in seed corpus: the DSL parser round-trip, the bit-vector

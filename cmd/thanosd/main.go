@@ -1,8 +1,10 @@
 // Command thanosd serves the sharded decision engine over the wire protocol:
 // a length-prefixed batched binary protocol on TCP and/or Unix domain
-// sockets, with flow-keyed routing onto engine shards, per-connection
-// admission control (bounded rings + EAGAIN rejects) and live policy
-// hot-swap. A telemetry endpoint exports the server and engine metric sets.
+// sockets, with flow-keyed routing onto engine shards, one run-to-completion
+// goroutine per connection (nothing queued in the server: transport flow
+// control and the client window are the admission mechanism, -maxconns caps
+// connections) and live policy hot-swap. A telemetry endpoint exports the
+// server and engine metric sets.
 //
 // Usage:
 //
@@ -41,7 +43,6 @@ func main() {
 	schema := flag.String("schema", "cpu,mem,bw", "comma-separated metric attributes")
 	policyPath := flag.String("policy", "", "policy DSL file (default: min over the first attribute)")
 	metrics := flag.String("metrics", "", "telemetry HTTP address (/metrics, /debug/vars, /trace); empty disables")
-	ring := flag.Int("ring", server.DefaultRing, "per-connection pending-request ring (backpressure bound)")
 	maxconns := flag.Int("maxconns", server.DefaultMaxConns, "connection admission limit")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof on the -metrics address")
 	flightCap := flag.Int("flight", 256, "per-component flight-recorder ring capacity")
@@ -96,7 +97,6 @@ func main() {
 
 	srv, err := server.New(server.Config{
 		Backend:   eng,
-		Ring:      *ring,
 		MaxConns:  *maxconns,
 		Telemetry: reg,
 		Flight:    flight.Ring("server", *flightCap),
@@ -115,8 +115,8 @@ func main() {
 		if err != nil {
 			fatal("listen %s %s: %v", network, addr, err)
 		}
-		fmt.Printf("thanosd: serving %s %s (%d shards, capacity %d, ring %d)\n",
-			network, addr, eng.Shards(), eng.Capacity(), *ring)
+		fmt.Printf("thanosd: serving %s %s (%d shards, capacity %d)\n",
+			network, addr, eng.Shards(), eng.Capacity())
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -67,11 +67,10 @@ type result struct {
 
 // phaseUs is one traced request's per-phase breakdown in microseconds.
 type phaseUs struct {
-	EnqueueUs  float64 `json:"enqueue_us"`   // client admission -> socket write
-	WireUs     float64 `json:"wire_us"`      // socket write -> server decode
-	RingWaitUs float64 `json:"ring_wait_us"` // server ring admit -> worker pickup
-	DecideUs   float64 `json:"decide_us"`    // engine DecideBatch
-	ReplyUs    float64 `json:"reply_us"`     // server done -> client demux
+	EnqueueUs float64 `json:"enqueue_us"` // client admission -> socket write
+	WireUs    float64 `json:"wire_us"`    // socket write -> server decode
+	DecideUs  float64 `json:"decide_us"`  // engine DecideBatch
+	ReplyUs   float64 `json:"reply_us"`   // server done -> client demux
 }
 
 // exemplarOut links a tail-latency bucket to one sampled request's timeline.
@@ -204,7 +203,6 @@ func main() {
 							// Re-record the server's echoed phase stamps so
 							// the local flight snapshot stitches end to end.
 							n := int64(len(keys))
-							serverRing.Record(telemetry.SpanRingWait, ti.ID, ti.Server.AdmitNs, ti.Server.StartNs, n)
 							serverRing.Record(telemetry.SpanDecide, ti.ID, ti.Server.StartNs, ti.Server.DoneNs, n)
 							mu.Lock()
 							if len(timelines) < maxTimelines {
@@ -272,8 +270,8 @@ func main() {
 	fmt.Printf("  batch latency p50 %.0fµs  p95 %.0fµs  p99 %.0fµs  max %.0fµs\n",
 		res.P50Us, res.P95Us, res.P99Us, res.MaxUs)
 	if ex := res.P99Exemplar; ex != nil {
-		fmt.Printf("  p99 exemplar trace %#x: enqueue %.1fµs  wire %.1fµs  ring %.1fµs  decide %.1fµs  reply %.1fµs\n",
-			ex.TraceID, ex.Phases.EnqueueUs, ex.Phases.WireUs, ex.Phases.RingWaitUs, ex.Phases.DecideUs, ex.Phases.ReplyUs)
+		fmt.Printf("  p99 exemplar trace %#x: enqueue %.1fµs  wire %.1fµs  decide %.1fµs  reply %.1fµs\n",
+			ex.TraceID, ex.Phases.EnqueueUs, ex.Phases.WireUs, ex.Phases.DecideUs, ex.Phases.ReplyUs)
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
@@ -341,11 +339,10 @@ func tailExemplar(h *telemetry.Histogram, timelines map[uint64]client.TraceInfo)
 		return &exemplarOut{
 			TraceID: ti.ID,
 			Phases: phaseUs{
-				EnqueueUs:  us(ti.EnqueueNs, ti.SendNs),
-				WireUs:     us(ti.SendNs, ti.Server.RecvNs),
-				RingWaitUs: us(ti.Server.AdmitNs, ti.Server.StartNs),
-				DecideUs:   us(ti.Server.StartNs, ti.Server.DoneNs),
-				ReplyUs:    us(ti.Server.DoneNs, ti.ReplyNs),
+				EnqueueUs: us(ti.EnqueueNs, ti.SendNs),
+				WireUs:    us(ti.SendNs, ti.Server.RecvNs),
+				DecideUs:  us(ti.Server.StartNs, ti.Server.DoneNs),
+				ReplyUs:   us(ti.Server.DoneNs, ti.ReplyNs),
 			},
 		}
 	}

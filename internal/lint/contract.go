@@ -64,7 +64,8 @@ func DefaultConfig() Config {
 			Pkgs: []string{"repro/internal/engine", "repro/internal/server", "repro/internal/netsim"},
 			// The teardown entry points whose drain paths prove shutdown
 			// edges: Engine.Close (the engine's only goroutines are its
-			// resync loops), Server.Close, conn.shutdown, the
+			// resync loops), Server.Close and conn.shutdown (closing the
+			// socket is what ends a connection's one goroutine), the
 			// client's Close/teardown pair, and Parallel.Close (which
 			// closes quit to stop every LP loop).
 			Roots: []string{"Close", "Stop", "shutdown", "teardown"},

@@ -22,7 +22,7 @@ import (
 //     a default arm) is exempt — it cannot block. I/O is
 //     only reported for mixed-use locks: a mutex whose every critical
 //     section performs I/O is a dedicated write-serialization lock (the
-//     server's per-connection wmu) and is by design held across Flush.
+//     client's per-connection wmu) and is by design held across Flush.
 //
 // Lock identity is the field or variable object, so `s.mu` names the same
 // lock across every instance and function. The walk is branch-aware (a

@@ -2,9 +2,9 @@
 // protocol. One Client owns one connection and pipelines requests over it:
 // every request carries a client-assigned sequence number, a single reader
 // goroutine matches replies back by that number, and a bounded inflight
-// window provides client-side admission control mirroring the server's
-// per-connection ring. Concurrent callers pipeline naturally — each blocks
-// only on its own reply, not on the connection.
+// window is the admission control: the server queues nothing, so the window
+// bounds what waits in the socket. Concurrent callers pipeline naturally —
+// each blocks only on its own reply, not on the connection.
 //
 // Reconnection is explicit and deterministic: when the connection dies, every
 // pending call fails with ErrConnReset and the next call redials under a
@@ -26,8 +26,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ErrRejected reports a server Reject frame: the request was not executed
-// because the server-side ring was full. Retry after backing off.
+// ErrRejected reports a server Reject frame: the request was not executed.
+// This repo's server never sends one; the protocol defines it.
 var ErrRejected = errors.New("client: request rejected (server busy)")
 
 // ErrConnReset reports that the connection died while the request was in

@@ -138,7 +138,7 @@ func FuzzServerDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Cleanup(eng.Close)
-	srv, err := New(Config{Backend: eng, Ring: 4})
+	srv, err := New(Config{Backend: eng})
 	if err != nil {
 		f.Fatal(err)
 	}

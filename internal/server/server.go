@@ -14,7 +14,7 @@ import (
 )
 
 // Backend is the decision plane the server fronts. *engine.Engine satisfies
-// it; tests substitute stubs to force backpressure and failure paths.
+// it; tests substitute stubs to park a connection inside a request.
 type Backend interface {
 	DecideBatch(pkts []engine.Packet)
 	Add(id int, vals []int64) error
@@ -30,9 +30,6 @@ type Backend interface {
 
 var _ Backend = (*engine.Engine)(nil)
 
-// DefaultRing is the default per-connection pending-request ring size.
-const DefaultRing = 64
-
 // DefaultMaxConns is the default connection admission limit.
 const DefaultMaxConns = 256
 
@@ -43,10 +40,6 @@ var ErrServerClosed = errors.New("server: closed")
 type Config struct {
 	// Backend is the decision engine being served. Required.
 	Backend Backend
-	// Ring is the per-connection pending-request ring size; a request
-	// arriving while the ring is full is answered with a Reject frame
-	// (EAGAIN) instead of queueing unboundedly. 0 selects DefaultRing.
-	Ring int
 	// MaxConns caps concurrently served connections; excess connections get
 	// an Err frame and are closed. 0 selects DefaultMaxConns.
 	MaxConns int
@@ -57,9 +50,9 @@ type Config struct {
 	// with respect to telemetry whether or not it is attached.
 	Telemetry *telemetry.Registry
 	// Flight, when non-nil, receives the server's recent request spans and
-	// state transitions (ring waits, decides, rejects, protocol errors,
-	// connection churn) for the always-on flight recorder. Records are
-	// lock-free and allocation-free; nil disables recording.
+	// state transitions (decides, reply encodes, protocol errors, write
+	// timeouts, connection churn) for the always-on flight recorder. Records
+	// are lock-free and allocation-free; nil disables recording.
 	Flight *telemetry.SpanRing
 	// Build names the running build in Pong replies; empty selects the Go
 	// toolchain version.
@@ -76,7 +69,7 @@ type metrics struct {
 	decisions     *telemetry.Counter
 	tableOps      *telemetry.Counter
 	swaps         *telemetry.Counter
-	rejects       *telemetry.Counter
+	writeTimeouts *telemetry.Counter
 	inflight      *telemetry.Gauge
 	protoErrs     *telemetry.Counter
 	tracedReqs    *telemetry.Counter
@@ -88,6 +81,10 @@ func newMetrics(reg *telemetry.Registry) metrics {
 	if reg == nil {
 		return metrics{}
 	}
+	// No code path increments this — the server queues nothing, so it
+	// rejects nothing. The name is registered for the readers that resolve
+	// it (benchmark/).
+	reg.NewCounter("thanos_server_rejects_total", "requests answered with a Reject frame (always 0: the server holds no per-connection queue to overflow)")
 	return metrics{
 		connsOpen:     reg.NewGauge("thanos_server_conns_open", "connections currently served"),
 		connsTotal:    reg.NewCounter("thanos_server_conns_total", "connections accepted"),
@@ -96,8 +93,8 @@ func newMetrics(reg *telemetry.Registry) metrics {
 		decisions:     reg.NewCounter("thanos_server_decisions_total", "decisions served over the wire"),
 		tableOps:      reg.NewCounter("thanos_server_table_ops_total", "SMBM table ops applied over the wire"),
 		swaps:         reg.NewCounter("thanos_server_swaps_total", "policy hot-swaps accepted over the wire"),
-		rejects:       reg.NewCounter("thanos_server_rejects_total", "requests rejected with EAGAIN because a connection ring was full"),
-		inflight:      reg.NewGauge("thanos_server_inflight", "requests admitted and not yet answered"),
+		writeTimeouts: reg.NewCounter("thanos_server_write_timeouts_total", "connections closed because a reply write made no progress within the write deadline"),
+		inflight:      reg.NewGauge("thanos_server_inflight", "requests executing or replying: at most one per connection"),
 		protoErrs:     reg.NewCounter("thanos_server_proto_errors_total", "connections dropped for malformed frames"),
 		tracedReqs:    reg.NewCounter("thanos_server_traced_requests_total", "decide requests carrying client trace context"),
 		batchHist:     reg.NewHistogram("thanos_server_decide_batch", "decide ops per request frame"),
@@ -110,13 +107,15 @@ func newMetrics(reg *telemetry.Registry) metrics {
 // concurrently.
 type Server struct {
 	be       Backend
-	ring     int
 	maxConns int
 	maxBatch int
 	m        metrics
 	flight   *telemetry.SpanRing
 	build    string
 	start    time.Time
+	// writeTimeout is the reply write deadline: the writeTimeout constant,
+	// held here only so in-package tests can shorten it before Serve.
+	writeTimeout time.Duration
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
@@ -129,10 +128,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Backend == nil {
 		return nil, fmt.Errorf("server: nil backend")
-	}
-	ring := cfg.Ring
-	if ring <= 0 {
-		ring = DefaultRing
 	}
 	maxConns := cfg.MaxConns
 	if maxConns <= 0 {
@@ -147,16 +142,16 @@ func New(cfg Config) (*Server, error) {
 		build = runtime.Version()
 	}
 	return &Server{
-		be:        cfg.Backend,
-		ring:      ring,
-		maxConns:  maxConns,
-		maxBatch:  maxBatch,
-		m:         newMetrics(cfg.Telemetry),
-		flight:    cfg.Flight,
-		build:     build,
-		start:     time.Now(),
-		listeners: make(map[net.Listener]struct{}),
-		conns:     make(map[*conn]struct{}),
+		be:           cfg.Backend,
+		maxConns:     maxConns,
+		maxBatch:     maxBatch,
+		writeTimeout: writeTimeout,
+		m:            newMetrics(cfg.Telemetry),
+		flight:       cfg.Flight,
+		build:        build,
+		start:        time.Now(),
+		listeners:    make(map[net.Listener]struct{}),
+		conns:        make(map[*conn]struct{}),
 	}, nil
 }
 
@@ -198,12 +193,8 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// admit applies the connection limit and starts the per-connection
-// goroutines. The conn is built before taking the server lock: newConn fills
-// the free-list ring with channel sends, and no channel op belongs inside a
-// mutex critical section (a rejected conn is just garbage-collected).
+// admit applies the connection limit and starts the connection's goroutine.
 func (s *Server) admit(nc net.Conn) {
-	c := newConn(s, nc)
 	s.mu.Lock()
 	if s.closed || len(s.conns) >= s.maxConns {
 		closed := s.closed
@@ -219,19 +210,20 @@ func (s *Server) admit(nc net.Conn) {
 		nc.Close()
 		return
 	}
+	c := &conn{srv: s, nc: nc}
 	s.conns[c] = struct{}{}
 	open := len(s.conns)
-	s.wg.Add(2)
+	s.wg.Add(1)
 	s.mu.Unlock()
 	s.m.connsOpen.Add(1)
 	s.m.connsTotal.Inc()
 	s.flight.Event(telemetry.EventConnOpen, 0, nowNs(), int64(open))
-	go c.readLoop()
-	go c.workLoop()
+	go c.serve()
 }
 
 // Close stops all listeners, closes every connection and waits for the
-// per-connection goroutines to drain. Idempotent.
+// connection goroutines to exit. A request executing at that moment runs to
+// completion; its reply is lost with the socket. Idempotent.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -283,50 +275,32 @@ func (s *Server) pongInfo() PongInfo {
 	return PongInfo{UptimeNs: uint64(time.Since(s.start)), Build: s.build}
 }
 
-// ConnStatus is one connection's live queue state in a Status snapshot.
-type ConnStatus struct {
-	RingDepth int `json:"ring_depth"` // admitted requests awaiting the worker
-	RingCap   int `json:"ring_cap"`
-	FreeSlots int `json:"free_slots"` // request objects available to the reader
-}
-
-// Status is the server's introspection snapshot (/debug/thanos).
+// Status is the server's introspection snapshot (/debug/thanos). There are
+// no per-connection rows: a connection holds no queue, so its whole state is
+// "open", and how many are executing right now is the inflight gauge.
 type Status struct {
-	Version  uint16       `json:"version"`
-	Build    string       `json:"build"`
-	UptimeNs uint64       `json:"uptime_ns"`
-	MaxConns int          `json:"max_conns"`
-	MaxBatch int          `json:"max_batch"`
-	Conns    []ConnStatus `json:"conns"`
+	Version  uint16 `json:"version"`
+	Build    string `json:"build"`
+	UptimeNs uint64 `json:"uptime_ns"`
+	MaxConns int    `json:"max_conns"`
+	MaxBatch int    `json:"max_batch"`
+	Conns    int    `json:"conns"` // connections currently served
 }
 
-// Introspect snapshots the server's live state: per-connection ring
-// occupancy and free-list depth plus identity. Control-plane only — it
-// takes the server lock, but reads each conn's channels without stopping
-// the serving goroutines, so depths are instantaneous estimates.
+// Introspect snapshots the server's identity, limits and open-connection
+// count. Control-plane only — it takes the server lock.
 func (s *Server) Introspect() Status {
-	st := Status{
+	s.mu.Lock()
+	conns := len(s.conns)
+	s.mu.Unlock()
+	return Status{
 		Version:  Version,
 		Build:    s.build,
 		UptimeNs: uint64(time.Since(s.start)),
 		MaxConns: s.maxConns,
 		MaxBatch: s.maxBatch,
+		Conns:    conns,
 	}
-	s.mu.Lock()
-	conns := make([]*conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	st.Conns = make([]ConnStatus, 0, len(conns))
-	for _, c := range conns {
-		st.Conns = append(st.Conns, ConnStatus{
-			RingDepth: len(c.ring),
-			RingCap:   cap(c.ring),
-			FreeSlots: len(c.free),
-		})
-	}
-	return st
 }
 
 func writeAll(w net.Conn, b []byte) error {

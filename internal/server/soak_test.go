@@ -64,7 +64,7 @@ func TestSoakFaultInjected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	srv, err := server.New(server.Config{Backend: eng, Ring: 8, Flight: fl.Ring("server", 512)})
+	srv, err := server.New(server.Config{Backend: eng, Flight: fl.Ring("server", 512)})
 	if err != nil {
 		t.Fatal(err)
 	}

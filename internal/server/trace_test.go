@@ -1,6 +1,6 @@
 // End-to-end tracing: a traced client against a live server over UDS
 // loopback must produce a complete cross-layer timeline — client enqueue /
-// wire / reply spans, server ring-wait / decide / encode spans, histogram
+// wire / reply spans, server decide / encode spans, histogram
 // exemplars linking the latency tail back to a trace ID — stitched together
 // by StitchTrace. The overhead smoke (env-gated, run by `make check-obs`)
 // additionally bounds the traced path's cost against the untraced one.
@@ -163,14 +163,14 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 
 	// Both component rings must hold the call's spans under its trace ID.
-	// The server worker records its spans after writing the reply, so the
-	// client can observe the reply first — poll briefly for the server side.
+	// The server records its spans after writing the reply, so the client
+	// can observe the reply first — poll briefly for the server side.
 	var comps map[string][]telemetry.Span
 	var sk map[telemetry.SpanKind]telemetry.Span
 	for deadline := time.Now().Add(2 * time.Second); ; {
 		comps = h.fl.Snapshot()
 		sk = spanKinds(comps["server"], ti.ID)
-		if len(sk) >= 3 || time.Now().After(deadline) {
+		if len(sk) >= 2 || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -181,7 +181,7 @@ func TestTraceEndToEnd(t *testing.T) {
 			t.Errorf("client ring missing %v span for trace %#x", k, ti.ID)
 		}
 	}
-	for _, k := range []telemetry.SpanKind{telemetry.SpanRingWait, telemetry.SpanDecide, telemetry.SpanEncode} {
+	for _, k := range []telemetry.SpanKind{telemetry.SpanDecide, telemetry.SpanEncode} {
 		if _, ok := sk[k]; !ok {
 			t.Errorf("server ring missing %v span for trace %#x", k, ti.ID)
 		}
@@ -193,8 +193,8 @@ func TestTraceEndToEnd(t *testing.T) {
 
 	// StitchTrace reassembles the full cross-layer timeline by trace ID.
 	stitched := telemetry.StitchTrace(comps, ti.ID)
-	if len(stitched) < 6 {
-		t.Fatalf("stitched trace has %d spans, want >= 6 (client 3 + server 3)", len(stitched))
+	if len(stitched) < 5 {
+		t.Fatalf("stitched trace has %d spans, want >= 5 (client 3 + server 2)", len(stitched))
 	}
 
 	// Exemplar linkage: the server latency histogram must retain a trace ID
@@ -219,8 +219,8 @@ func TestTraceEndToEnd(t *testing.T) {
 
 	// Introspection reflects the live server.
 	st := h.srv.Introspect()
-	if st.Version != server.Version || st.Build != "trace-test" || len(st.Conns) == 0 {
-		t.Errorf("introspect: version=%d build=%q conns=%d", st.Version, st.Build, len(st.Conns))
+	if st.Version != server.Version || st.Build != "trace-test" || st.Conns == 0 {
+		t.Errorf("introspect: version=%d build=%q conns=%d", st.Version, st.Build, st.Conns)
 	}
 	est := h.eng.Introspect()
 	if est.Live != 2 || len(est.Shards) != 2 {
@@ -287,7 +287,7 @@ func TestTraceSampling(t *testing.T) {
 
 // TestTracedReplyEncodeAllocs pins the traced reply's extra server work —
 // trailer encoding, exemplar store, span records — at zero allocations in
-// steady state, mirroring what serveTracedDecide does per traced frame.
+// steady state, mirroring what the Decide arm does per traced frame.
 func TestTracedReplyEncodeAllocs(t *testing.T) {
 	pkts := make([]engine.Packet, 64)
 	ring := telemetry.NewSpanRing("server", 64)
@@ -297,7 +297,6 @@ func TestTracedReplyEncodeAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		buf = server.AppendDecidedTrace(buf[:0], 9, pkts, tr)
 		hist.ObserveExemplar(17, tr.ID)
-		ring.Record(telemetry.SpanRingWait, tr.ID, tr.AdmitNs, tr.StartNs, 64)
 		ring.Record(telemetry.SpanDecide, tr.ID, tr.StartNs, tr.DoneNs, 64)
 		ring.Record(telemetry.SpanEncode, tr.ID, tr.DoneNs, tr.DoneNs+1, 0)
 	}); n != 0 {

@@ -14,7 +14,7 @@
 // capped at MaxPayload; integers are little-endian. seq is chosen by the
 // client and echoed verbatim in the reply, which is what lets a client keep
 // many batches in flight on one connection (pipelining) and still match
-// answers — including out-of-band Reject frames — to requests.
+// answers to requests.
 //
 // # Request/reply pairs
 //
@@ -23,9 +23,13 @@
 //	Swap    -> SwapAck    live policy hot-swap (DSL text)
 //	Hello   -> HelloAck   version + schema handshake
 //	Ping    -> Pong       liveness
-//	any     -> Reject     admission control: the per-connection ring was
-//	                      full; retry later (EAGAIN semantics)
+//	any     -> Reject     not executed, retry later (EAGAIN); defined and
+//	                      decodable, but this server never sends it
 //	any     -> Err        protocol error; the server closes the connection
+//
+// The server answers a connection's requests strictly in arrival order, one
+// at a time, and queues nothing: each request gets its reply, or the
+// connection is visibly dead.
 //
 // Flow-keyed routing is carried by the decision key itself: the server hands
 // it unchanged to engine.DecideBatch, which steers key mod shards, so one
@@ -39,8 +43,8 @@
 // appending a u64 trace ID — the client makes the 1-in-N sampling decision,
 // downstream just honors it. The server answers a traced Decide with a
 // traced Decided: TraceFlag set and a trailing DecideTrace carrying the
-// trace ID plus the server-side phase stamps (recv, ring admit, decide
-// start, decide done), which lets the client stitch one cross-layer
+// trace ID plus the server-side phase stamps (recv, admit, decide start,
+// decide done), which lets the client stitch one cross-layer
 // timeline without scraping the server. Untraced frames are byte-identical
 // to protocol v1, and servers never send trace context unsolicited, so old
 // peers interoperate unchanged. The Pong body (uptime + build) is also new
@@ -115,8 +119,8 @@ const (
 
 // Reject reasons.
 const (
-	// RejectBusy: the per-connection request ring was full. The request was
-	// not executed; the client should back off and retry.
+	// RejectBusy: the server had no room for the request. It was not
+	// executed; the client should back off and retry.
 	RejectBusy = 0x01
 )
 
@@ -147,8 +151,9 @@ type HelloInfo struct {
 // reply: the sampled request's trace ID plus the server's phase stamps
 // (unix nanoseconds on the server clock). A zero ID means "untraced".
 // The phases map onto the frame's life: Recv (frame decoded off the
-// socket), Admit (admitted to the per-connection ring), Start (worker
-// dequeued it and entered DecideBatch), Done (DecideBatch returned).
+// socket), Start (entered DecideBatch), Done (DecideBatch returned). Admit
+// is kept for layout compatibility and always equals Start: the connection
+// executes a frame as soon as it is decoded, with no queue in between.
 type DecideTrace struct {
 	ID      uint64
 	RecvNs  int64

@@ -21,9 +21,6 @@ const (
 	// SpanWire: the frame's socket write until the server finished reading
 	// and decoding it (client send -> server recv).
 	SpanWire
-	// SpanRingWait: server-side queueing — admitted to the per-connection
-	// ring, waiting for the worker to dequeue.
-	SpanRingWait
 	// SpanDecide: backend execution — engine.DecideBatch across the shards.
 	SpanDecide
 	// SpanEncode: reply encoding + socket write on the server.
@@ -35,31 +32,32 @@ const (
 
 // Event spans (component state transitions, flight-recorder material).
 const (
-	EventReject SpanKind = iota + 32
-	EventQuarantine
+	EventQuarantine SpanKind = iota + 32
 	EventResync
 	EventSwap
 	EventReconnect
 	EventProtoErr
 	EventConnOpen
 	EventConnClose
+	// EventWriteTimeout: the server closed a connection whose peer stopped
+	// reading replies.
+	EventWriteTimeout
 )
 
 var spanKindNames = map[SpanKind]string{
-	SpanEnqueue:     "enqueue",
-	SpanWire:        "wire",
-	SpanRingWait:    "ring_wait",
-	SpanDecide:      "decide",
-	SpanEncode:      "encode",
-	SpanReply:       "reply",
-	EventReject:     "reject",
-	EventQuarantine: "quarantine",
-	EventResync:     "resync",
-	EventSwap:       "swap",
-	EventReconnect:  "reconnect",
-	EventProtoErr:   "proto_error",
-	EventConnOpen:   "conn_open",
-	EventConnClose:  "conn_close",
+	SpanEnqueue:       "enqueue",
+	SpanWire:          "wire",
+	SpanDecide:        "decide",
+	SpanEncode:        "encode",
+	SpanReply:         "reply",
+	EventQuarantine:   "quarantine",
+	EventResync:       "resync",
+	EventSwap:         "swap",
+	EventReconnect:    "reconnect",
+	EventProtoErr:     "proto_error",
+	EventConnOpen:     "conn_open",
+	EventConnClose:    "conn_close",
+	EventWriteTimeout: "write_timeout",
 }
 
 // String returns the stable lower-case name used in JSON exports.
@@ -72,11 +70,11 @@ func (k SpanKind) String() string {
 
 // Event reports whether k is a state-transition event rather than a
 // request phase.
-func (k SpanKind) Event() bool { return k >= EventReject }
+func (k SpanKind) Event() bool { return k >= EventQuarantine }
 
 // Span is one recorded phase or event. Start/End are unix nanoseconds from
 // the recording process's clock; Arg is kind-specific (batch size for
-// decide phases, shard index for quarantine/resync, reject reason, ...).
+// decide phases, shard index for quarantine/resync, request seq, ...).
 // Seq is the ring claim order and doubles as the validity marker: a zero
 // Seq is an empty slot.
 type Span struct {

@@ -47,7 +47,7 @@ func TestSpanRingWraps(t *testing.T) {
 func TestSpanRingNilSafe(t *testing.T) {
 	var r *SpanRing
 	r.Record(SpanDecide, 1, 2, 3, 4) // must not panic
-	r.Event(EventReject, 0, 1, 0)
+	r.Event(EventProtoErr, 0, 1, 0)
 	if r.Snapshot() != nil {
 		t.Fatal("nil ring snapshot should be nil")
 	}
@@ -183,7 +183,7 @@ func TestFlightRecorderRingIdempotent(t *testing.T) {
 
 func TestFlightRecorderDump(t *testing.T) {
 	f := NewFlightRecorder()
-	f.Ring("server", 8).Record(SpanRingWait, 42, 10, 20, 0)
+	f.Ring("server", 8).Record(SpanEncode, 42, 10, 20, 0)
 	f.Ring("engine", 8).Event(EventQuarantine, 0, 30, 1)
 	var buf bytes.Buffer
 	f.SetAutoDump(&buf)
@@ -205,7 +205,7 @@ func TestFlightRecorderDump(t *testing.T) {
 	if dump.Reason != "shard 1 quarantined" || dump.Trips != 1 {
 		t.Fatalf("dump header = %+v", dump)
 	}
-	if len(dump.Components["server"]) != 1 || dump.Components["server"][0].Kind != "ring_wait" || dump.Components["server"][0].TraceID != 42 {
+	if len(dump.Components["server"]) != 1 || dump.Components["server"][0].Kind != "encode" || dump.Components["server"][0].TraceID != 42 {
 		t.Fatalf("server component = %+v", dump.Components["server"])
 	}
 	if len(dump.Components["engine"]) != 1 || dump.Components["engine"][0].Kind != "quarantine" {
@@ -221,16 +221,16 @@ func TestStitchTrace(t *testing.T) {
 			{Seq: 3, TraceID: 7, Kind: SpanReply, Start: 180, End: 200},
 		},
 		"server": {
-			{Seq: 1, TraceID: 7, Kind: SpanRingWait, Start: 120, End: 140},
+			{Seq: 1, TraceID: 7, Kind: SpanEncode, Start: 170, End: 175},
 			{Seq: 2, TraceID: 7, Kind: SpanDecide, Start: 140, End: 170},
-			{Seq: 3, TraceID: 0, Kind: EventReject, Start: 130, End: 130},
+			{Seq: 3, TraceID: 0, Kind: EventProtoErr, Start: 130, End: 130},
 		},
 	}
 	got := StitchTrace(comps, 7)
 	if len(got) != 4 {
 		t.Fatalf("stitched %d spans, want 4", len(got))
 	}
-	wantKinds := []SpanKind{SpanEnqueue, SpanRingWait, SpanDecide, SpanReply}
+	wantKinds := []SpanKind{SpanEnqueue, SpanDecide, SpanEncode, SpanReply}
 	for i, sp := range got {
 		if sp.Kind != wantKinds[i] {
 			t.Fatalf("stitched[%d].Kind = %v, want %v", i, sp.Kind, wantKinds[i])
@@ -294,7 +294,7 @@ func TestSpanKindNames(t *testing.T) {
 			t.Fatalf("phase kind %d misclassified (%q, event=%v)", k, k.String(), k.Event())
 		}
 	}
-	for _, k := range []SpanKind{EventReject, EventQuarantine, EventResync, EventSwap, EventReconnect, EventProtoErr, EventConnOpen, EventConnClose} {
+	for _, k := range []SpanKind{EventQuarantine, EventResync, EventSwap, EventReconnect, EventProtoErr, EventConnOpen, EventConnClose, EventWriteTimeout} {
 		if k.String() == "unknown" || !k.Event() {
 			t.Fatalf("event kind %d misclassified (%q, event=%v)", k, k.String(), k.Event())
 		}
