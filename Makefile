@@ -13,16 +13,18 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # check is the PR gate: build, static analysis, and race-enabled tests over
-# the whole tree — the sharded decision engine, the replica broadcast mode
-# and the event kernel all carry concurrency-sensitive invariants — plus
+# the whole tree — the sharded decision engine, the serving frontend and the
+# event kernel all carry concurrency-sensitive invariants — plus
 # vet and tests of the benchmark module, which has its own go.mod (so the
 # root ./... cannot see it) and compiles against the engine and server APIs.
+# vet is also the lock-copy guard (copylocks) for the engine's shard mutex.
 # thanoslint runs after vet and mechanically enforces the paper's hardware
 # invariants: hot-path allocation freedom, simulation determinism, latency
-# constants, the engine's snapshot/epoch protocol, and the telemetry layer's
-# lock-free hot-safe API discipline — plus the v2 call-graph analyzers
-# (goroutineleak, lockorder, publishsafety, wireproto) over the serving
-# stack's concurrency and protocol contracts. The race pass covers the
+# constants, and the telemetry layer's lock-free hot-safe API discipline —
+# plus the v2 call-graph analyzers (goroutineleak, lockorder, publishsafety,
+# wireproto) over the serving stack's concurrency and protocol contracts —
+# lockorder is what proves wmu → shard.mu is the engine's only order. The
+# race pass checks the engine's lock discipline itself, and covers the
 # serving frontend too, with the short fault-injected soak (`go test -tags
 # soak ./internal/server/` selects the long one).
 check: build

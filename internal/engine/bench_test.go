@@ -81,10 +81,10 @@ func BenchmarkEngineDecideBatchTelemetry(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineWrite measures the cost of one propagated write (shadow
-// mutate + epoch swap + replay) as shards grow — the price of replica
-// consistency, linear in the replica count like the paper's broadcast
-// updates.
+// BenchmarkEngineWrite measures the cost of one propagated write (the
+// authoritative table, then one row operation under each shard's lock) as
+// shards grow — the price of replica consistency, linear in the replica
+// count like the paper's broadcast updates.
 func BenchmarkEngineWrite(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

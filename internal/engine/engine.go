@@ -9,18 +9,21 @@
 // from different callers proceed in parallel on different shards — at most
 // Shards at once — without sharing a single hot data structure.
 //
-// # Reads never stall on writes
+// # Writes are atomic, and cost a decision one row operation
 //
-// The paper's SMBM hardware performs fully pipelined 2-cycle writes that
-// never block reads: the visible state always corresponds to a completed
-// operation (§5.1.4). The engine models that with epoch-based snapshot
-// publication. Each shard holds two complete replicas of the table+interp
-// pair. Readers always execute against the shard's active snapshot; a write
-// mutates the shadow replica, atomically swaps it in as the new active
-// snapshot, waits for the shard's (single) current reader to drain the old
-// epoch, and then replays the same operation on the retired snapshot so both
-// stay in sync. Decisions therefore always observe an atomic, fully-written
-// table — never a half-applied add — and never wait for a writer.
+// The paper's SMBM hardware performs pipelined 2-cycle writes: the visible
+// state always corresponds to a completed operation (§5.1.4). The engine
+// gives the same atomicity with the one lock a shard already has. Each shard
+// holds exactly one snapshot — a table, the interpreter bound to it and the
+// policy that interpreter was built from — and everything that touches it
+// does so under the shard's mutex: a decision holds it for its visit, a table
+// write holds it for one single-row SMBM operation, and a policy swap or a
+// resync builds its interpreter (and rebuilt table) first and holds it only
+// to replace the snapshot pointer. Decisions therefore always observe a
+// fully-written table and a complete program. What the hardware has and this
+// does not is stall-free reads: a decision can wait for a write on its shard,
+// bounded by one row operation or one pointer store — next to the whole
+// visit it already waits behind any other decision on that shard.
 //
 // # Batched decisions, run to completion
 //
@@ -28,8 +31,8 @@
 // packets, the engine steers each packet to a shard by its Key (a flow hash;
 // one flow always lands on the same pipeline, exactly how a multi-pipeline
 // switch partitions traffic), and the calling goroutine then visits each
-// shard the batch touches: it takes that shard's lock, pins the shard's
-// active snapshot, decides the shard's packets in batch order, and moves on.
+// shard the batch touches: it takes that shard's lock, decides the shard's
+// packets in batch order against the shard's snapshot, and moves on.
 // The packets themselves carry the partition (see steerTag), so callers
 // share no scratch outside a shard lock.
 // The only ordering a stateful data plane owes is per flow key, which the
@@ -43,11 +46,11 @@
 // failed broadcast write) is not a crash: the shard moves through a health
 // state machine (healthy → quarantined → resyncing → healthy). Quarantined
 // shards are left out of the steering table — their traffic fails over to
-// healthy shards — while a background loop rebuilds both snapshots from an
-// epoch-consistent view of the authoritative table, with capped exponential
-// backoff between failed attempts. Likewise, using the engine after Close
-// degrades (decisions come back OK=false, writes return ErrClosed) instead
-// of panicking. See health.go.
+// healthy shards — while a background loop rebuilds its snapshot from the
+// authoritative table, with capped exponential backoff between failed
+// attempts. Likewise, using the engine after Close degrades (decisions come
+// back OK=false, writes return ErrClosed) instead of panicking. See
+// health.go.
 package engine
 
 import (
@@ -98,7 +101,7 @@ type Config struct {
 	Policy *policy.Policy
 	// Telemetry, when non-nil, registers the engine's metrics — per-shard
 	// decision counts, chain selectivity, table op counts, the batch-size
-	// histogram, epoch swap/staleness counters — under this registry and
+	// histogram, policy-swap and degradation counters — under this registry and
 	// enables a per-shard sampled decision tracer. All handles are created
 	// here, at construction; telemetry adds no allocation and no lock to the
 	// decision path.
@@ -141,9 +144,8 @@ const DefaultTraceEvery = 1024
 const DefaultTraceCapacity = 256
 
 // snapshot is one complete replica: an SMBM plus an interpreter bound to it.
-// A snapshot is only ever executed under its shard's lock and only ever
-// mutated by a writer that has proven (via the epoch protocol) that no
-// reader is using it.
+// A snapshot is only ever executed, and its table only ever mutated, under
+// its shard's lock.
 //
 // Both halves are arena-packed: the SMBM stores its dimensions in padded
 // columnar arenas and the interpreter carves every step buffer from one
@@ -153,25 +155,27 @@ type snapshot struct {
 	table  *smbm.SMBM
 	interp *policy.Interp
 	// pol is the policy the interpreter was built from. It rides inside the
-	// snapshot so a policy hot-swap (SwapPolicy) publishes the new program
-	// and its fallback table atomically with the epoch: a reader resolving
-	// fallbacks always uses the policy its pinned interpreter was built for.
+	// snapshot so a policy hot-swap (SwapPolicy) replaces the program and its
+	// fallback table in one pointer store: a decision resolving fallbacks
+	// always uses the policy its interpreter was built for.
 	pol *policy.Policy
 }
 
-// shard is one pipeline replica: its double-buffered snapshots and the lock
-// under which callers execute on them.
+// shard is one pipeline replica: its snapshot and the lock under which
+// callers execute on it and writers change it.
 type shard struct {
-	states [2]*snapshot
-	active atomic.Pointer[snapshot] // the snapshot new batches execute against
-	inUse  atomic.Pointer[snapshot] // the snapshot a caller is executing now (nil = idle)
-
-	// mu admits one deciding caller at a time. It owns everything a decision
-	// writes: both snapshots' interpreter scratch, the inUse pin, closed, idx
-	// and the hot-path telemetry handles below. Writers never take it — they
-	// synchronise with the reader through active/inUse alone — so a decision
-	// waits only for another decision on the same shard.
+	// mu admits one deciding caller or one writer at a time. It owns
+	// everything a decision writes — the interpreter's scratch, closed, idx
+	// and the hot-path telemetry handles below — and, together with
+	// Engine.wmu, the table contents and the snap pointer. The discipline:
+	// mutate a shard's table or replace snap: wmu + mu; decide: mu;
+	// control-plane read of snap or its table: wmu. A writer holds mu for one
+	// row operation or one pointer store, never across building an
+	// interpreter or a table, and never while it quarantines a shard,
+	// rebuilds steering, records a flight event or calls OnQuarantine.
 	mu sync.Mutex
+	// snap is the shard's one replica. See mu for who may touch it.
+	snap *snapshot
 	// closed is set by Close; packets steered here afterwards fail in place.
 	closed bool
 	// idx is the packet-index scratch of the visit in progress, reused
@@ -226,16 +230,19 @@ type Engine struct {
 	// steer is the current steering table, replaced wholesale under wmu on
 	// every health transition and loaded once per batch. A batch that loaded
 	// the previous table may still execute on a shard quarantined since; the
-	// epoch protocol keeps that safe (resync waits out the inUse pin) and the
-	// decision is one the shard could have given just before the transition.
+	// shard lock keeps that safe (it runs before or after a resync's pointer
+	// store, never during) and the decision is one the shard could have given
+	// just before the transition.
 	steer atomic.Pointer[steering]
 
 	rrKey  atomic.Uint64 // round-robin steering key for Decide
 	closed atomic.Bool   // Close has begun
 
-	// wmu serializes writers, so the two snapshots of every shard advance
-	// through the same operation sequence. Shard locks are never taken
-	// under it.
+	// wmu serializes writers, so every replica advances through the same
+	// operation sequence as auth, and guards the health transitions. It is
+	// always taken before a shard's mu, never after: the decision path holds
+	// shard locks and never takes wmu. Holding wmu alone is enough to read any
+	// shard's snap and table, since every mutator holds it too.
 	wmu sync.Mutex
 
 	bg       sync.WaitGroup // background resync goroutines, for Close
@@ -256,11 +263,9 @@ type Engine struct {
 
 	// Telemetry, nil unless Config.Telemetry was set. All handles are atomic
 	// instruments: batchHist and the failover/failed counters are observed
-	// by deciding callers, swaps/waitSpins on the (wmu-serialized) write path.
+	// by deciding callers, polSwaps on the (wmu-serialized) write path.
 	reg       *telemetry.Registry
 	batchHist *telemetry.Histogram // DecideBatch sizes
-	swaps     *telemetry.Counter   // active-snapshot publishes (one per shard per write)
-	waitSpins *telemetry.Counter   // writer spins on a reader-pinned retired snapshot (staleness)
 	polSwaps  *telemetry.Counter   // policy hot-swaps published (SwapPolicy successes)
 
 	// Degradation telemetry, nil-safe like every other handle.
@@ -272,11 +277,10 @@ type Engine struct {
 	quarGauge   *telemetry.Gauge   // shards currently quarantined or resyncing
 }
 
-// New builds the engine: per shard, two complete table+interpreter replicas
-// (the double buffer). All replicas start empty and identical; every
-// interpreter draws the same deterministic seed assignment, so shards model
-// identically-configured pipeline replicas. A healthy engine owns no
-// goroutines.
+// New builds the engine: per shard, one table+interpreter replica. All
+// replicas start empty and identical; every interpreter draws the same
+// deterministic seed assignment, so shards model identically-configured
+// pipeline replicas. A healthy engine owns no goroutines.
 func New(cfg Config) (*Engine, error) {
 	n := cfg.Shards
 	if n <= 0 {
@@ -306,15 +310,11 @@ func New(cfg Config) (*Engine, error) {
 	}
 	for i := 0; i < n; i++ {
 		s := &shard{}
-		for j := range s.states {
-			t := smbm.New(cfg.Capacity, len(cfg.Schema.Attrs))
-			it, err := policy.NewInterp(t, cfg.Schema, cfg.Policy)
-			if err != nil {
-				return nil, err
-			}
-			s.states[j] = &snapshot{table: t, interp: it, pol: cfg.Policy}
+		var err error
+		s.snap, err = s.newSnapshot(smbm.New(cfg.Capacity, len(cfg.Schema.Attrs)), cfg.Schema, cfg.Policy)
+		if err != nil {
+			return nil, err
 		}
-		s.active.Store(s.states[0])
 		e.shards = append(e.shards, s)
 	}
 	e.rebuildSteering()
@@ -330,15 +330,13 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) setupTelemetry(cfg Config, n int) {
 	reg := cfg.Telemetry
 	e.reg = reg
-	labels := e.shards[0].states[0].interp.StepLabels()
+	labels := e.shards[0].snap.interp.StepLabels()
 	chains := telemetry.NewChainStats(reg, "thanos_engine_chain", labels, n)
 	tables := telemetry.NewTableStats(reg, "thanos_engine_table", n)
 	dec := reg.NewShardedCounter("thanos_engine_decisions_total", "decisions executed across all shards", n)
 	empty := reg.NewShardedCounter("thanos_engine_empty_decisions_total", "decisions whose final candidate set was empty", n)
 	e.batchHist = reg.NewHistogram("thanos_engine_batch_size", "DecideBatch request sizes in packets")
-	e.swaps = reg.NewCounter("thanos_engine_epoch_swaps_total", "active-snapshot publishes (one per shard per table write)")
-	e.waitSpins = reg.NewCounter("thanos_engine_epoch_wait_spins_total", "writer spins waiting for a reader to drain a retired snapshot")
-	e.polSwaps = reg.NewCounter("thanos_engine_policy_swaps_total", "policy hot-swaps published through the epoch-snapshot mechanism")
+	e.polSwaps = reg.NewCounter("thanos_engine_policy_swaps_total", "policy hot-swaps published to every healthy shard")
 	e.quarCtr = reg.NewCounter("thanos_engine_shards_quarantined_total", "shards quarantined after replica divergence")
 	e.resyncCtr = reg.NewCounter("thanos_engine_resyncs_completed_total", "quarantined shards rebuilt from the authoritative table and returned to service")
 	e.retryCtr = reg.NewCounter("thanos_engine_resync_retries_total", "failed resync attempts, retried with capped exponential backoff")
@@ -364,12 +362,8 @@ func (e *Engine) setupTelemetry(cfg Config, n int) {
 		s.tracer = telemetry.NewTracer(every, capacity, i)
 		s.chainTel = chains[i]
 		s.tableTel = tables[i]
-		// Both snapshots of a shard run under the same shard lock (never
-		// concurrently), so they can share the shard's handles.
-		for _, st := range s.states {
-			st.interp.AttachTelemetry(chains[i])
-			st.table.AttachTelemetry(tables[i])
-		}
+		s.snap.interp.AttachTelemetry(chains[i])
+		s.snap.table.AttachTelemetry(tables[i])
 	}
 }
 
@@ -409,8 +403,7 @@ func (e *Engine) Policy() *policy.Policy { return e.pol.Load() }
 func (e *Engine) Schema() policy.Schema { return e.schema }
 
 // Capacity returns N, the resource-slot count of the replica tables. Like
-// the schema it is fixed at construction — reading a live snapshot here
-// would race the epoch writer for no benefit.
+// the schema it is fixed at construction, so no lock is needed to read it.
 func (e *Engine) Capacity() int { return e.auth.Capacity() }
 
 // Close shuts the engine down: it marks every shard closed under that
@@ -511,28 +504,18 @@ func (s *shard) reserveIdx(n int) []int32 {
 }
 
 // process decides, in order, every packet of pkts tagged for this shard,
-// against the shard's active snapshot, and returns how many it had to fail.
-// The inUse pointer is the reader's half of the epoch protocol: publish the
-// snapshot being read, re-check that it is still active (a writer may have
-// swapped in between), execute, clear. Writers spin on inUse before mutating
-// a retired snapshot, so execution never observes a table mid-write; mu
-// makes the caller the shard's only reader, which is what lets one inUse
-// slot stand for all of them.
+// against the shard's snapshot, and returns how many it had to fail. Holding
+// mu for the visit is the whole protocol: writers change the table and the
+// snapshot pointer only under mu, so execution never observes a table
+// mid-write or a program half-swapped, and the table version is the same for
+// every packet of the visit.
 //
 //thanos:hotpath
 func (s *shard) process(pkts []Packet, tag int) (failed uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var st *snapshot
-	for {
-		st = s.active.Load()
-		s.inUse.Store(st)
-		if s.active.Load() == st {
-			break
-		}
-		s.inUse.Store(nil) // writer swapped underneath us; retry on the new epoch
-	}
-	// A packet naming an output the pinned policy does not have fails in
+	st := s.snap
+	// A packet naming an output the current policy does not have fails in
 	// place (ID=-1, OK=false) instead of panicking in Resolve: with policy
 	// hot-swaps a caller's view of the output count is inherently racy, so an
 	// out-of-range index is a degradation, not a programming error. A closed
@@ -573,20 +556,19 @@ func (s *shard) process(pkts []Packet, tag int) (failed uint64) {
 		}
 		tr.Finish(p.Out, p.ID, p.OK)
 	}
-	// One telemetry publish per visit, not per decision. The snapshot (and
-	// so its table version) stays pinned until inUse clears below, which is
-	// what FlushStats's same-version contract requires.
+	// One telemetry publish per visit, not per decision. The table version
+	// cannot move while mu is held, which is what FlushStats's same-version
+	// contract requires.
 	s.decCtr.Add(dec)
 	if empty != 0 {
 		s.emptyCtr.Add(empty)
 	}
 	st.interp.FlushStats(dec)
-	s.inUse.Store(nil)
 	return failed
 }
 
-// Add inserts a resource into every replica. See apply for the propagation
-// protocol.
+// Add inserts a resource into every replica. See apply for how a write
+// propagates.
 func (e *Engine) Add(id int, vals []int64) error {
 	return e.apply(func(t *smbm.SMBM) error { return t.Add(id, vals) })
 }
@@ -611,9 +593,10 @@ func (e *Engine) Upsert(id int, vals []int64) error {
 func (e *Engine) Remove(id int) error { return e.Delete(id) }
 
 // apply propagates one table operation to the authoritative table and then
-// to both snapshots of every healthy shard. The operation is validated
-// against the authoritative table first; a validation failure (duplicate id,
-// missing id, full table) leaves every replica untouched.
+// to the table of every healthy shard, each under that shard's lock. The
+// operation is validated against the authoritative table first; a validation
+// failure (duplicate id, missing id, full table) leaves every replica
+// untouched.
 //
 // A failure on a shard replica after the authority accepted the write means
 // that replica has diverged. That used to panic; now the shard is
@@ -637,7 +620,7 @@ func (e *Engine) apply(op func(*smbm.SMBM) error) error {
 		if ShardHealth(s.health.Load()) != Healthy {
 			continue // will rebuild from e.auth on resync
 		}
-		if err := e.applyShard(s, op); err != nil {
+		if err := s.write(op); err != nil {
 			e.quarantineLocked(si, err)
 			if firstDiv == nil {
 				firstDiv = fmt.Errorf("engine: shard %d quarantined: %w: %w",
@@ -648,42 +631,15 @@ func (e *Engine) apply(op func(*smbm.SMBM) error) error {
 	return firstDiv
 }
 
-// applyShard propagates one already-validated operation to both snapshots of
-// a shard without ever stalling readers: mutate the shadow snapshot,
-// atomically publish it as the new active epoch, wait for the reader to
-// finish any visit pinned to the old epoch, then replay the operation on the
-// retired snapshot. This mirrors the paper's pipelined 2-cycle SMBM writes
-// (§5.1.4): reads issued at any moment see a complete, consistent table.
-// Caller holds wmu.
-func (e *Engine) applyShard(s *shard, op func(*smbm.SMBM) error) error {
-	act := s.active.Load()
-	shadow := s.other(act)
-	if err := op(shadow.table); err != nil {
-		// The shadow missed a write the authority accepted: the shard is
-		// behind the authoritative sequence, though its two snapshots still
-		// agree with each other.
-		return err
-	}
-	s.active.Store(shadow)
-	e.swaps.Inc()
-	for s.inUse.Load() == act {
-		e.waitSpins.Inc() // staleness: the retired epoch is still pinned
-		runtime.Gosched() // reader still draining the old epoch
-	}
-	if err := op(act.table); err != nil {
-		// The retired snapshot rejected a replay its twin accepted: the two
-		// snapshots now disagree. Quarantine heals both from the authority.
-		return err
-	}
-	return nil
-}
-
-// other returns the snapshot that is not st.
-func (s *shard) other(st *snapshot) *snapshot {
-	if s.states[0] == st {
-		return s.states[1]
-	}
-	return s.states[0]
+// write runs one already-validated single-row operation on the shard's
+// table. The shard lock is held for exactly that operation, which is the
+// longest a decision steered here can wait for a writer; an error means the
+// replica rejected a write the authority accepted, i.e. it has diverged.
+// Caller holds wmu and quarantines outside the shard lock.
+func (s *shard) write(op func(*smbm.SMBM) error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return op(s.snap.table)
 }
 
 // Metrics returns a copy of the metric values for id from the authoritative
@@ -701,9 +657,9 @@ func (e *Engine) Size() int {
 	return e.auth.Size()
 }
 
-// CheckSync verifies the engine-wide InSync invariant: both replica tables
-// of every healthy shard hold contents identical to the authoritative table
-// and satisfy every SMBM structural invariant. Quarantined and resyncing
+// CheckSync verifies the engine-wide InSync invariant: the replica table of
+// every healthy shard holds contents identical to the authoritative table
+// and satisfies every SMBM structural invariant. Quarantined and resyncing
 // shards are excluded — they are known-diverged and out of the serving set.
 // Intended for tests; it takes the writer lock, so in-flight decisions are
 // unaffected but writes are briefly excluded.
@@ -719,27 +675,11 @@ func (e *Engine) CheckSync() error {
 		if ShardHealth(s.health.Load()) != Healthy {
 			continue
 		}
-		for sti, st := range s.states {
-			t := st.table
-			if err := t.CheckInvariants(); err != nil {
-				return fmt.Errorf("shard %d state %d: %w", si, sti, err)
-			}
-			if t.Size() != base.Size() {
-				return fmt.Errorf("shard %d state %d: size %d, want %d", si, sti, t.Size(), base.Size())
-			}
-			for _, id := range ids {
-				want, _ := base.Metrics(id)
-				got, ok := t.Metrics(id)
-				if !ok {
-					return fmt.Errorf("shard %d state %d: id %d missing", si, sti, id)
-				}
-				for j := range want {
-					if got[j] != want[j] {
-						return fmt.Errorf("shard %d state %d: id %d metric %d = %d, want %d",
-							si, sti, id, j, got[j], want[j])
-					}
-				}
-			}
+		if err := s.snap.table.CheckInvariants(); err != nil {
+			return fmt.Errorf("shard %d: %w", si, err)
+		}
+		if err := e.verifyShard(s, ids); err != nil {
+			return fmt.Errorf("shard %d: %w", si, err)
 		}
 	}
 	return nil

@@ -2,22 +2,20 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
-	"repro/internal/policy"
 	"repro/internal/smbm"
 	"repro/internal/telemetry"
 )
 
 // ShardHealth is a shard's position in the degradation state machine.
 //
-// A shard is Healthy while its two snapshots track the authoritative table
+// A shard is Healthy while its table tracks the authoritative table
 // op-for-op. The first write it rejects after the authority accepted it (or
 // a divergence found by VerifyReplicas) moves it to Quarantined: the steering
 // table sends its traffic to healthy shards and writers stop broadcasting to
 // it. A background loop then moves it Quarantined → Resyncing while it
-// rebuilds both snapshots from the authority, and back to Healthy on success
+// rebuilds its snapshot from the authority, and back to Healthy on success
 // — or back to Quarantined, to retry with capped exponential backoff, on
 // failure.
 type ShardHealth int32
@@ -68,9 +66,9 @@ type ShardStatus struct {
 	// LastErr is the divergence that most recently quarantined the shard,
 	// empty if it never diverged.
 	LastErr string `json:"last_err,omitempty"`
-	// TableVersion is the active snapshot's SMBM mutation counter — the
-	// shard's epoch position. Healthy shards agree with AuthVersion modulo
-	// writes in flight.
+	// TableVersion is the shard table's SMBM mutation counter. A shard that
+	// has never been resynced agrees with AuthVersion; a resync rebuilds the
+	// table from scratch and restarts its count.
 	TableVersion uint64 `json:"table_version"`
 	TableSize    int    `json:"table_size"`
 }
@@ -84,7 +82,7 @@ type EngineStatus struct {
 }
 
 // Introspect snapshots the engine's degradation state: per-shard health,
-// last divergence, and active-table version/size, plus the authoritative
+// last divergence, and table version/size, plus the authoritative
 // table's view. Control-plane only — it takes the writer lock, so the
 // snapshot is consistent with respect to writes and health transitions,
 // while decisions keep flowing.
@@ -102,11 +100,10 @@ func (e *Engine) Introspect() EngineStatus {
 		if s.lastErr != nil {
 			ss.LastErr = s.lastErr.Error()
 		}
-		// Safe to read under wmu: readers never mutate tables, and every
+		// Safe to read under wmu: deciders never mutate tables, and every
 		// mutator (apply, swap, resync) holds wmu, which we hold.
-		act := s.active.Load()
-		ss.TableVersion = act.table.Version()
-		ss.TableSize = act.table.Size()
+		ss.TableVersion = s.snap.table.Version()
+		ss.TableSize = s.snap.table.Size()
 		st.Shards = append(st.Shards, ss)
 	}
 	return st
@@ -201,13 +198,12 @@ func (e *Engine) resyncLoop(si int, cause error) {
 	}
 }
 
-// resyncShard rebuilds both snapshots of a quarantined shard from an
-// epoch-consistent view of the authoritative table and publishes them with
-// the usual epoch protocol: store the fresh active snapshot, spin until the
-// reader has drained whichever retired snapshot it may still be pinning,
-// then return the shard to the serving set. Holding wmu for the duration
-// gives the rebuild a stable authoritative snapshot; readers keep serving
-// from healthy shards throughout.
+// resyncShard rebuilds a quarantined shard's snapshot from the authoritative
+// table and returns the shard to the serving set. Holding wmu for the
+// duration gives the rebuild a stable authority; the table and interpreter
+// are built with no shard lock held, which is taken only to replace the
+// snapshot pointer, so a batch steered here by a stale steering table waits
+// for a pointer store, never for the rebuild.
 func (e *Engine) resyncShard(si, attempt int) error {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
@@ -223,62 +219,42 @@ func (e *Engine) resyncShard(si, attempt int) error {
 	}
 	s := e.shards[si]
 	s.health.Store(int32(Resyncing))
-	old0, old1 := s.states[0], s.states[1]
-	ids := e.auth.Members().IDs()
-	pol := e.pol.Load()
-	var fresh [2]*snapshot
-	for j := range fresh {
-		t := smbm.New(e.auth.Capacity(), e.auth.NumMetrics())
-		for _, id := range ids {
-			vals, ok := e.auth.Metrics(id)
-			if !ok {
-				s.health.Store(int32(Quarantined))
-				return fmt.Errorf("engine: resync shard %d: id %d vanished from authority", si, id)
-			}
-			if err := t.Add(id, vals); err != nil {
-				s.health.Store(int32(Quarantined))
-				return fmt.Errorf("engine: resync shard %d: %w", si, err)
-			}
-		}
-		it, err := policy.NewInterp(t, e.schema, pol)
-		if err != nil {
-			s.health.Store(int32(Quarantined))
-			return fmt.Errorf("engine: resync shard %d: %w", si, err)
-		}
-		// Chain telemetry is labeled per program step at construction time;
-		// after a policy hot-swap the rebuilt program may have a different
-		// shape, in which case the per-step counters no longer apply and the
-		// interpreter runs unattached (table and decision counters continue).
-		if s.chainTel != nil && s.chainTel.Steps() == it.Steps() {
-			it.AttachTelemetry(s.chainTel)
-		}
-		if s.tableTel != nil {
-			t.AttachTelemetry(s.tableTel)
-		}
-		fresh[j] = &snapshot{table: t, interp: it, pol: pol}
+	fresh, err := e.rebuildSnapshot(s)
+	if err != nil {
+		s.health.Store(int32(Quarantined))
+		return fmt.Errorf("engine: resync shard %d: %w", si, err)
 	}
-	s.states[0], s.states[1] = fresh[0], fresh[1]
-	s.active.Store(fresh[0])
-	e.swaps.Inc()
-	for {
-		u := s.inUse.Load()
-		if u != old0 && u != old1 {
-			break
-		}
-		e.waitSpins.Inc()
-		runtime.Gosched()
-	}
+	s.publish(fresh)
 	s.health.Store(int32(Healthy))
 	e.rebuildSteering()
 	return nil
 }
 
-// CorruptReplica forcibly removes resource id from both snapshots of shard
-// si while leaving the authoritative table untouched — the software stand-in
+// rebuildSnapshot builds a fresh replica of the authoritative table under the
+// current policy, wired to shard s's telemetry. Caller holds wmu.
+func (e *Engine) rebuildSnapshot(s *shard) (*snapshot, error) {
+	t := smbm.New(e.auth.Capacity(), e.auth.NumMetrics())
+	for _, id := range e.auth.Members().IDs() {
+		vals, ok := e.auth.Metrics(id)
+		if !ok {
+			return nil, fmt.Errorf("id %d vanished from authority", id)
+		}
+		if err := t.Add(id, vals); err != nil {
+			return nil, err
+		}
+	}
+	if s.tableTel != nil {
+		t.AttachTelemetry(s.tableTel)
+	}
+	return s.newSnapshot(t, e.schema, e.pol.Load())
+}
+
+// CorruptReplica forcibly removes resource id from the table of shard si
+// while leaving the authoritative table untouched — the software stand-in
 // for a pipeline whose table memory no longer matches the control plane
-// (bit flip, missed update). The corruption follows the normal epoch
-// protocol, so the reader never observes a half-written table; it simply
-// starts returning decisions computed from stale contents until the
+// (bit flip, missed update). The corruption is an ordinary write under the
+// shard lock, so a decision never observes a half-written table; the shard
+// simply starts returning decisions computed from stale contents until the
 // divergence is detected (by the next write touching id, or VerifyReplicas)
 // and the shard is quarantined. Fault-injection hook, used by
 // internal/fault and the regression tests.
@@ -297,7 +273,7 @@ func (e *Engine) CorruptReplica(si, id int) error {
 	if ShardHealth(s.health.Load()) != Healthy {
 		return fmt.Errorf("engine: shard %d is %s, not healthy", si, ShardHealth(s.health.Load()))
 	}
-	return e.applyShard(s, func(t *smbm.SMBM) error { return t.Delete(id) })
+	return s.write(func(t *smbm.SMBM) error { return t.Delete(id) })
 }
 
 // VerifyReplicas audits every healthy shard against the authoritative table
@@ -323,26 +299,23 @@ func (e *Engine) VerifyReplicas() int {
 	return n
 }
 
-// verifyShard compares both snapshots of a shard against the authoritative
-// contents. Caller holds wmu (no writes in flight); snapshot reads are safe
-// concurrently with a deciding caller, which never mutates tables.
+// verifyShard compares a shard's table against the authoritative contents.
+// Caller holds wmu (no writes in flight); the reads are safe concurrently
+// with a deciding caller, which never mutates tables.
 func (e *Engine) verifyShard(s *shard, ids []int) error {
-	for sti, st := range s.states {
-		if st.table.Size() != len(ids) {
-			return fmt.Errorf("engine: replica state %d holds %d resources, authority holds %d",
-				sti, st.table.Size(), len(ids))
+	t := s.snap.table
+	if t.Size() != len(ids) {
+		return fmt.Errorf("engine: replica holds %d resources, authority holds %d", t.Size(), len(ids))
+	}
+	for _, id := range ids {
+		want, _ := e.auth.Metrics(id)
+		got, ok := t.Metrics(id)
+		if !ok {
+			return fmt.Errorf("engine: replica missing id %d", id)
 		}
-		for _, id := range ids {
-			want, _ := e.auth.Metrics(id)
-			got, ok := st.table.Metrics(id)
-			if !ok {
-				return fmt.Errorf("engine: replica state %d missing id %d", sti, id)
-			}
-			for j := range want {
-				if got[j] != want[j] {
-					return fmt.Errorf("engine: replica state %d id %d metric %d = %d, authority has %d",
-						sti, id, j, got[j], want[j])
-				}
+		for j := range want {
+			if got[j] != want[j] {
+				return fmt.Errorf("engine: replica id %d metric %d = %d, authority has %d", id, j, got[j], want[j])
 			}
 		}
 	}

@@ -13,10 +13,11 @@ import (
 )
 
 // TestEngineConcurrentDecideAndWrite hammers DecideBatch from several
-// goroutines while a writer streams add/delete/update through the epoch-swap
-// path. Run under -race (make check does), this is the central data-race
-// check for the snapshot-publication protocol; the invariant checks at the
-// end catch replica divergence or torn writes.
+// goroutines while a writer streams add/delete/update through the shard
+// locks. Run under -race (make check does), this is the central data-race
+// check for the one-table-per-shard discipline (writers: wmu + shard.mu,
+// deciders: shard.mu); the invariant checks at the end catch replica
+// divergence or torn writes.
 func TestEngineConcurrentDecideAndWrite(t *testing.T) {
 	e := newTestEngine(t, 4, testPolicySrc)
 	fillRandom(t, e, 32, 3)
@@ -118,7 +119,18 @@ out worst = max(all, cpu)
 // and its maximum to id 2 whatever the writer and the corruptor do, and both
 // policies agree, so every decision has one right answer: the one a private,
 // single-threaded, never-written oracle engine gives for the same packet.
+//
+// The one-shard case is the decider half of the liveness pair (its mirror is
+// TestSwapPolicyConcurrentDecides): every caller meets the streaming writer
+// and the flipper on the same shard lock, and every DecideBatch must still
+// return, oracle-correct, inside the wall bound. With one shard there is
+// nowhere to fail over to, so that case runs without the corruptor.
 func TestEngineConcurrentDecideAndWriteOracle(t *testing.T) {
+	t.Run("shards=4", func(t *testing.T) { concurrentDecideAndWriteOracle(t, 4) })
+	t.Run("shards=1", func(t *testing.T) { concurrentDecideAndWriteOracle(t, 1) })
+}
+
+func concurrentDecideAndWriteOracle(t *testing.T, shards int) {
 	fillPinned := func(e *Engine) {
 		for id, cpu := range []int64{500, 100, 900} {
 			if err := e.Add(id, []int64{cpu, 0, 0}); err != nil {
@@ -131,18 +143,20 @@ func TestEngineConcurrentDecideAndWriteOracle(t *testing.T) {
 			}
 		}
 	}
-	e := newTestEngine(t, 4, bothPolicySrc)
+	e := newTestEngine(t, shards, bothPolicySrc)
 	fillPinned(e)
 
 	const (
 		callers          = 4
 		batchesPerCaller = 200
 	)
+	corrupt := shards > 1
 	var stop atomic.Bool
 	var quarantines atomic.Int32
 	// Callers keep going until the corruptor has produced a few quarantine
 	// cycles, bounded so a wedged resync fails instead of hanging.
-	deadline := time.Now().Add(20 * time.Second)
+	start := time.Now()
+	deadline := start.Add(20 * time.Second)
 	var callersWG, mutatorsWG sync.WaitGroup
 	for g := 0; g < callers; g++ {
 		oracle := newTestEngine(t, 1, bothPolicySrc)
@@ -153,7 +167,7 @@ func TestEngineConcurrentDecideAndWriteOracle(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			pkts := make([]Packet, 64)
 			want := make([]Packet, len(pkts))
-			for b := 0; b < batchesPerCaller || (quarantines.Load() < 3 && time.Now().Before(deadline)); b++ {
+			for b := 0; b < batchesPerCaller || (corrupt && quarantines.Load() < 3 && time.Now().Before(deadline)); b++ {
 				for i := range pkts {
 					pkts[i] = Packet{Key: r.Uint64(), Out: r.Intn(2)}
 				}
@@ -203,24 +217,27 @@ func TestEngineConcurrentDecideAndWriteOracle(t *testing.T) {
 	go func() {
 		defer mutatorsWG.Done()
 		r := rand.New(rand.NewSource(7))
-		for !stop.Load() {
-			if e.HealthyShards() < 4 {
+		for corrupt && !stop.Load() {
+			if e.HealthyShards() < shards {
 				time.Sleep(100 * time.Microsecond)
 				continue
 			}
-			if err := e.CorruptReplica(r.Intn(4), 3+r.Intn(8)); err == nil {
+			if err := e.CorruptReplica(r.Intn(shards), 3+r.Intn(8)); err == nil {
 				quarantines.Add(int32(e.VerifyReplicas()))
 			}
 		}
 	}()
 
 	callersWG.Wait()
+	if d := time.Since(start); d > time.Minute {
+		t.Errorf("callers needed %v beside the writers; decisions are being starved", d)
+	}
 	stop.Store(true)
 	mutatorsWG.Wait()
-	if quarantines.Load() == 0 {
+	if corrupt && quarantines.Load() == 0 {
 		t.Fatal("no shard was ever quarantined; the test did not cover failover")
 	}
-	for si := 0; si < 4; si++ {
+	for si := 0; si < shards; si++ {
 		waitHealth(t, e, si, Healthy)
 	}
 	if err := e.CheckSync(); err != nil {
@@ -283,7 +300,7 @@ func TestEngineDecideBatchZeroAlloc(t *testing.T) {
 // the realistic probe-plus-traffic steady state. The decision path must stay
 // at zero allocations; the write path is allowed its one closure capture per
 // operation (apply takes a func), nothing more, which also pins the SMBM
-// spare-pool reuse through the engine's double-buffered replay.
+// spare-pool reuse through the engine's per-shard applies.
 func TestEngineWriteThenReadZeroAlloc(t *testing.T) {
 	e := newTestEngine(t, 2, minPolicySrc)
 	fillRandom(t, e, 64, 23)

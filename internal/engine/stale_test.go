@@ -15,11 +15,9 @@ import (
 // out best = min(table, cpu) every write here makes a different id the
 // minimum; after each one, every shard must answer exactly what a freshly
 // built single-threaded policy.Module answers after replaying the same
-// writes. Consecutive writes alternate a shard's active snapshot, so both
-// halves of the double buffer — each with its own table, interpreter and
-// version — are read with an older result still in their buffers. The same
-// must hold through quarantine (failover), after resync's rebuilt tables,
-// and after SwapPolicy's rebuilt interpreters.
+// writes. Every shard's interpreter is read with an older result still in
+// its buffers. The same must hold through quarantine (failover), after
+// resync's rebuilt tables, and after SwapPolicy's rebuilt interpreters.
 func TestEngineDecisionsTrackEveryWrite(t *testing.T) {
 	const shards = 2
 	e := newTestEngine(t, shards, minPolicySrc)

@@ -2,22 +2,21 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/policy"
+	"repro/internal/smbm"
 	"repro/internal/telemetry"
 )
 
 // SwapPolicy replaces the policy every shard executes, without stopping the
-// decision path — the serving frontend's live reconfiguration primitive. It
-// reuses the epoch-snapshot mechanism that table writes use: per shard, a new
-// interpreter is built against each of the two existing replica tables, then
-// published exactly like a write (swap the active pointer, wait for the
-// reader to drain the retired epoch, replace the retired snapshot). A reader
-// therefore always executes a complete program against a complete table; a
-// batch racing the swap may mix old-policy and new-policy decisions, but
-// every single decision is internally consistent.
+// decision path — the serving frontend's live reconfiguration primitive. Per
+// healthy shard a new interpreter is built against the shard's existing table
+// with no shard lock held; only then is each shard's lock taken, just long
+// enough to replace its snapshot pointer. A decision therefore never waits on
+// interpreter construction and always executes a complete program against a
+// complete table; a batch racing the swap may mix old-policy and new-policy
+// decisions, but every single decision is internally consistent.
 //
 // The new policy is validated against the engine's schema before anything is
 // published; on validation or construction failure the engine keeps serving
@@ -47,32 +46,22 @@ func (e *Engine) SwapPolicy(p *policy.Policy) error {
 	// Build every interpreter before publishing any: a mid-swap failure must
 	// not leave some shards on the new policy and some on the old.
 	type pending struct {
-		s        *shard
-		act, shd *policy.Interp
+		s     *shard
+		fresh *snapshot
 	}
 	var plan []pending
 	for si, s := range e.shards {
 		if ShardHealth(s.health.Load()) != Healthy {
 			continue
 		}
-		act := s.active.Load()
-		shadow := s.other(act)
-		ia, err := policy.NewInterp(act.table, e.schema, p)
+		fresh, err := s.newSnapshot(s.snap.table, e.schema, p)
 		if err != nil {
 			return fmt.Errorf("engine: swap policy on shard %d: %w", si, err)
 		}
-		is, err := policy.NewInterp(shadow.table, e.schema, p)
-		if err != nil {
-			return fmt.Errorf("engine: swap policy on shard %d: %w", si, err)
-		}
-		if s.chainTel != nil && s.chainTel.Steps() == ia.Steps() {
-			ia.AttachTelemetry(s.chainTel)
-			is.AttachTelemetry(s.chainTel)
-		}
-		plan = append(plan, pending{s: s, act: ia, shd: is})
+		plan = append(plan, pending{s: s, fresh: fresh})
 	}
 	for _, pd := range plan {
-		e.swapShard(pd.s, pd.act, pd.shd, p)
+		pd.s.publish(pd.fresh)
 	}
 	// Publish the policy Policy() reports and later resyncs build from.
 	e.pol.Store(p)
@@ -81,31 +70,26 @@ func (e *Engine) SwapPolicy(p *policy.Policy) error {
 	return nil
 }
 
-// swapShard publishes a new-policy snapshot pair on one shard via the epoch
-// protocol: wrap the shadow table with its new interpreter, publish it as the
-// active snapshot, wait for the reader to drain the retired epoch, then wrap
-// the retired table the same way. After the spin the retired snapshot is
-// unreachable (neither active nor pinned), so replacing it is safe. Caller
-// holds wmu.
-func (e *Engine) swapShard(s *shard, interpAct, interpShd *policy.Interp, p *policy.Policy) {
-	act := s.active.Load()
-	shadow := s.other(act)
-	fresh := &snapshot{table: shadow.table, interp: interpShd, pol: p}
-	if s.states[0] == shadow {
-		s.states[0] = fresh
-	} else {
-		s.states[1] = fresh
+// newSnapshot binds a fresh interpreter for pol to table t, for publish on
+// this shard. Chain telemetry is labeled per program step at construction
+// time; after a policy hot-swap the program may have a different shape, in
+// which case the per-step counters no longer apply and the interpreter runs
+// unattached (table and decision counters continue).
+func (s *shard) newSnapshot(t *smbm.SMBM, schema policy.Schema, pol *policy.Policy) (*snapshot, error) {
+	it, err := policy.NewInterp(t, schema, pol)
+	if err != nil {
+		return nil, err
 	}
-	s.active.Store(fresh)
-	e.swaps.Inc()
-	for s.inUse.Load() == act {
-		e.waitSpins.Inc()
-		runtime.Gosched()
+	if s.chainTel != nil && s.chainTel.Steps() == it.Steps() {
+		it.AttachTelemetry(s.chainTel)
 	}
-	retired := &snapshot{table: act.table, interp: interpAct, pol: p}
-	if s.states[0] == act {
-		s.states[0] = retired
-	} else {
-		s.states[1] = retired
-	}
+	return &snapshot{table: t, interp: it, pol: pol}, nil
+}
+
+// publish replaces the shard's snapshot with one built beforehand: the shard
+// lock covers a single pointer store. Caller holds wmu.
+func (s *shard) publish(fresh *snapshot) {
+	s.mu.Lock()
+	s.snap = fresh
+	s.mu.Unlock()
 }

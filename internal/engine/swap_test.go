@@ -2,9 +2,11 @@ package engine
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/policy"
 	"repro/internal/telemetry"
@@ -129,10 +131,21 @@ func TestSwapPolicyAfterClose(t *testing.T) {
 
 // TestSwapPolicyConcurrentDecides hammers DecideBatch from several
 // goroutines while policies flip between min and max, with table writes
-// interleaved. Every decision must be one of the two snapshots' answers —
+// interleaved. Every decision must be one of the two policies' answers —
 // never a torn or stale-table result — and the engine must stay in sync.
+//
+// The one-shard case is the writer half of the liveness pair (its mirror is
+// TestEngineConcurrentDecideAndWriteOracle): four callers keep the only shard
+// lock busy with back-to-back batches, and 100 swaps and 200 writes must all
+// get through it inside the wall bound. Nothing spins for them any more;
+// sync.Mutex's starvation hand-off is what lets a writer in.
 func TestSwapPolicyConcurrentDecides(t *testing.T) {
-	e := newTestEngine(t, 4, minPolicySrc)
+	t.Run("shards=4", func(t *testing.T) { swapPolicyConcurrentDecides(t, 4) })
+	t.Run("shards=1", func(t *testing.T) { swapPolicyConcurrentDecides(t, 1) })
+}
+
+func swapPolicyConcurrentDecides(t *testing.T, shards int) {
+	e := newTestEngine(t, shards, minPolicySrc)
 	// cpu values chosen so min and max ids are stable: id 1 is always min,
 	// id 2 always max.
 	for id, cpu := range []int64{500, 100, 900} {
@@ -143,6 +156,7 @@ func TestSwapPolicyConcurrentDecides(t *testing.T) {
 	minPol := policy.MustParse(minPolicySrc)
 	maxPol := policy.MustParse(maxPolicySrc)
 	var stop atomic.Bool
+	var batches atomic.Uint64
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -154,6 +168,7 @@ func TestSwapPolicyConcurrentDecides(t *testing.T) {
 					pkts[i] = Packet{Key: uint64(g*64 + i)}
 				}
 				e.DecideBatch(pkts)
+				batches.Add(1)
 				for i := range pkts {
 					if !pkts[i].OK || (pkts[i].ID != 1 && pkts[i].ID != 2) {
 						t.Errorf("mid-swap decision: (%d,%v)", pkts[i].ID, pkts[i].OK)
@@ -164,7 +179,15 @@ func TestSwapPolicyConcurrentDecides(t *testing.T) {
 			}
 		}(g)
 	}
-	for i := 0; i < 50 && !stop.Load(); i++ {
+	start := time.Now()
+	for i := 0; i < 100 && !stop.Load(); i++ {
+		// Every so often let the deciders in first, so that on one CPU too
+		// the rounds that follow start beside a caller holding a shard lock.
+		if i%20 == 0 {
+			for n := batches.Load(); batches.Load() == n && !stop.Load(); {
+				runtime.Gosched()
+			}
+		}
 		pol := minPol
 		if i%2 == 0 {
 			pol = maxPol
@@ -173,7 +196,7 @@ func TestSwapPolicyConcurrentDecides(t *testing.T) {
 			t.Error(err)
 			break
 		}
-		// Interleave a write so the swap and write epoch publishes contend.
+		// Interleave writes so swaps and row operations contend for the lock.
 		id := 40 + i%10
 		if err := e.Add(id, []int64{700, 0, 0}); err != nil {
 			t.Error(err)
@@ -183,6 +206,9 @@ func TestSwapPolicyConcurrentDecides(t *testing.T) {
 			t.Error(err)
 			break
 		}
+	}
+	if d := time.Since(start); d > time.Minute {
+		t.Errorf("100 swaps and 200 writes needed %v beside the deciders; writers are being starved", d)
 	}
 	stop.Store(true)
 	wg.Wait()

@@ -43,8 +43,8 @@ func snapCounter(t *testing.T, snap map[string]any, name string) uint64 {
 // TestEngineTelemetryCounters checks that the engine's metric set adds up:
 // decision counts match the packets pushed through, every chain step is
 // invoked once per decision (selectivity provenance), the batch-size
-// histogram saw every batch, and the table counters reflect the 2x-replica
-// write amplification of the per-shard double snapshot.
+// histogram saw every batch, and the table counters reflect one table per
+// shard.
 func TestEngineTelemetryCounters(t *testing.T) {
 	const (
 		shards  = 2
@@ -73,7 +73,7 @@ func TestEngineTelemetryCounters(t *testing.T) {
 	// count equals the decision count; candidate counts shrink (or hold)
 	// monotonically through the intersect chain only in expectation, but
 	// step 0 (the table view) always yields the full table.
-	labels := e.shards[0].states[0].interp.StepLabels()
+	labels := e.shards[0].snap.interp.StepLabels()
 	var prevCand uint64
 	for i := range labels {
 		name := "thanos_engine_chain_step" + string(rune('0'+i)) + "_invocations_total"
@@ -89,9 +89,9 @@ func TestEngineTelemetryCounters(t *testing.T) {
 		}
 		_ = prevCand
 	}
-	// Each table write lands on both snapshots of every shard.
-	if got := snapCounter(t, snap, "thanos_engine_table_adds_total"); got != uint64(writes*2*shards) {
-		t.Errorf("table_adds_total = %d, want %d", got, writes*2*shards)
+	// Each table write lands on the one table of every shard.
+	if got := snapCounter(t, snap, "thanos_engine_table_adds_total"); got != uint64(writes*shards) {
+		t.Errorf("table_adds_total = %d, want %d", got, writes*shards)
 	}
 	bh, ok := snap["thanos_engine_batch_size"].(telemetry.HistogramSnapshot)
 	if !ok {
@@ -103,11 +103,29 @@ func TestEngineTelemetryCounters(t *testing.T) {
 	if bh.Sum != decisions {
 		t.Errorf("batch_size histogram sum = %d, want %d", bh.Sum, decisions)
 	}
-	if got := snapCounter(t, snap, "thanos_engine_epoch_swaps_total"); got != uint64(writes*shards) {
-		t.Errorf("epoch_swaps_total = %d, want %d (one publish per shard per write)", got, writes*shards)
-	}
 	if e.Telemetry() != reg {
 		t.Error("Telemetry() did not return the configured registry")
+	}
+}
+
+// TestEngineWriteAppliesOncePerShard pins the write amplification: a logical
+// write is applied to the authority (uncounted) and once to each shard's one
+// table, so N upserts of a present id on S shards count N·S table updates.
+func TestEngineWriteAppliesOncePerShard(t *testing.T) {
+	const (
+		shards  = 3
+		upserts = 40
+	)
+	reg := telemetry.NewRegistry()
+	e := newTelemetryEngine(t, shards, testPolicySrc, reg, 64)
+	for i := 0; i <= upserts; i++ { // the first upsert adds, the rest update
+		if err := e.Upsert(7, []int64{int64(i), 1, 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := reg.Snapshot()
+	if got := snapCounter(t, snap, "thanos_engine_table_updates_total"); got != upserts*shards {
+		t.Errorf("table_updates_total = %d, want %d (one apply per shard per upsert)", got, upserts*shards)
 	}
 }
 

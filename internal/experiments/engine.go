@@ -165,7 +165,7 @@ func timeEnginePoint(e *engine.Engine, pt *EngineSweepPoint, batch, batches int)
 
 // EngineTelemetry is one instrumented engine run: the measured throughput
 // point plus the telemetry it produced — the full metric snapshot (per-stage
-// selectivity, the batch-size histogram, epoch swaps) and
+// selectivity, the batch-size histogram, table op counts) and
 // the sampled decision traces. The registry is retained so callers can also
 // export Prometheus text or Chrome traces.
 type EngineTelemetry struct {

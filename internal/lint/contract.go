@@ -42,24 +42,6 @@ func DefaultConfig() Config {
 			"repro/internal/policy",
 		},
 		Contract: DefaultContract,
-		Snapshot: SnapshotConfig{
-			Pkg:        "repro/internal/engine",
-			Types:      []string{"snapshot", "steering"},
-			AllowFuncs: []string{"New", "apply", "applyShard", "resyncShard", "swapShard"},
-			StoreFields: map[string][]string{
-				// active is the epoch publish pointer: only construction, the
-				// writer-side swap (applyShard, which also serves the
-				// CorruptReplica fault hook), the quarantine-recovery
-				// rebuild, and the policy hot-swap may store it.
-				"active": {"New", "applyShard", "resyncShard", "swapShard"},
-				// inUse is the reader's epoch pin: only process, a caller's
-				// visit to the shard under the shard lock, may store it.
-				"inUse": {"process"},
-				// steer is the steering table's publish pointer: a table is
-				// built whole and stored once, on a health transition.
-				"steer": {"rebuildSteering"},
-			},
-		},
 		Goroutine: GoroutineConfig{
 			Pkgs: []string{"repro/internal/engine", "repro/internal/server", "repro/internal/netsim"},
 			// The teardown entry points whose drain paths prove shutdown
@@ -79,14 +61,15 @@ func DefaultConfig() Config {
 			IOPkgs:  []string{"net", "bufio", "io"},
 			IOFuncs: []string{"Read", "Write", "Flush", "ReadFull", "ReadByte", "WriteByte", "Copy"},
 		},
+		// The steering table is the one value the engine still publishes by
+		// atomic pointer: built whole by rebuildSteering, stored once, and
+		// immutable afterwards. (A shard's snapshot is guarded by the shard
+		// lock instead, which the race detector checks.)
 		Publish: PublishConfig{
-			Pkg:        "repro/internal/engine",
-			Types:      []string{"snapshot", "steering"},
-			AllowFuncs: []string{"New", "apply", "applyShard", "resyncShard", "swapShard"},
-			// active and steer are the publish pointers; inUse is the
-			// reader's pin and deliberately not listed (storing it is not a
-			// publish).
-			PublishFields: []string{"active", "steer"},
+			Pkg:           "repro/internal/engine",
+			Types:         []string{"steering"},
+			AllowFuncs:    []string{"rebuildSteering"},
+			PublishFields: []string{"steer"},
 		},
 		Wire: WireConfig{
 			Pkg:        "repro/internal/server",

@@ -4,17 +4,14 @@
 // 2 cycles and BFPUs 1 (§5.2), SMBM writes are 2-cycle fully-pipelined ops
 // (§5.1), and the switch decides one packet per clock — and the software
 // rendering of those guarantees ("zero allocations and no wall-clock or
-// global-rand nondeterminism on the decision path", "snapshot state is only
-// mutated behind an epoch publish") is enforced at build time by five
-// analyzers:
+// global-rand nondeterminism on the decision path") is enforced at build
+// time by four analyzers:
 //
 //   - hotpathalloc:    no allocating constructs on //thanos:hotpath call graphs
 //   - determinism:     no wall clock, global math/rand, or map-iteration-order
 //     leaks in the simulation/datapath packages
 //   - latencycontract: declared latency constants match the paper's table
 //     (internal/lint/contract.go is the single source of truth)
-//   - snapshotsafety:  engine snapshot state mutates only behind the epoch
-//     publish protocol; sync primitives are never copied by value
 //   - telemetrysafety: telemetry reachable from //thanos:hotpath roots is
 //     lock-free and restricted to the hot-safe instrument API
 //
@@ -26,8 +23,9 @@
 //     channel, WaitGroup join, context cancel) reachable from Close
 //   - lockorder:       no lock-ordering cycles; no blocking channel ops or
 //     mixed-use I/O while a lock is held
-//   - publishsafety:   fields the hot path reads from epoch-published
-//     snapshots are only written before the atomic Store publish
+//   - publishsafety:   fields the hot path reads from atomically published
+//     values (the engine's steering table) are only written before the
+//     atomic Store publish
 //   - wireproto:       opcode/codec/dispatch exhaustiveness and cap symmetry
 //     across the server and client ends of the wire protocol
 //
@@ -82,7 +80,7 @@ type Analyzer struct {
 }
 
 // All is the full thanoslint suite in reporting order.
-var All = []*Analyzer{HotPathAlloc, Determinism, LatencyContract, SnapshotSafety, TelemetrySafety, GoroutineLeak, LockOrder, PublishSafety, WireProto}
+var All = []*Analyzer{HotPathAlloc, Determinism, LatencyContract, TelemetrySafety, GoroutineLeak, LockOrder, PublishSafety, WireProto}
 
 // V2 is the call-graph-based subset added for the serving stack (the
 // `make check-lint2` fast-iteration target).
@@ -146,8 +144,6 @@ type Config struct {
 	DeterminismPkgs []string
 	// Contract is the latency source-of-truth table.
 	Contract []LatencyConst
-	// Snapshot configures the snapshotsafety analyzer.
-	Snapshot SnapshotConfig
 	// Telemetry configures the telemetrysafety analyzer.
 	Telemetry TelemetryConfig
 	// Goroutine configures the goroutineleak analyzer.
@@ -158,22 +154,6 @@ type Config struct {
 	Publish PublishConfig
 	// Wire configures the wireproto analyzer.
 	Wire WireConfig
-}
-
-// SnapshotConfig scopes the snapshotsafety analyzer.
-type SnapshotConfig struct {
-	// Pkg is the import path (prefix) of the package holding the
-	// epoch-published snapshot machinery.
-	Pkg string
-	// Types names the snapshot struct types whose fields may only be
-	// assigned inside AllowFuncs.
-	Types []string
-	// AllowFuncs are the publish/swap/construction functions permitted to
-	// assign snapshot fields (matched by declared function name).
-	AllowFuncs []string
-	// StoreFields maps an atomic publish-pointer field name (e.g. "active")
-	// to the functions allowed to call .Store on it.
-	StoreFields map[string][]string
 }
 
 // LatencyConst is one row of the latency contract: package Pkg must declare

@@ -13,8 +13,8 @@ import (
 //
 //   - ordering cycles: lock B acquired while A is held in one function and A
 //     while B is held in another (including through callees — a helper that
-//     acquires a lock, like smbm's ReplicaGroup.lock, propagates its net
-//     acquisition to every caller);
+//     acquires a lock and returns holding it propagates its net acquisition
+//     to every caller);
 //   - self-deadlocks: a lock (re)acquired, directly or transitively, while
 //     already held;
 //   - blocking operations under a lock: channel send/receive/range, selects

@@ -7,42 +7,42 @@ import (
 	"strings"
 )
 
-// PublishSafety is the call-graph upgrade of snapshotsafety: it derives the
-// set of snapshot fields the //thanos:hotpath code actually reads (pol,
-// interp, …) by traversing the hot call graph, then proves every write to
-// such a field happens-before the epoch publish:
+// PublishSafety guards values published to lock-free readers through an
+// atomic pointer — in the real tree the engine's steering table, which
+// DecideBatch loads once per batch. It derives the set of fields of the
+// configured types the //thanos:hotpath code actually reads by traversing
+// the hot call graph, then proves every write to such a field
+// happens-before the publish:
 //
 //   - outside the configured publish protocol (AllowFuncs) no hot-read
-//     snapshot field is ever assigned;
-//   - inside the protocol, once a snapshot value has been handed to the
-//     publish pointer's atomic Store (Config.Publish.PublishFields, e.g.
-//     active), no hot-read field of that same object is written afterwards.
-//     The check is object-sensitive: applyShard's post-Store replay
-//     legitimately mutates the *retired* snapshot, which was never the Store
-//     argument — only writes through the published value are ordered after
-//     the reader may observe it and get flagged.
+//     field is ever assigned;
+//   - inside the protocol, once a value has been handed to the publish
+//     pointer's atomic Store (Config.Publish.PublishFields, e.g. steer), no
+//     hot-read field of that same object is written afterwards. The check is
+//     object-sensitive: only writes through the Store argument are ordered
+//     after a reader may observe them and get flagged; a sibling value that
+//     was never published may still be mutated.
 //
-// This is exactly the window SwapPolicy was designed around: the reader
-// pins a snapshot and trusts that its program and table never change after
-// the pointer was published.
+// A reader loads the pointer and trusts that what it points to never changes
+// again.
 var PublishSafety = &Analyzer{
 	Name: "publishsafety",
-	Doc:  "hot-read snapshot fields are only written before the epoch publish",
+	Doc:  "hot-read fields of atomically published values are only written before the publish",
 	Run:  runPublishSafety,
 }
 
 // PublishConfig scopes the publishsafety analyzer.
 type PublishConfig struct {
-	// Pkg is the import path of the package holding the snapshot machinery.
+	// Pkg is the import path of the package holding the published types.
 	Pkg string
-	// Types names the epoch-published snapshot struct types.
+	// Types names the struct types published by atomic pointer.
 	Types []string
 	// AllowFuncs are the construction/publish functions permitted to write
-	// snapshot fields at all (matched by declared function name).
+	// their fields at all (matched by declared function name).
 	AllowFuncs []string
 	// PublishFields are the atomic publish-pointer field names whose Store
-	// is the happens-before edge (e.g. "active"). Stores to other atomics
-	// (the reader's inUse pin) are not publishes.
+	// is the happens-before edge (e.g. "steer"). Stores to other atomics are
+	// not publishes.
 	PublishFields []string
 }
 

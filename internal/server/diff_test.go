@@ -213,7 +213,7 @@ func TestDifferentialWireVsOracle(t *testing.T) {
 }
 
 // TestDifferentialLongTrial: one 10k-op stream with interleaved hot-swaps on
-// a larger pair, exercising long-run drift (epoch churn, steering, RNG
+// a larger pair, exercising long-run drift (write churn, steering, RNG
 // streams) rather than breadth of seeds.
 func TestDifferentialLongTrial(t *testing.T) {
 	ops := 10000

@@ -3,7 +3,6 @@ package smbm
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // ErrWriteContention is returned when two different pipelines attempt to
@@ -26,7 +25,8 @@ var ErrReplicaDivergence = errors.New("smbm: replica divergence")
 // synchronously to all replicas so that probe packets never need to be
 // re-circulated. The group tracks, per logical cycle, which resource entries
 // have been written, and rejects a second same-cycle write to the same entry
-// from a different pipeline (write contention).
+// from a different pipeline (write contention). A group is not safe for
+// concurrent use; a caller sharing one between goroutines brings its own lock.
 type ReplicaGroup struct {
 	replicas []*SMBM
 	cycle    uint64
@@ -38,15 +38,6 @@ type ReplicaGroup struct {
 	// drift further) until Resync clears the flag. Replica 0 is the
 	// authority and never diverges: its failures reject the whole write.
 	diverged []bool
-
-	// broadcast enables the thread-safe broadcast-update mode: when set,
-	// every write (and AdvanceCycle/InSync) serializes on mu, so concurrent
-	// pipelines — one goroutine each, as internal/engine models — can issue
-	// writes without external locking while the synchronous broadcast keeps
-	// the InSync invariant. Single-threaded users pay nothing: mu is only
-	// touched when broadcast is on.
-	broadcast bool
-	mu        sync.Mutex
 }
 
 // NewReplicaGroup creates numPipelines replicas, each an SMBM with capacity
@@ -66,31 +57,6 @@ func NewReplicaGroup(numPipelines, n, m int) *ReplicaGroup {
 	return g
 }
 
-// EnableBroadcast switches the group into thread-safe broadcast-update
-// mode: Add, Delete, Update, AdvanceCycle, Cycle and InSync become safe for
-// concurrent use from multiple goroutines (e.g. one per pipeline issuing
-// probe writes, as a multi-pipelined data plane would). Writes remain
-// synchronous broadcasts — each one is applied to every replica before the
-// next begins — so the InSync invariant holds at every instant a caller can
-// observe. Replica(p) reads stay single-threaded per pipeline by design:
-// each pipeline's filter module reads only its own replica (§5.1.5), so
-// reads need no locking, but callers must not read a replica concurrently
-// with writes to the group. It must be called before the group is shared.
-func (g *ReplicaGroup) EnableBroadcast() { g.broadcast = true }
-
-// lock acquires mu in broadcast mode and is a no-op otherwise.
-func (g *ReplicaGroup) lock() {
-	if g.broadcast {
-		g.mu.Lock()
-	}
-}
-
-func (g *ReplicaGroup) unlock() {
-	if g.broadcast {
-		g.mu.Unlock()
-	}
-}
-
 // NumPipelines returns the number of replicas.
 func (g *ReplicaGroup) NumPipelines() int { return len(g.replicas) }
 
@@ -104,8 +70,6 @@ func (g *ReplicaGroup) Replica(p int) *SMBM {
 // AdvanceCycle moves the group to the next logical clock cycle, clearing the
 // per-cycle write-contention tracking.
 func (g *ReplicaGroup) AdvanceCycle() {
-	g.lock()
-	defer g.unlock()
 	g.cycle++
 	for k := range g.writers {
 		delete(g.writers, k)
@@ -114,8 +78,6 @@ func (g *ReplicaGroup) AdvanceCycle() {
 
 // Cycle returns the current logical cycle number.
 func (g *ReplicaGroup) Cycle() uint64 {
-	g.lock()
-	defer g.unlock()
 	return g.cycle
 }
 
@@ -123,8 +85,6 @@ func (g *ReplicaGroup) Cycle() uint64 {
 // replica synchronously. A same-cycle write to the same id from a different
 // pipeline fails with ErrWriteContention before touching any replica.
 func (g *ReplicaGroup) Add(from, id int, metrics []int64) error {
-	g.lock()
-	defer g.unlock()
 	if err := g.claim(from, id); err != nil {
 		return err
 	}
@@ -139,8 +99,6 @@ func (g *ReplicaGroup) Add(from, id int, metrics []int64) error {
 // Delete applies a delete for resource id from pipeline from to all
 // replicas synchronously, with the same contention semantics as Add.
 func (g *ReplicaGroup) Delete(from, id int) error {
-	g.lock()
-	defer g.unlock()
 	if err := g.claim(from, id); err != nil {
 		return err
 	}
@@ -153,8 +111,6 @@ func (g *ReplicaGroup) Delete(from, id int) error {
 // Update applies an update (delete + add, §5.1.2) from pipeline from to all
 // replicas synchronously.
 func (g *ReplicaGroup) Update(from, id int, metrics []int64) error {
-	g.lock()
-	defer g.unlock()
 	if err := g.claim(from, id); err != nil {
 		return err
 	}
@@ -190,8 +146,6 @@ func (g *ReplicaGroup) fanOut(verb string, id int, op func(r *SMBM) error) error
 // Diverged returns the (ascending) pipeline indices currently marked out of
 // sync with the authoritative replica.
 func (g *ReplicaGroup) Diverged() []int {
-	g.lock()
-	defer g.unlock()
 	var out []int
 	for p, d := range g.diverged {
 		if d {
@@ -210,8 +164,6 @@ func (g *ReplicaGroup) Diverged() []int {
 // concurrently with Resync.
 func (g *ReplicaGroup) Resync(p int) error {
 	g.checkPipeline(p)
-	g.lock()
-	defer g.unlock()
 	if p == 0 {
 		return errors.New("smbm: cannot resync authoritative replica 0")
 	}
@@ -236,8 +188,6 @@ func (g *ReplicaGroup) Resync(p int) error {
 // already marked diverged are excluded: they are known-bad and awaiting
 // Resync, and must not fail the healthy set's invariant.
 func (g *ReplicaGroup) InSync() bool {
-	g.lock()
-	defer g.unlock()
 	base := g.replicas[0]
 	ids := base.Members().IDs()
 	for p, r := range g.replicas[1:] {

@@ -2,7 +2,6 @@ package smbm
 
 import (
 	"errors"
-	"sync"
 	"testing"
 )
 
@@ -92,71 +91,6 @@ func TestReplicaGroupFailedWriteLeavesReplicasIdentical(t *testing.T) {
 	for p := 0; p < 3; p++ {
 		if g.Replica(p).Size() != 0 {
 			t.Fatalf("replica %d not empty", p)
-		}
-	}
-}
-
-// TestReplicaGroupBroadcastConcurrent exercises the thread-safe broadcast-
-// update mode under -race: one goroutine per pipeline streams writes to a
-// disjoint id range (the §5.1.5 discipline — a resource's probe packets are
-// routed through a single pipeline, so entries never contend), with cycle
-// advances interleaved, and the group must end InSync with all writes
-// applied.
-func TestReplicaGroupBroadcastConcurrent(t *testing.T) {
-	const (
-		pipelines    = 4
-		idsPerPipe   = 8
-		opsPerWriter = 60
-	)
-	g := NewReplicaGroup(pipelines, pipelines*idsPerPipe, 2)
-	g.EnableBroadcast()
-
-	var wg sync.WaitGroup
-	for p := 0; p < pipelines; p++ {
-		wg.Add(1)
-		go func(pipe int) {
-			defer wg.Done()
-			base := pipe * idsPerPipe
-			// Each pipeline is the sole writer of its id range, so it can
-			// track presence locally instead of reading a replica (replica
-			// reads are not synchronized with other pipelines' writes).
-			added := make([]bool, idsPerPipe)
-			for op := 0; op < opsPerWriter; op++ {
-				slot := op % idsPerPipe
-				id := base + slot
-				vals := []int64{int64(op), int64(pipe)}
-				var err error
-				if added[slot] {
-					err = g.Update(pipe, id, vals)
-				} else {
-					err = g.Add(pipe, id, vals)
-					added[slot] = true
-				}
-				if err != nil {
-					t.Errorf("pipeline %d id %d: %v", pipe, id, err)
-					return
-				}
-				if slot == idsPerPipe-1 {
-					g.AdvanceCycle()
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-
-	if !g.InSync() {
-		t.Fatal("replicas out of sync after concurrent broadcast writes")
-	}
-	for p := 0; p < pipelines; p++ {
-		for i := 0; i < idsPerPipe; i++ {
-			if !g.Replica(0).Contains(p*idsPerPipe + i) {
-				t.Fatalf("id %d missing after concurrent writes", p*idsPerPipe+i)
-			}
-		}
-	}
-	for p := 0; p < pipelines; p++ {
-		if err := g.Replica(p).CheckInvariants(); err != nil {
-			t.Fatalf("replica %d: %v", p, err)
 		}
 	}
 }

@@ -20,9 +20,9 @@ import "strconv"
 // (one read per metric access per UFPU step); the op counters are
 // incremented on the cold write path. Size tracks the live member count.
 //
-// In the sharded engine every logical write is applied to both snapshots
-// of every shard, so the exported add/delete counts measure replica write
-// amplification: 2 x shards x logical ops.
+// In the sharded engine every logical write is applied once to the table of
+// every healthy shard, so the exported add/delete counts measure replica
+// write amplification: shards x logical ops.
 type TableStats struct {
 	Adds    *Counter
 	Deletes *Counter
@@ -38,7 +38,7 @@ func NewTableStats(r *Registry, prefix string, shards int) []*TableStats {
 	dels := r.NewShardedCounter(prefix+"_deletes_total", "SMBM delete operations applied (per replica)", shards)
 	upds := r.NewShardedCounter(prefix+"_updates_total", "SMBM update operations applied (per replica)", shards)
 	reads := r.NewShardedCounter(prefix+"_reads_total", "SMBM metric-value reads on the decision path", shards)
-	size := r.NewGauge(prefix+"_size", "live members in the table (last replica to write wins)")
+	size := r.NewGauge(prefix+"_size", "live members in the table (replicas hold the same contents; the last one written sets it)")
 	out := make([]*TableStats, shards)
 	for i := range out {
 		out[i] = &TableStats{
