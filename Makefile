@@ -84,11 +84,18 @@ check-psim:
 # wall-clock simulation benchmarks carry the wider bands declared in the
 # set. Flagged benchmarks are re-measured up to three times before failing,
 # so a co-tenant load burst on a shared runner does not fail the build. The
-# fresh checkpoint lands in PERFCHECK_OUT for trajectory archiving.
+# fresh checkpoint lands in PERFCHECK_OUT for trajectory archiving. The
+# served path's kernel (ServerRoundTrip, one closed-loop round trip through
+# server and client) is measured by a second step, from the perfcheck test
+# binary: linked into thanosbench, the serving stack moves the bit-vector
+# kernels' code alignment and their timings with it. The step gates against
+# the same checkpoint and adds its entry to PERFCHECK_OUT.
 PERFCHECK_OUT ?= bench_fresh.json
+PERFCHECK_AGAINST = $$(ls BENCH_*.json | sort -t_ -k2 -n | tail -1)
 check-perf:
-	$(GO) run ./cmd/thanosbench -checkpoint $(PERFCHECK_OUT) \
-		-against "$$(ls BENCH_*.json | sort -t_ -k2 -n | tail -1)"
+	$(GO) run ./cmd/thanosbench -checkpoint $(PERFCHECK_OUT) -against "$(PERFCHECK_AGAINST)"
+	PERFCHECK_AGAINST="$(CURDIR)/$(PERFCHECK_AGAINST)" PERFCHECK_OUT="$(abspath $(PERFCHECK_OUT))" \
+		$(GO) test -v -count=1 -run '^TestServerRoundTrip$$' ./internal/perfcheck/
 
 # fuzz-smoke runs each native fuzz target for FUZZTIME (30s default) from
 # its checked-in seed corpus: the DSL parser round-trip, the bit-vector

@@ -1,7 +1,9 @@
 // Package client is the Go client for the thanos decision-plane wire
 // protocol. One Client owns one connection and pipelines requests over it:
 // every request carries a client-assigned sequence number, a single reader
-// goroutine matches replies back by that number, and a bounded inflight
+// goroutine matches replies back by that number (through one buffered
+// server.FrameReader per connection, so replies that arrive together cost one
+// read), and a bounded inflight
 // window is the admission control: the server queues nothing, so the window
 // bounds what waits in the socket. Concurrent callers pipeline naturally —
 // each blocks only on its own reply, not on the connection.
@@ -13,7 +15,6 @@
 package client
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -84,17 +85,18 @@ type Client struct {
 	traceSeq  atomic.Uint64
 	remoteVer atomic.Uint32
 
-	// wmu serializes frame writes onto the socket. It is dedicated to I/O
-	// and never held together with mu: state bookkeeping happens under mu,
-	// then the write proceeds under wmu only, so a stalled socket never
-	// blocks the demux or other callers' state transitions.
-	wmu sync.Mutex
+	// wmu serializes frame writes onto the socket and guards wbuf, the one
+	// scratch every request frame is built in. It is dedicated to I/O and
+	// never held together with mu: state bookkeeping happens under mu, then
+	// the frame is built and written under wmu only, so a stalled socket
+	// never blocks the demux or other callers' state transitions.
+	wmu  sync.Mutex
+	wbuf []byte
 
 	rwg sync.WaitGroup // joins reader goroutines across reconnects
 
 	mu      sync.Mutex // guards everything below
 	nc      net.Conn
-	bw      *bufio.Writer
 	seq     uint32
 	gen     int // connection generation; >1 means a reconnect happened
 	pending map[uint32]chan reply
@@ -151,7 +153,6 @@ func (c *Client) connectLocked() error {
 		return err
 	}
 	c.nc = nc
-	c.bw = bufio.NewWriter(nc)
 	c.pending = make(map[uint32]chan reply)
 	c.bo.Reset()
 	c.gen++
@@ -176,8 +177,8 @@ func (c *Client) readLoop(nc net.Conn) {
 			c.teardown(nc, err)
 			return
 		}
-		// The reader's buffer is reused across frames; hand each waiter its
-		// own copy.
+		// body is a view into the reader's buffer, overwritten by later
+		// frames; hand each waiter its own copy.
 		r := reply{op: op, body: append([]byte(nil), body...)}
 		c.mu.Lock()
 		if c.nc != nc {
@@ -203,7 +204,7 @@ func (c *Client) teardown(nc net.Conn, cause error) {
 		return
 	}
 	pend := c.pending
-	c.nc, c.bw, c.pending = nil, nil, nil
+	c.nc, c.pending = nil, nil
 	c.mu.Unlock()
 	nc.Close()
 	for _, ch := range pend {
@@ -250,21 +251,18 @@ func (c *Client) roundTripTrace(build func(dst []byte, seq uint32) []byte, ti *T
 				continue
 			}
 		}
-		nc, bw := c.nc, c.bw
+		nc := c.nc
 		c.seq++
 		seq := c.seq
 		c.pending[seq] = ch
-		frame := build(nil, seq)
 		c.mu.Unlock()
 
-		// The socket write happens under the dedicated write lock only:
-		// holding mu across Write/Flush would let one stalled socket block
+		// The frame is built and written under the dedicated write lock
+		// only: holding mu across Write would let one stalled socket block
 		// the demux and every other caller's state transitions.
 		c.wmu.Lock()
-		_, werr := bw.Write(frame)
-		if werr == nil {
-			werr = bw.Flush()
-		}
+		c.wbuf = build(c.wbuf[:0], seq)
+		_, werr := nc.Write(c.wbuf)
 		c.wmu.Unlock()
 		if ti != nil {
 			ti.SendNs = time.Now().UnixNano()
@@ -324,7 +322,7 @@ func (c *Client) Hello() (server.HelloInfo, error) {
 type TraceInfo struct {
 	ID        uint64
 	EnqueueNs int64 // call entered the client (before the inflight window)
-	SendNs    int64 // frame written and flushed to the socket
+	SendNs    int64 // frame written to the socket
 	ReplyNs   int64 // reply received and decoded
 	Server    server.DecideTrace
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
@@ -40,43 +41,60 @@ type request struct {
 	recvNs  int64 // frame decoded off the socket
 }
 
+// outCap is the size past which coalesced replies are written even though
+// more requests are buffered, bounding c.out at outCap plus one reply frame.
+const outCap = 64 << 10
+
 // conn is one served connection, run to completion by one goroutine: read a
-// frame, decode it, execute it against the backend, write the reply, repeat.
-// Nothing is queued inside the server — while a request executes, the peer's
-// further frames wait in the socket buffer, and transport flow control plus
-// the client's inflight window bound what can pile up there.
+// frame, decode it, execute it against the backend, append the reply, repeat;
+// replies go out in one write once the frame reader has no complete frame
+// left, so a pipelined burst costs one Read and one Write. No request is
+// queued inside the server — while one executes, the peer's further frames
+// wait in the read buffer and the socket buffer, and transport flow control
+// plus the client's inflight window bound what can pile up there.
 type conn struct {
 	srv *Server
 	nc  net.Conn
 	req request
-	out []byte // reply frame scratch
+	out []byte // replies not yet written; never held across a blocking Read
 
-	armed time.Time // when the write deadline was last pushed out
+	armed  time.Time   // when the write deadline was last pushed out
+	closed atomic.Bool // stop was called: finish before the next frame
 }
 
-// shutdown closes the socket and leaves the serving set. Safe to call from
-// both the connection's goroutine and Server.Close: closing twice is
-// harmless and removeConn is idempotent.
-func (c *conn) shutdown() {
-	c.nc.Close()
-	c.srv.removeConn(c)
+// stop is Server.Close's one signal to the connection: finish. The goroutine
+// sees it before the next frame — the expired read deadline wakes a blocked
+// Read — writes the replies it owes and closes the socket itself, so every
+// request that executed is answered unless its write fails.
+func (c *conn) stop() {
+	c.closed.Store(true)
+	c.nc.SetReadDeadline(time.Unix(1, 0))
 }
 
-// serve is the connection's goroutine. Every request is answered, in arrival
-// order, or the connection is visibly dead — those are the only outcomes.
+// serve is the connection's goroutine, and the only one that writes to or
+// closes the socket. Every request is answered, in arrival order, or the
+// connection is visibly dead — those are the only outcomes.
 func (c *conn) serve() {
 	defer c.srv.wg.Done()
-	defer c.shutdown()
+	defer c.srv.removeConn(c)
+	defer c.nc.Close()
 	fr := NewFrameReader(c.nc, MaxPayload)
 	req := &c.req
-	for {
+	for !c.closed.Load() {
+		// No complete frame is buffered, so Next is about to block in Read:
+		// everything answered so far goes out first, and a peer that waits
+		// for a reply before it sends more always gets it.
+		if !fr.ready() && !c.flush() {
+			return
+		}
 		var body []byte
 		var err error
 		req.op, req.seq, body, err = fr.Next()
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+			if !errors.Is(err, io.EOF) && !c.closed.Load() {
 				c.srv.m.protoErrs.Inc()
-				c.write(AppendErr(c.out[:0], 0, err.Error()))
+				c.out = AppendErr(c.out, 0, err.Error())
+				c.flush()
 			}
 			return
 		}
@@ -84,7 +102,8 @@ func (c *conn) serve() {
 		if err := c.decode(body); err != nil {
 			c.srv.m.protoErrs.Inc()
 			c.srv.flight.Event(telemetry.EventProtoErr, 0, nowNs(), int64(req.seq))
-			c.write(AppendErr(c.out[:0], req.seq, err.Error()))
+			c.out = AppendErr(c.out, req.seq, err.Error())
+			c.flush()
 			return
 		}
 		c.srv.m.inflight.Add(1)
@@ -94,6 +113,7 @@ func (c *conn) serve() {
 			return
 		}
 	}
+	c.flush() // stopped mid-burst: the replies owed so far still go out
 }
 
 // decode parses body into the connection's request according to its opcode.
@@ -123,8 +143,8 @@ func (c *conn) decode(body []byte) (err error) {
 	return err
 }
 
-// execute runs the decoded request against the backend and writes its reply.
-// It reports whether the connection is still usable.
+// execute runs the decoded request against the backend and appends its reply
+// to c.out. It reports whether the connection is still usable.
 func (c *conn) execute() bool {
 	req, m := &c.req, &c.srv.m
 	switch req.op {
@@ -136,28 +156,29 @@ func (c *conn) execute() bool {
 		m.batchHist.Observe(uint64(len(req.pkts)))
 		m.latencyHist.ObserveExemplar(uint64(done.Sub(start).Microseconds()), req.traceID)
 		if req.traceID == 0 {
-			return c.write(AppendDecided(c.out[:0], req.seq, req.pkts))
+			return c.reply(AppendDecided(c.out, req.seq, req.pkts))
 		}
 		// Traced: echo the phase stamps in the reply's DecideTrace trailer
 		// and record the spans — two more clock conversions, one more clock
 		// read and two lock-free ring records, all allocation-free. Nothing
 		// waits between decode and execution, so Admit and Start coincide.
+		// The encode span ends when the reply is in c.out, before its write.
 		startNs, doneNs := start.UnixNano(), done.UnixNano()
 		tr := DecideTrace{ID: req.traceID, RecvNs: req.recvNs, AdmitNs: startNs, StartNs: startNs, DoneNs: doneNs}
-		ok := c.write(AppendDecidedTrace(c.out[:0], req.seq, req.pkts, tr))
+		ok := c.reply(AppendDecidedTrace(c.out, req.seq, req.pkts, tr))
 		c.srv.flight.Record(telemetry.SpanDecide, req.traceID, startNs, doneNs, int64(len(req.pkts)))
 		c.srv.flight.Record(telemetry.SpanEncode, req.traceID, doneNs, nowNs(), 0)
 		return ok
 	case OpTable:
 		// Statuses are written into the frame as the ops execute: reserve
 		// the header and count, then append one status byte per op.
-		buf := appendHeader(c.out[:0], OpTableAck, req.seq, 2+len(req.ops))
+		buf := appendHeader(c.out, OpTableAck, req.seq, 2+len(req.ops))
 		buf = append(buf, byte(len(req.ops)), byte(len(req.ops)>>8))
 		for i := range req.ops {
 			buf = append(buf, c.applyTableOp(&req.ops[i]))
 		}
 		m.tableOps.Add(uint64(len(req.ops)))
-		return c.write(buf)
+		return c.reply(buf)
 	case OpSwap:
 		status, msg := byte(StatusOK), ""
 		pol, err := policy.Parse(string(req.dsl))
@@ -169,11 +190,11 @@ func (c *conn) execute() bool {
 		} else {
 			m.swaps.Inc()
 		}
-		return c.write(AppendSwapAck(c.out[:0], req.seq, status, msg))
+		return c.reply(AppendSwapAck(c.out, req.seq, status, msg))
 	case OpHello:
-		return c.write(AppendHelloAck(c.out[:0], req.seq, c.srv.helloInfo()))
+		return c.reply(AppendHelloAck(c.out, req.seq, c.srv.helloInfo()))
 	case OpPing:
-		return c.write(AppendPong(c.out[:0], req.seq, c.srv.pongInfo()))
+		return c.reply(AppendPong(c.out, req.seq, c.srv.pongInfo()))
 	}
 	return true // unreachable: decode admits only the opcodes above
 }
@@ -210,14 +231,27 @@ func (c *conn) applyTableOp(op *TableOp) byte {
 	}
 }
 
-// write sends one frame under the write deadline, keeping buf's storage as
-// the connection's scratch. It reports whether the frame went out whole; on
-// false the connection is dead and the caller must stop serving it.
+// reply takes c.out extended by one reply frame. The frame waits there for
+// serve's flush before the next blocking Read, unless the buffer has passed
+// outCap. On false the connection is dead.
+func (c *conn) reply(out []byte) bool {
+	c.out = out
+	return len(out) < outCap || c.flush()
+}
+
+// flush writes the coalesced replies under the write deadline, keeping
+// c.out's storage as the connection's scratch. It reports whether they went
+// out whole; on false the connection is dead and the caller must stop serving
+// it.
 //
-// Re-arming the deadline on every reply is a runtime timer update that can
+// Re-arming the deadline on every write is a runtime timer update that can
 // wake an idle scheduler thread each time: measured at 0.5 µs of a 10.5 µs
 // closed-loop round trip, so the deadline moves at most twice per timeout.
-func (c *conn) write(buf []byte) bool {
+func (c *conn) flush() bool {
+	if len(c.out) == 0 {
+		return true
+	}
+	buf := c.out
 	c.out = buf[:0]
 	var err error
 	if now := time.Now(); now.Sub(c.armed) > c.srv.writeTimeout/2 {

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"net"
 	"os"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -51,21 +54,83 @@ func (b *blockBackend) Policy() *policy.Policy {
 	return policy.MustParse("policy bp\nout best = min(table, cpu)\n")
 }
 
-// dialTestServer starts srv on a fresh Unix socket and dials it once.
-func dialTestServer(t *testing.T, srv *Server) net.Conn {
+// ioCount counts the Read and Write calls the server makes on its side of a
+// connection, and the largest single Write.
+type ioCount struct {
+	reads, writes, maxWrite atomic.Int64
+}
+
+// countConn is the server's end of a connection with its calls counted.
+type countConn struct {
+	net.Conn
+	n *ioCount
+}
+
+func (c countConn) Read(b []byte) (int, error) {
+	c.n.reads.Add(1)
+	return c.Conn.Read(b)
+}
+
+func (c countConn) Write(b []byte) (int, error) {
+	c.n.writes.Add(1)
+	if n := int64(len(b)); n > c.n.maxWrite.Load() {
+		c.n.maxWrite.Store(n) // one writer per connection
+	}
+	return c.Conn.Write(b)
+}
+
+// countListener hands the server counting connections; every connection it
+// accepts counts into the same ioCount.
+type countListener struct {
+	net.Listener
+	n *ioCount
+}
+
+func (l countListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countConn{nc, l.n}, nil
+}
+
+// dialCounted starts srv on a fresh Unix socket and dials it once. The
+// returned FrameReader is the connection's one reader (a FrameReader reads
+// ahead, so a second one on the same socket would lose frames); the ioCount
+// sees the server's side of every connection on the socket.
+func dialCounted(t *testing.T, srv *Server) (net.Conn, *FrameReader, *ioCount) {
 	t.Helper()
 	sock := t.TempDir() + "/bp.sock"
 	l, err := net.Listen("unix", sock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(l)
+	n := &ioCount{}
+	go srv.Serve(countListener{l, n})
 	nc, err := net.Dial("unix", sock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { nc.Close() })
-	return nc
+	return nc, NewFrameReader(nc, MaxPayload), n
+}
+
+// dialTestServer is dialCounted without the counts.
+func dialTestServer(t *testing.T, srv *Server) (net.Conn, *FrameReader) {
+	t.Helper()
+	nc, fr, _ := dialCounted(t, srv)
+	return nc, fr
+}
+
+// redial opens one more connection to the server behind nc.
+func redial(t *testing.T, nc net.Conn) (net.Conn, *FrameReader) {
+	t.Helper()
+	second, err := net.Dial("unix", nc.RemoteAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { second.Close() })
+	return second, NewFrameReader(second, MaxPayload)
 }
 
 // settledGoroutines returns the goroutine count once it has held still for a
@@ -96,14 +161,15 @@ func waitGoroutines(t *testing.T, want int, what string) {
 	}
 }
 
-// ping round-trips one Ping, proving the connection's goroutine is serving.
-func ping(t *testing.T, nc net.Conn) {
+// ping round-trips one Ping through the connection's reader, proving the
+// connection's goroutine is serving.
+func ping(t *testing.T, nc net.Conn, fr *FrameReader) {
 	t.Helper()
 	if _, err := nc.Write(AppendPing(nil, 1)); err != nil {
 		t.Fatal(err)
 	}
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if op, _, _, err := NewFrameReader(nc, MaxPayload).Next(); err != nil || op != OpPong {
+	if op, _, _, err := fr.Next(); err != nil || op != OpPong {
 		t.Fatalf("ping: op=%#x err=%v", op, err)
 	}
 }
@@ -120,15 +186,11 @@ func TestServerOneGoroutinePerConn(t *testing.T) {
 	}
 	defer srv.Close()
 	const n = 8
-	first := dialTestServer(t, srv)
-	ping(t, first)
+	first, fr := dialTestServer(t, srv)
+	ping(t, first, fr)
 	for i := 1; i < n; i++ {
-		nc, err := net.Dial("unix", first.RemoteAddr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nc.Close()
-		ping(t, nc)
+		nc, fr := redial(t, first)
+		ping(t, nc, fr)
 	}
 	// The accept loop plus one goroutine per connection.
 	if got := runtime.NumGoroutine(); got != base+1+n {
@@ -147,10 +209,21 @@ func burst(n int) []byte {
 	return buf
 }
 
+// pings appends n Ping frames, seq from..from+n-1. A Pong (uptime + build
+// string) is larger than its Ping, so a Ping burst grows the coalesced reply
+// buffer faster than the read buffer drains.
+func pings(buf []byte, from, n uint32) []byte {
+	for seq := from; seq < from+n; seq++ {
+		buf = AppendPing(buf, seq)
+	}
+	return buf
+}
+
 // TestPipelinedBurstAnsweredInOrder: a burst far deeper than any client
 // window, written while the connection is parked inside a request, waits in
 // the socket buffer — nothing is rejected, the connection never has more than
-// one request in the server, and every frame is answered once, in order.
+// one request in the server, every frame is answered once, in order, and the
+// replies are coalesced: a burst of 256 costs a handful of writes, not 256.
 func TestPipelinedBurstAnsweredInOrder(t *testing.T) {
 	be := newBlockBackend()
 	reg := telemetry.NewRegistry()
@@ -159,7 +232,7 @@ func TestPipelinedBurstAnsweredInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	nc := dialTestServer(t, srv)
+	nc, fr, cnt := dialCounted(t, srv)
 
 	const n = 256 // eight client windows (client.DefaultMaxInflight is 32)
 	if _, err := nc.Write(burst(n)); err != nil {
@@ -189,7 +262,6 @@ func TestPipelinedBurstAnsweredInOrder(t *testing.T) {
 	}
 	close(be.gate)
 
-	fr := NewFrameReader(nc, MaxPayload)
 	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
 	for want := uint32(1); want <= n; want++ {
 		op, seq, body, err := fr.Next()
@@ -210,70 +282,272 @@ func TestPipelinedBurstAnsweredInOrder(t *testing.T) {
 	if got := be.calls.Load(); got != n {
 		t.Fatalf("backend saw %d decides for %d frames", got, n)
 	}
+	// The whole burst was in the socket before the first reply was due, so
+	// the server drained it in a few reads and answered each with one write.
+	if w, r := cnt.writes.Load(), cnt.reads.Load(); w > n/8 || r > n/8 {
+		t.Fatalf("%d writes and %d reads for a burst of %d frames, want at most %d of each", w, r, n, n/8)
+	}
 	// The burst is fully answered: a ping is the next reply, not a stray frame.
-	ping(t, nc)
+	ping(t, nc, fr)
 	if got := srv.m.inflight.Value(); got != 0 {
 		t.Fatalf("inflight = %d after the burst drained, want 0", got)
 	}
 }
 
-// TestCloseMidBurst: Server.Close while a pipelined burst is being served.
-// The peer sees replies 1..k in order and then a dead connection; the request
-// executing when Close landed may have been decided without its reply
-// getting out, and nothing is answered twice.
-func TestCloseMidBurst(t *testing.T) {
+// TestOneFrameAtATimeOneWritePerReply: a peer that waits for each reply
+// before it sends the next request gets every reply in its own write, at
+// once — coalescing never delays a reply nothing else is queued behind.
+func TestOneFrameAtATimeOneWritePerReply(t *testing.T) {
 	be := newBlockBackend()
-	be.delay = 200 * time.Microsecond
 	close(be.gate)
-	reg := telemetry.NewRegistry()
-	srv, err := New(Config{Backend: be, Telemetry: reg})
+	srv, err := New(Config{Backend: be})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	nc := dialTestServer(t, srv)
+	nc, fr, cnt := dialCounted(t, srv)
+	const n = 16
+	for i := 0; i < n; i++ {
+		ping(t, nc, fr)
+	}
+	if got := cnt.writes.Load(); got != n {
+		t.Fatalf("%d writes for %d one-at-a-time requests, want %d", got, n, n)
+	}
+	// One read per frame, plus at most one more that found the socket empty
+	// mid-frame; the parent's reader took three per frame.
+	if got := cnt.reads.Load(); got > n+2 {
+		t.Fatalf("%d reads for %d one-at-a-time requests, want about %d", got, n, n)
+	}
+}
 
-	const n = 256
-	if _, err := nc.Write(burst(n)); err != nil {
+// TestNoReplyHeldAcrossBlockingRead: a peer sends one and a half frames and
+// waits. The first frame's reply must arrive before the peer sends the rest:
+// with half a frame buffered the next Read would block, so the server writes
+// what it has answered first.
+func TestNoReplyHeldAcrossBlockingRead(t *testing.T) {
+	be := newBlockBackend()
+	close(be.gate)
+	srv, err := New(Config{Backend: be})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for be.calls.Load() < 10 {
-		time.Sleep(50 * time.Microsecond)
-	}
-	srv.Close() // returns once the connection's goroutine has exited
+	defer srv.Close()
+	nc, fr := dialTestServer(t, srv)
 
-	fr := NewFrameReader(nc, MaxPayload)
+	two := burst(2)
+	cut := len(two) * 3 / 4 // all of frame 1, half of frame 2
+	if _, err := nc.Write(two[:cut]); err != nil {
+		t.Fatal(err)
+	}
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	k := uint32(0)
+	if op, seq, _, err := fr.Next(); err != nil || op != OpDecided || seq != 1 {
+		t.Fatalf("reply to the whole frame: op=%#x seq=%d err=%v, want Decided seq=1 before the rest is sent", op, seq, err)
+	}
+	if _, err := nc.Write(two[cut:]); err != nil {
+		t.Fatal(err)
+	}
+	if op, seq, _, err := fr.Next(); err != nil || op != OpDecided || seq != 2 {
+		t.Fatalf("reply to the completed frame: op=%#x seq=%d err=%v, want Decided seq=2", op, seq, err)
+	}
+}
+
+// scriptConn is a net.Conn whose peer is a script: Read hands out a fixed
+// byte stream as fast as it is asked for, Write records what the server
+// sends. It makes the shape of the server's reads and writes deterministic.
+type scriptConn struct {
+	net.Conn // nil: only the methods below are called
+	in       *bytes.Reader
+	mu       sync.Mutex
+	out      bytes.Buffer
+	writes   []int
+}
+
+func (c *scriptConn) Read(b []byte) (int, error) { return c.in.Read(b) }
+func (c *scriptConn) Write(b []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.writes = append(c.writes, len(b))
+	return c.out.Write(b)
+}
+func (c *scriptConn) Close() error                     { return nil }
+func (c *scriptConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestReplyBufferCap: when the read buffer holds more requests than outCap
+// holds replies — a large frame grew it, then a burst of Pings, whose Pongs
+// are larger than they are — the coalesced replies are written each time they
+// pass outCap instead of growing with the burst. Every reply still arrives
+// once, in order.
+func TestReplyBufferCap(t *testing.T) {
+	be := newBlockBackend()
+	close(be.gate)
+	srv, err := New(Config{Backend: be, Build: "cap-test", Telemetry: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	const n = 20000
+	big := AppendDecide(nil, 1, make([]uint64, MaxBatch), make([]uint16, MaxBatch))
+	pong := len(AppendPong(nil, 0, srv.pongInfo()))
+	if n*pong < 4*outCap || len(big) < outCap/2 {
+		t.Fatalf("script too small to pass outCap: %d pongs of %d B, %d B frame", n, pong, len(big))
+	}
+	sc := &scriptConn{in: bytes.NewReader(pings(big, 2, n))}
+	srv.admit(sc)
+	for deadline := time.Now().Add(10 * time.Second); srv.m.connsOpen.Value() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("connection still open 10 s after its script ended in EOF")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	srv.Close() // joins the connection's goroutine: its writes are all recorded
+
+	bigReply := 4 + headerLen + 2 + 4*MaxBatch
+	over := 0
+	for i, w := range sc.writes {
+		if w > outCap+bigReply {
+			t.Fatalf("write %d is %d B, over outCap %d + one reply %d", i, w, outCap, bigReply)
+		}
+		if w >= outCap {
+			over++
+		}
+	}
+	if over == 0 {
+		t.Fatalf("no write reached outCap (%d): writes %v", outCap, sc.writes)
+	}
+	fr := NewFrameReader(&sc.out, MaxPayload)
+	for want := uint32(1); want <= n+1; want++ {
+		op, seq, _, err := fr.Next()
+		wantOp := byte(OpPong)
+		if want == 1 {
+			wantOp = OpDecided
+		}
+		if err != nil || op != wantOp || seq != want {
+			t.Fatalf("reply %d: op=%#x seq=%d err=%v", want, op, seq, err)
+		}
+	}
+	if _, _, _, err := fr.Next(); err != io.EOF {
+		t.Fatalf("after the last reply: %v, want io.EOF", err)
+	}
+}
+
+// readInOrder reads replies of one opcode with consecutive seq numbers from
+// next until the connection fails, and returns the last seq read and the
+// error that ended it.
+func readInOrder(t *testing.T, fr *FrameReader, wantOp byte, next uint32) (uint32, error) {
+	t.Helper()
 	for {
 		op, seq, _, err := fr.Next()
 		if err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				t.Fatalf("connection still open after Close: %v", err)
 			}
-			break // EOF, or a reset because the server closed with the burst unread
+			return next - 1, err // EOF, or a reset because the server closed with requests unread
 		}
-		if op != OpDecided || seq != k+1 {
-			t.Fatalf("reply op=%#x seq=%d after %d in-order replies", op, seq, k)
+		if op != wantOp || seq != next {
+			t.Fatalf("reply op=%#x seq=%d, want op=%#x seq=%d", op, seq, wantOp, next)
 		}
-		k++
-	}
-	if k < 9 || k >= n {
-		t.Fatalf("read %d replies; Close was meant to land mid-burst (10 of %d decided)", k, n)
-	}
-	if got := srv.m.decisions.Value(); got != uint64(k) && got != uint64(k)+1 {
-		t.Fatalf("decisions_total = %d after %d replies, want %d or %d", got, k, k, k+1)
-	}
-	if got := srv.m.inflight.Value(); got != 0 {
-		t.Fatalf("inflight = %d after Close, want 0", got)
+		next++
 	}
 }
 
-// TestStalledPeerWriteTimeout: a peer that pipelines large decides and never
+// TestCloseMidBurst: Server.Close while a pipelined burst is being served.
+// The peer sees replies 1..k in order and then a dead connection; the request
+// executing when Close landed may have been decided without its reply
+// getting out, and nothing is answered twice. The replies coalesced when
+// Close lands are written before the socket closes: to a peer that reads,
+// every request that ran is answered.
+func TestCloseMidBurst(t *testing.T) {
+	t.Run("decide", func(t *testing.T) {
+		be := newBlockBackend()
+		be.delay = 200 * time.Microsecond
+		close(be.gate)
+		reg := telemetry.NewRegistry()
+		srv, err := New(Config{Backend: be, Telemetry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		nc, fr := dialTestServer(t, srv)
+
+		const n = 256
+		if _, err := nc.Write(burst(n)); err != nil {
+			t.Fatal(err)
+		}
+		for be.calls.Load() < 10 {
+			time.Sleep(50 * time.Microsecond)
+		}
+		srv.Close() // returns once the connection's goroutine has exited
+
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		k, _ := readInOrder(t, fr, OpDecided, 1)
+		if k < 9 || k >= n {
+			t.Fatalf("read %d replies; Close was meant to land mid-burst (10 of %d decided)", k, n)
+		}
+		if got := srv.m.decisions.Value(); got != uint64(k) && got != uint64(k)+1 {
+			t.Fatalf("decisions_total = %d after %d replies, want %d or %d", got, k, k, k+1)
+		}
+		if got := srv.m.inflight.Value(); got != 0 {
+			t.Fatalf("inflight = %d after Close, want 0", got)
+		}
+	})
+	// Pings answer with frames larger than the request and need no backend:
+	// the peer keeps bursts coming while it reads, Close lands somewhere in
+	// the stream with replies coalesced and requests buffered, and the peer
+	// has read one gapless sequence that ends at the last frame the server
+	// took.
+	t.Run("ping", func(t *testing.T) {
+		be := newBlockBackend()
+		reg := telemetry.NewRegistry()
+		srv, err := New(Config{Backend: be, Telemetry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		nc, fr := dialTestServer(t, srv)
+		go func() {
+			nc.SetWriteDeadline(time.Now().Add(10 * time.Second))
+			for from := uint32(1); ; from += 64 {
+				if _, err := nc.Write(pings(nil, from, 64)); err != nil {
+					return
+				}
+			}
+		}()
+		nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+		for want := uint32(1); want <= 1000; want++ {
+			if op, seq, _, err := fr.Next(); err != nil || op != OpPong || seq != want {
+				t.Fatalf("reply op=%#x seq=%d err=%v, want Pong seq=%d", op, seq, err, want)
+			}
+		}
+		closed := make(chan struct{})
+		go func() { srv.Close(); close(closed) }() // the peer keeps reading: Close's flush must not wait on it
+		k, _ := readInOrder(t, fr, OpPong, 1001)
+		<-closed
+		if got := srv.m.framesTotal.Value(); got != uint64(k) {
+			t.Fatalf("frames_total = %d with %d replies read, want them equal", got, k)
+		}
+		if got := srv.m.writeTimeouts.Value(); got != 0 {
+			t.Fatalf("%d write timeouts; Close was meant to flush to a reading peer", got)
+		}
+	})
+}
+
+// TestStalledPeerWriteTimeout: a peer that pipelines requests and never
 // reads a reply fills the socket buffers and blocks the connection's
 // goroutine in a write. The write deadline closes the connection, counts it,
-// records a flight event and frees the MaxConns slot and the goroutine.
+// records a flight event and frees the MaxConns slot and the goroutine; until
+// then no write is larger than outCap plus one reply, whether the stream is
+// large Decides or (after one large frame has grown the read buffer) Pings,
+// whose replies outgrow the requests.
 func TestStalledPeerWriteTimeout(t *testing.T) {
+	keys, outs := make([]uint64, MaxBatch), make([]uint16, MaxBatch)
+	decide := AppendDecide(nil, 1, keys, outs)
+	t.Run("decide", func(t *testing.T) { stalledPeer(t, decide, decide) })
+	t.Run("ping", func(t *testing.T) { stalledPeer(t, decide, pings(nil, 2, 4096)) })
+}
+
+// stalledPeer writes first once and then chunk forever, never reading.
+func stalledPeer(t *testing.T, first, chunk []byte) {
 	base := settledGoroutines()
 	be := newBlockBackend()
 	close(be.gate)
@@ -285,17 +559,15 @@ func TestStalledPeerWriteTimeout(t *testing.T) {
 	}
 	defer srv.Close()
 	srv.writeTimeout = 200 * time.Millisecond
-	nc := dialTestServer(t, srv)
+	nc, _, cnt := dialCounted(t, srv)
 
 	// Write until the server stops draining the socket (it is stuck writing
 	// replies nobody reads) and then until it hangs up.
-	keys, outs := make([]uint64, MaxBatch), make([]uint16, MaxBatch)
-	frame := AppendDecide(nil, 1, keys, outs)
 	wrote := make(chan struct{})
 	go func() {
 		defer close(wrote)
 		nc.SetWriteDeadline(time.Now().Add(10 * time.Second))
-		for {
+		for frame := first; ; frame = chunk {
 			if _, err := nc.Write(frame); err != nil {
 				return
 			}
@@ -318,6 +590,9 @@ func TestStalledPeerWriteTimeout(t *testing.T) {
 	if got := srv.m.writeTimeouts.Value(); got != 1 {
 		t.Fatalf("write_timeouts_total = %d, want 1", got)
 	}
+	if got, limit := cnt.maxWrite.Load(), int64(outCap+4+headerLen+2+4*MaxBatch); got > limit {
+		t.Fatalf("largest write %d B, over outCap + one reply = %d", got, limit)
+	}
 	found := false
 	for _, sp := range flight.Snapshot() {
 		found = found || sp.Kind == telemetry.EventWriteTimeout
@@ -327,12 +602,8 @@ func TestStalledPeerWriteTimeout(t *testing.T) {
 	}
 
 	// The MaxConns=1 slot is free again: a second connection is served.
-	second, err := net.Dial("unix", nc.RemoteAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer second.Close()
-	ping(t, second)
+	second, fr := redial(t, nc)
+	ping(t, second, fr)
 	srv.Close()
 	waitGoroutines(t, base, "after the stalled connection and Close")
 }
@@ -347,24 +618,12 @@ func TestAdmissionLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	first := dialTestServer(t, srv)
+	first, fr := dialTestServer(t, srv)
 	// Confirm the first connection is live before racing the second in.
-	if _, err := first.Write(AppendPing(nil, 1)); err != nil {
-		t.Fatal(err)
-	}
-	fr := NewFrameReader(first, MaxPayload)
-	first.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if op, _, _, err := fr.Next(); err != nil || op != OpPong {
-		t.Fatalf("ping: op=%#x err=%v", op, err)
-	}
+	ping(t, first, fr)
 
-	second, err := net.Dial("unix", first.RemoteAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer second.Close()
+	second, fr2 := redial(t, first)
 	second.SetReadDeadline(time.Now().Add(5 * time.Second))
-	fr2 := NewFrameReader(second, MaxPayload)
 	op, _, body, err := fr2.Next()
 	if err != nil || op != OpErr {
 		t.Fatalf("second conn: op=%#x err=%v, want Err frame", op, err)

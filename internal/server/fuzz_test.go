@@ -59,17 +59,27 @@ func fuzzSeeds() [][]byte {
 // FuzzFrameRoundTrip drives arbitrary bytes through the frame reader and all
 // body decoders. Nothing may panic, and any Decide/Table body that decodes
 // must re-encode to the identical canonical frame (the codec has exactly one
-// encoding per message).
+// encoding per message). A second reader takes the same bytes in reads of at
+// most chunk bytes and must return the same frames and the same final error:
+// what the reader returns depends on the stream, never on how it was cut.
 func FuzzFrameRoundTrip(f *testing.F) {
-	for _, s := range fuzzSeeds() {
-		f.Add(s)
+	for i, s := range fuzzSeeds() {
+		f.Add(s, byte(i))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, chunk byte) {
 		fr := NewFrameReader(bytes.NewReader(data), 1<<16)
+		cut := NewFrameReader(chunkReader{bytes.NewReader(data), func() int { return int(chunk) }}, 1<<16)
 		for {
 			op, seq, body, err := fr.Next()
+			cop, cseq, cbody, cerr := cut.Next()
+			if (err == nil) != (cerr == nil) || (err != nil && err.Error() != cerr.Error()) {
+				t.Fatalf("whole read ends in %v, reads of %d B in %v", err, chunk, cerr)
+			}
 			if err != nil {
 				return
+			}
+			if op != cop || seq != cseq || !bytes.Equal(body, cbody) {
+				t.Fatalf("whole read: op=%#x seq=%d body %x; reads of %d B: op=%#x seq=%d body %x", op, seq, body, chunk, cop, cseq, cbody)
 			}
 			switch op {
 			case OpDecide:

@@ -221,9 +221,11 @@ func (s *Server) admit(nc net.Conn) {
 	go c.serve()
 }
 
-// Close stops all listeners, closes every connection and waits for the
-// connection goroutines to exit. A request executing at that moment runs to
-// completion; its reply is lost with the socket. Idempotent.
+// Close stops all listeners, tells every connection to finish and waits for
+// the connection goroutines to exit. A request executing at that moment runs
+// to completion and its reply goes out with the others already owed, under
+// the write deadline, before the connection closes its socket; requests
+// behind it are not run. Idempotent.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -241,7 +243,7 @@ func (s *Server) Close() {
 	}
 	s.mu.Unlock()
 	for _, c := range conns {
-		c.shutdown()
+		c.stop()
 	}
 	s.wg.Wait()
 }

@@ -28,8 +28,10 @@
 //	any     -> Err        protocol error; the server closes the connection
 //
 // The server answers a connection's requests strictly in arrival order, one
-// at a time, and queues nothing: each request gets its reply, or the
-// connection is visibly dead.
+// at a time, and queues no request: each gets its reply, or the connection is
+// visibly dead. Both ends read through a buffered FrameReader, and the server
+// writes the replies to a pipelined burst together — but never holds a reply
+// while it waits for more input.
 //
 // Flow-keyed routing is carried by the decision key itself: the server hands
 // it unchanged to engine.DecideBatch, which steers key mod shards, so one
@@ -561,13 +563,22 @@ func DecodeReject(body []byte) (reason byte, err error) {
 
 // --- frame reading ---
 
-// FrameReader reads frames from a byte stream into one reusable buffer.
-// The returned body is valid only until the next call.
+// readBufInit is a FrameReader's starting buffer: room for a burst of small
+// frames in one Read. Larger frames grow it.
+const readBufInit = 4096
+
+// FrameReader parses frames out of a read buffer it fills from a byte
+// stream, calling Read only when no complete frame is buffered: a frame that
+// arrived whole costs one Read, a pipelined burst one Read in total. It reads
+// ahead, so it owns the stream from construction — one per connection, never
+// a throw-away reader per frame, which would swallow the frames behind the
+// one it returns. The buffer starts at readBufInit, at least doubles when a
+// frame does not fit and never passes 4 + the payload cap.
 type FrameReader struct {
-	r   io.Reader
-	max int
-	hdr [4 + headerLen]byte
-	buf []byte
+	r      io.Reader
+	max    int
+	buf    []byte // buf[rd:wr] is read and not yet returned
+	rd, wr int
 }
 
 // NewFrameReader wraps r with the given payload cap (0 selects MaxPayload).
@@ -575,44 +586,78 @@ func NewFrameReader(r io.Reader, maxPayload int) *FrameReader {
 	if maxPayload <= 0 || maxPayload > MaxPayload {
 		maxPayload = MaxPayload
 	}
-	return &FrameReader{r: r, max: maxPayload}
+	return &FrameReader{r: r, max: maxPayload, buf: make([]byte, readBufInit)}
 }
 
-// Next reads one frame. A declared payload over the cap returns
+// Next returns the next frame; body is a view into the reader's buffer,
+// valid only until the next call. A declared payload over the cap returns
 // ErrFrameTooLarge without allocating or consuming the payload; a clean EOF
-// between frames returns io.EOF.
+// between frames returns io.EOF, an EOF inside a frame io.ErrUnexpectedEOF.
 func (fr *FrameReader) Next() (op byte, seq uint32, body []byte, err error) {
-	if _, err = io.ReadFull(fr.r, fr.hdr[:4]); err != nil {
+	if err = fr.fill(4); err != nil {
 		return 0, 0, nil, err
 	}
-	plen := int(binary.LittleEndian.Uint32(fr.hdr[:4]))
-	if plen < headerLen {
-		return 0, 0, nil, fmt.Errorf("%w: payload length %d under header size", ErrMalformed, plen)
+	n, err := fr.frameLen()
+	if err == nil {
+		err = fr.fill(n)
 	}
-	if plen > fr.max {
-		return 0, 0, nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, plen, fr.max)
+	if err != nil {
+		return 0, 0, nil, err
 	}
-	if _, err = io.ReadFull(fr.r, fr.hdr[4:]); err != nil {
-		return 0, 0, nil, unexpected(err)
-	}
-	op = fr.hdr[4]
-	seq = binary.LittleEndian.Uint32(fr.hdr[5:])
-	blen := plen - headerLen
-	if cap(fr.buf) < blen {
-		fr.buf = make([]byte, blen)
-	}
-	body = fr.buf[:blen]
-	if _, err = io.ReadFull(fr.r, body); err != nil {
-		return 0, 0, nil, unexpected(err)
-	}
-	return op, seq, body, nil
+	f := fr.buf[fr.rd : fr.rd+n]
+	fr.rd += n
+	return f[4], binary.LittleEndian.Uint32(f[5:]), f[4+headerLen:], nil
 }
 
-// unexpected maps a mid-frame EOF to io.ErrUnexpectedEOF so callers can
-// distinguish a clean close (between frames) from a truncated frame.
-func unexpected(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
+// frameLen returns the whole length (length word included) of the frame at
+// the head of the buffer, or the error Next reports for an illegal length
+// word. The length word must be buffered.
+func (fr *FrameReader) frameLen() (int, error) {
+	plen := int(binary.LittleEndian.Uint32(fr.buf[fr.rd:]))
+	if plen < headerLen {
+		return 0, fmt.Errorf("%w: payload length %d under header size", ErrMalformed, plen)
 	}
-	return err
+	if plen > fr.max {
+		return 0, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, plen, fr.max)
+	}
+	return 4 + plen, nil
+}
+
+// ready reports whether Next will return without calling Read: a whole
+// frame, or a length word Next rejects, is already buffered.
+func (fr *FrameReader) ready() bool {
+	if fr.wr-fr.rd < 4 {
+		return false
+	}
+	n, err := fr.frameLen()
+	return err != nil || fr.wr-fr.rd >= n
+}
+
+// fill reads until n bytes are buffered at rd. Before the first Read it moves
+// the partial frame to the front of a buffer that holds n bytes, so every
+// Read has the whole remaining buffer to fill; a buffer too small for n at
+// least doubles, so rising frame sizes reallocate O(log) times and a frame of
+// the working size leaves room to read ahead. An EOF with part of a frame
+// buffered is io.ErrUnexpectedEOF.
+func (fr *FrameReader) fill(n int) error {
+	if fr.wr-fr.rd >= n {
+		return nil
+	}
+	to := fr.buf
+	if n > len(to) {
+		to = make([]byte, min(max(n, 2*len(to)), 4+fr.max))
+	}
+	fr.wr = copy(to, fr.buf[fr.rd:fr.wr])
+	fr.rd, fr.buf = 0, to
+	for fr.wr < n {
+		m, err := fr.r.Read(fr.buf[fr.wr:])
+		fr.wr += m
+		if err != nil && fr.wr < n {
+			if err == io.EOF && fr.wr > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
 }

@@ -23,7 +23,9 @@ const (
 	SpanWire
 	// SpanDecide: backend execution — engine.DecideBatch across the shards.
 	SpanDecide
-	// SpanEncode: reply encoding + socket write on the server.
+	// SpanEncode: reply encoding on the server. The socket write follows
+	// once the connection has no further request buffered and is not in
+	// the span; SpanReply, on the client clock, covers it.
 	SpanEncode
 	// SpanReply: reply flight + client-side demux (server done -> caller
 	// woken with the decoded ids).
