@@ -51,7 +51,9 @@ check-race-depth:
 
 # check-debug re-runs the suite with the thanosdebug build tag: SMBM
 # re-verifies per-dimension sortedness and the id<->metric pointer bijection
-# after every mutating op, and thanoslint analyzes the tagged file set.
+# after every mutating op, the interpreter leases the tables Exec hands out
+# (a stale read or a write-through panics), and thanoslint analyzes the
+# tagged file set.
 check-debug:
 	$(GO) run ./cmd/thanoslint -debug .
 	$(GO) test -tags thanosdebug ./...

@@ -12,16 +12,20 @@ import (
 	thanos "repro"
 )
 
-func buildDecideModule(t testing.TB) *thanos.FilterModule {
-	m, err := thanos.NewFilterModule(thanos.ModuleConfig{
-		Capacity: 128,
-		Schema:   thanos.Schema{Attrs: []string{"cpu", "mem", "bw"}},
-		Policy: thanos.MustParsePolicy(`
+var decideSchema = thanos.Schema{Attrs: []string{"cpu", "mem", "bw"}}
+
+const decidePolicy = `
 let ok = intersect(filter(table, cpu < 70), filter(table, mem > 1024), filter(table, bw > 2000))
 out primary = random(ok)
 out backup  = random(table)
 fallback primary -> backup
-`),
+`
+
+func buildDecideModule(t testing.TB) *thanos.FilterModule {
+	m, err := thanos.NewFilterModule(thanos.ModuleConfig{
+		Capacity: 128,
+		Schema:   decideSchema,
+		Policy:   thanos.MustParsePolicy(decidePolicy),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,5 +77,37 @@ func TestFilterModuleProcessZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Update+Process allocates %.1f times per packet, want 0", allocs)
+	}
+}
+
+// TestModuleDecideZeroAlloc asserts the interpreted per-packet path — the
+// id-carrying Interp.Decide that Module.Decide and the sharded engine share
+// (dynamic phase, fallback resolution on ids) — is allocation-free in steady
+// state, with a table write between packets re-running the static phase.
+func TestModuleDecideZeroAlloc(t *testing.T) {
+	m, err := thanos.NewModule(128, decideSchema, thanos.MustParsePolicy(decidePolicy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(1))
+	for id := 0; id < 128; id++ {
+		if err := m.Upsert(id, []int64{int64(r.Intn(100)), int64(r.Intn(8192)), int64(r.Intn(10000))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		i++
+		if i%8 == 0 {
+			if err := m.Table.Update(i%128, []int64{int64(i % 97), 2048, 4000}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, ok := m.Decide(); !ok {
+			t.Fatal("no decision")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Module.Decide allocates %.1f times per packet, want 0", allocs)
 	}
 }

@@ -20,6 +20,7 @@ const wordBits = 64
 // Vector is a fixed-width bit vector. Bit i set means resource id i is
 // present in the encoded table.
 type Vector struct {
+	lease // thanosdebug builds only: see debug_on.go
 	n     int
 	words []uint64
 }
@@ -57,24 +58,28 @@ func (v *Vector) Len() int { return v.n }
 
 // Set sets bit i. It panics if i is out of range.
 func (v *Vector) Set(i int) {
+	v.live()
 	v.check(i)
 	v.words[i/wordBits] |= 1 << uint(i%wordBits)
 }
 
 // Clear clears bit i. It panics if i is out of range.
 func (v *Vector) Clear(i int) {
+	v.live()
 	v.check(i)
 	v.words[i/wordBits] &^= 1 << uint(i%wordBits)
 }
 
 // Get reports whether bit i is set. It panics if i is out of range.
 func (v *Vector) Get(i int) bool {
+	v.live()
 	v.check(i)
 	return v.words[i/wordBits]&(1<<uint(i%wordBits)) != 0
 }
 
 // Count returns the number of set bits (table cardinality).
 func (v *Vector) Count() int {
+	v.live()
 	c := 0
 	for _, w := range v.words {
 		c += bits.OnesCount64(w)
@@ -84,6 +89,7 @@ func (v *Vector) Count() int {
 
 // Any reports whether any bit is set (the table is non-empty).
 func (v *Vector) Any() bool {
+	v.live()
 	for _, w := range v.words {
 		if w != 0 {
 			return true
@@ -97,6 +103,7 @@ func (v *Vector) None() bool { return !v.Any() }
 
 // Reset clears every bit in place.
 func (v *Vector) Reset() {
+	v.live()
 	for i := range v.words {
 		v.words[i] = 0
 	}
@@ -104,6 +111,7 @@ func (v *Vector) Reset() {
 
 // Clone returns a copy of v.
 func (v *Vector) Clone() *Vector {
+	v.live()
 	w := New(v.n)
 	copy(w.words, v.words)
 	return w
@@ -111,6 +119,8 @@ func (v *Vector) Clone() *Vector {
 
 // CopyFrom overwrites v with the contents of src. Widths must match.
 func (v *Vector) CopyFrom(src *Vector) {
+	v.live()
+	src.live()
 	v.match(src)
 	copy(v.words, src.words)
 }
@@ -118,6 +128,9 @@ func (v *Vector) CopyFrom(src *Vector) {
 // Or sets v = a | b (set union). All three must have equal width; v may
 // alias a or b.
 func (v *Vector) Or(a, b *Vector) {
+	v.live()
+	a.live()
+	b.live()
 	v.match(a)
 	v.match(b)
 	for i := range v.words {
@@ -127,6 +140,9 @@ func (v *Vector) Or(a, b *Vector) {
 
 // And sets v = a & b (set intersection). v may alias a or b.
 func (v *Vector) And(a, b *Vector) {
+	v.live()
+	a.live()
+	b.live()
 	v.match(a)
 	v.match(b)
 	for i := range v.words {
@@ -136,6 +152,9 @@ func (v *Vector) And(a, b *Vector) {
 
 // AndNot sets v = a &^ b (set difference). v may alias a or b.
 func (v *Vector) AndNot(a, b *Vector) {
+	v.live()
+	a.live()
+	b.live()
 	v.match(a)
 	v.match(b)
 	for i := range v.words {
@@ -146,6 +165,8 @@ func (v *Vector) AndNot(a, b *Vector) {
 // Not sets v = ^a restricted to the vector width (set complement within the
 // resource-id universe). v may alias a.
 func (v *Vector) Not(a *Vector) {
+	v.live()
+	a.live()
 	v.match(a)
 	for i := range v.words {
 		v.words[i] = ^a.words[i]
@@ -155,6 +176,8 @@ func (v *Vector) Not(a *Vector) {
 
 // Equal reports whether v and o have the same width and contents.
 func (v *Vector) Equal(o *Vector) bool {
+	v.live()
+	o.live()
 	if v.n != o.n {
 		return false
 	}
@@ -168,6 +191,8 @@ func (v *Vector) Equal(o *Vector) bool {
 
 // IsSubset reports whether every bit set in v is also set in o.
 func (v *Vector) IsSubset(o *Vector) bool {
+	v.live()
+	o.live()
 	v.match(o)
 	for i := range v.words {
 		if v.words[i]&^o.words[i] != 0 {
@@ -180,6 +205,7 @@ func (v *Vector) IsSubset(o *Vector) bool {
 // FirstSet returns the index of the lowest set bit, behaving like the
 // hardware priority encoder in §5.2.1. It returns -1 if no bit is set.
 func (v *Vector) FirstSet() int {
+	v.live()
 	for i, w := range v.words {
 		if w != 0 {
 			return i*wordBits + bits.TrailingZeros64(w)
@@ -191,6 +217,7 @@ func (v *Vector) FirstSet() int {
 // LastSet returns the index of the highest set bit (the "last 1" priority
 // encoder used by the max operator). It returns -1 if no bit is set.
 func (v *Vector) LastSet() int {
+	v.live()
 	for i := len(v.words) - 1; i >= 0; i-- {
 		if w := v.words[i]; w != 0 {
 			return i*wordBits + bits.Len64(w) - 1
@@ -206,6 +233,7 @@ func (v *Vector) LastSet() int {
 // encoder). It returns -1 if no bit is set. It panics if start is out of
 // range.
 func (v *Vector) NextSetCyclic(start int) int {
+	v.live()
 	v.check(start)
 	// Scan [start, n).
 	wi := start / wordBits
@@ -233,6 +261,7 @@ func (v *Vector) NextSetCyclic(start int) int {
 // IDs returns the indices of all set bits in increasing order. The result
 // is freshly allocated.
 func (v *Vector) IDs() []int {
+	v.live()
 	ids := make([]int, 0, v.Count())
 	for i, w := range v.words {
 		for w != 0 {

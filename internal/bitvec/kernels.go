@@ -12,6 +12,7 @@ import "math/bits"
 // Rank returns the number of set bits in positions [0, i). Rank(Len())
 // equals Count(). It panics if i is outside [0, Len()].
 func (v *Vector) Rank(i int) int {
+	v.live()
 	if i < 0 || i > v.n {
 		panic("bitvec: rank index out of range")
 	}
@@ -30,6 +31,7 @@ func (v *Vector) Rank(i int) int {
 // Rank: Rank(Select(k)) == k for every k < Count(). It returns -1 if fewer
 // than k+1 bits are set, and panics if k < 0.
 func (v *Vector) Select(k int) int {
+	v.live()
 	if k < 0 {
 		panic("bitvec: negative select rank")
 	}
@@ -61,6 +63,8 @@ func selectWord(w uint64, k int) int {
 
 // AndCount returns Count(a&b) without materializing the intersection.
 func AndCount(a, b *Vector) int {
+	a.live()
+	b.live()
 	a.match(b)
 	c := 0
 	for i, w := range a.words {
@@ -71,6 +75,8 @@ func AndCount(a, b *Vector) int {
 
 // AndAny reports whether a&b has any set bit.
 func AndAny(a, b *Vector) bool {
+	a.live()
+	b.live()
 	a.match(b)
 	for i, w := range a.words {
 		if w&b.words[i] != 0 {
@@ -84,6 +90,8 @@ func AndAny(a, b *Vector) bool {
 // intersection: the fused mask-then-priority-encode micro-op of the UFPU
 // select path. It returns -1 if the intersection is empty.
 func AndFirstSet(a, b *Vector) int {
+	a.live()
+	b.live()
 	a.match(b)
 	for i, w := range a.words {
 		if m := w & b.words[i]; m != 0 {
@@ -96,6 +104,8 @@ func AndFirstSet(a, b *Vector) int {
 // AndLastSet returns LastSet(a&b) without materializing the intersection.
 // It returns -1 if the intersection is empty.
 func AndLastSet(a, b *Vector) int {
+	a.live()
+	b.live()
 	a.match(b)
 	for i := len(a.words) - 1; i >= 0; i-- {
 		if m := a.words[i] & b.words[i]; m != 0 {
@@ -107,6 +117,8 @@ func AndLastSet(a, b *Vector) int {
 
 // AndSelect returns Select(a&b, k) without materializing the intersection.
 func AndSelect(a, b *Vector, k int) int {
+	a.live()
+	b.live()
 	a.match(b)
 	if k < 0 {
 		panic("bitvec: negative select rank")
@@ -127,6 +139,8 @@ func AndSelect(a, b *Vector, k int) int {
 // round-robin and random select operators. It returns -1 if the
 // intersection is empty and panics if start is out of range.
 func AndNextSetCyclic(a, b *Vector, start int) int {
+	a.live()
+	b.live()
 	a.match(b)
 	a.check(start)
 	wi := start / wordBits
@@ -155,7 +169,9 @@ func (v *Vector) AndInto(srcs ...*Vector) {
 	if len(srcs) == 0 {
 		panic("bitvec: AndInto with no sources")
 	}
+	v.live()
 	for _, s := range srcs {
+		s.live()
 		v.match(s)
 	}
 	first := srcs[0]
@@ -173,6 +189,9 @@ func (v *Vector) AndInto(srcs ...*Vector) {
 // (Equation 1): acc |= src and rem &^= src, reading src once. All three
 // must have equal width.
 func OrAndNot(acc, rem, src *Vector) {
+	acc.live()
+	rem.live()
+	src.live()
 	acc.match(src)
 	rem.match(src)
 	for i, w := range src.words {
@@ -193,7 +212,10 @@ func (v *Vector) NumWords() int { return len(v.words) }
 //			...
 //		}
 //	}
-func (v *Vector) Word(i int) uint64 { return v.words[i] }
+func (v *Vector) Word(i int) uint64 {
+	v.live()
+	return v.words[i]
+}
 
 // wordStride is the word count every arena slot is rounded up to: 8 words
 // = 64 bytes = one cache line, so vectors in a batch never share a line.

@@ -154,11 +154,6 @@ const DefaultTraceCapacity = 256
 type snapshot struct {
 	table  *smbm.SMBM
 	interp *policy.Interp
-	// pol is the policy the interpreter was built from. It rides inside the
-	// snapshot so a policy hot-swap (SwapPolicy) replaces the program and its
-	// fallback table in one pointer store: a decision resolving fallbacks
-	// always uses the policy its interpreter was built for.
-	pol *policy.Policy
 }
 
 // shard is one pipeline replica: its snapshot and the lock under which
@@ -516,11 +511,11 @@ func (s *shard) process(pkts []Packet, tag int) (failed uint64) {
 	defer s.mu.Unlock()
 	st := s.snap
 	// A packet naming an output the current policy does not have fails in
-	// place (ID=-1, OK=false) instead of panicking in Resolve: with policy
-	// hot-swaps a caller's view of the output count is inherently racy, so an
-	// out-of-range index is a degradation, not a programming error. A closed
-	// shard has no outputs to offer at all.
-	nOut := len(st.pol.Outputs)
+	// place (ID=-1, OK=false) instead of panicking in the interpreter: with
+	// policy hot-swaps a caller's view of the output count is inherently racy,
+	// so an out-of-range index is a degradation, not a programming error. A
+	// closed shard has no outputs to offer at all.
+	nOut := len(st.interp.Policy().Outputs)
 	if s.closed {
 		nOut = 0
 	}
@@ -546,9 +541,7 @@ func (s *shard) process(pkts []Packet, tag int) (failed uint64) {
 			continue
 		}
 		tr := s.tracer.Sample()
-		outs := st.interp.ExecTraced(tr)
-		res := policy.Resolve(st.pol, outs, p.Out)
-		p.ID = res.FirstSet()
+		p.ID = st.interp.Decide(tr, p.Out)
 		p.OK = p.ID >= 0
 		dec++
 		if !p.OK {

@@ -83,7 +83,7 @@ func (s *shard) newSnapshot(t *smbm.SMBM, schema policy.Schema, pol *policy.Poli
 	if s.chainTel != nil && s.chainTel.Steps() == it.Steps() {
 		it.AttachTelemetry(s.chainTel)
 	}
-	return &snapshot{table: t, interp: it, pol: pol}, nil
+	return &snapshot{table: t, interp: it}, nil
 }
 
 // publish replaces the shard's snapshot with one built beforehand: the shard

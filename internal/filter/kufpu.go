@@ -66,6 +66,9 @@ func NewKUFPU(table *smbm.SMBM, maxLen int, cfg UFPUConfig) (*KUFPU, error) {
 // Cell sizing — the number of UFPUs instantiated).
 func (k *KUFPU) MaxLen() int { return len(k.units) }
 
+// Unit returns the chain's i-th UFPU. A chain run with K=1 is its unit 0.
+func (k *KUFPU) Unit(i int) *UFPU { return k.units[i] }
+
 // Table returns the resource table the chain is bound to.
 func (k *KUFPU) Table() *smbm.SMBM { return k.table }
 

@@ -59,6 +59,10 @@ func (op UnaryOp) Stateful() bool {
 	return op == URoundRobin || op == URandom
 }
 
+// Selects reports whether the opcode picks at most one entry, so that its
+// output is fully described by an id (see UFPU.Select).
+func (op UnaryOp) Selects() bool { return op >= UMin && op <= URandom }
+
 // BinaryOp selects the operation a BFPU performs (§4.1.2).
 type BinaryOp uint8
 

@@ -33,7 +33,8 @@ type UFPUConfig struct {
 type UFPU struct {
 	cfg    UFPUConfig
 	table  *smbm.SMBM
-	lfsr   *hw.LFSR
+	lfsr   hw.LFSR
+	below  hw.Range // random only: the LFSR reduction into [0, N)
 	lastID int
 	w      int64
 	clock  hw.Clock
@@ -65,8 +66,11 @@ func NewUFPU(table *smbm.SMBM, cfg UFPUConfig) (*UFPU, error) {
 		return nil, fmt.Errorf("filter: invalid unary opcode %d", cfg.Op)
 	}
 	u := &UFPU{cfg: cfg, table: table, lfsr: hw.NewLFSR(cfg.Seed), lastID: -1}
-	if cfg.Op == UPredicate {
+	switch cfg.Op {
+	case UPredicate:
 		u.sat = bitvec.New(table.Capacity())
+	case URandom:
+		u.below = hw.NewRange(table.Capacity())
 	}
 	return u, nil
 }
@@ -102,34 +106,61 @@ func (u *UFPU) Exec(in *bitvec.Vector) *bitvec.Vector {
 //
 //thanos:hotpath
 func (u *UFPU) ExecInto(out, in *bitvec.Vector) {
-	if in.Len() != u.table.Capacity() {
-		panic(fmt.Sprintf("filter: input width %d != table capacity %d", in.Len(), u.table.Capacity()))
+	if u.cfg.Op.Selects() {
+		// A selection opcode ends in a priority encoder; the output bus is
+		// its index decoded back to one-hot.
+		out.Reset()
+		if id := u.Select(in); id >= 0 {
+			out.Set(id)
+		}
+		return
 	}
+	u.checkWidth(in)
 	u.clock.Tick(UFPUCycles)
-
-	switch u.cfg.Op {
-	case UNoOp:
+	if u.cfg.Op == UNoOp {
 		out.CopyFrom(in)
 		return
 	}
-	out.Reset()
+	// Predicate. Cycle 1: copy the attrX dimension into a temp list, masking
+	// entries whose resource is absent from the input vector. Cycle 2: apply
+	// the predicate to each valid entry in parallel and set output bits
+	// through the reverse map.
+	//
+	// The comparator outputs depend only on table contents, so the model
+	// caches them as a satisfying-set vector keyed on the table's version
+	// counter: between writes, the two hardware cycles reduce to one
+	// word-parallel AND.
+	if !u.satFresh || u.satVersion != u.table.Version() {
+		u.rebuildSat()
+	}
+	out.And(in, u.sat)
+}
 
+// checkWidth panics unless in is as wide as the table. The message is built
+// out of line (badWidth), in the failing branch only, so the check inlines.
+func (u *UFPU) checkWidth(in *bitvec.Vector) {
+	if in.Len() != u.table.Capacity() {
+		u.badWidth(in)
+	}
+}
+
+//go:noinline
+func (u *UFPU) badWidth(in *bitvec.Vector) {
+	panic(fmt.Sprintf("filter: input width %d != table capacity %d", in.Len(), u.table.Capacity()))
+}
+
+// Select executes a selection opcode (min, max, round-robin, random) and
+// returns the id it picks — the log2(N)-bit index the unit's priority
+// encoder emits (§5.2.1) — or -1 when no input entry is a live member. It is
+// the one implementation of those opcodes: ExecInto decodes its result. It
+// panics on no-op and predicate, whose outputs are sets.
+//
+//thanos:hotpath
+func (u *UFPU) Select(in *bitvec.Vector) int {
+	u.checkWidth(in)
+	u.clock.Tick(UFPUCycles)
+	mem := u.table.MembersView()
 	switch u.cfg.Op {
-	case UPredicate:
-		// Cycle 1: copy the attrX dimension into a temp list, masking
-		// entries whose resource is absent from the input vector.
-		// Cycle 2: apply the predicate to each valid entry in parallel and
-		// set output bits through the reverse map.
-		//
-		// The comparator outputs depend only on table contents, so the
-		// model caches them as a satisfying-set vector keyed on the
-		// table's version counter: between writes, the two hardware
-		// cycles reduce to one word-parallel AND.
-		if !u.satFresh || u.satVersion != u.table.Version() {
-			u.rebuildSat()
-		}
-		out.And(in, u.sat)
-
 	case UMin, UMax:
 		// Cycle 1: copy sorted attrX list with masking. Cycle 2: priority-
 		// encode the first (min) or last (max) valid entry. Equivalent to
@@ -137,7 +168,6 @@ func (u *UFPU) ExecInto(out, in *bitvec.Vector) {
 		// both the input and the table, select the one with the smallest
 		// (min) or largest (max) sorted position — computed in O(popcount)
 		// via the id-indexed position column instead of an O(N) scan.
-		mem := u.table.MembersView()
 		bestPos, bestID := -1, -1
 		for wi, nw := 0, in.NumWords(); wi < nw; wi++ {
 			for m := in.Word(wi) & mem.Word(wi); m != 0; m &= m - 1 {
@@ -148,12 +178,10 @@ func (u *UFPU) ExecInto(out, in *bitvec.Vector) {
 				}
 			}
 		}
-		if bestID >= 0 {
-			out.Set(bestID)
-		}
+		return bestID
 
 	case URoundRobin:
-		u.execRoundRobin(in, out)
+		return u.selectRoundRobin(in, mem)
 
 	case URandom:
 		// Cycle 1: LFSR produces a random index r. Cycle 2: if in[r] is
@@ -161,14 +189,13 @@ func (u *UFPU) ExecInto(out, in *bitvec.Vector) {
 		// the first set bit of the masked input cyclically after r. The
 		// membership mask fuses into the rotated priority encode, so no
 		// intermediate in ∧ members vector is materialized.
-		r := u.lfsr.NextBelow(in.Len())
-		mem := u.table.MembersView()
-		if in.Get(r) && mem.Get(r) {
-			out.Set(r)
-		} else if i := hw.PriorityEncodeRotatedAnd(in, mem, r); i >= 0 {
-			out.Set(i)
+		r := u.lfsr.NextBelow(u.below)
+		if in.Word(r/64)&mem.Word(r/64)>>uint(r%64)&1 != 0 {
+			return r
 		}
+		return hw.PriorityEncodeRotatedAnd(in, mem, r)
 	}
+	panic("filter: Select on set-valued opcode " + u.cfg.Op.String())
 }
 
 // rebuildSat recomputes the predicate satisfying set from the sorted attrX
@@ -186,7 +213,7 @@ func (u *UFPU) rebuildSat() {
 	u.satVersion, u.satFresh = u.table.Version(), true
 }
 
-// execRoundRobin implements the weighted round-robin datapath of §5.2.1.
+// selectRoundRobin implements the weighted round-robin datapath of §5.2.1.
 // The unit holds <last_id, w>: the last selected resource and how many times
 // in a row it has been selected. While last_id remains a valid input and
 // w ≤ weight(last_id) (weight = its attrX value), last_id is re-selected;
@@ -202,23 +229,20 @@ func (u *UFPU) rebuildSat() {
 // last_id+1 so the encoder returns the next *different* valid id (wrapping
 // back to last_id only if it is the sole valid input), which is the
 // behaviour the surrounding text describes.
-func (u *UFPU) execRoundRobin(in, out *bitvec.Vector) {
-	mem := u.table.MembersView()
-	if !bitvec.AndAny(in, mem) {
-		return
-	}
+func (u *UFPU) selectRoundRobin(in, mem *bitvec.Vector) int {
 	if u.lastID >= 0 && in.Get(u.lastID) && mem.Get(u.lastID) && u.w <= u.weightOf(u.lastID) {
-		out.Set(u.lastID)
 		u.w++
-		return
+		return u.lastID
 	}
 	start := 0
 	if u.lastID >= 0 {
 		start = (u.lastID + 1) % in.Len()
 	}
 	i := hw.PriorityEncodeRotatedAnd(in, mem, start)
-	out.Set(i)
-	u.lastID, u.w = i, 1
+	if i >= 0 {
+		u.lastID, u.w = i, 1
+	}
+	return i
 }
 
 // weightOf returns a resource's round-robin weight (its attrX value), or 0

@@ -1,6 +1,6 @@
 // Package hw models the low-level hardware primitives that Thanos's filter
 // module is built from: linear-feedback shift registers (the random-number
-// source in §5.2.1), priority encoders (first/last-one detectors), and a
+// source in §5.2.1), the masked rotated priority encoder, and a
 // clock-cycle accounting helper used by the cycle-accurate functional models
 // of SMBM, UFPU and BFPU.
 //
@@ -38,78 +38,63 @@ type LFSR struct {
 
 // NewLFSR returns an LFSR seeded with the given value; a zero seed is
 // replaced with 1 because the all-zero state is a fixed point.
-func NewLFSR(seed uint16) *LFSR {
+func NewLFSR(seed uint16) LFSR {
 	if seed == 0 {
 		seed = 1
 	}
-	return &LFSR{state: seed}
+	return LFSR{state: seed}
 }
 
-// Next advances the register one step and returns the new state.
+// Next advances the register one step and returns the new state. The taps
+// are gated by the shifted-out bit with a mask, not a branch: that bit is
+// the random stream itself, so a branch on it mispredicts every other step.
 func (l *LFSR) Next() uint16 {
 	lsb := l.state & 1
-	l.state >>= 1
-	if lsb != 0 {
-		l.state ^= 0xB400
-	}
+	l.state = l.state>>1 ^ (-lsb & 0xB400)
 	return l.state
 }
 
-// NextBelow returns a pseudo-random value in [0, n) by rejection-free
-// modulo, matching the single-cycle index generation in §5.2.1 ("generate a
-// random number r between 0 and N-1 using a standard random number generator
-// such as LFSR"). It panics if n <= 0.
-//
-// The remainder is taken in uint32: the state is 16 bits wide, and a 64-bit
-// signed division per random unit per packet was a fifth of a 1024-resource
-// load-balancing decision. An n past the state's range leaves it unchanged.
-func (l *LFSR) NextBelow(n int) int {
-	if n <= 0 {
-		panic("hw: NextBelow requires n > 0")
-	}
-	r := uint32(l.Next())
-	if n <= 0xFFFF {
-		r %= uint32(n)
-	}
-	return int(r)
+// Range is the reduction of a 16-bit LFSR state into [0, n), precomputed
+// because a random unit's N is wired at configuration time: per packet it
+// costs a mask (n a power of two, or past the state's range, which leaves
+// the state as it is) or two multiplies by a reciprocal that is exact for
+// every 16-bit state — never a divide.
+type Range struct {
+	n, recip, mask uint32 // recip == 0 selects the mask
 }
 
-// PriorityEncodeFirst returns the index of the first (lowest-index) set bit
-// in v, or -1 if none: the classic priority encoder. This is a thin wrapper
-// so the filter units read like the paper's datapath descriptions.
-func PriorityEncodeFirst(v *bitvec.Vector) int { return v.FirstSet() }
-
-// PriorityEncodeLast returns the index of the last (highest-index) set bit
-// in v, or -1 if none: the reversed priority encoder used by the max
-// operator.
-func PriorityEncodeLast(v *bitvec.Vector) int { return v.LastSet() }
-
-// PriorityEncodeRotated returns the index of the first set bit of v when the
-// vector is rotated so position start comes first — i.e. the hardware feeds
-// {v[start:N-1], v[0:start-1]} into a priority encoder (§5.2.1, round-robin
-// and random operators). Returns -1 if v is empty.
-func PriorityEncodeRotated(v *bitvec.Vector, start int) int {
-	return v.NextSetCyclic(start)
+// NewRange precomputes the reduction into [0, n). It panics if n <= 0.
+func NewRange(n int) Range {
+	switch {
+	case n <= 0:
+		panic("hw: NewRange requires n > 0")
+	case n > 0xFFFF:
+		return Range{mask: 0xFFFF}
+	case n&(n-1) == 0:
+		return Range{mask: uint32(n - 1)}
+	}
+	return Range{n: uint32(n), recip: ^uint32(0)/uint32(n) + 1}
 }
 
-// The And variants below model an AND gate array feeding a priority encoder
-// — the masked temp_list datapath of §5.2.1 where the input table is gated
-// by table membership before the encode. They are word-parallel fusions:
-// equivalent to materializing a ∧ b and encoding it, without writing the
-// intermediate vector, so the software model's select path stays as flat as
-// the combinational logic it mirrors.
+// NextBelow advances the register and returns int(Next()) % n for r's n,
+// the single-cycle index generation of §5.2.1 ("generate a random number r
+// between 0 and N-1 using a standard random number generator such as LFSR").
+func (l *LFSR) NextBelow(r Range) int {
+	x := uint32(l.Next())
+	if r.recip == 0 {
+		return int(x & r.mask)
+	}
+	// The low word of x*recip is the fraction of x/n scaled by 2^32; times n,
+	// its high word is the remainder.
+	return int(uint64(x*r.recip) * uint64(r.n) >> 32)
+}
 
-// PriorityEncodeFirstAnd returns the index of the first set bit of a ∧ b,
-// or -1 if the intersection is empty.
-func PriorityEncodeFirstAnd(a, b *bitvec.Vector) int { return bitvec.AndFirstSet(a, b) }
-
-// PriorityEncodeLastAnd returns the index of the last set bit of a ∧ b, or
-// -1 if the intersection is empty.
-func PriorityEncodeLastAnd(a, b *bitvec.Vector) int { return bitvec.AndLastSet(a, b) }
-
-// PriorityEncodeRotatedAnd is PriorityEncodeRotated over a ∧ b: the first
-// set bit of the intersection at or cyclically after start, or -1 if the
-// intersection is empty.
+// PriorityEncodeRotatedAnd models an AND gate array feeding a rotated
+// priority encoder — the masked temp_list datapath of §5.2.1, where the input
+// table is gated by table membership and {v[start:N-1], v[0:start-1]} is
+// encoded (round-robin and random operators). It returns the first set bit of
+// a ∧ b at or cyclically after start, or -1 if the intersection is empty,
+// without writing the intermediate vector.
 func PriorityEncodeRotatedAnd(a, b *bitvec.Vector, start int) int {
 	return bitvec.AndNextSetCyclic(a, b, start)
 }

@@ -51,7 +51,7 @@ func TestLFSRNextBelow(t *testing.T) {
 	l := NewLFSR(7)
 	counts := make([]int, 8)
 	for i := 0; i < 8000; i++ {
-		r := l.NextBelow(8)
+		r := l.NextBelow(NewRange(8))
 		if r < 0 || r >= 8 {
 			t.Fatalf("NextBelow(8) = %d out of range", r)
 		}
@@ -67,62 +67,69 @@ func TestLFSRNextBelow(t *testing.T) {
 
 // TestLFSRNextBelowGolden pins the index sequence: every random unit's
 // picks — and through them every seeded simulation result — depend on it.
-// The golden values were produced by the original int(l.Next()) % n.
+// The golden values were produced by the original int(l.Next()) % n, and
+// the precomputed reduction (mask, reciprocal or pass-through) must equal
+// that remainder on every one of the register's 65 535 states.
 func TestLFSRNextBelowGolden(t *testing.T) {
-	golden := []struct {
-		n    int
-		want []int
-	}{
-		{1, []int{0, 0, 0, 0, 0, 0, 0, 0}},
-		{3, []int{2, 1, 2, 1, 2, 0, 2, 0}},
-		{64, []int{48, 56, 28, 14, 39, 19, 9, 4}},
-		{1000, []int{968, 984, 492, 246, 623, 843, 809, 860}},
-		{1024, []int{624, 312, 156, 78, 551, 787, 393, 708}},
-		{65535, []int{57968, 28984, 14492, 7246, 3623, 45843, 60809, 49860}},
-		{1 << 20, []int{57968, 28984, 14492, 7246, 3623, 45843, 60809, 49860}},
+	golden := map[int][]int{
+		1:       {0, 0, 0, 0, 0, 0, 0, 0},
+		3:       {2, 1, 2, 1, 2, 0, 2, 0},
+		64:      {48, 56, 28, 14, 39, 19, 9, 4},
+		1000:    {968, 984, 492, 246, 623, 843, 809, 860},
+		1024:    {624, 312, 156, 78, 551, 787, 393, 708},
+		65535:   {57968, 28984, 14492, 7246, 3623, 45843, 60809, 49860},
+		1 << 20: {57968, 28984, 14492, 7246, 3623, 45843, 60809, 49860},
 	}
-	for _, g := range golden {
+	for _, n := range []int{1, 2, 3, 7, 64, 100, 1000, 1024, 4096, 65535, 65536, 100000, 1 << 20} {
+		rng := NewRange(n)
 		l := NewLFSR(0xACE1)
-		for i, want := range g.want {
-			if got := l.NextBelow(g.n); got != want {
-				t.Fatalf("seed 0xACE1 n=%d draw %d = %d, want %d", g.n, i, got, want)
+		for i, want := range golden[n] {
+			if got := l.NextBelow(rng); got != want {
+				t.Fatalf("seed 0xACE1 n=%d draw %d = %d, want %d", n, i, got, want)
 			}
 		}
-		// Over the full period the narrow remainder must equal the wide one.
 		a, b := NewLFSR(0xACE1), NewLFSR(0xACE1)
 		for i := 0; i < 65535; i++ {
-			if got, want := a.NextBelow(g.n), int(b.Next())%g.n; got != want {
-				t.Fatalf("n=%d draw %d = %d, want %d", g.n, i, got, want)
+			if got, want := a.NextBelow(rng), int(b.Next())%n; got != want {
+				t.Fatalf("n=%d draw %d = %d, want %d", n, i, got, want)
 			}
 		}
 	}
 }
 
-func TestLFSRNextBelowPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NextBelow(0) should panic")
+// TestLFSRNextGolden pins the register's own sequence against the textbook
+// branching form of the Galois step.
+func TestLFSRNextGolden(t *testing.T) {
+	l, ref := NewLFSR(0xACE1), uint16(0xACE1)
+	for i := 0; i < 65535; i++ {
+		lsb := ref & 1
+		ref >>= 1
+		if lsb != 0 {
+			ref ^= 0xB400
 		}
-	}()
-	NewLFSR(1).NextBelow(0)
+		if got := l.Next(); got != ref {
+			t.Fatalf("step %d: state %#x, want %#x", i, got, ref)
+		}
+	}
 }
 
-func TestPriorityEncoders(t *testing.T) {
-	v := bitvec.FromIDs(64, 9, 40)
-	if got := PriorityEncodeFirst(v); got != 9 {
-		t.Errorf("first = %d, want 9", got)
+func TestNewRangePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewRange(0) should panic")
+		}
+	}()
+	NewRange(0)
+}
+
+func TestPriorityEncodeRotatedAnd(t *testing.T) {
+	v, mask := bitvec.FromIDs(64, 9, 40, 50), bitvec.FromIDs(64, 9, 40, 63)
+	for start, want := range map[int]int{0: 9, 9: 9, 10: 40, 41: 9, 63: 9} {
+		if got := PriorityEncodeRotatedAnd(v, mask, start); got != want {
+			t.Errorf("rotated(%d) = %d, want %d", start, got, want)
+		}
 	}
-	if got := PriorityEncodeLast(v); got != 40 {
-		t.Errorf("last = %d, want 40", got)
-	}
-	if got := PriorityEncodeRotated(v, 10); got != 40 {
-		t.Errorf("rotated(10) = %d, want 40", got)
-	}
-	if got := PriorityEncodeRotated(v, 41); got != 9 {
-		t.Errorf("rotated(41) = %d, want 9 (wrap)", got)
-	}
-	empty := bitvec.New(64)
-	if got := PriorityEncodeFirst(empty); got != -1 {
-		t.Errorf("first on empty = %d, want -1", got)
+	if got := PriorityEncodeRotatedAnd(v, bitvec.New(64), 3); got != -1 {
+		t.Errorf("empty intersection = %d, want -1", got)
 	}
 }

@@ -44,23 +44,26 @@ func policyStructEqual(p, q *Policy) bool {
 	return true
 }
 
+// fuzzSeeds is FuzzParse's seed corpus; the id-path differential reuses the
+// entries that parse as policies.
+var fuzzSeeds = []string{
+	"out x = table",
+	"policy lb\nlet ok = intersect(filter(table, cpu < 70), filter(table, mem > 1024))\nout primary = random(ok)\nout backup = random(table)\nfallback primary -> backup",
+	"out p = min(union(sample(table, 2), minK(table, qprev, 1)), queue)",
+	"out r = rr(table, weight)",
+	"out k = maxK(table, util, 3)",
+	"out d = diff(filter(table, a >= -5), filter(table, a != 0))\nout e = max(table, a)\nfallback d -> e",
+	"# comment\npolicy p\nout x = filter(table, a <= 10)",
+	"policy", "out", "let x", "out x = ", "out x = min(table", "out x = filter(table, a ? 3)",
+	"out x = unknown(table)", "fallback a -> b", "out x = sample(table, 99999999999999999999)",
+}
+
 // FuzzParse feeds arbitrary byte strings to the DSL parser. The parser must
 // never panic; whenever it accepts an input, the parsed policy must survive
 // a print → reparse round trip structurally intact, and the printer must be
 // a fixpoint (printing the reparsed policy reproduces the same text).
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		"out x = table",
-		"policy lb\nlet ok = intersect(filter(table, cpu < 70), filter(table, mem > 1024))\nout primary = random(ok)\nout backup = random(table)\nfallback primary -> backup",
-		"out p = min(union(sample(table, 2), minK(table, qprev, 1)), queue)",
-		"out r = rr(table, weight)",
-		"out k = maxK(table, util, 3)",
-		"out d = diff(filter(table, a >= -5), filter(table, a != 0))\nout e = max(table, a)\nfallback d -> e",
-		"# comment\npolicy p\nout x = filter(table, a <= 10)",
-		"policy", "out", "let x", "out x = ", "out x = min(table", "out x = filter(table, a ? 3)",
-		"out x = unknown(table)", "fallback a -> b", "out x = sample(table, 99999999999999999999)",
-	}
-	for _, s := range seeds {
+	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

@@ -42,10 +42,11 @@ type Interp struct {
 	prog   []interpStep
 	vals   []*bitvec.Vector // vals[i] = result buffer of step i, fixed at build
 	outIdx []int            // per policy output, its producing step index
-	outs   []*bitvec.Vector // reusable result slice handed out by Exec
+	outs   []*bitvec.Vector // outs[i] = vals[outIdx[i]]: what Exec hands out
 	labels []string         // labels[i] = source expression of step i, for telemetry
 	cycles []uint32         // cycles[i] = modeled latency of step i (§5.2)
 	stats  *telemetry.ChainStats
+	leases bitvec.Lessor // thanosdebug builds only: Exec's views are leased
 
 	// The two phases, as step-index lists in program order (built once, in
 	// NewInterp). A content-static step never reads a content-dynamic one,
@@ -87,8 +88,10 @@ type Interp struct {
 // fused steps reduce a whole intersect chain in one batched AND pass.
 type interpStep struct {
 	kind  stepKind
-	unit  *filter.KUFPU    // stepUnary
+	unit  *filter.KUFPU    // stepUnary, stepSelect
 	k     int              // stepUnary: active chain length
+	sel   *filter.UFPU     // stepSelect: the chain's one unit
+	pick  int              // stepSelect: the id in the step's buffer, -1 when empty
 	bin   *filter.BFPU     // stepBinary
 	a, b  int              // operand step indices (a only, for stepUnary)
 	fsrcs []*bitvec.Vector // stepFused: operand buffers, bound at build
@@ -99,6 +102,9 @@ type stepKind uint8
 const (
 	stepTable stepKind = iota
 	stepUnary
+	// stepSelect is a K=1 chain of a selection opcode (min, max, rr, random):
+	// the unit emits an id, kept in pick; the buffer is its one-hot decode.
+	stepSelect
 	stepBinary
 	// stepFused is a left-to-right intersect chain collapsed into one
 	// multi-operand AND (bitvec.AndInto): out = src0 ∧ src1 ∧ ... ∧ srcN.
@@ -163,6 +169,18 @@ func NewInterp(table *smbm.SMBM, schema Schema, p *Policy) (*Interp, error) {
 	// fixed table version — true iff a stateful unit (random, round-robin)
 	// is, or feeds, the step. It decides the step's phase.
 	var dynContent []bool
+	// emit appends one step — its instruction, result buffer, modeled cycles
+	// and the two phase classes — and returns its index.
+	emit := func(e Expr, st interpStep, buf *bitvec.Vector, cycles uint64, dyn, dynPop bool) (int, error) {
+		idx[e] = len(it.prog)
+		it.prog = append(it.prog, st)
+		it.vals = append(it.vals, buf)
+		it.labels = append(it.labels, e.String())
+		it.cycles = append(it.cycles, uint32(cycles))
+		dynContent = append(dynContent, dyn)
+		it.dynPop = append(it.dynPop, dynPop)
+		return idx[e], nil
+	}
 	var build func(e Expr) (int, error)
 	build = func(e Expr) (int, error) {
 		if i, done := idx[e]; done {
@@ -170,17 +188,10 @@ func NewInterp(table *smbm.SMBM, schema Schema, p *Policy) (*Interp, error) {
 		}
 		switch n := e.(type) {
 		case *Table:
-			i := len(it.prog)
-			it.prog = append(it.prog, interpStep{kind: stepTable})
 			// The live membership view is stable across Add/Delete, so the
-			// value slot can be bound once at build time.
-			it.vals = append(it.vals, table.MembersView())
-			it.labels = append(it.labels, n.String())
-			it.cycles = append(it.cycles, 0) // the table view is free (§5.1.4)
-			dynContent = append(dynContent, false)
-			it.dynPop = append(it.dynPop, false)
-			idx[e] = i
-			return i, nil
+			// value slot can be bound once at build time, and it is free
+			// (§5.1.4).
+			return emit(e, interpStep{kind: stepTable}, table.MembersView(), 0, false, false)
 		case *Unary:
 			a, err := build(n.Input)
 			if err != nil {
@@ -194,23 +205,19 @@ func NewInterp(table *smbm.SMBM, schema Schema, p *Policy) (*Interp, error) {
 			if err != nil {
 				return 0, err
 			}
-			i := len(it.prog)
-			it.prog = append(it.prog, interpStep{kind: stepUnary, unit: u, k: k, a: a})
-			it.vals = append(it.vals, nextBuf())
-			it.labels = append(it.labels, n.String())
-			it.cycles = append(it.cycles, uint32(u.Latency()))
-			dynContent = append(dynContent, u.Stateful() || dynContent[a])
+			st := interpStep{kind: stepUnary, unit: u, k: k, a: a, pick: -1}
+			if k == 1 && n.Op.Selects() {
+				st.kind, st.sel = stepSelect, u.Unit(0)
+			}
 			// A unary step's popcount varies only when its input's CONTENT
 			// does: every opcode (copy, predicate, or selection) emits a
 			// deterministic count for a fixed input table. No-op forwards
 			// the input unchanged, so it inherits the input's pop class.
+			dynPop := dynContent[a]
 			if n.Op == filter.UNoOp {
-				it.dynPop = append(it.dynPop, it.dynPop[a])
-			} else {
-				it.dynPop = append(it.dynPop, dynContent[a])
+				dynPop = it.dynPop[a]
 			}
-			idx[e] = i
-			return i, nil
+			return emit(e, st, nextBuf(), u.Latency(), u.Stateful() || dynContent[a], dynPop)
 		case *Binary:
 			// An n-ary intersect parses as a left-leaning chain of binary
 			// nodes. When the interior nodes are unshared and not outputs,
@@ -228,16 +235,8 @@ func NewInterp(table *smbm.SMBM, schema Schema, p *Policy) (*Interp, error) {
 					fsrcs[j] = it.vals[li]
 					dyn = dyn || dynContent[li]
 				}
-				i := len(it.prog)
-				it.prog = append(it.prog, interpStep{kind: stepFused, fsrcs: fsrcs})
-				it.vals = append(it.vals, nextBuf())
-				it.labels = append(it.labels, n.String())
 				// Same total as the (len(leaves)-1)-node BFPU chain.
-				it.cycles = append(it.cycles, uint32(len(leaves)-1)*filter.BFPUCycles)
-				dynContent = append(dynContent, dyn)
-				it.dynPop = append(it.dynPop, dyn)
-				idx[e] = i
-				return i, nil
+				return emit(e, interpStep{kind: stepFused, fsrcs: fsrcs}, nextBuf(), uint64(len(leaves)-1)*filter.BFPUCycles, dyn, dyn)
 			}
 			a, err := build(n.Left)
 			if err != nil {
@@ -251,18 +250,10 @@ func NewInterp(table *smbm.SMBM, schema Schema, p *Policy) (*Interp, error) {
 			if err != nil {
 				return 0, err
 			}
-			i := len(it.prog)
-			it.prog = append(it.prog, interpStep{kind: stepBinary, bin: b, a: a, b: bIdx})
-			it.vals = append(it.vals, nextBuf())
-			it.labels = append(it.labels, n.String())
-			it.cycles = append(it.cycles, uint32(filter.BFPUCycles))
 			// A set operation over content-dynamic operands has a
 			// content-dependent (so execution-dependent) result size.
 			dyn := dynContent[a] || dynContent[bIdx]
-			dynContent = append(dynContent, dyn)
-			it.dynPop = append(it.dynPop, dyn)
-			idx[e] = i
-			return i, nil
+			return emit(e, interpStep{kind: stepBinary, bin: b, a: a, b: bIdx}, nextBuf(), filter.BFPUCycles, dyn, dyn)
 		}
 		return 0, fmt.Errorf("policy: unknown expression type %T", e)
 	}
@@ -272,8 +263,8 @@ func NewInterp(table *smbm.SMBM, schema Schema, p *Policy) (*Interp, error) {
 			return nil, err
 		}
 		it.outIdx = append(it.outIdx, si)
+		it.outs = append(it.outs, it.vals[si])
 	}
-	it.outs = make([]*bitvec.Vector, len(p.Outputs))
 	it.cachedPop = make([]uint32, len(it.prog))
 	for i := range it.prog {
 		switch {
@@ -446,33 +437,61 @@ func (it *Interp) FlushStats(n uint64) {
 // subexpressions are evaluated once per call.
 //
 // The returned slice and the vectors it holds are read-only views of the
-// interpreter's own buffers, valid until the next table write or Exec call,
-// whichever comes first. A content-static output's buffer is not rewritten
-// until the table's version moves, so a caller that modified it in place
-// would corrupt every later result at that version: copy (Clone, IDs)
-// anything that must be kept or changed.
+// interpreter's own buffers, valid until the next table write or Exec or
+// Decide call, whichever comes first. A content-static output's buffer is not
+// rewritten until the table's version moves, and a selection output's is only
+// ever patched one bit at a time, so a caller that modified either in place
+// would corrupt every later result: copy (Clone, IDs) anything that must be
+// kept or changed. thanosdebug builds trap both violations (bitvec.Lessor).
 //
 //thanos:hotpath
 func (it *Interp) Exec() []*bitvec.Vector {
-	return it.ExecTraced(nil)
+	it.exec(nil)
+	return it.leases.Lease(it.outs, it.table.DebugVersion())
 }
 
-// ExecTraced is Exec — same two phases, same read-only result views — with
-// provenance: when tr is non-nil the candidate-set popcount after every
-// step is recorded into it, and when chain telemetry is attached each
-// pop-dynamic step's popcount is accumulated for the next FlushStats
-// (pop-static steps are charged wholesale at flush time from cachedPop).
+// Decide executes the policy for one packet and returns the resource id that
+// output out selects after fallback resolution, or -1 when the chain ends
+// empty: Resolve(p, Exec(), out).FirstSet() without moving a vector. Figure
+// 14's MUX stage only asks each table "empty or not", which a selection
+// output's id answers; a set-valued output costs one priority encode. tr,
+// when non-nil, receives the per-step provenance (see exec).
+//
+//thanos:hotpath
+func (it *Interp) Decide(tr *telemetry.Trace, out int) int {
+	it.exec(tr)
+	fb := it.policy.FallbackOf
+	for hops := 0; hops < len(it.outIdx); hops++ { // one hop per output at most: see Resolve
+		si := it.outIdx[out]
+		id := it.prog[si].pick
+		if it.prog[si].kind != stepSelect {
+			id = it.vals[si].FirstSet()
+		}
+		if id >= 0 || fb == nil || fb[out] == -1 {
+			return id
+		}
+		out = fb[out]
+	}
+	return -1
+}
+
+// exec brings every step buffer up to date for one packet. When tr is
+// non-nil the candidate-set popcount after every step is recorded into it,
+// and when chain telemetry is attached each pop-dynamic step's popcount is
+// accumulated for the next FlushStats (pop-static steps are charged
+// wholesale at flush time from cachedPop).
 //
 // The content-static steps run only when the table's version differs from
 // the one their buffers hold; the content-dynamic steps run on every call,
 // in program order, so LFSR and round-robin state advances once per packet
 // exactly as a configured hardware unit's does. Both phases go through the
-// one evaluation loop (run), and the outputs are bit-identical to evaluating
+// one evaluation loop (run), and the buffers are bit-identical to evaluating
 // the whole program every time: a skipped step would have recomputed the
 // buffer it already holds.
 //
 //thanos:hotpath
-func (it *Interp) ExecTraced(tr *telemetry.Trace) []*bitvec.Vector {
+func (it *Interp) exec(tr *telemetry.Trace) {
+	it.leases.Expire()
 	ver := it.table.Version()
 	stale := !it.staticValid || it.staticVersion != ver
 	if stale {
@@ -503,10 +522,6 @@ func (it *Interp) ExecTraced(tr *telemetry.Trace) []*bitvec.Vector {
 			tr.AddStage(it.labels[i], it.vals[i].Count(), uint64(it.cycles[i]))
 		}
 	}
-	for i, si := range it.outIdx {
-		it.outs[i] = it.vals[si]
-	}
-	return it.outs
 }
 
 // run evaluates the listed steps, in list order, each into its own buffer —
@@ -517,6 +532,20 @@ func (it *Interp) run(steps []int) {
 	for _, i := range steps {
 		st := &it.prog[i]
 		switch st.kind {
+		case stepSelect:
+			// Moving one bit keeps the buffer the one-hot table its readers
+			// (later steps, traces, popcounts, Exec's views) expect, without
+			// an N-bit clear per packet.
+			id, prev := st.sel.Select(it.vals[st.a]), st.pick
+			if id != prev {
+				if prev >= 0 {
+					it.vals[i].Clear(prev)
+				}
+				if id >= 0 {
+					it.vals[i].Set(id)
+				}
+				st.pick = id
+			}
 		case stepUnary:
 			st.unit.ExecInto(it.vals[i], it.vals[st.a], st.k)
 		case stepBinary:
@@ -531,7 +560,7 @@ func (it *Interp) run(steps []int) {
 // program (dependency) order, which is deterministic by construction.
 func (it *Interp) ResetState() {
 	for i := range it.prog {
-		if it.prog[i].kind == stepUnary {
+		if it.prog[i].unit != nil {
 			it.prog[i].unit.ResetState()
 		}
 	}

@@ -59,21 +59,19 @@ func (m *Module) Remove(id int) error {
 // even the fallback produced an empty table.
 func (m *Module) Decide() (id int, ok bool) {
 	tr := m.tracer.Sample()
-	outs := m.interp.ExecTraced(tr)
+	id = m.interp.Decide(tr, 0)
 	m.interp.FlushStats(1) // single-threaded module: publish per decision
-	res := Resolve(m.Policy, outs, 0)
+	ok = id >= 0
 	if ds := m.stats; ds != nil {
 		ds.Decisions.Inc()
-	}
-	if !res.Any() {
-		if ds := m.stats; ds != nil {
+		if !ok {
 			ds.Empty.Inc()
 		}
-		tr.Finish(0, -1, false)
+	}
+	tr.Finish(0, id, ok)
+	if !ok {
 		return 0, false
 	}
-	id = res.FirstSet()
-	tr.Finish(0, id, true)
 	return id, true
 }
 

@@ -40,7 +40,7 @@ func TestInterpRunsStaticStepsOncePerVersion(t *testing.T) {
 	nStatic, nDyn := 0, 0
 	for i, label := range it.StepLabels() {
 		perPacket[i] = strings.Contains(label, "random") || strings.Contains(label, "rr(")
-		if it.prog[i].kind == stepUnary || it.prog[i].kind == stepBinary {
+		if it.prog[i].unit != nil || it.prog[i].bin != nil {
 			if perPacket[i] {
 				nDyn++
 			} else {
@@ -60,7 +60,7 @@ func TestInterpRunsStaticStepsOncePerVersion(t *testing.T) {
 			// execution of it charges. Table and fused steps own no unit.
 			var got, per uint64
 			switch st := &it.prog[i]; st.kind {
-			case stepUnary:
+			case stepUnary, stepSelect:
 				got, per = st.unit.Cycles(), uint64(st.k)*filter.UFPUCycles // each active chain unit ticks
 			case stepBinary:
 				got, per = st.bin.Cycles(), filter.BFPUCycles
@@ -111,14 +111,14 @@ func TestInterpTraceOnReusedBuffers(t *testing.T) {
 		it.Exec()
 	}
 	var warm, cold telemetry.Trace
-	it.ExecTraced(&warm) // the n-th execution at this version: static steps skipped
+	it.Decide(&warm, 0) // the n-th execution at this version: static steps skipped
 	it.FlushStats(n)
 
 	fresh, err := NewInterp(table, sch, MustParse(phasePolicy))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh.ExecTraced(&cold)
+	fresh.Decide(&cold, 0)
 
 	if warm.NumStages != cold.NumStages || int(warm.NumStages) != it.Steps() {
 		t.Fatalf("stages: reused %d, fresh %d, steps %d", warm.NumStages, cold.NumStages, it.Steps())

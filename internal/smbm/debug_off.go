@@ -8,3 +8,7 @@ package smbm
 const debugAssertions = false
 
 func (s *SMBM) assertConsistent(op string) {}
+
+// DebugVersion has nothing to offer outside thanosdebug builds; it exists so
+// that callers of bitvec.Lessor compile under both tags.
+func (s *SMBM) DebugVersion() *uint64 { return nil }

@@ -15,3 +15,7 @@ func (s *SMBM) assertConsistent(op string) {
 		panic("smbm: invariant violated after " + op + ": " + err.Error())
 	}
 }
+
+// DebugVersion is the address of the version counter, for debug leases that
+// must end with the next write (bitvec.Lessor) without calling back here.
+func (s *SMBM) DebugVersion() *uint64 { return &s.version }
