@@ -254,21 +254,21 @@ func buildRoutingNet(cfg NetConfig, pol RoutingPolicy) (*routingNet, error) {
 		// loss refresh on the probe/metric tick. Spines the control plane
 		// marked dead keep their pessimal values until revived — a fresh
 		// reading would erase the mark and steer traffic into the fault.
-		uplinkOfQueue := make(map[int]int)
+		uplinkOfQueue := make([]int, leaf.NumPorts()) // port → spine, -1 for host-facing ports
+		for q := range uplinkOfQueue {
+			uplinkOfQueue[q] = -1
+		}
 		for s := 0; s < cfg.Spines; s++ {
 			uplinkOfQueue[clos.UplinkPort(s)] = s
 		}
+		vals := make([]int64, len(routingSchema.Attrs)) // reused: Update copies out of it
 		prev := leaf.Tracker.OnChange
 		leaf.Tracker.OnChange = func(q int, newLen int64) {
 			if prev != nil {
 				prev(q, newLen)
 			}
-			res, ok := uplinkOfQueue[q]
-			if !ok || rn.dead[li][res] {
-				return
-			}
-			vals, ok := module.Table.Metrics(res)
-			if !ok {
+			res := uplinkOfQueue[q]
+			if res < 0 || rn.dead[li][res] || !module.Table.MetricsInto(res, vals) {
 				return
 			}
 			vals[1] = newLen

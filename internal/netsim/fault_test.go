@@ -108,7 +108,7 @@ func TestPortSetDownFlushesQueue(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		port.Send(&Packet{FlowID: 1, Src: 0, Dst: 1, Seq: i, Bytes: cfg.MTU})
 	}
-	queued := uint64(len(port.queue))
+	queued := uint64(port.queue.n)
 	if queued == 0 {
 		t.Fatal("queue empty; test needs backlog")
 	}

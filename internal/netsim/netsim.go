@@ -101,12 +101,19 @@ type Port struct {
 	lp    *lp // owning logical process; nil in the serial driver
 
 	peer      *Port
-	peerPort  int
 	propDelay sim.Time // one-way propagation latency of this direction
 	mbox      *mailbox // cross-LP handoff for deliveries; nil when peer is local
 
-	queue     []*Packet
-	busy      bool
+	// A port serializes one packet at a time and a direction of a link is
+	// FIFO (constant propagation delay, arrivals ≥ 1 ns apart; see pri.go),
+	// so what the two per-hop events act on is state of the port, not of a
+	// closure per packet: txDone finishes tx, rxDone takes the head of wire.
+	queue  pktFIFO // waiting for the transmitter
+	tx     *Packet // being serialized; nil when the transmitter is idle
+	wire   pktFIFO // propagating towards this port, in arrival order
+	txDone func()  // p.finishTx, built once
+	rxDone func()  // p.receive, built once
+
 	down      bool // link fault: transmitter refuses traffic
 	sentBytes uint64
 	sentPkts  uint64
@@ -129,10 +136,10 @@ type Port struct {
 // QueueLen returns the current output-queue occupancy in packets (including
 // the packet being serialized).
 func (p *Port) QueueLen() int {
-	if p.busy {
-		return len(p.queue) + 1
+	if p.tx != nil {
+		return p.queue.n + 1
 	}
-	return len(p.queue)
+	return p.queue.n
 }
 
 // Drops returns the cumulative packets dropped at this port.
@@ -176,16 +183,15 @@ func (p *Port) SetDown(down bool) {
 	if !down {
 		return
 	}
-	n := uint64(len(p.queue))
+	n := uint64(p.queue.n)
 	p.dropPkts += n
 	p.faultPkts += n
-	for i := range p.queue {
+	for p.queue.n > 0 {
+		p.queue.pop()
 		if p.OnDequeue != nil {
 			p.OnDequeue() // keep the event-driven queue tracker consistent
 		}
-		p.queue[i] = nil
 	}
-	p.queue = p.queue[:0]
 }
 
 // SetLinkDown fails or restores the whole duplex link: this port and its
@@ -220,23 +226,24 @@ func (p *Port) Send(pkt *Packet) {
 		p.dropPkts++
 		return
 	}
-	p.queue = append(p.queue, pkt)
+	p.queue.push(pkt)
 	if p.OnEnqueue != nil {
 		p.OnEnqueue()
 	}
-	if !p.busy {
+	if p.tx == nil {
 		p.transmitNext()
 	}
 }
 
+// transmitNext starts serializing the head of the queue, or idles the
+// transmitter if there is none.
 func (p *Port) transmitNext() {
-	if len(p.queue) == 0 {
-		p.busy = false
+	if p.queue.n == 0 {
+		p.tx = nil
 		return
 	}
-	pkt := p.queue[0]
-	p.queue = p.queue[1:]
-	p.busy = true
+	pkt := p.queue.pop()
+	p.tx = pkt
 	if p.OnDequeue != nil {
 		p.OnDequeue()
 	}
@@ -246,30 +253,71 @@ func (p *Port) transmitNext() {
 	}
 	p.sentBytes += uint64(pkt.Bytes)
 	p.sentPkts++
-	p.sched.AfterPri(serialization, key(priTxFree, p.gid), func() {
-		p.transmitNext() // transmitter free for the next packet
-		p.deliver(pkt)   // the packet is on the wire and will arrive
-	})
+	p.sched.AfterPri(serialization, key(priTxFree, p.gid), p.txDone)
+}
+
+// finishTx is the transmitter-free event.
+func (p *Port) finishTx() {
+	pkt := p.tx
+	p.transmitNext() // transmitter free for the next packet
+	p.deliver(pkt)   // the packet is on the wire and will arrive
 }
 
 // deliver hands a fully-serialized packet to the far end after this
-// direction's propagation delay. A same-LP (or serial) peer gets a keyed
-// event on its own scheduler; a cross-LP peer goes through the link's
-// ordered mailbox and is scheduled by the receiving LP at the next window
-// barrier — legal because the barrier window never exceeds the smallest
-// inter-LP propagation delay, so the arrival time is never in the
-// receiver's past.
+// direction's propagation delay. A same-LP (or serial) peer takes it onto
+// its wire at once; a cross-LP peer gets it through the link's ordered
+// mailbox, at the next window barrier — legal because the barrier window
+// never exceeds the smallest inter-LP propagation delay, so the arrival
+// time is never in the receiver's past.
 func (p *Port) deliver(pkt *Packet) {
-	peer, peerPort := p.peer, p.peerPort
 	arrival := p.sched.Now() + p.propDelay
 	if p.mbox != nil {
 		p.mbox.pending = append(p.mbox.pending, arrivalEvent{pkt: pkt, at: arrival})
 		return
 	}
-	peer.sched.AtPri(arrival, key(priRecv, peer.gid), func() {
-		peer.recvPkts++
-		peer.owner.Receive(pkt, peerPort)
-	})
+	p.peer.arrive(pkt, arrival)
+}
+
+// arrive puts a packet on the wire towards p, due at time at — the one way a
+// delivery is scheduled: by the sending port when it shares p's scheduler,
+// by p's own LP at a window barrier when it does not.
+func (p *Port) arrive(pkt *Packet, at sim.Time) {
+	p.wire.push(pkt)
+	p.sched.AtPri(at, key(priRecv, p.gid), p.rxDone)
+}
+
+// receive is the delivery event: the head of the wire has arrived.
+func (p *Port) receive() {
+	p.recvPkts++
+	p.owner.Receive(p.wire.pop(), p.index)
+}
+
+// pktFIFO is a ring of packets. An output queue that is re-sliced from the
+// front walks its backing array forward and re-allocates for ever; the ring
+// grows to the deepest backlog it has seen and stays there.
+type pktFIFO struct {
+	buf     []*Packet // len is a power of two, or zero
+	head, n int
+}
+
+func (q *pktFIFO) push(pkt *Packet) {
+	if q.n == len(q.buf) {
+		grown := make([]*Packet, max(8, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = pkt
+	q.n++
+}
+
+func (q *pktFIFO) pop() *Packet {
+	pkt := q.buf[q.head]
+	q.buf[q.head] = nil // release for GC
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return pkt
 }
 
 // refreshMetrics updates the EWMA utilization and loss snapshots from the
@@ -360,6 +408,7 @@ func (n *Network) AddSwitch(ports int) *Switch {
 // newPort allocates a port on the serial scheduler with the next global id.
 func (n *Network) newPort(owner Node, index int) *Port {
 	p := &Port{net: n, owner: owner, index: index, gid: n.nextGID, sched: n.Sched}
+	p.txDone, p.rxDone = p.finishTx, p.receive
 	n.nextGID++
 	return p
 }
@@ -368,8 +417,7 @@ func (n *Network) newPort(owner Node, index int) *Port {
 func (n *Network) Connect(h *Host, sw *Switch, swPort int) {
 	up := n.newPort(h, 0)
 	down := sw.port(swPort)
-	up.peer, up.peerPort = down, swPort
-	down.peer, down.peerPort = up, 0
+	up.peer, down.peer = down, up
 	up.propDelay, down.propDelay = n.cfg.PropDelay, n.cfg.PropDelay
 	h.nic = up
 }
@@ -377,18 +425,22 @@ func (n *Network) Connect(h *Host, sw *Switch, swPort int) {
 // ConnectSwitches wires sw1 port p1 to sw2 port p2 (full duplex).
 func (n *Network) ConnectSwitches(sw1 *Switch, p1 int, sw2 *Switch, p2 int) {
 	a, b := sw1.port(p1), sw2.port(p2)
-	a.peer, a.peerPort = b, p2
-	b.peer, b.peerPort = a, p1
+	a.peer, b.peer = b, a
 	a.propDelay, b.propDelay = n.cfg.PropDelay, n.cfg.PropDelay
 }
 
 // SetLinkPropDelay overrides the propagation delay of the duplex link at
 // the given port (both directions). Topology builders use it to model
 // longer cross-pod fibers, which also widens the parallel driver's
-// lookahead window when those are the only inter-LP links.
+// lookahead window when those are the only inter-LP links. The link must
+// be idle: a shorter delay would let a later packet overtake one already on
+// the wire, and a direction of a link is FIFO.
 func (n *Network) SetLinkPropDelay(p *Port, d sim.Time) {
 	if d < 1 {
 		panic(fmt.Sprintf("netsim: propagation delay %v < 1ns", d))
+	}
+	if p.wire.n > 0 || (p.peer != nil && p.peer.wire.n > 0) {
+		panic("netsim: SetLinkPropDelay with packets on the wire")
 	}
 	p.propDelay = d
 	if p.peer != nil {

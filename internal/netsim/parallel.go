@@ -6,10 +6,11 @@ package netsim
 // own sim.Scheduler; a single-threaded coordinator advances all LPs in
 // lockstep barrier windows no wider than the smallest inter-LP link
 // propagation delay (the lookahead). A packet that crosses an LP boundary
-// is appended to its link's ordered mailbox by the sending LP and injected
-// into the receiving LP's scheduler at the next barrier; the lookahead
-// bound guarantees its arrival time is never inside the window that
-// produced it, so no LP ever receives an event in its past.
+// is appended to its link's ordered mailbox by the sending LP and put on
+// the receiving port's wire (Port.arrive, the same call a local delivery
+// makes) by the receiving LP at the next barrier; the lookahead bound
+// guarantees its arrival time is never inside the window that produced it,
+// so no LP ever receives an event in its past.
 //
 // Determinism: at equal seeds the parallel run is bit-identical to the
 // serial run. Every mid-run event carries a content-derived priority (see
@@ -105,15 +106,8 @@ func (l *lp) loop(quit <-chan struct{}, done chan<- struct{}) {
 		select {
 		case end := <-l.window:
 			for _, m := range l.inboxes {
-				dst := m.dst
-				for _, a := range m.ready {
-					pkt, at := a.pkt, a.at
-					dst.sched.AtPri(at, key(priRecv, dst.gid), func() {
-						dst.recvPkts++
-						dst.owner.Receive(pkt, dst.index)
-					})
-				}
-				for i := range m.ready {
+				for i, a := range m.ready {
+					m.dst.arrive(a.pkt, a.at)
 					m.ready[i].pkt = nil // release for GC
 				}
 				m.ready = m.ready[:0]

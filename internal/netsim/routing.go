@@ -116,8 +116,8 @@ type PortSelector struct {
 	sw         *Switch
 	module     Backend
 	portOf     func(resource int) int
-	resourceOf map[int]int // port -> resource
-	dropped    uint64      // metric updates the backend refused
+	resourceOf []int  // port -> resource, -1 for a port not under policy control
+	dropped    uint64 // metric updates the backend refused
 }
 
 // NewPortSelector installs per-packet policy-driven port selection on sw.
@@ -125,7 +125,10 @@ type PortSelector struct {
 func NewPortSelector(sw *Switch, module Backend, resourceToPort map[int]int) *PortSelector {
 	s := &PortSelector{
 		sw: sw, module: module,
-		resourceOf: make(map[int]int),
+		resourceOf: make([]int, sw.NumPorts()),
+	}
+	for port := range s.resourceOf {
+		s.resourceOf[port] = -1
 	}
 	s.portOf = func(res int) int { return resourceToPort[res] }
 	for res, port := range resourceToPort {
@@ -159,8 +162,8 @@ func (s *PortSelector) SyncQueueMetric(queueDim int) {
 		if prev != nil {
 			prev(q, newLen)
 		}
-		res, controlled := s.resourceOf[q]
-		if !controlled {
+		res := s.resourceOf[q]
+		if res < 0 {
 			return
 		}
 		vals, ok := s.module.Metrics(res)

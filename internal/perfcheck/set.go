@@ -10,6 +10,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/lb"
 	"repro/internal/policy"
+	"repro/internal/sim"
 	"repro/internal/smbm"
 )
 
@@ -180,6 +181,7 @@ func Set() []Benchmark {
 				}
 			}, nil
 		}},
+		{Name: "SchedulerMixedHorizon", Iters: 2000, Reps: 3, Setup: setupSchedulerMixedHorizon},
 		{Name: "FilterModuleDecide", Iters: 50000, Setup: setupFilterModuleDecide},
 		{Name: "SMBMUpdate", Iters: 50000, Setup: setupSMBMUpdate},
 		{Name: "SMBMUpdateChurn", Iters: 4 * churnCycle, Setup: setupSMBMUpdateChurn},
@@ -187,6 +189,49 @@ func Set() []Benchmark {
 		{Name: "EngineDecideBatch", Iters: 100, Reps: 3, Threshold: simThreshold, Setup: setupEngineDecideBatch},
 		{Name: "EngineDecideBatchLB1024", Iters: 400, Reps: 3, Setup: setupEngineDecideBatchLB1024},
 	}
+}
+
+// The queue shape netsim_routing was measured to hold (EXPERIMENTS.md): a few
+// hundred per-hop events in flight beside 20 k standing retransmission
+// timers. BenchmarkSchedulerChurn's uniform delay spread has no such shape.
+const (
+	mixedChains   = 284                 // short-delay chains: packets in flight
+	mixedTimers   = 20000               // standing long-delay events: armed RTOs
+	mixedHopMaxNs = 2200                // serialization + propagation
+	mixedTimerNs  = sim.Millisecond     // RTO
+	mixedSliceNs  = 5 * sim.Microsecond // one iteration, the benchmark's SimSliceNs
+)
+
+// setupSchedulerMixedHorizon keeps mixedChains self-rescheduling events with
+// hop-sized pseudo-random delays running beside mixedTimers self-rescheduling
+// events a millisecond out, and runs one 5 µs slice of simulated time per
+// iteration: ≈1300 short events and 100 long ones, the workload's 94 : 6.
+func setupSchedulerMixedHorizon() (func(int), error) {
+	s := sim.New(1)
+	x := uint64(1)
+	for c := 0; c < mixedChains; c++ {
+		pri := uint64(c + 1)
+		var hop func()
+		hop = func() {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			s.AfterPri(1+sim.Time(x%mixedHopMaxNs), pri, hop)
+		}
+		s.AfterPri(sim.Time(c), pri, hop)
+	}
+	for k := 0; k < mixedTimers; k++ {
+		pri := uint64(mixedChains + k + 1)
+		var rto func()
+		rto = func() { s.AfterPri(mixedTimerNs, pri, rto) }
+		s.AfterPri(mixedTimerNs*sim.Time(k)/mixedTimers, pri, rto)
+	}
+	s.RunUntil(2 * mixedTimerNs) // every timer has re-armed: the far heap is in steady state
+	return func(int) {
+		if s.RunUntil(s.Now()+mixedSliceNs) == 0 || s.Pending() != mixedChains+mixedTimers {
+			panic("perfcheck: mixed-horizon queue lost its shape")
+		}
+	}, nil
 }
 
 func setupFilterModuleDecide() (func(int), error) {

@@ -4,11 +4,11 @@
 // seeded random source, so every experiment in the harness is exactly
 // reproducible.
 //
-// The event queue is an index-based 4-ary min-heap over an event arena with
-// a free-list: scheduling an event writes into a recycled arena slot and
-// pushes a small integer onto the heap, so the steady-state cost of
-// After/Run cycles is zero heap allocations (the caller's closure aside) and
-// sift operations move 4-byte indices instead of interface-boxed pointers.
+// The event queue is a pair of binary min-heaps under one order that hold
+// the events themselves, keys beside the callback, compared in place; see
+// horizon for why there are two. Scheduling writes into a heap's own backing
+// array, so the steady-state cost of After/Run cycles is zero heap
+// allocations (the caller's closure aside).
 package sim
 
 import (
@@ -47,31 +47,38 @@ func (t Time) String() string {
 // Seconds converts to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// event is one arena slot. While queued, at/pri/seq/fn are live; while
-// free, next links the slot into the free-list.
+// event is one queued callback with its sort key.
 type event struct {
-	at   Time
-	pri  uint64 // caller-supplied tie-break before seq; 0 for At/After
-	seq  uint64 // FIFO tie-break for simultaneous same-priority events
-	fn   func()
-	next int32 // free-list link, -1 terminates
+	at  Time
+	pri uint64 // caller-supplied tie-break before seq; 0 for At/After
+	seq uint64 // FIFO tie-break for simultaneous same-priority events
+	fn  func()
 }
+
+// horizon splits the queue: an event scheduled further ahead goes to the far
+// heap, and the run loop executes whichever root is smaller under less, so
+// correctness never depends on the value — only how many events the hot
+// heap holds does. A packet simulation keeps a few hundred hop events in
+// flight (every per-hop delay ≤ serialization + propagation ≈ 2.2 µs) beside
+// tens of thousands of superseded retransmission timers waiting out a 1 ms
+// RTO; with those out of the way the hop events sift through a heap that
+// fits in L1. Anything between the two delay classes separates them.
+const horizon = 16 * Microsecond
 
 // Scheduler executes events in virtual-time order. The zero value is not
 // usable; construct with New.
 type Scheduler struct {
 	now     Time
 	seq     uint64
-	events  []event // arena; indices are stable between heap operations
-	heap    []int32 // 4-ary min-heap of arena indices, ordered by (at, pri, seq)
-	free    int32   // head of the free-list of arena slots, -1 when empty
+	near    []event // min-heap under less: events due within horizon when scheduled
+	far     []event // same order: everything scheduled further ahead
 	stopped bool
 	rng     *rand.Rand
 }
 
 // New returns a scheduler at time zero with a deterministic random source.
 func New(seed int64) *Scheduler {
-	return &Scheduler{free: -1, rng: rand.New(rand.NewSource(seed))}
+	return &Scheduler{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -96,18 +103,12 @@ func (s *Scheduler) AtPri(t Time, pri uint64, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
 	s.seq++
-	var idx int32
-	if s.free >= 0 {
-		idx = s.free
-		s.free = s.events[idx].next
+	e := event{at: t, pri: pri, seq: s.seq, fn: fn}
+	if t-s.now > horizon {
+		s.far = push(s.far, e)
 	} else {
-		s.events = append(s.events, event{})
-		idx = int32(len(s.events) - 1)
+		s.near = push(s.near, e)
 	}
-	e := &s.events[idx]
-	e.at, e.pri, e.seq, e.fn = t, pri, s.seq, fn
-	s.heap = append(s.heap, idx)
-	s.siftUp(len(s.heap) - 1)
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -128,7 +129,7 @@ func (s *Scheduler) AfterPri(d Time, pri uint64, fn func()) {
 }
 
 // Pending returns the number of queued events.
-func (s *Scheduler) Pending() int { return len(s.heap) }
+func (s *Scheduler) Pending() int { return len(s.near) + len(s.far) }
 
 // Stop latches the scheduler stopped: the in-progress Run/RunUntil/
 // RunWindow call returns after the current event completes, and every
@@ -183,20 +184,22 @@ func (s *Scheduler) RunWindow(end Time) int {
 
 func (s *Scheduler) run(deadline Time, advance bool) int {
 	count := 0
-	for len(s.heap) > 0 && !s.stopped {
-		top := s.heap[0]
-		at := s.events[top].at
+	for !s.stopped {
+		h := &s.near
+		if len(s.near) == 0 || (len(s.far) > 0 && less(&s.far[0], &s.near[0])) {
+			h = &s.far
+		}
+		if len(*h) == 0 {
+			break
+		}
+		at, fn := (*h)[0].at, (*h)[0].fn
 		if at > deadline {
 			s.now = deadline
 			return count
 		}
-		s.popRoot()
-		// Copy the callback and recycle the slot before invoking it, so a
-		// nested At/After inside fn can reuse the arena immediately.
-		fn := s.events[top].fn
-		s.events[top].fn = nil // release the closure for GC
-		s.events[top].next = s.free
-		s.free = top
+		// Pop before invoking, so a nested At/After inside fn sees a
+		// consistent heap.
+		*h = pop(*h)
 		s.now = at
 		fn()
 		count++
@@ -207,65 +210,61 @@ func (s *Scheduler) run(deadline Time, advance bool) int {
 	return count
 }
 
-// less orders arena slots by (at, pri, seq); seq is unique, so the order
-// is a strict total order and heap layout differences can never change the
-// execution order.
-func (s *Scheduler) less(a, b int32) bool {
-	ea, eb := &s.events[a], &s.events[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
+// less orders events by (at, pri, seq); seq is unique, so the order is a
+// strict total order and neither heap layout nor which heap an event sits
+// in can ever change the execution order.
+func less(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	if ea.pri != eb.pri {
-		return ea.pri < eb.pri
+	if a.pri != b.pri {
+		return a.pri < b.pri
 	}
-	return ea.seq < eb.seq
+	return a.seq < b.seq
 }
 
-// popRoot removes the minimum element from the heap (the caller has already
-// read s.heap[0]).
-func (s *Scheduler) popRoot() {
-	last := len(s.heap) - 1
-	s.heap[0] = s.heap[last]
-	s.heap = s.heap[:last]
-	if last > 0 {
-		s.siftDown(0)
-	}
+// push adds e at the bottom and sifts it up.
+func push(h []event, e event) []event {
+	h = append(h, e)
+	siftUp(h, len(h)-1, e)
+	return h
 }
 
-func (s *Scheduler) siftUp(i int) {
-	h := s.heap
+// siftUp fills the hole at i with e: parents move down into the hole until
+// e fits.
+func siftUp(h []event, i int, e event) {
 	for i > 0 {
-		p := (i - 1) / 4
-		if !s.less(h[i], h[p]) {
-			return
+		p := (i - 1) / 2
+		if !less(&e, &h[p]) {
+			break
 		}
-		h[i], h[p] = h[p], h[i]
+		h[i] = h[p]
 		i = p
 	}
+	h[i] = e
 }
 
-func (s *Scheduler) siftDown(i int) {
-	h := s.heap
-	n := len(h)
-	for {
-		first := 4*i + 1
-		if first >= n {
-			return
-		}
-		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if s.less(h[c], h[best]) {
-				best = c
-			}
-		}
-		if !s.less(h[best], h[i]) {
-			return
-		}
-		h[i], h[best] = h[best], h[i]
-		i = best
+// pop removes the root, bottom-up: the hole it leaves sinks to a leaf, the
+// smaller child moving up into it at each level, and the former last element
+// is sifted up from there. It came from the bottom and mostly belongs there,
+// so that is one compare per level where testing it against each level's
+// smaller child costs two.
+func pop(h []event) []event {
+	n := len(h) - 1
+	e := h[n]
+	h[n].fn = nil // release the closure for GC
+	h = h[:n]
+	if n == 0 {
+		return h
 	}
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && less(&h[c+1], &h[c]) {
+			c++
+		}
+		h[i] = h[c]
+		i = c
+	}
+	siftUp(h, i, e)
+	return h
 }

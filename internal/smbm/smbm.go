@@ -484,6 +484,18 @@ func (s *SMBM) Metrics(id int) (vals []int64, ok bool) {
 	return vals, true
 }
 
+// MetricsInto overwrites dst with the metric values for the given id and
+// reports whether the id is present; absent, dst is untouched. dst must have
+// length NumMetrics(). It is Metrics for a caller that reads on every queue
+// event and keeps one buffer.
+func (s *SMBM) MetricsInto(id int, dst []int64) bool {
+	if !s.Contains(id) {
+		return false
+	}
+	copy(dst, s.valByID[id*s.m:id*s.m+s.m])
+	return true
+}
+
 // Value returns the value of metric dim for the given id, or ok=false if
 // the id is absent. It panics if dim is out of range.
 func (s *SMBM) Value(id, dim int) (val int64, ok bool) {

@@ -49,6 +49,9 @@ func TestAddAndLookup(t *testing.T) {
 	if _, ok := s.Value(7, 0); ok {
 		t.Fatal("Value on absent id should report !ok")
 	}
+	if s.MetricsInto(7, vals) || vals[0] != 10 || vals[1] != 20 {
+		t.Fatalf("MetricsInto on absent id should report false and leave dst alone, got %v", vals)
+	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
