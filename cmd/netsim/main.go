@@ -18,8 +18,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	stdnet "net"
 	"net/http"
 	"os"
@@ -35,35 +37,57 @@ import (
 )
 
 func main() {
-	topo := flag.String("topo", "clos", "topology: clos | fattree")
-	kAry := flag.Int("k", 4, "fat tree arity (fattree only)")
-	leaves := flag.Int("leaves", 4, "leaf switches (clos only)")
-	spines := flag.Int("spines", 3, "spine switches (clos only)")
-	hostsPerLeaf := flag.Int("hosts", 6, "hosts per leaf (clos only)")
-	pol := flag.String("policy", "ecmp", "policy: ecmp | minutil | multidim | minq | drill")
-	parallel := flag.Bool("parallel", false, "run the conservative-lookahead parallel driver (fattree only)")
-	lps := flag.Int("lps", 0, "logical processes for -parallel (0 = one per pod plus a core LP)")
-	coreDelay := flag.Duration("core-delay", 0, "agg-core link propagation delay override (fattree; also the -parallel lookahead window)")
-	load := flag.Float64("load", 0.8, "offered load in (0,1]")
-	flows := flag.Int("flows", 400, "number of flows")
-	scale := flag.Float64("scale", 0.5, "flow size scale vs web-search distribution")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	d := flag.Int("d", 2, "DRILL d")
-	m := flag.Int("m", 1, "DRILL m")
-	metrics := flag.String("metrics", "", "serve /metrics, /debug/vars and /trace on this address (e.g. :9090)")
-	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof on the -metrics address")
-	hold := flag.Duration("hold", 0, "keep the process (and the metrics endpoint) alive this long after the run")
-	failMode := flag.String("fail", "", "failure scenario: spine | uplink (clos only)")
-	failSpine := flag.Int("fail-spine", 0, "spine to fail")
-	failLeaf := flag.Int("fail-leaf", 0, "leaf losing its uplink (-fail uplink)")
-	failAt := flag.Duration("fail-at", 2*time.Millisecond, "simulated time of the fault")
-	recoverAt := flag.Duration("recover-at", 30*time.Millisecond, "simulated time of the recovery")
-	detect := flag.Duration("detect", 100*time.Microsecond, "control-plane failure-detection latency")
-	syncEvery := flag.Duration("sync", 5*time.Millisecond, "control-plane reconciliation interval (0 disables)")
-	ctrlDrop := flag.Float64("ctrl-drop", 0.05, "control-plane update drop probability")
-	ctrlDelay := flag.Duration("ctrl-delay", 200*time.Microsecond, "control-plane update delay bound")
-	flag.Parse()
-	pprofEnabled = *pprofOn
+	err := run(os.Args[1:], os.Stdout)
+	switch {
+	case err == nil:
+	case errors.Is(err, flag.ErrHelp):
+	case errors.As(err, new(flagError)):
+		os.Exit(2) // the flag package has printed the error and usage
+	default:
+		fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// flagError is a command-line parse failure, already reported on stderr.
+type flagError struct{ error }
+
+// run parses args and runs one simulation, writing its report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	topo := fs.String("topo", "clos", "topology: clos | fattree")
+	kAry := fs.Int("k", 4, "fat tree arity (fattree only)")
+	leaves := fs.Int("leaves", 4, "leaf switches (clos only)")
+	spines := fs.Int("spines", 3, "spine switches (clos only)")
+	hostsPerLeaf := fs.Int("hosts", 6, "hosts per leaf (clos only)")
+	pol := fs.String("policy", "ecmp", "policy: ecmp | minutil | multidim | minq | drill")
+	parallel := fs.Bool("parallel", false, "run the conservative-lookahead parallel driver (fattree only)")
+	lps := fs.Int("lps", 0, "logical processes for -parallel (0 = one per pod plus a core LP)")
+	coreDelay := fs.Duration("core-delay", 0, "agg-core link propagation delay override (fattree; also the -parallel lookahead window)")
+	load := fs.Float64("load", 0.8, "offered load in (0,1]")
+	flows := fs.Int("flows", 400, "number of flows")
+	scale := fs.Float64("scale", 0.5, "flow size scale vs web-search distribution")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	d := fs.Int("d", 2, "DRILL d")
+	m := fs.Int("m", 1, "DRILL m")
+	metrics := fs.String("metrics", "", "serve /metrics, /debug/vars and /trace on this address (e.g. :9090)")
+	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof on the -metrics address")
+	hold := fs.Duration("hold", 0, "keep the process (and the metrics endpoint) alive this long after the run")
+	failMode := fs.String("fail", "", "failure scenario: spine | uplink (clos only)")
+	failSpine := fs.Int("fail-spine", 0, "spine to fail")
+	failLeaf := fs.Int("fail-leaf", 0, "leaf losing its uplink (-fail uplink)")
+	failAt := fs.Duration("fail-at", 2*time.Millisecond, "simulated time of the fault")
+	recoverAt := fs.Duration("recover-at", 30*time.Millisecond, "simulated time of the recovery")
+	detect := fs.Duration("detect", 100*time.Microsecond, "control-plane failure-detection latency")
+	syncEvery := fs.Duration("sync", 5*time.Millisecond, "control-plane reconciliation interval (0 disables)")
+	ctrlDrop := fs.Float64("ctrl-drop", 0.05, "control-plane update drop probability")
+	ctrlDelay := fs.Duration("ctrl-delay", 200*time.Microsecond, "control-plane update delay bound")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return flagError{err}
+	}
 
 	var failCfg *experiments.FailureConfig
 	switch *failMode {
@@ -84,15 +108,11 @@ func main() {
 			failCfg.Scenario = experiments.FailLeafUplink
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "netsim: unknown -fail mode %q\n", *failMode)
-		os.Exit(1)
+		return fmt.Errorf("unknown -fail mode %q", *failMode)
 	}
 
 	pcfg := parallelConfig{enabled: *parallel, lps: *lps, coreDelay: sim.Time(coreDelay.Nanoseconds())}
-	if err := run(*topo, *kAry, *leaves, *spines, *hostsPerLeaf, *pol, *load, *flows, *scale, *seed, *d, *m, *metrics, *hold, failCfg, pcfg); err != nil {
-		fmt.Fprintf(os.Stderr, "netsim: %v\n", err)
-		os.Exit(1)
-	}
+	return simulate(stdout, *topo, *kAry, *leaves, *spines, *hostsPerLeaf, *pol, *load, *flows, *scale, *seed, *d, *m, *metrics, *pprofOn, *hold, failCfg, pcfg)
 }
 
 // parallelConfig carries the -parallel/-lps/-core-delay flags.
@@ -105,14 +125,14 @@ type parallelConfig struct {
 // serveMetrics binds addr synchronously (so a bad address fails the run
 // up front) and serves the telemetry mux in the background for the life of
 // the process.
-func serveMetrics(addr string, reg *telemetry.Registry) error {
+func serveMetrics(stdout io.Writer, addr string, pprof bool, reg *telemetry.Registry) error {
 	ln, err := stdnet.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("metrics: serving /metrics, /debug/vars, /trace on http://%s\n", ln.Addr())
+	fmt.Fprintf(stdout, "metrics: serving /metrics, /debug/vars, /trace on http://%s\n", ln.Addr())
 	go func() {
-		mux := telemetry.NewMux(telemetry.MuxConfig{Registry: reg, Pprof: pprofEnabled})
+		mux := telemetry.NewMux(telemetry.MuxConfig{Registry: reg, Pprof: pprof})
 		if err := http.Serve(ln, mux); err != nil {
 			fmt.Fprintf(os.Stderr, "netsim: metrics server: %v\n", err)
 		}
@@ -120,12 +140,9 @@ func serveMetrics(addr string, reg *telemetry.Registry) error {
 	return nil
 }
 
-// pprofEnabled mirrors the -pprof flag; set once in main before any run.
-var pprofEnabled bool
-
-func run(topo string, kAry, leaves, spines, hostsPerLeaf int, pol string,
+func simulate(stdout io.Writer, topo string, kAry, leaves, spines, hostsPerLeaf int, pol string,
 	load float64, flows int, scale float64, seed int64, d, m int,
-	metricsAddr string, hold time.Duration, failCfg *experiments.FailureConfig,
+	metricsAddr string, pprof bool, hold time.Duration, failCfg *experiments.FailureConfig,
 	pcfg parallelConfig) error {
 
 	if pcfg.enabled {
@@ -192,7 +209,7 @@ func run(topo string, kAry, leaves, spines, hostsPerLeaf int, pol string,
 				return err
 			}
 			defer par.Close()
-			fmt.Printf("parallel: %d LPs, lookahead window %v\n", nLPs, par.Window())
+			fmt.Fprintf(stdout, "parallel: %d LPs, lookahead window %v\n", nLPs, par.Window())
 		}
 		cfg.Leaves = kAry // hosts calculation below uses cfg fields
 		cfg.HostsPerLeaf = kAry * kAry / 4
@@ -218,7 +235,7 @@ func run(topo string, kAry, leaves, spines, hostsPerLeaf int, pol string,
 		if probe != nil {
 			probe.RegisterTelemetry(reg, "thanos_netsim")
 		}
-		if err := serveMetrics(metricsAddr, reg); err != nil {
+		if err := serveMetrics(stdout, metricsAddr, pprof, reg); err != nil {
 			return err
 		}
 	}
@@ -271,9 +288,9 @@ func run(topo string, kAry, leaves, spines, hostsPerLeaf int, pol string,
 		fct.Add(float64(rec.FCT()) / float64(sim.Microsecond))
 		bytes += rec.Bytes
 	}
-	fmt.Printf("topology %s, policy %s, load %.0f%%, %d hosts, %d flows, %.1f MB\n",
+	fmt.Fprintf(stdout, "topology %s, policy %s, load %.0f%%, %d hosts, %d flows, %.1f MB\n",
 		topo, pol, load*100, hosts, flows, float64(bytes)/1e6)
-	fmt.Printf("FCT µs: mean %.0f  p50 %.0f  p90 %.0f  p99 %.0f  max %.0f\n",
+	fmt.Fprintf(stdout, "FCT µs: mean %.0f  p50 %.0f  p90 %.0f  p99 %.0f  max %.0f\n",
 		fct.Mean(), fct.Percentile(50), fct.Percentile(90), fct.Percentile(99), fct.Max())
 	var drops uint64
 	for _, sw := range net.Switches {
@@ -281,17 +298,17 @@ func run(topo string, kAry, leaves, spines, hostsPerLeaf int, pol string,
 			drops += sw.Port(p).Drops()
 		}
 	}
-	fmt.Printf("switch drops: %d, simulated time: %v, wall clock: %v\n", drops, simEnd, elapsed.Round(time.Millisecond))
+	fmt.Fprintf(stdout, "switch drops: %d, simulated time: %v, wall clock: %v\n", drops, simEnd, elapsed.Round(time.Millisecond))
 	if probe != nil {
 		c := probe.Injector.Counts()
-		fmt.Printf("faults: injected %d, recovered %d, fault drops %d, reroutes %d\n",
+		fmt.Fprintf(stdout, "faults: injected %d, recovered %d, fault drops %d, reroutes %d\n",
 			c.Injected, c.Recovered, probe.FaultDrops(), probe.Reroutes())
-		fmt.Printf("control plane: detections %d, syncs %d, updates delivered %d / dropped %d / delayed %d\n",
+		fmt.Fprintf(stdout, "control plane: detections %d, syncs %d, updates delivered %d / dropped %d / delayed %d\n",
 			probe.Detections(), probe.Syncs(),
 			probe.Control.Delivered(), probe.Control.Dropped(), probe.Control.Delayed())
 	}
 	if hold > 0 {
-		fmt.Printf("holding %v for metric scrapes...\n", hold)
+		fmt.Fprintf(stdout, "holding %v for metric scrapes...\n", hold)
 		time.Sleep(hold)
 	}
 	return nil

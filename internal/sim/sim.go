@@ -4,15 +4,19 @@
 // seeded random source, so every experiment in the harness is exactly
 // reproducible.
 //
-// The event queue is a pair of binary min-heaps under one order that hold
-// the events themselves, keys beside the callback, compared in place; see
-// horizon for why there are two. Scheduling writes into a heap's own backing
-// array, so the steady-state cost of After/Run cycles is zero heap
-// allocations (the caller's closure aside).
+// Events execute in the strict total order (at, pri, seq). The queue keeps
+// them in two places: a timing wheel of one-nanosecond slots for events due
+// within horizon of now (every packet hop), and a binary min-heap, far, for
+// the rest (timers); the run loop executes the smaller of the wheel minimum
+// and the far root under the one less, so where an event sits decides only
+// what it costs. Both reuse their storage — the wheel a pooled node array
+// with a free list, the heap its backing array — so the steady-state cost of
+// After/Run cycles is zero heap allocations (the caller's closure aside).
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -55,30 +59,103 @@ type event struct {
 	fn  func()
 }
 
-// horizon splits the queue: an event scheduled further ahead goes to the far
-// heap, and the run loop executes whichever root is smaller under less, so
-// correctness never depends on the value — only how many events the hot
-// heap holds does. A packet simulation keeps a few hundred hop events in
-// flight (every per-hop delay ≤ serialization + propagation ≈ 2.2 µs) beside
-// tens of thousands of superseded retransmission timers waiting out a 1 ms
-// RTO; with those out of the way the hop events sift through a heap that
-// fits in L1. Anything between the two delay classes separates them.
-const horizon = 16 * Microsecond
+// horizon is the timing wheel's span: an event due less than horizon after
+// now goes to the wheel, anything later to the far heap. Now never passes a
+// pending event, so every wheel event lies in [now, now+horizon): a slot,
+// at mod horizon, holds one timestamp, and the first occupied slot from now's
+// slot onwards, cyclically, holds the wheel minimum. The value decides cost,
+// never order. It covers every default per-hop delay (MTU serialization
+// 1.2 µs, propagation 1 µs) and leaves the metric ticks (100 µs) and the tens
+// of thousands of standing retransmission timers (1 ms) to the heap. The
+// occupancy bitmap's one summary word caps it at 64×64 slots.
+const horizon = Time(1) << 12
+
+// wheel is a ring of horizon one-nanosecond slots. Each slot is an intrusive
+// list, in (pri, seq) order, over a pooled node array whose node 0 is unused
+// so a zero index means "none"; freed nodes go on a free list. bits has one
+// bit per occupied slot and summary one bit per non-zero word of bits.
+type wheel struct {
+	head    [horizon]int32
+	bits    [horizon / 64]uint64
+	summary uint64
+	nodes   []node
+	free    int32 // free-list head, linked through node.next
+	n       int
+}
+
+type node struct {
+	event
+	next int32
+}
+
+// push files e into its slot behind every event of lower or equal pri: seq
+// only grows, so equal pri keeps scheduling order.
+func (w *wheel) push(e event) {
+	i := w.free
+	if i != 0 {
+		w.free = w.nodes[i].next
+	} else {
+		i = int32(len(w.nodes))
+		w.nodes = append(w.nodes, node{})
+	}
+	slot := int(e.at & (horizon - 1))
+	p := &w.head[slot]
+	for *p != 0 && w.nodes[*p].pri <= e.pri {
+		p = &w.nodes[*p].next
+	}
+	w.nodes[i] = node{event: e, next: *p}
+	*p = i
+	w.bits[slot>>6] |= 1 << (slot & 63)
+	w.summary |= 1 << (slot >> 6)
+	w.n++
+}
+
+// next returns the first occupied slot at or after from, wrapping once; the
+// wheel must not be empty.
+func (w *wheel) next(from int) int {
+	i := from >> 6
+	if m := w.bits[i] >> (from & 63); m != 0 {
+		return from + bits.TrailingZeros64(m)
+	}
+	m := w.summary &^ (uint64(2)<<i - 1) // the words after i
+	if m == 0 {
+		m = w.summary // wrapped: the minimum lies below from
+	}
+	i = bits.TrailingZeros64(m)
+	return i<<6 + bits.TrailingZeros64(w.bits[i])
+}
+
+// pop unlinks the head of slot and returns its node to the free list.
+func (w *wheel) pop(slot int) {
+	i := w.head[slot]
+	nd := &w.nodes[i]
+	w.head[slot] = nd.next
+	nd.fn = nil // release the closure for GC
+	nd.next, w.free = w.free, i
+	w.n--
+	if w.head[slot] == 0 {
+		if w.bits[slot>>6] &^= 1 << (slot & 63); w.bits[slot>>6] == 0 {
+			w.summary &^= 1 << (slot >> 6)
+		}
+	}
+}
 
 // Scheduler executes events in virtual-time order. The zero value is not
 // usable; construct with New.
 type Scheduler struct {
 	now     Time
 	seq     uint64
-	near    []event // min-heap under less: events due within horizon when scheduled
-	far     []event // same order: everything scheduled further ahead
+	wheel   wheel   // events due within horizon when scheduled
+	far     []event // min-heap under less: everything scheduled further ahead
 	stopped bool
 	rng     *rand.Rand
 }
 
 // New returns a scheduler at time zero with a deterministic random source.
 func New(seed int64) *Scheduler {
-	return &Scheduler{rng: rand.New(rand.NewSource(seed))}
+	s := &Scheduler{rng: rand.New(rand.NewSource(seed))}
+	s.wheel.nodes = make([]node, 1)
+	return s
 }
 
 // Now returns the current virtual time.
@@ -104,10 +181,10 @@ func (s *Scheduler) AtPri(t Time, pri uint64, fn func()) {
 	}
 	s.seq++
 	e := event{at: t, pri: pri, seq: s.seq, fn: fn}
-	if t-s.now > horizon {
-		s.far = push(s.far, e)
+	if t-s.now < horizon {
+		s.wheel.push(e)
 	} else {
-		s.near = push(s.near, e)
+		s.far = push(s.far, e)
 	}
 }
 
@@ -129,7 +206,7 @@ func (s *Scheduler) AfterPri(d Time, pri uint64, fn func()) {
 }
 
 // Pending returns the number of queued events.
-func (s *Scheduler) Pending() int { return len(s.near) + len(s.far) }
+func (s *Scheduler) Pending() int { return s.wheel.n + len(s.far) }
 
 // Stop latches the scheduler stopped: the in-progress Run/RunUntil/
 // RunWindow call returns after the current event completes, and every
@@ -184,22 +261,32 @@ func (s *Scheduler) RunWindow(end Time) int {
 
 func (s *Scheduler) run(deadline Time, advance bool) int {
 	count := 0
+	w := &s.wheel
 	for !s.stopped {
-		h := &s.near
-		if len(s.near) == 0 || (len(s.far) > 0 && less(&s.far[0], &s.near[0])) {
-			h = &s.far
+		var e *event
+		slot := 0
+		if w.n > 0 {
+			slot = w.next(int(s.now & (horizon - 1)))
+			e = &w.nodes[w.head[slot]].event
 		}
-		if len(*h) == 0 {
+		far := len(s.far) > 0 && (e == nil || less(&s.far[0], e))
+		if far {
+			e = &s.far[0]
+		} else if e == nil {
 			break
 		}
-		at, fn := (*h)[0].at, (*h)[0].fn
+		at, fn := e.at, e.fn
 		if at > deadline {
 			s.now = deadline
 			return count
 		}
-		// Pop before invoking, so a nested At/After inside fn sees a
-		// consistent heap.
-		*h = pop(*h)
+		// Remove before invoking, so a nested At/After inside fn sees a
+		// consistent queue.
+		if far {
+			s.far = pop(s.far)
+		} else {
+			w.pop(slot)
+		}
 		s.now = at
 		fn()
 		count++
@@ -211,8 +298,8 @@ func (s *Scheduler) run(deadline Time, advance bool) int {
 }
 
 // less orders events by (at, pri, seq); seq is unique, so the order is a
-// strict total order and neither heap layout nor which heap an event sits
-// in can ever change the execution order.
+// strict total order and neither heap layout nor whether an event sits in
+// the wheel or the heap can ever change the execution order.
 func less(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
