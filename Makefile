@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test bench check check-debug check-fault check-lint2 check-obs check-perf check-psim check-race-depth experiments fuzz-smoke overhead-smoke metrics-demo load-smoke
+.PHONY: build test bench check check-debug check-fault check-obs check-perf check-psim check-race-depth experiments fuzz-smoke overhead-smoke metrics-demo load-smoke
 
 build:
 	$(GO) build ./...
@@ -21,7 +21,7 @@ bench:
 # thanoslint runs after vet and mechanically enforces the paper's hardware
 # invariants: hot-path allocation freedom, simulation determinism, latency
 # constants, and the telemetry layer's lock-free hot-safe API discipline —
-# plus the v2 call-graph analyzers (goroutineleak, lockorder, publishsafety,
+# plus the call-graph analyzers (goroutineleak, lockorder, publishsafety,
 # wireproto) over the serving stack's concurrency and protocol contracts —
 # lockorder is what proves wmu → shard.mu is the engine's only order. The
 # race pass checks the engine's lock discipline itself, and covers the
@@ -32,13 +32,6 @@ check: build
 	$(GO) run ./cmd/thanoslint .
 	$(GO) test -race ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
-
-# check-lint2 is the fast-iteration loop for the v2 call-graph analyzers:
-# only the four serving-stack analyzers over the real tree, plus their
-# seeded-violation fixture tests.
-check-lint2:
-	$(GO) run ./cmd/thanoslint -only goroutineleak,lockorder,publishsafety,wireproto .
-	$(GO) test -count=1 -run 'TestGoroutineLeak|TestLockOrder|TestPublishSafety|TestWireProto' ./internal/lint/
 
 # check-race-depth re-runs the engine and server suites under the race
 # detector at both ends of the scheduler spectrum: GOMAXPROCS=1 forces

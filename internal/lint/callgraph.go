@@ -1,13 +1,14 @@
 package lint
 
-// This file is the v2 analyzers' shared intermediate layer: a whole-unit
-// function index plus call-site resolution that goes one step past the
-// syntax-directed v1 analyzers. Direct calls resolve statically (the same
-// rules hotpathalloc uses); interface dispatch resolves with class-hierarchy
-// analysis (CHA) over every named type loaded into the unit, so a call
-// through an interface such as server.Backend fans out to each in-module
-// implementation. Built only on go/ast + go/types, it preserves the loader's
-// offline contract: no network, no external analysis framework.
+// This file is the suite's one call-graph layer: a whole-unit function index
+// (built once per Unit, recording each function's //thanos:hotpath and
+// //thanos:coldpath marks), one call-site resolver, and the traversals the
+// analyzers share. Direct calls resolve statically; interface dispatch
+// resolves with class-hierarchy analysis (CHA) over every named type loaded
+// into the unit, so a call through an interface such as server.Backend fans
+// out to each in-module implementation. Built only on go/ast + go/types, it
+// preserves the loader's offline contract: no network, no external analysis
+// framework.
 
 import (
 	"go/ast"
@@ -16,15 +17,25 @@ import (
 
 // graphFunc is one analyzed function body.
 type graphFunc struct {
+	fn   *types.Func
 	decl *ast.FuncDecl
 	pkg  *Package
+	hot  bool // marked //thanos:hotpath
+	cold bool // marked //thanos:coldpath
+}
+
+// name renders the function for findings, e.g. "engine.(*Engine).DecideBatch".
+func (gf graphFunc) name() string {
+	return gf.pkg.Types.Name() + "." + funcDeclName(gf.decl)
 }
 
 // callGraph indexes every declared function with a body across the unit's
-// packages and resolves call expressions to their possible callees.
+// packages and resolves call expressions to their possible callees. A
+// function is in the module exactly when it is in the index.
 type callGraph struct {
 	u     *Unit
 	funcs map[*types.Func]graphFunc
+	order []graphFunc // funcs in declaration order: packages, files, decls
 	named []*types.Named
 
 	chaCache map[*types.Func][]*types.Func
@@ -44,7 +55,11 @@ func newCallGraph(u *Unit) *callGraph {
 					continue
 				}
 				if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					cg.funcs[obj] = graphFunc{decl: fd, pkg: pkg}
+					hot, _ := hasMark(fd.Doc, MarkHotPath)
+					cold, _ := hasMark(fd.Doc, MarkColdPath)
+					gf := graphFunc{fn: obj, decl: fd, pkg: pkg, hot: hot, cold: cold}
+					cg.funcs[obj] = gf
+					cg.order = append(cg.order, gf)
 				}
 			}
 		}
@@ -60,6 +75,18 @@ func newCallGraph(u *Unit) *callGraph {
 		}
 	}
 	return cg
+}
+
+// funcsIn returns the indexed functions of the packages under the given
+// import-path prefixes, in declaration order.
+func (cg *callGraph) funcsIn(pkgs []string) []graphFunc {
+	var out []graphFunc
+	for _, gf := range cg.order {
+		if pathMatchesAny(gf.pkg.Path, pkgs) {
+			out = append(out, gf)
+		}
+	}
+	return out
 }
 
 // resolve maps one call expression to its callees. static is the single
@@ -175,27 +202,48 @@ func (cg *callGraph) reachable(roots []*types.Func, followGo bool) map[*types.Fu
 // whose bare name is in names.
 func (cg *callGraph) rootsNamed(pkgs, names []string) []*types.Func {
 	var out []*types.Func
-	for _, pkg := range cg.u.Pkgs {
-		if !pathMatchesAny(pkg.Path, pkgs) {
-			continue
-		}
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				for _, name := range names {
-					if fd.Name.Name == name {
-						if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-							out = append(out, obj)
-						}
-					}
-				}
-			}
+	for _, gf := range cg.funcsIn(pkgs) {
+		if nameInList(gf.decl.Name.Name, names) {
+			out = append(out, gf.fn)
 		}
 	}
 	return out
+}
+
+// hotRoots returns the //thanos:hotpath-marked functions in declaration
+// order.
+func (cg *callGraph) hotRoots() []*types.Func {
+	var out []*types.Func
+	for _, gf := range cg.order {
+		if gf.hot {
+			out = append(out, gf.fn)
+		}
+	}
+	return out
+}
+
+// walkHot is the hot-path analyzers' shared traversal. It starts from the
+// hot roots in declaration order, stops at //thanos:coldpath functions and
+// at functions outside the index, and visits each function once, attributed
+// to the first root that reaches it (depth first). visit checks one function
+// and returns the callees to follow next: the edge set is the analyzer's
+// own, since what counts as a hot call differs between analyzers.
+func (cg *callGraph) walkHot(visit func(gf graphFunc, root string) []*types.Func) {
+	seen := map[*types.Func]bool{}
+	var walk func(fn *types.Func, root string)
+	walk = func(fn *types.Func, root string) {
+		gf, ok := cg.funcs[fn]
+		if !ok || gf.cold || seen[fn] {
+			return
+		}
+		seen[fn] = true
+		for _, callee := range visit(gf, root) {
+			walk(callee, root)
+		}
+	}
+	for _, r := range cg.hotRoots() {
+		walk(r, cg.funcs[r].name())
+	}
 }
 
 // refObject resolves a channel / mutex / wait-group operand expression to

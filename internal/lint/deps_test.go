@@ -11,7 +11,7 @@ import (
 )
 
 // TestLinterStdlibOnly pins the toolchain contract: the analyzers and the
-// thanoslint driver build from the standard library alone. The v2 call-graph
+// thanoslint driver build from the standard library alone. The call-graph
 // layer deliberately reimplements the small slice of go/ssa+CHA it needs on
 // go/ast + go/types instead of depending on golang.org/x/tools, so `make
 // check` works on an offline builder with nothing but the Go toolchain. If

@@ -58,45 +58,33 @@ func runDeterminism(u *Unit) error {
 
 // checkClockAndRand flags wall-clock and global-rand calls under n.
 // wallClockOK exempts the time.* rule (function carries //thanos:wallclock).
+// Methods (e.g. on a local *rand.Rand) and the constructors for local
+// generators are allowed.
 func checkClockAndRand(u *Unit, pkg *Package, n ast.Node, wallClockOK bool) {
+	cg := u.graph()
 	ast.Inspect(n, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if name, ok := isPkgCall(pkg.Info, call, "time", "Now", "Since", "Until"); ok && !wallClockOK {
-			u.Reportf(call.Pos(), "time.%s is nondeterministic; inject a hw.Clock, or annotate the measurement harness //thanos:wallclock <why>", name)
+		fn, _, _ := cg.resolve(pkg, call)
+		if fn == nil || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+			return true
 		}
-		if name, ok := globalRandCall(pkg.Info, call); ok {
-			u.Reportf(call.Pos(), "global math/rand.%s has process-shared state; use a seeded local generator (rand.New(rand.NewSource(seed)))", name)
+		switch name := fn.Name(); fn.Pkg().Path() {
+		case "time":
+			if !wallClockOK && (name == "Now" || name == "Since" || name == "Until") {
+				u.Reportf(call.Pos(), "time.%s is nondeterministic; inject a hw.Clock, or annotate the measurement harness //thanos:wallclock <why>", name)
+			}
+		case "math/rand", "math/rand/v2":
+			switch name {
+			case "New", "NewSource", "NewZipf", "NewPCG", "NewChaCha8":
+			default:
+				u.Reportf(call.Pos(), "global math/rand.%s has process-shared state; use a seeded local generator (rand.New(rand.NewSource(seed)))", name)
+			}
 		}
 		return true
 	})
-}
-
-// globalRandCall reports calls to package-level math/rand functions that use
-// the shared global generator. Constructors for local generators are allowed.
-func globalRandCall(info *types.Info, call *ast.CallExpr) (string, bool) {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok {
-		return "", false
-	}
-	p := fn.Pkg()
-	if p == nil || (p.Path() != "math/rand" && p.Path() != "math/rand/v2") {
-		return "", false
-	}
-	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-		return "", false // method on a local *rand.Rand
-	}
-	switch fn.Name() {
-	case "New", "NewSource", "NewZipf", "NewPCG", "NewChaCha8":
-		return "", false
-	}
-	return fn.Name(), true
 }
 
 // --- map-range order analysis ---

@@ -46,7 +46,7 @@ func runGoroutineLeak(u *Unit) error {
 	if len(cfg.Pkgs) == 0 {
 		return nil
 	}
-	cg := newCallGraph(u)
+	cg := u.graph()
 	roots := cg.rootsNamed(cfg.Pkgs, cfg.Roots)
 	gl := &leakChecker{
 		cg:     cg,
@@ -55,24 +55,13 @@ func runGoroutineLeak(u *Unit) error {
 	}
 	gl.collectDrainEvidence(cg.reachable(roots, false))
 
-	for _, pkg := range u.Pkgs {
-		if !pathMatchesAny(pkg.Path, cfg.Pkgs) {
-			continue
-		}
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					if g, ok := n.(*ast.GoStmt); ok {
-						gl.checkSpawn(u, pkg, g, strings.Join(cfg.Roots, "/"))
-					}
-					return true
-				})
+	for _, gf := range cg.funcsIn(cfg.Pkgs) {
+		ast.Inspect(gf.decl.Body, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				gl.checkSpawn(u, gf.pkg, g, strings.Join(cfg.Roots, "/"))
 			}
-		}
+			return true
+		})
 	}
 	return nil
 }

@@ -33,72 +33,25 @@ var HotPathAlloc = &Analyzer{
 	Run:  runHotPathAlloc,
 }
 
-type funcInfo struct {
-	decl *ast.FuncDecl
-	pkg  *Package
-}
-
 func runHotPathAlloc(u *Unit) error {
-	index := map[*types.Func]funcInfo{}
-	cold := map[*types.Func]bool{}
-	type hotRoot struct {
-		fn   *types.Func
-		name string
-	}
-	var roots []hotRoot
-	for _, pkg := range u.Pkgs {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				index[obj] = funcInfo{decl: fd, pkg: pkg}
-				if marked, _ := hasMark(fd.Doc, MarkHotPath); marked {
-					roots = append(roots, hotRoot{fn: obj, name: pkg.Types.Name() + "." + funcDeclName(fd)})
-				}
-				if marked, _ := hasMark(fd.Doc, MarkColdPath); marked {
-					cold[obj] = true
-				}
-			}
-		}
-	}
-
-	checked := map[*types.Func]bool{}
-	var visit func(fn *types.Func, root string)
-	visit = func(fn *types.Func, root string) {
-		if checked[fn] || cold[fn] {
-			return
-		}
-		info, ok := index[fn]
-		if !ok {
-			return // outside the module (or no body): not traversed
-		}
-		checked[fn] = true
-		c := &hotChecker{u: u, pkg: info.pkg, root: root, decl: info.decl}
-		c.stmt(info.decl.Body)
-		for _, callee := range c.callees {
-			visit(callee, root)
-		}
-	}
-	for _, r := range roots {
-		visit(r.fn, r.name)
-	}
+	cg := u.graph()
+	cg.walkHot(func(gf graphFunc, root string) []*types.Func {
+		c := &hotChecker{u: u, cg: cg, pkg: gf.pkg, fn: gf.fn, root: root}
+		c.stmt(gf.decl.Body)
+		return c.callees
+	})
 	return nil
 }
 
 // hotChecker walks one function body, reporting allocating constructs
-// outside failure paths and collecting static in-module callees in source
-// order.
+// outside failure paths and collecting static callees in source order
+// (the walk drops those outside the module).
 type hotChecker struct {
 	u       *Unit
+	cg      *callGraph
 	pkg     *Package
+	fn      *types.Func
 	root    string
-	decl    *ast.FuncDecl
 	callees []*types.Func
 }
 
@@ -255,11 +208,7 @@ func (c *hotChecker) coldStmts(list []ast.Stmt) bool {
 // return: the enclosing function's last result is an error and the returned
 // value for it is anything but the literal nil.
 func (c *hotChecker) coldReturn(ret *ast.ReturnStmt) bool {
-	obj, ok := c.pkg.Info.Defs[c.decl.Name].(*types.Func)
-	if !ok {
-		return false
-	}
-	res := obj.Type().(*types.Signature).Results()
+	res := c.fn.Type().(*types.Signature).Results()
 	if res.Len() == 0 || len(ret.Results) != res.Len() {
 		return false
 	}
@@ -270,12 +219,8 @@ func (c *hotChecker) coldReturn(ret *ast.ReturnStmt) bool {
 	if id, ok := last.(*ast.Ident); ok && id.Name == "nil" {
 		return false
 	}
-	if id, ok := last.(*ast.Ident); ok {
-		// Returning a plain error variable (e.g. "return err") after a
-		// failed callee is a propagation path, also cold.
-		_ = id
-		return true
-	}
+	// Anything else, including a plain error variable ("return err")
+	// propagating a failed callee, is cold.
 	return true
 }
 
@@ -371,17 +316,12 @@ func (c *hotChecker) call(e *ast.CallExpr) {
 		c.expr(e.Args[0])
 		return
 	}
-	callee, dynamic := c.staticCallee(e)
+	callee, _, dynamic := c.cg.resolve(c.pkg, e)
 	if callee != nil {
-		if p := callee.Pkg(); p != nil {
-			switch p.Path() {
-			case "fmt", "errors":
-				c.report(e.Pos(), "call to %s.%s allocates", p.Name(), callee.Name())
-			default:
-				if c.inModule(p.Path()) {
-					c.callees = append(c.callees, callee)
-				}
-			}
+		if p := callee.Pkg(); p != nil && (p.Path() == "fmt" || p.Path() == "errors") {
+			c.report(e.Pos(), "call to %s.%s allocates", p.Name(), callee.Name())
+		} else {
+			c.callees = append(c.callees, callee)
 		}
 		if sig, ok := callee.Type().(*types.Signature); ok {
 			c.checkCallBoxing(e, sig)
@@ -393,47 +333,6 @@ func (c *hotChecker) call(e *ast.CallExpr) {
 	for _, a := range e.Args {
 		c.expr(a)
 	}
-}
-
-// staticCallee resolves the called *types.Func for direct function and
-// concrete method calls. dynamic is true when the call goes through an
-// interface method or a function value.
-func (c *hotChecker) staticCallee(e *ast.CallExpr) (fn *types.Func, dynamic bool) {
-	switch f := unparen(e.Fun).(type) {
-	case *ast.Ident:
-		switch obj := c.pkg.Info.Uses[f].(type) {
-		case *types.Func:
-			return obj, false
-		case *types.Var:
-			return nil, true // function value
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := c.pkg.Info.Selections[f]; ok {
-			if fn, ok := sel.Obj().(*types.Func); ok {
-				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-					return nil, true // interface dispatch
-				}
-				return fn, false
-			}
-			return nil, true // func-typed field
-		}
-		// Package-qualified call.
-		if fn, ok := c.pkg.Info.Uses[f.Sel].(*types.Func); ok {
-			return fn, false
-		}
-	}
-	return nil, false
-}
-
-func (c *hotChecker) inModule(path string) bool {
-	// All analysis units load exactly the module's (or fixture's) packages;
-	// a path is in-module if the unit loaded it.
-	for _, p := range c.u.Pkgs {
-		if p.Path == path {
-			return true
-		}
-	}
-	return false
 }
 
 // --- boxing and conversions ---
@@ -511,11 +410,7 @@ func (c *hotChecker) checkVarSpecBoxing(vs *ast.ValueSpec) {
 }
 
 func (c *hotChecker) checkReturnBoxing(ret *ast.ReturnStmt) {
-	obj, ok := c.pkg.Info.Defs[c.decl.Name].(*types.Func)
-	if !ok {
-		return
-	}
-	res := obj.Type().(*types.Signature).Results()
+	res := c.fn.Type().(*types.Signature).Results()
 	if len(ret.Results) != res.Len() {
 		return
 	}

@@ -4,8 +4,9 @@
 // 2 cycles and BFPUs 1 (§5.2), SMBM writes are 2-cycle fully-pipelined ops
 // (§5.1), and the switch decides one packet per clock — and the software
 // rendering of those guarantees ("zero allocations and no wall-clock or
-// global-rand nondeterminism on the decision path") is enforced at build
-// time by four analyzers:
+// global-rand nondeterminism on the decision path", plus the serving stack's
+// concurrency and protocol contracts) is enforced at build time by eight
+// analyzers:
 //
 //   - hotpathalloc:    no allocating constructs on //thanos:hotpath call graphs
 //   - determinism:     no wall clock, global math/rand, or map-iteration-order
@@ -14,11 +15,6 @@
 //     (internal/lint/contract.go is the single source of truth)
 //   - telemetrysafety: telemetry reachable from //thanos:hotpath roots is
 //     lock-free and restricted to the hot-safe instrument API
-//
-// The v2 analyzers add a call-graph layer (callgraph.go: static resolution
-// plus CHA for interface dispatch) and check the serving stack's concurrency
-// and protocol contracts:
-//
 //   - goroutineleak:   every spawned goroutine has a shutdown edge (closed
 //     channel, WaitGroup join, context cancel) reachable from Close
 //   - lockorder:       no lock-ordering cycles; no blocking channel ops or
@@ -28,6 +24,13 @@
 //     atomic Store publish
 //   - wireproto:       opcode/codec/dispatch exhaustiveness and cap symmetry
 //     across the server and client ends of the wire protocol
+//
+// All of them stand on one call-graph layer (callgraph.go): a function
+// index built once per Unit with each function's hot/cold marks, one
+// call-site resolver (static calls, plus CHA for interface dispatch), and
+// the shared traversals — the hot-path walk under hotpathalloc and
+// telemetrysafety, reachability for goroutineleak and publishsafety. The
+// analyzers keep only their checks.
 //
 // The suite is built directly on go/ast and go/types (no external analysis
 // framework) so it runs offline with nothing but the Go toolchain; the
@@ -39,7 +42,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 )
@@ -53,7 +55,7 @@ const (
 	MarkHotPath = "thanos:hotpath"
 	// MarkColdPath marks a reviewed slow-path helper reachable from a hot
 	// path whose steady-state cost is amortized to zero (e.g. a buffer-grow
-	// function). hotpathalloc stops traversal at it; the dynamic
+	// function). The hot-path walk stops at it; the dynamic
 	// allocs-per-run regression tests cross-check the amortization claim.
 	MarkColdPath = "thanos:coldpath"
 	// MarkWallClock exempts a measurement-harness function from the
@@ -82,10 +84,6 @@ type Analyzer struct {
 // All is the full thanoslint suite in reporting order.
 var All = []*Analyzer{HotPathAlloc, Determinism, LatencyContract, TelemetrySafety, GoroutineLeak, LockOrder, PublishSafety, WireProto}
 
-// V2 is the call-graph-based subset added for the serving stack (the
-// `make check-lint2` fast-iteration target).
-var V2 = []*Analyzer{GoroutineLeak, LockOrder, PublishSafety, WireProto}
-
 // Unit is the analysis scope handed to every analyzer: the loaded packages
 // plus configuration. Analyzers report through Reportf.
 type Unit struct {
@@ -95,11 +93,21 @@ type Unit struct {
 
 	current string // name of the running analyzer
 	diags   []Diagnostic
+	cg      *callGraph
 }
 
 // NewUnit builds an analysis unit over the given packages.
 func NewUnit(fset *token.FileSet, pkgs []*Package, cfg Config) *Unit {
 	return &Unit{Fset: fset, Pkgs: pkgs, Config: cfg}
+}
+
+// graph returns the unit's call graph, built on first use and shared by
+// every analyzer.
+func (u *Unit) graph() *callGraph {
+	if u.cg == nil {
+		u.cg = newCallGraph(u)
+	}
+	return u.cg
 }
 
 // Reportf records a finding at pos for the running analyzer.
@@ -246,26 +254,4 @@ func baseIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
-}
-
-// isPkgCall reports whether call is pkgpath.Name(...) for a package-level
-// function, using type information to see through import renames.
-func isPkgCall(info *types.Info, call *ast.CallExpr, pkgPath string, names ...string) (string, bool) {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	obj := info.Uses[sel.Sel]
-	if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != pkgPath {
-		return "", false
-	}
-	if len(names) == 0 {
-		return sel.Sel.Name, true
-	}
-	for _, n := range names {
-		if sel.Sel.Name == n {
-			return n, true
-		}
-	}
-	return "", false
 }

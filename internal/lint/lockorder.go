@@ -53,7 +53,7 @@ func runLockOrder(u *Unit) error {
 	}
 	la := &lockAnalyzer{
 		u:          u,
-		cg:         newCallGraph(u),
+		cg:         u.graph(),
 		cfg:        cfg,
 		summaries:  map[*types.Func]*lockSummary{},
 		inProgress: map[*types.Func]bool{},
@@ -62,21 +62,8 @@ func runLockOrder(u *Unit) error {
 		acquirers:  map[types.Object]map[string]bool{},
 		ioUnder:    map[types.Object]map[string]bool{},
 	}
-	for _, pkg := range u.Pkgs {
-		if !pathMatchesAny(pkg.Path, cfg.Pkgs) {
-			continue
-		}
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					la.summary(obj)
-				}
-			}
-		}
+	for _, gf := range la.cg.funcsIn(cfg.Pkgs) {
+		la.summary(gf.fn)
 	}
 	la.reportIO()
 	la.reportCycles()
@@ -132,7 +119,7 @@ func (la *lockAnalyzer) summary(fn *types.Func) *lockSummary {
 	w := &lockWalk{
 		la:     la,
 		pkg:    gf.pkg,
-		fnName: gf.pkg.Types.Name() + "." + funcDeclName(gf.decl),
+		fnName: gf.name(),
 		record: pathMatchesAny(gf.pkg.Path, la.cfg.Pkgs),
 		sum:    &lockSummary{},
 	}

@@ -51,25 +51,13 @@ func runPublishSafety(u *Unit) error {
 	if cfg.Pkg == "" || len(cfg.Types) == 0 {
 		return nil
 	}
-	cg := newCallGraph(u)
-	hotRead := hotReadFields(u, cg, cfg)
-
-	for _, pkg := range u.Pkgs {
-		if !pathMatchesAny(pkg.Path, []string{cfg.Pkg}) {
-			continue
-		}
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if nameInList(fd.Name.Name, cfg.AllowFuncs) {
-					checkPublishOrder(u, pkg, fd, cfg, hotRead)
-				} else {
-					checkNoWrites(u, pkg, fd, cfg, hotRead)
-				}
-			}
+	cg := u.graph()
+	hotRead := hotReadFields(cg, cfg)
+	for _, gf := range cg.funcsIn([]string{cfg.Pkg}) {
+		if nameInList(gf.decl.Name.Name, cfg.AllowFuncs) {
+			checkPublishOrder(u, gf.pkg, gf.decl, cfg, hotRead)
+		} else {
+			checkNoWrites(u, gf.pkg, gf.decl, cfg, hotRead)
 		}
 	}
 	return nil
@@ -87,25 +75,9 @@ func nameInList(name string, list []string) bool {
 // hotReadFields walks the call graph from every //thanos:hotpath-marked
 // function (go statements excluded: the hot path runs on one goroutine) and
 // collects the snapshot fields it reads, keyed by field object.
-func hotReadFields(u *Unit, cg *callGraph, cfg PublishConfig) map[types.Object]bool {
-	var roots []*types.Func
-	for _, pkg := range u.Pkgs {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if ok, _ := hasMark(fd.Doc, MarkHotPath); ok {
-					if obj, isFn := pkg.Info.Defs[fd.Name].(*types.Func); isFn {
-						roots = append(roots, obj)
-					}
-				}
-			}
-		}
-	}
+func hotReadFields(cg *callGraph, cfg PublishConfig) map[types.Object]bool {
 	hot := map[types.Object]bool{}
-	for fn := range cg.reachable(roots, false) {
+	for fn := range cg.reachable(cg.hotRoots(), false) {
 		gf := cg.funcs[fn]
 		ast.Inspect(gf.decl.Body, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)

@@ -53,68 +53,23 @@ func runTelemetrySafety(u *Unit) error {
 		hotSafe[n] = true
 	}
 
-	// Index every function in the unit and collect hot roots and cold
-	// stops, exactly like hotpathalloc.
-	index := map[*types.Func]funcInfo{}
-	cold := map[*types.Func]bool{}
-	type hotRoot struct {
-		fn   *types.Func
-		name string
-	}
-	var roots []hotRoot
-	for _, pkg := range u.Pkgs {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				index[obj] = funcInfo{decl: fd, pkg: pkg}
-				if marked, _ := hasMark(fd.Doc, MarkHotPath); marked {
-					roots = append(roots, hotRoot{fn: obj, name: pkg.Types.Name() + "." + funcDeclName(fd)})
-				}
-				if marked, _ := hasMark(fd.Doc, MarkColdPath); marked {
-					cold[obj] = true
-				}
-			}
-		}
-	}
-
 	inTelemetry := func(path string) bool {
 		return pathMatchesAny(path, []string{cfg.Pkg})
 	}
-
-	checked := map[*types.Func]bool{}
-	var visit func(fn *types.Func, root string)
-	visit = func(fn *types.Func, root string) {
-		if checked[fn] || cold[fn] {
-			return
-		}
-		info, ok := index[fn]
-		if !ok {
-			return // outside the module: not traversed
-		}
-		checked[fn] = true
+	cg := u.graph()
+	cg.walkHot(func(gf graphFunc, root string) []*types.Func {
 		c := &telemetryChecker{
 			u:       u,
-			pkg:     info.pkg,
+			cg:      cg,
+			pkg:     gf.pkg,
 			root:    root,
-			inTel:   inTelemetry(info.pkg.Path),
+			inTel:   inTelemetry(gf.pkg.Path),
 			isTel:   inTelemetry,
 			hotSafe: hotSafe,
 		}
-		c.walk(info.decl.Body)
-		for _, callee := range c.callees {
-			visit(callee, root)
-		}
-	}
-	for _, r := range roots {
-		visit(r.fn, r.name)
-	}
+		c.walk(gf.decl.Body)
+		return c.callees
+	})
 	return nil
 }
 
@@ -124,6 +79,7 @@ func runTelemetrySafety(u *Unit) error {
 // the allowlist.
 type telemetryChecker struct {
 	u       *Unit
+	cg      *callGraph
 	pkg     *Package
 	root    string
 	inTel   bool
@@ -172,7 +128,7 @@ func (c *telemetryChecker) walk(body *ast.BlockStmt) {
 }
 
 func (c *telemetryChecker) call(e *ast.CallExpr) {
-	fn, _ := staticCalleeIn(c.pkg, e)
+	fn, _, _ := c.cg.resolve(c.pkg, e)
 	if fn == nil || fn.Pkg() == nil {
 		return
 	}
@@ -187,51 +143,10 @@ func (c *telemetryChecker) call(e *ast.CallExpr) {
 			c.report(e.Pos(), "call to telemetry function %s is not on the hot-safe allowlist", name)
 		}
 	}
-	// Traverse in-module callees (including into the telemetry package, so
-	// a nominally hot-safe entry that internally blocks is still caught).
-	if c.inModule(path) {
-		c.callees = append(c.callees, fn)
-	}
-}
-
-func (c *telemetryChecker) inModule(path string) bool {
-	for _, p := range c.u.Pkgs {
-		if p.Path == path {
-			return true
-		}
-	}
-	return false
-}
-
-// staticCalleeIn resolves the called *types.Func for direct function and
-// concrete method calls, returning nil (dynamic=true) for interface
-// dispatch and function values. It is the package-level twin of
-// hotChecker.staticCallee, shared by analyzers that walk call graphs.
-func staticCalleeIn(pkg *Package, e *ast.CallExpr) (fn *types.Func, dynamic bool) {
-	switch f := unparen(e.Fun).(type) {
-	case *ast.Ident:
-		switch obj := pkg.Info.Uses[f].(type) {
-		case *types.Func:
-			return obj, false
-		case *types.Var:
-			return nil, true // function value
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := pkg.Info.Selections[f]; ok {
-			if fn, ok := sel.Obj().(*types.Func); ok {
-				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-					return nil, true // interface dispatch
-				}
-				return fn, false
-			}
-			return nil, true // func-typed field
-		}
-		// Package-qualified call.
-		if fn, ok := pkg.Info.Uses[f.Sel].(*types.Func); ok {
-			return fn, false
-		}
-	}
-	return nil, false
+	// Follow every static callee; the walk keeps those in the module,
+	// including the telemetry package, so a nominally hot-safe entry that
+	// internally blocks is still caught.
+	c.callees = append(c.callees, fn)
 }
 
 // funcDisplayName renders a *types.Func the way funcDeclName renders its

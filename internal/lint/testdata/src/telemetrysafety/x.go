@@ -30,6 +30,30 @@ func (m *Mod) helper() uint64 {
 	return 0
 }
 
+// DecideChecked reaches failHelper only from failure paths: a block ending
+// in panic and a guard returning the caller's error. telemetrysafety follows
+// every call, so the helper's non-allowlisted call is still a finding. The
+// hotpathalloc fixture has the same shape and skips both calls: the two
+// analyzers' edge sets differ on purpose.
+//
+//thanos:hotpath
+func (m *Mod) DecideChecked(n int, err error) (int, error) {
+	if n < 0 {
+		m.failHelper(n)
+		panic("negative input")
+	}
+	if err != nil {
+		m.failHelper(n)
+		return 0, err
+	}
+	return n, nil
+}
+
+func (m *Mod) failHelper(n int) {
+	buf := make([]byte, n)
+	m.s.Observe(uint64(len(buf))) // want `call to telemetry function \(\*Sampler\)\.Observe is not on the hot-safe allowlist`
+}
+
 // cold stops traversal: its telemetry calls are exempt.
 //
 //thanos:coldpath registration-time setup, never on the decision path

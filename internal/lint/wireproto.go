@@ -298,6 +298,7 @@ func checkCaps(u *Unit, cfg WireConfig, wire *Package) {
 		}
 		capObjs[obj] = true
 	}
+	cg := u.graph()
 	scopes := append([]string{cfg.Pkg, cfg.ClientPkg}, cfg.CapPkgs...)
 	for _, pkg := range u.Pkgs {
 		if !pathMatchesAny(pkg.Path, scopes) {
@@ -309,7 +310,7 @@ func checkCaps(u *Unit, cfg WireConfig, wire *Package) {
 				if !ok {
 					return true
 				}
-				fnObj := calleeObj(pkg.Info, call)
+				fnObj, _, _ := cg.resolve(pkg, call)
 				if fnObj == nil || fnObj.Pkg() == nil || fnObj.Pkg().Path() != cfg.Pkg {
 					return true
 				}
@@ -380,16 +381,4 @@ func checkFlags(u *Unit, cfg WireConfig, wire *Package) {
 			u.Reportf(fl.Pos(), "flag constant %s (%#x) does not fit the u16 count word", name, v)
 		}
 	}
-}
-
-// calleeObj resolves a call's callee object for plain and package-qualified
-// calls.
-func calleeObj(info *types.Info, call *ast.CallExpr) types.Object {
-	switch f := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return info.Uses[f]
-	case *ast.SelectorExpr:
-		return info.Uses[f.Sel]
-	}
-	return nil
 }
