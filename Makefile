@@ -67,10 +67,15 @@ check-fault:
 # detector at both scheduler depths — GOMAXPROCS=1 forces cooperative
 # interleavings of the LP goroutines (a missing shutdown or barrier edge
 # hangs visibly), GOMAXPROCS=4 maximizes true parallelism. Bit-identity of
-# the parallel driver must hold at both settings.
+# the parallel driver must hold at both settings. The Figure 16–18 identity
+# tests and the golden serial runs ride along: a packet changes owner across
+# LPs (the receiver's LP rewrites it as its ACK, the sender's LP reuses it),
+# which only a run with cross-LP traffic exercises under the race detector.
 check-psim:
 	GOMAXPROCS=1 $(GO) test -race -count=1 -short ./internal/sim/ ./internal/netsim/
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'SerialParallel|Golden' ./internal/experiments/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -short ./internal/sim/ ./internal/netsim/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'SerialParallel|Golden' ./internal/experiments/
 
 # check-perf is the performance-regression gate: it runs the pinned
 # benchmark set (internal/perfcheck) and compares against the newest

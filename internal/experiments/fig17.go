@@ -282,8 +282,7 @@ func buildRoutingNet(cfg NetConfig, pol RoutingPolicy) (*routingNet, error) {
 					continue
 				}
 				p := leaf.Port(clos.UplinkPort(s))
-				vals, ok := module.Table.Metrics(s)
-				if !ok {
+				if !module.Table.MetricsInto(s, vals) {
 					continue
 				}
 				vals[0] = int64(p.UtilEWMA() * 1000)

@@ -190,13 +190,13 @@ func buildPortLBNet(cfg NetConfig, pol PortPolicy, d, m int) (*portNet, error) {
 		// pessimal marks — a drained dead queue would otherwise look like
 		// the best port in the table.
 		li, leaf := li, leaf
+		vals := make([]int64, len(portSchema.Attrs)) // reused: Update copies out of it
 		leaf.OnMetricTick = func() {
 			for s := 0; s < cfg.Spines; s++ {
 				if pn.dead[li][s] {
 					continue
 				}
-				vals, ok := module.Table.Metrics(s)
-				if !ok {
+				if !module.Table.MetricsInto(s, vals) {
 					continue
 				}
 				vals[1] = vals[0]

@@ -166,3 +166,34 @@ func TestHopZeroAlloc(t *testing.T) {
 		t.Fatalf("%d packets arrived, want %d", arrived, 102*len(pkts))
 	}
 }
+
+// TestFlowSteadyStateZeroAlloc pins the transport: once a flow is running,
+// a data packet becomes its ACK at the receiver and the ACK becomes the
+// sender's next data packet, the flow's state rides on both, and every RTO
+// arm schedules the flow's one callback — so slices of simulated time
+// allocate nothing. The flow's state, callback and reassembly bitset are
+// allocated before the measured slices. A host allocates a packet only when
+// its spare list is empty: while a window grows past any size it had before,
+// or to replace a packet a queue dropped. So the slices are taken in
+// congestion avoidance, between two losses.
+func TestFlowSteadyStateZeroAlloc(t *testing.T) {
+	n, _ := twoHostNet(t, DefaultConfig())
+	if _, err := n.StartFlow(0, 1, 100_000_000, 0); err != nil {
+		t.Fatal(err)
+	}
+	deadline := 7 * sim.Millisecond // past slow start's loss and the first RTO expiries
+	n.Sched.RunUntil(deadline)
+	nic := n.Hosts[0].NIC()
+	drops, sent := nic.Drops(), nic.Sent()
+	slice := func() {
+		deadline += 40 * sim.Microsecond
+		n.Sched.RunUntil(deadline)
+	}
+	if allocs := testing.AllocsPerRun(100, slice); allocs != 0 {
+		t.Fatalf("a steady-state flow allocates %.1f times per 40 µs slice, want 0", allocs)
+	}
+	if nic.Drops() != drops || nic.Sent()-sent < 3000 || n.ActiveFlows() != 1 {
+		t.Fatalf("measured window: %d drops, %d packets sent, %d flows active; want 0, ≥ 3000, 1",
+			nic.Drops()-drops, nic.Sent()-sent, n.ActiveFlows())
+	}
+}

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sim"
 )
@@ -21,8 +22,8 @@ type Host struct {
 	sched *sim.Scheduler
 	lp    *lp // owning logical process; nil in the serial driver
 
-	senders   map[int64]*senderState
-	receivers map[int64]*receiverState
+	sending int       // flows this host started and has not completed
+	spare   []*Packet // consumed ACKs, reused by sendData
 
 	rtoRetx  uint64 // go-back-N retransmission timeouts fired
 	fastRetx uint64 // fast retransmits triggered by duplicate ACKs
@@ -35,38 +36,33 @@ type Host struct {
 func (h *Host) Retransmits() (rto, fast uint64) { return h.rtoRetx, h.fastRetx }
 
 // ActiveSenders returns the number of flows this host is still sending.
-func (h *Host) ActiveSenders() int { return len(h.senders) }
+func (h *Host) ActiveSenders() int { return h.sending }
 
-type senderState struct {
-	flowID    int64
+// flow is one flow's transport state; the sending host creates it and every
+// packet of the flow points to it. Its two halves are written by different
+// hosts — different LPs in the parallel driver — and share no memory word.
+type flow struct {
+	id        int64
 	dst       int
 	totalPkts int
 	bytes     int64
 	start     sim.Time
+	lastSize  int // bytes of the final (possibly short) packet
 
+	// Sender half.
 	cumAck   int
 	nextSeq  int
 	cwnd     float64
 	ssthresh float64
 	dupAcks  int
-	timerGen int
-	lastSize int // bytes of the final (possibly short) packet
-}
+	armed    int    // RTO timers armed so far
+	fired    int    // RTO timers fired so far
+	rto      func() // the flow's one timer callback
+	done     bool
 
-type receiverState struct {
-	src      int
-	received map[int]bool
-	cumAck   int
-}
-
-func newHost(n *Network, id int) *Host {
-	return &Host{
-		net:       n,
-		id:        id,
-		sched:     n.Sched,
-		senders:   make(map[int64]*senderState),
-		receivers: make(map[int64]*receiverState),
-	}
+	// Receiver half: bit s of rcvd is set once Seq s has arrived.
+	rcvd   []uint64
+	rcvCum int
 }
 
 // ID returns the host id.
@@ -88,8 +84,8 @@ func (h *Host) startSender(flowID int64, dst int, bytes int64, start sim.Time) {
 	if last <= 0 {
 		last = h.net.cfg.MTU
 	}
-	st := &senderState{
-		flowID:    flowID,
+	fl := &flow{
+		id:        flowID,
 		dst:       dst,
 		totalPkts: pkts,
 		bytes:     bytes,
@@ -98,67 +94,76 @@ func (h *Host) startSender(flowID int64, dst int, bytes int64, start sim.Time) {
 		ssthresh:  1 << 30,
 		lastSize:  last,
 	}
-	h.senders[flowID] = st
-	h.pump(st)
-	h.armTimer(st)
+	fl.rto = func() { h.expire(fl) }
+	h.sending++
+	h.pump(fl)
+	h.armTimer(fl)
 }
 
 // pump transmits while the window allows.
-func (h *Host) pump(st *senderState) {
-	for st.nextSeq < st.totalPkts && float64(st.nextSeq-st.cumAck) < st.cwnd {
-		h.sendData(st, st.nextSeq)
-		st.nextSeq++
+func (h *Host) pump(fl *flow) {
+	for fl.nextSeq < fl.totalPkts && float64(fl.nextSeq-fl.cumAck) < fl.cwnd {
+		h.sendData(fl, fl.nextSeq)
+		fl.nextSeq++
 	}
 }
 
-func (h *Host) sendData(st *senderState, seq int) {
+func (h *Host) sendData(fl *flow, seq int) {
 	size := h.net.cfg.MTU
-	if seq == st.totalPkts-1 {
-		size = st.lastSize
+	if seq == fl.totalPkts-1 {
+		size = fl.lastSize
 	}
-	h.nic.Send(&Packet{
-		FlowID: st.flowID, Src: h.id, Dst: st.dst, Seq: seq, Bytes: size,
-	})
+	if len(h.spare) == 0 {
+		h.spare = append(h.spare, new(Packet))
+	}
+	pkt := h.spare[len(h.spare)-1]
+	h.spare = h.spare[:len(h.spare)-1]
+	*pkt = Packet{FlowID: fl.id, Src: h.id, Dst: fl.dst, Seq: seq, Bytes: size, flow: fl}
+	h.nic.Send(pkt)
 }
 
-// armTimer (re)arms the flow's retransmission timeout. The generation
-// counter is the guard against spurious retransmits: every arm bumps
-// timerGen and captures it, and the callback no-ops unless its generation
-// is still current. The two ways a pending callback is invalidated:
+// armTimer (re)arms the flow's retransmission timeout. Only the newest arm
+// may act: every ACK advance and every fast retransmit re-arms, and the final
+// cumulative ACK marks the flow done, so a flow that completes (or
+// fast-retransmits) just before its RTO expires never go-back-N-retransmits
+// spuriously (TestHostNoSpuriousRTOAfterCompletion).
 //
-//   - Completion: the final cumulative ACK deletes the flow from h.senders,
-//     so the lookup fails (flow ids are globally unique and never reused,
-//     so a new flow can never alias a stale callback's lookup).
-//   - Progress: every ACK advance and every fast retransmit re-arms, so an
-//     older generation's callback finds timerGen ahead of its capture.
-//
-// Together these guarantee a flow that completes (or fast-retransmits)
-// just before its RTO expires never go-back-N-retransmits spuriously;
-// TestHostNoSpuriousRTOAfterCompletion pins this.
-func (h *Host) armTimer(st *senderState) {
-	st.timerGen++
-	gen := st.timerGen
-	h.sched.AfterPri(h.net.cfg.RTO, key(priTimer, int(st.flowID)), func() {
-		cur, ok := h.senders[st.flowID]
-		if !ok || cur.timerGen != gen {
-			return // completed or superseded
-		}
-		h.rtoRetx++
-		// Timeout: multiplicative decrease and go-back-N.
-		cur.ssthresh = cur.cwnd / 2
-		if cur.ssthresh < 2 {
-			cur.ssthresh = 2
-		}
-		cur.cwnd = 1
-		cur.dupAcks = 0
-		cur.nextSeq = cur.cumAck
-		h.pump(cur)
-		h.armTimer(cur)
-	})
+// The arms need no captured generation because they fire in the order they
+// were armed: each is due at now + cfg.RTO under key(priTimer, flow id), so
+// a later arm is due no earlier, with the same priority and a larger
+// scheduling seq — and the scheduler orders by (at, pri, seq). The k-th
+// firing is therefore the k-th arm, and it is current iff no arm followed.
+// That counting breaks if a flow's timer is ever armed with another delay or
+// another key.
+func (h *Host) armTimer(fl *flow) {
+	fl.armed++
+	h.sched.AfterPri(h.net.cfg.RTO, key(priTimer, int(fl.id)), fl.rto)
+}
+
+// expire is a firing of the flow's RTO timer.
+func (h *Host) expire(fl *flow) {
+	fl.fired++
+	if fl.done || fl.fired != fl.armed {
+		return // completed or superseded
+	}
+	h.rtoRetx++
+	// Timeout: multiplicative decrease and go-back-N.
+	fl.ssthresh = fl.cwnd / 2
+	if fl.ssthresh < 2 {
+		fl.ssthresh = 2
+	}
+	fl.cwnd = 1
+	fl.dupAcks = 0
+	fl.nextSeq = fl.cumAck
+	h.pump(fl)
+	h.armTimer(fl)
 }
 
 // Receive implements Node.
 func (h *Host) Receive(pkt *Packet, _ int) {
+	if pkt.flow == nil {
+		panic(fmt.Sprintf("netsim: host %d received a packet of flow %d with no flow state", h.id, pkt.FlowID))
+	}
 	if pkt.IsAck {
 		h.handleAck(pkt)
 		return
@@ -167,59 +172,64 @@ func (h *Host) Receive(pkt *Packet, _ int) {
 }
 
 func (h *Host) handleData(pkt *Packet) {
-	rs, ok := h.receivers[pkt.FlowID]
-	if !ok {
-		rs = &receiverState{src: pkt.Src, received: make(map[int]bool)}
-		h.receivers[pkt.FlowID] = rs
+	fl := pkt.flow
+	if fl.rcvd == nil {
+		fl.rcvd = make([]uint64, (fl.totalPkts+63)/64)
 	}
-	rs.received[pkt.Seq] = true
-	for rs.received[rs.cumAck] {
-		delete(rs.received, rs.cumAck)
-		rs.cumAck++
+	fl.rcvd[pkt.Seq/64] |= 1 << (pkt.Seq % 64)
+	for w := fl.rcvCum / 64; w < len(fl.rcvd); w++ {
+		off := fl.rcvCum % 64
+		run := bits.TrailingZeros64(^(fl.rcvd[w] >> off))
+		if fl.rcvCum += run; run < 64-off {
+			break // the word has a gap
+		}
 	}
-	h.nic.Send(&Packet{
-		FlowID: pkt.FlowID, Src: h.id, Dst: pkt.Src,
-		CumAck: rs.cumAck, IsAck: true, Bytes: h.net.cfg.AckBytes,
-	})
+	*pkt = Packet{
+		FlowID: fl.id, Src: h.id, Dst: pkt.Src,
+		CumAck: fl.rcvCum, IsAck: true, Bytes: h.net.cfg.AckBytes, flow: fl,
+	}
+	h.nic.Send(pkt)
 }
 
 func (h *Host) handleAck(pkt *Packet) {
-	st, ok := h.senders[pkt.FlowID]
-	if !ok {
+	fl, cumAck := pkt.flow, pkt.CumAck
+	h.spare = append(h.spare, pkt)
+	if fl.done {
 		return // stale ACK after completion
 	}
-	if pkt.CumAck > st.cumAck {
-		advanced := pkt.CumAck - st.cumAck
-		st.cumAck = pkt.CumAck
-		st.dupAcks = 0
-		if st.cwnd < st.ssthresh {
-			st.cwnd += float64(advanced) // slow start
+	if cumAck > fl.cumAck {
+		advanced := cumAck - fl.cumAck
+		fl.cumAck = cumAck
+		fl.dupAcks = 0
+		if fl.cwnd < fl.ssthresh {
+			fl.cwnd += float64(advanced) // slow start
 		} else {
-			st.cwnd += float64(advanced) / st.cwnd // congestion avoidance
+			fl.cwnd += float64(advanced) / fl.cwnd // congestion avoidance
 		}
-		if st.cumAck >= st.totalPkts {
-			delete(h.senders, pkt.FlowID)
+		if fl.cumAck >= fl.totalPkts {
+			fl.done = true
+			h.sending--
 			h.net.flowDone(h, FlowRecord{
-				FlowID: st.flowID, Src: h.id, Dst: st.dst,
-				Bytes: st.bytes, Start: st.start, End: h.sched.Now(),
+				FlowID: fl.id, Src: h.id, Dst: fl.dst,
+				Bytes: fl.bytes, Start: fl.start, End: h.sched.Now(),
 			})
 			return
 		}
-		h.armTimer(st)
-		h.pump(st)
+		h.armTimer(fl)
+		h.pump(fl)
 		return
 	}
 	// Duplicate ACK.
-	st.dupAcks++
-	if st.dupAcks == h.net.cfg.DupAckThreshold {
+	fl.dupAcks++
+	if fl.dupAcks == h.net.cfg.DupAckThreshold {
 		// Fast retransmit + simplified fast recovery.
-		st.ssthresh = st.cwnd / 2
-		if st.ssthresh < 2 {
-			st.ssthresh = 2
+		fl.ssthresh = fl.cwnd / 2
+		if fl.ssthresh < 2 {
+			fl.ssthresh = 2
 		}
-		st.cwnd = st.ssthresh
+		fl.cwnd = fl.ssthresh
 		h.fastRetx++
-		h.sendData(st, st.cumAck)
-		h.armTimer(st)
+		h.sendData(fl, fl.cumAck)
+		h.armTimer(fl)
 	}
 }

@@ -67,6 +67,7 @@ func (c Config) Validate() error {
 }
 
 // Packet is the on-wire unit. Data packets carry Seq; ACKs carry CumAck.
+// Hosts reuse the packets they consume, so only a packet's holder may keep it.
 type Packet struct {
 	FlowID int64
 	Src    int // source host id
@@ -75,6 +76,7 @@ type Packet struct {
 	CumAck int // cumulative ACK (first missing seq), valid when IsAck
 	IsAck  bool
 	Bytes  int
+	flow   *flow // transport state, shared by the flow's two hosts
 }
 
 // Node consumes packets delivered by links.
@@ -393,7 +395,7 @@ func (n *Network) Config() Config { return n.cfg }
 
 // AddHost appends a host and returns it; host ids are dense from 0.
 func (n *Network) AddHost() *Host {
-	h := newHost(n, len(n.Hosts))
+	h := &Host{net: n, id: len(n.Hosts), sched: n.Sched}
 	n.Hosts = append(n.Hosts, h)
 	return h
 }

@@ -19,9 +19,9 @@ package netsim
 //   - priTxFree is keyed by the transmitting port's global id; a port's
 //     transmitter-free events are strictly increasing in time.
 //   - priTimer and priStart are keyed by flow id (flow ids are assigned
-//     sequentially and never reused; a flow arms at most one timer per
-//     instant). Uniqueness assumes < 2³² concurrent flow ids, far beyond
-//     any workload here.
+//     sequentially and never reused; a flow's timers due at one instant
+//     run in the order its host armed them, see armTimer). Uniqueness
+//     assumes < 2³² concurrent flow ids, far beyond any workload here.
 //   - priTick is keyed by switch id; each switch has one metric tick per
 //     instant.
 //   - priFault* and priCtl events are armed before the run in identical

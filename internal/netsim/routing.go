@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/policy"
 )
@@ -56,17 +57,15 @@ type PathRouter struct {
 	sw         *Switch
 	module     Backend
 	uplinkPort func(resource int) int
-	flowPath   map[int64]int
+	flowPath   []int // flow id (dense from 1) → pinned port + 1; 0 = unpinned
+	pinned     int
 }
 
 // NewPathRouter installs policy-driven uplink selection on sw. uplinkPort
 // maps a resource id from the module's table to a switch port.
 // The router is installed as sw.Forward and also returned for inspection.
 func NewPathRouter(sw *Switch, module Backend, uplinkPort func(resource int) int) *PathRouter {
-	r := &PathRouter{
-		sw: sw, module: module, uplinkPort: uplinkPort,
-		flowPath: make(map[int64]int),
-	}
+	r := &PathRouter{sw: sw, module: module, uplinkPort: uplinkPort}
 	sw.Forward = r.forward
 	return r
 }
@@ -79,14 +78,19 @@ func (r *PathRouter) forward(pkt *Packet) int {
 	if len(cands) == 1 {
 		return cands[0] // host-facing or single downlink
 	}
-	if port, ok := r.flowPath[pkt.FlowID]; ok {
-		return port
+	id := int(pkt.FlowID)
+	if id < len(r.flowPath) && r.flowPath[id] != 0 {
+		return r.flowPath[id] - 1
 	}
 	port := cands[0]
 	if res, ok := r.module.Decide(); ok {
 		port = r.uplinkPort(res)
 	}
-	r.flowPath[pkt.FlowID] = port
+	for len(r.flowPath) <= id {
+		r.flowPath = append(r.flowPath, 0)
+	}
+	r.flowPath[id] = port + 1
+	r.pinned++
 	return port
 }
 
@@ -98,16 +102,17 @@ func (r *PathRouter) forward(pkt *Packet) int {
 func (r *PathRouter) Invalidate(port int) int {
 	n := 0
 	for id, p := range r.flowPath {
-		if p == port {
-			delete(r.flowPath, id)
+		if p == port+1 {
+			r.flowPath[id] = 0
 			n++
 		}
 	}
+	r.pinned -= n
 	return n
 }
 
 // Pinned returns the number of flows currently pinned to a path.
-func (r *PathRouter) Pinned() int { return len(r.flowPath) }
+func (r *PathRouter) Pinned() int { return r.pinned }
 
 // PortSelector makes per-packet output-port decisions (§7.2.4): every
 // packet with more than one candidate port consults the Thanos module,
@@ -115,13 +120,13 @@ func (r *PathRouter) Pinned() int { return len(r.flowPath) }
 type PortSelector struct {
 	sw         *Switch
 	module     Backend
-	portOf     func(resource int) int
+	portOf     []int  // resource -> port
 	resourceOf []int  // port -> resource, -1 for a port not under policy control
 	dropped    uint64 // metric updates the backend refused
 }
 
 // NewPortSelector installs per-packet policy-driven port selection on sw.
-// resources lists the (resource id, port) pairs under policy control.
+// resourceToPort maps each resource under policy control to its own port.
 func NewPortSelector(sw *Switch, module Backend, resourceToPort map[int]int) *PortSelector {
 	s := &PortSelector{
 		sw: sw, module: module,
@@ -130,9 +135,14 @@ func NewPortSelector(sw *Switch, module Backend, resourceToPort map[int]int) *Po
 	for port := range s.resourceOf {
 		s.resourceOf[port] = -1
 	}
-	s.portOf = func(res int) int { return resourceToPort[res] }
 	for res, port := range resourceToPort {
 		s.resourceOf[port] = res
+	}
+	s.portOf = make([]int, slices.Max(s.resourceOf)+1)
+	for port, res := range s.resourceOf {
+		if res >= 0 {
+			s.portOf[res] = port
+		}
 	}
 	sw.Forward = s.forward
 	return s
@@ -147,7 +157,7 @@ func (s *PortSelector) forward(pkt *Packet) int {
 		return cands[0]
 	}
 	if res, ok := s.module.Decide(); ok {
-		return s.portOf(res)
+		return s.portOf[res]
 	}
 	return cands[0]
 }

@@ -28,7 +28,8 @@ type Switch struct {
 
 	// Forward picks the output port for a packet. It must return a valid
 	// port index; returning a negative index drops the packet (used for
-	// blackhole tests).
+	// blackhole tests). It must not retain pkt: the destination host
+	// rewrites the packet it consumes and sends it on again.
 	Forward func(pkt *Packet) int
 
 	// Tracker mirrors every port's queue occupancy via enqueue/dequeue
