@@ -52,14 +52,15 @@ check-debug:
 	$(GO) test -tags thanosdebug ./...
 
 # check-fault runs the failure-injection suite under the race detector: the
-# deterministic fault planner, engine shard quarantine/resync, replica
-# divergence handling, netsim link/switch faults with RTO recovery, the
-# Figure 17/18 failure sweeps, and the lb control-plane retry path.
+# deterministic fault planner, engine shard quarantine/resync after a
+# replica diverges (the engine is the one model of the §5.1.5 broadcast),
+# netsim link/switch faults with RTO recovery, the Figure 17/18 failure
+# sweeps, and the lb control-plane retry path.
 check-fault:
 	$(GO) test -race -count=1 ./internal/fault/
 	$(GO) test -race -count=1 \
 		-run 'Fault|Failure|Quarantine|Resync|Replica|ControlUpdater|ClusterRun|RTO|PortSetDown|EngineClose' \
-		./internal/engine/ ./internal/smbm/ ./internal/netsim/ ./internal/experiments/ ./internal/lb/
+		./internal/engine/ ./internal/netsim/ ./internal/experiments/ ./internal/lb/
 
 # check-psim is the parallel-simulation gate: the event-kernel suite plus
 # the serial-vs-parallel identity tests (clean and fault-injected fat

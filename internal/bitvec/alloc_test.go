@@ -33,10 +33,7 @@ func TestKernelsZeroAlloc(t *testing.T) {
 	cases := map[string]func(){
 		"Rank":             func() { allocSink = a.Rank(n / 2) },
 		"Select":           func() { allocSink = a.Select(10) },
-		"AndCount":         func() { allocSink = AndCount(a, b) },
 		"AndFirstSet":      func() { allocSink = AndFirstSet(a, b) },
-		"AndLastSet":       func() { allocSink = AndLastSet(a, b) },
-		"AndSelect":        func() { allocSink = AndSelect(a, b, 3) },
 		"AndNextSetCyclic": func() { allocSink = AndNextSetCyclic(a, b, n/3) },
 		"AndInto":          func() { out.AndInto(srcs...) },
 		"OrAndNot":         func() { OrAndNot(acc, rem, c) },

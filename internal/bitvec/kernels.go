@@ -61,31 +61,6 @@ func selectWord(w uint64, k int) int {
 	return pos
 }
 
-// AndCount returns Count(a&b) without materializing the intersection.
-func AndCount(a, b *Vector) int {
-	a.live()
-	b.live()
-	a.match(b)
-	c := 0
-	for i, w := range a.words {
-		c += bits.OnesCount64(w & b.words[i])
-	}
-	return c
-}
-
-// AndAny reports whether a&b has any set bit.
-func AndAny(a, b *Vector) bool {
-	a.live()
-	b.live()
-	a.match(b)
-	for i, w := range a.words {
-		if w&b.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // AndFirstSet returns FirstSet(a&b) without materializing the
 // intersection: the fused mask-then-priority-encode micro-op of the UFPU
 // select path. It returns -1 if the intersection is empty.
@@ -97,39 +72,6 @@ func AndFirstSet(a, b *Vector) int {
 		if m := w & b.words[i]; m != 0 {
 			return i*wordBits + bits.TrailingZeros64(m)
 		}
-	}
-	return -1
-}
-
-// AndLastSet returns LastSet(a&b) without materializing the intersection.
-// It returns -1 if the intersection is empty.
-func AndLastSet(a, b *Vector) int {
-	a.live()
-	b.live()
-	a.match(b)
-	for i := len(a.words) - 1; i >= 0; i-- {
-		if m := a.words[i] & b.words[i]; m != 0 {
-			return i*wordBits + bits.Len64(m) - 1
-		}
-	}
-	return -1
-}
-
-// AndSelect returns Select(a&b, k) without materializing the intersection.
-func AndSelect(a, b *Vector, k int) int {
-	a.live()
-	b.live()
-	a.match(b)
-	if k < 0 {
-		panic("bitvec: negative select rank")
-	}
-	for i, w := range a.words {
-		m := w & b.words[i]
-		c := bits.OnesCount64(m)
-		if k < c {
-			return i*wordBits + selectWord(m, k)
-		}
-		k -= c
 	}
 	return -1
 }

@@ -54,17 +54,11 @@ func TestFusedKernelsMatchMaterialized(t *testing.T) {
 	if got := AndFirstSet(a, b); got != and.FirstSet() {
 		t.Errorf("AndFirstSet = %d, want %d", got, and.FirstSet())
 	}
-	if got := AndLastSet(a, b); got != and.LastSet() {
-		t.Errorf("AndLastSet = %d, want %d", got, and.LastSet())
-	}
-	if got := AndCount(a, b); got != and.Count() {
-		t.Errorf("AndCount = %d, want %d", got, and.Count())
-	}
 	if got := AndNextSetCyclic(a, b, 100); got != and.NextSetCyclic(100) {
 		t.Errorf("AndNextSetCyclic(100) = %d, want %d", got, and.NextSetCyclic(100))
 	}
 	empty := New(130)
-	if AndAny(a, empty) || AndFirstSet(a, empty) != -1 || AndLastSet(a, empty) != -1 {
+	if AndFirstSet(a, empty) != -1 {
 		t.Error("fused kernels found bits in an empty intersection")
 	}
 	if got := AndNextSetCyclic(a, empty, 7); got != -1 {

@@ -479,7 +479,7 @@ func (e *Engine) DecideBatch(pkts []Packet) {
 }
 
 // Decide runs a single decision for policy output 0, steering it to shards
-// round-robin. It is the convenience path simulators use.
+// round-robin.
 //
 //thanos:hotpath
 func (e *Engine) Decide() (id int, ok bool) {
@@ -581,9 +581,6 @@ func (e *Engine) Update(id int, vals []int64) error {
 func (e *Engine) Upsert(id int, vals []int64) error {
 	return e.apply(func(t *smbm.SMBM) error { return t.Upsert(id, vals) })
 }
-
-// Remove is Delete under the name the simulator backends use.
-func (e *Engine) Remove(id int) error { return e.Delete(id) }
 
 // apply propagates one table operation to the authoritative table and then
 // to the table of every healthy shard, each under that shard's lock. The

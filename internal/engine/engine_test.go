@@ -161,8 +161,8 @@ func TestEngineFallback(t *testing.T) {
 	}
 }
 
-// TestEngineWriteErrorsLeaveReplicasUntouched mirrors the ReplicaGroup
-// property: a rejected write must leave every replica identical.
+// TestEngineWriteErrorsLeaveReplicasUntouched: a write the authoritative
+// table rejects must leave every replica identical.
 func TestEngineWriteErrorsLeaveReplicasUntouched(t *testing.T) {
 	e := newTestEngine(t, 3, minPolicySrc)
 	fillRandom(t, e, 8, 5)

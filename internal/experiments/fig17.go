@@ -128,9 +128,9 @@ type routingNet struct {
 	Net     *netsim.Network
 	Clos    *topology.Clos
 	Policy  RoutingPolicy
-	Modules []*netsim.ThanosModule // per leaf; nil for RouteECMP
-	Routers []*netsim.PathRouter   // per leaf; nil for RouteECMP
-	dead    [][]bool               // [leaf][spine]: control plane marked the path unusable
+	Modules []*policy.Module     // per leaf; nil for RouteECMP
+	Routers []*netsim.PathRouter // per leaf; nil for RouteECMP
+	dead    [][]bool             // [leaf][spine]: control plane marked the path unusable
 }
 
 // deadMetric is the pessimal attribute value written for a spine the
@@ -221,7 +221,7 @@ func buildRoutingNet(cfg NetConfig, pol RoutingPolicy) (*routingNet, error) {
 	}
 	rn := &routingNet{
 		Net: net, Clos: clos, Policy: pol,
-		Modules: make([]*netsim.ThanosModule, cfg.Leaves),
+		Modules: make([]*policy.Module, cfg.Leaves),
 		Routers: make([]*netsim.PathRouter, cfg.Leaves),
 		dead:    make([][]bool, cfg.Leaves),
 	}
@@ -238,7 +238,7 @@ func buildRoutingNet(cfg NetConfig, pol RoutingPolicy) (*routingNet, error) {
 		if err != nil {
 			return nil, err
 		}
-		module, err := netsim.NewThanosModule(cfg.Spines, routingSchema, pp)
+		module, err := policy.NewModule(cfg.Spines, routingSchema, pp)
 		if err != nil {
 			return nil, err
 		}

@@ -55,8 +55,8 @@ type portNet struct {
 	Net     *netsim.Network
 	Clos    *topology.Clos
 	Policy  PortPolicy
-	Modules []*netsim.ThanosModule // per leaf; nil for PortRandom
-	dead    [][]bool               // [leaf][spine]
+	Modules []*policy.Module // per leaf; nil for PortRandom
+	dead    [][]bool         // [leaf][spine]
 }
 
 // setSpineDead applies the control plane's verdict on spine s to leaf l.
@@ -145,7 +145,7 @@ func buildPortLBNet(cfg NetConfig, pol PortPolicy, d, m int) (*portNet, error) {
 	}
 	pn := &portNet{
 		Net: net, Clos: clos, Policy: pol,
-		Modules: make([]*netsim.ThanosModule, cfg.Leaves),
+		Modules: make([]*policy.Module, cfg.Leaves),
 		dead:    make([][]bool, cfg.Leaves),
 	}
 	for l := range pn.dead {
@@ -170,7 +170,7 @@ func buildPortLBNet(cfg NetConfig, pol PortPolicy, d, m int) (*portNet, error) {
 		if err != nil {
 			return nil, err
 		}
-		module, err := netsim.NewThanosModule(cfg.Spines, portSchema, pp)
+		module, err := policy.NewModule(cfg.Spines, portSchema, pp)
 		if err != nil {
 			return nil, err
 		}
@@ -313,24 +313,6 @@ func DrillSweepWith(cfg NetConfig, load float64, ds, ms []int, pool runner.Pool)
 		}
 		return DrillSweepPoint{D: d, M: m, MeanFCTUs: fct}, nil
 	})
-}
-
-// DebugPortLB runs one (policy, load) configuration and returns the network
-// for diagnostic inspection along with the mean FCT. It exists for the
-// harness's own debugging and for white-box tests.
-func DebugPortLB(cfg NetConfig, pol PortPolicy, load float64) (*netsim.Network, float64, error) {
-	net, err := buildPortLBNetwork(cfg, pol, cfg.DrillD, cfg.DrillM)
-	if err != nil {
-		return nil, 0, err
-	}
-	if _, err := offerTraffic(cfg, net, load); err != nil {
-		return nil, 0, err
-	}
-	fct, err := meanFCT(cfg, net)
-	if err != nil {
-		return nil, 0, err
-	}
-	return net, fct, nil
 }
 
 // BuildPortLB exposes the Figure 18 network construction (topology +

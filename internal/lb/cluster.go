@@ -3,7 +3,6 @@ package lb
 import (
 	"fmt"
 
-	"repro/internal/engine"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -23,12 +22,6 @@ type ClusterConfig struct {
 	MeanDemandUs  float64 // mean intrinsic query service demand
 	MeanGapUs     float64 // mean query inter-arrival gap (Poisson)
 	ConnCapacity  int
-	// EngineShards, when positive, backs the balancer with a concurrent
-	// sharded decision engine of that many pipeline replicas instead of a
-	// single filter module. Placement quality is unchanged (every replica
-	// runs the same policy); this exercises the multi-pipeline deployment
-	// of §5.1.5 inside the experiment.
-	EngineShards int
 	// WrapBackend, when set, wraps the placement backend before the control
 	// updater is layered on top — the fault-injection seam: tests and
 	// failure experiments interpose backends that refuse updates or
@@ -71,36 +64,21 @@ func (c ClusterConfig) Validate() error {
 	return nil
 }
 
-// newClusterBalancer builds the run's balancer: module-backed by default,
-// engine-backed when cfg.EngineShards is positive. The backend — wrapped by
-// cfg.WrapBackend if set — sits behind a ControlUpdater, so refused table
-// updates are retried with backoff instead of failing the probe loop; on a
-// healthy backend the updater is a transparent pass-through.
+// newClusterBalancer builds the run's module-backed balancer. The module —
+// wrapped by cfg.WrapBackend if set — sits behind a ControlUpdater, so
+// refused table updates are retried with backoff instead of failing the
+// probe loop; on a healthy backend the updater is a transparent
+// pass-through.
 func newClusterBalancer(cfg ClusterConfig, policySrc string, sched *sim.Scheduler) (*Balancer, *ControlUpdater, error) {
 	pol, err := policy.Parse(policySrc)
 	if err != nil {
 		return nil, nil, err
 	}
-	var backend Backend
-	var mod *policy.Module
-	if cfg.EngineShards <= 0 {
-		mod, err = policy.NewModule(cfg.Servers, Schema, pol)
-		if err != nil {
-			return nil, nil, err
-		}
-		backend = mod
-	} else {
-		eng, err := engine.New(engine.Config{
-			Shards:   cfg.EngineShards,
-			Capacity: cfg.Servers,
-			Schema:   Schema,
-			Policy:   pol,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		backend = eng
+	mod, err := policy.NewModule(cfg.Servers, Schema, pol)
+	if err != nil {
+		return nil, nil, err
 	}
+	var backend Backend = mod
 	if cfg.WrapBackend != nil {
 		backend = cfg.WrapBackend(backend)
 	}
@@ -109,7 +87,6 @@ func newClusterBalancer(cfg ClusterConfig, policySrc string, sched *sim.Schedule
 	if err != nil {
 		return nil, nil, err
 	}
-	bal.module = mod
 	return bal, upd, nil
 }
 
@@ -205,7 +182,6 @@ func RunIntercepted(cfg ClusterConfig, policySrc string, numQueries int, interce
 	if err != nil {
 		return nil, err
 	}
-	defer bal.Close()
 
 	res := &Result{Queries: make([]*Query, 0, numQueries)}
 

@@ -5,10 +5,10 @@ import (
 )
 
 // ControlUpdater hardens the control path between the probe pipeline and a
-// placement backend: table updates that the backend refuses (a quarantined
-// engine shard, a mid-resync write, a racing Close) are retried on the
-// simulation clock with capped exponential backoff instead of surfacing as
-// a panic in the probe loop. Decisions pass straight through.
+// placement backend: table updates that the backend refuses (a module whose
+// table is full, or an update with the wrong number of metrics) are retried
+// on the simulation clock with capped exponential backoff instead of
+// surfacing as a panic in the probe loop. Decisions pass straight through.
 //
 // On the fault-free path the first attempt runs synchronously and succeeds,
 // so wrapping a healthy backend changes nothing — same decisions, same
@@ -73,14 +73,6 @@ func (u *ControlUpdater) Stale() uint64 { return u.stale }
 // Decide passes through to the backend.
 func (u *ControlUpdater) Decide() (int, bool) { return u.backend.Decide() }
 
-// Close releases the wrapped backend if it owns resources (e.g. the
-// sharded engine's background resyncs).
-func (u *ControlUpdater) Close() {
-	if c, ok := u.backend.(interface{ Close() }); ok {
-		c.Close()
-	}
-}
-
 // Upsert applies the update, retrying asynchronously on failure. It never
 // returns an error: delivery failures are the updater's to absorb, visible
 // through Dropped() and OnDrop rather than in the probe loop.
@@ -91,21 +83,7 @@ func (u *ControlUpdater) Upsert(id int, vals []int64) error {
 	} else {
 		v := make([]int64, len(vals)) // caller reuses its slice; retries need a copy
 		copy(v, vals)
-		u.scheduleRetry("upsert", id, s, 2, u.BaseBackoff,
-			func() error { return u.backend.Upsert(id, v) }, err)
-	}
-	return nil
-}
-
-// Remove deletes the resource, retrying asynchronously on failure; like
-// Upsert it never returns an error.
-func (u *ControlUpdater) Remove(id int) error {
-	s := u.bump(id)
-	if err := u.backend.Remove(id); err == nil {
-		u.applied++
-	} else {
-		u.scheduleRetry("remove", id, s, 2, u.BaseBackoff,
-			func() error { return u.backend.Remove(id) }, err)
+		u.scheduleRetry(id, s, 2, u.BaseBackoff, v, err)
 	}
 	return nil
 }
@@ -115,13 +93,13 @@ func (u *ControlUpdater) bump(id int) uint64 {
 	return u.seq[id]
 }
 
-// scheduleRetry arms attempt number `attempt` (1 was the synchronous try)
-// after delay, doubling the delay for the next one up to MaxBackoff.
-func (u *ControlUpdater) scheduleRetry(op string, id int, seq uint64, attempt int, delay sim.Time, do func() error, lastErr error) {
+// scheduleRetry arms upsert attempt number `attempt` (1 was the synchronous
+// try) after delay, doubling the delay for the next one up to MaxBackoff.
+func (u *ControlUpdater) scheduleRetry(id int, seq uint64, attempt int, delay sim.Time, vals []int64, lastErr error) {
 	if attempt > u.MaxAttempts {
 		u.dropped++
 		if u.OnDrop != nil {
-			u.OnDrop(op, id, lastErr)
+			u.OnDrop("upsert", id, lastErr)
 		}
 		return
 	}
@@ -131,7 +109,7 @@ func (u *ControlUpdater) scheduleRetry(op string, id int, seq uint64, attempt in
 			u.stale++ // a newer update owns this resource now
 			return
 		}
-		if err := do(); err == nil {
+		if err := u.backend.Upsert(id, vals); err == nil {
 			u.applied++
 			return
 		} else {
@@ -139,7 +117,7 @@ func (u *ControlUpdater) scheduleRetry(op string, id int, seq uint64, attempt in
 			if next > u.MaxBackoff {
 				next = u.MaxBackoff
 			}
-			u.scheduleRetry(op, id, seq, attempt+1, next, do, err)
+			u.scheduleRetry(id, seq, attempt+1, next, vals, err)
 		}
 	})
 }

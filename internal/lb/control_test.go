@@ -13,7 +13,6 @@ import (
 type fakeBackend struct {
 	rows        map[int][]int64
 	failUpserts int
-	failRemoves int
 	upserts     int
 }
 
@@ -28,15 +27,6 @@ func (f *fakeBackend) Upsert(id int, vals []int64) error {
 	v := make([]int64, len(vals))
 	copy(v, vals)
 	f.rows[id] = v
-	return nil
-}
-
-func (f *fakeBackend) Remove(id int) error {
-	if f.failRemoves > 0 {
-		f.failRemoves--
-		return fmt.Errorf("fake: remove refused")
-	}
-	delete(f.rows, id)
 	return nil
 }
 
@@ -134,24 +124,6 @@ func TestControlUpdaterStaleRetrySuperseded(t *testing.T) {
 	}
 }
 
-func TestControlUpdaterRemoveRetries(t *testing.T) {
-	sched := sim.New(1)
-	fb := newFakeBackend()
-	fb.rows[4] = []int64{1}
-	fb.failRemoves = 2
-	up := NewControlUpdater(sched, fb)
-	if err := up.Remove(4); err != nil {
-		t.Fatalf("Remove: %v", err)
-	}
-	sched.Run()
-	if _, ok := fb.rows[4]; ok {
-		t.Fatal("row still present after retried Remove")
-	}
-	if up.Retries() != 2 || up.Applied() != 1 {
-		t.Fatalf("counters: retries=%d applied=%d", up.Retries(), up.Applied())
-	}
-}
-
 // flakyBackend deterministically refuses every Nth table update and the
 // first few decisions — the degraded-backend shape the cluster run must
 // absorb without panicking.
@@ -170,8 +142,6 @@ func (f *flakyBackend) Upsert(id int, vals []int64) error {
 	}
 	return f.inner.Upsert(id, vals)
 }
-
-func (f *flakyBackend) Remove(id int) error { return f.inner.Remove(id) }
 
 func (f *flakyBackend) Decide() (int, bool) {
 	f.decides++

@@ -174,12 +174,10 @@ func (s *Server) serveNext() {
 func (s *Server) QueueLen() int { return len(s.backlog) }
 
 // Backend is the placement engine behind a Balancer: probe-driven metric
-// refresh, resource removal, and one policy decision per new connection.
-// *policy.Module (one pipeline, single-threaded) and *engine.Engine
-// (sharded, concurrent) both satisfy it.
+// refresh and one policy decision per new connection. *policy.Module
+// satisfies it, and ControlUpdater wraps one with retried updates.
 type Backend interface {
 	Upsert(id int, vals []int64) error
-	Remove(id int) error
 	Decide() (id int, ok bool)
 }
 
@@ -188,7 +186,6 @@ type Backend interface {
 // connection placement.
 type Balancer struct {
 	backend   Backend
-	module    *policy.Module // non-nil when backend is a single module
 	connTable *rmt.MatchTable
 	parser    *rmt.Parser
 
@@ -227,17 +224,11 @@ func NewBalancer(numServers, connCapacity int, policySrc string) (*Balancer, err
 	if err != nil {
 		return nil, err
 	}
-	b, err := NewBalancerWithBackend(mod, connCapacity)
-	if err != nil {
-		return nil, err
-	}
-	b.module = mod
-	return b, nil
+	return NewBalancerWithBackend(mod, connCapacity)
 }
 
 // NewBalancerWithBackend builds a balancer over a caller-provided placement
-// backend — typically a sharded engine.Engine configured with lb.Schema, the
-// multi-pipeline deployment of §5.1.5.
+// backend, such as a ControlUpdater around a module.
 func NewBalancerWithBackend(backend Backend, connCapacity int) (*Balancer, error) {
 	ct, err := rmt.NewMatchTable("conns", []string{"conn"}, connCapacity, nil)
 	if err != nil {
@@ -249,18 +240,6 @@ func NewBalancerWithBackend(backend Backend, connCapacity int) (*Balancer, error
 		parser:    ProbeParser(),
 		Decisions: make(map[int]int),
 	}, nil
-}
-
-// Module exposes the balancer's filter module (for inspection in tests). It
-// is nil when the balancer runs on a custom backend.
-func (b *Balancer) Module() *policy.Module { return b.module }
-
-// Close releases the backend if it owns resources (the sharded engine's
-// background resyncs); module-backed balancers need no cleanup.
-func (b *Balancer) Close() {
-	if c, ok := b.backend.(interface{ Close() }); ok {
-		c.Close()
-	}
 }
 
 // HandleProbe parses a server resource probe (raw bytes as emitted by

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -17,7 +18,7 @@ func TestProbeRoundTrip(t *testing.T) {
 	if err := b.HandleProbe(MakeProbe(2, 45.7, 3000, 5000)); err != nil {
 		t.Fatal(err)
 	}
-	vals, ok := b.Module().Table.Metrics(2)
+	vals, ok := b.backend.(*policy.Module).Table.Metrics(2)
 	if !ok {
 		t.Fatal("probe did not install server")
 	}
@@ -28,7 +29,7 @@ func TestProbeRoundTrip(t *testing.T) {
 	if err := b.HandleProbe(MakeProbe(3, -5, -1, -1)); err != nil {
 		t.Fatal(err)
 	}
-	vals, _ = b.Module().Table.Metrics(3)
+	vals, _ = b.backend.(*policy.Module).Table.Metrics(3)
 	if vals[0] != 0 || vals[1] != 0 {
 		t.Fatalf("clamped metrics = %v", vals)
 	}

@@ -119,7 +119,7 @@ func (s *S) WriteDedicated(p []byte) {
 	s.wmu.Unlock()
 }
 
-// lock/unlock helpers mirror smbm's ReplicaGroup: the net acquisition must
+// lock/unlock helpers wrap the mutex in one-line methods: the net acquisition must
 // flow through the callee summary into the caller's held set.
 func (s *S) lock()   { s.a.Lock() }
 func (s *S) unlock() { s.a.Unlock() }

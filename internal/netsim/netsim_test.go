@@ -192,7 +192,7 @@ func TestThanosModuleDecide(t *testing.T) {
 	pol := policy.MustParse(`
 out best = min(table, util)
 `)
-	m, err := NewThanosModule(8, schema, pol)
+	m, err := policy.NewModule(8, schema, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestPathRouterPinsFlows(t *testing.T) {
 	leaf.SetCandidates(1, []int{1, 2})
 
 	schema := policy.Schema{Attrs: []string{"util"}}
-	m, err := NewThanosModule(2, schema, policy.MustParse(`out best = min(table, util)`))
+	m, err := policy.NewModule(2, schema, policy.MustParse(`out best = min(table, util)`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestPortSelectorTracksQueues(t *testing.T) {
 	}
 	sw := n.AddSwitch(3)
 	schema := policy.Schema{Attrs: []string{"queue", "qprev"}}
-	m, err := NewThanosModule(2, schema, policy.MustParse(`out best = min(table, queue)`))
+	m, err := policy.NewModule(2, schema, policy.MustParse(`out best = min(table, queue)`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,23 +284,22 @@ func TestPortSelectorTracksQueues(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := NewPortSelector(sw, m, map[int]int{0: 1, 1: 2})
-	sel.SyncQueueMetric(0)
 	sw.SetCandidates(5, []int{1, 2})
 
-	// Simulate queue buildup on port 1 via the event-driven tracker.
-	sw.Tracker.Enqueue(1)
-	sw.Tracker.Enqueue(1)
-	if v, _ := m.Table.Value(0, 0); v != 2 {
-		t.Fatalf("queue metric = %d, want 2", v)
+	// Queue buildup on port 1 (resource 0), written into the table the way
+	// a leaf's queue hook does.
+	if err := m.Table.Update(0, []int64{2, 0}); err != nil {
+		t.Fatal(err)
 	}
 	if got := sel.forward(&Packet{FlowID: 9, Dst: 5}); got != 2 {
 		t.Fatalf("selected port %d, want 2 (port 1 queued)", got)
 	}
 	// Drain port 1, load port 2.
-	sw.Tracker.Dequeue(1)
-	sw.Tracker.Dequeue(1)
-	for i := 0; i < 3; i++ {
-		sw.Tracker.Enqueue(2)
+	if err := m.Table.Update(0, []int64{0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Table.Update(1, []int64{3, 0}); err != nil {
+		t.Fatal(err)
 	}
 	if got := sel.forward(&Packet{FlowID: 10, Dst: 5}); got != 1 {
 		t.Fatalf("selected port %d, want 1", got)

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/policy"
 )
@@ -25,29 +24,6 @@ func ECMP(sw *Switch) func(pkt *Packet) int {
 	}
 }
 
-// ThanosModule embeds a Thanos filter module in a switch. It is
-// policy.Module: an SMBM resource table plus a policy evaluated with the
-// real filter units.
-type ThanosModule = policy.Module
-
-// Backend is the decision-engine interface the routing layers consume: one
-// policy decision per packet, probe-driven metric refresh, and metric
-// read-back for event-driven local metrics. Both *policy.Module (one
-// pipeline, single-threaded) and *engine.Engine (sharded, concurrent)
-// satisfy it, so a simulated switch can swap its filter module for the
-// concurrent engine without touching the routing code.
-type Backend interface {
-	Decide() (id int, ok bool)
-	Upsert(id int, vals []int64) error
-	Metrics(id int) ([]int64, bool)
-}
-
-// NewThanosModule builds a module with capacity resources, the given
-// attribute schema, and a policy (typically from policy.Parse).
-func NewThanosModule(capacity int, schema policy.Schema, pol *policy.Policy) (*ThanosModule, error) {
-	return policy.NewModule(capacity, schema, pol)
-}
-
 // PathRouter makes per-flow path decisions at a leaf switch (§7.2.3):
 // the first packet of each flow consults the Thanos module to pick an
 // uplink resource, and the flow stays pinned to it (flow-level routing; the
@@ -55,16 +31,15 @@ func NewThanosModule(capacity int, schema policy.Schema, pol *policy.Policy) (*T
 // destinations and return traffic use the candidate table directly.
 type PathRouter struct {
 	sw         *Switch
-	module     Backend
+	module     *policy.Module
 	uplinkPort func(resource int) int
 	flowPath   []int // flow id (dense from 1) → pinned port + 1; 0 = unpinned
-	pinned     int
 }
 
 // NewPathRouter installs policy-driven uplink selection on sw. uplinkPort
 // maps a resource id from the module's table to a switch port.
 // The router is installed as sw.Forward and also returned for inspection.
-func NewPathRouter(sw *Switch, module Backend, uplinkPort func(resource int) int) *PathRouter {
+func NewPathRouter(sw *Switch, module *policy.Module, uplinkPort func(resource int) int) *PathRouter {
 	r := &PathRouter{sw: sw, module: module, uplinkPort: uplinkPort}
 	sw.Forward = r.forward
 	return r
@@ -90,7 +65,6 @@ func (r *PathRouter) forward(pkt *Packet) int {
 		r.flowPath = append(r.flowPath, 0)
 	}
 	r.flowPath[id] = port + 1
-	r.pinned++
 	return port
 }
 
@@ -107,42 +81,24 @@ func (r *PathRouter) Invalidate(port int) int {
 			n++
 		}
 	}
-	r.pinned -= n
 	return n
 }
-
-// Pinned returns the number of flows currently pinned to a path.
-func (r *PathRouter) Pinned() int { return r.pinned }
 
 // PortSelector makes per-packet output-port decisions (§7.2.4): every
 // packet with more than one candidate port consults the Thanos module,
 // whose table holds one resource per port with live queue metrics.
 type PortSelector struct {
-	sw         *Switch
-	module     Backend
-	portOf     []int  // resource -> port
-	resourceOf []int  // port -> resource, -1 for a port not under policy control
-	dropped    uint64 // metric updates the backend refused
+	sw     *Switch
+	module *policy.Module
+	portOf []int // resource -> port
 }
 
 // NewPortSelector installs per-packet policy-driven port selection on sw.
 // resourceToPort maps each resource under policy control to its own port.
-func NewPortSelector(sw *Switch, module Backend, resourceToPort map[int]int) *PortSelector {
-	s := &PortSelector{
-		sw: sw, module: module,
-		resourceOf: make([]int, sw.NumPorts()),
-	}
-	for port := range s.resourceOf {
-		s.resourceOf[port] = -1
-	}
+func NewPortSelector(sw *Switch, module *policy.Module, resourceToPort map[int]int) *PortSelector {
+	s := &PortSelector{sw: sw, module: module, portOf: make([]int, module.Table.Capacity())}
 	for res, port := range resourceToPort {
-		s.resourceOf[port] = res
-	}
-	s.portOf = make([]int, slices.Max(s.resourceOf)+1)
-	for port, res := range s.resourceOf {
-		if res >= 0 {
-			s.portOf[res] = port
-		}
+		s.portOf[res] = port
 	}
 	sw.Forward = s.forward
 	return s
@@ -161,38 +117,3 @@ func (s *PortSelector) forward(pkt *Packet) int {
 	}
 	return cands[0]
 }
-
-// SyncQueueMetric wires a switch's event-driven queue tracker into the
-// module's table: whenever a controlled port's occupancy changes, the
-// corresponding resource's queue attribute (dimension queueDim) is
-// rewritten. This is the event-driven local-metric path of §3.
-func (s *PortSelector) SyncQueueMetric(queueDim int) {
-	prev := s.sw.Tracker.OnChange
-	s.sw.Tracker.OnChange = func(q int, newLen int64) {
-		if prev != nil {
-			prev(q, newLen)
-		}
-		res := s.resourceOf[q]
-		if res < 0 {
-			return
-		}
-		vals, ok := s.module.Metrics(res)
-		if !ok {
-			return
-		}
-		vals[queueDim] = newLen
-		if err := s.module.Upsert(res, vals); err != nil {
-			// The resource was just read, so this "cannot" fail — but a
-			// degraded backend (e.g. an engine whose shards are all
-			// quarantined, or one racing Close) may refuse writes. A stale
-			// queue metric until the next event is strictly better than
-			// crashing the simulation; the periodic metric tick heals it.
-			s.dropped++
-		}
-	}
-}
-
-// DroppedUpdates returns control-plane metric updates the backend refused;
-// the table serves slightly stale queue metrics until a later event or
-// metric tick succeeds.
-func (s *PortSelector) DroppedUpdates() uint64 { return s.dropped }

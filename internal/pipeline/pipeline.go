@@ -327,16 +327,6 @@ func (p *Pipeline) Latency() uint64 {
 	return total
 }
 
-// CrossbarSwitches returns the total number of 2×2 switches across all
-// stage crossbars, the figure the area model charges for interconnect.
-func (p *Pipeline) CrossbarSwitches() int {
-	total := 0
-	for _, xb := range p.xbars {
-		total += xb.NumSwitches()
-	}
-	return total
-}
-
 // ResetState resets the runtime state of every stateful unit in every cell.
 func (p *Pipeline) ResetState() {
 	for _, cells := range p.stages {

@@ -303,9 +303,6 @@ func TestLatencyModel(t *testing.T) {
 	if got := p.Latency(); got != want {
 		t.Fatalf("Latency = %d, want %d", got, want)
 	}
-	if p.CrossbarSwitches() <= 0 {
-		t.Fatal("CrossbarSwitches should be positive")
-	}
 }
 
 func TestExecInputErrors(t *testing.T) {

@@ -2,9 +2,10 @@
 // that Thanos's architecture relies on (§3): a programmable parser that
 // extracts metric values from probe-packet headers, exact-match
 // match-action tables, stateful register arrays with RMT's
-// one-access-per-packet-per-stage constraint (§2.2), counters, the
-// event-driven queue-length tracking of [10], and the MUX stage that
-// implements conditional policies right after the filter module (§4.2.3).
+// one-access-per-packet-per-stage constraint (§2.2), and the event-driven
+// queue-length tracking of [10]. The MUX stage that resolves conditional
+// policies after the filter module (§4.2.3) is the fallback chain that
+// policy.Interp and internal/core evaluate.
 //
 // The register-array model deliberately enforces the access constraint the
 // paper's motivation hinges on — "RMT allows access to at most single entry
@@ -15,8 +16,6 @@ package rmt
 import (
 	"encoding/binary"
 	"fmt"
-
-	"repro/internal/bitvec"
 )
 
 // FieldSpec describes one header field extracted by the parser: Width bytes
@@ -254,21 +253,6 @@ func (r *RegisterArray) Access(i int, f func(old int64) int64) (int64, error) {
 // per-packet budget; the data plane must use Access).
 func (r *RegisterArray) Peek(i int) int64 { return r.regs[i] }
 
-// Counter counts packets and bytes, RMT's basic local-metric primitive.
-type Counter struct {
-	Packets uint64
-	Bytes   uint64
-}
-
-// Add records one packet of the given size.
-func (c *Counter) Add(bytes int) {
-	c.Packets++
-	c.Bytes += uint64(bytes)
-}
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.Packets, c.Bytes = 0, 0 }
-
 // QueueTracker maintains per-queue occupancy using the event-driven packet
 // processing of [10] (§3): an enqueue event increments the queue's length
 // register, a dequeue event decrements it. This is how Thanos keeps the
@@ -312,20 +296,4 @@ func (qt *QueueTracker) bump(q int, d int64) {
 	if qt.OnChange != nil {
 		qt.OnChange(q, nv)
 	}
-}
-
-// MuxNonEmpty implements the conditional-policy MUX of §4.2.3 in a single
-// match-action stage: it returns the first table in priority order that is
-// non-empty, or the last one if all are empty. It panics on an empty
-// candidate list.
-func MuxNonEmpty(candidates ...*bitvec.Vector) *bitvec.Vector {
-	if len(candidates) == 0 {
-		panic("rmt: MuxNonEmpty needs at least one candidate")
-	}
-	for _, c := range candidates[:len(candidates)-1] {
-		if c.Any() {
-			return c
-		}
-	}
-	return candidates[len(candidates)-1]
 }

@@ -3,8 +3,6 @@ package rmt
 import (
 	"errors"
 	"testing"
-
-	"repro/internal/bitvec"
 )
 
 func probeParser(t *testing.T) *Parser {
@@ -200,19 +198,6 @@ func TestRegisterArrayBounds(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Add(100)
-	c.Add(50)
-	if c.Packets != 2 || c.Bytes != 150 {
-		t.Fatalf("counter = %+v", c)
-	}
-	c.Reset()
-	if c.Packets != 0 || c.Bytes != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
 func TestQueueTracker(t *testing.T) {
 	qt, err := NewQueueTracker(4)
 	if err != nil {
@@ -254,25 +239,4 @@ func TestQueueTrackerPanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	qt.Enqueue(2)
-}
-
-func TestMuxNonEmpty(t *testing.T) {
-	empty := bitvec.New(4)
-	a := bitvec.FromIDs(4, 1)
-	b := bitvec.FromIDs(4, 2)
-	if got := MuxNonEmpty(a, b); !got.Equal(a) {
-		t.Fatal("should pick first non-empty")
-	}
-	if got := MuxNonEmpty(empty, b); !got.Equal(b) {
-		t.Fatal("should skip empty primary")
-	}
-	if got := MuxNonEmpty(empty, bitvec.New(4)); got.Any() {
-		t.Fatal("all-empty should return last (empty)")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no candidates should panic")
-		}
-	}()
-	MuxNonEmpty()
 }

@@ -49,9 +49,16 @@ var (
 	ErrMetricsArity = errors.New("smbm: wrong number of metric values")
 )
 
+// ErrReplicaDivergence reports a broadcast write that the authoritative
+// table accepted but a pipeline replica rejected: that replica no longer
+// mirrors the authority (memory corruption, a missed update) and must be
+// rebuilt from it. The healthy replicas stay mutually consistent, so the
+// data plane keeps serving from them meanwhile.
+var ErrReplicaDivergence = errors.New("smbm: replica divergence")
+
 // SMBM is a sorted multidimensional bidirectional map. It is not safe for
 // concurrent use; the multi-pipeline replication scheme of §5.1.5 is modeled
-// by ReplicaGroup.
+// by the sharded decision engine (internal/engine), one SMBM per pipeline.
 type SMBM struct {
 	n, m    int
 	size    int

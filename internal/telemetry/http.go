@@ -48,13 +48,6 @@ type MuxConfig struct {
 	Pprof bool
 }
 
-// Mux assembles the classic observability surface; kept for callers that
-// predate the introspection endpoint. Equivalent to NewMux with only
-// Registry and Traces set.
-func Mux(r *Registry, traces func() []Trace) *http.ServeMux {
-	return NewMux(MuxConfig{Registry: r, Traces: traces})
-}
-
 // NewMux assembles the full observability surface:
 //
 //	/metrics              Prometheus text format

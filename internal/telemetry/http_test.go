@@ -19,7 +19,7 @@ func newTestMux(t *testing.T) (*httptest.Server, *Registry) {
 	s := tr.Sample()
 	s.AddStage("table", 8, 0)
 	s.Finish(0, 2, true)
-	srv := httptest.NewServer(Mux(r, tr.Snapshot))
+	srv := httptest.NewServer(NewMux(MuxConfig{Registry: r, Traces: tr.Snapshot}))
 	t.Cleanup(srv.Close)
 	return srv, r
 }
