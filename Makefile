@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test bench check check-debug check-fault check-obs check-perf check-psim check-race-depth experiments fuzz-smoke overhead-smoke metrics-demo load-smoke
+.PHONY: build test bench check check-debug check-obs check-perf check-psim check-race-depth experiments fuzz-smoke overhead-smoke metrics-demo load-smoke
 
 build:
 	$(GO) build ./...
@@ -26,7 +26,10 @@ bench:
 # lockorder is what proves wmu → shard.mu is the engine's only order. The
 # race pass checks the engine's lock discipline itself, and covers the
 # serving frontend too, with the short fault-injected soak (`go test -tags
-# soak ./internal/server/` selects the long one).
+# soak ./internal/server/` selects the long one), and the failure-injection
+# suite: the fault planner, engine shard quarantine/resync, netsim
+# link/switch faults with RTO recovery, the Figure 17/18 failure sweeps and
+# the lb control-plane retry path.
 check: build
 	$(GO) vet ./...
 	$(GO) run ./cmd/thanoslint .
@@ -50,17 +53,6 @@ check-race-depth:
 check-debug:
 	$(GO) run ./cmd/thanoslint -debug .
 	$(GO) test -tags thanosdebug ./...
-
-# check-fault runs the failure-injection suite under the race detector: the
-# deterministic fault planner, engine shard quarantine/resync after a
-# replica diverges (the engine is the one model of the §5.1.5 broadcast),
-# netsim link/switch faults with RTO recovery, the Figure 17/18 failure
-# sweeps, and the lb control-plane retry path.
-check-fault:
-	$(GO) test -race -count=1 ./internal/fault/
-	$(GO) test -race -count=1 \
-		-run 'Fault|Failure|Quarantine|Resync|Replica|ControlUpdater|ClusterRun|RTO|PortSetDown|EngineClose' \
-		./internal/engine/ ./internal/netsim/ ./internal/experiments/ ./internal/lb/
 
 # check-psim is the parallel-simulation gate: the event-kernel suite plus
 # the serial-vs-parallel identity tests (clean and fault-injected fat
@@ -143,7 +135,7 @@ check-obs:
 
 # overhead-smoke is the telemetry cost gate: the fully instrumented batched
 # decision path must stay at zero steady-state allocations and within 5% of
-# uninstrumented throughput (default 1-in-1024 trace sampling).
+# uninstrumented throughput.
 overhead-smoke:
 	THANOS_OVERHEAD_SMOKE=1 $(GO) test -run '^TestTelemetryOverheadSmoke$$' -v ./internal/engine/
 

@@ -70,7 +70,7 @@ func run(args []string, stdout io.Writer) error {
 	seed := fs.Int64("seed", 1, "simulation seed")
 	d := fs.Int("d", 2, "DRILL d")
 	m := fs.Int("m", 1, "DRILL m")
-	metrics := fs.String("metrics", "", "serve /metrics, /debug/vars and /trace on this address (e.g. :9090)")
+	metrics := fs.String("metrics", "", "serve /metrics and /debug/vars on this address (e.g. :9090)")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof on the -metrics address")
 	hold := fs.Duration("hold", 0, "keep the process (and the metrics endpoint) alive this long after the run")
 	failMode := fs.String("fail", "", "failure scenario: spine | uplink (clos only)")
@@ -130,7 +130,7 @@ func serveMetrics(stdout io.Writer, addr string, pprof bool, reg *telemetry.Regi
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "metrics: serving /metrics, /debug/vars, /trace on http://%s\n", ln.Addr())
+	fmt.Fprintf(stdout, "metrics: serving /metrics and /debug/vars on http://%s\n", ln.Addr())
 	go func() {
 		mux := telemetry.NewMux(telemetry.MuxConfig{Registry: reg, Pprof: pprof})
 		if err := http.Serve(ln, mux); err != nil {

@@ -32,8 +32,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -71,24 +73,36 @@ func (r drillResult) String() string {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1|table2|table3|table4|table5|fig16|fig17|fig18|fig19|drillsweep|ablation|all")
-	seed := flag.Int64("seed", 1, "workload seed")
-	quick := flag.Bool("quick", false, "smaller network runs (for smoke testing)")
-	parallel := flag.Bool("parallel", true, "fan independent experiment points across CPUs")
-	benchjson := flag.String("benchjson", "", "write machine-readable results as JSON to this file (\"-\" for stdout)")
-	engineFlag := flag.Bool("engine", false, "run the sharded decision-engine throughput sweep (shorthand for -exp engine)")
-	shards := flag.Int("shards", 8, "maximum shard count for the engine sweep (sweeps powers of two up to this)")
-	metricsOut := flag.String("metrics", "", "run an instrumented engine point and write its Prometheus text snapshot to this file")
-	traceOut := flag.String("trace", "", "run an instrumented engine point and write its sampled decisions as Chrome trace_event JSON to this file")
-	checkpointOut := flag.String("checkpoint", "", "run the fixed perf-checkpoint benchmark set and write it as JSON to this file (\"-\" for stdout)")
-	against := flag.String("against", "", "baseline checkpoint to compare the run against; any tracked benchmark regressing more than -regress fails with exit 1")
-	regress := flag.Float64("regress", perfcheck.DefaultThreshold, "regression gate for hot-path benchmarks (0.10 = 10%); noisy wall-clock benchmarks keep their own wider bands from the set definition")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one thanosbench invocation and returns its exit code: 2 for a
+// bad flag or experiment name, 1 for a failed experiment or export.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("thanosbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment: table1|table2|table3|table4|table5|fig16|fig17|fig18|fig19|drillsweep|ablation|all")
+	seed := fs.Int64("seed", 1, "workload seed")
+	quick := fs.Bool("quick", false, "smaller network runs (for smoke testing)")
+	parallel := fs.Bool("parallel", true, "fan independent experiment points across CPUs")
+	benchjson := fs.String("benchjson", "", "write machine-readable results as JSON to this file (\"-\" for stdout)")
+	engineFlag := fs.Bool("engine", false, "run the sharded decision-engine throughput sweep (shorthand for -exp engine)")
+	shards := fs.Int("shards", 8, "maximum shard count for the engine sweep (sweeps powers of two up to this)")
+	metricsOut := fs.String("metrics", "", "run an instrumented engine point and write its Prometheus text snapshot to this file")
+	checkpointOut := fs.String("checkpoint", "", "run the fixed perf-checkpoint benchmark set and write it as JSON to this file (\"-\" for stdout)")
+	against := fs.String("against", "", "baseline checkpoint to compare the run against; any tracked benchmark regressing more than -regress fails with exit 1")
+	regress := fs.Float64("regress", perfcheck.DefaultThreshold, "regression gate for hot-path benchmarks (0.10 = 10%); noisy wall-clock benchmarks keep their own wider bands from the set definition")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the flag set has printed the error and usage
+	}
 
 	// Checkpoint mode is exclusive: it runs the pinned benchmark set instead
 	// of the paper experiments.
 	if *checkpointOut != "" || *against != "" {
-		os.Exit(runCheckpoint(*checkpointOut, *against, *regress))
+		return runCheckpoint(*checkpointOut, *against, *regress, stdout, stderr)
 	}
 
 	pool := runner.Serial()
@@ -150,8 +164,8 @@ func main() {
 	default:
 		for _, name := range strings.Split(*exp, ",") {
 			if _, ok := runners[name]; !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q (have %s)\n", name, strings.Join(names, ", "))
-				os.Exit(2)
+				fmt.Fprintf(stderr, "unknown experiment %q (have %s)\n", name, strings.Join(names, ", "))
+				return 2
 			}
 			selected = append(selected, name)
 		}
@@ -161,11 +175,10 @@ func main() {
 		start := time.Now()
 		res, err := runners[name]()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "%s: %v\n", name, err)
+			return 1
 		}
-		fmt.Print(res)
-		fmt.Println()
+		fmt.Fprintln(stdout, res)
 		records = append(records, benchRecord{
 			Experiment: name,
 			Seed:       *seed,
@@ -176,10 +189,10 @@ func main() {
 		})
 	}
 	// An instrumented engine point rides along whenever the engine sweep was
-	// selected or a telemetry export was requested: its metric snapshot goes
-	// into the benchjson record, and -metrics/-trace export the Prometheus
-	// text and Chrome trace alongside.
-	if *engineFlag || *metricsOut != "" || *traceOut != "" {
+	// selected or a metrics export was requested: its metric snapshot goes
+	// into the benchjson record, and -metrics exports the Prometheus text
+	// alongside.
+	if *engineFlag || *metricsOut != "" {
 		batch, batches := 4096, 200
 		if *quick {
 			batches = 20
@@ -187,11 +200,10 @@ func main() {
 		start := time.Now()
 		tel, err := experiments.EngineTelemetryPoint(*shards, batch, 64, batches, *seed)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "engine-telemetry: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "engine-telemetry: %v\n", err)
+			return 1
 		}
-		fmt.Print(tel)
-		fmt.Println()
+		fmt.Fprintln(stdout, tel)
 		records = append(records, benchRecord{
 			Experiment: "engine-telemetry",
 			Seed:       *seed,
@@ -202,40 +214,35 @@ func main() {
 		})
 		if *metricsOut != "" {
 			if err := writeMetrics(*metricsOut, tel.Registry); err != nil {
-				fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *traceOut != "" {
-			if err := writeTrace(*traceOut, tel.Traces); err != nil {
-				fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "metrics: %v\n", err)
+				return 1
 			}
 		}
 	}
 	if *benchjson != "" {
-		if err := writeJSON(*benchjson, records); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
+		if err := writeJSON(*benchjson, records, stdout); err != nil {
+			fmt.Fprintf(stderr, "benchjson: %v\n", err)
+			return 1
 		}
 	}
+	return 0
 }
 
 // runCheckpoint runs the fixed perf benchmark set, optionally writes the
 // fresh checkpoint, and optionally gates it against a baseline checkpoint.
 // It returns the process exit code: 1 on a regression or harness error.
-func runCheckpoint(out, against string, threshold float64) int {
+func runCheckpoint(out, against string, threshold float64, stdout, stderr io.Writer) int {
 	set := perfcheck.FullSet()
-	fresh, err := perfcheck.Run(set, os.Stderr)
+	fresh, err := perfcheck.Run(set, stderr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "checkpoint: %v\n", err)
+		fmt.Fprintf(stderr, "checkpoint: %v\n", err)
 		return 1
 	}
 	var cmp *perfcheck.Comparison
 	if against != "" {
 		base, err := perfcheck.Load(against)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "checkpoint: %v\n", err)
+			fmt.Fprintf(stderr, "checkpoint: %v\n", err)
 			return 1
 		}
 		// -regress overrides the tight default band; benchmarks with an
@@ -263,11 +270,11 @@ func runCheckpoint(out, against string, threshold float64) int {
 					names[d.Name] = true
 				}
 			}
-			fmt.Fprintf(os.Stderr, "checkpoint: re-measuring %d flagged benchmarks (retry %d of 3)\n",
+			fmt.Fprintf(stderr, "checkpoint: re-measuring %d flagged benchmarks (retry %d of 3)\n",
 				len(names)-1, retry)
-			re, err := perfcheck.Run(perfcheck.Subset(set, names), os.Stderr)
+			re, err := perfcheck.Run(perfcheck.Subset(set, names), stderr)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "checkpoint: %v\n", err)
+				fmt.Fprintf(stderr, "checkpoint: %v\n", err)
 				return 1
 			}
 			fresh.Merge(re)
@@ -276,19 +283,19 @@ func runCheckpoint(out, against string, threshold float64) int {
 	}
 	if out != "" {
 		if err := fresh.WriteFile(out); err != nil {
-			fmt.Fprintf(os.Stderr, "checkpoint: %v\n", err)
+			fmt.Fprintf(stderr, "checkpoint: %v\n", err)
 			return 1
 		}
 	}
 	if against == "" {
 		return 0
 	}
-	cmp.Report(os.Stdout)
+	cmp.Report(stdout)
 	if cmp.Failed() {
-		fmt.Fprintf(os.Stderr, "checkpoint: regression vs %s\n", against)
+		fmt.Fprintf(stderr, "checkpoint: regression vs %s\n", against)
 		return 1
 	}
-	fmt.Printf("checkpoint: no regression vs %s\n", against)
+	fmt.Fprintf(stdout, "checkpoint: no regression vs %s\n", against)
 	return 0
 }
 
@@ -304,26 +311,14 @@ func writeMetrics(path string, reg *telemetry.Registry) error {
 	return f.Close()
 }
 
-func writeTrace(path string, traces []telemetry.Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.WriteChromeTrace(f, traces); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeJSON(path string, records []benchRecord) error {
+func writeJSON(path string, records []benchRecord, stdout io.Writer) error {
 	data, err := json.MarshalIndent(records, "", "  ")
 	if err != nil {
 		return err
 	}
 	data = append(data, '\n')
 	if path == "-" {
-		_, err = os.Stdout.Write(data)
+		_, err = stdout.Write(data)
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)

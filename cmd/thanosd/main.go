@@ -42,7 +42,7 @@ func main() {
 	capacity := flag.Int("capacity", 4096, "resource slots per replica table")
 	schema := flag.String("schema", "cpu,mem,bw", "comma-separated metric attributes")
 	policyPath := flag.String("policy", "", "policy DSL file (default: min over the first attribute)")
-	metrics := flag.String("metrics", "", "telemetry HTTP address (/metrics, /debug/vars, /trace); empty disables")
+	metrics := flag.String("metrics", "", "telemetry HTTP address (/metrics, /debug/vars, /debug/thanos); empty disables")
 	maxconns := flag.Int("maxconns", server.DefaultMaxConns, "connection admission limit")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof on the -metrics address")
 	flightCap := flag.Int("flight", 256, "per-component flight-recorder ring capacity")
@@ -139,7 +139,6 @@ func main() {
 		fmt.Printf("thanosd: telemetry on http://%s/metrics\n", ln.Addr())
 		go http.Serve(ln, telemetry.NewMux(telemetry.MuxConfig{
 			Registry: reg,
-			Traces:   eng.TraceSnapshot,
 			Flight:   flight,
 			Introspect: map[string]func() any{
 				"engine": func() any { return eng.Introspect() },

@@ -92,7 +92,7 @@ func main() {
 	shards := flag.Int("shards", 0, "engine shards (table replicas = bound on concurrent decides) for -spawn (0 = GOMAXPROCS)")
 	seed := flag.Int64("seed", 1, "flow population seed")
 	jsonOut := flag.String("json", "", "write the run summary as JSON to this file (\"-\" = stdout)")
-	traceEvery := flag.Int("trace-every", 0, "sample 1 in N batches for end-to-end tracing (0 = off; requires a v2 server)")
+	traceEvery := flag.Int("trace-every", 0, "sample 1 in N batches for end-to-end tracing (0 = off)")
 	traceOut := flag.String("trace-out", "", "write the sampled spans as a Chrome trace to this file (requires -trace-every)")
 	flag.Parse()
 

@@ -63,20 +63,6 @@ func (nw *Network) NumSwitches() int {
 	return nw.n / 2 * nw.NumStages()
 }
 
-// Reset returns every switch to the straight setting.
-func (nw *Network) Reset() {
-	for i := range nw.inSw {
-		nw.inSw[i] = false
-	}
-	for i := range nw.outSw {
-		nw.outSw[i] = false
-	}
-	if nw.upper != nil {
-		nw.upper.Reset()
-		nw.lower.Reset()
-	}
-}
-
 // Route configures the switches to realize the given partial permutation:
 // perm[in] = out requests that input terminal in be connected to output
 // terminal out, and perm[in] = -1 leaves input in unconstrained. Each output

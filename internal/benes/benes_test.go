@@ -131,19 +131,6 @@ func TestRouteErrors(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	nw, _ := New(8)
-	if err := nw.Route([]int{7, 6, 5, 4, 3, 2, 1, 0}); err != nil {
-		t.Fatal(err)
-	}
-	nw.Reset()
-	for in := 0; in < 8; in++ {
-		if nw.OutputOf(in) != in {
-			t.Fatal("Reset did not restore identity")
-		}
-	}
-}
-
 func TestOutputOfPanics(t *testing.T) {
 	nw, _ := New(4)
 	defer func() {

@@ -34,7 +34,6 @@ type FilterModule struct {
 	// caches pipe.Latency() so the per-decision histogram observation does
 	// not re-walk the stage list.
 	stats     *telemetry.DecideStats
-	tracer    *telemetry.Tracer
 	latCycles uint64
 }
 
@@ -106,14 +105,7 @@ func (m *FilterModule) Process() ([]*bitvec.Vector, error) {
 //
 //thanos:hotpath
 func (m *FilterModule) Decide(out int) (id int, ok bool) {
-	tr := m.tracer.Sample()
-	if tr != nil {
-		m.pipe.SetTrace(tr)
-	}
 	outs, err := m.Process()
-	if tr != nil {
-		m.pipe.SetTrace(nil)
-	}
 	if err != nil {
 		// Exec on a validated pipeline cannot fail; surface loudly.
 		panic("core: " + err.Error())
@@ -127,12 +119,9 @@ func (m *FilterModule) Decide(out int) (id int, ok bool) {
 		if ds := m.stats; ds != nil {
 			ds.Empty.Inc()
 		}
-		tr.Finish(out, -1, false)
 		return 0, false
 	}
-	id = res.FirstSet()
-	tr.Finish(out, id, true)
-	return id, true
+	return res.FirstSet(), true
 }
 
 // StageLabels exposes the pipeline's per-stage telemetry labels so callers
@@ -140,19 +129,13 @@ func (m *FilterModule) Decide(out int) (id int, ok bool) {
 func (m *FilterModule) StageLabels() []string { return m.pipe.StageLabels() }
 
 // AttachTelemetry wires decision counters (latency histogram, empty-result
-// count), per-stage pipeline selectivity and an optional sampled tracer
-// into the module. Any argument may be nil to leave that aspect
-// uninstrumented.
-func (m *FilterModule) AttachTelemetry(cs *telemetry.ChainStats, ds *telemetry.DecideStats, tracer *telemetry.Tracer) {
+// count) and per-stage pipeline selectivity into the module. Either
+// argument may be nil to leave that aspect uninstrumented.
+func (m *FilterModule) AttachTelemetry(cs *telemetry.ChainStats, ds *telemetry.DecideStats) {
 	m.pipe.AttachTelemetry(cs)
 	m.stats = ds
-	m.tracer = tracer
 	m.latCycles = m.pipe.Latency()
 }
-
-// TraceSnapshot returns the sampled decision traces. The module is
-// single-threaded, so callers snapshot between Decide calls.
-func (m *FilterModule) TraceSnapshot() []telemetry.Trace { return m.tracer.Snapshot() }
 
 // LatencyCycles returns the module's deterministic per-packet latency in
 // clock cycles.

@@ -51,9 +51,9 @@ func BenchmarkEngineDecideBatch(b *testing.B) {
 }
 
 // BenchmarkEngineDecideBatchTelemetry is BenchmarkEngineDecideBatch with
-// full telemetry attached (counters, chain stats, default 1-in-1024 trace
-// sampling) at a fixed 2 shards — the instrumented column of the ≤5%
-// overhead contract that TestTelemetryOverheadSmoke gates in CI.
+// full telemetry attached (counters, chain stats, histograms) at a fixed 2
+// shards — the instrumented column of the ≤5% overhead contract that
+// TestTelemetryOverheadSmoke gates in CI.
 func BenchmarkEngineDecideBatchTelemetry(b *testing.B) {
 	const batch = 4096
 	e, err := New(Config{

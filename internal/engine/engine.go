@@ -57,7 +57,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,17 +100,10 @@ type Config struct {
 	Policy *policy.Policy
 	// Telemetry, when non-nil, registers the engine's metrics — per-shard
 	// decision counts, chain selectivity, table op counts, the batch-size
-	// histogram, policy-swap and degradation counters — under this registry and
-	// enables a per-shard sampled decision tracer. All handles are created
-	// here, at construction; telemetry adds no allocation and no lock to the
-	// decision path.
+	// histogram, policy-swap and degradation counters — under this registry.
+	// All handles are created here, at construction; telemetry adds no
+	// allocation and no lock to the decision path.
 	Telemetry *telemetry.Registry
-	// TraceEvery samples one decision in every TraceEvery per shard;
-	// 0 selects DefaultTraceEvery. Ignored without Telemetry.
-	TraceEvery int
-	// TraceCapacity is each shard's trace ring size; 0 selects
-	// DefaultTraceCapacity. Ignored without Telemetry.
-	TraceCapacity int
 	// ResyncBase is the initial backoff between failed resync attempts of a
 	// quarantined shard; 0 selects DefaultResyncBase.
 	ResyncBase time.Duration
@@ -135,13 +127,6 @@ const DefaultResyncBase = time.Millisecond
 
 // DefaultResyncMax is the default cap on the exponential resync backoff.
 const DefaultResyncMax = 100 * time.Millisecond
-
-// DefaultTraceEvery is the default per-shard decision sampling period of
-// the provenance tracer.
-const DefaultTraceEvery = 1024
-
-// DefaultTraceCapacity is the default per-shard trace ring size.
-const DefaultTraceCapacity = 256
 
 // snapshot is one complete replica: an SMBM plus an interpreter bound to it.
 // A snapshot is only ever executed, and its table only ever mutated, under
@@ -187,12 +172,11 @@ type shard struct {
 
 	// Telemetry handles, nil unless Config.Telemetry was set. decCtr and
 	// emptyCtr are this shard's padded slots of the engine-wide sharded
-	// counters; tracer is this shard's provenance tracer. On the hot path
-	// they are touched only under mu. chainTel/tableTel are kept so resync
-	// can re-attach the shard's stats to rebuilt snapshots.
+	// counters. On the hot path they are touched only under mu.
+	// chainTel/tableTel are kept so resync can re-attach the shard's stats
+	// to rebuilt snapshots.
 	decCtr   *telemetry.Counter
 	emptyCtr *telemetry.Counter
-	tracer   *telemetry.Tracer
 	chainTel *telemetry.ChainStats
 	tableTel *telemetry.TableStats
 }
@@ -314,16 +298,15 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.rebuildSteering()
 	if cfg.Telemetry != nil {
-		e.setupTelemetry(cfg, n)
+		e.setupTelemetry(cfg.Telemetry, n)
 	}
 	return e, nil
 }
 
-// setupTelemetry registers the engine's metric set under cfg.Telemetry and
-// hands each shard its padded counter slots, chain/table stats and tracer.
+// setupTelemetry registers the engine's metric set under reg and hands each
+// shard its padded counter slots and chain/table stats.
 // Runs once, inside New, so no synchronization with readers is needed.
-func (e *Engine) setupTelemetry(cfg Config, n int) {
-	reg := cfg.Telemetry
+func (e *Engine) setupTelemetry(reg *telemetry.Registry, n int) {
 	e.reg = reg
 	labels := e.shards[0].snap.interp.StepLabels()
 	chains := telemetry.NewChainStats(reg, "thanos_engine_chain", labels, n)
@@ -343,18 +326,9 @@ func (e *Engine) setupTelemetry(cfg Config, n int) {
 	// replica size as writes reach the replicas; this one asks the
 	// authoritative replica directly at scrape time.
 	reg.NewGaugeFunc("thanos_engine_resources", "resources in the authoritative replica at scrape time", func() int64 { return int64(e.Size()) })
-	every := cfg.TraceEvery
-	if every <= 0 {
-		every = DefaultTraceEvery
-	}
-	capacity := cfg.TraceCapacity
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
 	for i, s := range e.shards {
 		s.decCtr = dec.Shard(i)
 		s.emptyCtr = empty.Shard(i)
-		s.tracer = telemetry.NewTracer(every, capacity, i)
 		s.chainTel = chains[i]
 		s.tableTel = tables[i]
 		s.snap.interp.AttachTelemetry(chains[i])
@@ -364,26 +338,6 @@ func (e *Engine) setupTelemetry(cfg Config, n int) {
 
 // Telemetry returns the registry the engine was configured with, or nil.
 func (e *Engine) Telemetry() *telemetry.Registry { return e.reg }
-
-// TraceSnapshot returns the sampled decision traces of every shard, merged
-// in ascending (Seq, Shard) order. Each shard's tracer is read under that
-// shard's lock, so no decision is mid-flight on it — the tracers' snapshot
-// precondition.
-func (e *Engine) TraceSnapshot() []telemetry.Trace {
-	var out []telemetry.Trace
-	for _, s := range e.shards {
-		s.mu.Lock()
-		out = append(out, s.tracer.Snapshot()...)
-		s.mu.Unlock()
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Seq != out[b].Seq {
-			return out[a].Seq < out[b].Seq
-		}
-		return out[a].Shard < out[b].Shard
-	})
-	return out
-}
 
 // Shards returns the number of pipeline replicas.
 func (e *Engine) Shards() int { return len(e.shards) }
@@ -540,14 +494,12 @@ func (s *shard) process(pkts []Packet, tag int) (failed uint64) {
 			failed++
 			continue
 		}
-		tr := s.tracer.Sample()
-		p.ID = st.interp.Decide(tr, p.Out)
+		p.ID = st.interp.Decide(p.Out)
 		p.OK = p.ID >= 0
 		dec++
 		if !p.OK {
 			empty++
 		}
-		tr.Finish(p.Out, p.ID, p.OK)
 	}
 	// One telemetry publish per visit, not per decision. The table version
 	// cannot move while mu is held, which is what FlushStats's same-version

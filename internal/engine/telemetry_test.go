@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"bytes"
-	"encoding/json"
 	"os"
 	"testing"
 
@@ -10,15 +8,14 @@ import (
 	"repro/internal/telemetry"
 )
 
-func newTelemetryEngine(t testing.TB, shards int, src string, reg *telemetry.Registry, traceEvery int) *Engine {
+func newTelemetryEngine(t testing.TB, shards int, src string, reg *telemetry.Registry) *Engine {
 	t.Helper()
 	e, err := New(Config{
-		Shards:     shards,
-		Capacity:   64,
-		Schema:     testSchema,
-		Policy:     policy.MustParse(src),
-		Telemetry:  reg,
-		TraceEvery: traceEvery,
+		Shards:    shards,
+		Capacity:  64,
+		Schema:    testSchema,
+		Policy:    policy.MustParse(src),
+		Telemetry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +50,7 @@ func TestEngineTelemetryCounters(t *testing.T) {
 		batches = 5
 	)
 	reg := telemetry.NewRegistry()
-	e := newTelemetryEngine(t, shards, testPolicySrc, reg, 64)
+	e := newTelemetryEngine(t, shards, testPolicySrc, reg)
 	fillRandom(t, e, writes, 11)
 
 	pkts := make([]Packet, batch)
@@ -117,7 +114,7 @@ func TestEngineWriteAppliesOncePerShard(t *testing.T) {
 		upserts = 40
 	)
 	reg := telemetry.NewRegistry()
-	e := newTelemetryEngine(t, shards, testPolicySrc, reg, 64)
+	e := newTelemetryEngine(t, shards, testPolicySrc, reg)
 	for i := 0; i <= upserts; i++ { // the first upsert adds, the rest update
 		if err := e.Upsert(7, []int64{int64(i), 1, 1}); err != nil {
 			t.Fatal(err)
@@ -131,11 +128,11 @@ func TestEngineWriteAppliesOncePerShard(t *testing.T) {
 
 // TestEngineDecideBatchZeroAllocWithTelemetry is the acceptance criterion
 // for the telemetry layer: the fully instrumented batched path — counters,
-// histograms, and a tracer sampling EVERY decision — still performs zero
-// steady-state heap allocations.
+// chain stats and histograms — still performs zero steady-state heap
+// allocations.
 func TestEngineDecideBatchZeroAllocWithTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	e := newTelemetryEngine(t, 4, testPolicySrc, reg, 1)
+	e := newTelemetryEngine(t, 4, testPolicySrc, reg)
 	fillRandom(t, e, 64, 17)
 
 	pkts := make([]Packet, 256)
@@ -152,82 +149,17 @@ func TestEngineDecideBatchZeroAllocWithTelemetry(t *testing.T) {
 	}
 }
 
-// TestEngineChromeTraceExport drives sampled decisions through the engine
-// and checks the merged trace exports as well-formed Chrome trace_event
-// JSON and as the flat trace JSON.
-func TestEngineChromeTraceExport(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	e := newTelemetryEngine(t, 2, testPolicySrc, reg, 8)
-	fillRandom(t, e, 32, 3)
-	pkts := make([]Packet, 64)
-	for i := range pkts {
-		pkts[i] = Packet{Key: uint64(i)}
-	}
-	for i := 0; i < 4; i++ {
-		e.DecideBatch(pkts)
-	}
-	traces := e.TraceSnapshot()
-	if len(traces) == 0 {
-		t.Fatal("no traces sampled")
-	}
-	for i := 1; i < len(traces); i++ {
-		a, b := traces[i-1], traces[i]
-		if a.Seq > b.Seq || (a.Seq == b.Seq && a.Shard > b.Shard) {
-			t.Fatalf("traces not sorted: %d:(%d,%d) before %d:(%d,%d)",
-				i-1, a.Seq, a.Shard, i, b.Seq, b.Shard)
-		}
-	}
-
-	var buf bytes.Buffer
-	if err := telemetry.WriteChromeTrace(&buf, traces); err != nil {
-		t.Fatal(err)
-	}
-	var chrome struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
-			Dur  uint64 `json:"dur"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &chrome); err != nil {
-		t.Fatalf("chrome trace is not valid JSON: %v", err)
-	}
-	if len(chrome.TraceEvents) == 0 {
-		t.Fatal("chrome trace has no events")
-	}
-	for _, ev := range chrome.TraceEvents {
-		if ev.Ph != "X" {
-			t.Fatalf("event %q has phase %q, want X", ev.Name, ev.Ph)
-		}
-		if ev.Dur == 0 {
-			t.Fatalf("event %q has zero duration", ev.Name)
-		}
-	}
-
-	buf.Reset()
-	if err := telemetry.WriteTraceJSON(&buf, traces); err != nil {
-		t.Fatal(err)
-	}
-	var flat []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &flat); err != nil {
-		t.Fatalf("trace JSON decode: %v", err)
-	}
-	if len(flat) != len(traces) {
-		t.Fatalf("trace JSON has %d entries, want %d", len(flat), len(traces))
-	}
-}
-
 // TestTelemetryOverheadSmoke is the CI overhead gate: enabled with
 // THANOS_OVERHEAD_SMOKE=1, it re-verifies the instrumented zero-alloc
-// contract and fails if full telemetry (default trace sampling) costs more
-// than 5% of batched decision throughput. Benchmarks take the best of
+// contract and fails if full telemetry costs more than 5% of batched
+// decision throughput. Benchmarks take the best of
 // three runs to shave scheduler noise.
 func TestTelemetryOverheadSmoke(t *testing.T) {
 	if os.Getenv("THANOS_OVERHEAD_SMOKE") != "1" {
 		t.Skip("set THANOS_OVERHEAD_SMOKE=1 to run the overhead gate")
 	}
 	reg := telemetry.NewRegistry()
-	inst := newTelemetryEngine(t, 2, testPolicySrc, reg, 0) // default 1-in-1024 trace sampling
+	inst := newTelemetryEngine(t, 2, testPolicySrc, reg)
 	fillRandom(t, inst, 64, 17)
 	plain := newTestEngine(t, 2, testPolicySrc)
 	fillRandom(t, plain, 64, 17)

@@ -100,12 +100,11 @@ func sweepPackets(batch int) []engine.Packet {
 
 func newSweepEngine(shards, tableSize int, seed int64, reg *telemetry.Registry) (*engine.Engine, error) {
 	e, err := engine.New(engine.Config{
-		Shards:     shards,
-		Capacity:   tableSize,
-		Schema:     lb.Schema,
-		Policy:     enginePolicy(),
-		Telemetry:  reg,
-		TraceEvery: 512,
+		Shards:    shards,
+		Capacity:  tableSize,
+		Schema:    lb.Schema,
+		Policy:    enginePolicy(),
+		Telemetry: reg,
 	})
 	if err != nil {
 		return nil, err
@@ -164,14 +163,12 @@ func timeEnginePoint(e *engine.Engine, pt *EngineSweepPoint, batch, batches int)
 }
 
 // EngineTelemetry is one instrumented engine run: the measured throughput
-// point plus the telemetry it produced — the full metric snapshot (per-stage
-// selectivity, the batch-size histogram, table op counts) and
-// the sampled decision traces. The registry is retained so callers can also
-// export Prometheus text or Chrome traces.
+// point plus the telemetry it produced — the full metric snapshot: per-step
+// chain selectivity, the batch-size histogram, table op counts. The registry
+// is retained so callers can also export Prometheus text.
 type EngineTelemetry struct {
 	Point    EngineSweepPoint    `json:"point"`
 	Snapshot map[string]any      `json:"snapshot"`
-	Traces   []telemetry.Trace   `json:"traces"`
 	Registry *telemetry.Registry `json:"-"`
 }
 
@@ -179,14 +176,13 @@ func (t EngineTelemetry) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Instrumented engine run (shards=%d batch=%d) ==\n",
 		t.Point.Shards, t.Point.Batch)
-	fmt.Fprintf(&b, "%.2fM decisions/s  %.0f ns/decision  %d metrics  %d sampled traces\n",
-		t.Point.DecisionsPerSec/1e6, t.Point.NsPerDecision, len(t.Snapshot), len(t.Traces))
+	fmt.Fprintf(&b, "%.2fM decisions/s  %.0f ns/decision  %d metrics\n",
+		t.Point.DecisionsPerSec/1e6, t.Point.NsPerDecision, len(t.Snapshot))
 	return b.String()
 }
 
 // EngineTelemetryPoint runs one engine sweep configuration with telemetry
-// enabled (trace sampling every 512 decisions per shard) and returns the
-// measurement together with the metric snapshot and decision traces.
+// enabled and returns the measurement together with the metric snapshot.
 func EngineTelemetryPoint(shards, batch, tableSize, batches int, seed int64) (EngineTelemetry, error) {
 	res := EngineTelemetry{}
 	if shards <= 0 || batch <= 0 || tableSize <= 0 || batches <= 0 {
@@ -201,7 +197,6 @@ func EngineTelemetryPoint(shards, batch, tableSize, batches int, seed int64) (En
 	pt := EngineSweepPoint{Shards: shards, Batch: batch, TableSize: tableSize, Batches: batches, Speedup: 1}
 	timeEnginePoint(e, &pt, batch, batches)
 	res.Point = pt
-	res.Traces = e.TraceSnapshot()
 	res.Snapshot = reg.Snapshot()
 	res.Registry = reg
 	return res, nil

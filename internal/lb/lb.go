@@ -19,7 +19,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/rmt"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -191,25 +190,6 @@ type Balancer struct {
 
 	// Decisions counts new-connection placements per server.
 	Decisions map[int]int
-
-	// tel counts placement outcomes when RegisterTelemetry was called.
-	tel *telemetry.LBStats
-}
-
-// RegisterTelemetry registers placement counters (fresh decisions,
-// affinity hits, failures) plus one per-backend decision gauge under reg
-// and starts updating them from Place. The gauges read the Decisions map
-// at scrape time; the balancer is single-threaded (it lives inside the
-// discrete-event simulator), so scrape a held, idle balancer or accept a
-// torn read of a map being updated.
-func (b *Balancer) RegisterTelemetry(reg *telemetry.Registry, prefix string, numBackends int) {
-	b.tel = telemetry.NewLBStats(reg, prefix)
-	for i := 0; i < numBackends; i++ {
-		i := i
-		reg.NewGaugeFunc(fmt.Sprintf("%s_backend%d_decisions", prefix, i),
-			fmt.Sprintf("fresh placements routed to backend %d", i),
-			func() int64 { return int64(b.Decisions[i]) })
-	}
 }
 
 // NewBalancer builds a balancer for numServers backends under the given
@@ -287,16 +267,10 @@ func (b *Balancer) Place(connID int64) (int, error) {
 		return 0, err
 	}
 	if hit {
-		if t := b.tel; t != nil {
-			t.AffinityHits.Inc()
-		}
 		return int(ctx.Meta["server"]), nil
 	}
 	server, ok := b.backend.Decide()
 	if !ok {
-		if t := b.tel; t != nil {
-			t.Failures.Inc()
-		}
 		return 0, fmt.Errorf("lb: no servers available")
 	}
 	sv := uint64(server)
@@ -306,9 +280,6 @@ func (b *Balancer) Place(connID int64) (int, error) {
 		return 0, err
 	}
 	b.Decisions[server]++
-	if t := b.tel; t != nil {
-		t.Placements.Inc()
-	}
 	return server, nil
 }
 

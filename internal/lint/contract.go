@@ -103,15 +103,12 @@ func DefaultConfig() Config {
 		Telemetry: TelemetryConfig{
 			Pkg: "repro/internal/telemetry",
 			// The hot-safe instrument API: single atomic read-modify-write
-			// operations (plus Tracer.Sample's ring-slot claim), audited
-			// lock-free and proven allocation-free by the AllocsPerRun tests
-			// in internal/telemetry.
+			// operations, audited lock-free and proven allocation-free by
+			// the AllocsPerRun tests in internal/telemetry.
 			HotSafe: []string{
 				"(*Counter).Inc", "(*Counter).Add",
 				"(*Gauge).Set", "(*Gauge).Add",
 				"(*Histogram).Observe", "(*Histogram).ObserveExemplar",
-				"(*Tracer).Sample",
-				"(*Trace).AddStage", "(*Trace).Finish",
 				// Span recording is a slot claim + per-slot seqlock publish:
 				// lock-free, allocation-free, audited by the AllocsPerRun
 				// tests in internal/telemetry.

@@ -13,7 +13,7 @@ import (
 //
 //  1. Entry discipline: a call from hot non-telemetry code into the
 //     telemetry package must target a function on the HotSafe allowlist
-//     (Counter.Inc, Histogram.Observe, Tracer.Sample, ...). Anything else
+//     (Counter.Inc, Histogram.Observe, SpanRing.Record, ...). Anything else
 //     — registration, export, snapshotting — is control-plane API and must
 //     not appear on the decision path.
 //  2. Lock freedom: telemetry-package functions reachable from a hot root

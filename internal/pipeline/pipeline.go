@@ -131,14 +131,9 @@ type Pipeline struct {
 	lineRefs []*bitvec.Vector
 	empty    *bitvec.Vector
 
-	// Telemetry: per-stage invocation/popcount counters and the trace of
-	// the decision currently in flight. Both nil unless attached; labels
-	// and per-stage cycle costs are precomputed at construction so the hot
-	// loop never formats strings or recomputes latencies.
-	stats       *telemetry.ChainStats
-	trace       *telemetry.Trace
-	stageLabels []string
-	stageCycles []uint32
+	// stats holds the per-stage invocation/popcount counters; nil unless
+	// attached.
+	stats *telemetry.ChainStats
 }
 
 // CrossbarCycles is the latency charged per stage crossbar traversal. The
@@ -185,17 +180,17 @@ func New(table *smbm.SMBM, cfg Config) (*Pipeline, error) {
 	p.empty = arena[2*n]
 	p.inRefs = make([]*bitvec.Vector, n)
 	p.lineRefs = make([]*bitvec.Vector, n)
-	for si := range p.stages {
-		p.stageLabels = append(p.stageLabels, fmt.Sprintf("stage%d", si))
-		p.stageCycles = append(p.stageCycles, uint32(p.xbarLat+p.stages[si][0].Latency()))
-	}
 	return p, nil
 }
 
 // StageLabels returns the per-stage telemetry labels ("stage0", "stage1",
 // ...), one per pipeline stage. The slice is a fresh copy.
 func (p *Pipeline) StageLabels() []string {
-	return append([]string(nil), p.stageLabels...)
+	labels := make([]string, len(p.stages))
+	for si := range labels {
+		labels[si] = fmt.Sprintf("stage%d", si)
+	}
+	return labels
 }
 
 // AttachTelemetry wires per-stage invocation and post-stage popcount
@@ -209,15 +204,6 @@ func (p *Pipeline) AttachTelemetry(cs *telemetry.ChainStats) {
 	}
 	p.stats = cs
 }
-
-// SetTrace installs (or, with nil, removes) the trace that the next Exec
-// calls record per-stage candidate narrowing into. It exists so callers
-// that own the decision loop (core.FilterModule) can thread a sampled
-// trace through Exec without changing its signature; it is hot-path safe —
-// a single pointer store.
-//
-//thanos:hotpath
-func (p *Pipeline) SetTrace(tr *telemetry.Trace) { p.trace = tr }
 
 // routeStageCrossbar assigns each requested (logical source → dest line)
 // connection a distinct fan-out copy of the source and routes the resulting
@@ -298,18 +284,15 @@ func (p *Pipeline) Exec(inputs []*bitvec.Vector) ([]*bitvec.Vector, error) {
 		for ci, cell := range cells {
 			cell.ExecInto(next[2*ci], next[2*ci+1], lines[2*ci], lines[2*ci+1])
 		}
-		if p.stats != nil || p.trace != nil {
+		if cs := p.stats; cs != nil {
 			// Selectivity provenance: the candidate population after this
 			// stage is the popcount across all its output lines.
 			pop := 0
 			for i := range next {
 				pop += next[i].Count()
 			}
-			if cs := p.stats; cs != nil {
-				cs.Invocations[si].Inc()
-				cs.Candidates[si].Add(uint64(pop))
-			}
-			p.trace.AddStage(p.stageLabels[si], pop, uint64(p.stageCycles[si]))
+			cs.Invocations[si].Inc()
+			cs.Candidates[si].Add(uint64(pop))
 		}
 		cur = next
 	}

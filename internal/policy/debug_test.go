@@ -50,7 +50,7 @@ func TestDebugViewLeases(t *testing.T) {
 
 	it, _ = newInterp()
 	held = it.Exec()[1]
-	it.Decide(nil, 0)
+	it.Decide(0)
 	mustPanic("read after the next Decide", "lease has ended", func() { held.FirstSet() })
 
 	it, _ = newInterp()

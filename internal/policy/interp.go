@@ -111,7 +111,7 @@ const (
 	// Only chains of unshared, non-output intersect nodes fuse, so every
 	// table a later step (or an output) reads still has its own buffer.
 	// The fused step charges the same summed BFPU cycles the unfused chain
-	// would, keeping trace latency accounting identical in total.
+	// would, keeping modeled latency accounting identical in total.
 	stepFused
 )
 
@@ -377,8 +377,8 @@ func (it *Interp) Policy() *Policy { return it.policy }
 func (it *Interp) Steps() int { return len(it.prog) }
 
 // StepLabels returns the source expression of every program step, in
-// execution order — the label vocabulary used by chain telemetry and
-// decision traces. The slice is a fresh copy.
+// execution order — the label vocabulary used by chain telemetry. The slice
+// is a fresh copy.
 func (it *Interp) StepLabels() []string {
 	return append([]string(nil), it.labels...)
 }
@@ -446,7 +446,7 @@ func (it *Interp) FlushStats(n uint64) {
 //
 //thanos:hotpath
 func (it *Interp) Exec() []*bitvec.Vector {
-	it.exec(nil)
+	it.exec()
 	return it.leases.Lease(it.outs, it.table.DebugVersion())
 }
 
@@ -454,12 +454,11 @@ func (it *Interp) Exec() []*bitvec.Vector {
 // output out selects after fallback resolution, or -1 when the chain ends
 // empty: Resolve(p, Exec(), out).FirstSet() without moving a vector. Figure
 // 14's MUX stage only asks each table "empty or not", which a selection
-// output's id answers; a set-valued output costs one priority encode. tr,
-// when non-nil, receives the per-step provenance (see exec).
+// output's id answers; a set-valued output costs one priority encode.
 //
 //thanos:hotpath
-func (it *Interp) Decide(tr *telemetry.Trace, out int) int {
-	it.exec(tr)
+func (it *Interp) Decide(out int) int {
+	it.exec()
 	fb := it.policy.FallbackOf
 	for hops := 0; hops < len(it.outIdx); hops++ { // one hop per output at most: see Resolve
 		si := it.outIdx[out]
@@ -475,11 +474,10 @@ func (it *Interp) Decide(tr *telemetry.Trace, out int) int {
 	return -1
 }
 
-// exec brings every step buffer up to date for one packet. When tr is
-// non-nil the candidate-set popcount after every step is recorded into it,
-// and when chain telemetry is attached each pop-dynamic step's popcount is
-// accumulated for the next FlushStats (pop-static steps are charged
-// wholesale at flush time from cachedPop).
+// exec brings every step buffer up to date for one packet. When chain
+// telemetry is attached each pop-dynamic step's popcount is accumulated for
+// the next FlushStats (pop-static steps are charged wholesale at flush time
+// from cachedPop).
 //
 // The content-static steps run only when the table's version differs from
 // the one their buffers hold; the content-dynamic steps run on every call,
@@ -490,7 +488,7 @@ func (it *Interp) Decide(tr *telemetry.Trace, out int) int {
 // buffer it already holds.
 //
 //thanos:hotpath
-func (it *Interp) exec(tr *telemetry.Trace) {
+func (it *Interp) exec() {
 	it.leases.Expire()
 	ver := it.table.Version()
 	stale := !it.staticValid || it.staticVersion != ver
@@ -513,15 +511,6 @@ func (it *Interp) exec(tr *telemetry.Trace) {
 			it.pendCand[i] += uint64(it.vals[i].Count())
 		}
 	}
-	if tr != nil {
-		// Sampled decisions read live popcounts from the step buffers —
-		// static ones still hold their version's result — and a trace is
-		// rare enough that a popcount per step costs nothing at the engine
-		// level.
-		for i := range it.prog {
-			tr.AddStage(it.labels[i], it.vals[i].Count(), uint64(it.cycles[i]))
-		}
-	}
 }
 
 // run evaluates the listed steps, in list order, each into its own buffer —
@@ -534,7 +523,7 @@ func (it *Interp) run(steps []int) {
 		switch st.kind {
 		case stepSelect:
 			// Moving one bit keeps the buffer the one-hot table its readers
-			// (later steps, traces, popcounts, Exec's views) expect, without
+			// (later steps, popcounts, Exec's views) expect, without
 			// an N-bit clear per packet.
 			id, prev := st.sel.Select(it.vals[st.a]), st.pick
 			if id != prev {

@@ -16,20 +16,18 @@ type Module struct {
 	Policy *Policy
 	interp *Interp
 	stats  *telemetry.DecideStats // nil unless AttachTelemetry was called
-	tracer *telemetry.Tracer      // ditto
 }
 
 // StepLabels exposes the interpreter's per-step labels so callers can
 // register matching chain telemetry.
 func (m *Module) StepLabels() []string { return m.interp.StepLabels() }
 
-// AttachTelemetry wires decision counters, per-step chain selectivity and
-// an optional sampled tracer into the module. Any argument may be nil to
-// leave that aspect uninstrumented.
-func (m *Module) AttachTelemetry(cs *telemetry.ChainStats, ds *telemetry.DecideStats, tracer *telemetry.Tracer) {
+// AttachTelemetry wires decision counters and per-step chain selectivity
+// into the module. Either argument may be nil to leave that aspect
+// uninstrumented.
+func (m *Module) AttachTelemetry(cs *telemetry.ChainStats, ds *telemetry.DecideStats) {
 	m.interp.AttachTelemetry(cs)
 	m.stats = ds
-	m.tracer = tracer
 }
 
 // NewModule builds a module with capacity resources, the given attribute
@@ -58,8 +56,7 @@ func (m *Module) Remove(id int) error {
 // resource id from output 0 (after fallback resolution). ok is false when
 // even the fallback produced an empty table.
 func (m *Module) Decide() (id int, ok bool) {
-	tr := m.tracer.Sample()
-	id = m.interp.Decide(tr, 0)
+	id = m.interp.Decide(0)
 	m.interp.FlushStats(1) // single-threaded module: publish per decision
 	ok = id >= 0
 	if ds := m.stats; ds != nil {
@@ -68,16 +65,11 @@ func (m *Module) Decide() (id int, ok bool) {
 			ds.Empty.Inc()
 		}
 	}
-	tr.Finish(0, id, ok)
 	if !ok {
 		return 0, false
 	}
 	return id, true
 }
-
-// TraceSnapshot returns the sampled decision traces. The module is
-// single-threaded, so callers snapshot between Decide calls.
-func (m *Module) TraceSnapshot() []telemetry.Trace { return m.tracer.Snapshot() }
 
 // Metrics returns a copy of the resource's current metric tuple, or ok=false
 // if the resource is absent.

@@ -92,10 +92,10 @@ func TestInterpRunsStaticStepsOncePerVersion(t *testing.T) {
 	check("second version", 2*n+1, 2)
 }
 
-// TestInterpTraceOnReusedBuffers: a sampled execution that reuses the
-// version's static buffers reports the same per-step candidate counts and
-// cycles as the first execution of a freshly built interpreter over the same
-// table, and chain telemetry charges every step for every execution.
+// TestInterpTraceOnReusedBuffers: an execution that reuses the version's
+// static buffers leaves the same per-step candidate counts and cycles as the
+// first execution of a freshly built interpreter over the same table, and
+// chain telemetry charges every step for every execution.
 func TestInterpTraceOnReusedBuffers(t *testing.T) {
 	table, sch := lbTable(t)
 	pol := MustParse(phasePolicy)
@@ -110,41 +110,38 @@ func TestInterpTraceOnReusedBuffers(t *testing.T) {
 	for i := 0; i < n-1; i++ {
 		it.Exec()
 	}
-	var warm, cold telemetry.Trace
-	it.Decide(&warm, 0) // the n-th execution at this version: static steps skipped
+	it.Decide(0) // the n-th execution at this version: static steps skipped
 	it.FlushStats(n)
 
 	fresh, err := NewInterp(table, sch, MustParse(phasePolicy))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh.Decide(&cold, 0)
+	fresh.Decide(0)
 
-	if warm.NumStages != cold.NumStages || int(warm.NumStages) != it.Steps() {
-		t.Fatalf("stages: reused %d, fresh %d, steps %d", warm.NumStages, cold.NumStages, it.Steps())
+	if fresh.Steps() != it.Steps() {
+		t.Fatalf("steps: reused %d, fresh %d", it.Steps(), fresh.Steps())
 	}
-	for i := 0; i < int(warm.NumStages); i++ {
-		w, c := warm.Stages[i], cold.Stages[i]
+	for i := 0; i < it.Steps(); i++ {
+		label, warm, cold := it.labels[i], it.vals[i].Count(), fresh.vals[i].Count()
 		// The policy's one pop-dynamic step — the predicate over two random
-		// picks — may count differently on two LFSR draws; it is held to the
-		// live buffer only. Every other popcount is version-static, so the
-		// reused buffers and the fresh interpreter must agree.
-		if w.Label != c.Label || w.Cycles != c.Cycles {
-			t.Errorf("stage %d: reused %+v, fresh %+v", i, w, c)
+		// picks — may count differently on two LFSR draws. Every other
+		// popcount is version-static, so the reused buffers and the fresh
+		// interpreter must agree.
+		if label != fresh.labels[i] || it.cycles[i] != fresh.cycles[i] {
+			t.Errorf("step %d: reused %q (%d cycles), fresh %q (%d cycles)",
+				i, label, it.cycles[i], fresh.labels[i], fresh.cycles[i])
 		}
-		if !it.dynPop[i] && w.Candidates != c.Candidates {
-			t.Errorf("stage %d %q: reused buffer reports %d candidates, fresh interpreter %d",
-				i, w.Label, w.Candidates, c.Candidates)
-		}
-		if int(w.Candidates) != it.vals[i].Count() {
-			t.Errorf("stage %d %q: trace says %d candidates, buffer holds %d", i, w.Label, w.Candidates, it.vals[i].Count())
+		if !it.dynPop[i] && warm != cold {
+			t.Errorf("step %d %q: reused buffer holds %d candidates, fresh interpreter %d",
+				i, label, warm, cold)
 		}
 		if got := cs.Invocations[i].Value(); got != n {
-			t.Errorf("step %d %q: %d invocations published, want %d", i, w.Label, got, n)
+			t.Errorf("step %d %q: %d invocations published, want %d", i, label, got, n)
 		}
 		if !it.dynPop[i] {
-			if got, want := cs.Candidates[i].Value(), uint64(n)*uint64(c.Candidates); got != want {
-				t.Errorf("step %d %q: %d candidates published, want %d × %d", i, w.Label, got, n, c.Candidates)
+			if got, want := cs.Candidates[i].Value(), uint64(n)*uint64(cold); got != want {
+				t.Errorf("step %d %q: %d candidates published, want %d × %d", i, label, got, n, cold)
 			}
 		}
 	}

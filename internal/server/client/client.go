@@ -65,9 +65,7 @@ type Config struct {
 	// TraceEvery samples 1 in every TraceEvery Decide calls for end-to-end
 	// tracing: the sampled call's frame carries a deterministic trace ID
 	// (derived from Seed and the call sequence) and the server echoes its
-	// phase stamps in the reply. 0 disables sampling. Tracing additionally
-	// requires the server to speak protocol v2 (checked via Hello), so a
-	// traced client degrades cleanly against an old server.
+	// phase stamps in the reply. 0 disables sampling.
 	TraceEvery int
 	// Flight, when non-nil, receives the client-side spans of traced calls
 	// (enqueue, wire, reply) and reconnect events for the flight recorder.
@@ -80,10 +78,8 @@ type Client struct {
 	sem chan struct{} // inflight window
 
 	// traceSeq counts Decide calls for the deterministic 1-in-N sampling
-	// decision; remoteVer holds the server's negotiated protocol version
-	// (traced frames are only sent when it is >= 2).
-	traceSeq  atomic.Uint64
-	remoteVer atomic.Uint32
+	// decision.
+	traceSeq atomic.Uint64
 
 	// wmu serializes frame writes onto the socket and guards wbuf, the one
 	// scratch every request frame is built in. It is dedicated to I/O and
@@ -306,13 +302,7 @@ func (c *Client) Hello() (server.HelloInfo, error) {
 	if r.op != server.OpHelloAck {
 		return server.HelloInfo{}, fmt.Errorf("%w: op 0x%02x to hello", ErrRemote, r.op)
 	}
-	info, err := server.DecodeHelloAck(r.body)
-	if err == nil {
-		// Version gate for tracing: traced frames are only legal against a
-		// v2+ server, so remember what the other side speaks.
-		c.remoteVer.Store(uint32(info.Version))
-	}
-	return info, err
+	return server.DecodeHelloAck(r.body)
 }
 
 // TraceInfo is one traced Decide call's cross-layer timeline: the trace
@@ -341,7 +331,7 @@ func splitmix64(x uint64) uint64 {
 // returns the call's trace ID (0 = not sampled). Deterministic for a given
 // Config.Seed and call order.
 func (c *Client) nextTraceID() uint64 {
-	if c.cfg.TraceEvery <= 0 || c.remoteVer.Load() < 2 {
+	if c.cfg.TraceEvery <= 0 {
 		return 0
 	}
 	n := c.traceSeq.Add(1)
@@ -458,7 +448,7 @@ func (c *Client) SwapPolicy(dsl string) error {
 }
 
 // Ping round-trips a liveness frame and returns the server's identity
-// (uptime + build). A v1 server's empty Pong yields the zero PongInfo.
+// (uptime + build).
 func (c *Client) Ping() (server.PongInfo, error) {
 	r, err := c.roundTrip(func(dst []byte, seq uint32) []byte {
 		return server.AppendPing(dst, seq)

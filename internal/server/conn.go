@@ -34,9 +34,8 @@ type request struct {
 	arena []int64         // backing values for ops
 	dsl   []byte          // swap
 
-	// Trace context for a traced Decide (protocol v2). traceID 0 means
-	// untraced and recvNs is never taken, keeping the common path identical
-	// to v1.
+	// Trace context for a traced Decide. traceID 0 means untraced and
+	// recvNs is never taken, keeping the common path free of clock reads.
 	traceID uint64
 	recvNs  int64 // frame decoded off the socket
 }

@@ -38,19 +38,17 @@
 // flow's packets always execute on the same pipeline replica no matter which
 // connection delivered them.
 //
-// # Trace context (protocol v2)
+// # Trace context
 //
-// A client that saw HelloAck.Version >= 2 may mark individual Decide frames
-// as traced by setting TraceFlag (bit 15) in the leading count word and
-// appending a u64 trace ID — the client makes the 1-in-N sampling decision,
-// downstream just honors it. The server answers a traced Decide with a
-// traced Decided: TraceFlag set and a trailing DecideTrace carrying the
-// trace ID plus the server-side phase stamps (recv, admit, decide start,
-// decide done), which lets the client stitch one cross-layer
-// timeline without scraping the server. Untraced frames are byte-identical
-// to protocol v1, and servers never send trace context unsolicited, so old
-// peers interoperate unchanged. The Pong body (uptime + build) is also new
-// in v2; v1's empty Pong still decodes.
+// A client may mark individual Decide frames as traced by setting TraceFlag
+// (bit 15) in the leading count word and appending a u64 trace ID — the
+// client makes the 1-in-N sampling decision, downstream just honors it. The
+// server answers a traced Decide with a traced Decided: TraceFlag set and a
+// trailing DecideTrace carrying the trace ID plus the server-side phase
+// stamps (recv, admit, decide start, decide done), which lets the client
+// stitch one cross-layer timeline without scraping the server. The trace
+// context is an optional trailer: an untraced frame carries none of it, and
+// servers never send it unsolicited.
 package server
 
 import (
@@ -65,9 +63,6 @@ import (
 // Protocol constants. Version bumps whenever a frame layout changes.
 const (
 	// Version is the wire protocol version spoken by this package.
-	// Version 2 adds optional trace context on Decide/Decided (TraceFlag)
-	// and the Pong identity body; both are invisible to v1 peers, but a
-	// client must see HelloAck.Version >= 2 before sending traced frames.
 	Version = 2
 
 	// MaxPayload caps one frame's payload (opcode + seq + body). Read paths
@@ -168,8 +163,7 @@ type DecideTrace struct {
 const decideTraceLen = 40
 
 // PongInfo is the server identity carried by a Pong reply: how long the
-// server has been up and what build is serving. A v1 Pong has an empty
-// body and decodes to the zero PongInfo.
+// server has been up and what build is serving.
 type PongInfo struct {
 	UptimeNs uint64
 	Build    string
@@ -226,8 +220,7 @@ func AppendDecide(dst []byte, seq uint32, keys []uint64, outs []uint16) []byte {
 
 // AppendDecideTrace appends a traced decision request: the same body as
 // AppendDecide plus the TraceFlag count bit and a trailing u64 trace ID.
-// traceID must be non-zero (zero means "untraced" everywhere) and the
-// receiving server must have negotiated Version >= 2 via Hello.
+// traceID must be non-zero (zero means "untraced" everywhere).
 func AppendDecideTrace(dst []byte, seq uint32, keys []uint64, outs []uint16, traceID uint64) []byte {
 	dst = appendHeader(dst, OpDecide, seq, 2+len(keys)*10+8)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(keys))|TraceFlag)
@@ -255,7 +248,7 @@ func AppendDecided(dst []byte, seq uint32, pkts []engine.Packet) []byte {
 
 // AppendDecidedTrace appends a traced decision reply: the AppendDecided
 // body plus the TraceFlag count bit and a trailing DecideTrace. Servers
-// only send it in answer to a traced request, so v1 clients never see it.
+// only send it in answer to a traced request.
 func AppendDecidedTrace(dst []byte, seq uint32, pkts []engine.Packet, tr DecideTrace) []byte {
 	dst = appendHeader(dst, OpDecided, seq, 2+len(pkts)*4+decideTraceLen)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(pkts))|TraceFlag)
@@ -377,7 +370,7 @@ func DecodeHelloAck(body []byte) (HelloInfo, error) {
 // DecodeDecide parses a Decide body into pkts (reusing its backing array).
 // Every packet comes back with ID=-1, OK=false, ready for DecideBatch.
 // The returned traceID is non-zero when the sender set TraceFlag and
-// appended a trace ID (protocol v2); plain v1 bodies return 0.
+// appended a trace ID; untraced bodies return 0.
 func DecodeDecide(body []byte, maxBatch int, pkts []engine.Packet) ([]engine.Packet, uint64, error) {
 	if len(body) < 2 {
 		return pkts[:0], 0, fmt.Errorf("%w: decide body %d bytes", ErrMalformed, len(body))
@@ -414,7 +407,7 @@ func DecodeDecide(body []byte, maxBatch int, pkts []engine.Packet) ([]engine.Pac
 
 // DecodeDecided parses a Decided body into ids (reusing its backing array).
 // The returned DecideTrace carries the server's phase stamps when the
-// reply was traced (TraceFlag set); its ID is 0 for a plain v1 reply.
+// reply was traced (TraceFlag set); its ID is 0 for an untraced reply.
 func DecodeDecided(body []byte, maxBatch int, ids []int32) ([]int32, DecideTrace, error) {
 	var tr DecideTrace
 	if len(body) < 2 {
@@ -450,12 +443,8 @@ func DecodeDecided(body []byte, maxBatch int, ids []int32) ([]int32, DecideTrace
 	return ids, tr, nil
 }
 
-// DecodePong parses a Pong body. An empty body (protocol v1) decodes to
-// the zero PongInfo, so pinging an old server still succeeds.
+// DecodePong parses a Pong body.
 func DecodePong(body []byte) (PongInfo, error) {
-	if len(body) == 0 {
-		return PongInfo{}, nil
-	}
 	if len(body) < 8 {
 		return PongInfo{}, fmt.Errorf("%w: pong body %d bytes", ErrMalformed, len(body))
 	}

@@ -324,9 +324,10 @@ func TestWireTracedDecidedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireTracedUntracedCompat: the untraced encoders must stay
-// byte-identical to protocol v1 so old peers interoperate, and the count
-// word's flag bit must never be reachable from a legal batch size.
+// TestWireTracedUntracedCompat: a traced frame is the untraced frame plus
+// the flag bit and the trailer, so untraced frames carry no trace bytes,
+// and the count word's flag bit must never be reachable from a legal batch
+// size.
 func TestWireTracedUntracedCompat(t *testing.T) {
 	keys := []uint64{9}
 	outs := []uint16{3}
@@ -354,11 +355,7 @@ func TestWirePongRoundTrip(t *testing.T) {
 	if err != nil || got != info {
 		t.Fatalf("pong -> %+v err=%v, want %+v", got, err, info)
 	}
-	// v1 compatibility: an empty Pong body decodes to the zero PongInfo.
-	if got, err := DecodePong(nil); err != nil || got != (PongInfo{}) {
-		t.Fatalf("empty pong -> %+v err=%v", got, err)
-	}
-	// A non-empty body below the uptime word is malformed.
+	// A body below the uptime word is malformed.
 	if _, err := DecodePong([]byte{1, 2, 3}); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("short pong err = %v, want ErrMalformed", err)
 	}

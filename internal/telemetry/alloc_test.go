@@ -39,26 +39,3 @@ func TestHistogramObserveZeroAlloc(t *testing.T) {
 		t.Fatalf("Observe allocates %v/run, want 0", n)
 	}
 }
-
-func TestTracerZeroAlloc(t *testing.T) {
-	// every=1 is the worst case: every run claims a slot and records a
-	// full stage sequence.
-	tr := NewTracer(1, 16, 0)
-	if n := testing.AllocsPerRun(100, func() {
-		s := tr.Sample()
-		s.AddStage("table", 32, 0)
-		s.AddStage("min(table, cpu)", 1, 6)
-		s.Finish(0, 7, true)
-	}); n != 0 {
-		t.Fatalf("trace sampling allocates %v/run, want 0", n)
-	}
-	// And the miss path.
-	miss := NewTracer(1<<30, 16, 0)
-	if n := testing.AllocsPerRun(100, func() {
-		s := miss.Sample()
-		s.AddStage("x", 1, 1)
-		s.Finish(0, -1, false)
-	}); n != 0 {
-		t.Fatalf("trace miss path allocates %v/run, want 0", n)
-	}
-}

@@ -33,9 +33,6 @@ func (r *Registry) PublishExpvar(name string) {
 type MuxConfig struct {
 	// Registry backs /metrics and /debug/vars.
 	Registry *Registry
-	// Traces supplies the engine's sampled decision traces per request
-	// (/trace, /trace/chrome).
-	Traces func() []Trace
 	// Flight exposes the flight recorder's recent spans on /debug/thanos
 	// and /debug/thanos/chrome.
 	Flight *FlightRecorder
@@ -52,8 +49,6 @@ type MuxConfig struct {
 //
 //	/metrics              Prometheus text format
 //	/debug/vars           expvar JSON (registry snapshot published as "thanos")
-//	/trace                sampled decision traces as JSON
-//	/trace/chrome         the same traces in Chrome trace_event format
 //	/debug/thanos         live introspection: component status + flight recorder
 //	/debug/thanos/chrome  flight-recorder spans as a Chrome trace
 //	/debug/pprof/         net/http/pprof (only with cfg.Pprof)
@@ -65,23 +60,6 @@ func NewMux(cfg MuxConfig) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", cfg.Registry.Handler())
 	mux.Handle("/debug/vars", expvar.Handler())
-	traces := cfg.Traces
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		var ts []Trace
-		if traces != nil {
-			ts = traces()
-		}
-		_ = WriteTraceJSON(w, ts)
-	})
-	mux.HandleFunc("/trace/chrome", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		var ts []Trace
-		if traces != nil {
-			ts = traces()
-		}
-		_ = WriteChromeTrace(w, ts)
-	})
 	mux.HandleFunc("/debug/thanos", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = writeIntrospection(w, cfg)

@@ -15,11 +15,7 @@ func newTestMux(t *testing.T) (*httptest.Server, *Registry) {
 	r := NewRegistry()
 	c := r.NewCounter("thanos_http_test_total", "scrape test counter")
 	c.Add(5)
-	tr := NewTracer(1, 4, 0)
-	s := tr.Sample()
-	s.AddStage("table", 8, 0)
-	s.Finish(0, 2, true)
-	srv := httptest.NewServer(NewMux(MuxConfig{Registry: r, Traces: tr.Snapshot}))
+	srv := httptest.NewServer(NewMux(MuxConfig{Registry: r}))
 	t.Cleanup(srv.Close)
 	return srv, r
 }
@@ -67,38 +63,6 @@ func TestExpvarEndpoint(t *testing.T) {
 	}
 	if snap["thanos_http_test_total"].(float64) != 5 {
 		t.Fatalf("expvar snapshot = %v", snap)
-	}
-}
-
-func TestTraceEndpoints(t *testing.T) {
-	srv, _ := newTestMux(t)
-
-	resp, err := srv.Client().Get(srv.URL + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var traces []map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&traces); err != nil {
-		t.Fatal(err)
-	}
-	if len(traces) != 1 || traces[0]["id"].(float64) != 2 {
-		t.Fatalf("traces = %v", traces)
-	}
-
-	resp2, err := srv.Client().Get(srv.URL + "/trace/chrome")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var chrome struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.NewDecoder(resp2.Body).Decode(&chrome); err != nil {
-		t.Fatal(err)
-	}
-	if len(chrome.TraceEvents) != 2 {
-		t.Fatalf("chrome events = %d, want 2 (decide + 1 stage)", len(chrome.TraceEvents))
 	}
 }
 

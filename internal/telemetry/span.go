@@ -340,6 +340,24 @@ func StitchTrace(comps map[string][]Span, traceID uint64) []Span {
 	return out
 }
 
+// chromeEvent is one entry of the Chrome trace_event format
+// (chrome://tracing, Perfetto).
+type chromeEvent struct {
+	Name string         `json:"name"`
+	Cat  string         `json:"cat,omitempty"`
+	Ph   string         `json:"ph"`
+	Ts   uint64         `json:"ts"`
+	Dur  uint64         `json:"dur"`
+	Pid  int            `json:"pid"`
+	Tid  int32          `json:"tid"`
+	Args map[string]any `json:"args,omitempty"`
+}
+
+type chromeTrace struct {
+	TraceEvents     []chromeEvent `json:"traceEvents"`
+	DisplayTimeUnit string        `json:"displayTimeUnit"`
+}
+
 // WriteSpanChromeTrace writes per-component spans in Chrome trace_event
 // JSON: each component renders as its own process row, phases as complete
 // ("X") events and state transitions as instant ("i") events, with

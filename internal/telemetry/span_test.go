@@ -288,6 +288,86 @@ func TestWriteSpanChromeTrace(t *testing.T) {
 	}
 }
 
+// TestChromeTraceRoundTrip decodes the Chrome export and checks every event
+// field against the spans it came from, then checks that exporting the same
+// spans again is byte-identical.
+func TestChromeTraceRoundTrip(t *testing.T) {
+	comps := map[string][]Span{
+		"server": {
+			{Seq: 4, TraceID: 17, Kind: SpanDecide, Start: 2_012_000, End: 2_024_000, Arg: 32},
+			{Seq: 5, TraceID: 17, Kind: SpanReply, Start: 2_024_000, End: 2_024_000},
+		},
+		"client": {
+			{Seq: 9, TraceID: 17, Kind: SpanEnqueue, Start: 2_000_000, End: 2_030_000},
+			{Seq: 10, Kind: EventReconnect, Start: 2_040_000, End: 2_041_000, Arg: 2},
+		},
+	}
+	var buf bytes.Buffer
+	if err := WriteSpanChromeTrace(&buf, comps); err != nil {
+		t.Fatal(err)
+	}
+	var decoded struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Cat  string         `json:"cat"`
+			Ph   string         `json:"ph"`
+			Ts   uint64         `json:"ts"`
+			Dur  uint64         `json:"dur"`
+			Pid  int            `json:"pid"`
+			Tid  int32          `json:"tid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+		DisplayTimeUnit string `json:"displayTimeUnit"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if decoded.DisplayTimeUnit != "ns" {
+		t.Fatalf("displayTimeUnit = %q, want ns", decoded.DisplayTimeUnit)
+	}
+	// Components in name order (client is pid 1), spans in recorded order,
+	// timestamps rebased to the earliest start and given in microseconds.
+	want := []struct {
+		name, cat, ph string
+		ts, dur       uint64
+		pid           int
+		tid           int32
+		seq, arg      float64
+	}{
+		{"enqueue", "client", "X", 0, 30, 1, 17, 9, 0},
+		{"reconnect", "client", "i", 40, 0, 1, 0, 10, 2},
+		{"decide", "server", "X", 12, 12, 2, 17, 4, 32},
+		{"reply", "server", "X", 24, 1, 2, 17, 5, 0},
+	}
+	if len(decoded.TraceEvents) != len(want) {
+		t.Fatalf("events = %d, want %d", len(decoded.TraceEvents), len(want))
+	}
+	for i, w := range want {
+		ev := decoded.TraceEvents[i]
+		if ev.Name != w.name || ev.Cat != w.cat || ev.Ph != w.ph || ev.Pid != w.pid || ev.Tid != w.tid {
+			t.Fatalf("event %d = %+v, want %+v", i, ev, w)
+		}
+		if ev.Ts != w.ts || ev.Dur != w.dur {
+			t.Fatalf("event %d ts/dur = %d/%d, want %d/%d", i, ev.Ts, ev.Dur, w.ts, w.dur)
+		}
+		if ev.Args["seq"].(float64) != w.seq || ev.Args["arg"].(float64) != w.arg ||
+			ev.Args["trace_id"].(float64) != float64(w.tid) {
+			t.Fatalf("event %d args = %v", i, ev.Args)
+		}
+	}
+	// Determinism: components come out in name order whatever the map's
+	// iteration order, so exporting the same spans again is byte-identical.
+	for i := 0; i < 8; i++ {
+		var again bytes.Buffer
+		if err := WriteSpanChromeTrace(&again, comps); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+			t.Fatal("span chrome export is not deterministic")
+		}
+	}
+}
+
 func TestSpanKindNames(t *testing.T) {
 	for k := SpanEnqueue; k <= SpanReply; k++ {
 		if k.String() == "unknown" || k.Event() {

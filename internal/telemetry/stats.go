@@ -114,21 +114,3 @@ func NewDecideStats(r *Registry, prefix string, shards int) []*DecideStats {
 	}
 	return out
 }
-
-// LBStats counts load-balancer placement outcomes: fresh policy decisions,
-// connection-table affinity hits, and placements that failed because no
-// backend was eligible.
-type LBStats struct {
-	Placements   *Counter
-	AffinityHits *Counter
-	Failures     *Counter
-}
-
-// NewLBStats registers <prefix>_{placements,affinity_hits,failures}_total.
-func NewLBStats(r *Registry, prefix string) *LBStats {
-	return &LBStats{
-		Placements:   r.NewCounter(prefix+"_placements_total", "fresh placements decided by the policy"),
-		AffinityHits: r.NewCounter(prefix+"_affinity_hits_total", "placements served from the connection table"),
-		Failures:     r.NewCounter(prefix+"_failures_total", "placements that found no eligible backend"),
-	}
-}

@@ -16,8 +16,8 @@
 //   - Histogram: fixed power-of-two buckets indexed by bit length
 //     (histogram.go) — latency and occupancy distributions with no
 //     per-observation branching or allocation.
-//   - Tracer/Trace: a deterministic 1-in-N sampled decision tracer over a
-//     pre-allocated ring (trace.go).
+//   - SpanRing: a fixed ring of per-request phase spans keyed by trace ID
+//     (span.go), the one tracing model.
 //
 // Everything is pre-registered at construction (registry.go); the packet
 // path performs zero heap allocations and acquires zero locks, a contract

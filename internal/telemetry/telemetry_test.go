@@ -258,13 +258,4 @@ func TestStatsBundles(t *testing.T) {
 	if dec.LatencyCycles.Count() != 1 {
 		t.Fatal("decide latency histogram should record")
 	}
-
-	lb := NewLBStats(r, "thanos_lb")
-	lb.Placements.Inc()
-	lb.AffinityHits.Inc()
-	lb.Failures.Inc()
-	snap = r.Snapshot()
-	if snap["thanos_lb_placements_total"].(uint64) != 1 {
-		t.Fatalf("lb placements = %v", snap["thanos_lb_placements_total"])
-	}
 }
