@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test bench check check-debug check-obs check-perf check-psim check-race-depth experiments fuzz-smoke overhead-smoke metrics-demo load-smoke
+.PHONY: build test bench check check-debug check-obs check-perf check-race-depth experiments fuzz-smoke overhead-smoke metrics-demo load-smoke
 
 build:
 	$(GO) build ./...
@@ -36,14 +36,19 @@ check: build
 	$(GO) test -race ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# check-race-depth re-runs the engine and server suites under the race
+# check-race-depth re-runs the suites that start goroutines under the race
 # detector at both ends of the scheduler spectrum: GOMAXPROCS=1 forces
 # cooperative interleavings (goroutines only switch at yield points, so
 # missing shutdown edges hang visibly) and GOMAXPROCS=4 maximizes true
 # parallelism. Schedule-dependent races show up at one setting or the other.
+# Besides the engine and server suites that is the sweep runner's
+# serial-vs-parallel identity tests and the simulator goldens: runner.Map
+# runs independent simulation points on worker goroutines.
 check-race-depth:
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/engine/ ./internal/server/...
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'SerialParallel|Golden' ./internal/experiments/
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/engine/ ./internal/server/...
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'SerialParallel|Golden' ./internal/experiments/
 
 # check-debug re-runs the suite with the thanosdebug build tag: SMBM
 # re-verifies per-dimension sortedness and the id<->metric pointer bijection
@@ -53,22 +58,6 @@ check-race-depth:
 check-debug:
 	$(GO) run ./cmd/thanoslint -debug .
 	$(GO) test -tags thanosdebug ./...
-
-# check-psim is the parallel-simulation gate: the event-kernel suite plus
-# the serial-vs-parallel identity tests (clean and fault-injected fat
-# trees, sticky Stop semantics, flow-API validation) under the race
-# detector at both scheduler depths — GOMAXPROCS=1 forces cooperative
-# interleavings of the LP goroutines (a missing shutdown or barrier edge
-# hangs visibly), GOMAXPROCS=4 maximizes true parallelism. Bit-identity of
-# the parallel driver must hold at both settings. The Figure 16–18 identity
-# tests and the golden serial runs ride along: a packet changes owner across
-# LPs (the receiver's LP rewrites it as its ACK, the sender's LP reuses it),
-# which only a run with cross-LP traffic exercises under the race detector.
-check-psim:
-	GOMAXPROCS=1 $(GO) test -race -count=1 -short ./internal/sim/ ./internal/netsim/
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'SerialParallel|Golden' ./internal/experiments/
-	GOMAXPROCS=4 $(GO) test -race -count=1 -short ./internal/sim/ ./internal/netsim/
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'SerialParallel|Golden' ./internal/experiments/
 
 # check-perf is the performance-regression gate: it runs the pinned
 # benchmark set (internal/perfcheck) and compares against the newest

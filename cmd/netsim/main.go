@@ -61,9 +61,7 @@ func run(args []string, stdout io.Writer) error {
 	spines := fs.Int("spines", 3, "spine switches (clos only)")
 	hostsPerLeaf := fs.Int("hosts", 6, "hosts per leaf (clos only)")
 	pol := fs.String("policy", "ecmp", "policy: ecmp | minutil | multidim | minq | drill")
-	parallel := fs.Bool("parallel", false, "run the conservative-lookahead parallel driver (fattree only)")
-	lps := fs.Int("lps", 0, "logical processes for -parallel (0 = one per pod plus a core LP)")
-	coreDelay := fs.Duration("core-delay", 0, "agg-core link propagation delay override (fattree; also the -parallel lookahead window)")
+	coreDelay := fs.Duration("core-delay", 0, "agg-core link propagation delay override (fattree)")
 	load := fs.Float64("load", 0.8, "offered load in (0,1]")
 	flows := fs.Int("flows", 400, "number of flows")
 	scale := fs.Float64("scale", 0.5, "flow size scale vs web-search distribution")
@@ -111,15 +109,7 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("unknown -fail mode %q", *failMode)
 	}
 
-	pcfg := parallelConfig{enabled: *parallel, lps: *lps, coreDelay: sim.Time(coreDelay.Nanoseconds())}
-	return simulate(stdout, *topo, *kAry, *leaves, *spines, *hostsPerLeaf, *pol, *load, *flows, *scale, *seed, *d, *m, *metrics, *pprofOn, *hold, failCfg, pcfg)
-}
-
-// parallelConfig carries the -parallel/-lps/-core-delay flags.
-type parallelConfig struct {
-	enabled   bool
-	lps       int
-	coreDelay sim.Time
+	return simulate(stdout, *topo, *kAry, *leaves, *spines, *hostsPerLeaf, *pol, *load, *flows, *scale, *seed, *d, *m, *metrics, *pprofOn, *hold, failCfg, sim.Time(coreDelay.Nanoseconds()))
 }
 
 // serveMetrics binds addr synchronously (so a bad address fails the run
@@ -143,18 +133,7 @@ func serveMetrics(stdout io.Writer, addr string, pprof bool, reg *telemetry.Regi
 func simulate(stdout io.Writer, topo string, kAry, leaves, spines, hostsPerLeaf int, pol string,
 	load float64, flows int, scale float64, seed int64, d, m int,
 	metricsAddr string, pprof bool, hold time.Duration, failCfg *experiments.FailureConfig,
-	pcfg parallelConfig) error {
-
-	if pcfg.enabled {
-		switch {
-		case topo != "fattree":
-			return fmt.Errorf("-parallel needs -topo fattree (pod-aware partitions)")
-		case metricsAddr != "":
-			return fmt.Errorf("-parallel cannot serve -metrics: scrape-time gauges read live state, which is only safe on the serial driver")
-		case failCfg != nil:
-			return fmt.Errorf("-parallel does not support -fail scenarios (they need -topo clos anyway)")
-		}
-	}
+	coreDelay sim.Time) error {
 
 	cfg := experiments.DefaultNetConfig(seed)
 	cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf = leaves, spines, hostsPerLeaf
@@ -183,7 +162,6 @@ func simulate(stdout io.Writer, topo string, kAry, leaves, spines, hostsPerLeaf 
 	}
 
 	var net *netsim.Network
-	var par *netsim.Parallel
 	var probe *experiments.FailureProbe
 	var err error
 	switch {
@@ -191,25 +169,8 @@ func simulate(stdout io.Writer, topo string, kAry, leaves, spines, hostsPerLeaf 
 		if pol != "ecmp" {
 			return fmt.Errorf("fat tree currently runs ECMP only")
 		}
-		var ft *topology.FatTree
-		net, ft, err = buildFatTree(seed, kAry, pcfg.coreDelay)
-		if err != nil {
+		if net, err = buildFatTree(seed, kAry, coreDelay); err != nil {
 			return err
-		}
-		if pcfg.enabled {
-			nLPs := pcfg.lps
-			if nLPs == 0 {
-				nLPs = kAry + 1 // one LP per pod plus the core LP
-			}
-			pt, err := ft.Partition(nLPs)
-			if err != nil {
-				return err
-			}
-			if par, err = netsim.NewParallel(net, pt); err != nil {
-				return err
-			}
-			defer par.Close()
-			fmt.Fprintf(stdout, "parallel: %d LPs, lookahead window %v\n", nLPs, par.Window())
 		}
 		cfg.Leaves = kAry // hosts calculation below uses cfg fields
 		cfg.HostsPerLeaf = kAry * kAry / 4
@@ -264,22 +225,15 @@ func simulate(stdout io.Writer, topo string, kAry, leaves, spines, hostsPerLeaf 
 	}
 
 	start := time.Now()
-	simEnd := sim.Time(0)
-	if par != nil {
-		if simEnd, err = par.RunUntilDone(100 * sim.Second); err != nil {
-			return err
+	deadline := sim.Time(0)
+	for net.ActiveFlows() > 0 {
+		deadline += 100 * sim.Millisecond
+		net.Sched.RunUntil(deadline)
+		if deadline > 100*sim.Second {
+			return fmt.Errorf("flows did not complete (%d left)", net.ActiveFlows())
 		}
-	} else {
-		deadline := sim.Time(0)
-		for net.ActiveFlows() > 0 {
-			deadline += 100 * sim.Millisecond
-			net.Sched.RunUntil(deadline)
-			if deadline > 100*sim.Second {
-				return fmt.Errorf("flows did not complete (%d left)", net.ActiveFlows())
-			}
-		}
-		simEnd = net.Sched.Now()
 	}
+	simEnd := net.Sched.Now()
 	elapsed := time.Since(start)
 
 	var fct stats.Sample
@@ -314,17 +268,17 @@ func simulate(stdout io.Writer, topo string, kAry, leaves, spines, hostsPerLeaf 
 	return nil
 }
 
-func buildFatTree(seed int64, k int, coreDelay sim.Time) (*netsim.Network, *topology.FatTree, error) {
+func buildFatTree(seed int64, k int, coreDelay sim.Time) (*netsim.Network, error) {
 	net, err := netsim.New(seed, netsim.DefaultConfig())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	ft, err := topology.NewFatTree(net, k)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if coreDelay > 0 {
 		ft.SetCorePropDelay(coreDelay)
 	}
-	return net, ft, nil
+	return net, nil
 }

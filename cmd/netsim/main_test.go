@@ -16,7 +16,7 @@ func TestRunSmoke(t *testing.T) {
 		args []string
 	}{
 		{"clos-multidim", []string{"-policy", "multidim", "-flows", "40", "-scale", "0.1"}},
-		{"fattree-parallel-long-core", []string{"-topo", "fattree", "-parallel", "-core-delay", "10us", "-flows", "40", "-scale", "0.1"}},
+		{"fattree-long-core", []string{"-topo", "fattree", "-core-delay", "10us", "-flows", "40", "-scale", "0.1"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -7,16 +7,65 @@ import (
 	"testing"
 
 	"repro/internal/netsim"
+	"repro/internal/netsim/topology"
 	"repro/internal/sim"
 )
 
-// Golden identity for serial runs. The serial-vs-parallel suites compare two
-// drivers over one scheduler, so a reorder both drivers share passes them;
-// these pin event counts and end-state digests recorded at the commit before
-// the near heap became a timing wheel (PR 22), so any change to the
-// (at, pri, seq) execution order — or to what the events do — fails here.
-// A change that alters simulation behaviour on purpose re-records them and
-// says so.
+// Golden identity for serial runs. These pin event counts and end-state
+// digests recorded at the commit before the near heap became a timing
+// wheel, so any change to the (at, pri, seq) execution order — or to what
+// the events do — fails here. A change that alters simulation behaviour on
+// purpose re-records them and says so.
+
+// ScaleConfig shapes a fat-tree run with uniform flow sizes.
+type ScaleConfig struct {
+	K         int      // fat-tree arity
+	Flows     int      // flows offered from the network seed
+	MaxBytes  int64    // flow sizes are uniform in [MTU, MaxBytes]
+	Seed      int64    // network seed
+	CoreDelay sim.Time // agg-core propagation delay (0 = config default)
+}
+
+// buildScaleNet builds a fat tree with the configured core delay.
+func buildScaleNet(cfg ScaleConfig) (*netsim.Network, *topology.FatTree, error) {
+	net, err := netsim.New(cfg.Seed, netsim.DefaultConfig())
+	if err != nil {
+		return nil, nil, err
+	}
+	ft, err := topology.NewFatTree(net, cfg.K)
+	if err != nil {
+		return nil, nil, err
+	}
+	if cfg.CoreDelay > 0 {
+		ft.SetCorePropDelay(cfg.CoreDelay)
+	}
+	return net, ft, nil
+}
+
+// offerScaleTraffic starts cfg.Flows flows pre-run from the network's
+// seeded RNG.
+func offerScaleTraffic(net *netsim.Network, cfg ScaleConfig) error {
+	r := net.Sched.Rand()
+	hosts := len(net.Hosts)
+	mtu := int64(net.Config().MTU)
+	maxBytes := cfg.MaxBytes
+	if maxBytes < mtu {
+		maxBytes = 64 * mtu
+	}
+	at := sim.Time(0)
+	for i := 0; i < cfg.Flows; i++ {
+		src, dst := r.Intn(hosts), r.Intn(hosts)
+		for dst == src {
+			dst = r.Intn(hosts)
+		}
+		size := mtu + r.Int63n(maxBytes-mtu+1)
+		if _, err := net.StartFlow(src, dst, size, at); err != nil {
+			return err
+		}
+		at += sim.Time(r.Intn(10)) * sim.Microsecond
+	}
+	return nil
+}
 
 // goldenDigest hashes the observable end state the benchmark's sim_digest
 // covers: flow records plus every port, switch and host counter.

@@ -43,14 +43,13 @@ func DefaultConfig() Config {
 		},
 		Contract: DefaultContract,
 		Goroutine: GoroutineConfig{
-			Pkgs: []string{"repro/internal/engine", "repro/internal/server", "repro/internal/netsim"},
+			Pkgs: []string{"repro/internal/engine", "repro/internal/server"},
 			// The teardown entry points whose drain paths prove shutdown
 			// edges: Engine.Close (the engine's only goroutines are its
 			// resync loops), Server.Close and conn.shutdown (closing the
-			// socket is what ends a connection's one goroutine), the
-			// client's Close/teardown pair, and Parallel.Close (which
-			// closes quit to stop every LP loop).
-			Roots: []string{"Close", "Stop", "shutdown", "teardown"},
+			// socket is what ends a connection's one goroutine), and the
+			// client's Close/teardown pair.
+			Roots: []string{"Close", "shutdown", "teardown"},
 		},
 		Locks: LockConfig{
 			Pkgs: []string{

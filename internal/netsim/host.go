@@ -17,11 +17,6 @@ type Host struct {
 	id  int
 	nic *Port
 
-	// sched is where this host's events (flow starts, RTO timers) run:
-	// Network.Sched serially, the owning LP's scheduler in parallel.
-	sched *sim.Scheduler
-	lp    *lp // owning logical process; nil in the serial driver
-
 	sending int       // flows this host started and has not completed
 	spare   []*Packet // consumed ACKs, reused by sendData
 
@@ -39,8 +34,8 @@ func (h *Host) Retransmits() (rto, fast uint64) { return h.rtoRetx, h.fastRetx }
 func (h *Host) ActiveSenders() int { return h.sending }
 
 // flow is one flow's transport state; the sending host creates it and every
-// packet of the flow points to it. Its two halves are written by different
-// hosts — different LPs in the parallel driver — and share no memory word.
+// packet of the flow points to it. The sending host writes the sender half,
+// the destination host the receiver half.
 type flow struct {
 	id        int64
 	dst       int
@@ -137,7 +132,7 @@ func (h *Host) sendData(fl *flow, seq int) {
 // another key.
 func (h *Host) armTimer(fl *flow) {
 	fl.armed++
-	h.sched.AfterPri(h.net.cfg.RTO, key(priTimer, int(fl.id)), fl.rto)
+	h.net.Sched.AfterPri(h.net.cfg.RTO, key(priTimer, int(fl.id)), fl.rto)
 }
 
 // expire is a firing of the flow's RTO timer.
@@ -209,9 +204,9 @@ func (h *Host) handleAck(pkt *Packet) {
 		if fl.cumAck >= fl.totalPkts {
 			fl.done = true
 			h.sending--
-			h.net.flowDone(h, FlowRecord{
+			h.net.flowDone(FlowRecord{
 				FlowID: fl.id, Src: h.id, Dst: fl.dst,
-				Bytes: fl.bytes, Start: fl.start, End: h.sched.Now(),
+				Bytes: fl.bytes, Start: fl.start, End: h.net.Sched.Now(),
 			})
 			return
 		}

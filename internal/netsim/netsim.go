@@ -94,17 +94,8 @@ type Port struct {
 	index int // port index within owner
 	gid   int // network-global port id; keys delivery/txfree event priorities
 
-	// sched is where this port's events run: Network.Sched in the serial
-	// driver, the owning logical process's scheduler in the parallel one.
-	// Routing every continuation through the port's own scheduler (never
-	// Network.Sched directly) is what lets the parallel driver rehome
-	// entities without leaving events on a stale scheduler.
-	sched *sim.Scheduler
-	lp    *lp // owning logical process; nil in the serial driver
-
 	peer      *Port
 	propDelay sim.Time // one-way propagation latency of this direction
-	mbox      *mailbox // cross-LP handoff for deliveries; nil when peer is local
 
 	// A port serializes one packet at a time and a direction of a link is
 	// FIFO (constant propagation delay, arrivals ≥ 1 ns apart; see pri.go),
@@ -251,7 +242,7 @@ func (p *Port) transmitNext() {
 	}
 	p.sentBytes += uint64(pkt.Bytes)
 	p.sentPkts++
-	p.sched.AfterPri(serialization, key(priTxFree, p.gid), p.txDone)
+	p.net.Sched.AfterPri(serialization, key(priTxFree, p.gid), p.txDone)
 }
 
 // finishTx is the transmitter-free event.
@@ -261,27 +252,12 @@ func (p *Port) finishTx() {
 	p.deliver(pkt)   // the packet is on the wire and will arrive
 }
 
-// deliver hands a fully-serialized packet to the far end after this
-// direction's propagation delay. A same-LP (or serial) peer takes it onto
-// its wire at once; a cross-LP peer gets it through the link's ordered
-// mailbox, at the next window barrier — legal because the barrier window
-// never exceeds the smallest inter-LP propagation delay, so the arrival
-// time is never in the receiver's past.
+// deliver puts a fully-serialized packet on the wire towards the far end,
+// due after this direction's propagation delay.
 func (p *Port) deliver(pkt *Packet) {
-	arrival := p.sched.Now() + p.propDelay
-	if p.mbox != nil {
-		p.mbox.pending = append(p.mbox.pending, arrivalEvent{pkt: pkt, at: arrival})
-		return
-	}
-	p.peer.arrive(pkt, arrival)
-}
-
-// arrive puts a packet on the wire towards p, due at time at — the one way a
-// delivery is scheduled: by the sending port when it shares p's scheduler,
-// by p's own LP at a window barrier when it does not.
-func (p *Port) arrive(pkt *Packet, at sim.Time) {
-	p.wire.push(pkt)
-	p.sched.AtPri(at, key(priRecv, p.gid), p.rxDone)
+	peer, s := p.peer, p.net.Sched
+	peer.wire.push(pkt)
+	s.AtPri(s.Now()+p.propDelay, key(priRecv, peer.gid), peer.rxDone)
 }
 
 // receive is the delivery event: the head of the wire has arrived.
@@ -353,17 +329,10 @@ type Network struct {
 	Hosts    []*Host
 	Switches []*Switch
 
-	seed       int64
 	nextGID    int // next network-global port id
 	nextFlowID int64
-	ctlSeq     uint64 // arming sequence for keyed control-plane events
 	active     int
 	fcts       []FlowRecord
-
-	// par is non-nil once NewParallel has taken over the network; flow
-	// bookkeeping then routes to per-LP sinks and is aggregated at window
-	// barriers instead of touching the shared fields above.
-	par *Parallel
 }
 
 // FlowRecord is the outcome of one completed flow.
@@ -383,7 +352,7 @@ func New(seed int64, cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Network{Sched: sim.New(seed), cfg: cfg, seed: seed}, nil
+	return &Network{Sched: sim.New(seed), cfg: cfg}, nil
 }
 
 // Config returns the network configuration.
@@ -391,7 +360,7 @@ func (n *Network) Config() Config { return n.cfg }
 
 // AddHost appends a host and returns it; host ids are dense from 0.
 func (n *Network) AddHost() *Host {
-	h := &Host{net: n, id: len(n.Hosts), sched: n.Sched}
+	h := &Host{net: n, id: len(n.Hosts)}
 	n.Hosts = append(n.Hosts, h)
 	return h
 }
@@ -403,9 +372,9 @@ func (n *Network) AddSwitch(ports int) *Switch {
 	return s
 }
 
-// newPort allocates a port on the serial scheduler with the next global id.
+// newPort allocates a port with the next global id.
 func (n *Network) newPort(owner Node, index int) *Port {
-	p := &Port{net: n, owner: owner, index: index, gid: n.nextGID, sched: n.Sched}
+	p := &Port{net: n, owner: owner, index: index, gid: n.nextGID}
 	p.txDone, p.rxDone = p.finishTx, p.receive
 	n.nextGID++
 	return p
@@ -429,10 +398,9 @@ func (n *Network) ConnectSwitches(sw1 *Switch, p1 int, sw2 *Switch, p2 int) {
 
 // SetLinkPropDelay overrides the propagation delay of the duplex link at
 // the given port (both directions). Topology builders use it to model
-// longer cross-pod fibers, which also widens the parallel driver's
-// lookahead window when those are the only inter-LP links. The link must
-// be idle: a shorter delay would let a later packet overtake one already on
-// the wire, and a direction of a link is FIFO.
+// longer cross-pod fibers. The link must be idle: a shorter delay would let
+// a later packet overtake one already on the wire, and a direction of a link
+// is FIFO.
 func (n *Network) SetLinkPropDelay(p *Port, d sim.Time) {
 	if d < 1 {
 		panic(fmt.Sprintf("netsim: propagation delay %v < 1ns", d))
@@ -451,7 +419,6 @@ func (n *Network) SetLinkPropDelay(p *Port, d sim.Time) {
 // its arguments at the API boundary — host ids in range, src ≠ dst, bytes
 // ≥ 1, and a start time not in the past — and returns a descriptive error
 // instead of letting a bad start time panic deep inside the event kernel.
-// In the parallel driver, call it before the run or between windows.
 func (n *Network) StartFlow(src, dst int, bytes int64, at sim.Time) (int64, error) {
 	if src < 0 || src >= len(n.Hosts) || dst < 0 || dst >= len(n.Hosts) {
 		return 0, fmt.Errorf("netsim: StartFlow host out of range: src %d, dst %d with %d hosts", src, dst, len(n.Hosts))
@@ -463,57 +430,34 @@ func (n *Network) StartFlow(src, dst int, bytes int64, at sim.Time) (int64, erro
 		return 0, fmt.Errorf("netsim: StartFlow flow size %d bytes < 1", bytes)
 	}
 	h := n.Hosts[src]
-	if now := h.sched.Now(); at < now {
+	if now := n.Sched.Now(); at < now {
 		return 0, fmt.Errorf("netsim: StartFlow start time %v is in the past (now %v)", at, now)
 	}
 	n.nextFlowID++
 	id := n.nextFlowID
 	n.active++
-	h.sched.AtPri(at, key(priStart, int(id)), func() {
+	n.Sched.AtPri(at, key(priStart, int(id)), func() {
 		h.startSender(id, dst, bytes, at)
 	})
 	return id, nil
 }
 
 // ActiveFlows returns the number of flows started but not yet completed.
-// Under the parallel driver it reflects completions aggregated at the last
-// window barrier and must be called between windows (the coordinator's
-// loop does).
-func (n *Network) ActiveFlows() int {
-	if n.par != nil {
-		return n.par.activeFlows()
-	}
-	return n.active
-}
+func (n *Network) ActiveFlows() int { return n.active }
 
-// Records returns the completed-flow records. The serial driver appends
-// them in completion-event order; the parallel driver merges the per-LP
-// lists into exactly that order (see Parallel.records), so the result is
-// bit-identical across drivers at equal seeds.
-func (n *Network) Records() []FlowRecord {
-	if n.par != nil {
-		return n.par.records()
-	}
-	return n.fcts
-}
+// Records returns the completed-flow records in completion-event order.
+func (n *Network) Records() []FlowRecord { return n.fcts }
 
-// flowDone records a completed flow. h is the sending host, whose LP owns
-// the completion event in the parallel driver.
-func (n *Network) flowDone(h *Host, rec FlowRecord) {
-	if h.lp != nil {
-		h.lp.completed++
-		h.lp.fcts = append(h.lp.fcts, rec)
-		return
-	}
+// flowDone records a completed flow.
+func (n *Network) flowDone(rec FlowRecord) {
 	n.active--
 	n.fcts = append(n.fcts, rec)
 }
 
 // StartMetricTicks begins the periodic per-switch metric refresh loop
 // (§7.2.3: "each switch periodically generates the queuing, loss rate, and
-// utilization metrics for its links"). Each switch ticks on its own
-// scheduler with a switch-id-keyed priority, so refresh order at an
-// instant is switch-id order in both drivers.
+// utilization metrics for its links"). Each tick carries a switch-id-keyed
+// priority, so refresh order at an instant is switch-id order.
 func (n *Network) StartMetricTicks() {
 	for _, sw := range n.Switches {
 		sw.startMetricTick()

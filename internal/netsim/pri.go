@@ -1,17 +1,12 @@
 package netsim
 
-// Event tie-break priorities: the determinism contract between the serial
-// and parallel drivers.
+// Event tie-break priorities.
 //
-// The scheduler orders simultaneous events by (pri, seq), and seq — FIFO
-// scheduling order — is the one quantity the parallel driver cannot
-// reproduce: a logical process (LP) schedules only its own events, so the
-// global interleaving of scheduling calls differs from the serial run even
-// when the simulated content is identical. Bit-identical results therefore
-// require that FIFO order never decides anything: every event the
-// simulation schedules mid-run carries a priority derived from simulation
-// content (a class in the high bits, an entity id in the low 32), and
-// within one (timestamp, LP) pair every live event's priority is unique:
+// The scheduler orders simultaneous events by (pri, seq), seq being FIFO
+// scheduling order. Every event the simulation schedules mid-run carries a
+// priority derived from simulation content (a class in the high bits, an
+// entity id in the low 32), so what runs first at an instant is decided by
+// what the events are, not by which callback happened to schedule first:
 //
 //   - priRecv is keyed by the receiving port's global id. Two deliveries
 //     to the same port can never share a timestamp because the final hop
@@ -20,32 +15,21 @@ package netsim
 //     transmitter-free events are strictly increasing in time.
 //   - priTimer and priStart are keyed by flow id (flow ids are assigned
 //     sequentially and never reused; a flow's timers due at one instant
-//     run in the order its host armed them, see armTimer). Uniqueness
-//     assumes < 2³² concurrent flow ids, far beyond any workload here.
+//     run in the order its host armed them, see armTimer).
 //   - priTick is keyed by switch id; each switch has one metric tick per
 //     instant.
-//   - priFault* and priCtl events are armed before the run in identical
-//     program order by both drivers, keyed by port/switch id or an arming
-//     sequence number.
 //
-// Class order is load-bearing: fault flips and control-plane updates sort
-// before any same-instant traffic event, so a packet arriving at the exact
-// moment of a failure observes the post-fault state in both drivers —
-// which is also what makes the per-side fault expansion (see faultarm.go)
-// behave atomically even though the two ends of a link flip in different
-// LPs. Priority 0 (plain At/After) is reserved for legacy callers (the
-// serial-only fault.Injector and ControlChannel paths); it sorts before
-// every keyed class, matching the historical behavior where pre-run
-// scheduled fault events ran first at their instant.
+// The class order is pinned by the serial goldens in internal/experiments
+// and by the benchmark's sim_digest: reordering the classes reorders events.
+// Priority 0 (plain At/After) is what fault.Injector and the control channel
+// schedule with; it sorts before every keyed class, so a fault or control
+// update at an instant is seen by every packet event at that instant.
 const (
-	priFaultSwitch uint64 = (iota + 1) << 32 // switch failed-flag flips, keyed by switch id
-	priFaultLink                             // per-side link up/down flips, keyed by port gid
-	priCtl                                   // control-plane updates, keyed by arming seqno
-	priStart                                 // flow starts, keyed by flow id
-	priTimer                                 // RTO expiries, keyed by flow id
-	priTick                                  // metric refresh ticks, keyed by switch id
-	priTxFree                                // transmitter-free continuations, keyed by port gid
-	priRecv                                  // packet deliveries, keyed by receiving port gid
+	priStart  uint64 = (iota + 1) << 32 // flow starts, keyed by flow id
+	priTimer                            // RTO expiries, keyed by flow id
+	priTick                             // metric refresh ticks, keyed by switch id
+	priTxFree                           // transmitter-free continuations, keyed by port gid
+	priRecv                             // packet deliveries, keyed by receiving port gid
 )
 
 // key combines a priority class with an entity id in the low 32 bits.

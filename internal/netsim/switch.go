@@ -16,11 +16,6 @@ type Switch struct {
 	id    int
 	ports []*Port
 
-	// sched is where this switch's own events (metric ticks, keyed fault
-	// flips) run: Network.Sched serially, the owning LP's scheduler in the
-	// parallel driver.
-	sched *sim.Scheduler
-
 	candidates [][]int // candidates[dstHost] = eligible output ports
 
 	failed    bool   // switch fault: every received packet is dropped
@@ -43,7 +38,7 @@ type Switch struct {
 }
 
 func newSwitch(n *Network, id, ports int) *Switch {
-	sw := &Switch{net: n, id: id, sched: n.Sched}
+	sw := &Switch{net: n, id: id}
 	tracker, err := rmt.NewQueueTracker(ports)
 	if err != nil {
 		panic(err) // ports > 0 guaranteed by callers
@@ -98,11 +93,6 @@ func (s *Switch) Candidates(dst int) []int {
 // faulted device, exactly as a dead box behaves. Recovery restores the
 // switch and brings all its links back up; a link that was additionally
 // failed on its own must be re-failed by the caller afterwards.
-//
-// SetFailed mutates peer ports that may belong to other logical processes,
-// so it is serial-driver-only; the parallel driver arms faults through
-// Network.ArmSwitchFail, which expands the same flip into per-side events
-// on each port's own scheduler.
 func (s *Switch) SetFailed(failed bool) {
 	if s.failed == failed {
 		return
@@ -114,10 +104,6 @@ func (s *Switch) SetFailed(failed bool) {
 		}
 	}
 }
-
-// setFailedFlag flips only the switch's failed flag, leaving the attached
-// links to their own per-side fault events (the ArmSwitchFail expansion).
-func (s *Switch) setFailedFlag(failed bool) { s.failed = failed }
 
 // Failed reports whether the switch is currently failed.
 func (s *Switch) Failed() bool { return s.failed }
@@ -150,14 +136,14 @@ func (s *Switch) Receive(pkt *Packet, _ int) {
 }
 
 // startMetricTick begins this switch's self-rescheduling periodic metric
-// refresh on its own scheduler, keyed by switch id.
+// refresh, keyed by switch id.
 func (s *Switch) startMetricTick() {
 	var tick func()
 	tick = func() {
 		s.refreshMetrics(s.net.cfg.MetricTick)
-		s.sched.AfterPri(s.net.cfg.MetricTick, key(priTick, s.id), tick)
+		s.net.Sched.AfterPri(s.net.cfg.MetricTick, key(priTick, s.id), tick)
 	}
-	s.sched.AfterPri(s.net.cfg.MetricTick, key(priTick, s.id), tick)
+	s.net.Sched.AfterPri(s.net.cfg.MetricTick, key(priTick, s.id), tick)
 }
 
 // refreshMetrics updates every port's utilization/loss EWMAs and invokes

@@ -228,50 +228,10 @@ func (ft *FatTree) EdgeOf(host int) *netsim.Switch {
 	return ft.Edges[p][e]
 }
 
-// Partition returns the pod-aware LP assignment for the parallel driver:
-// each pod — its edge switches, aggregation switches, and hosts (hosts
-// always ride with their edge switch, keeping the chatty host↔edge links
-// intra-LP) — goes to one of numLPs-1 pod LPs round-robin, and all core
-// switches share the final LP. The only inter-LP links are therefore the
-// agg↔core links, so the conservative lookahead window equals the core
-// propagation delay (see SetCorePropDelay). numLPs must be in [1, k+1]:
-// one LP per pod plus the core LP is the finest useful cut.
-func (ft *FatTree) Partition(numLPs int) (netsim.Partition, error) {
-	k, half := ft.K, ft.K/2
-	if numLPs < 1 || numLPs > k+1 {
-		return netsim.Partition{}, fmt.Errorf("topology: fat tree k=%d supports 1..%d LPs, got %d", k, k+1, numLPs)
-	}
-	pt := netsim.Partition{
-		NumLPs:   numLPs,
-		SwitchLP: make([]int, len(ft.Net.Switches)),
-		HostLP:   make([]int, len(ft.Net.Hosts)),
-	}
-	if numLPs == 1 {
-		return pt, nil
-	}
-	podLPs := numLPs - 1
-	for p := 0; p < k; p++ {
-		for i := 0; i < half; i++ {
-			pt.SwitchLP[ft.Edges[p][i].ID()] = p % podLPs
-			pt.SwitchLP[ft.Aggs[p][i].ID()] = p % podLPs
-		}
-	}
-	for _, core := range ft.Cores {
-		pt.SwitchLP[core.ID()] = numLPs - 1
-	}
-	for h := range pt.HostLP {
-		pod, _, _ := ft.locate(h)
-		pt.HostLP[h] = pod % podLPs
-	}
-	return pt, nil
-}
-
 // SetCorePropDelay sets the propagation delay of every agg↔core link to d,
 // modelling the longer cross-pod fiber runs of a real datacenter (~5 µs/km;
-// pods sit metres apart, cores whole halls away). Under Partition these are
-// exactly the inter-LP links, so d is also the parallel driver's lookahead
-// window — the scale experiments use 10 µs to amortize barrier costs while
-// identity tests keep the 1 µs default to stress many short windows.
+// pods sit metres apart, cores whole halls away). A delay past the
+// scheduler's timing-wheel span sends those hops through its far heap.
 func (ft *FatTree) SetCorePropDelay(d sim.Time) {
 	half := ft.K / 2
 	for p := 0; p < ft.K; p++ {
@@ -282,32 +242,4 @@ func (ft *FatTree) SetCorePropDelay(d sim.Time) {
 			}
 		}
 	}
-}
-
-// Partition returns the LP assignment for a Clos: each leaf with its hosts
-// goes to one of numLPs-1 LPs round-robin, spines share the final LP.
-func (c *Clos) Partition(numLPs int) (netsim.Partition, error) {
-	if numLPs < 1 || numLPs > len(c.Leaves)+1 {
-		return netsim.Partition{}, fmt.Errorf("topology: clos with %d leaves supports 1..%d LPs, got %d",
-			len(c.Leaves), len(c.Leaves)+1, numLPs)
-	}
-	pt := netsim.Partition{
-		NumLPs:   numLPs,
-		SwitchLP: make([]int, len(c.Net.Switches)),
-		HostLP:   make([]int, len(c.Net.Hosts)),
-	}
-	if numLPs == 1 {
-		return pt, nil
-	}
-	leafLPs := numLPs - 1
-	for l, leaf := range c.Leaves {
-		pt.SwitchLP[leaf.ID()] = l % leafLPs
-	}
-	for _, spine := range c.Spines {
-		pt.SwitchLP[spine.ID()] = numLPs - 1
-	}
-	for h := range pt.HostLP {
-		pt.HostLP[h] = (h / c.HostsPerLeaf) % leafLPs
-	}
-	return pt, nil
 }

@@ -184,8 +184,8 @@ func checkWheel(t *testing.T, s *Scheduler) {
 // under (at, pri, seq); events schedule further events from inside their
 // callbacks onto the wheel and into the far heap, priorities come from a
 // tiny range so (at, pri) ties fall on both sides of the span, and run
-// deadlines (RunUntil and RunWindow alike) land anywhere, including between
-// the wheel minimum and the far root.
+// deadlines land anywhere, including between the wheel minimum and the far
+// root.
 func TestTwoHeapsMatchOracle(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		r := rand.New(rand.NewSource(int64(trial)))
@@ -237,15 +237,9 @@ func TestTwoHeapsMatchOracle(t *testing.T) {
 			}
 			check(s.Now() - 1)
 			deadline := s.Now() + straddle(r)/2
-			end := deadline
-			if phase%2 == 0 {
-				s.RunUntil(deadline)
-			} else {
-				end = deadline + 1 // RunWindow's end is exclusive, and where it leaves Now
-				s.RunWindow(end)
-			}
-			if s.Now() != end {
-				t.Fatalf("trial %d: Now = %v after a run to %v", trial, s.Now(), end)
+			s.RunUntil(deadline)
+			if s.Now() != deadline {
+				t.Fatalf("trial %d: Now = %v after a run to %v", trial, s.Now(), deadline)
 			}
 			check(deadline)
 		}
@@ -300,7 +294,7 @@ func TestDeadlineBetweenRoots(t *testing.T) {
 	if s.wheel.n != 1 || len(s.far) != 1 {
 		t.Fatalf("wheel %d, far %d events; want 1 and 1", s.wheel.n, len(s.far))
 	}
-	if n := s.RunWindow(horizon + 102); n != 1 || s.Now() != horizon+102 || s.Pending() != 1 {
+	if n := s.RunUntil(horizon + 102); n != 1 || s.Now() != horizon+102 || s.Pending() != 1 {
 		t.Fatalf("far root first: ran %d, Now %v, Pending %d", n, s.Now(), s.Pending())
 	}
 	s.Run()
@@ -391,12 +385,8 @@ func TestStopWithOnlyFarEvents(t *testing.T) {
 	if n := s.Run(); n != 1 || s.wheel.n != 0 || s.Pending() != 2 {
 		t.Fatalf("ran %d events, wheel %d, Pending %d", n, s.wheel.n, s.Pending())
 	}
-	if n := s.RunUntil(5 * horizon); n != 0 || count != 0 || s.Now() != 1 {
-		t.Fatalf("stopped run executed %d events (count %d), Now %v", n, count, s.Now())
-	}
-	s.Resume()
-	if n := s.Run(); n != 2 || count != 2 {
-		t.Fatalf("after Resume ran %d events, count %d", n, count)
+	if n := s.RunUntil(5 * horizon); n != 0 || count != 0 || s.Now() != 1 || s.Pending() != 2 {
+		t.Fatalf("stopped run executed %d events (count %d), Now %v, Pending %d", n, count, s.Now(), s.Pending())
 	}
 }
 

@@ -170,11 +170,10 @@ func (s *Scheduler) At(t Time, fn func()) { s.AtPri(t, 0, fn) }
 
 // AtPri schedules fn at absolute time t with an explicit tie-break
 // priority. Events at equal times execute in ascending pri order; equal
-// (time, pri) pairs fall back to scheduling-order FIFO. Callers that need
-// an execution order independent of the order in which events happened to
-// be scheduled (the parallel netsim driver's determinism contract) derive
-// pri from simulation content — a port id, a flow id — instead of relying
-// on the FIFO fallback.
+// (time, pri) pairs fall back to scheduling-order FIFO. Callers that want an
+// execution order independent of the order in which events happened to be
+// scheduled (netsim's event classes) derive pri from simulation content — a
+// port id, a flow id — instead of relying on the FIFO fallback.
 func (s *Scheduler) AtPri(t Time, pri uint64, fn func()) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
@@ -208,24 +207,18 @@ func (s *Scheduler) AfterPri(d Time, pri uint64, fn func()) {
 // Pending returns the number of queued events.
 func (s *Scheduler) Pending() int { return s.wheel.n + len(s.far) }
 
-// Stop latches the scheduler stopped: the in-progress Run/RunUntil/
-// RunWindow call returns after the current event completes, and every
-// later run call returns immediately (executing nothing) until Resume
-// clears the latch.
+// Stop latches the scheduler stopped: the in-progress Run/RunUntil call
+// returns after the current event completes, and every later run call
+// returns immediately, executing nothing. Pending events stay queued.
 //
-// The latch is sticky by design. The windowed parallel driver runs a
-// scheduler as a sequence of short RunWindow calls, so a Stop issued
-// between windows — or from a callback that fires in a later window — must
-// survive across run calls instead of being silently cleared by the next
-// one (the historical behavior, which lost exactly those stops).
+// The latch is sticky by design. A simulation is often driven as a
+// sequence of short RunUntil slices, so a Stop issued between slices — or
+// from a callback in one slice — must hold for the next one instead of
+// being silently cleared by it.
 func (s *Scheduler) Stop() { s.stopped = true }
 
 // Stopped reports whether the stop latch is set.
 func (s *Scheduler) Stopped() bool { return s.stopped }
-
-// Resume clears the stop latch so subsequent run calls execute events
-// again. Pending events are untouched by Stop/Resume.
-func (s *Scheduler) Resume() { s.stopped = false }
 
 // Run executes events until the queue empties or Stop is called, leaving
 // Now at the time of the last executed event. It returns the number of
@@ -238,26 +231,6 @@ func (s *Scheduler) Run() int { return s.run(MaxTime, false) }
 // number of events executed. If the stop latch is set it returns 0
 // immediately.
 func (s *Scheduler) RunUntil(deadline Time) int { return s.run(deadline, true) }
-
-// RunWindow executes the half-open window [Now, end): every event with a
-// timestamp strictly before end runs, and Now finishes at end so the next
-// window picks up exactly where this one stopped. Events may still be
-// scheduled at or after end once it returns (At accepts t ≥ Now). It
-// returns the number of events executed; if the stop latch is set or end ≤
-// Now, it returns 0 without executing anything. This is the parallel
-// driver's synchronization quantum: each logical process runs one
-// lookahead window, exchanges cross-process packets at the barrier, and
-// repeats.
-func (s *Scheduler) RunWindow(end Time) int {
-	if s.stopped || end <= s.now {
-		return 0
-	}
-	n := s.run(end-1, true)
-	if !s.stopped && s.now < end {
-		s.now = end
-	}
-	return n
-}
 
 func (s *Scheduler) run(deadline Time, advance bool) int {
 	count := 0

@@ -133,17 +133,10 @@ func TestStop(t *testing.T) {
 	if !s.Stopped() {
 		t.Fatal("Stopped() = false after Stop")
 	}
-	// The latch is sticky: running again without Resume executes nothing.
-	if n := s.Run(); n != 0 || count != 1 {
-		t.Fatalf("stopped Run executed %d events, count %d", n, count)
-	}
-	s.Resume()
-	if s.Stopped() {
-		t.Fatal("Stopped() = true after Resume")
-	}
-	s.Run()
-	if count != 2 {
-		t.Fatalf("count = %d after Resume+Run", count)
+	// The latch is sticky: running again executes nothing and leaves the
+	// event queued.
+	if n := s.Run(); n != 0 || count != 1 || s.Pending() != 1 {
+		t.Fatalf("stopped Run executed %d events, count %d, Pending %d", n, count, s.Pending())
 	}
 }
 
@@ -160,71 +153,26 @@ func TestStopBeforeRunIsNotLost(t *testing.T) {
 	if n := s.RunUntil(100); n != 0 {
 		t.Fatalf("RunUntil after Stop executed %d events", n)
 	}
-	if s.Now() != 0 {
-		t.Fatalf("stopped run advanced Now to %v", s.Now())
-	}
-	s.Resume()
-	if n := s.Run(); n != 1 || count != 1 {
-		t.Fatalf("Run after Resume executed %d events, count %d", n, count)
+	if s.Now() != 0 || s.Pending() != 1 {
+		t.Fatalf("stopped run advanced Now to %v, Pending %d", s.Now(), s.Pending())
 	}
 }
 
 func TestStopFromCallbackHoldsAcrossWindows(t *testing.T) {
-	// Regression: a Stop fired by a callback inside window k must still be
-	// latched when the windowed driver starts window k+1.
+	// Regression: a Stop fired by a callback inside one RunUntil slice must
+	// still be latched when the next slice starts.
 	s := New(1)
 	var count int
 	s.At(10, func() { count++; s.Stop() })
 	s.At(30, func() { count++ })
-	if n := s.RunWindow(20); n != 1 {
-		t.Fatalf("window 1 executed %d events", n)
+	if n := s.RunUntil(19); n != 1 {
+		t.Fatalf("slice 1 executed %d events", n)
 	}
 	if !s.Stopped() {
 		t.Fatal("Stop from callback not latched")
 	}
-	if n := s.RunWindow(40); n != 0 || count != 1 {
-		t.Fatalf("window 2 executed %d events, count %d", n, count)
-	}
-	s.Resume()
-	if n := s.RunWindow(40); n != 1 || count != 2 {
-		t.Fatalf("window 2 after Resume executed %d events, count %d", n, count)
-	}
-}
-
-func TestRunWindowHalfOpen(t *testing.T) {
-	s := New(1)
-	var got []Time
-	for _, at := range []Time{5, 10, 15, 20} {
-		at := at
-		s.At(at, func() { got = append(got, at) })
-	}
-	// [0, 10): executes 5 only; the event at exactly 10 belongs to the next
-	// window.
-	if n := s.RunWindow(10); n != 1 {
-		t.Fatalf("window [0,10) executed %d events", n)
-	}
-	if s.Now() != 10 {
-		t.Fatalf("Now = %v, want 10", s.Now())
-	}
-	// [10, 21): executes 10, 15, 20.
-	if n := s.RunWindow(21); n != 3 {
-		t.Fatalf("window [10,21) executed %d events", n)
-	}
-	if want := []Time{5, 10, 15, 20}; len(got) != 4 || got[0] != want[0] || got[3] != want[3] {
-		t.Fatalf("order = %v", got)
-	}
-	// An empty or backwards window is a no-op.
-	if n := s.RunWindow(21); n != 0 {
-		t.Fatalf("empty window executed %d events", n)
-	}
-	if n := s.RunWindow(5); n != 0 || s.Now() != 21 {
-		t.Fatalf("backwards window executed %d events, Now %v", n, s.Now())
-	}
-	// Scheduling exactly at the window edge is legal after the window runs.
-	s.At(21, func() { got = append(got, 21) })
-	s.RunWindow(22)
-	if got[len(got)-1] != 21 {
-		t.Fatalf("edge event did not run: %v", got)
+	if n := s.RunUntil(39); n != 0 || count != 1 {
+		t.Fatalf("slice 2 executed %d events, count %d", n, count)
 	}
 }
 
