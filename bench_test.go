@@ -305,8 +305,17 @@ func BenchmarkPolicyCompileDefault(b *testing.B) {
 	}
 }
 
-// BenchmarkSMBMUpdate measures the probe-processing write path (delete +
-// add, 4 cycles in hardware) at the paper's default table size.
+// BenchmarkSMBMUpdate measures Update (delete + add, 4 cycles in hardware)
+// at the paper's default table size, under its worst-case shift rather than
+// the probe-processing steady state. Dimension 0 gets a fresh value per
+// call, but dimensions 1–3 get the constants 1, 2 and 3: after the first
+// 128 calls each of those columns is one 128-entry tie run, and because ids
+// are updated round-robin the updated entry is always the oldest in its run.
+// The FIFO tie-break (§5.1.2) re-inserts it after every equal value, so each
+// call rotates it from the front of three columns to their back: 127 moved
+// entries and 127 renumbered positions per dimension. That is the ≈600 ns it
+// has held since BENCH_4; rewriting each entry's own values moves nothing
+// and costs well under half of it (EXPERIMENTS.md).
 func BenchmarkSMBMUpdate(b *testing.B) {
 	table := smbm.New(128, 4)
 	r := rand.New(rand.NewSource(5))

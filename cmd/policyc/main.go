@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -25,56 +26,72 @@ import (
 )
 
 func main() {
-	schemaFlag := flag.String("schema", "", "comma-separated attribute names (required)")
-	capacity := flag.Int("capacity", 128, "resource table capacity N")
-	n := flag.Int("n", 4, "pipeline inputs per stage")
-	f := flag.Int("f", 2, "output fan-out")
-	k := flag.Int("k", 4, "pipeline stages")
-	chain := flag.Int("chain", 4, "K-UFPU chain length")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run executes one policyc invocation, reading the policy from the file
+// named in args or else from stdin, and returns its exit code: 2 for a bad
+// flag or a missing -schema, 1 for an unreadable, unparsable or
+// uncompilable policy.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("policyc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	schemaFlag := fs.String("schema", "", "comma-separated attribute names (required)")
+	capacity := fs.Int("capacity", 128, "resource table capacity N")
+	n := fs.Int("n", 4, "pipeline inputs per stage")
+	f := fs.Int("f", 2, "output fan-out")
+	k := fs.Int("k", 4, "pipeline stages")
+	chain := fs.Int("chain", 4, "K-UFPU chain length")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the flag set has printed the error and usage
+	}
 
 	if *schemaFlag == "" {
-		fmt.Fprintln(os.Stderr, "policyc: -schema is required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "policyc: -schema is required")
+		return 2
 	}
 	schema := policy.Schema{Attrs: strings.Split(*schemaFlag, ",")}
 
-	src, err := readSource(flag.Args())
+	src, err := readSource(fs.Args(), stdin)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "policyc: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "policyc: %v\n", err)
+		return 1
 	}
 	pol, err := policy.Parse(src)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "policyc: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "policyc: %v\n", err)
+		return 1
 	}
 	params := pipeline.Params{Inputs: *n, Fanout: *f, Stages: *k, ChainLen: *chain}
 	cc, err := policy.Compile(pol, schema, params)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "policyc: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "policyc: %v\n", err)
+		return 1
 	}
-	printCompiled(cc, *capacity)
+	printCompiled(stdout, cc, *capacity)
+	return 0
 }
 
-func readSource(args []string) (string, error) {
+func readSource(args []string, stdin io.Reader) (string, error) {
 	if len(args) == 0 {
-		data, err := io.ReadAll(os.Stdin)
+		data, err := io.ReadAll(stdin)
 		return string(data), err
 	}
 	data, err := os.ReadFile(args[0])
 	return string(data), err
 }
 
-func printCompiled(cc *policy.Compiled, capacity int) {
+func printCompiled(w io.Writer, cc *policy.Compiled, capacity int) {
 	p := cc.Config.Params
-	fmt.Printf("policy %q compiled onto n=%d f=%d k=%d chain=%d pipeline\n",
+	fmt.Fprintf(w, "policy %q compiled onto n=%d f=%d k=%d chain=%d pipeline\n",
 		cc.Policy.Name, p.Inputs, p.Fanout, p.Stages, p.ChainLen)
 	for si, sc := range cc.Config.Stages {
-		fmt.Printf("stage %d: sources %v\n", si+1, sc.Sources)
+		fmt.Fprintf(w, "stage %d: sources %v\n", si+1, sc.Sources)
 		for ci, cell := range sc.Cells {
-			fmt.Printf("  cell %d: U1=%s U2=%s B1=%s B2=%s\n",
+			fmt.Fprintf(w, "  cell %d: U1=%s U2=%s B1=%s B2=%s\n",
 				ci+1, kufpuStr(cell.U1), kufpuStr(cell.U2),
 				bfpuStr(cell.B1), bfpuStr(cell.B2))
 		}
@@ -84,12 +101,12 @@ func printCompiled(cc *policy.Compiled, capacity int) {
 		if cc.Policy.FallbackOf != nil && cc.Policy.FallbackOf[i] != -1 {
 			fb = fmt.Sprintf(" (fallback -> %s)", cc.Policy.Outputs[cc.Policy.FallbackOf[i]].Name)
 		}
-		fmt.Printf("output %q on final-stage line %d%s\n", o.Name, cc.OutputLines[i]+1, fb)
+		fmt.Fprintf(w, "output %q on final-stage line %d%s\n", o.Name, cc.OutputLines[i]+1, fb)
 	}
 	latency := uint64(p.Stages) * (uint64(pipeline.CrossbarCycles) + uint64(p.ChainLen)*3 + 1)
 	clock := asic.PipelineClockGHz(capacity)
-	fmt.Printf("latency: %d cycles (%.1f ns at %.2f GHz)\n", latency, float64(latency)/clock, clock)
-	fmt.Printf("modeled area at N=%d: %.4f mm² pipeline + %.4f mm² SMBM\n",
+	fmt.Fprintf(w, "latency: %d cycles (%.1f ns at %.2f GHz)\n", latency, float64(latency)/clock, clock)
+	fmt.Fprintf(w, "modeled area at N=%d: %.4f mm² pipeline + %.4f mm² SMBM\n",
 		capacity,
 		asic.PipelineArea(capacity, p.Inputs, p.Stages, p.ChainLen, p.Fanout),
 		asic.SMBMArea(capacity, len(cc.Schema.Attrs)))

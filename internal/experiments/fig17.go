@@ -149,7 +149,7 @@ func (rn *routingNet) setSpineDead(l, s int, dead bool) int {
 	rn.dead[l][s] = dead
 	reroutes := 0
 	if rn.Modules[l] != nil {
-		if vals, ok := rn.Modules[l].Table.Metrics(s); ok {
+		if vals, ok := rn.Modules[l].Metrics(s); ok {
 			for i := range vals {
 				if dead {
 					vals[i] = deadMetric
@@ -157,7 +157,7 @@ func (rn *routingNet) setSpineDead(l, s int, dead bool) int {
 					vals[i] = 0 // next metric tick restores live readings
 				}
 			}
-			if err := rn.Modules[l].Table.Update(s, vals); err != nil {
+			if err := rn.Modules[l].Stage(s, vals); err != nil {
 				panic(err) // resource exists: Metrics just returned it
 			}
 		}
@@ -261,18 +261,18 @@ func buildRoutingNet(cfg NetConfig, pol RoutingPolicy) (*routingNet, error) {
 		for s := 0; s < cfg.Spines; s++ {
 			uplinkOfQueue[clos.UplinkPort(s)] = s
 		}
-		vals := make([]int64, len(routingSchema.Attrs)) // reused: Update copies out of it
+		vals := make([]int64, len(routingSchema.Attrs)) // reused: Stage copies out of it
 		prev := leaf.Tracker.OnChange
 		leaf.Tracker.OnChange = func(q int, newLen int64) {
 			if prev != nil {
 				prev(q, newLen)
 			}
 			res := uplinkOfQueue[q]
-			if res < 0 || rn.dead[li][res] || !module.Table.MetricsInto(res, vals) {
+			if res < 0 || rn.dead[li][res] || !module.MetricsInto(res, vals) {
 				return
 			}
 			vals[1] = newLen
-			if err := module.Table.Update(res, vals); err != nil {
+			if err := module.Stage(res, vals); err != nil {
 				panic(err)
 			}
 		}
@@ -282,12 +282,12 @@ func buildRoutingNet(cfg NetConfig, pol RoutingPolicy) (*routingNet, error) {
 					continue
 				}
 				p := leaf.Port(clos.UplinkPort(s))
-				if !module.Table.MetricsInto(s, vals) {
+				if !module.MetricsInto(s, vals) {
 					continue
 				}
 				vals[0] = int64(p.UtilEWMA() * 1000)
 				vals[2] = int64(p.LossEWMA() * 10000)
-				if err := module.Table.Update(s, vals); err != nil {
+				if err := module.Stage(s, vals); err != nil {
 					panic(err)
 				}
 			}

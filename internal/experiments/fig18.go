@@ -71,7 +71,7 @@ func (pn *portNet) setSpineDead(l, s int, dead bool) int {
 	}
 	pn.dead[l][s] = dead
 	if pn.Modules[l] != nil {
-		if vals, ok := pn.Modules[l].Table.Metrics(s); ok {
+		if vals, ok := pn.Modules[l].Metrics(s); ok {
 			for i := range vals {
 				if dead {
 					vals[i] = deadMetric
@@ -79,7 +79,7 @@ func (pn *portNet) setSpineDead(l, s int, dead bool) int {
 					vals[i] = 0 // next slot tick restores live readings
 				}
 			}
-			if err := pn.Modules[l].Table.Update(s, vals); err != nil {
+			if err := pn.Modules[l].Stage(s, vals); err != nil {
 				panic(err) // resource exists: Metrics just returned it
 			}
 		}
@@ -190,18 +190,18 @@ func buildPortLBNet(cfg NetConfig, pol PortPolicy, d, m int) (*portNet, error) {
 		// pessimal marks — a drained dead queue would otherwise look like
 		// the best port in the table.
 		li, leaf := li, leaf
-		vals := make([]int64, len(portSchema.Attrs)) // reused: Update copies out of it
+		vals := make([]int64, len(portSchema.Attrs)) // reused: Stage copies out of it
 		leaf.OnMetricTick = func() {
 			for s := 0; s < cfg.Spines; s++ {
 				if pn.dead[li][s] {
 					continue
 				}
-				if !module.Table.MetricsInto(s, vals) {
+				if !module.MetricsInto(s, vals) {
 					continue
 				}
 				vals[1] = vals[0]
 				vals[0] = int64(leaf.Port(clos.UplinkPort(s)).QueueLen())
-				if err := module.Table.Update(s, vals); err != nil {
+				if err := module.Stage(s, vals); err != nil {
 					panic(err)
 				}
 			}

@@ -256,9 +256,12 @@ func setupFilterModuleDecide() (func(int), error) {
 	}, nil
 }
 
-// setupSMBMUpdate is the steady-state probe-processing write path: one
-// value-changing update per iteration on a full table, exactly the root
-// BenchmarkSMBMUpdate workload.
+// setupSMBMUpdate is one update per iteration on a full table, exactly the
+// root BenchmarkSMBMUpdate workload. It is the worst-case shift, not the
+// probe-processing steady state: dimensions 1–3 get the constants 1, 2 and
+// 3, so each is one 128-entry tie run, and the round-robin id is always the
+// oldest in it, so every update rotates the entry from the front of three
+// columns to their back (see BenchmarkSMBMUpdate).
 func setupSMBMUpdate() (func(int), error) {
 	table := smbm.New(128, 4)
 	r := rand.New(rand.NewSource(5))

@@ -103,7 +103,11 @@ func (w *wheel) push(e event) {
 	for *p != 0 && w.nodes[*p].pri <= e.pri {
 		p = &w.nodes[*p].next
 	}
-	w.nodes[i] = node{event: e, next: *p}
+	// Store the fields in place: a node{...} literal is built on the stack
+	// and copied with wide loads that stall on store forwarding.
+	nd := &w.nodes[i]
+	nd.event = e
+	nd.next = *p
 	*p = i
 	w.bits[slot>>6] |= 1 << (slot & 63)
 	w.summary |= 1 << (slot >> 6)
