@@ -18,13 +18,15 @@ bench:
 # vet and tests of the benchmark module, which has its own go.mod (so the
 # root ./... cannot see it) and compiles against the engine and server APIs.
 # vet is also the lock-copy guard (copylocks) for the engine's shard mutex.
-# thanoslint runs after vet and mechanically enforces the paper's hardware
-# invariants: hot-path allocation freedom, simulation determinism, latency
-# constants, and the telemetry layer's lock-free hot-safe API discipline —
-# plus the call-graph analyzers (goroutineleak, lockorder, publishsafety,
-# wireproto) over the serving stack's concurrency and protocol contracts —
-# lockorder is what proves wmu → shard.mu is the engine's only order. The
-# race pass checks the engine's lock discipline itself, and covers the
+# thanoslint runs after vet and mechanically enforces what tests miss:
+# hot-path allocation freedom, simulation determinism, and the telemetry
+# layer's lock-free hot-safe API discipline — plus the call-graph analyzers
+# (goroutineleak, lockorder, wireproto) over the serving stack's concurrency
+# and protocol contracts — lockorder is what proves wmu → shard.mu is the
+# engine's only order. The steering table's publish order and the paper's
+# latency constants are pinned by tests instead (the race-enabled engine
+# suite, TestLatencyContract). The race pass checks the engine's lock
+# discipline itself, and covers the
 # serving frontend too, with the short fault-injected soak (`go test -tags
 # soak ./internal/server/` selects the long one), and the failure-injection
 # suite: the fault planner, engine shard quarantine/resync, netsim

@@ -342,7 +342,7 @@ func TestEngineCloseWaitsForInflightDecision(t *testing.T) {
 }
 
 // TestEngineCloseDuringResync: closing while a shard is mid-backoff must
-// not hang Close or leak the resync goroutine.
+// not hang Close. TestEngineCloseJoinsResync is the leak half.
 func TestEngineCloseDuringResync(t *testing.T) {
 	e, err := New(Config{
 		Shards:     2,
@@ -373,5 +373,43 @@ func TestEngineCloseDuringResync(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("Close hung waiting for a backing-off resync")
+	}
+}
+
+// TestEngineCloseJoinsResync: Close must not return while a resync goroutine
+// is still running. The OnQuarantine callback runs on that goroutine; it
+// holds it until Close has begun, then lingers, and Close must wait it out.
+func TestEngineCloseJoinsResync(t *testing.T) {
+	var (
+		e        *Engine
+		entered  = make(chan struct{})
+		finished atomic.Bool
+	)
+	e, err := New(Config{
+		Shards:   2,
+		Capacity: 32,
+		Schema:   testSchema,
+		Policy:   policy.MustParse(minPolicySrc),
+		OnQuarantine: func(int, error) {
+			close(entered)
+			<-e.closedCh
+			time.Sleep(20 * time.Millisecond)
+			finished.Store(true)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillRandom(t, e, 8, 2)
+	if err := e.CorruptReplica(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.VerifyReplicas(); n != 1 {
+		t.Fatalf("VerifyReplicas() = %d, want 1", n)
+	}
+	<-entered
+	e.Close()
+	if !finished.Load() {
+		t.Fatal("Close returned while the resync goroutine was still running")
 	}
 }

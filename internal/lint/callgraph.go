@@ -157,10 +157,10 @@ func (cg *callGraph) chaCandidates(m *types.Func) []*types.Func {
 }
 
 // reachable computes the transitive closure of functions callable from the
-// roots. Function literals execute on the calling goroutine and are walked
-// in place; when followGo is false, go statements are fences — nothing
-// spawned onto another goroutine counts as reachable.
-func (cg *callGraph) reachable(roots []*types.Func, followGo bool) map[*types.Func]bool {
+// roots on the calling goroutine. Function literals execute there and are
+// walked in place; go statements are fences — nothing spawned onto another
+// goroutine counts as reachable.
+func (cg *callGraph) reachable(roots []*types.Func) map[*types.Func]bool {
 	seen := map[*types.Func]bool{}
 	var queue []*types.Func
 	add := func(fn *types.Func) {
@@ -182,9 +182,7 @@ func (cg *callGraph) reachable(roots []*types.Func, followGo bool) map[*types.Fu
 		ast.Inspect(gf.decl.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				if !followGo {
-					return false
-				}
+				return false
 			case *ast.CallExpr:
 				st, cands, _ := cg.resolve(gf.pkg, n)
 				add(st)

@@ -53,7 +53,7 @@ func runGoroutineLeak(u *Unit) error {
 		closed: map[types.Object]bool{},
 		waited: map[types.Object]bool{},
 	}
-	gl.collectDrainEvidence(cg.reachable(roots, false))
+	gl.collectDrainEvidence(cg.reachable(roots))
 
 	for _, gf := range cg.funcsIn(cfg.Pkgs) {
 		ast.Inspect(gf.decl.Body, func(n ast.Node) bool {

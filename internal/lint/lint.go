@@ -5,32 +5,33 @@
 // (§5.1), and the switch decides one packet per clock — and the software
 // rendering of those guarantees ("zero allocations and no wall-clock or
 // global-rand nondeterminism on the decision path", plus the serving stack's
-// concurrency and protocol contracts) is enforced at build time by eight
+// concurrency and protocol contracts) is enforced at build time by six
 // analyzers:
 //
 //   - hotpathalloc:    no allocating constructs on //thanos:hotpath call graphs
 //   - determinism:     no wall clock, global math/rand, or map-iteration-order
 //     leaks in the simulation/datapath packages
-//   - latencycontract: declared latency constants match the paper's table
-//     (internal/lint/contract.go is the single source of truth)
 //   - telemetrysafety: telemetry reachable from //thanos:hotpath roots is
 //     lock-free and restricted to the hot-safe instrument API
 //   - goroutineleak:   every spawned goroutine has a shutdown edge (closed
 //     channel, WaitGroup join, context cancel) reachable from Close
 //   - lockorder:       no lock-ordering cycles; no blocking channel ops or
 //     mixed-use I/O while a lock is held
-//   - publishsafety:   fields the hot path reads from atomically published
-//     values (the engine's steering table) are only written before the
-//     atomic Store publish
 //   - wireproto:       opcode/codec/dispatch exhaustiveness and cap symmetry
 //     across the server and client ends of the wire protocol
+//
+// Each one stays because some mutation of shipped code is caught by it and
+// by no test (DESIGN.md names one per analyzer). Invariants that tests pin
+// on their own have no analyzer: the paper's latency constants
+// (TestLatencyContract in the root package) and the engine's steering-table
+// publish (the race-enabled engine suite).
 //
 // All of them stand on one call-graph layer (callgraph.go): a function
 // index built once per Unit with each function's hot/cold marks, one
 // call-site resolver (static calls, plus CHA for interface dispatch), and
 // the shared traversals — the hot-path walk under hotpathalloc and
-// telemetrysafety, reachability for goroutineleak and publishsafety. The
-// analyzers keep only their checks.
+// telemetrysafety, reachability for goroutineleak. The analyzers keep only
+// their checks.
 //
 // The suite is built directly on go/ast and go/types (no external analysis
 // framework) so it runs offline with nothing but the Go toolchain; the
@@ -82,7 +83,7 @@ type Analyzer struct {
 }
 
 // All is the full thanoslint suite in reporting order.
-var All = []*Analyzer{HotPathAlloc, Determinism, LatencyContract, TelemetrySafety, GoroutineLeak, LockOrder, PublishSafety, WireProto}
+var All = []*Analyzer{HotPathAlloc, Determinism, TelemetrySafety, GoroutineLeak, LockOrder, WireProto}
 
 // Unit is the analysis scope handed to every analyzer: the loaded packages
 // plus configuration. Analyzers report through Reportf.
@@ -144,33 +145,20 @@ func Run(u *Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return u.diags, nil
 }
 
-// Config parameterizes the analyzers. DefaultConfig (contract.go) encodes
+// Config parameterizes the analyzers. DefaultConfig (config.go) encodes
 // this repository's real invariants; tests substitute fixture packages.
 type Config struct {
 	// DeterminismPkgs are import-path prefixes where the determinism rules
 	// apply to non-test code.
 	DeterminismPkgs []string
-	// Contract is the latency source-of-truth table.
-	Contract []LatencyConst
 	// Telemetry configures the telemetrysafety analyzer.
 	Telemetry TelemetryConfig
 	// Goroutine configures the goroutineleak analyzer.
 	Goroutine GoroutineConfig
 	// Locks configures the lockorder analyzer.
 	Locks LockConfig
-	// Publish configures the publishsafety analyzer.
-	Publish PublishConfig
 	// Wire configures the wireproto analyzer.
 	Wire WireConfig
-}
-
-// LatencyConst is one row of the latency contract: package Pkg must declare
-// an integer constant Name with value Cycles, citing Cite in the paper.
-type LatencyConst struct {
-	Pkg    string
-	Name   string
-	Cycles int64
-	Cite   string
 }
 
 // hasMark reports whether the doc comment carries the marker, and returns
@@ -188,6 +176,16 @@ func hasMark(doc *ast.CommentGroup, mark string) (bool, string) {
 		}
 	}
 	return false, ""
+}
+
+// nameInList reports whether name is one of list.
+func nameInList(name string, list []string) bool {
+	for _, n := range list {
+		if n == name {
+			return true
+		}
+	}
+	return false
 }
 
 // pathMatchesAny reports whether the import path equals, or is a

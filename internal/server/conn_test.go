@@ -23,6 +23,7 @@ type blockBackend struct {
 	gate    chan struct{} // DecideBatch blocks until this closes
 	started chan struct{} // one token per DecideBatch entered, while there is room
 	calls   atomic.Int64  // DecideBatch calls entered
+	done    atomic.Int64  // DecideBatch calls returned
 	delay   time.Duration // service time per call once the gate is open
 }
 
@@ -41,6 +42,7 @@ func (b *blockBackend) DecideBatch(pkts []engine.Packet) {
 	for i := range pkts {
 		pkts[i].ID, pkts[i].OK = 1, true
 	}
+	b.done.Add(1)
 }
 func (b *blockBackend) Add(int, []int64) error          { return nil }
 func (b *blockBackend) Update(int, []int64) error       { return nil }
@@ -448,6 +450,33 @@ func readInOrder(t *testing.T, fr *FrameReader, wantOp byte, next uint32) (uint3
 			t.Fatalf("reply op=%#x seq=%d, want op=%#x seq=%d", op, seq, wantOp, next)
 		}
 		next++
+	}
+}
+
+// TestCloseWaitsForExecutingRequest: Server.Close does not return while a
+// request is still executing, and that request's reply goes out before the
+// connection closes its socket.
+func TestCloseWaitsForExecutingRequest(t *testing.T) {
+	be := newBlockBackend()
+	be.delay = 20 * time.Millisecond
+	srv, err := New(Config{Backend: be})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	nc, fr := dialTestServer(t, srv)
+	if _, err := nc.Write(burst(1)); err != nil {
+		t.Fatal(err)
+	}
+	<-be.started
+	close(be.gate) // the request now finishes be.delay from here
+	srv.Close()
+	if got := be.done.Load(); got != 1 {
+		t.Fatalf("Close returned with the request still executing (%d of 1 DecideBatch calls returned)", got)
+	}
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if k, _ := readInOrder(t, fr, OpDecided, 1); k != 1 {
+		t.Fatalf("read %d replies after Close, want the executing request's one", k)
 	}
 }
 
