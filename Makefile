@@ -82,12 +82,14 @@ check-perf:
 		$(GO) test -v -count=1 -run '^TestServerRoundTrip$$' ./internal/perfcheck/
 
 # fuzz-smoke runs each native fuzz target for FUZZTIME (30s default) from
-# its checked-in seed corpus: the DSL parser round-trip, the bit-vector
+# its checked-in seed corpus: the DSL parser round-trip, the step-major
+# batch interpreter against one-at-a-time decisions, the bit-vector
 # word-boundary model check, and the wire-protocol frame codec and server
 # decode paths (truncated frames, oversized lengths, garbage opcodes must
 # never panic, over-allocate, or wedge a connection).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=^FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/policy/
+	$(GO) test -run=^$$ -fuzz=^FuzzDecideBatch$$ -fuzztime=$(FUZZTIME) ./internal/policy/
 	$(GO) test -run=^$$ -fuzz=^FuzzVectorOps$$ -fuzztime=$(FUZZTIME) ./internal/bitvec/
 	$(GO) test -run=^$$ -fuzz=^FuzzFrameRoundTrip$$ -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run=^$$ -fuzz=^FuzzServerDecode$$ -fuzztime=$(FUZZTIME) ./internal/server/

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	thanos "repro"
+	"repro/internal/policy"
 )
 
 var decideSchema = thanos.Schema{Attrs: []string{"cpu", "mem", "bw"}}
@@ -80,10 +81,12 @@ func TestFilterModuleProcessZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestModuleDecideZeroAlloc asserts the interpreted per-packet path — the
-// id-carrying Interp.Decide that Module.Decide and the sharded engine share
-// (dynamic phase, fallback resolution on ids) — is allocation-free in steady
-// state, with a table write between packets re-running the static phase.
+// TestModuleDecideZeroAlloc asserts the interpreted decision path — the
+// step-major Interp.DecideBatch, which Module.Decide runs for one packet and
+// the sharded engine for a whole shard visit (front draws, fallback
+// resolution on ids) — is allocation-free in steady state, with table writes
+// re-running the static phase: for Module.Decide, and for a batch of every
+// size from 1 to 300 once a 300-packet batch has grown the scratch.
 func TestModuleDecideZeroAlloc(t *testing.T) {
 	m, err := thanos.NewModule(128, decideSchema, thanos.MustParsePolicy(decidePolicy))
 	if err != nil {
@@ -109,5 +112,31 @@ func TestModuleDecideZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Module.Decide allocates %.1f times per packet, want 0", allocs)
+	}
+
+	it, err := policy.NewInterp(m.Table, decideSchema, m.Policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it.DecideBatch(it.Batch(300))
+	for n := 300; n >= 1; n-- {
+		allocs := testing.AllocsPerRun(3, func() {
+			i++
+			if i%2 == 0 {
+				if err := m.Table.Update(i%128, []int64{int64(i % 97), 2048, 4000}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			outs := it.Batch(n)
+			for j := range outs {
+				outs[j] = j % 2
+			}
+			if failed := it.DecideBatch(outs); failed != 0 || outs[n-1] < 0 {
+				t.Fatal("no decision")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state DecideBatch of %d allocates %.1f times per batch, want 0", n, allocs)
+		}
 	}
 }

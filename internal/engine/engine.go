@@ -32,9 +32,10 @@
 // one flow always lands on the same pipeline, exactly how a multi-pipeline
 // switch partitions traffic), and the calling goroutine then visits each
 // shard the batch touches: it takes that shard's lock, decides the shard's
-// packets in batch order against the shard's snapshot, and moves on.
-// The packets themselves carry the partition (see steerTag), so callers
-// share no scratch outside a shard lock.
+// packets step-major against its snapshot — each selection unit runs once
+// over the whole visit (policy.Interp.DecideBatch) — and moves on. The
+// packets themselves carry the partition (see steerTag), so callers share no
+// scratch outside a shard lock.
 // The only ordering a stateful data plane owes is per flow key, which the
 // shard lock gives; there is no engine-wide lock, queue or hand-off on the
 // path. The steady-state path — steering, policy execution, fallback
@@ -383,7 +384,7 @@ const steerTag = -2
 // DecideBatch runs one policy decision per packet, writing each result into
 // the packet in place, and returns when every packet has been decided. The
 // calling goroutine does the work: it steers each packet to a shard, then
-// executes each shard's packets under that shard's lock, in batch order.
+// decides each shard's packets under that shard's lock, step-major.
 // Safe for concurrent use; concurrent batches run in parallel except where
 // they meet on a shard.
 //
@@ -452,27 +453,18 @@ func (s *shard) reserveIdx(n int) []int32 {
 	return s.idx[:n]
 }
 
-// process decides, in order, every packet of pkts tagged for this shard,
-// against the shard's snapshot, and returns how many it had to fail. Holding
-// mu for the visit is the whole protocol: writers change the table and the
-// snapshot pointer only under mu, so execution never observes a table
-// mid-write or a program half-swapped, and the table version is the same for
-// every packet of the visit.
+// process decides every packet of pkts tagged for this shard, in one
+// Interp.DecideBatch over the shard's snapshot, and returns how many it had
+// to fail. Holding mu for the visit is the whole protocol: writers change the
+// table and the snapshot pointer only under mu, so execution never observes a
+// table mid-write or a program half-swapped, and the table version is the
+// same for every packet of the visit.
 //
 //thanos:hotpath
 func (s *shard) process(pkts []Packet, tag int) (failed uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.snap
-	// A packet naming an output the current policy does not have fails in
-	// place (ID=-1, OK=false) instead of panicking in the interpreter: with
-	// policy hot-swaps a caller's view of the output count is inherently racy,
-	// so an out-of-range index is a degradation, not a programming error. A
-	// closed shard has no outputs to offer at all.
-	nOut := len(st.interp.Policy().Outputs)
-	if s.closed {
-		nOut = 0
-	}
+	it := s.snap.interp
 	// Gather this shard's packets first, with a conditional increment the
 	// compiler renders branch-free: skipping foreign packets inside the
 	// decision loop instead put an unpredictable branch in front of every
@@ -485,18 +477,22 @@ func (s *shard) process(pkts []Packet, tag int) (failed uint64) {
 			n++
 		}
 	}
-	var dec, empty uint64
-	for _, i := range idx[:n] {
-		p := &pkts[i]
-		if p.Out < 0 || p.Out >= nOut {
-			p.ID = -1
-			p.OK = false
-			failed++
-			continue
+	// A packet naming an output the policy does not have fails in place: with
+	// hot-swaps a caller's view of the output count is racy, so that is a
+	// degradation, not a programming error. A closed shard fails them all.
+	col := it.Batch(n)
+	for k, i := range idx[:n] {
+		col[k] = pkts[i].Out
+		if s.closed {
+			col[k] = -1
 		}
-		p.ID = st.interp.Decide(p.Out)
+	}
+	failed = uint64(it.DecideBatch(col))
+	var empty uint64
+	for k, i := range idx[:n] {
+		p := &pkts[i]
+		p.ID = col[k]
 		p.OK = p.ID >= 0
-		dec++
 		if !p.OK {
 			empty++
 		}
@@ -504,11 +500,13 @@ func (s *shard) process(pkts []Packet, tag int) (failed uint64) {
 	// One telemetry publish per visit, not per decision. The table version
 	// cannot move while mu is held, which is what FlushStats's same-version
 	// contract requires.
+	empty -= failed
+	dec := uint64(n) - failed
 	s.decCtr.Add(dec)
 	if empty != 0 {
 		s.emptyCtr.Add(empty)
 	}
-	st.interp.FlushStats(dec)
+	it.FlushStats(dec)
 	return failed
 }
 

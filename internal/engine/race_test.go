@@ -275,26 +275,41 @@ func TestEngineConcurrentWriters(t *testing.T) {
 }
 
 // TestEngineDecideBatchZeroAlloc pins the steady-state allocation contract:
-// once the engine is warm, a full batched decision — steering, per-packet
-// policy execution on every shard, write-back — must
-// not touch the heap, matching the PR 1 ExecInto contract under concurrency.
+// once the engine is warm, a full batched decision — steering, the step-major
+// policy execution on every shard, write-back — must not touch the heap,
+// matching the ExecInto contract under concurrency. Once a batch of the
+// largest size has grown the shards' scratch, every smaller batch must be
+// free too, for a tail-free program and for one with per-packet tail steps.
 func TestEngineDecideBatchZeroAlloc(t *testing.T) {
-	e := newTestEngine(t, 4, testPolicySrc)
-	fillRandom(t, e, 64, 17)
+	for _, src := range []string{testPolicySrc, tailPolicySrc} {
+		e := newTestEngine(t, 4, src)
+		fillRandom(t, e, 64, 17)
 
-	pkts := make([]Packet, 256)
-	for i := range pkts {
-		pkts[i] = Packet{Key: uint64(i) * 0x9E3779B97F4A7C15, Out: i % 2}
-	}
-	e.DecideBatch(pkts) // warm the version-cached sets
+		pkts := make([]Packet, 256)
+		for i := range pkts {
+			pkts[i] = Packet{Key: uint64(i) * 0x9E3779B97F4A7C15, Out: i % 2}
+		}
+		e.DecideBatch(pkts) // warm the version-cached sets, grow the scratch
 
-	allocs := testing.AllocsPerRun(100, func() {
-		e.DecideBatch(pkts)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state DecideBatch allocates %.1f times per batch, want 0", allocs)
+		for n := len(pkts); n >= 1; n-- {
+			allocs := testing.AllocsPerRun(5, func() {
+				e.DecideBatch(pkts[:n])
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state DecideBatch of %d allocates %.1f times per batch, want 0\n%s", n, allocs, src)
+			}
+		}
 	}
 }
+
+// tailPolicySrc has tail steps: a min over a two-sample and a predicate over
+// a random run per packet, after the batch's front draws.
+const tailPolicySrc = `
+policy tailtest
+out near  = min(sample(filter(table, cpu < 70), 2), mem)
+out plain = filter(random(table), bw > 2000)
+fallback near -> plain
+`
 
 // TestEngineWriteThenReadZeroAlloc interleaves table writes with batches —
 // the realistic probe-plus-traffic steady state. The decision path must stay

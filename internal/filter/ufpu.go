@@ -149,39 +149,50 @@ func (u *UFPU) badWidth(in *bitvec.Vector) {
 	panic(fmt.Sprintf("filter: input width %d != table capacity %d", in.Len(), u.table.Capacity()))
 }
 
-// Select executes a selection opcode (min, max, round-robin, random) and
-// returns the id it picks — the log2(N)-bit index the unit's priority
-// encoder emits (§5.2.1) — or -1 when no input entry is a live member. It is
-// the one implementation of those opcodes: ExecInto decodes its result. It
-// panics on no-op and predicate, whose outputs are sets.
+// Select is SelectInto for one packet: the id it picks — the index the
+// unit's priority encoder emits (§5.2.1) — or -1 when no input entry is live.
 //
 //thanos:hotpath
 func (u *UFPU) Select(in *bitvec.Vector) int {
+	var id [1]int32
+	u.SelectInto(in, id[:])
+	return int(id[0])
+}
+
+// SelectInto runs the unit for len(ids) packets in arrival order over one
+// input, writing packet j's pick into ids[j] and charging UFPUCycles each:
+// the one implementation of the selection opcodes. It panics on no-op and
+// predicate, whose outputs are sets.
+//
+//thanos:hotpath
+func (u *UFPU) SelectInto(in *bitvec.Vector, ids []int32) {
 	u.checkWidth(in)
-	u.clock.Tick(UFPUCycles)
+	u.clock.Tick(uint64(len(ids)) * UFPUCycles)
 	mem := u.table.MembersView()
 	switch u.cfg.Op {
 	case UMin, UMax:
 		// Cycle 1: copy sorted attrX list with masking. Cycle 2: priority-
-		// encode the first (min) or last (max) valid entry. Equivalent to
-		// the encoder over the masked sorted list: among ids present in
-		// both the input and the table, select the one with the smallest
-		// (min) or largest (max) sorted position — computed in O(popcount)
-		// via the id-indexed position column instead of an O(N) scan.
-		bestPos, bestID := -1, -1
+		// encode the first (min) or last (max) valid entry: the live input id
+		// with the smallest (largest) sorted position, found in O(popcount)
+		// via the id-indexed position column. Stateless: one pick for all.
+		bestPos, bestID := -1, int32(-1)
 		for wi, nw := 0, in.NumWords(); wi < nw; wi++ {
 			for m := in.Word(wi) & mem.Word(wi); m != 0; m &= m - 1 {
 				id := wi*64 + bits.TrailingZeros64(m)
 				p := u.table.PosInDim(id, u.cfg.Attr)
 				if bestPos < 0 || (u.cfg.Op == UMin && p < bestPos) || (u.cfg.Op == UMax && p > bestPos) {
-					bestPos, bestID = p, id
+					bestPos, bestID = p, int32(id)
 				}
 			}
 		}
-		return bestID
+		for j := range ids {
+			ids[j] = bestID
+		}
 
 	case URoundRobin:
-		return u.selectRoundRobin(in, mem)
+		for j := range ids {
+			ids[j] = int32(u.selectRoundRobin(in, mem))
+		}
 
 	case URandom:
 		// Cycle 1: LFSR produces a random index r. Cycle 2: if in[r] is
@@ -189,13 +200,16 @@ func (u *UFPU) Select(in *bitvec.Vector) int {
 		// the first set bit of the masked input cyclically after r. The
 		// membership mask fuses into the rotated priority encode, so no
 		// intermediate in ∧ members vector is materialized.
-		r := u.lfsr.NextBelow(u.below)
-		if in.Word(r/64)&mem.Word(r/64)>>uint(r%64)&1 != 0 {
-			return r
+		for j := range ids {
+			r := u.lfsr.NextBelow(u.below)
+			if in.Word(r/64)&mem.Word(r/64)>>uint(r%64)&1 == 0 {
+				r = hw.PriorityEncodeRotatedAnd(in, mem, r)
+			}
+			ids[j] = int32(r)
 		}
-		return hw.PriorityEncodeRotatedAnd(in, mem, r)
+	default:
+		panic("filter: Select on set-valued opcode " + u.cfg.Op.String())
 	}
-	panic("filter: Select on set-valued opcode " + u.cfg.Op.String())
 }
 
 // rebuildSat recomputes the predicate satisfying set from the sorted attrX

@@ -188,6 +188,7 @@ func Set() []Benchmark {
 		{Name: "SMBMUpdateBatch", Iters: 20000, Threshold: tableThreshold, Setup: setupSMBMUpdateBatch},
 		{Name: "EngineDecideBatch", Iters: 100, Reps: 3, Threshold: simThreshold, Setup: setupEngineDecideBatch},
 		{Name: "EngineDecideBatchLB1024", Iters: 400, Reps: 3, Setup: setupEngineDecideBatchLB1024},
+		{Name: "EngineDecideBatchDRILL1024", Iters: 100, Reps: 3, Setup: setupEngineDecideBatchDRILL1024},
 	}
 }
 
@@ -344,31 +345,47 @@ func setupSMBMUpdateChurn() (func(int), error) {
 // 4096-packet batch across 4 pipeline replicas under the resource-aware
 // load-balancing policy.
 func setupEngineDecideBatch() (func(int), error) {
-	return setupEngineBatch(4, 64, 4096, [3]int{1000, 1000, 1000})
+	return setupEngineBatch(lb.PolicyResourceAware, 4, 64, 4096, [3]int{1000, 1000, 1000})
 }
 
 // setupEngineDecideBatchLB1024 is the benchmark's serve_filter workload at
 // the engine boundary: one replica, 1024 resources drawn so the policy's
 // three predicates leave a non-empty primary set, one 1024-packet batch.
 // Here a decision is three predicate passes and a fused AND over 16-word
-// vectors that move only when the table does, plus two random picks that
-// move per packet — EngineDecideBatch's 64-entry table is one word wide, so
-// it cannot see whether the first group is evaluated per packet or per
-// table version.
+// vectors that move only when the table does — the static phase, once per
+// table version — plus the two random picks, the program's front steps, each
+// drawn for the whole batch in one SelectInto call. The program has no tail,
+// so the per-packet remainder is fallback resolution over the id columns.
+// EngineDecideBatch's 64-entry table is one word wide, so it cannot see
+// whether the first group is evaluated per packet or per table version.
 func setupEngineDecideBatchLB1024() (func(int), error) {
-	return setupEngineBatch(1, 1024, 1024, [3]int{100, 8192, 10000})
+	return setupEngineBatch(lb.PolicyResourceAware, 1, 1024, 1024, [3]int{100, 8192, 10000})
 }
 
-// setupEngineBatch builds an engine over lb.Schema and
-// lb.PolicyResourceAware with every resource slot filled — metric j drawn
-// uniformly below ranges[j] — and returns one DecideBatch of batch packets
-// per iteration.
-func setupEngineBatch(shards, resources, batch int, ranges [3]int) (func(int), error) {
+// drillPolicySrc is DRILL's shape (Fig. 18) over lb.Schema: a min over two
+// random samples and the best resource of another dimension. Everything
+// under the min reads the samples, so it is all tail.
+const drillPolicySrc = `
+out best = min(union(sample(filter(table, cpu < 70), 2), min(table, mem)), bw)
+`
+
+// setupEngineDecideBatchDRILL1024 gates the packet-major half of a batch: one
+// replica, 1024 resources, one 1024-packet batch of a program whose dynamic
+// steps are all tail steps — a two-unit random chain, a union and a min over
+// 16-word vectors, run per packet.
+func setupEngineDecideBatchDRILL1024() (func(int), error) {
+	return setupEngineBatch(drillPolicySrc, 1, 1024, 1024, [3]int{100, 8192, 10000})
+}
+
+// setupEngineBatch builds an engine over lb.Schema and the policy src with
+// every resource slot filled — metric j drawn uniformly below ranges[j] — and
+// returns one DecideBatch of batch packets per iteration.
+func setupEngineBatch(src string, shards, resources, batch int, ranges [3]int) (func(int), error) {
 	e, err := engine.New(engine.Config{
 		Shards:   shards,
 		Capacity: resources,
 		Schema:   lb.Schema,
-		Policy:   policy.MustParse(lb.PolicyResourceAware),
+		Policy:   policy.MustParse(src),
 	})
 	if err != nil {
 		return nil, err

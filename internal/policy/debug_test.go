@@ -8,9 +8,10 @@ import (
 )
 
 // TestDebugViewLeases proves the thanosdebug traps on Exec's read-only
-// contract fire: a held view panics when read after the next execution or
-// the next table write, a write through a view panics the next execution —
-// and a view read within its lease does neither.
+// contract fire: a held view panics when read after the next execution — a
+// Decide, an Exec or a whole DecideBatch — or the next table write, a write
+// through a view panics the next execution — and a view read within its
+// lease does neither.
 func TestDebugViewLeases(t *testing.T) {
 	newInterp := func() (*Interp, func()) {
 		table, sch := lbTable(t)
@@ -54,7 +55,17 @@ func TestDebugViewLeases(t *testing.T) {
 	mustPanic("read after the next Decide", "lease has ended", func() { held.FirstSet() })
 
 	it, _ = newInterp()
-	pick := it.Exec()[1]
+	held = it.Exec()[1]
+	it.DecideBatch(it.Batch(64))
+	mustPanic("read after the next DecideBatch", "lease has ended", func() { held.Count() })
+
+	it, _ = newInterp()
+	pick := it.Exec()[0]
+	pick.Clear(pick.FirstSet())
+	mustPanic("write through a view, then a batch", "leased view 0 was written through", func() { it.DecideBatch(it.Batch(8)) })
+
+	it, _ = newInterp()
+	pick = it.Exec()[1]
 	pick.Set((pick.FirstSet() + 1) % pick.Len()) // within the lease: only the next execution can tell
 	mustPanic("write through a view", "leased view 1 was written through", func() { it.Exec() })
 }

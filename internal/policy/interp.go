@@ -26,15 +26,13 @@ import (
 // buffers are carved from a single cache-line-aligned bitvec arena so the
 // program's working set is contiguous in memory.
 //
-// Evaluation is two-phase. The table changes when a probe writes it, not
-// when a packet arrives (§3, §5.1.4), and the interpreter takes no
-// per-packet input, so a step that no stateful unit feeds is a pure function
-// of the table contents: its buffer, once computed, is right until the next
-// write. Such content-static steps run once per table version; only the
-// content-dynamic ones — a stateful unit and everything downstream of one —
-// run on every execution. The compiled pipeline evaluates every unit on
-// every packet, which is what keeps Compile==Interp a differential against
-// an uncached reference.
+// Evaluation is step-major over a batch (DecideBatch; DESIGN.md). A step no
+// stateful unit feeds is a pure function of the table, which changes when a
+// probe writes it, not when a packet arrives (§3, §5.1.4): it runs once per
+// table version. A front step (a stateful selection over a static input)
+// draws for the whole batch in one call; the rest runs per packet. The
+// compiled pipeline evaluates every unit on every packet, which is what keeps
+// Compile==Interp a differential against an uncached reference.
 type Interp struct {
 	table  *smbm.SMBM
 	schema Schema
@@ -48,34 +46,27 @@ type Interp struct {
 	stats  *telemetry.ChainStats
 	leases bitvec.Lessor // thanosdebug builds only: Exec's views are leased
 
-	// The two phases, as step-index lists in program order (built once, in
-	// NewInterp). A content-static step never reads a content-dynamic one,
-	// so running staticIdx before dynIdx preserves every dependency.
-	// staticVersion is the table version the static buffers — and cachedPop
-	// below — were computed at; staticValid distinguishes "never computed"
-	// from version 0.
+	// The phases, as step-index lists built in NewInterp. A content-static
+	// step never reads a content-dynamic one, so running staticIdx before
+	// dynIdx preserves every dependency; dynIdx is the nFront front steps,
+	// then the tail, each in program order. staticVersion is the table
+	// version the static buffers — and cachedPop below — were computed at;
+	// staticValid distinguishes "never computed" from version 0.
 	staticIdx     []int
 	dynIdx        []int
+	nFront        int
 	staticVersion uint64
 	staticValid   bool
+	batch         []int // Batch's column; the front steps' cols grow with it
 
-	// Telemetry needs the candidate-set popcount after every step. A step's
-	// output POPCOUNT varies between executions at a fixed table version
-	// (dynPop) on strictly fewer steps than its content does: a selection
-	// unit over a content-static input always emits the same number of
-	// entries (one per active chain position while candidates remain, zero
-	// after), so its popcount is version-static even though which entries it
-	// picks is not. Only steps downstream of a stateful unit's output are
-	// dynPop.
-	//
-	// Accounting keys on dynPop: pop-static counts are taken once per table
-	// version into cachedPop, by the execution that refreshes the static
-	// buffers, and charged in bulk (n × cachedPop) when FlushStats(n)
-	// publishes, while the (typically zero) dynPop steps accumulate per
-	// execution via popIdx into pendCand. A policy with no dynPop steps
-	// therefore pays NOTHING per execution for exact per-step candidate
-	// accounting. Only the interpreter's owning goroutine touches any of
-	// this; the shared ChainStats counters absorb the deltas on FlushStats.
+	// Chain telemetry needs every step's popcount per execution. At a fixed
+	// table version it varies only downstream of a stateful unit's output
+	// (dynPop): a selection over a static input always emits one entry while
+	// candidates remain. So pop-static counts are taken once per version into
+	// cachedPop and charged n × cachedPop by FlushStats(n), and only the
+	// (typically zero) dynPop steps, popIdx, accumulate per packet into
+	// pendCand. Only the owning goroutine touches this; ChainStats absorbs it
+	// on FlushStats.
 	dynPop    []bool
 	popIdx    []int // indices of dynPop steps, for the post-exec count pass
 	cachedPop []uint32
@@ -92,6 +83,7 @@ type interpStep struct {
 	k     int              // stepUnary: active chain length
 	sel   *filter.UFPU     // stepSelect: the chain's one unit
 	pick  int              // stepSelect: the id in the step's buffer, -1 when empty
+	col   []int32          // front steps: col[k] is the batch's k-th valid packet's pick
 	bin   *filter.BFPU     // stepBinary
 	a, b  int              // operand step indices (a only, for stepUnary)
 	fsrcs []*bitvec.Vector // stepFused: operand buffers, bound at build
@@ -266,17 +258,22 @@ func NewInterp(table *smbm.SMBM, schema Schema, p *Policy) (*Interp, error) {
 		it.outs = append(it.outs, it.vals[si])
 	}
 	it.cachedPop = make([]uint32, len(it.prog))
+	var tail []int
 	for i := range it.prog {
-		switch {
+		switch st := &it.prog[i]; {
+		case dynContent[i] && st.kind == stepSelect && !dynContent[st.a]:
+			it.dynIdx = append(it.dynIdx, i) // a front step
 		case dynContent[i]:
-			it.dynIdx = append(it.dynIdx, i)
-		case it.prog[i].kind != stepTable: // the live membership view needs no evaluation
+			tail = append(tail, i)
+		case st.kind != stepTable: // the live membership view needs no evaluation
 			it.staticIdx = append(it.staticIdx, i)
 		}
 		if it.dynPop[i] {
 			it.popIdx = append(it.popIdx, i)
 		}
 	}
+	it.nFront = len(it.dynIdx)
+	it.dynIdx = append(it.dynIdx, tail...)
 	return it, nil
 }
 
@@ -399,15 +396,12 @@ func (it *Interp) AttachTelemetry(cs *telemetry.ChainStats) {
 	}
 }
 
-// FlushStats publishes per-step counts for the n executions performed since
-// the previous flush into the attached ChainStats. Callers pick the
-// publication granularity: the sharded engine flushes once per shard visit
-// (its snapshot's table is pinned for the visit), the single-threaded
-// module once per decision. All n executions must have run at the table's
-// current version — flush before mutating the table — which lets the flush
-// charge every pop-static step n × the popcount the version's first
-// execution cached, without any per-execution bookkeeping.
-// No-op without attached telemetry or when n is zero.
+// FlushStats publishes per-step counts for the n decisions made since the
+// previous flush into the attached ChainStats: the engine flushes once per
+// shard visit, the module once per decision. All n must have run at the
+// table's current version — flush before mutating the table — so every
+// pop-static step is charged n × the version's cached popcount. No-op
+// without attached telemetry or when n is zero.
 //
 //thanos:hotpath
 func (it *Interp) FlushStats(n uint64) {
@@ -432,21 +426,17 @@ func (it *Interp) FlushStats(n uint64) {
 	}
 }
 
-// Exec evaluates every output against the table's current contents and
-// returns one table (bit vector) per output, in output order. Shared
-// subexpressions are evaluated once per call.
-//
-// The returned slice and the vectors it holds are read-only views of the
-// interpreter's own buffers, valid until the next table write or Exec or
-// Decide call, whichever comes first. A content-static output's buffer is not
-// rewritten until the table's version moves, and a selection output's is only
-// ever patched one bit at a time, so a caller that modified either in place
-// would corrupt every later result: copy (Clone, IDs) anything that must be
-// kept or changed. thanosdebug builds trap both violations (bitvec.Lessor).
+// Exec runs Decide(0) and returns one table (bit vector) per output, in
+// output order: read-only views of the interpreter's own buffers, valid until
+// the next table write or decision, whichever comes first. Static buffers are
+// rewritten only when the table's version moves and selection buffers are
+// patched one bit at a time, so a caller that modified a view in place would
+// corrupt every later result: copy (Clone, IDs) what must be kept or changed.
+// thanosdebug builds trap both violations (bitvec.Lessor).
 //
 //thanos:hotpath
 func (it *Interp) Exec() []*bitvec.Vector {
-	it.exec()
+	it.Decide(0)
 	return it.leases.Lease(it.outs, it.table.DebugVersion())
 }
 
@@ -454,48 +444,85 @@ func (it *Interp) Exec() []*bitvec.Vector {
 // output out selects after fallback resolution, or -1 when the chain ends
 // empty: Resolve(p, Exec(), out).FirstSet() without moving a vector. Figure
 // 14's MUX stage only asks each table "empty or not", which a selection
-// output's id answers; a set-valued output costs one priority encode.
+// output's id answers; a set-valued output costs one priority encode. It is
+// DecideBatch's one-packet case.
 //
 //thanos:hotpath
 func (it *Interp) Decide(out int) int {
-	it.exec()
-	fb := it.policy.FallbackOf
-	for hops := 0; hops < len(it.outIdx); hops++ { // one hop per output at most: see Resolve
-		si := it.outIdx[out]
-		id := it.prog[si].pick
-		if it.prog[si].kind != stepSelect {
-			id = it.vals[si].FirstSet()
-		}
-		if id >= 0 || fb == nil || fb[out] == -1 {
-			return id
-		}
-		out = fb[out]
-	}
-	return -1
+	col := it.Batch(1)
+	col[0] = out
+	it.DecideBatch(col)
+	return col[0]
 }
 
-// exec brings every step buffer up to date for one packet. When chain
-// telemetry is attached each pop-dynamic step's popcount is accumulated for
-// the next FlushStats (pop-static steps are charged wholesale at flush time
-// from cachedPop).
+// Batch returns an n-packet column for DecideBatch: interpreter scratch,
+// valid until the next Batch, Decide or Exec.
 //
-// The content-static steps run only when the table's version differs from
-// the one their buffers hold; the content-dynamic steps run on every call,
-// in program order, so LFSR and round-robin state advances once per packet
-// exactly as a configured hardware unit's does. Both phases go through the
-// one evaluation loop (run), and the buffers are bit-identical to evaluating
-// the whole program every time: a skipped step would have recomputed the
-// buffer it already holds.
+//thanos:coldpath amortized: grows only when a batch is larger than any before it on this interpreter; steady state is a re-slice
+func (it *Interp) Batch(n int) []int {
+	if n <= len(it.batch) {
+		return it.batch[:n]
+	}
+	c := max(n, 2*len(it.batch))
+	it.batch = make([]int, c)
+	cols := make([]int32, c*it.nFront)
+	for f, i := range it.dynIdx[:it.nFront] {
+		it.prog[i].col = cols[f*c : (f+1)*c : (f+1)*c]
+	}
+	return it.batch[:n]
+}
+
+// DecideBatch decides packets in arrival order: col, a Batch column, holds
+// packet j's output index at j and gets back its id after fallback, -1 when
+// the chain ends empty. A packet naming no output gets -1, draws nothing and
+// counts in failed. Static steps run once per table version, each front step
+// once for the batch, the tail per packet (DESIGN.md): each unit still sees
+// the packets in order, so every result equals one Decide per packet.
 //
 //thanos:hotpath
-func (it *Interp) exec() {
+func (it *Interp) DecideBatch(col []int) (failed int) {
 	it.leases.Expire()
+	for j, out := range col {
+		if uint(out) >= uint(len(it.outIdx)) {
+			col[j], failed = -1, failed+1
+		}
+	}
+	m := len(col) - failed
+	if m == 0 {
+		return failed
+	}
 	ver := it.table.Version()
 	stale := !it.staticValid || it.staticVersion != ver
 	if stale {
 		it.run(it.staticIdx)
 	}
-	it.run(it.dynIdx)
+	front, tail := it.dynIdx[:it.nFront], it.dynIdx[it.nFront:]
+	for _, i := range front {
+		st := &it.prog[i]
+		st.sel.SelectInto(it.vals[st.a], st.col[:m])
+		if len(tail) == 0 { // without a tail, only the last packet's picks stay
+			it.setPick(i, int(st.col[m-1]))
+		}
+	}
+	k := 0
+	for j, out := range col {
+		if out < 0 {
+			continue
+		}
+		if len(tail) != 0 {
+			for _, i := range front {
+				it.setPick(i, int(it.prog[i].col[k]))
+			}
+			it.run(tail)
+			if it.stats != nil {
+				for _, i := range it.popIdx {
+					it.pendCand[i] += uint64(it.vals[i].Count())
+				}
+			}
+		}
+		col[j] = it.resolve(k, out)
+		k++
+	}
 	if stale {
 		// Pop-static includes selection units over static inputs, whose
 		// buffers the dynamic phase just filled — hence after both phases.
@@ -506,15 +533,48 @@ func (it *Interp) exec() {
 		}
 		it.staticVersion, it.staticValid = ver, true
 	}
-	if it.popIdx != nil && it.stats != nil {
-		for _, i := range it.popIdx {
-			it.pendCand[i] += uint64(it.vals[i].Count())
+	return failed
+}
+
+// setPick moves selection step i's one-hot buffer to id, one bit at a time.
+//
+//thanos:hotpath
+func (it *Interp) setPick(i, id int) {
+	if st := &it.prog[i]; id != st.pick {
+		if st.pick >= 0 {
+			it.vals[i].Clear(st.pick)
 		}
+		if id >= 0 {
+			it.vals[i].Set(id)
+		}
+		st.pick = id
 	}
 }
 
+// resolve returns the batch's k-th valid packet's id from output out.
+//
+//thanos:hotpath
+func (it *Interp) resolve(k, out int) int {
+	fb := it.policy.FallbackOf
+	for hops := 0; hops < len(it.outIdx); hops++ { // one hop per output at most: see Resolve
+		si := it.outIdx[out]
+		st := &it.prog[si]
+		id := st.pick
+		if st.col != nil {
+			id = int(st.col[k])
+		} else if st.kind != stepSelect {
+			id = it.vals[si].FirstSet()
+		}
+		if id >= 0 || fb == nil || fb[out] == -1 {
+			return id
+		}
+		out = fb[out]
+	}
+	return -1
+}
+
 // run evaluates the listed steps, in list order, each into its own buffer —
-// the interpreter's only evaluation loop, shared by both phases.
+// the one evaluation loop of the static phase and the tail.
 //
 //thanos:hotpath
 func (it *Interp) run(steps []int) {
@@ -522,19 +582,7 @@ func (it *Interp) run(steps []int) {
 		st := &it.prog[i]
 		switch st.kind {
 		case stepSelect:
-			// Moving one bit keeps the buffer the one-hot table its readers
-			// (later steps, popcounts, Exec's views) expect, without
-			// an N-bit clear per packet.
-			id, prev := st.sel.Select(it.vals[st.a]), st.pick
-			if id != prev {
-				if prev >= 0 {
-					it.vals[i].Clear(prev)
-				}
-				if id >= 0 {
-					it.vals[i].Set(id)
-				}
-				st.pick = id
-			}
+			it.setPick(i, st.sel.Select(it.vals[st.a]))
 		case stepUnary:
 			st.unit.ExecInto(it.vals[i], it.vals[st.a], st.k)
 		case stepBinary:
