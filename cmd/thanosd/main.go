@@ -19,8 +19,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -36,22 +38,42 @@ import (
 )
 
 func main() {
-	tcp := flag.String("tcp", "", "TCP listen address (e.g. :9090); empty disables")
-	uds := flag.String("uds", "", "Unix domain socket path; empty disables")
-	shards := flag.Int("shards", 0, "engine shards: table replicas, each deciding for one caller at a time, so the bound on concurrent decides (0 = GOMAXPROCS)")
-	capacity := flag.Int("capacity", 4096, "resource slots per replica table")
-	schema := flag.String("schema", "cpu,mem,bw", "comma-separated metric attributes")
-	policyPath := flag.String("policy", "", "policy DSL file (default: min over the first attribute)")
-	metrics := flag.String("metrics", "", "telemetry HTTP address (/metrics, /debug/vars, /debug/thanos); empty disables")
-	maxconns := flag.Int("maxconns", server.DefaultMaxConns, "connection admission limit")
-	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof on the -metrics address")
-	flightCap := flag.Int("flight", 256, "per-component flight-recorder ring capacity")
-	flag.Parse()
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, stop))
+}
+
+// run serves until a signal arrives on stop, then drains the connections
+// and returns 0. It returns 2 for a bad flag or no listen address and 1
+// when the policy, the engine, the server or a listener cannot be set up.
+func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
+	fs := flag.NewFlagSet("thanosd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	tcp := fs.String("tcp", "", "TCP listen address (e.g. :9090); empty disables")
+	uds := fs.String("uds", "", "Unix domain socket path; empty disables")
+	shards := fs.Int("shards", 0, "engine shards: table replicas, each deciding for one caller at a time, so the bound on concurrent decides (0 = GOMAXPROCS)")
+	capacity := fs.Int("capacity", 4096, "resource slots per replica table")
+	schema := fs.String("schema", "cpu,mem,bw", "comma-separated metric attributes")
+	policyPath := fs.String("policy", "", "policy DSL file (default: min over the first attribute)")
+	metrics := fs.String("metrics", "", "telemetry HTTP address (/metrics, /debug/vars, /debug/thanos); empty disables")
+	maxconns := fs.Int("maxconns", server.DefaultMaxConns, "connection admission limit")
+	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof on the -metrics address")
+	flightCap := fs.Int("flight", 256, "per-component flight-recorder ring capacity")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the flag set has printed the error and usage
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "thanosd: "+format+"\n", a...)
+		return 1
+	}
 
 	if *tcp == "" && *uds == "" {
-		fmt.Fprintln(os.Stderr, "thanosd: at least one of -tcp or -uds is required")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "thanosd: at least one of -tcp or -uds is required")
+		fs.Usage()
+		return 2
 	}
 
 	attrs := strings.Split(*schema, ",")
@@ -64,13 +86,13 @@ func main() {
 	if *policyPath != "" {
 		b, err := os.ReadFile(*policyPath)
 		if err != nil {
-			fatal("read policy: %v", err)
+			return fail("read policy: %v", err)
 		}
 		src = string(b)
 	}
 	pol, err := policy.Parse(src)
 	if err != nil {
-		fatal("parse policy: %v", err)
+		return fail("parse policy: %v", err)
 	}
 
 	reg := telemetry.NewRegistry()
@@ -78,7 +100,7 @@ func main() {
 	// recent spans and state transitions into per-component rings for ~free,
 	// and a shard quarantine or SIGQUIT dumps the history to stderr.
 	flight := telemetry.NewFlightRecorder()
-	flight.SetAutoDump(os.Stderr)
+	flight.SetAutoDump(stderr)
 	eng, err := engine.New(engine.Config{
 		Shards:    *shards,
 		Capacity:  *capacity,
@@ -91,7 +113,7 @@ func main() {
 		},
 	})
 	if err != nil {
-		fatal("engine: %v", err)
+		return fail("engine: %v", err)
 	}
 	defer eng.Close()
 
@@ -102,41 +124,53 @@ func main() {
 		Flight:    flight.Ring("server", *flightCap),
 	})
 	if err != nil {
-		fatal("server: %v", err)
+		return fail("server: %v", err)
 	}
 
+	// Drain on every return: close the server and wait for its Serve
+	// loops. Closing a Unix listener also removes its socket file.
 	var wg sync.WaitGroup
-	serve := func(network, addr string) {
+	defer func() {
+		srv.Close()
+		wg.Wait()
+	}()
+	serve := func(network, addr string) error {
 		if network == "unix" {
 			// A stale socket from an unclean exit would fail the bind.
 			os.Remove(addr)
 		}
 		l, err := net.Listen(network, addr)
 		if err != nil {
-			fatal("listen %s %s: %v", network, addr, err)
+			return fmt.Errorf("listen %s %s: %w", network, addr, err)
 		}
-		fmt.Printf("thanosd: serving %s %s (%d shards, capacity %d)\n",
+		fmt.Fprintf(stdout, "thanosd: serving %s %s (%d shards, capacity %d)\n",
 			network, addr, eng.Shards(), eng.Capacity())
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			if err := srv.Serve(l); err != server.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "thanosd: serve %s: %v\n", addr, err)
+				fmt.Fprintf(stderr, "thanosd: serve %s: %v\n", addr, err)
 			}
 		}()
+		return nil
 	}
 	if *tcp != "" {
-		serve("tcp", *tcp)
+		if err := serve("tcp", *tcp); err != nil {
+			return fail("%v", err)
+		}
 	}
 	if *uds != "" {
-		serve("unix", *uds)
+		if err := serve("unix", *uds); err != nil {
+			return fail("%v", err)
+		}
 	}
 	if *metrics != "" {
 		ln, err := net.Listen("tcp", *metrics)
 		if err != nil {
-			fatal("metrics listen: %v", err)
+			return fail("metrics listen: %v", err)
 		}
-		fmt.Printf("thanosd: telemetry on http://%s/metrics\n", ln.Addr())
+		defer ln.Close()
+		fmt.Fprintf(stdout, "thanosd: telemetry on http://%s/metrics\n", ln.Addr())
 		go http.Serve(ln, telemetry.NewMux(telemetry.MuxConfig{
 			Registry: reg,
 			Flight:   flight,
@@ -149,27 +183,20 @@ func main() {
 	}
 
 	// SIGQUIT dumps the flight recorder without exiting, the classic
-	// kill -QUIT diagnostic; SIGINT/SIGTERM drain and exit.
+	// kill -QUIT diagnostic; a signal on stop drains and exits.
 	quit := make(chan os.Signal, 1)
 	signal.Notify(quit, syscall.SIGQUIT)
+	defer func() {
+		signal.Stop(quit)
+		close(quit)
+	}()
 	go func() {
 		for range quit {
 			flight.Trip("SIGQUIT")
 		}
 	}()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	s := <-sig
-	fmt.Printf("thanosd: %v, draining\n", s)
-	srv.Close()
-	wg.Wait()
-	if *uds != "" {
-		os.Remove(*uds)
-	}
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "thanosd: "+format+"\n", args...)
-	os.Exit(1)
+	s := <-stop
+	fmt.Fprintf(stdout, "thanosd: %v, draining\n", s)
+	return 0
 }

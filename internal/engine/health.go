@@ -113,8 +113,6 @@ func (e *Engine) Introspect() EngineStatus {
 // steering table (failover), and starts its background resync loop. Caller
 // holds wmu. Idempotent per transition: only the Healthy→Quarantined edge
 // spawns a resync.
-//
-//thanos:wallclock flight-recorder timestamps are diagnostics, not simulation state
 func (e *Engine) quarantineLocked(si int, cause error) {
 	s := e.shards[si]
 	if !s.health.CompareAndSwap(int32(Healthy), int32(Quarantined)) {
@@ -165,8 +163,6 @@ func (e *Engine) rebuildSteering() {
 // rebuilds with capped exponential backoff until it succeeds or the engine
 // closes. It also delivers the OnQuarantine callback: this goroutine holds
 // no engine lock, so the callback is free to block or dump diagnostics.
-//
-//thanos:wallclock flight-recorder timestamps are diagnostics, not simulation state
 func (e *Engine) resyncLoop(si int, cause error) {
 	defer e.bg.Done()
 	if e.onQuar != nil {

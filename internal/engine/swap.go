@@ -27,8 +27,6 @@ import (
 // Per-step chain telemetry is labeled for the construction-time policy; when
 // the swapped-in program has a different shape those counters detach from the
 // affected shards (decision, table and degradation telemetry continue).
-//
-//thanos:wallclock flight-recorder timestamps are diagnostics, not simulation state
 func (e *Engine) SwapPolicy(p *policy.Policy) error {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()

@@ -135,8 +135,6 @@ func measureEnginePoint(shards, batch, tableSize, batches int, seed int64) (Engi
 // timeEnginePoint drives batches through the engine from one caller per
 // shard (capped at GOMAXPROCS), each deciding its own copy of the batch
 // `batches` times, and fills in the point's aggregate throughput numbers.
-//
-//thanos:wallclock throughput measurement: this harness reports real decisions/sec of the host, which is inherently wall-clock; simulated results use hw.Clock cycles instead
 func timeEnginePoint(e *engine.Engine, pt *EngineSweepPoint, batch, batches int) {
 	pt.Callers = min(e.Shards(), runtime.GOMAXPROCS(0))
 	bufs := make([][]engine.Packet, pt.Callers)

@@ -55,9 +55,8 @@ func newCallGraph(u *Unit) *callGraph {
 					continue
 				}
 				if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					hot, _ := hasMark(fd.Doc, MarkHotPath)
-					cold, _ := hasMark(fd.Doc, MarkColdPath)
-					gf := graphFunc{fn: obj, decl: fd, pkg: pkg, hot: hot, cold: cold}
+					gf := graphFunc{fn: obj, decl: fd, pkg: pkg,
+						hot: hasMark(fd.Doc, MarkHotPath), cold: hasMark(fd.Doc, MarkColdPath)}
 					cg.funcs[obj] = gf
 					cg.order = append(cg.order, gf)
 				}

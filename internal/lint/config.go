@@ -4,18 +4,6 @@ package lint
 // real invariants; cmd/thanoslint runs with it.
 func DefaultConfig() Config {
 	return Config{
-		DeterminismPkgs: []string{
-			"repro/internal/sim",
-			"repro/internal/engine",
-			"repro/internal/experiments",
-			"repro/internal/fault",
-			"repro/internal/netsim",
-			"repro/internal/netsim/topology",
-			"repro/internal/smbm",
-			"repro/internal/filter",
-			"repro/internal/pipeline",
-			"repro/internal/policy",
-		},
 		Goroutine: GoroutineConfig{
 			Pkgs: []string{"repro/internal/engine", "repro/internal/server"},
 			// The teardown entry points whose drain paths prove shutdown

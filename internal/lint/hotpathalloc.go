@@ -59,17 +59,6 @@ func (c *hotChecker) report(pos token.Pos, format string, args ...any) {
 	c.u.Reportf(pos, "%s (on //thanos:hotpath path from %s)", fmt.Sprintf(format, args...), c.root)
 }
 
-func (c *hotChecker) builtinName(call *ast.CallExpr) string {
-	id, ok := unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return ""
-	}
-	if _, ok := c.pkg.Info.Uses[id].(*types.Builtin); ok {
-		return id.Name
-	}
-	return ""
-}
-
 // --- statements ---
 
 func (c *hotChecker) stmt(s ast.Stmt) {
@@ -78,7 +67,7 @@ func (c *hotChecker) stmt(s ast.Stmt) {
 	case *ast.BlockStmt:
 		c.stmtList(s.List)
 	case *ast.ExprStmt:
-		if call, ok := unparen(s.X).(*ast.CallExpr); ok && c.builtinName(call) == "panic" {
+		if call, ok := unparen(s.X).(*ast.CallExpr); ok && builtinName(c.pkg.Info, call) == "panic" {
 			return // failure path: panic arguments are exempt
 		}
 		c.expr(s.X)
@@ -195,7 +184,7 @@ func (c *hotChecker) coldStmts(list []ast.Stmt) bool {
 	switch last := list[len(list)-1].(type) {
 	case *ast.ExprStmt:
 		call, ok := unparen(last.X).(*ast.CallExpr)
-		return ok && c.builtinName(call) == "panic"
+		return ok && builtinName(c.pkg.Info, call) == "panic"
 	case *ast.ReturnStmt:
 		return c.coldReturn(last)
 	case *ast.BlockStmt:
@@ -294,7 +283,7 @@ func (c *hotChecker) composite(cl *ast.CompositeLit) {
 }
 
 func (c *hotChecker) call(e *ast.CallExpr) {
-	if b := c.builtinName(e); b != "" {
+	if b := builtinName(c.pkg.Info, e); b != "" {
 		switch b {
 		case "make":
 			c.report(e.Pos(), "make allocates")

@@ -3,14 +3,11 @@
 // The paper's guarantees are invariants, not behaviors — UFPUs take exactly
 // 2 cycles and BFPUs 1 (§5.2), SMBM writes are 2-cycle fully-pipelined ops
 // (§5.1), and the switch decides one packet per clock — and the software
-// rendering of those guarantees ("zero allocations and no wall-clock or
-// global-rand nondeterminism on the decision path", plus the serving stack's
-// concurrency and protocol contracts) is enforced at build time by six
-// analyzers:
+// rendering of those guarantees ("zero allocations on the decision path",
+// plus the serving stack's concurrency and protocol contracts) is enforced
+// at build time by five analyzers:
 //
 //   - hotpathalloc:    no allocating constructs on //thanos:hotpath call graphs
-//   - determinism:     no wall clock, global math/rand, or map-iteration-order
-//     leaks in the simulation/datapath packages
 //   - telemetrysafety: telemetry reachable from //thanos:hotpath roots is
 //     lock-free and restricted to the hot-safe instrument API
 //   - goroutineleak:   every spawned goroutine has a shutdown edge (closed
@@ -23,8 +20,10 @@
 // Each one stays because some mutation of shipped code is caught by it and
 // by no test (DESIGN.md names one per analyzer). Invariants that tests pin
 // on their own have no analyzer: the paper's latency constants
-// (TestLatencyContract in the root package) and the engine's steering-table
-// publish (the race-enabled engine suite).
+// (TestLatencyContract in the root package), the engine's steering-table
+// publish (the race-enabled engine suite) and simulation determinism (the
+// simulator goldens, the serial/parallel identity tests and the
+// order-pinning tests DESIGN.md lists).
 //
 // All of them stand on one call-graph layer (callgraph.go): a function
 // index built once per Unit with each function's hot/cold marks, one
@@ -43,6 +42,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 	"strings"
 )
@@ -59,9 +59,6 @@ const (
 	// function). The hot-path walk stops at it; the dynamic
 	// allocs-per-run regression tests cross-check the amortization claim.
 	MarkColdPath = "thanos:coldpath"
-	// MarkWallClock exempts a measurement-harness function from the
-	// determinism analyzer's wall-clock rule. A justification is mandatory.
-	MarkWallClock = "thanos:wallclock"
 )
 
 // Diagnostic is one analyzer finding.
@@ -83,7 +80,7 @@ type Analyzer struct {
 }
 
 // All is the full thanoslint suite in reporting order.
-var All = []*Analyzer{HotPathAlloc, Determinism, TelemetrySafety, GoroutineLeak, LockOrder, WireProto}
+var All = []*Analyzer{HotPathAlloc, TelemetrySafety, GoroutineLeak, LockOrder, WireProto}
 
 // Unit is the analysis scope handed to every analyzer: the loaded packages
 // plus configuration. Analyzers report through Reportf.
@@ -148,9 +145,6 @@ func Run(u *Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 // Config parameterizes the analyzers. DefaultConfig (config.go) encodes
 // this repository's real invariants; tests substitute fixture packages.
 type Config struct {
-	// DeterminismPkgs are import-path prefixes where the determinism rules
-	// apply to non-test code.
-	DeterminismPkgs []string
 	// Telemetry configures the telemetrysafety analyzer.
 	Telemetry TelemetryConfig
 	// Goroutine configures the goroutineleak analyzer.
@@ -161,21 +155,21 @@ type Config struct {
 	Wire WireConfig
 }
 
-// hasMark reports whether the doc comment carries the marker, and returns
-// any justification text following it.
-func hasMark(doc *ast.CommentGroup, mark string) (bool, string) {
+// hasMark reports whether the doc comment carries the marker, alone or
+// followed by a justification.
+func hasMark(doc *ast.CommentGroup, mark string) bool {
 	if doc == nil {
-		return false, ""
+		return false
 	}
 	for _, c := range doc.List {
 		line := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
 		if rest, ok := strings.CutPrefix(line, mark); ok {
 			if rest == "" || strings.HasPrefix(rest, " ") || strings.HasPrefix(rest, "\t") {
-				return true, strings.TrimSpace(rest)
+				return true
 			}
 		}
 	}
-	return false, ""
+	return false
 }
 
 // nameInList reports whether name is one of list.
@@ -233,23 +227,16 @@ func unparen(e ast.Expr) ast.Expr {
 	}
 }
 
-// baseIdent chases a chain of selector/index/star/slice expressions to the
-// identifier at its base, or nil (e.g. for a call result).
-func baseIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := unparen(e).(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		default:
-			return nil
-		}
+// builtinName returns the name of the builtin function call invokes, or ""
+// when it calls anything else. hotpathalloc and lockorder both treat a
+// panic(...) statement as the end of a failure path.
+func builtinName(info *types.Info, call *ast.CallExpr) string {
+	id, ok := unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return ""
 	}
+	if _, ok := info.Uses[id].(*types.Builtin); ok {
+		return id.Name
+	}
+	return ""
 }

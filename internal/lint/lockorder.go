@@ -20,9 +20,11 @@ import (
 //   - blocking operations under a lock: channel send/receive/range, selects
 //     without a default arm, and net/bufio I/O. A non-blocking select (with
 //     a default arm) is exempt — it cannot block. I/O is
-//     only reported for mixed-use locks: a mutex whose every critical
+//     only reported under mixed-use locks: a mutex whose every critical
 //     section performs I/O is a dedicated write-serialization lock (the
-//     client's per-connection wmu) and is by design held across Flush.
+//     client's per-connection wmu) and is by design held across Flush. The
+//     exemption needs every held lock to be dedicated, so holding wmu does
+//     not excuse I/O under a mixed-use lock taken before it.
 //
 // Lock identity is the field or variable object, so `s.mu` names the same
 // lock across every instance and function. The walk is branch-aware (a
@@ -80,11 +82,10 @@ type lockSummary struct {
 }
 
 type ioReport struct {
-	lock types.Object
-	fn   string
-	pos  token.Pos
-	op   string
-	held string
+	locks []types.Object // held at the I/O, innermost last
+	pos   token.Pos
+	op    string
+	held  string
 }
 
 type lockAnalyzer struct {
@@ -246,12 +247,8 @@ func (w *lockWalk) stmt(s ast.Stmt, st *lockState) (*lockState, bool) {
 	case *ast.BlockStmt:
 		return w.stmts(s.List, st)
 	case *ast.ExprStmt:
-		if call, ok := unparen(s.X).(*ast.CallExpr); ok {
-			if id, ok := unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				if _, isB := w.pkg.Info.Uses[id].(*types.Builtin); isB {
-					return st, true
-				}
-			}
+		if call, ok := unparen(s.X).(*ast.CallExpr); ok && builtinName(w.pkg.Info, call) == "panic" {
+			return st, true
 		}
 		w.expr(s.X, st, false)
 	case *ast.AssignStmt:
@@ -606,11 +603,10 @@ func (w *lockWalk) recordIO(pos token.Pos, op string, st *lockState) {
 		w.la.ioUnder[o][w.fnName] = true
 	}
 	w.la.ioReports = append(w.la.ioReports, ioReport{
-		lock: st.held[len(st.held)-1],
-		fn:   w.fnName,
-		pos:  pos,
-		op:   op,
-		held: w.heldNames(st),
+		locks: append([]types.Object(nil), st.held...),
+		pos:   pos,
+		op:    op,
+		held:  w.heldNames(st),
 	})
 }
 
@@ -632,22 +628,30 @@ func (w *lockWalk) registerName(obj types.Object, recv ast.Expr) {
 // reportIO emits I/O-under-lock findings, exempting dedicated I/O locks:
 // when every function that acquires a lock performs I/O under it, the lock
 // exists to serialize that I/O and holding it across Write/Flush is its job.
+// An I/O site is clean only when every lock held there is dedicated; the
+// finding names the innermost mixed-use one.
 func (la *lockAnalyzer) reportIO() {
 	for _, r := range la.ioReports {
-		acq, io := la.acquirers[r.lock], la.ioUnder[r.lock]
-		mixed := false
-		for fn := range acq {
-			if !io[fn] {
-				mixed = true
+		for i := len(r.locks) - 1; i >= 0; i-- {
+			if la.mixedUse(r.locks[i]) {
+				la.u.Reportf(r.pos, "%s I/O while %s is held: %s also guards non-I/O critical sections (use a dedicated write lock)",
+					r.op, r.held, la.names[r.locks[i]])
 				break
 			}
 		}
-		if !mixed {
-			continue
-		}
-		la.u.Reportf(r.pos, "%s I/O while %s is held: %s also guards non-I/O critical sections (use a dedicated write lock)",
-			r.op, r.held, la.names[r.lock])
 	}
+}
+
+// mixedUse reports whether some function acquires lock without performing
+// I/O under it.
+func (la *lockAnalyzer) mixedUse(lock types.Object) bool {
+	io := la.ioUnder[lock]
+	for fn := range la.acquirers[lock] {
+		if !io[fn] {
+			return true
+		}
+	}
+	return false
 }
 
 // reportCycles finds strongly connected components of the ordering graph and

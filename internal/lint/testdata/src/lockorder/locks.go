@@ -137,3 +137,13 @@ func (s *S) SpawnFenced() {
 	go func() { <-s.ch }()
 	s.mu.Unlock()
 }
+
+// WriteUnderBoth holds the dedicated wmu inside the mixed-use mu: wmu does
+// not excuse the socket write, because mu is held across it too.
+func (s *S) WriteUnderBoth(p []byte) {
+	s.mu.Lock()
+	s.wmu.Lock()
+	s.bw.Write(p) // want `I/O while`
+	s.wmu.Unlock()
+	s.mu.Unlock()
+}

@@ -1,7 +1,9 @@
 package topology
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/netsim"
@@ -167,5 +169,69 @@ func TestClosCrossTrafficUsesAllUplinks(t *testing.T) {
 	}
 	if used < 3 {
 		t.Fatalf("ECMP used only %d of 4 uplinks", used)
+	}
+}
+
+// TestClosCandidateOrder pins every candidate list of a Clos and a fat tree,
+// order included: a remote destination's uplinks in port order, a local one
+// its single downlink. The routers index these lists (ECMP's flow hash,
+// PathRouter's first-uplink fallback), so a list whose order changed from
+// one build to the next would change routes from one run to the next. Each
+// topology is built 16 times, so an order drawn afresh per build (say, from
+// a map) fails with near certainty.
+func TestClosCandidateOrder(t *testing.T) {
+	check := func(sw *netsim.Switch, name string, dst int, want []int) {
+		t.Helper()
+		if got := sw.Candidates(dst); !slices.Equal(got, want) {
+			t.Fatalf("%s: candidates(%d) = %v, want %v", name, dst, got, want)
+		}
+	}
+	for build := 0; build < 16; build++ {
+		n, _ := netsim.New(1, netsim.DefaultConfig())
+		c, err := NewTwoTierClos(n, 4, 3, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l, leaf := range c.Leaves {
+			for dst := 0; dst < c.NumHosts(); dst++ {
+				want := []int{2, 3, 4}
+				if dst/2 == l {
+					want = []int{dst % 2}
+				}
+				check(leaf, fmt.Sprintf("leaf %d", l), dst, want)
+			}
+		}
+		for s, spine := range c.Spines {
+			for dst := 0; dst < c.NumHosts(); dst++ {
+				check(spine, fmt.Sprintf("spine %d", s), dst, []int{dst / 2})
+			}
+		}
+
+		n, _ = netsim.New(1, netsim.DefaultConfig())
+		ft, err := NewFatTree(n, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		up := []int{3, 4, 5}
+		for dst := 0; dst < ft.NumHosts(); dst++ {
+			dp, de, dh := ft.locate(dst)
+			for p := 0; p < ft.K; p++ {
+				for i := 0; i < ft.K/2; i++ {
+					want := up
+					if p == dp && i == de {
+						want = []int{dh}
+					}
+					check(ft.Edges[p][i], fmt.Sprintf("edge %d/%d", p, i), dst, want)
+					want = up
+					if p == dp {
+						want = []int{de}
+					}
+					check(ft.Aggs[p][i], fmt.Sprintf("agg %d/%d", p, i), dst, want)
+				}
+			}
+			for ci, core := range ft.Cores {
+				check(core, fmt.Sprintf("core %d", ci), dst, []int{dp})
+			}
+		}
 	}
 }
