@@ -188,7 +188,8 @@ type shard struct {
 // steering table is immutable once published through Engine.steer.
 type steering struct {
 	to   []int32
-	live int // healthy shards
+	live int  // healthy shards
+	pow2 bool // len(to) is a power of two: Key mod Shards is Key & (Shards-1)
 }
 
 // Engine is a concurrent sharded decision engine. Decisions (DecideBatch,
@@ -410,7 +411,10 @@ func (e *Engine) DecideBatch(pkts []Packet) {
 	ns := uint64(len(e.shards))
 	var diverted uint64
 	for i := range pkts {
-		home := pkts[i].Key % ns
+		home := pkts[i].Key & (ns - 1)
+		if !st.pow2 {
+			home = pkts[i].Key % ns
+		}
 		tgt := st.to[home]
 		if uint64(tgt) != home {
 			diverted++

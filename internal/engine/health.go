@@ -134,6 +134,8 @@ func (e *Engine) quarantineLocked(si int, cause error) {
 // quarantined home's traffic is spread over the healthy shards
 // deterministically (k-th dead shard → k mod live). With no healthy shards
 // every entry is -1 and DecideBatch fails batches instead of executing them.
+// It also records whether the shard count is a power of two, which lets
+// DecideBatch find a home shard with a mask instead of a divide.
 // Callers hold wmu (or are New), which makes them the table's only writer;
 // batches already steered by the previous table finish on it.
 func (e *Engine) rebuildSteering() {
@@ -156,7 +158,7 @@ func (e *Engine) rebuildSteering() {
 			k++
 		}
 	}
-	e.steer.Store(&steering{to: to, live: len(liveIdx)})
+	e.steer.Store(&steering{to: to, live: len(liveIdx), pow2: len(to)&(len(to)-1) == 0})
 }
 
 // resyncLoop drives one quarantined shard back to health, retrying failed

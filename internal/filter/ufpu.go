@@ -195,20 +195,51 @@ func (u *UFPU) SelectInto(in *bitvec.Vector, ids []int32) {
 		}
 
 	case URandom:
-		// Cycle 1: LFSR produces a random index r. Cycle 2: if in[r] is
-		// set (and the resource is a live member) select r, else select
-		// the first set bit of the masked input cyclically after r. The
-		// membership mask fuses into the rotated priority encode, so no
-		// intermediate in ∧ members vector is materialized.
-		for j := range ids {
-			r := u.lfsr.NextBelow(u.below)
-			if in.Word(r/64)&mem.Word(r/64)>>uint(r%64)&1 == 0 {
-				r = hw.PriorityEncodeRotatedAnd(in, mem, r)
+		// Cycle 1: LFSR produces a random index r. Cycle 2: select the first
+		// live input at or cyclically after r (r itself when in[r] is set
+		// and the resource is a member). The membership mask fuses into the
+		// encode, so no intermediate in ∧ members vector is materialized.
+		//
+		// The model runs cycle 1 for every packet before cycle 2 for any,
+		// the index column landing in ids: the draws are one serial chain
+		// through the register, while the encodes are independent of each
+		// other. The live bits at or after r in r's word settle almost every
+		// encode in one test, with no branch on whether in[r] itself is set;
+		// only a miss to the end of the word runs the full rotated encode.
+		u.lfsr.DrawBelow(u.below, ids)
+		for j, r := range ids {
+			if m := (in.Word(int(r>>6)) & mem.Word(int(r>>6))) >> uint(r&63); m != 0 {
+				ids[j] = r + int32(bits.TrailingZeros64(m))
+			} else {
+				ids[j] = int32(hw.PriorityEncodeRotatedAnd(in, mem, int(r)))
 			}
-			ids[j] = int32(r)
 		}
 	default:
 		panic("filter: Select on set-valued opcode " + u.cfg.Op.String())
+	}
+}
+
+// Skip advances the unit exactly as n selections over in would, charging
+// their n·UFPUCycles, without producing the picks: for a caller that reads
+// none of them. Random steps its LFSR n times (one draw per selection,
+// whatever the draw hits), round-robin runs its datapath n times, and min
+// and max are stateless. It panics on no-op and predicate, like SelectInto.
+//
+//thanos:hotpath
+func (u *UFPU) Skip(in *bitvec.Vector, n int) {
+	u.checkWidth(in)
+	u.clock.Tick(uint64(n) * UFPUCycles)
+	switch u.cfg.Op {
+	case UMin, UMax:
+	case URoundRobin:
+		mem := u.table.MembersView()
+		for range n {
+			u.selectRoundRobin(in, mem)
+		}
+	case URandom:
+		u.lfsr.Skip(n)
+	default:
+		panic("filter: Skip on set-valued opcode " + u.cfg.Op.String())
 	}
 }
 

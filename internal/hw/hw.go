@@ -45,13 +45,50 @@ func NewLFSR(seed uint16) LFSR {
 	return LFSR{state: seed}
 }
 
-// Next advances the register one step and returns the new state. The taps
-// are gated by the shifted-out bit with a mask, not a branch: that bit is
-// the random stream itself, so a branch on it mispredicts every other step.
+// Next advances the register one step and returns the new state.
 func (l *LFSR) Next() uint16 {
-	lsb := l.state & 1
-	l.state = l.state>>1 ^ (-lsb & 0xB400)
+	l.state = lfsrStep(l.state)
 	return l.state
+}
+
+// lfsrStep is one step of the register from state s. The taps are gated by
+// the shifted-out bit with a mask, not a branch: that bit is the random
+// stream itself, so a branch on it mispredicts every other step.
+func lfsrStep(s uint16) uint16 {
+	return s>>1 ^ (-(s & 1) & 0xB400)
+}
+
+// lfsrPeriod is the register's period: the 65535 non-zero states.
+const lfsrPeriod = 65535
+
+// lfsrStep8 is eight Next steps as one lookup: the lowest tap is bit 10, so
+// feedback injected in a step cannot reach bit 0 within eight steps and the
+// eight bits shifted out are exactly the low byte of the starting state.
+// Eight steps from s are therefore s>>8 ^ lfsrStep8[s&0xFF], the entry being
+// eight steps from the byte alone (whose own >>8 is zero).
+var lfsrStep8 = func() (t [256]uint16) {
+	for b := range t {
+		l := LFSR{state: uint16(b)}
+		for range 8 {
+			l.Next()
+		}
+		t[b] = l.state
+	}
+	return t
+}()
+
+// Skip advances the register n steps, leaving it where n calls to Next
+// would: eight steps per table lookup, then the remainder one at a time.
+func (l *LFSR) Skip(n int) {
+	n %= lfsrPeriod
+	s := l.state
+	for ; n >= 8; n -= 8 {
+		s = s>>8 ^ lfsrStep8[s&0xFF]
+	}
+	for ; n > 0; n-- {
+		s = lfsrStep(s)
+	}
+	l.state = s
 }
 
 // Range is the reduction of a 16-bit LFSR state into [0, n), precomputed
@@ -76,17 +113,29 @@ func NewRange(n int) Range {
 	return Range{n: uint32(n), recip: ^uint32(0)/uint32(n) + 1}
 }
 
-// NextBelow advances the register and returns int(Next()) % n for r's n,
-// the single-cycle index generation of §5.2.1 ("generate a random number r
-// between 0 and N-1 using a standard random number generator such as LFSR").
-func (l *LFSR) NextBelow(r Range) int {
-	x := uint32(l.Next())
+// DrawBelow advances the register len(dst) times and writes the j-th new
+// state's int(state) % n, for r's n, into dst[j]: the single-cycle index
+// generation of §5.2.1 ("generate a random number r between 0 and N-1 using
+// a standard random number generator such as LFSR"), once per packet of a
+// column. The state stays in a register for the whole column: through l it
+// would be stored and reloaded on every step of what is one serial chain.
+func (l *LFSR) DrawBelow(r Range, dst []int32) {
+	s := l.state
+	for j := range dst {
+		s = lfsrStep(s)
+		dst[j] = int32(r.reduce(s))
+	}
+	l.state = s
+}
+
+// reduce returns x % n for r's n.
+func (r Range) reduce(x uint16) uint32 {
 	if r.recip == 0 {
-		return int(x & r.mask)
+		return uint32(x) & r.mask
 	}
 	// The low word of x*recip is the fraction of x/n scaled by 2^32; times n,
 	// its high word is the remainder.
-	return int(uint64(x*r.recip) * uint64(r.n) >> 32)
+	return uint32(uint64(uint32(x)*r.recip) * uint64(r.n) >> 32)
 }
 
 // PriorityEncodeRotatedAnd models an AND gate array feeding a rotated

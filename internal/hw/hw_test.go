@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -50,10 +51,11 @@ func TestLFSRMaximalLength(t *testing.T) {
 func TestLFSRNextBelow(t *testing.T) {
 	l := NewLFSR(7)
 	counts := make([]int, 8)
-	for i := 0; i < 8000; i++ {
-		r := l.NextBelow(NewRange(8))
+	draws := make([]int32, 8000)
+	l.DrawBelow(NewRange(8), draws)
+	for _, r := range draws {
 		if r < 0 || r >= 8 {
-			t.Fatalf("NextBelow(8) = %d out of range", r)
+			t.Fatalf("DrawBelow(8) = %d out of range", r)
 		}
 		counts[r]++
 	}
@@ -80,19 +82,23 @@ func TestLFSRNextBelowGolden(t *testing.T) {
 		65535:   {57968, 28984, 14492, 7246, 3623, 45843, 60809, 49860},
 		1 << 20: {57968, 28984, 14492, 7246, 3623, 45843, 60809, 49860},
 	}
+	draws := make([]int32, 65535)
 	for _, n := range []int{1, 2, 3, 7, 64, 100, 1000, 1024, 4096, 65535, 65536, 100000, 1 << 20} {
 		rng := NewRange(n)
-		l := NewLFSR(0xACE1)
+		a, b := NewLFSR(0xACE1), NewLFSR(0xACE1)
+		a.DrawBelow(rng, draws)
 		for i, want := range golden[n] {
-			if got := l.NextBelow(rng); got != want {
+			if got := int(draws[i]); got != want {
 				t.Fatalf("seed 0xACE1 n=%d draw %d = %d, want %d", n, i, got, want)
 			}
 		}
-		a, b := NewLFSR(0xACE1), NewLFSR(0xACE1)
-		for i := 0; i < 65535; i++ {
-			if got, want := a.NextBelow(rng), int(b.Next())%n; got != want {
+		for i, got := range draws {
+			if want := int(b.Next()) % n; int(got) != want {
 				t.Fatalf("n=%d draw %d = %d, want %d", n, i, got, want)
 			}
+		}
+		if a != b {
+			t.Fatalf("n=%d: register at %#x after the column, %#x after as many steps", n, a.state, b.state)
 		}
 	}
 }
@@ -131,5 +137,26 @@ func TestPriorityEncodeRotatedAnd(t *testing.T) {
 	}
 	if got := PriorityEncodeRotatedAnd(v, bitvec.New(64), 3); got != -1 {
 		t.Errorf("empty intersection = %d, want -1", got)
+	}
+}
+
+// TestLFSRSkip pins Skip(n) to n calls to Next for every n up to twice the
+// period, from several seeds (0 among them, coerced to 1), so the byte-table
+// stride, the remainder steps and the reduction past the period wrap are
+// each compared against the register stepped one state at a time.
+func TestLFSRSkip(t *testing.T) {
+	for _, seed := range []uint16{0, 0xACE1, 0xFFFF} {
+		t.Run(fmt.Sprintf("seed=%#x", seed), func(t *testing.T) {
+			t.Parallel()
+			ref := NewLFSR(seed)
+			for n := 0; n <= 2*65535; n++ {
+				l := NewLFSR(seed)
+				l.Skip(n)
+				if l != ref {
+					t.Fatalf("Skip(%d) state %#x, %d Next calls give %#x", n, l.state, n, ref.state)
+				}
+				ref.Next()
+			}
+		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/filter"
 	"repro/internal/lb"
 	"repro/internal/policy"
 	"repro/internal/sim"
@@ -189,6 +190,7 @@ func Set() []Benchmark {
 		{Name: "EngineDecideBatch", Iters: 100, Reps: 3, Threshold: simThreshold, Setup: setupEngineDecideBatch},
 		{Name: "EngineDecideBatchLB1024", Iters: 400, Reps: 3, Setup: setupEngineDecideBatchLB1024},
 		{Name: "EngineDecideBatchDRILL1024", Iters: 100, Reps: 3, Setup: setupEngineDecideBatchDRILL1024},
+		{Name: "UFPURandomSelect1024", Iters: 20000, Reps: 3, Threshold: kernelThreshold, Setup: setupUFPURandomSelect1024},
 	}
 }
 
@@ -375,6 +377,36 @@ out best = min(union(sample(filter(table, cpu < 70), 2), min(table, mem)), bw)
 // 16-word vectors, run per packet.
 func setupEngineDecideBatchDRILL1024() (func(int), error) {
 	return setupEngineBatch(drillPolicySrc, 1, 1024, 1024, [3]int{100, 8192, 10000})
+}
+
+// setupUFPURandomSelect1024 gates the random draw on its own: one
+// 1024-packet SelectInto of a random unit over a full 1024-slot table and an
+// input about as dense as serve_filter's primary set (≈49 %), the front step
+// EngineDecideBatchLB1024 reads for every packet.
+func setupUFPURandomSelect1024() (func(int), error) {
+	const n = 1024
+	table := smbm.New(n, 0)
+	r := rand.New(rand.NewSource(4))
+	in := bitvec.New(n)
+	for id := 0; id < n; id++ {
+		if err := table.Add(id, nil); err != nil {
+			return nil, err
+		}
+		if r.Intn(100) < 49 {
+			in.Set(id)
+		}
+	}
+	u, err := filter.NewUFPU(table, filter.UFPUConfig{Op: filter.URandom, Seed: 0xACE1})
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]int32, n)
+	return func(int) {
+		u.SelectInto(in, ids)
+		if ids[n-1] < 0 {
+			panic("perfcheck: empty random draw")
+		}
+	}, nil
 }
 
 // setupEngineBatch builds an engine over lb.Schema and the policy src with

@@ -69,34 +69,45 @@ func batchCorpus(trials int) []batchEntry {
 }
 
 // TestDecideBatchMatchesDecide is the differential for step-major batches:
-// over batchCorpus, a batched interpreter decides random batches of 1–300
-// packets with random output indices — some naming no output, which must
-// fail without a draw — while an identically seeded twin decides the same
-// packets one Decide at a time, skipping the failed ones. Between batches a
-// random Add, Delete, Update or Upsert hits the shared table. After every
-// batch the ids, every step buffer, the Exec views, every unit's cycle count
-// and the published chain statistics must agree.
+// over batchCorpus, at a one-word and a three-word table, a batched
+// interpreter decides random batches of 1–300 packets with random output
+// indices — some naming no output, which must fail without a draw — while an
+// identically seeded twin decides the same packets one Decide at a time,
+// skipping the failed ones. Between batches a random Add, Delete, Update or
+// Upsert hits the shared table. After every batch the ids, every step
+// buffer, the Exec views, every unit's cycle count and the published chain
+// statistics must agree.
 func TestDecideBatchMatchesDecide(t *testing.T) {
 	trials := 300
 	if testing.Short() {
 		trials = 60
 	}
 	corpus := batchCorpus(trials)
-	var tails, fronts, failed int
-	for ci, e := range corpus {
-		nf, nt, f := batchTrial(t, e.name, e.schema, e.pol, int64(ci), 6, nil)
-		fronts += nf
-		tails += nt
-		failed += f
+	var cov batchCoverage
+	for _, capN := range []int{16, 130} {
+		for ci, e := range corpus {
+			batchTrial(t, e.name, e.schema, e.pol, int64(ci), 6, nil, capN, &cov)
+		}
 	}
-	t.Logf("batch path: %d programs, %d front and %d tail steps, %d failed packets", len(corpus), fronts, tails, failed)
-	if fronts == 0 || tails == 0 || failed == 0 {
-		t.Errorf("coverage collapsed: %d front steps, %d tail steps, %d failed packets", fronts, tails, failed)
+	t.Logf("batch path: %d programs, %+v", len(corpus), cov)
+	if cov.fronts == 0 || cov.tails == 0 || cov.failed == 0 || cov.skipped == 0 || cov.drawn == 0 || cov.fellBack == 0 {
+		t.Errorf("coverage collapsed: %+v", cov)
 	}
 }
 
+// batchCoverage counts what batchTrial runs exercised: front and tail steps,
+// packets failed for naming no output and, over tail-free batches of more
+// than one packet, the front steps advanced by Skip and those drawn for
+// every packet, and the batches in which some packet's output had emptied
+// so a fallback's column answered.
+type batchCoverage struct {
+	fronts, tails, failed    int
+	skipped, drawn, fellBack int
+}
+
 // FuzzDecideBatch drives batchTrial's oracle with fuzzer-chosen programs,
-// seeds and batch sizes.
+// seeds and batch sizes; the seed's parity picks a one-word or a three-word
+// table.
 func FuzzDecideBatch(f *testing.F) {
 	corpus := batchCorpus(40)
 	f.Add(uint16(0), int64(1), []byte{1, 255, 17})
@@ -107,18 +118,16 @@ func FuzzDecideBatch(f *testing.F) {
 			return
 		}
 		e := corpus[int(pick)%len(corpus)]
-		batchTrial(t, e.name, e.schema, e.pol, seed, len(sizes), sizes)
+		batchTrial(t, e.name, e.schema, e.pol, seed, len(sizes), sizes, []int{16, 130}[seed&1], &batchCoverage{})
 	})
 }
 
 // batchTrial runs rounds batches of policy p through a batched interpreter
-// and a one-at-a-time twin and fails t at the first divergence. Batch sizes
-// come from sizes when given (1 + sizes[i] mod 300), else from the seed. It
-// returns the program's front and tail step counts and how many packets
-// failed for naming no output.
-func batchTrial(t *testing.T, name string, schema Schema, p *Policy, seed int64, rounds int, sizes []byte) (fronts, tails, failed int) {
+// and a one-at-a-time twin over a capN-slot table and fails t at the first
+// divergence. Batch sizes come from sizes when given (1 + sizes[i] mod 300),
+// else from the seed. It adds what the rounds covered to cov.
+func batchTrial(t *testing.T, name string, schema Schema, p *Policy, seed int64, rounds int, sizes []byte, capN int, cov *batchCoverage) {
 	t.Helper()
-	const capN = 16
 	r := rand.New(rand.NewSource(seed*7919 + 3))
 	randVals := func() []int64 {
 		vals := make([]int64, len(schema.Attrs))
@@ -158,12 +167,20 @@ func batchTrial(t *testing.T, name string, schema Schema, p *Policy, seed int64,
 		outs := bat.Batch(n)
 		want := make([]int, n)
 		bad := 0
+		// Every other round the valid packets all name one output, so the
+		// front steps the others end at go unread and advance by Skip.
+		focus := -1
+		if round%2 == 1 {
+			focus = r.Intn(nOut)
+		}
 		for j := range outs {
 			switch v := r.Intn(16); {
 			case v == 0:
 				outs[j] = -1 - r.Intn(3)
 			case v == 1:
 				outs[j] = nOut + r.Intn(3)
+			case focus >= 0:
+				outs[j] = focus
 			default:
 				outs[j] = r.Intn(nOut)
 			}
@@ -185,7 +202,10 @@ func batchTrial(t *testing.T, name string, schema Schema, p *Policy, seed int64,
 			}
 		}
 		bat.FlushStats(uint64(n - bad))
-		failed += bad
+		cov.failed += bad
+		if bat.fin != nil && n-bad > 1 {
+			cov.countFinals(bat, asked)
+		}
 		compareInterps(t, fmt.Sprintf("%s round %d (batch of %d)", name, round, n), bat, one, batStats, oneStats)
 		bv, ov := bat.Exec(), one.Exec()
 		for i := range bv {
@@ -219,7 +239,34 @@ func batchTrial(t *testing.T, name string, schema Schema, p *Policy, seed int64,
 			must(table.Upsert(r.Intn(capN), randVals()))
 		}
 	}
-	return bat.nFront, len(bat.dynIdx) - bat.nFront, failed
+	cov.fronts += bat.nFront
+	cov.tails += len(bat.dynIdx) - bat.nFront
+}
+
+// countFinals counts, for a tail-free batch just decided on outputs asked,
+// the front steps that no asked output's chain ends at (advanced by Skip)
+// and those it does (drawn for every packet), and the batch once if an asked
+// output's chain ended at another output's column.
+func (c *batchCoverage) countFinals(it *Interp, asked []int) {
+	fellBack := false
+	for _, i := range it.dynIdx[:it.nFront] {
+		read := false
+		for _, out := range asked {
+			if out < 0 || out >= len(it.fin) || it.fin[out].step < 0 {
+				continue
+			}
+			read = read || it.fin[out].step == i
+			fellBack = fellBack || it.fin[out].step != it.outIdx[out]
+		}
+		if read {
+			c.drawn++
+		} else {
+			c.skipped++
+		}
+	}
+	if fellBack {
+		c.fellBack++
+	}
 }
 
 // compareInterps fails t unless two interpreters of one program hold the

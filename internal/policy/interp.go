@@ -59,6 +59,13 @@ type Interp struct {
 	staticValid   bool
 	batch         []int // Batch's column; the front steps' cols grow with it
 
+	// fin, tail-free programs only: per output, where its fallback chain
+	// ends at staticVersion (refreshFinals). Without a tail every output's
+	// emptiness is the table version's alone, so resolution is one read per
+	// packet, and a front step that ends no requested output's chain need
+	// not keep its column.
+	fin []finalOut
+
 	// Chain telemetry needs every step's popcount per execution. At a fixed
 	// table version it varies only downstream of a stateful unit's output
 	// (dynPop): a selection over a static input always emits one entry while
@@ -87,6 +94,12 @@ type interpStep struct {
 	bin   *filter.BFPU     // stepBinary
 	a, b  int              // operand step indices (a only, for stepUnary)
 	fsrcs []*bitvec.Vector // stepFused: operand buffers, bound at build
+}
+
+// finalOut is the answer of one output's fallback chain at a table
+// version: front step step's column when step >= 0, else the constant id.
+type finalOut struct {
+	step, id int
 }
 
 type stepKind uint8
@@ -274,6 +287,9 @@ func NewInterp(table *smbm.SMBM, schema Schema, p *Policy) (*Interp, error) {
 	}
 	it.nFront = len(it.dynIdx)
 	it.dynIdx = append(it.dynIdx, tail...)
+	if len(tail) == 0 {
+		it.fin = make([]finalOut, len(it.outIdx))
+	}
 	return it, nil
 }
 
@@ -477,15 +493,23 @@ func (it *Interp) Batch(n int) []int {
 // the chain ends empty. A packet naming no output gets -1, draws nothing and
 // counts in failed. Static steps run once per table version, each front step
 // once for the batch, the tail per packet (DESIGN.md): each unit still sees
-// the packets in order, so every result equals one Decide per packet.
+// the packets in order, so every result equals one Decide per packet. In a
+// tail-free program a front step whose picks no requested output reads
+// advances by Skip and draws for the last packet only, whose pick its buffer
+// keeps.
 //
 //thanos:hotpath
 func (it *Interp) DecideBatch(col []int) (failed int) {
 	it.leases.Expire()
+	// asked has bit out mod 64 set for every requested output: with more
+	// than 64 outputs it over-asks, which costs draws, not correctness.
+	var asked uint64
 	for j, out := range col {
 		if uint(out) >= uint(len(it.outIdx)) {
 			col[j], failed = -1, failed+1
+			continue
 		}
+		asked |= 1 << (uint(out) & 63)
 	}
 	m := len(col) - failed
 	if m == 0 {
@@ -497,9 +521,29 @@ func (it *Interp) DecideBatch(col []int) (failed int) {
 		it.run(it.staticIdx)
 	}
 	front, tail := it.dynIdx[:it.nFront], it.dynIdx[it.nFront:]
+	// read has bit i mod 64 set for every front step i whose picks some
+	// packet reads: all of them under a tail, else those ending an asked
+	// output's chain. Aliasing over-reads, like asked.
+	read := ^uint64(0)
+	if len(tail) == 0 {
+		if stale {
+			it.refreshFinals()
+		}
+		read = 0
+		for out, f := range it.fin {
+			if asked>>(out&63)&1 != 0 && f.step >= 0 {
+				read |= 1 << (f.step & 63)
+			}
+		}
+	}
 	for _, i := range front {
 		st := &it.prog[i]
-		st.sel.SelectInto(it.vals[st.a], st.col[:m])
+		if in := it.vals[st.a]; read>>(i&63)&1 != 0 || m == 1 {
+			st.sel.SelectInto(in, st.col[:m])
+		} else { // nobody reads the first m-1 picks: advance past them
+			st.sel.Skip(in, m-1)
+			st.sel.SelectInto(in, st.col[m-1:m])
+		}
 		if len(tail) == 0 { // without a tail, only the last packet's picks stay
 			it.setPick(i, int(st.col[m-1]))
 		}
@@ -519,8 +563,12 @@ func (it *Interp) DecideBatch(col []int) (failed int) {
 					it.pendCand[i] += uint64(it.vals[i].Count())
 				}
 			}
+			col[j] = it.resolve(k, out)
+		} else if f := it.fin[out]; f.step >= 0 {
+			col[j] = int(it.prog[f.step].col[k])
+		} else {
+			col[j] = f.id
 		}
-		col[j] = it.resolve(k, out)
 		k++
 	}
 	if stale {
@@ -534,6 +582,39 @@ func (it *Interp) DecideBatch(col []int) (failed int) {
 		it.staticVersion, it.staticValid = ver, true
 	}
 	return failed
+}
+
+// refreshFinals records fin at the current table version: resolve's hop
+// rule, cycles included, walked over each output's emptiness instead of a
+// packet's ids. A front step is empty exactly when its static input holds
+// no live member; a nonempty one is answered by its column.
+//
+//thanos:hotpath
+func (it *Interp) refreshFinals() {
+	fb := it.policy.FallbackOf
+	for o := range it.fin {
+		out, fin := o, finalOut{step: -1, id: -1}
+		for hops := 0; hops < len(it.outIdx); hops++ {
+			si := it.outIdx[out]
+			st := &it.prog[si]
+			front, id := st.col != nil, st.pick
+			if front {
+				id = bitvec.AndFirstSet(it.vals[st.a], it.table.MembersView())
+			} else if st.kind != stepSelect {
+				id = it.vals[si].FirstSet()
+			}
+			if id >= 0 && front {
+				fin.step = si
+			} else if id >= 0 {
+				fin.id = id
+			}
+			if id >= 0 || fb == nil || fb[out] == -1 {
+				break
+			}
+			out = fb[out]
+		}
+		it.fin[o] = fin
+	}
 }
 
 // setPick moves selection step i's one-hot buffer to id, one bit at a time.
