@@ -20,13 +20,14 @@ bench:
 # vet is also the lock-copy guard (copylocks) for the engine's shard mutex.
 # thanoslint runs after vet and mechanically enforces what tests miss:
 # hot-path allocation freedom and the telemetry layer's lock-free hot-safe
-# API discipline — plus the call-graph analyzers (goroutineleak, lockorder,
-# wireproto) over the serving stack's concurrency and protocol contracts —
-# lockorder is what proves wmu → shard.mu is the engine's only order. The
-# steering table's publish order, the paper's latency constants and
-# simulation determinism are pinned by tests instead (the race-enabled
-# engine suite, TestLatencyContract, the simulator goldens and the
-# serial/parallel identity tests). The race pass checks the engine's lock
+# API discipline — plus the call-graph analyzers (lockorder, wireproto) over
+# the serving stack's concurrency and protocol contracts — lockorder is what
+# proves wmu → shard.mu is the engine's only order. The steering table's
+# publish order, the paper's latency constants, simulation determinism and
+# the Close joins are pinned by tests instead (the race-enabled engine
+# suite, TestLatencyContract, the simulator goldens, the serial/parallel
+# identity tests and the engine, server and client Close tests). The race
+# pass checks the engine's lock
 # discipline itself, and covers the
 # serving frontend too, with the short fault-injected soak (`go test -tags
 # soak ./internal/server/` selects the long one), and the failure-injection

@@ -9,7 +9,7 @@
 // -debug additionally treats the thanosdebug build tag as satisfied, so the
 // assertion-enabled variants of the hardware models are analyzed too.
 // -only restricts the run to a comma-separated subset of analyzer names
-// (e.g. -only lockorder,goroutineleak while iterating on one analyzer).
+// (e.g. -only lockorder,wireproto while iterating on one analyzer).
 //
 // Exit status: 0 when clean, 1 on any finding, 2 on a usage or load error.
 package main

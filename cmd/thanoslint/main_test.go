@@ -19,7 +19,7 @@ func TestRun(t *testing.T) {
 		stdout string // regexp
 		stderr string // regexp
 	}{
-		{"clean subset", []string{"-only", "telemetrysafety,goroutineleak,lockorder,wireproto", fixtures},
+		{"clean subset", []string{"-only", "telemetrysafety,lockorder,wireproto", fixtures},
 			0, `^thanoslint: \d+ package\(s\) clean\n$`, `^$`},
 		{"full suite", []string{fixtures},
 			1, `^$`, `(?m)hotpathalloc: make allocates .*\n(.*\n)*thanoslint: [1-9]\d* finding\(s\)\n$`},

@@ -8,12 +8,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	thanos "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's report to w.
+func run(w io.Writer) error {
 	// One resource per tracked flow aggregate: attributes are the packet
 	// rate (pps), the destination id the source talks to, and bytes sent.
 	module, err := thanos.NewModule(256,
@@ -27,7 +36,7 @@ out hot     = filter(table, rate > 10000)
 out attack  = intersect(filter(table, dst == 42), filter(table, rate > 1000))
 `))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Populate from "RMT counters": flows 0..9 are background traffic; 3
@@ -47,19 +56,20 @@ out attack  = intersect(filter(table, dst == 42), filter(table, rate > 1000))
 	}
 	for id, st := range flows {
 		if err := module.Upsert(id, []int64{st.rate, st.dst, st.bytes}); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
 	outs := module.Exec()
-	fmt.Printf("diagnosis — sources with rate > 10000 pps: %v\n", outs[0].IDs())
-	fmt.Printf("firewall  — sources attacking destination 42 (rate > 1000): %v\n", outs[1].IDs())
+	fmt.Fprintf(w, "diagnosis — sources with rate > 10000 pps: %v\n", outs[0].IDs())
+	fmt.Fprintf(w, "firewall  — sources attacking destination 42 (rate > 1000): %v\n", outs[1].IDs())
 
 	// The attack subsides for flow 9; the next packet's filtering reflects
 	// the updated counter immediately.
 	if err := module.Upsert(9, []int64{50, 42, 3 << 20}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	outs = module.Exec()
-	fmt.Printf("after flow 9 slows down, blacklist: %v\n", outs[1].IDs())
+	fmt.Fprintf(w, "after flow 9 slows down, blacklist: %v\n", outs[1].IDs())
+	return nil
 }

@@ -4,13 +4,23 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	thanos "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's report to w.
+func run(w io.Writer) error {
 	module, err := thanos.NewFilterModule(thanos.ModuleConfig{
 		Capacity: 64,
 		Schema:   thanos.Schema{Attrs: []string{"cpu", "mem", "bw"}},
@@ -25,7 +35,7 @@ fallback primary -> backup
 `),
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Install servers: id, [cpu %, free memory MB, free bandwidth Mb/s].
@@ -37,11 +47,11 @@ fallback primary -> backup
 	}
 	for id, metrics := range servers {
 		if err := module.Table().Add(id, metrics); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
-	fmt.Printf("filter module: %d-entry table, %d-cycle pipeline (%.1f ns at %.2f GHz), %.3f mm²\n",
+	fmt.Fprintf(w, "filter module: %d-entry table, %d-cycle pipeline (%.1f ns at %.2f GHz), %.3f mm²\n",
 		module.Table().Capacity(), module.LatencyCycles(),
 		module.LatencyAtGHz(module.ClockGHz()), module.ClockGHz(), module.AreaMM2())
 
@@ -49,7 +59,7 @@ fallback primary -> backup
 	for pkt := 0; pkt < 1000; pkt++ {
 		server, ok := module.Decide(0)
 		if !ok {
-			log.Fatal("no server available")
+			return errors.New("no server available")
 		}
 		counts[server]++
 	}
@@ -58,15 +68,16 @@ fallback primary -> backup
 	// is uniform over dense tables but gap-weighted over sparse filtered
 	// subsets — a property of the published datapath this reproduction
 	// preserves (see DESIGN.md).
-	fmt.Println("placements over 1000 new connections (only healthy servers 0 and 3 are eligible):")
+	fmt.Fprintln(w, "placements over 1000 new connections (only healthy servers 0 and 3 are eligible):")
 	for id := 0; id < 4; id++ {
-		fmt.Printf("  server %d: %d\n", id, counts[id])
+		fmt.Fprintf(w, "  server %d: %d\n", id, counts[id])
 	}
 
 	// A probe reports server 0 degraded: update its row, decisions follow.
 	if err := module.Table().Update(0, []int64{95, 6000, 8000}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	server, _ := module.Decide(0)
-	fmt.Printf("after server 0 degrades, next placement: server %d\n", server)
+	fmt.Fprintf(w, "after server 0 degrades, next placement: server %d\n", server)
+	return nil
 }

@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/experiments"
 	"repro/internal/sim"
@@ -15,11 +17,18 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's report to w.
+func run(w io.Writer) error {
 	cfg := experiments.DefaultNetConfig(7)
 	cfg.Flows = 200
 	cfg.SizeScale = 0.2
 
-	fmt.Printf("two-tier Clos: %d leaves x %d hosts, %d spines, web-search flows at 80%% load\n",
+	fmt.Fprintf(w, "two-tier Clos: %d leaves x %d hosts, %d spines, web-search flows at 80%% load\n",
 		cfg.Leaves, cfg.HostsPerLeaf, cfg.Spines)
 
 	for _, pol := range []experiments.RoutingPolicy{
@@ -27,10 +36,10 @@ func main() {
 	} {
 		net, err := experiments.BuildRouting(cfg, pol)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := offer(cfg, net); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		deadline := sim.Time(0)
 		for net.ActiveFlows() > 0 {
@@ -41,9 +50,10 @@ func main() {
 		for _, rec := range net.Records() {
 			fct.Add(float64(rec.FCT()) / float64(sim.Microsecond))
 		}
-		fmt.Printf("  %-18s mean FCT %6.0f µs   p99 %7.0f µs\n",
+		fmt.Fprintf(w, "  %-18s mean FCT %6.0f µs   p99 %7.0f µs\n",
 			pol, fct.Mean(), fct.Percentile(99))
 	}
+	return nil
 }
 
 func offer(cfg experiments.NetConfig, net interface {

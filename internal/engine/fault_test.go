@@ -413,3 +413,53 @@ func TestEngineCloseJoinsResync(t *testing.T) {
 		t.Fatal("Close returned while the resync goroutine was still running")
 	}
 }
+
+// TestEngineCloseDuringWrite: a write that passed its closed check before
+// Close began still reaches every replica, and Close returns without waiting
+// for it. The write holds wmu while it takes the shard locks one by one, so
+// Close must take each shard lock without wmu.
+func TestEngineCloseDuringWrite(t *testing.T) {
+	e, err := New(Config{Shards: 2, Capacity: 32, Schema: testSchema, Policy: policy.MustParse(minPolicySrc)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillRandom(t, e, 8, 2)
+	entered := make(chan struct{})
+	wrote := make(chan error, 1)
+	go func() {
+		wrote <- e.apply(func(tb *smbm.SMBM) error {
+			if tb == e.auth {
+				close(entered)
+				<-e.closedCh
+				time.Sleep(20 * time.Millisecond) // Close is at the shard locks by now
+			}
+			return tb.Update(0, []int64{1, 2, 3})
+		})
+	}()
+	<-entered
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	deadline := time.After(10 * time.Second)
+	select {
+	case err := <-wrote:
+		if err != nil {
+			t.Fatalf("write in flight at Close: %v", err)
+		}
+	case <-deadline:
+		t.Fatal("a write in flight at Close never finished")
+	}
+	select {
+	case <-closed:
+	case <-deadline:
+		t.Fatal("Close hung behind a write in flight")
+	}
+	if err := e.CheckSync(); err != nil {
+		t.Fatalf("after the write: %v", err)
+	}
+	if got, _ := e.Metrics(0); got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("Metrics(0) = %v, want [1 2 3]", got)
+	}
+}

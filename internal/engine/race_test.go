@@ -280,6 +280,8 @@ func TestEngineConcurrentWriters(t *testing.T) {
 // matching the ExecInto contract under concurrency. Once a batch of the
 // largest size has grown the shards' scratch, every smaller batch must be
 // free too, for a tail-free program and for one with per-packet tail steps.
+// After Close the engine fails every packet in place, and failing a batch
+// allocates no more than deciding it.
 func TestEngineDecideBatchZeroAlloc(t *testing.T) {
 	for _, src := range []string{testPolicySrc, tailPolicySrc} {
 		e := newTestEngine(t, 4, src)
@@ -291,13 +293,29 @@ func TestEngineDecideBatchZeroAlloc(t *testing.T) {
 		}
 		e.DecideBatch(pkts) // warm the version-cached sets, grow the scratch
 
-		for n := len(pkts); n >= 1; n-- {
-			allocs := testing.AllocsPerRun(5, func() {
-				e.DecideBatch(pkts[:n])
-			})
-			if allocs != 0 {
-				t.Fatalf("steady-state DecideBatch of %d allocates %.1f times per batch, want 0\n%s", n, allocs, src)
+		for _, closed := range []bool{false, true} {
+			if closed {
+				e.Close()
 			}
+			for n := len(pkts); n >= 1; n-- {
+				allocs := testing.AllocsPerRun(5, func() {
+					e.DecideBatch(pkts[:n])
+				})
+				if allocs != 0 {
+					t.Fatalf("steady-state DecideBatch of %d (closed: %v) allocates %.1f times per batch, want 0\n%s", n, closed, allocs, src)
+				}
+				if !closed {
+					continue
+				}
+				for i := range pkts[:n] {
+					if pkts[i].OK || pkts[i].ID != -1 {
+						t.Fatalf("closed engine, batch of %d: packet %d got (%d,%v), want (-1,false)", n, i, pkts[i].ID, pkts[i].OK)
+					}
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, func() { e.Decide() }); allocs != 0 {
+			t.Fatalf("Decide on a closed engine allocates %.1f times, want 0", allocs)
 		}
 	}
 }

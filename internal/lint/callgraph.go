@@ -2,13 +2,13 @@ package lint
 
 // This file is the suite's one call-graph layer: a whole-unit function index
 // (built once per Unit, recording each function's //thanos:hotpath and
-// //thanos:coldpath marks), one call-site resolver, and the traversals the
-// analyzers share. Direct calls resolve statically; interface dispatch
-// resolves with class-hierarchy analysis (CHA) over every named type loaded
-// into the unit, so a call through an interface such as server.Backend fans
-// out to each in-module implementation. Built only on go/ast + go/types, it
-// preserves the loader's offline contract: no network, no external analysis
-// framework.
+// //thanos:coldpath marks), one call-site resolver, and the hot-path walk
+// the hot-path analyzers share. Direct calls resolve statically; interface
+// dispatch resolves with class-hierarchy analysis (CHA) over every named
+// type loaded into the unit, so a call through an interface such as
+// server.Backend fans out to each in-module implementation. Built only on
+// go/ast + go/types, it preserves the loader's offline contract: no network,
+// no external analysis framework.
 
 import (
 	"go/ast"
@@ -152,58 +152,6 @@ func (cg *callGraph) chaCandidates(m *types.Func) []*types.Func {
 		}
 	}
 	cg.chaCache[m] = out
-	return out
-}
-
-// reachable computes the transitive closure of functions callable from the
-// roots on the calling goroutine. Function literals execute there and are
-// walked in place; go statements are fences — nothing spawned onto another
-// goroutine counts as reachable.
-func (cg *callGraph) reachable(roots []*types.Func) map[*types.Func]bool {
-	seen := map[*types.Func]bool{}
-	var queue []*types.Func
-	add := func(fn *types.Func) {
-		if fn == nil || seen[fn] {
-			return
-		}
-		if _, ok := cg.funcs[fn]; ok {
-			seen[fn] = true
-			queue = append(queue, fn)
-		}
-	}
-	for _, r := range roots {
-		add(r)
-	}
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		gf := cg.funcs[fn]
-		ast.Inspect(gf.decl.Body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.GoStmt:
-				return false
-			case *ast.CallExpr:
-				st, cands, _ := cg.resolve(gf.pkg, n)
-				add(st)
-				for _, c := range cands {
-					add(c)
-				}
-			}
-			return true
-		})
-	}
-	return seen
-}
-
-// rootsNamed returns the declared functions in pkgs (import-path prefixes)
-// whose bare name is in names.
-func (cg *callGraph) rootsNamed(pkgs, names []string) []*types.Func {
-	var out []*types.Func
-	for _, gf := range cg.funcsIn(pkgs) {
-		if nameInList(gf.decl.Name.Name, names) {
-			out = append(out, gf.fn)
-		}
-	}
 	return out
 }
 

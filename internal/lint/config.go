@@ -4,15 +4,6 @@ package lint
 // real invariants; cmd/thanoslint runs with it.
 func DefaultConfig() Config {
 	return Config{
-		Goroutine: GoroutineConfig{
-			Pkgs: []string{"repro/internal/engine", "repro/internal/server"},
-			// The teardown entry points whose drain paths prove shutdown
-			// edges: Engine.Close (the engine's only goroutines are its
-			// resync loops), Server.Close and conn.shutdown (closing the
-			// socket is what ends a connection's one goroutine), and the
-			// client's Close/teardown pair.
-			Roots: []string{"Close", "shutdown", "teardown"},
-		},
 		Locks: LockConfig{
 			Pkgs: []string{
 				"repro/internal/engine",

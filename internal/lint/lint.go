@@ -5,13 +5,11 @@
 // (§5.1), and the switch decides one packet per clock — and the software
 // rendering of those guarantees ("zero allocations on the decision path",
 // plus the serving stack's concurrency and protocol contracts) is enforced
-// at build time by five analyzers:
+// at build time by four analyzers:
 //
 //   - hotpathalloc:    no allocating constructs on //thanos:hotpath call graphs
 //   - telemetrysafety: telemetry reachable from //thanos:hotpath roots is
 //     lock-free and restricted to the hot-safe instrument API
-//   - goroutineleak:   every spawned goroutine has a shutdown edge (closed
-//     channel, WaitGroup join, context cancel) reachable from Close
 //   - lockorder:       no lock-ordering cycles; no blocking channel ops or
 //     mixed-use I/O while a lock is held
 //   - wireproto:       opcode/codec/dispatch exhaustiveness and cap symmetry
@@ -21,16 +19,16 @@
 // by no test (DESIGN.md names one per analyzer). Invariants that tests pin
 // on their own have no analyzer: the paper's latency constants
 // (TestLatencyContract in the root package), the engine's steering-table
-// publish (the race-enabled engine suite) and simulation determinism (the
+// publish (the race-enabled engine suite), simulation determinism (the
 // simulator goldens, the serial/parallel identity tests and the
-// order-pinning tests DESIGN.md lists).
+// order-pinning tests DESIGN.md lists) and the joins that let Close wait out
+// every goroutine the engine, server and client start (their Close tests).
 //
 // All of them stand on one call-graph layer (callgraph.go): a function
 // index built once per Unit with each function's hot/cold marks, one
 // call-site resolver (static calls, plus CHA for interface dispatch), and
-// the shared traversals — the hot-path walk under hotpathalloc and
-// telemetrysafety, reachability for goroutineleak. The analyzers keep only
-// their checks.
+// the hot-path walk that hotpathalloc and telemetrysafety share. The
+// analyzers keep only their checks.
 //
 // The suite is built directly on go/ast and go/types (no external analysis
 // framework) so it runs offline with nothing but the Go toolchain; the
@@ -80,7 +78,7 @@ type Analyzer struct {
 }
 
 // All is the full thanoslint suite in reporting order.
-var All = []*Analyzer{HotPathAlloc, TelemetrySafety, GoroutineLeak, LockOrder, WireProto}
+var All = []*Analyzer{HotPathAlloc, TelemetrySafety, LockOrder, WireProto}
 
 // Unit is the analysis scope handed to every analyzer: the loaded packages
 // plus configuration. Analyzers report through Reportf.
@@ -147,8 +145,6 @@ func Run(u *Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 type Config struct {
 	// Telemetry configures the telemetrysafety analyzer.
 	Telemetry TelemetryConfig
-	// Goroutine configures the goroutineleak analyzer.
-	Goroutine GoroutineConfig
 	// Locks configures the lockorder analyzer.
 	Locks LockConfig
 	// Wire configures the wireproto analyzer.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -400,4 +401,138 @@ func TestRedialFollowsBackoffSchedule(t *testing.T) {
 	if err := <-pong; err != nil {
 		t.Fatalf("ping after the server came back: %v", err)
 	}
+}
+
+// TestFullBatchesThroughServer: batches at the protocol's cap travel through
+// the client and the real server intact, traced and untraced. Both ends
+// bound a batch by server.MaxBatch, so the largest batch either end accepts
+// is one the other end accepts too.
+func TestFullBatchesThroughServer(t *testing.T) {
+	gate := make(chan struct{})
+	close(gate)
+	srv, err := server.New(server.Config{Backend: &echoBackend{gate: gate}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	l, sock := listen(t)
+	go srv.Serve(l)
+	// Every second Decide is traced, so each size goes out once with the
+	// TraceFlag count bit and once without.
+	c, _, err := client.Dial(client.Config{Network: "unix", Addr: sock, TraceEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	for _, n := range []int{server.MaxBatch - 1, server.MaxBatch} {
+		keys, outs := make([]uint64, n), make([]uint16, n)
+		for i := range keys {
+			keys[i] = uint64(n + i)
+		}
+		for round := 0; round < 2; round++ {
+			var ti client.TraceInfo
+			ids, err := c.DecideTraced(keys, outs, nil, &ti)
+			if err != nil {
+				t.Fatalf("decide %d (traced %v): %v", n, ti.ID != 0, err)
+			}
+			if len(ids) != n {
+				t.Fatalf("decide %d (traced %v): %d ids back", n, ti.ID != 0, len(ids))
+			}
+			for i, id := range ids {
+				if id != int32(keys[i]) {
+					t.Fatalf("decide %d (traced %v): ids[%d] = %d, want %d", n, ti.ID != 0, i, id, keys[i])
+				}
+			}
+		}
+
+		ops := make([]server.TableOp, n)
+		for i := range ops {
+			ops[i] = server.TableOp{Kind: server.TableUpsert, ID: uint32(i), Vals: []int64{int64(i)}}
+		}
+		statuses, err := c.Apply(ops, 1)
+		if err != nil {
+			t.Fatalf("apply %d ops: %v", n, err)
+		}
+		if len(statuses) != n {
+			t.Fatalf("apply %d ops: %d statuses back", n, len(statuses))
+		}
+		for i, st := range statuses {
+			if st != server.StatusOK {
+				t.Fatalf("apply %d ops: status[%d] = %#x", n, i, st)
+			}
+		}
+	}
+}
+
+// TestStalledWriteDoesNotBlockReplies: while one caller's frame is stuck in
+// a socket write the peer does not drain, a reply to another caller is
+// still delivered. Writes hold only the dedicated write lock; the reader
+// needs only the state lock.
+func TestStalledWriteDoesNotBlockReplies(t *testing.T) {
+	l, sock := listen(t)
+	c, p := dialScripted(t, l, client.Config{Network: "unix", Addr: sock})
+
+	answered := make(chan error, 1)
+	go func() {
+		ids, err := c.Decide([]uint64{7}, []uint16{0}, nil)
+		if err == nil && (len(ids) != 1 || ids[0] != 7) {
+			err = fmt.Errorf("ids %v, want [7]", ids)
+		}
+		answered <- err
+	}()
+	p.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	first, err := p.nextDecide()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The peer stops reading. Full batches fill the socket buffer until a
+	// write blocks.
+	const flood = 16
+	var wg sync.WaitGroup
+	keys, outs := make([]uint64, server.MaxBatch), make([]uint16, server.MaxBatch)
+	for i := 0; i < flood; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.Decide(keys, outs, nil) // fails with ErrConnReset once the peer hangs up
+		}()
+	}
+	// On the way out the peer hangs up and, first, the listener goes, so
+	// a caller that redials finds no server instead of a fresh socket to
+	// stall on.
+	defer wg.Wait()
+	defer p.nc.Close()
+	defer l.Close()
+	waitStalledWrite(t)
+
+	if _, err := p.nc.Write(appendEcho(nil, first)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-answered:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("reply not delivered while another caller's write was stalled")
+	}
+}
+
+// waitStalledWrite waits until some client call is blocked writing its
+// frame to the socket.
+func waitStalledWrite(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "client.(*Client).roundTripTrace(") && strings.Contains(g, "waitWrite") {
+				return
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatal("no client write stalled on the undrained socket")
 }

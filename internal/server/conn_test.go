@@ -668,3 +668,93 @@ func TestAdmissionLimit(t *testing.T) {
 	}
 	close(be.gate)
 }
+
+// pipeListener serves in-memory pipes. A write to a pipe blocks until the
+// peer reads it, so a peer that does not read stalls the server's write
+// deterministically, with no socket buffer to absorb it.
+type pipeListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+func newPipeListener() *pipeListener {
+	return &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case nc := <-l.conns:
+		return nc, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
+
+// dial hands the server one pipe and returns the peer's end. writing is
+// closed when the server first writes to its end.
+func (l *pipeListener) dial(writing chan struct{}) net.Conn {
+	peer, end := net.Pipe()
+	l.conns <- &writeSignalConn{Conn: end, writing: writing}
+	return peer
+}
+
+type writeSignalConn struct {
+	net.Conn
+	once    sync.Once
+	writing chan struct{}
+}
+
+func (c *writeSignalConn) Write(b []byte) (int, error) {
+	c.once.Do(func() { close(c.writing) })
+	return c.Conn.Write(b)
+}
+
+// TestUnreadRejectDoesNotStallServer: a peer over the connection limit that
+// never reads its courtesy Err frame holds up only that write. The server's
+// bookkeeping stays available meanwhile, and the frame is there when the
+// peer does read.
+func TestUnreadRejectDoesNotStallServer(t *testing.T) {
+	srv, err := New(Config{Backend: newBlockBackend(), MaxConns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	l := newPipeListener()
+	go srv.Serve(l)
+	first := l.dial(make(chan struct{}))
+	defer first.Close()
+	ping(t, first, NewFrameReader(first, MaxPayload))
+
+	writing := make(chan struct{})
+	second := l.dial(writing)
+	defer second.Close()
+	select {
+	case <-writing:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the connection over the limit got no reject")
+	}
+	status := make(chan Status, 1)
+	go func() { status <- srv.Introspect() }()
+	select {
+	case st := <-status:
+		if st.Conns != 1 {
+			t.Fatalf("Introspect: %d conns, want 1", st.Conns)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Introspect blocked behind an unread reject frame")
+	}
+
+	second.SetReadDeadline(time.Now().Add(5 * time.Second))
+	op, _, body, err := NewFrameReader(second, MaxPayload).Next()
+	if err != nil || op != OpErr || string(body) != "server full" {
+		t.Fatalf("rejected peer read op=%#x body=%q err=%v, want Err \"server full\"", op, body, err)
+	}
+}
