@@ -32,8 +32,7 @@ bench:
 # serving frontend too, with the short fault-injected soak (`go test -tags
 # soak ./internal/server/` selects the long one), and the failure-injection
 # suite: the fault planner, engine shard quarantine/resync, netsim
-# link/switch faults with RTO recovery, the Figure 17/18 failure sweeps and
-# the lb control-plane retry path.
+# link/switch faults with RTO recovery and the Figure 17/18 failure sweeps.
 check: build
 	$(GO) vet ./...
 	$(GO) run ./cmd/thanoslint .

@@ -8,51 +8,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// BenchmarkEngineDecideBatch measures batched decision throughput as the
-// shard count grows. Each iteration decides a 4096-packet batch under the
-// resource-aware load-balancing policy over a 64-entry table; the reported
-// decisions/s metric is the headline scaling number (near-linear up to
-// GOMAXPROCS on multicore hosts, where 8 shards sustain ≥3x the 1-shard
-// rate). Allocations are reported so the zero-alloc steady state is visible
-// in the -benchmem column.
-func BenchmarkEngineDecideBatch(b *testing.B) {
-	const batch = 4096
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			e, err := New(Config{
-				Shards:   shards,
-				Capacity: 64,
-				Schema:   testSchema,
-				Policy:   policy.MustParse(testPolicySrc),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer e.Close()
-			fillRandom(b, e, 64, 1)
-
-			pkts := make([]Packet, batch)
-			for i := range pkts {
-				pkts[i] = Packet{Key: uint64(i) * 0x9E3779B97F4A7C15}
-			}
-			e.DecideBatch(pkts) // warm up
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.DecideBatch(pkts)
-			}
-			b.StopTimer()
-			perOp := b.Elapsed().Seconds() / float64(b.N)
-			if perOp > 0 {
-				b.ReportMetric(float64(batch)/perOp, "decisions/s")
-			}
-		})
-	}
-}
-
-// BenchmarkEngineDecideBatchTelemetry is BenchmarkEngineDecideBatch with
-// full telemetry attached (counters, chain stats, histograms) at a fixed 2
-// shards — the instrumented column of the ≤5% overhead contract that
+// BenchmarkEngineDecideBatchTelemetry decides 4096-packet batches over a
+// 64-entry table, like the EngineDecideBatch kernel of the checkpoint set
+// (BenchmarkKernels in the root package), with full telemetry attached
+// (counters, chain stats, histograms) at a fixed 2 shards — the instrumented
+// column of the ≤5% overhead contract that
 // TestTelemetryOverheadSmoke gates in CI.
 func BenchmarkEngineDecideBatchTelemetry(b *testing.B) {
 	const batch = 4096

@@ -44,14 +44,16 @@
 // # Graceful degradation
 //
 // A replica that diverges from the authoritative table (memory corruption, a
-// failed broadcast write) is not a crash: the shard moves through a health
-// state machine (healthy → quarantined → resyncing → healthy). Quarantined
-// shards are left out of the steering table — their traffic fails over to
-// healthy shards — while a background loop rebuilds its snapshot from the
-// authoritative table, with capped exponential backoff between failed
-// attempts. Likewise, using the engine after Close degrades (decisions come
-// back OK=false, writes return ErrClosed) instead of panicking. See
-// health.go.
+// failed broadcast write) is not a crash: the shard moves from healthy to
+// quarantined and back. A quarantined shard is left out of the steering
+// table — its traffic fails over to healthy shards — while a background
+// goroutine rebuilds its snapshot from the authoritative table in one
+// attempt. The rebuild replays rows the authority accepted under a validated
+// policy, the software form of the SMBM's deterministic write (§5.1), so
+// there is nothing to retry. With no healthy shard left, DecideBatch fails
+// every packet in place. Likewise, using the engine after Close degrades
+// (decisions come back OK=false, writes return ErrClosed) instead of
+// panicking. See health.go.
 package engine
 
 import (
@@ -60,7 +62,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/policy"
 	"repro/internal/smbm"
@@ -105,12 +106,6 @@ type Config struct {
 	// All handles are created here, at construction; telemetry adds no
 	// allocation and no lock to the decision path.
 	Telemetry *telemetry.Registry
-	// ResyncBase is the initial backoff between failed resync attempts of a
-	// quarantined shard; 0 selects DefaultResyncBase.
-	ResyncBase time.Duration
-	// ResyncMax caps the exponential resync backoff; 0 selects
-	// DefaultResyncMax.
-	ResyncMax time.Duration
 	// Flight, when non-nil, receives the engine's state transitions
 	// (quarantine, resync completion, policy swap) for the always-on flight
 	// recorder. Records are lock-free and allocation-free; nil disables
@@ -122,12 +117,6 @@ type Config struct {
 	// block or do I/O (e.g. dump the flight recorder).
 	OnQuarantine func(shard int, cause error)
 }
-
-// DefaultResyncBase is the default initial resync retry backoff.
-const DefaultResyncBase = time.Millisecond
-
-// DefaultResyncMax is the default cap on the exponential resync backoff.
-const DefaultResyncMax = 100 * time.Millisecond
 
 // snapshot is one complete replica: an SMBM plus an interpreter bound to it.
 // A snapshot is only ever executed, and its table only ever mutated, under
@@ -164,7 +153,7 @@ type shard struct {
 	idx []int32
 
 	// health is the shard's position in the degradation state machine
-	// (Healthy/Quarantined/Resyncing). Transitions happen under Engine.wmu;
+	// (Healthy/Quarantined). Transitions happen under Engine.wmu;
 	// the atomic lets scrapers read it lock-free.
 	health atomic.Int32
 	// lastErr records the divergence that quarantined the shard; guarded by
@@ -227,20 +216,17 @@ type Engine struct {
 	wmu sync.Mutex
 
 	bg       sync.WaitGroup // background resync goroutines, for Close
-	closedCh chan struct{}  // closed by Close; bails writers and resync loops
+	closedCh chan struct{}  // closed by Close; bails writers and resyncs
 
 	// flight receives state-transition events (nil-safe); onQuar is the
-	// user's quarantine callback, invoked from resyncLoop outside all locks.
+	// user's quarantine callback, invoked from resync outside all locks.
 	flight *telemetry.SpanRing
 	onQuar func(shard int, cause error)
 
-	// resync retry schedule (capped exponential backoff).
-	resyncBase time.Duration
-	resyncMax  time.Duration
-	// resyncFailHook, when set (tests/fault injection), is consulted at the
-	// top of every resync attempt; a non-nil error fails that attempt.
-	// Read under wmu.
-	resyncFailHook func(shard, attempt int) error
+	// resyncHold, when set by a test before a quarantine, holds every resync
+	// until it is closed (or the engine closes), keeping the shard out of
+	// the serving set for as long as the test needs.
+	resyncHold chan struct{}
 
 	// Telemetry, nil unless Config.Telemetry was set. All handles are atomic
 	// instruments: batchHist and the failover/failed counters are observed
@@ -252,10 +238,9 @@ type Engine struct {
 	// Degradation telemetry, nil-safe like every other handle.
 	quarCtr     *telemetry.Counter // shards quarantined after divergence
 	resyncCtr   *telemetry.Counter // resyncs completed
-	retryCtr    *telemetry.Counter // failed resync attempts (will back off + retry)
 	failoverCtr *telemetry.Counter // decisions diverted to a non-home shard
 	failedCtr   *telemetry.Counter // decisions failed: engine closed, no healthy shard, or no such output
-	quarGauge   *telemetry.Gauge   // shards currently quarantined or resyncing
+	quarGauge   *telemetry.Gauge   // shards currently quarantined
 }
 
 // New builds the engine: per shard, one table+interpreter replica. All
@@ -274,21 +259,13 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine: nil policy")
 	}
 	e := &Engine{
-		schema:     cfg.Schema,
-		auth:       smbm.New(cfg.Capacity, len(cfg.Schema.Attrs)),
-		closedCh:   make(chan struct{}),
-		flight:     cfg.Flight,
-		onQuar:     cfg.OnQuarantine,
-		resyncBase: cfg.ResyncBase,
-		resyncMax:  cfg.ResyncMax,
+		schema:   cfg.Schema,
+		auth:     smbm.New(cfg.Capacity, len(cfg.Schema.Attrs)),
+		closedCh: make(chan struct{}),
+		flight:   cfg.Flight,
+		onQuar:   cfg.OnQuarantine,
 	}
 	e.pol.Store(cfg.Policy)
-	if e.resyncBase <= 0 {
-		e.resyncBase = DefaultResyncBase
-	}
-	if e.resyncMax <= 0 {
-		e.resyncMax = DefaultResyncMax
-	}
 	for i := 0; i < n; i++ {
 		s := &shard{}
 		var err error
@@ -319,10 +296,9 @@ func (e *Engine) setupTelemetry(reg *telemetry.Registry, n int) {
 	e.polSwaps = reg.NewCounter("thanos_engine_policy_swaps_total", "policy hot-swaps published to every healthy shard")
 	e.quarCtr = reg.NewCounter("thanos_engine_shards_quarantined_total", "shards quarantined after replica divergence")
 	e.resyncCtr = reg.NewCounter("thanos_engine_resyncs_completed_total", "quarantined shards rebuilt from the authoritative table and returned to service")
-	e.retryCtr = reg.NewCounter("thanos_engine_resync_retries_total", "failed resync attempts, retried with capped exponential backoff")
 	e.failoverCtr = reg.NewCounter("thanos_engine_failover_decisions_total", "decisions diverted from a quarantined home shard to a healthy one")
 	e.failedCtr = reg.NewCounter("thanos_engine_failed_decisions_total", "decisions failed because the engine was closed, no shard was healthy, or the policy has no such output")
-	e.quarGauge = reg.NewGauge("thanos_engine_quarantined_shards", "shards currently quarantined or resyncing")
+	e.quarGauge = reg.NewGauge("thanos_engine_quarantined_shards", "shards currently quarantined")
 	reg.NewGaugeFunc("thanos_engine_shards", "pipeline replicas", func() int64 { return int64(n) })
 	// thanos_engine_table_size (the TableStats gauge above) tracks the
 	// replica size as writes reach the replicas; this one asks the
@@ -603,8 +579,8 @@ func (e *Engine) Size() int {
 
 // CheckSync verifies the engine-wide InSync invariant: the replica table of
 // every healthy shard holds contents identical to the authoritative table
-// and satisfies every SMBM structural invariant. Quarantined and resyncing
-// shards are excluded — they are known-diverged and out of the serving set.
+// and satisfies every SMBM structural invariant. Quarantined shards are
+// excluded — they are known-diverged and out of the serving set.
 // Intended for tests; it takes the writer lock, so in-flight decisions are
 // unaffected but writes are briefly excluded.
 func (e *Engine) CheckSync() error {

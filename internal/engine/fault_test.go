@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -50,16 +49,8 @@ func TestEngineQuarantineAndResync(t *testing.T) {
 	// Hold the shard in quarantine until the degraded-service assertions
 	// below have run; without this the background resync can win the race
 	// and heal the shard before we observe the quarantine window.
-	var mu sync.Mutex
-	hold := true
-	e.resyncFailHook = func(shard, attempt int) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if hold {
-			return errors.New("held quarantined for the test")
-		}
-		return nil
-	}
+	hold := make(chan struct{})
+	e.resyncHold = hold
 
 	// Silently corrupt shard 2: both its snapshots lose id 5 while the
 	// authoritative table keeps it.
@@ -95,9 +86,7 @@ func TestEngineQuarantineAndResync(t *testing.T) {
 	// Release the shard: it resyncs from the authoritative table and
 	// rejoins; afterwards the whole engine is back in sync (CheckSync covers
 	// healthy shards, and all four must be healthy again).
-	mu.Lock()
-	hold = false
-	mu.Unlock()
+	close(hold)
 	waitHealth(t, e, 2, Healthy)
 	if err := e.CheckSync(); err != nil {
 		t.Fatalf("CheckSync after resync: %v", err)
@@ -121,57 +110,6 @@ func TestEngineQuarantineAndResync(t *testing.T) {
 	}
 	if got := snap["thanos_engine_quarantined_shards"].(int64); got != 0 {
 		t.Errorf("quarantined_shards gauge = %d after resync, want 0", got)
-	}
-}
-
-// TestEngineResyncRetryBackoff forces the first resync attempts to fail and
-// checks the loop retries (counting attempts) until the hook relents.
-func TestEngineResyncRetryBackoff(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	e, err := New(Config{
-		Shards:     2,
-		Capacity:   32,
-		Schema:     testSchema,
-		Policy:     policy.MustParse(minPolicySrc),
-		Telemetry:  reg,
-		ResyncBase: 100 * time.Microsecond,
-		ResyncMax:  time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	fillRandom(t, e, 8, 3)
-
-	var mu sync.Mutex
-	attempts := 0
-	e.resyncFailHook = func(shard, attempt int) error {
-		mu.Lock()
-		defer mu.Unlock()
-		attempts++
-		if attempts <= 3 {
-			return fmt.Errorf("injected resync failure %d", attempts)
-		}
-		return nil
-	}
-	if err := e.CorruptReplica(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Delete(0); !errors.Is(err, smbm.ErrReplicaDivergence) {
-		t.Fatalf("err = %v, want ErrReplicaDivergence", err)
-	}
-	waitHealth(t, e, 1, Healthy)
-	mu.Lock()
-	got := attempts
-	mu.Unlock()
-	if got != 4 {
-		t.Errorf("resync attempts = %d, want 4 (3 injected failures + success)", got)
-	}
-	if n := reg.Snapshot()["thanos_engine_resync_retries_total"].(uint64); n != 3 {
-		t.Errorf("resync_retries_total = %d, want 3", n)
-	}
-	if err := e.CheckSync(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -200,29 +138,15 @@ func TestEngineVerifyReplicasDetectsSilentCorruption(t *testing.T) {
 // OK=false rather than blocking or panicking, and service resumes once the
 // shards resync.
 func TestEngineAllShardsQuarantined(t *testing.T) {
-	e, err := New(Config{
-		Shards:     2,
-		Capacity:   32,
-		Schema:     testSchema,
-		Policy:     policy.MustParse(minPolicySrc),
-		ResyncBase: 100 * time.Microsecond,
-	})
+	e, err := New(Config{Shards: 2, Capacity: 32, Schema: testSchema, Policy: policy.MustParse(minPolicySrc)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 	fillRandom(t, e, 8, 5)
 	// Hold both shards out so the total-outage window is observable.
-	var mu sync.Mutex
-	hold := true
-	e.resyncFailHook = func(shard, attempt int) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if hold {
-			return errors.New("held quarantined for the test")
-		}
-		return nil
-	}
+	hold := make(chan struct{})
+	e.resyncHold = hold
 	for si := 0; si < 2; si++ {
 		if err := e.CorruptReplica(si, 0); err != nil {
 			t.Fatal(err)
@@ -241,9 +165,7 @@ func TestEngineAllShardsQuarantined(t *testing.T) {
 			t.Fatalf("packet %d decided with no healthy shard: (%d,%v)", i, p.ID, p.OK)
 		}
 	}
-	mu.Lock()
-	hold = false
-	mu.Unlock()
+	close(hold)
 	waitHealth(t, e, 0, Healthy)
 	waitHealth(t, e, 1, Healthy)
 	if id, ok := e.Decide(); !ok || id < 0 {
@@ -341,23 +263,15 @@ func TestEngineCloseWaitsForInflightDecision(t *testing.T) {
 	}
 }
 
-// TestEngineCloseDuringResync: closing while a shard is mid-backoff must
-// not hang Close. TestEngineCloseJoinsResync is the leak half.
+// TestEngineCloseDuringResync: closing while a shard's resync is waiting to
+// run must not hang Close. TestEngineCloseJoinsResync is the leak half.
 func TestEngineCloseDuringResync(t *testing.T) {
-	e, err := New(Config{
-		Shards:     2,
-		Capacity:   32,
-		Schema:     testSchema,
-		Policy:     policy.MustParse(minPolicySrc),
-		ResyncBase: time.Hour, // backoff far beyond the test's lifetime
-	})
+	e, err := New(Config{Shards: 2, Capacity: 32, Schema: testSchema, Policy: policy.MustParse(minPolicySrc)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fillRandom(t, e, 8, 2)
-	e.resyncFailHook = func(shard, attempt int) error {
-		return errors.New("never succeeds")
-	}
+	e.resyncHold = make(chan struct{}) // never released
 	if err := e.CorruptReplica(1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +286,7 @@ func TestEngineCloseDuringResync(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Close hung waiting for a backing-off resync")
+		t.Fatal("Close hung waiting for a held resync")
 	}
 }
 

@@ -112,14 +112,7 @@ func TestEngineIntrospectDuringQuarantine(t *testing.T) {
 	defer e.Close()
 	fillRandom(t, e, 8, 5)
 	hold := make(chan struct{})
-	e.resyncFailHook = func(shard, attempt int) error {
-		select {
-		case <-hold:
-			return nil
-		default:
-			return errors.New("held for the test")
-		}
-	}
+	e.resyncHold = hold
 	if err := e.CorruptReplica(0, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +123,8 @@ func TestEngineIntrospectDuringQuarantine(t *testing.T) {
 	if st.Live != 1 {
 		t.Fatalf("Live = %d during quarantine, want 1", st.Live)
 	}
-	if h := st.Shards[0].Health; h != "quarantined" && h != "resyncing" {
-		t.Fatalf("shard 0 health = %q, want quarantined/resyncing", h)
+	if h := st.Shards[0].Health; h != "quarantined" {
+		t.Fatalf("shard 0 health = %q, want quarantined", h)
 	}
 	close(hold)
 	waitHealth(t, e, 0, Healthy)

@@ -14,21 +14,17 @@ import (
 // op-for-op. The first write it rejects after the authority accepted it (or
 // a divergence found by VerifyReplicas) moves it to Quarantined: the steering
 // table sends its traffic to healthy shards and writers stop broadcasting to
-// it. A background loop then moves it Quarantined → Resyncing while it
-// rebuilds its snapshot from the authority, and back to Healthy on success
-// — or back to Quarantined, to retry with capped exponential backoff, on
-// failure.
+// it. A background goroutine then rebuilds its snapshot from the authority
+// under the writer lock, in one attempt, and returns it to Healthy (see
+// SwapPolicy for why the rebuild does not fail).
 type ShardHealth int32
 
 const (
 	// Healthy: in the serving and broadcast sets.
 	Healthy ShardHealth = iota
 	// Quarantined: diverged from the authoritative table; out of the
-	// serving set, awaiting resync.
+	// serving set until its resync rebuilds it.
 	Quarantined
-	// Resyncing: a rebuild from the authoritative table is in progress;
-	// still out of the serving set.
-	Resyncing
 )
 
 func (h ShardHealth) String() string {
@@ -37,8 +33,6 @@ func (h ShardHealth) String() string {
 		return "healthy"
 	case Quarantined:
 		return "quarantined"
-	case Resyncing:
-		return "resyncing"
 	default:
 		return fmt.Sprintf("ShardHealth(%d)", int32(h))
 	}
@@ -53,7 +47,7 @@ func (e *Engine) Health(si int) ShardHealth {
 func (e *Engine) HealthyShards() int { return e.steer.Load().live }
 
 // LastShardError returns the divergence that most recently quarantined
-// shard si, or nil if it never diverged.
+// shard si (or the error of a failed rebuild), or nil if it never diverged.
 func (e *Engine) LastShardError(si int) error {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
@@ -126,7 +120,7 @@ func (e *Engine) quarantineLocked(si int, cause error) {
 	e.flight.Event(telemetry.EventQuarantine, 0, time.Now().UnixNano(), int64(si))
 	e.rebuildSteering()
 	e.bg.Add(1)
-	go e.resyncLoop(si, cause)
+	go e.resync(si, cause)
 }
 
 // rebuildSteering recomputes the home-shard → serving-shard table from the
@@ -161,71 +155,46 @@ func (e *Engine) rebuildSteering() {
 	e.steer.Store(&steering{to: to, live: len(liveIdx), pow2: len(to)&(len(to)-1) == 0})
 }
 
-// resyncLoop drives one quarantined shard back to health, retrying failed
-// rebuilds with capped exponential backoff until it succeeds or the engine
-// closes. It also delivers the OnQuarantine callback: this goroutine holds
-// no engine lock, so the callback is free to block or dump diagnostics.
-func (e *Engine) resyncLoop(si int, cause error) {
+// resync drives one quarantined shard back to health: one rebuild from the
+// authoritative table, unless the engine closes first. It first delivers the
+// OnQuarantine callback, holding no engine lock, so the callback is free to
+// block or dump diagnostics. The rebuild holds wmu, which gives it a stable
+// authority; the table and interpreter are built with no shard lock held,
+// which is taken only to replace the snapshot pointer, so a batch steered
+// here by a stale steering table waits for a pointer store, never for the
+// rebuild. A failed rebuild leaves the shard quarantined with the failure as
+// its lastErr.
+func (e *Engine) resync(si int, cause error) {
 	defer e.bg.Done()
 	if e.onQuar != nil {
 		e.onQuar(si, cause)
 	}
-	delay := e.resyncBase
-	for attempt := 0; ; attempt++ {
+	if e.resyncHold != nil {
 		select {
+		case <-e.resyncHold:
 		case <-e.closedCh:
 			return
-		default:
-		}
-		if err := e.resyncShard(si, attempt); err == nil {
-			e.resyncCtr.Inc()
-			e.quarGauge.Add(-1)
-			e.flight.Event(telemetry.EventResync, 0, time.Now().UnixNano(), int64(si))
-			return
-		}
-		e.retryCtr.Inc()
-		select {
-		case <-e.closedCh:
-			return
-		case <-time.After(delay):
-		}
-		delay *= 2
-		if delay > e.resyncMax {
-			delay = e.resyncMax
 		}
 	}
-}
-
-// resyncShard rebuilds a quarantined shard's snapshot from the authoritative
-// table and returns the shard to the serving set. Holding wmu for the
-// duration gives the rebuild a stable authority; the table and interpreter
-// are built with no shard lock held, which is taken only to replace the
-// snapshot pointer, so a batch steered here by a stale steering table waits
-// for a pointer store, never for the rebuild.
-func (e *Engine) resyncShard(si, attempt int) error {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
 	select {
 	case <-e.closedCh:
-		return ErrClosed
+		return
 	default:
 	}
-	if e.resyncFailHook != nil {
-		if err := e.resyncFailHook(si, attempt); err != nil {
-			return err
-		}
-	}
 	s := e.shards[si]
-	s.health.Store(int32(Resyncing))
 	fresh, err := e.rebuildSnapshot(s)
 	if err != nil {
-		s.health.Store(int32(Quarantined))
-		return fmt.Errorf("engine: resync shard %d: %w", si, err)
+		s.lastErr = fmt.Errorf("engine: resync shard %d: %w", si, err)
+		return
 	}
 	s.publish(fresh)
 	s.health.Store(int32(Healthy))
 	e.rebuildSteering()
-	return nil
+	e.resyncCtr.Inc()
+	e.quarGauge.Add(-1)
+	e.flight.Event(telemetry.EventResync, 0, time.Now().UnixNano(), int64(si))
 }
 
 // rebuildSnapshot builds a fresh replica of the authoritative table under the

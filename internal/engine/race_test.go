@@ -280,36 +280,61 @@ func TestEngineConcurrentWriters(t *testing.T) {
 // matching the ExecInto contract under concurrency. Once a batch of the
 // largest size has grown the shards' scratch, every smaller batch must be
 // free too, for a tail-free program and for one with per-packet tail steps.
-// After Close the engine fails every packet in place, and failing a batch
+// The contract holds at every stage of degradation: with one shard
+// quarantined (its traffic fails over), with every shard quarantined and
+// after Close (the engine fails every packet in place), failing a batch
 // allocates no more than deciding it.
 func TestEngineDecideBatchZeroAlloc(t *testing.T) {
 	for _, src := range []string{testPolicySrc, tailPolicySrc} {
 		e := newTestEngine(t, 4, src)
 		fillRandom(t, e, 64, 17)
+		e.resyncHold = make(chan struct{}) // quarantined shards stay out
 
 		pkts := make([]Packet, 256)
 		for i := range pkts {
 			pkts[i] = Packet{Key: uint64(i) * 0x9E3779B97F4A7C15, Out: i % 2}
 		}
-		e.DecideBatch(pkts) // warm the version-cached sets, grow the scratch
-
-		for _, closed := range []bool{false, true} {
-			if closed {
-				e.Close()
+		quarantine := func(shards ...int) func() {
+			return func() {
+				for _, si := range shards {
+					if err := e.CorruptReplica(si, si); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if n := e.VerifyReplicas(); n != len(shards) {
+					t.Fatalf("VerifyReplicas() = %d, want %d", n, len(shards))
+				}
 			}
+		}
+		stages := []struct {
+			name  string
+			enter func()
+			live  int // healthy shards in the stage; 0 fails every packet
+		}{
+			{"healthy", func() {}, 4},
+			{"failover", quarantine(1), 3},
+			{"all quarantined", quarantine(0, 2, 3), 0},
+			{"closed", e.Close, 0},
+		}
+		for _, st := range stages {
+			st.enter()
+			if st.live != 0 && e.HealthyShards() != st.live {
+				t.Fatalf("%s: %d healthy shards, want %d", st.name, e.HealthyShards(), st.live)
+			}
+			e.DecideBatch(pkts) // warm the version-cached sets, grow the scratch
 			for n := len(pkts); n >= 1; n-- {
 				allocs := testing.AllocsPerRun(5, func() {
 					e.DecideBatch(pkts[:n])
 				})
 				if allocs != 0 {
-					t.Fatalf("steady-state DecideBatch of %d (closed: %v) allocates %.1f times per batch, want 0\n%s", n, closed, allocs, src)
+					t.Fatalf("steady-state DecideBatch of %d (%s) allocates %.1f times per batch, want 0\n%s", n, st.name, allocs, src)
 				}
-				if !closed {
+				if st.live != 0 {
 					continue
 				}
 				for i := range pkts[:n] {
 					if pkts[i].OK || pkts[i].ID != -1 {
-						t.Fatalf("closed engine, batch of %d: packet %d got (%d,%v), want (-1,false)", n, i, pkts[i].ID, pkts[i].OK)
+						t.Fatalf("%s, batch of %d: packet %d got (%d,%v), want (-1,false)", st.name, n, i, pkts[i].ID, pkts[i].OK)
 					}
 				}
 			}

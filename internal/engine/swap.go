@@ -20,9 +20,11 @@ import (
 //
 // The new policy is validated against the engine's schema before anything is
 // published; on validation or construction failure the engine keeps serving
-// the old policy everywhere. Shards that are quarantined or resyncing when
-// the swap lands pick the new policy up when their resync rebuilds them
-// (resync always builds from the current policy).
+// the old policy everywhere. Shards that are quarantined when the swap lands
+// pick the new policy up when their resync rebuilds them: resync always
+// builds from the current policy, and NewInterp rejects nothing that Validate
+// accepts over a table of the engine's schema, so the rebuild cannot fail on
+// the policy published here.
 //
 // Per-step chain telemetry is labeled for the construction-time policy; when
 // the swapped-in program has a different shape those counters detach from the

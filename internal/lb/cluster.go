@@ -3,7 +3,6 @@ package lb
 import (
 	"fmt"
 
-	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -22,11 +21,6 @@ type ClusterConfig struct {
 	MeanDemandUs  float64 // mean intrinsic query service demand
 	MeanGapUs     float64 // mean query inter-arrival gap (Poisson)
 	ConnCapacity  int
-	// WrapBackend, when set, wraps the placement backend before the control
-	// updater is layered on top — the fault-injection seam: tests and
-	// failure experiments interpose backends that refuse updates or
-	// decisions, and the run must degrade rather than panic.
-	WrapBackend func(Backend) Backend
 }
 
 // DefaultClusterConfig mirrors the paper's setup: four servers (hosts 5–8
@@ -64,32 +58,6 @@ func (c ClusterConfig) Validate() error {
 	return nil
 }
 
-// newClusterBalancer builds the run's module-backed balancer. The module —
-// wrapped by cfg.WrapBackend if set — sits behind a ControlUpdater, so
-// refused table updates are retried with backoff instead of failing the
-// probe loop; on a healthy backend the updater is a transparent
-// pass-through.
-func newClusterBalancer(cfg ClusterConfig, policySrc string, sched *sim.Scheduler) (*Balancer, *ControlUpdater, error) {
-	pol, err := policy.Parse(policySrc)
-	if err != nil {
-		return nil, nil, err
-	}
-	mod, err := policy.NewModule(cfg.Servers, Schema, pol)
-	if err != nil {
-		return nil, nil, err
-	}
-	var backend Backend = mod
-	if cfg.WrapBackend != nil {
-		backend = cfg.WrapBackend(backend)
-	}
-	upd := NewControlUpdater(sched, backend)
-	bal, err := NewBalancerWithBackend(upd, cfg.ConnCapacity)
-	if err != nil {
-		return nil, nil, err
-	}
-	return bal, upd, nil
-}
-
 // kindFrac maps a query kind to a deterministic pseudo-uniform value in
 // [0, 1) (golden-ratio hashing), fixing each kind's intrinsic cost.
 func kindFrac(kind int) float64 {
@@ -97,26 +65,9 @@ func kindFrac(kind int) float64 {
 	return x - float64(int(x))
 }
 
-// Result collects the completed queries of one run in arrival order, plus
-// the control-plane health counters of the run — all zero on a healthy
-// cluster.
+// Result collects the completed queries of one run in arrival order.
 type Result struct {
 	Queries []*Query
-
-	// ProbeErrors counts resource probes the parser rejected.
-	ProbeErrors uint64
-	// PlacementRetries counts deferred re-attempts after Place failed;
-	// PlacementFailures counts queries abandoned after the last attempt
-	// (their Server is -2 and their response time excludes the server RTT).
-	PlacementRetries  uint64
-	PlacementFailures uint64
-	// ReleaseErrors counts connection-table removals that failed.
-	ReleaseErrors uint64
-	// Control-updater delivery counters (see ControlUpdater).
-	CtrlApplied uint64
-	CtrlRetries uint64
-	CtrlDropped uint64
-	CtrlStale   uint64
 }
 
 // ResponseTimesUs returns per-query response times in microseconds,
@@ -146,6 +97,11 @@ type Intercept func(kind int) (respUs float64, handled bool)
 // same config and query count are query-for-query comparable: arrivals,
 // demands and background resource traces are identical, only placement
 // differs — exactly how Figure 16 normalizes Policy 2 against Policy 1.
+//
+// The switch's table writes and connection-table operations are
+// deterministic, as in the paper's hardware, so a probe, placement or
+// release that fails is a fault in the run's configuration, not a transient
+// to retry: it ends the run with that error.
 func Run(cfg ClusterConfig, policySrc string, numQueries int) (*Result, error) {
 	return RunIntercepted(cfg, policySrc, numQueries, nil)
 }
@@ -178,25 +134,35 @@ func RunIntercepted(cfg ClusterConfig, policySrc string, numQueries int, interce
 		servers[i] = &Server{id: i, cfg: cfg.ServerCfg, trace: trace, sched: sched}
 	}
 
-	bal, upd, err := newClusterBalancer(cfg, policySrc, sched)
+	bal, err := NewBalancer(cfg.Servers, cfg.ConnCapacity, policySrc)
 	if err != nil {
 		return nil, err
 	}
 
 	res := &Result{Queries: make([]*Query, 0, numQueries)}
+	// runErr is the first failure inside the simulation; it stops the run.
+	var runErr error
+	fail := func(err error) {
+		if runErr == nil {
+			runErr = err
+		}
+		sched.Stop()
+	}
 
 	// Prime the resource table with initial probes so the first placement
-	// has data. A rejected probe is counted, not fatal: the next interval
-	// refreshes the same row, so the table is at worst one period stale.
-	probeAll := func() {
+	// has data.
+	probeAll := func() error {
 		for _, sv := range servers {
 			cpu, mem, bw := sv.CurrentResources()
 			if err := bal.HandleProbe(MakeProbe(sv.id, cpu, mem, bw)); err != nil {
-				res.ProbeErrors++
+				return fmt.Errorf("lb: probe from server %d: %w", sv.id, err)
 			}
 		}
+		return nil
 	}
-	probeAll()
+	if err := probeAll(); err != nil {
+		return nil, err
+	}
 
 	var tickTrace func()
 	tickTrace = func() {
@@ -209,7 +175,10 @@ func RunIntercepted(cfg ClusterConfig, policySrc string, numQueries int, interce
 
 	var tickProbe func()
 	tickProbe = func() {
-		probeAll()
+		if err := probeAll(); err != nil {
+			fail(err)
+			return
+		}
 		sched.After(cfg.ProbeInterval, tickProbe)
 	}
 	sched.After(cfg.ProbeInterval, tickProbe)
@@ -225,29 +194,6 @@ func RunIntercepted(cfg ClusterConfig, policySrc string, numQueries int, interce
 		if remaining == 0 {
 			sched.Stop()
 		}
-	}
-
-	// place routes a query to a server, retrying with doubling delays when
-	// the balancer cannot decide (empty table, full connection table, a
-	// degraded backend). A query still unplaceable after the last attempt is
-	// failed at the switch (Server -2) rather than wedging the run.
-	const placeMaxAttempts = 4
-	var place func(q *Query, attempt int, delay sim.Time)
-	place = func(q *Query, attempt int, delay sim.Time) {
-		server, err := bal.Place(q.ID)
-		if err == nil {
-			servers[server].Submit(q)
-			return
-		}
-		if attempt >= placeMaxAttempts {
-			res.PlacementFailures++
-			q.Server = -2
-			q.Done = sched.Now()
-			finish(q)
-			return
-		}
-		res.PlacementRetries++
-		sched.After(delay, func() { place(q, attempt+1, delay*2) })
 	}
 
 	at := sim.Time(0)
@@ -266,7 +212,8 @@ func RunIntercepted(cfg ClusterConfig, policySrc string, numQueries int, interce
 		}
 		q.finished = func(q *Query) {
 			if err := bal.Release(q.ID); err != nil {
-				res.ReleaseErrors++ // entry leaks until capacity pressure; not fatal
+				fail(fmt.Errorf("lb: release query %d: %w", q.ID, err))
+				return
 			}
 			finish(q)
 		}
@@ -285,14 +232,20 @@ func RunIntercepted(cfg ClusterConfig, policySrc string, numQueries int, interce
 					return
 				}
 			}
-			place(q, 1, 200*sim.Microsecond)
+			server, err := bal.Place(q.ID)
+			if err != nil {
+				fail(fmt.Errorf("lb: place query %d: %w", q.ID, err))
+				return
+			}
+			servers[server].Submit(q)
 		})
 		at += sim.Time(cfg.MeanGapUs * wrand.ExpFloat64() * float64(sim.Microsecond))
 	}
 
 	sched.Run()
-	res.CtrlApplied, res.CtrlRetries = upd.Applied(), upd.Retries()
-	res.CtrlDropped, res.CtrlStale = upd.Dropped(), upd.Stale()
+	if runErr != nil {
+		return nil, runErr
+	}
 	if remaining != 0 {
 		return nil, fmt.Errorf("lb: %d queries unfinished", remaining)
 	}

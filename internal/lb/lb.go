@@ -172,19 +172,11 @@ func (s *Server) serveNext() {
 // QueueLen returns the number of queued (not yet started) queries.
 func (s *Server) QueueLen() int { return len(s.backlog) }
 
-// Backend is the placement engine behind a Balancer: probe-driven metric
-// refresh and one policy decision per new connection. *policy.Module
-// satisfies it, and ControlUpdater wraps one with retried updates.
-type Backend interface {
-	Upsert(id int, vals []int64) error
-	Decide() (id int, ok bool)
-}
-
 // Balancer is the switch-resident L4 load balancer: SilkRoad-style
 // connection table for affinity plus a Thanos filter module for new-
 // connection placement.
 type Balancer struct {
-	backend   Backend
+	mod       *policy.Module
 	connTable *rmt.MatchTable
 	parser    *rmt.Parser
 
@@ -204,18 +196,12 @@ func NewBalancer(numServers, connCapacity int, policySrc string) (*Balancer, err
 	if err != nil {
 		return nil, err
 	}
-	return NewBalancerWithBackend(mod, connCapacity)
-}
-
-// NewBalancerWithBackend builds a balancer over a caller-provided placement
-// backend, such as a ControlUpdater around a module.
-func NewBalancerWithBackend(backend Backend, connCapacity int) (*Balancer, error) {
 	ct, err := rmt.NewMatchTable("conns", []string{"conn"}, connCapacity, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &Balancer{
-		backend:   backend,
+		mod:       mod,
 		connTable: ct,
 		parser:    ProbeParser(),
 		Decisions: make(map[int]int),
@@ -229,7 +215,7 @@ func (b *Balancer) HandleProbe(data []byte) error {
 	if err != nil {
 		return err
 	}
-	return b.backend.Upsert(int(fields["server"]), []int64{
+	return b.mod.Upsert(int(fields["server"]), []int64{
 		int64(fields["cpu"]), int64(fields["mem"]), int64(fields["bw"]),
 	})
 }
@@ -269,7 +255,7 @@ func (b *Balancer) Place(connID int64) (int, error) {
 	if hit {
 		return int(ctx.Meta["server"]), nil
 	}
-	server, ok := b.backend.Decide()
+	server, ok := b.mod.Decide()
 	if !ok {
 		return 0, fmt.Errorf("lb: no servers available")
 	}

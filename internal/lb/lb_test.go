@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -18,7 +17,7 @@ func TestProbeRoundTrip(t *testing.T) {
 	if err := b.HandleProbe(MakeProbe(2, 45.7, 3000, 5000)); err != nil {
 		t.Fatal(err)
 	}
-	vals, ok := b.backend.(*policy.Module).Table.Metrics(2)
+	vals, ok := b.mod.Table.Metrics(2)
 	if !ok {
 		t.Fatal("probe did not install server")
 	}
@@ -29,7 +28,7 @@ func TestProbeRoundTrip(t *testing.T) {
 	if err := b.HandleProbe(MakeProbe(3, -5, -1, -1)); err != nil {
 		t.Fatal(err)
 	}
-	vals, _ = b.backend.(*policy.Module).Table.Metrics(3)
+	vals, _ = b.mod.Table.Metrics(3)
 	if vals[0] != 0 || vals[1] != 0 {
 		t.Fatalf("clamped metrics = %v", vals)
 	}
@@ -259,5 +258,38 @@ func TestPolicySourcesParse(t *testing.T) {
 		if _, err := NewBalancer(4, 4, src); err != nil {
 			t.Errorf("builtin policy failed: %v\n%s", err, strings.TrimSpace(src))
 		}
+	}
+}
+
+// TestClusterRunHealthyServesEveryQuery pins the fault-free path the
+// figures run: every query of the run is placed on one of the servers.
+func TestClusterRunHealthyServesEveryQuery(t *testing.T) {
+	cfg := DefaultClusterConfig(2)
+	res, err := Run(cfg, PolicyResourceAware, 100)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(res.Queries) != 100 {
+		t.Fatalf("completed %d of 100 queries", len(res.Queries))
+	}
+	for _, q := range res.Queries {
+		if q.Server < 0 || q.Server >= cfg.Servers {
+			t.Fatalf("query %d served by %d, want a server in [0,%d)", q.ID, q.Server, cfg.Servers)
+		}
+	}
+}
+
+// TestClusterRunEndsOnPlacementError: a placement the switch cannot make —
+// here a connection table with room for one connection while a second one
+// arrives — ends the run with that error, naming the query.
+func TestClusterRunEndsOnPlacementError(t *testing.T) {
+	cfg := DefaultClusterConfig(2)
+	cfg.ConnCapacity = 1
+	res, err := Run(cfg, PolicyResourceAware, 100)
+	if err == nil {
+		t.Fatalf("Run with a one-entry connection table succeeded (%d queries)", len(res.Queries))
+	}
+	if msg := err.Error(); !strings.HasPrefix(msg, "lb: place query ") || !strings.Contains(msg, "full") {
+		t.Fatalf("Run error = %q, want the placement failure with its query id", msg)
 	}
 }

@@ -15,9 +15,9 @@ import (
 	"repro/internal/smbm"
 )
 
-// decidePolicySrc is the policy BenchmarkFilterModuleDecide in the root
-// bench suite uses; the checkpoint set pins the identical workload so the
-// two numbers track each other.
+// decidePolicySrc is Figure 14's resource-aware policy, the FilterModuleDecide
+// workload: the end-to-end per-packet decision on the compiled pipeline at
+// the paper's default design point (a 128-entry table).
 const decidePolicySrc = `
 let ok = intersect(filter(table, cpu < 70), filter(table, mem > 1024), filter(table, bw > 2000))
 out primary = random(ok)
@@ -259,12 +259,16 @@ func setupFilterModuleDecide() (func(int), error) {
 	}, nil
 }
 
-// setupSMBMUpdate is one update per iteration on a full table, exactly the
-// root BenchmarkSMBMUpdate workload. It is the worst-case shift, not the
-// probe-processing steady state: dimensions 1–3 get the constants 1, 2 and
-// 3, so each is one 128-entry tie run, and the round-robin id is always the
-// oldest in it, so every update rotates the entry from the front of three
-// columns to their back (see BenchmarkSMBMUpdate).
+// setupSMBMUpdate is one Update (delete + add, 4 cycles in hardware) per
+// iteration on a full table at the paper's default size. It is the
+// worst-case shift, not the probe-processing steady state: dimension 0 gets
+// a fresh value per call, but dimensions 1–3 get the constants 1, 2 and 3,
+// so after the first 128 calls each of those columns is one 128-entry tie
+// run, and because ids are updated round-robin the updated entry is always
+// the oldest in its run. The FIFO tie-break (§5.1.2) re-inserts it after
+// every equal value, so each call rotates it from the front of three columns
+// to their back: 127 moved entries and 127 renumbered positions per
+// dimension (EXPERIMENTS.md, "SMBMUpdate explained").
 func setupSMBMUpdate() (func(int), error) {
 	table := smbm.New(128, 4)
 	r := rand.New(rand.NewSource(5))

@@ -44,6 +44,15 @@ var ErrRemote = errors.New("client: server error")
 // DefaultMaxInflight is the default pipelining window.
 const DefaultMaxInflight = 32
 
+// The reconnect schedule: a call that finds no live connection redials up to
+// MaxDialAttempts times, sleeping between failed attempts by a fault.Backoff
+// from BackoffBase doubling to BackoffMax, jittered by Config.Seed.
+const (
+	BackoffBase     = time.Millisecond
+	BackoffMax      = 500 * time.Millisecond
+	MaxDialAttempts = 8
+)
+
 // Config configures Dial.
 type Config struct {
 	// Network and Addr name the server ("tcp", "host:port" or "unix",
@@ -54,14 +63,8 @@ type Config struct {
 	MaxInflight int
 	// DialTimeout bounds each connection attempt. 0 means 5s.
 	DialTimeout time.Duration
-	// BackoffBase/BackoffMax shape the reconnect schedule (defaults
-	// 1ms/500ms).
-	BackoffBase, BackoffMax time.Duration
 	// Seed drives reconnect jitter; the same seed replays the same schedule.
 	Seed int64
-	// MaxDialAttempts caps consecutive failed redials before a call reports
-	// the dial error. 0 means 8.
-	MaxDialAttempts int
 	// TraceEvery samples 1 in every TraceEvery Decide calls for end-to-end
 	// tracing: the sampled call's frame carries a deterministic trace ID
 	// (derived from Seed and the call sequence) and the server echoes its
@@ -114,19 +117,10 @@ func Dial(cfg Config) (*Client, *server.HelloInfo, error) {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second
 	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 500 * time.Millisecond
-	}
-	if cfg.MaxDialAttempts <= 0 {
-		cfg.MaxDialAttempts = 8
-	}
 	c := &Client{
 		cfg: cfg,
 		sem: make(chan struct{}, cfg.MaxInflight),
-		bo:  fault.NewBackoff(cfg.BackoffBase, cfg.BackoffMax, cfg.Seed),
+		bo:  fault.NewBackoff(BackoffBase, BackoffMax, cfg.Seed),
 	}
 	c.mu.Lock()
 	err := c.connectLocked()
@@ -235,7 +229,7 @@ func (c *Client) roundTripTrace(build func(dst []byte, seq uint32) []byte, ti *T
 			return reply{}, ErrClosed
 		}
 		if c.nc == nil {
-			if attempt >= c.cfg.MaxDialAttempts {
+			if attempt >= MaxDialAttempts {
 				c.mu.Unlock()
 				return reply{}, fmt.Errorf("client: redial failed after %d attempts: %w", attempt, dialErr)
 			}

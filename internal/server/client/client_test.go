@@ -334,11 +334,7 @@ func TestWrittenRequestNeverResent(t *testing.T) {
 // reports the dial error; once the server is back the next call connects.
 func TestRedialFollowsBackoffSchedule(t *testing.T) {
 	l, sock := listen(t)
-	cfg := client.Config{
-		Network: "unix", Addr: sock,
-		BackoffBase: 4 * time.Millisecond, BackoffMax: 32 * time.Millisecond,
-		Seed: 7, MaxDialAttempts: 5,
-	}
+	cfg := client.Config{Network: "unix", Addr: sock, Seed: 7}
 	c, p := dialScripted(t, l, cfg)
 
 	// Take the server away under a request in flight: when that call comes
@@ -361,21 +357,22 @@ func TestRedialFollowsBackoffSchedule(t *testing.T) {
 	// The schedule the client must have slept through: the first
 	// MaxDialAttempts delays of a fresh Backoff with its parameters.
 	var schedule time.Duration
-	bo := fault.NewBackoff(cfg.BackoffBase, cfg.BackoffMax, cfg.Seed)
-	for i := 0; i < cfg.MaxDialAttempts; i++ {
+	bo := fault.NewBackoff(client.BackoffBase, client.BackoffMax, cfg.Seed)
+	for i := 0; i < client.MaxDialAttempts; i++ {
 		schedule += bo.Next()
 	}
 	start := time.Now()
 	_, err := c.Ping()
 	elapsed := time.Since(start)
-	if err == nil || !strings.Contains(err.Error(), "redial failed after 5 attempts") {
-		t.Fatalf("ping with the server gone: %v, want the redial error after 5 attempts", err)
+	want := fmt.Sprintf("redial failed after %d attempts", client.MaxDialAttempts)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ping with the server gone: %v, want %q", err, want)
 	}
 	if errors.Is(err, client.ErrConnReset) {
 		t.Fatalf("redial failure reported as a reset: %v", err)
 	}
 	if elapsed < schedule || elapsed > schedule+2*time.Second {
-		t.Fatalf("5 failed redials took %v, want the schedule's %v (and not seconds more)", elapsed, schedule)
+		t.Fatalf("%d failed redials took %v, want the schedule's %v (and not seconds more)", client.MaxDialAttempts, elapsed, schedule)
 	}
 
 	// Back up: the next call dials, succeeds and resets the schedule.
@@ -400,6 +397,45 @@ func TestRedialFollowsBackoffSchedule(t *testing.T) {
 	}
 	if err := <-pong; err != nil {
 		t.Fatalf("ping after the server came back: %v", err)
+	}
+}
+
+// TestServerErrFrameReachesCaller: a server that answers a call with an Err
+// frame fails that call with ErrRemote, and the error carries the server's
+// message — for a Decide and for an Apply alike.
+func TestServerErrFrameReachesCaller(t *testing.T) {
+	l, sock := listen(t)
+	c, p := dialScripted(t, l, client.Config{Network: "unix", Addr: sock})
+	calls := []struct {
+		name string
+		op   byte
+		call func() error
+	}{
+		{"decide", server.OpDecide, func() error {
+			_, err := c.Decide([]uint64{1}, []uint16{0}, nil)
+			return err
+		}},
+		{"apply", server.OpTable, func() error {
+			_, err := c.Apply([]server.TableOp{{Kind: server.TableUpsert, ID: 3, Vals: []int64{7}}}, 1)
+			return err
+		}},
+	}
+	for _, tc := range calls {
+		done := make(chan error, 1)
+		go func() { done <- tc.call() }()
+		p.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		op, seq, _, err := p.fr.Next()
+		if err != nil || op != tc.op {
+			t.Fatalf("%s: op=%#x err=%v, want op %#x", tc.name, op, err, tc.op)
+		}
+		msg := "scripted refusal of the " + tc.name
+		if _, err := p.nc.Write(server.AppendErr(nil, seq, msg)); err != nil {
+			t.Fatal(err)
+		}
+		err = <-done
+		if !errors.Is(err, client.ErrRemote) || !strings.Contains(err.Error(), msg) {
+			t.Fatalf("%s answered with an Err frame: err = %v, want ErrRemote carrying %q", tc.name, err, msg)
+		}
 	}
 }
 

@@ -122,14 +122,14 @@ func (c *conn) decode(body []byte) (err error) {
 	req.traceID = 0
 	switch req.op {
 	case OpDecide:
-		req.pkts, req.traceID, err = DecodeDecide(body, c.srv.maxBatch, req.pkts)
+		req.pkts, req.traceID, err = DecodeDecide(body, MaxBatch, req.pkts)
 		if req.traceID != 0 {
 			req.recvNs = nowNs()
 			c.srv.m.tracedReqs.Inc()
 		}
 	case OpTable:
 		dims := len(c.srv.be.Schema().Attrs)
-		req.ops, req.arena, err = DecodeTable(body, dims, c.srv.maxBatch, req.ops, req.arena)
+		req.ops, req.arena, err = DecodeTable(body, dims, MaxBatch, req.ops, req.arena)
 	case OpSwap:
 		req.dsl, err = DecodeSwap(body, req.dsl)
 	case OpHello:

@@ -382,7 +382,7 @@ func (c *scriptConn) SetWriteDeadline(time.Time) error { return nil }
 func TestReplyBufferCap(t *testing.T) {
 	be := newBlockBackend()
 	close(be.gate)
-	srv, err := New(Config{Backend: be, Build: "cap-test", Telemetry: telemetry.NewRegistry()})
+	srv, err := New(Config{Backend: be, Telemetry: telemetry.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}

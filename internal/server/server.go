@@ -43,8 +43,6 @@ type Config struct {
 	// MaxConns caps concurrently served connections; excess connections get
 	// an Err frame and are closed. 0 selects DefaultMaxConns.
 	MaxConns int
-	// MaxBatch caps per-frame op counts; 0 selects the protocol MaxBatch.
-	MaxBatch int
 	// Telemetry, when non-nil, registers the server's metrics under this
 	// registry. All handles are created here; the serve path is lock-free
 	// with respect to telemetry whether or not it is attached.
@@ -54,9 +52,6 @@ type Config struct {
 	// timeouts, connection churn) for the always-on flight recorder. Records
 	// are lock-free and allocation-free; nil disables recording.
 	Flight *telemetry.SpanRing
-	// Build names the running build in Pong replies; empty selects the Go
-	// toolchain version.
-	Build string
 }
 
 // metrics is the server's telemetry handle set; the zero value (all nil)
@@ -108,10 +103,8 @@ func newMetrics(reg *telemetry.Registry) metrics {
 type Server struct {
 	be       Backend
 	maxConns int
-	maxBatch int
 	m        metrics
 	flight   *telemetry.SpanRing
-	build    string
 	start    time.Time
 	// writeTimeout is the reply write deadline: the writeTimeout constant,
 	// held here only so in-package tests can shorten it before Serve.
@@ -133,22 +126,12 @@ func New(cfg Config) (*Server, error) {
 	if maxConns <= 0 {
 		maxConns = DefaultMaxConns
 	}
-	maxBatch := cfg.MaxBatch
-	if maxBatch <= 0 || maxBatch > MaxBatch {
-		maxBatch = MaxBatch
-	}
-	build := cfg.Build
-	if build == "" {
-		build = runtime.Version()
-	}
 	return &Server{
 		be:           cfg.Backend,
 		maxConns:     maxConns,
-		maxBatch:     maxBatch,
 		writeTimeout: writeTimeout,
 		m:            newMetrics(cfg.Telemetry),
 		flight:       cfg.Flight,
-		build:        build,
 		start:        time.Now(),
 		listeners:    make(map[net.Listener]struct{}),
 		conns:        make(map[*conn]struct{}),
@@ -272,9 +255,10 @@ func (s *Server) helloInfo() HelloInfo {
 	}
 }
 
-// pongInfo snapshots the server identity for a Pong reply.
+// pongInfo snapshots the server identity for a Pong reply: its uptime and
+// the Go toolchain that built it.
 func (s *Server) pongInfo() PongInfo {
-	return PongInfo{UptimeNs: uint64(time.Since(s.start)), Build: s.build}
+	return PongInfo{UptimeNs: uint64(time.Since(s.start)), Build: runtime.Version()}
 }
 
 // Status is the server's introspection snapshot (/debug/thanos). There are
@@ -297,10 +281,10 @@ func (s *Server) Introspect() Status {
 	s.mu.Unlock()
 	return Status{
 		Version:  Version,
-		Build:    s.build,
+		Build:    runtime.Version(),
 		UptimeNs: uint64(time.Since(s.start)),
 		MaxConns: s.maxConns,
-		MaxBatch: s.maxBatch,
+		MaxBatch: MaxBatch,
 		Conns:    conns,
 	}
 }

@@ -55,10 +55,6 @@ func TestSoakFaultInjected(t *testing.T) {
 		Schema:   diffSchema,
 		Policy:   policy.MustParse(diffPolicies[0]),
 		Flight:   fl.Ring("engine", 512),
-		// Fast resync retries keep quarantine windows short relative to the
-		// soak duration.
-		ResyncBase: time.Millisecond,
-		ResyncMax:  10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,8 +80,6 @@ func TestSoakFaultInjected(t *testing.T) {
 		c, _, err := client.Dial(client.Config{
 			Network: "unix", Addr: sock,
 			MaxInflight: 4,
-			BackoffBase: time.Millisecond,
-			BackoffMax:  50 * time.Millisecond,
 			Seed:        seed,
 		})
 		return c, err

@@ -9,6 +9,7 @@ package server_test
 import (
 	"net"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -54,7 +55,6 @@ func newTraceHarness(t *testing.T, shards, capacity int) *traceHarness {
 		Backend:   eng,
 		Telemetry: h.reg,
 		Flight:    h.fl.Ring("server", 256),
-		Build:     "trace-test",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestTraceEndToEnd(t *testing.T) {
 
 	// Introspection reflects the live server.
 	st := h.srv.Introspect()
-	if st.Version != server.Version || st.Build != "trace-test" || st.Conns == 0 {
+	if st.Version != server.Version || st.Build != runtime.Version() || st.Conns == 0 {
 		t.Errorf("introspect: version=%d build=%q conns=%d", st.Version, st.Build, st.Conns)
 	}
 	est := h.eng.Introspect()
@@ -229,7 +229,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pong.Build != "trace-test" || pong.UptimeNs == 0 {
+	if pong.Build != runtime.Version() || pong.UptimeNs == 0 {
 		t.Errorf("pong: build=%q uptime=%d", pong.Build, pong.UptimeNs)
 	}
 }
