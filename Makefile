@@ -18,6 +18,7 @@ bench:
 # vet and tests of the benchmark module, which has its own go.mod (so the
 # root ./... cannot see it) and compiles against the engine and server APIs.
 # vet is also the lock-copy guard (copylocks) for the engine's shard mutex.
+# gofmt fails the gate when it would reformat any file (it lists them).
 # thanoslint runs after vet and mechanically enforces what tests miss:
 # hot-path allocation freedom and the telemetry layer's lock-free hot-safe
 # API discipline — plus the call-graph analyzers (lockorder, wireproto) over
@@ -35,6 +36,8 @@ bench:
 # link/switch faults with RTO recovery and the Figure 17/18 failure sweeps.
 check: build
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files to reformat:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/thanoslint .
 	$(GO) test -race ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...

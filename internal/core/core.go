@@ -29,12 +29,6 @@ type FilterModule struct {
 	compiled *policy.Compiled
 	params   pipeline.Params
 	outs     []*bitvec.Vector // reusable output slice for Process
-
-	// Telemetry, all nil/zero unless AttachTelemetry was called. latCycles
-	// caches pipe.Latency() so the per-decision histogram observation does
-	// not re-walk the stage list.
-	stats     *telemetry.DecideStats
-	latCycles uint64
 }
 
 // Config configures a filter module.
@@ -111,14 +105,7 @@ func (m *FilterModule) Decide(out int) (id int, ok bool) {
 		panic("core: " + err.Error())
 	}
 	res := policy.Resolve(m.compiled.Policy, outs, out)
-	if ds := m.stats; ds != nil {
-		ds.Decisions.Inc()
-		ds.LatencyCycles.Observe(m.latCycles)
-	}
 	if !res.Any() {
-		if ds := m.stats; ds != nil {
-			ds.Empty.Inc()
-		}
 		return 0, false
 	}
 	return res.FirstSet(), true
@@ -128,13 +115,10 @@ func (m *FilterModule) Decide(out int) (id int, ok bool) {
 // can register matching chain telemetry.
 func (m *FilterModule) StageLabels() []string { return m.pipe.StageLabels() }
 
-// AttachTelemetry wires decision counters (latency histogram, empty-result
-// count) and per-stage pipeline selectivity into the module. Either
-// argument may be nil to leave that aspect uninstrumented.
-func (m *FilterModule) AttachTelemetry(cs *telemetry.ChainStats, ds *telemetry.DecideStats) {
+// AttachTelemetry wires per-stage pipeline selectivity into the module.
+// Pass nil to detach.
+func (m *FilterModule) AttachTelemetry(cs *telemetry.ChainStats) {
 	m.pipe.AttachTelemetry(cs)
-	m.stats = ds
-	m.latCycles = m.pipe.Latency()
 }
 
 // LatencyCycles returns the module's deterministic per-packet latency in

@@ -1,9 +1,9 @@
 // Package engine implements a concurrent, sharded decision engine over the
 // Thanos filter module — the software analogue of a multi-pipelined data
 // plane (§5.1.5 of the paper). Where internal/core and policy.Module model a
-// single pipeline making one decision at a time, the engine holds one
-// pipeline replica ("shard") per configured pipeline, each owning its own
-// SMBM replica and flattened policy interpreter with fixed scratch vectors.
+// single pipeline, the engine holds one pipeline replica ("shard") per
+// configured pipeline, each a policy.Module: its own SMBM replica and the
+// flattened policy interpreter bound to it, with fixed scratch vectors.
 // A shard is a table replica, not a thread: the goroutine that calls
 // DecideBatch executes its packets on the shards they steer to, so decisions
 // from different callers proceed in parallel on different shards — at most
@@ -14,16 +14,15 @@
 // The paper's SMBM hardware performs pipelined 2-cycle writes: the visible
 // state always corresponds to a completed operation (§5.1.4). The engine
 // gives the same atomicity with the one lock a shard already has. Each shard
-// holds exactly one snapshot — a table, the interpreter bound to it and the
-// policy that interpreter was built from — and everything that touches it
-// does so under the shard's mutex: a decision holds it for its visit, a table
-// write holds it for one single-row SMBM operation, and a policy swap or a
-// resync builds its interpreter (and rebuilt table) first and holds it only
-// to replace the snapshot pointer. Decisions therefore always observe a
-// fully-written table and a complete program. What the hardware has and this
-// does not is stall-free reads: a decision can wait for a write on its shard,
-// bounded by one row operation or one pointer store — next to the whole
-// visit it already waits behind any other decision on that shard.
+// holds exactly one module, and everything that touches it does so under the
+// shard's mutex: a decision holds it for its visit, a table write holds it
+// for one single-row SMBM operation, and a policy swap or a resync binds its
+// module (over the shard's table, or a copy of the authority's) first and
+// holds it only to replace the module pointer. Decisions therefore always
+// observe a fully-written table and a complete program. What the hardware
+// has and this does not is stall-free reads: a decision can wait for a write
+// on its shard, bounded by one row operation or one pointer store — next to
+// the whole visit it already waits behind any other decision on that shard.
 //
 // # Batched decisions, run to completion
 //
@@ -32,10 +31,10 @@
 // one flow always lands on the same pipeline, exactly how a multi-pipeline
 // switch partitions traffic), and the calling goroutine then visits each
 // shard the batch touches: it takes that shard's lock, decides the shard's
-// packets step-major against its snapshot — each selection unit runs once
-// over the whole visit (policy.Interp.DecideBatch) — and moves on. The
-// packets themselves carry the partition (see steerTag), so callers share no
-// scratch outside a shard lock.
+// packets step-major — each selection unit runs once over the whole visit
+// (policy.Module.DecideBatch) — and moves on. The packets themselves carry
+// the partition (see steerTag), so callers share no scratch outside a shard
+// lock.
 // The only ordering a stateful data plane owes is per flow key, which the
 // shard lock gives; there is no engine-wide lock, queue or hand-off on the
 // path. The steady-state path — steering, policy execution, fallback
@@ -47,10 +46,10 @@
 // failed broadcast write) is not a crash: the shard moves from healthy to
 // quarantined and back. A quarantined shard is left out of the steering
 // table — its traffic fails over to healthy shards — while a background
-// goroutine rebuilds its snapshot from the authoritative table in one
-// attempt. The rebuild replays rows the authority accepted under a validated
-// policy, the software form of the SMBM's deterministic write (§5.1), so
-// there is nothing to retry. With no healthy shard left, DecideBatch fails
+// goroutine rebuilds its module over a copy of the authoritative table in
+// one attempt. The copy keeps every dimension's order, so ties break as on
+// every other replica (§5.1.2), and binding a validated policy cannot fail,
+// so there is nothing to retry. With no healthy shard left, DecideBatch fails
 // every packet in place. Likewise, using the engine after Close degrades
 // (decisions come back OK=false, writes return ErrClosed) instead of
 // panicking. See health.go.
@@ -118,34 +117,22 @@ type Config struct {
 	OnQuarantine func(shard int, cause error)
 }
 
-// snapshot is one complete replica: an SMBM plus an interpreter bound to it.
-// A snapshot is only ever executed, and its table only ever mutated, under
-// its shard's lock.
-//
-// Both halves are arena-packed: the SMBM stores its dimensions in padded
-// columnar arenas and the interpreter carves every step buffer from one
-// cache-line-aligned bitvec batch, so a shard's decision working set is a
-// handful of contiguous allocations rather than per-vector heap objects.
-type snapshot struct {
-	table  *smbm.SMBM
-	interp *policy.Interp
-}
-
-// shard is one pipeline replica: its snapshot and the lock under which
-// callers execute on it and writers change it.
+// shard is one pipeline replica: its policy.Module — an SMBM plus the
+// interpreter bound to it — and the lock under which callers execute on it
+// and writers change it.
 type shard struct {
 	// mu admits one deciding caller or one writer at a time. It owns
-	// everything a decision writes — the interpreter's scratch, closed, idx
-	// and the hot-path telemetry handles below — and, together with
-	// Engine.wmu, the table contents and the snap pointer. The discipline:
-	// mutate a shard's table or replace snap: wmu + mu; decide: mu;
-	// control-plane read of snap or its table: wmu. A writer holds mu for one
-	// row operation or one pointer store, never across building an
-	// interpreter or a table, and never while it quarantines a shard,
-	// rebuilds steering, records a flight event or calls OnQuarantine.
+	// everything a decision writes — the module's scratch, closed, idx and
+	// the hot-path telemetry handles below — and, together with Engine.wmu,
+	// the table contents and the mod pointer. The discipline: mutate a
+	// shard's table or replace mod: wmu + mu; decide: mu; control-plane read
+	// of mod or its table: wmu. A writer holds mu for one row operation or
+	// one pointer store, never across building a module or a table, and
+	// never while it quarantines a shard, rebuilds steering, records a flight
+	// event or calls OnQuarantine.
 	mu sync.Mutex
-	// snap is the shard's one replica. See mu for who may touch it.
-	snap *snapshot
+	// mod is the shard's one replica. See mu for who may touch it.
+	mod *policy.Module
 	// closed is set by Close; packets steered here afterwards fail in place.
 	closed bool
 	// idx is the packet-index scratch of the visit in progress, reused
@@ -163,8 +150,8 @@ type shard struct {
 	// Telemetry handles, nil unless Config.Telemetry was set. decCtr and
 	// emptyCtr are this shard's padded slots of the engine-wide sharded
 	// counters. On the hot path they are touched only under mu.
-	// chainTel/tableTel are kept so resync can re-attach the shard's stats
-	// to rebuilt snapshots.
+	// chainTel is kept for the modules a swap or a resync builds, tableTel
+	// for the table a resync copies.
 	decCtr   *telemetry.Counter
 	emptyCtr *telemetry.Counter
 	chainTel *telemetry.ChainStats
@@ -212,7 +199,7 @@ type Engine struct {
 	// operation sequence as auth, and guards the health transitions. It is
 	// always taken before a shard's mu, never after: the decision path holds
 	// shard locks and never takes wmu. Holding wmu alone is enough to read any
-	// shard's snap and table, since every mutator holds it too.
+	// shard's mod and table, since every mutator holds it too.
 	wmu sync.Mutex
 
 	bg       sync.WaitGroup // background resync goroutines, for Close
@@ -243,10 +230,10 @@ type Engine struct {
 	quarGauge   *telemetry.Gauge   // shards currently quarantined
 }
 
-// New builds the engine: per shard, one table+interpreter replica. All
-// replicas start empty and identical; every interpreter draws the same
-// deterministic seed assignment, so shards model identically-configured
-// pipeline replicas. A healthy engine owns no goroutines.
+// New builds the engine: per shard, one policy.Module. All replicas start
+// empty and identical; every interpreter draws the same deterministic seed
+// assignment, so shards model identically-configured pipeline replicas. A
+// healthy engine owns no goroutines.
 func New(cfg Config) (*Engine, error) {
 	n := cfg.Shards
 	if n <= 0 {
@@ -267,13 +254,11 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.pol.Store(cfg.Policy)
 	for i := 0; i < n; i++ {
-		s := &shard{}
-		var err error
-		s.snap, err = s.newSnapshot(smbm.New(cfg.Capacity, len(cfg.Schema.Attrs)), cfg.Schema, cfg.Policy)
+		m, err := policy.NewModule(cfg.Capacity, cfg.Schema, cfg.Policy)
 		if err != nil {
 			return nil, err
 		}
-		e.shards = append(e.shards, s)
+		e.shards = append(e.shards, &shard{mod: m})
 	}
 	e.rebuildSteering()
 	if cfg.Telemetry != nil {
@@ -287,7 +272,7 @@ func New(cfg Config) (*Engine, error) {
 // Runs once, inside New, so no synchronization with readers is needed.
 func (e *Engine) setupTelemetry(reg *telemetry.Registry, n int) {
 	e.reg = reg
-	labels := e.shards[0].snap.interp.StepLabels()
+	labels := e.shards[0].mod.StepLabels()
 	chains := telemetry.NewChainStats(reg, "thanos_engine_chain", labels, n)
 	tables := telemetry.NewTableStats(reg, "thanos_engine_table", n)
 	dec := reg.NewShardedCounter("thanos_engine_decisions_total", "decisions executed across all shards", n)
@@ -309,8 +294,8 @@ func (e *Engine) setupTelemetry(reg *telemetry.Registry, n int) {
 		s.emptyCtr = empty.Shard(i)
 		s.chainTel = chains[i]
 		s.tableTel = tables[i]
-		s.snap.interp.AttachTelemetry(chains[i])
-		s.snap.table.AttachTelemetry(tables[i])
+		s.mod.AttachTelemetry(chains[i])
+		s.mod.Table.AttachTelemetry(tables[i])
 	}
 }
 
@@ -434,17 +419,17 @@ func (s *shard) reserveIdx(n int) []int32 {
 }
 
 // process decides every packet of pkts tagged for this shard, in one
-// Interp.DecideBatch over the shard's snapshot, and returns how many it had
-// to fail. Holding mu for the visit is the whole protocol: writers change the
-// table and the snapshot pointer only under mu, so execution never observes a
-// table mid-write or a program half-swapped, and the table version is the
-// same for every packet of the visit.
+// Module.DecideBatch, and returns how many it had to fail. Holding mu for the
+// visit is the whole protocol: writers change the table and the module
+// pointer only under mu, so execution never observes a table mid-write or a
+// program half-swapped, and the table version is the same for every packet
+// of the visit.
 //
 //thanos:hotpath
 func (s *shard) process(pkts []Packet, tag int) (failed uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	it := s.snap.interp
+	mod := s.mod
 	// Gather this shard's packets first, with a conditional increment the
 	// compiler renders branch-free: skipping foreign packets inside the
 	// decision loop instead put an unpredictable branch in front of every
@@ -460,14 +445,14 @@ func (s *shard) process(pkts []Packet, tag int) (failed uint64) {
 	// A packet naming an output the policy does not have fails in place: with
 	// hot-swaps a caller's view of the output count is racy, so that is a
 	// degradation, not a programming error. A closed shard fails them all.
-	col := it.Batch(n)
+	col := mod.Batch(n)
 	for k, i := range idx[:n] {
 		col[k] = pkts[i].Out
 		if s.closed {
 			col[k] = -1
 		}
 	}
-	failed = uint64(it.DecideBatch(col))
+	failed = uint64(mod.DecideBatch(col))
 	var empty uint64
 	for k, i := range idx[:n] {
 		p := &pkts[i]
@@ -477,16 +462,12 @@ func (s *shard) process(pkts []Packet, tag int) (failed uint64) {
 			empty++
 		}
 	}
-	// One telemetry publish per visit, not per decision. The table version
-	// cannot move while mu is held, which is what FlushStats's same-version
-	// contract requires.
+	// One telemetry publish per visit, not per decision.
 	empty -= failed
-	dec := uint64(n) - failed
-	s.decCtr.Add(dec)
+	s.decCtr.Add(uint64(n) - failed)
 	if empty != 0 {
 		s.emptyCtr.Add(empty)
 	}
-	it.FlushStats(dec)
 	return failed
 }
 
@@ -559,7 +540,7 @@ func (e *Engine) apply(op func(*smbm.SMBM) error) error {
 func (s *shard) write(op func(*smbm.SMBM) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return op(s.snap.table)
+	return op(s.mod.Table)
 }
 
 // Metrics returns a copy of the metric values for id from the authoritative
@@ -578,8 +559,9 @@ func (e *Engine) Size() int {
 }
 
 // CheckSync verifies the engine-wide InSync invariant: the replica table of
-// every healthy shard holds contents identical to the authoritative table
-// and satisfies every SMBM structural invariant. Quarantined shards are
+// every healthy shard holds contents identical to the authoritative table,
+// per-dimension order included, and satisfies every SMBM structural
+// invariant. Quarantined shards are
 // excluded — they are known-diverged and out of the serving set.
 // Intended for tests; it takes the writer lock, so in-flight decisions are
 // unaffected but writes are briefly excluded.
@@ -590,15 +572,14 @@ func (e *Engine) CheckSync() error {
 	if err := base.CheckInvariants(); err != nil {
 		return fmt.Errorf("authoritative table: %w", err)
 	}
-	ids := base.Members().IDs()
 	for si, s := range e.shards {
 		if ShardHealth(s.health.Load()) != Healthy {
 			continue
 		}
-		if err := s.snap.table.CheckInvariants(); err != nil {
+		if err := s.mod.Table.CheckInvariants(); err != nil {
 			return fmt.Errorf("shard %d: %w", si, err)
 		}
-		if err := e.verifyShard(s, ids); err != nil {
+		if err := e.verifyShard(s); err != nil {
 			return fmt.Errorf("shard %d: %w", si, err)
 		}
 	}

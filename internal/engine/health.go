@@ -14,9 +14,9 @@ import (
 // op-for-op. The first write it rejects after the authority accepted it (or
 // a divergence found by VerifyReplicas) moves it to Quarantined: the steering
 // table sends its traffic to healthy shards and writers stop broadcasting to
-// it. A background goroutine then rebuilds its snapshot from the authority
-// under the writer lock, in one attempt, and returns it to Healthy (see
-// SwapPolicy for why the rebuild does not fail).
+// it. A background goroutine then rebuilds its module over a copy of the
+// authority under the writer lock, in one attempt, and returns it to Healthy
+// (see SwapPolicy for why the rebuild does not fail).
 type ShardHealth int32
 
 const (
@@ -60,9 +60,9 @@ type ShardStatus struct {
 	// LastErr is the divergence that most recently quarantined the shard,
 	// empty if it never diverged.
 	LastErr string `json:"last_err,omitempty"`
-	// TableVersion is the shard table's SMBM mutation counter. A shard that
-	// has never been resynced agrees with AuthVersion; a resync rebuilds the
-	// table from scratch and restarts its count.
+	// TableVersion is the shard table's SMBM mutation counter. A healthy
+	// shard agrees with AuthVersion: every accepted write advances both, and
+	// a resync copies the authority's version with its contents.
 	TableVersion uint64 `json:"table_version"`
 	TableSize    int    `json:"table_size"`
 }
@@ -96,8 +96,8 @@ func (e *Engine) Introspect() EngineStatus {
 		}
 		// Safe to read under wmu: deciders never mutate tables, and every
 		// mutator (apply, swap, resync) holds wmu, which we hold.
-		ss.TableVersion = s.snap.table.Version()
-		ss.TableSize = s.snap.table.Size()
+		ss.TableVersion = s.mod.Table.Version()
+		ss.TableSize = s.mod.Table.Size()
 		st.Shards = append(st.Shards, ss)
 	}
 	return st
@@ -159,9 +159,11 @@ func (e *Engine) rebuildSteering() {
 // authoritative table, unless the engine closes first. It first delivers the
 // OnQuarantine callback, holding no engine lock, so the callback is free to
 // block or dump diagnostics. The rebuild holds wmu, which gives it a stable
-// authority; the table and interpreter are built with no shard lock held,
-// which is taken only to replace the snapshot pointer, so a batch steered
-// here by a stale steering table waits for a pointer store, never for the
+// authority, and binds the current policy over a copy of it (SMBM.Copy):
+// same contents, same per-dimension order, so ties break as on every other
+// shard, and same version. The module is built with no shard lock held,
+// which is taken only to replace the module pointer, so a batch steered here
+// by a stale steering table waits for a pointer store, never for the
 // rebuild. A failed rebuild leaves the shard quarantined with the failure as
 // its lastErr.
 func (e *Engine) resync(si int, cause error) {
@@ -184,7 +186,9 @@ func (e *Engine) resync(si int, cause error) {
 	default:
 	}
 	s := e.shards[si]
-	fresh, err := e.rebuildSnapshot(s)
+	t := e.auth.Copy()
+	t.AttachTelemetry(s.tableTel)
+	fresh, err := s.bind(t, e.schema, e.pol.Load())
 	if err != nil {
 		s.lastErr = fmt.Errorf("engine: resync shard %d: %w", si, err)
 		return
@@ -195,25 +199,6 @@ func (e *Engine) resync(si int, cause error) {
 	e.resyncCtr.Inc()
 	e.quarGauge.Add(-1)
 	e.flight.Event(telemetry.EventResync, 0, time.Now().UnixNano(), int64(si))
-}
-
-// rebuildSnapshot builds a fresh replica of the authoritative table under the
-// current policy, wired to shard s's telemetry. Caller holds wmu.
-func (e *Engine) rebuildSnapshot(s *shard) (*snapshot, error) {
-	t := smbm.New(e.auth.Capacity(), e.auth.NumMetrics())
-	for _, id := range e.auth.Members().IDs() {
-		vals, ok := e.auth.Metrics(id)
-		if !ok {
-			return nil, fmt.Errorf("id %d vanished from authority", id)
-		}
-		if err := t.Add(id, vals); err != nil {
-			return nil, err
-		}
-	}
-	if s.tableTel != nil {
-		t.AttachTelemetry(s.tableTel)
-	}
-	return s.newSnapshot(t, e.schema, e.pol.Load())
 }
 
 // CorruptReplica forcibly removes resource id from the table of shard si
@@ -252,13 +237,12 @@ func (e *Engine) CorruptReplica(si, id int) error {
 func (e *Engine) VerifyReplicas() int {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	ids := e.auth.Members().IDs()
 	n := 0
 	for si, s := range e.shards {
 		if ShardHealth(s.health.Load()) != Healthy {
 			continue
 		}
-		if err := e.verifyShard(s, ids); err != nil {
+		if err := e.verifyShard(s); err != nil {
 			e.quarantineLocked(si, err)
 			n++
 		}
@@ -266,25 +250,14 @@ func (e *Engine) VerifyReplicas() int {
 	return n
 }
 
-// verifyShard compares a shard's table against the authoritative contents.
-// Caller holds wmu (no writes in flight); the reads are safe concurrently
-// with a deciding caller, which never mutates tables.
-func (e *Engine) verifyShard(s *shard, ids []int) error {
-	t := s.snap.table
-	if t.Size() != len(ids) {
-		return fmt.Errorf("engine: replica holds %d resources, authority holds %d", t.Size(), len(ids))
-	}
-	for _, id := range ids {
-		want, _ := e.auth.Metrics(id)
-		got, ok := t.Metrics(id)
-		if !ok {
-			return fmt.Errorf("engine: replica missing id %d", id)
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				return fmt.Errorf("engine: replica id %d metric %d = %d, authority has %d", id, j, got[j], want[j])
-			}
-		}
+// verifyShard compares a shard's table against the authoritative one:
+// contents and per-dimension order, since two tables that hold the same rows
+// but broke a tie differently answer a min or max differently. Caller holds
+// wmu (no writes in flight); the reads are safe concurrently with a deciding
+// caller, which never mutates tables.
+func (e *Engine) verifyShard(s *shard) error {
+	if err := s.mod.Table.Diff(e.auth); err != nil {
+		return fmt.Errorf("engine: replica diverged from authority: %w", err)
 	}
 	return nil
 }

@@ -11,9 +11,9 @@ import (
 
 // SwapPolicy replaces the policy every shard executes, without stopping the
 // decision path — the serving frontend's live reconfiguration primitive. Per
-// healthy shard a new interpreter is built against the shard's existing table
-// with no shard lock held; only then is each shard's lock taken, just long
-// enough to replace its snapshot pointer. A decision therefore never waits on
+// healthy shard a new module is bound to the shard's existing table with no
+// shard lock held; only then is each shard's lock taken, just long enough to
+// replace its module pointer. A decision therefore never waits on
 // interpreter construction and always executes a complete program against a
 // complete table; a batch racing the swap may mix old-policy and new-policy
 // decisions, but every single decision is internally consistent.
@@ -43,18 +43,18 @@ func (e *Engine) SwapPolicy(p *policy.Policy) error {
 	if err := p.Validate(e.schema); err != nil {
 		return err
 	}
-	// Build every interpreter before publishing any: a mid-swap failure must
-	// not leave some shards on the new policy and some on the old.
+	// Build every module before publishing any: a mid-swap failure must not
+	// leave some shards on the new policy and some on the old.
 	type pending struct {
 		s     *shard
-		fresh *snapshot
+		fresh *policy.Module
 	}
 	var plan []pending
 	for si, s := range e.shards {
 		if ShardHealth(s.health.Load()) != Healthy {
 			continue
 		}
-		fresh, err := s.newSnapshot(s.snap.table, e.schema, p)
+		fresh, err := s.bind(s.mod.Table, e.schema, p)
 		if err != nil {
 			return fmt.Errorf("engine: swap policy on shard %d: %w", si, err)
 		}
@@ -70,26 +70,26 @@ func (e *Engine) SwapPolicy(p *policy.Policy) error {
 	return nil
 }
 
-// newSnapshot binds a fresh interpreter for pol to table t, for publish on
-// this shard. Chain telemetry is labeled per program step at construction
-// time; after a policy hot-swap the program may have a different shape, in
-// which case the per-step counters no longer apply and the interpreter runs
-// unattached (table and decision counters continue).
-func (s *shard) newSnapshot(t *smbm.SMBM, schema policy.Schema, pol *policy.Policy) (*snapshot, error) {
-	it, err := policy.NewInterp(t, schema, pol)
+// bind builds this shard's module for pol over table t (policy.BindModule)
+// and attaches the shard's chain telemetry. Those counters are labeled per
+// program step at construction time; after a hot-swap to a program of
+// another shape they no longer apply and the module runs unattached (table
+// and decision counters continue).
+func (s *shard) bind(t *smbm.SMBM, schema policy.Schema, pol *policy.Policy) (*policy.Module, error) {
+	m, err := policy.BindModule(t, schema, pol)
 	if err != nil {
 		return nil, err
 	}
-	if s.chainTel != nil && s.chainTel.Steps() == it.Steps() {
-		it.AttachTelemetry(s.chainTel)
+	if s.chainTel != nil && s.chainTel.Steps() == m.Steps() {
+		m.AttachTelemetry(s.chainTel)
 	}
-	return &snapshot{table: t, interp: it}, nil
+	return m, nil
 }
 
-// publish replaces the shard's snapshot with one built beforehand: the shard
+// publish replaces the shard's module with one built beforehand: the shard
 // lock covers a single pointer store. Caller holds wmu.
-func (s *shard) publish(fresh *snapshot) {
+func (s *shard) publish(fresh *policy.Module) {
 	s.mu.Lock()
-	s.snap = fresh
+	s.mod = fresh
 	s.mu.Unlock()
 }

@@ -70,7 +70,7 @@ func TestEngineTelemetryCounters(t *testing.T) {
 	// count equals the decision count; candidate counts shrink (or hold)
 	// monotonically through the intersect chain only in expectation, but
 	// step 0 (the table view) always yields the full table.
-	labels := e.shards[0].snap.interp.StepLabels()
+	labels := e.shards[0].mod.StepLabels()
 	var prevCand uint64
 	for i := range labels {
 		name := "thanos_engine_chain_step" + string(rune('0'+i)) + "_invocations_total"

@@ -31,8 +31,8 @@ type Loader struct {
 	// Tags are extra build tags considered satisfied (e.g. "thanosdebug").
 	Tags map[string]bool
 
-	std  types.Importer
-	pkgs map[string]*Package
+	std   types.Importer
+	pkgs  map[string]*Package
 	stack []string // in-progress loads, for import-cycle reporting
 }
 

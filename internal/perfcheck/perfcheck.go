@@ -83,7 +83,7 @@ func Thresholds(set []Benchmark) map[string]float64 {
 // Result is one benchmark's measurement inside a checkpoint.
 type Result struct {
 	Iters   int       `json:"iters"`
-	NsPerOp float64   `json:"ns_per_op"`     // minimum across repetitions
+	NsPerOp float64   `json:"ns_per_op"`      // minimum across repetitions
 	RepsNs  []float64 `json:"reps_ns_per_op"` // every repetition, in run order
 }
 

@@ -186,7 +186,6 @@ func Set() []Benchmark {
 		{Name: "FilterModuleDecide", Iters: 50000, Setup: setupFilterModuleDecide},
 		{Name: "SMBMUpdate", Iters: 50000, Setup: setupSMBMUpdate},
 		{Name: "SMBMUpdateChurn", Iters: 4 * churnCycle, Setup: setupSMBMUpdateChurn},
-		{Name: "SMBMUpdateBatch", Iters: 20000, Threshold: tableThreshold, Setup: setupSMBMUpdateBatch},
 		{Name: "EngineDecideBatch", Iters: 100, Reps: 3, Threshold: simThreshold, Setup: setupEngineDecideBatch},
 		{Name: "EngineDecideBatchLB1024", Iters: 400, Reps: 3, Setup: setupEngineDecideBatchLB1024},
 		{Name: "EngineDecideBatchDRILL1024", Iters: 100, Reps: 3, Setup: setupEngineDecideBatchDRILL1024},
@@ -281,35 +280,6 @@ func setupSMBMUpdate() (func(int), error) {
 	return func(i int) {
 		vals[0] = int64(i % 997)
 		if err := table.Update(i%128, vals); err != nil {
-			panic(err)
-		}
-	}, nil
-}
-
-// setupSMBMUpdateBatch is the amortized probe-processing path: one
-// 16-resource UpdateBatch per iteration on a full table (one sort + merge
-// per dimension instead of 16 independent shifted writes).
-func setupSMBMUpdateBatch() (func(int), error) {
-	const batch = 16
-	table := smbm.New(128, 4)
-	r := rand.New(rand.NewSource(5))
-	for id := 0; id < 128; id++ {
-		if err := table.Add(id, []int64{int64(r.Intn(1000)), int64(r.Intn(1000)), int64(r.Intn(1000)), int64(r.Intn(1000))}); err != nil {
-			return nil, err
-		}
-	}
-	ids := make([]int, batch)
-	metrics := make([][]int64, batch)
-	for j := range metrics {
-		metrics[j] = make([]int64, 4)
-	}
-	return func(i int) {
-		for j := 0; j < batch; j++ {
-			ids[j] = (i*batch + j) % 128
-			metrics[j][0] = int64((i + j) % 997)
-			metrics[j][1], metrics[j][2], metrics[j][3] = 1, 2, 3
-		}
-		if err := table.UpdateBatch(ids, metrics); err != nil {
 			panic(err)
 		}
 	}, nil

@@ -165,7 +165,7 @@ func mutateDiff(t *testing.T, r *rand.Rand, table *smbm.SMBM) string {
 		must(table.Update(present, randVals()))
 		return "update"
 	case op == 3 && table.Size() > 1:
-		// A batch of two distinct members.
+		// Two distinct members, back to back.
 		second := present
 		for id := (present + 1) % capN; id != present; id = (id + 1) % capN {
 			if table.Contains(id) {
@@ -173,8 +173,9 @@ func mutateDiff(t *testing.T, r *rand.Rand, table *smbm.SMBM) string {
 				break
 			}
 		}
-		must(table.UpdateBatch([]int{present, second}, [][]int64{randVals(), randVals()}))
-		return "update-batch"
+		must(table.Update(present, randVals()))
+		must(table.Update(second, randVals()))
+		return "update-pair"
 	case op == 4 && present >= 0:
 		// Same id, same values, two writes: membership and metrics end where
 		// they began, but the entry re-enters every dimension after its
@@ -323,7 +324,7 @@ func TestDifferentialInterpVsCompiled(t *testing.T) {
 		t.Fatalf("phase coverage collapsed: %d outputs with a stateful-fed filter, %d with a static one, over %d policies",
 			dynFilters, staticFilters, compiled)
 	}
-	for _, op := range []string{"add", "delete", "update", "update-batch", "delete-readd", "update-identical", "upsert"} {
+	for _, op := range []string{"add", "delete", "update", "update-pair", "delete-readd", "update-identical", "upsert"} {
 		if ops[op] == 0 {
 			t.Fatalf("write op %q never exercised: %v", op, ops)
 		}

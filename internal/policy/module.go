@@ -17,7 +17,7 @@ import (
 // Metric refreshes that arrive faster than decisions go through Stage: the
 // module keeps the newest row per resource and writes the staged rows into
 // Table, in the order they were last staged, just before the next read
-// (Decide, Exec, Metrics) or direct write (Upsert, Remove). Every SMBM
+// (Decide, DecideBatch, Exec, Metrics) or direct write (Upsert, Remove). Every SMBM
 // dimension is sorted by (value, order of last write) — Update re-inserts
 // after every equal value — so an overwritten row leaves no trace and the
 // flushed table is the one eager Updates would have built. Table is
@@ -27,9 +27,8 @@ type Module struct {
 	Table  *smbm.SMBM
 	Policy *Policy
 	interp *Interp
-	stats  *telemetry.DecideStats // nil unless AttachTelemetry was called
 
-	// Staged rows, sized in NewModule: rows[id*m:(id+1)*m] is id's newest
+	// Staged rows, sized in BindModule: rows[id*m:(id+1)*m] is id's newest
 	// metric tuple while id is queued. The queue is a circular doubly
 	// linked list in last-stage order through next/prev; index capacity is
 	// its sentinel, and next[id] == -1 means id is not queued.
@@ -41,25 +40,35 @@ type Module struct {
 // register matching chain telemetry.
 func (m *Module) StepLabels() []string { return m.interp.StepLabels() }
 
-// AttachTelemetry wires decision counters and per-step chain selectivity
-// into the module. Either argument may be nil to leave that aspect
-// uninstrumented.
-func (m *Module) AttachTelemetry(cs *telemetry.ChainStats, ds *telemetry.DecideStats) {
+// Steps returns the number of steps in the module's evaluation program, the
+// length a ChainStats must have to attach (see Interp.Steps).
+func (m *Module) Steps() int { return m.interp.Steps() }
+
+// AttachTelemetry wires per-step chain selectivity into the module. Pass
+// nil to detach.
+func (m *Module) AttachTelemetry(cs *telemetry.ChainStats) {
 	m.interp.AttachTelemetry(cs)
-	m.stats = ds
 }
 
 // NewModule builds a module with capacity resources, the given attribute
 // schema, and a policy (typically from Parse).
 func NewModule(capacity int, schema Schema, pol *Policy) (*Module, error) {
-	table := smbm.New(capacity, len(schema.Attrs))
+	return BindModule(smbm.New(capacity, len(schema.Attrs)), schema, pol)
+}
+
+// BindModule builds a module for pol over an existing table, which keeps its
+// contents: a new policy for a live table, or a module over a copy of
+// another table. Nothing may be staged on another module over the same
+// table, since this module neither sees nor flushes those rows.
+func BindModule(table *smbm.SMBM, schema Schema, pol *Policy) (*Module, error) {
 	it, err := NewInterp(table, schema, pol)
 	if err != nil {
 		return nil, err
 	}
+	capacity := table.Capacity()
 	m := &Module{
 		Table: table, Policy: pol, interp: it,
-		rows: make([]int64, capacity*len(schema.Attrs)),
+		rows: make([]int64, capacity*table.NumMetrics()),
 		next: make([]int32, capacity+1),
 		prev: make([]int32, capacity+1),
 	}
@@ -141,26 +150,40 @@ func (m *Module) flush() {
 	m.next[end], m.prev[end] = end, end
 }
 
+// Batch returns an n-packet column for DecideBatch: module scratch, valid
+// until the next Batch, Decide, DecideBatch or Exec.
+//
+//thanos:coldpath amortized: grows only when a batch is larger than any before it on this module; steady state is a re-slice
+func (m *Module) Batch(n int) []int { return m.interp.Batch(n) }
+
+// DecideBatch decides a Batch column in arrival order: packet j's output
+// index at col[j] is replaced by its id after fallback resolution, -1 when
+// the chain ends empty or the output does not exist (those count in
+// failed). Staged rows are written first, and the per-step chain counts of
+// the batch are published once, at the end.
+//
+//thanos:hotpath
+func (m *Module) DecideBatch(col []int) (failed int) {
+	m.flush()
+	failed = m.interp.DecideBatch(col)
+	m.interp.FlushStats(uint64(len(col) - failed))
+	return failed
+}
+
 // Decide executes the policy for one packet and returns the selected
 // resource id from output 0 (after fallback resolution). ok is false when
-// even the fallback produced an empty table.
+// even the fallback produced an empty table. It is DecideBatch's one-packet
+// case.
 //
 //thanos:hotpath
 func (m *Module) Decide() (id int, ok bool) {
-	m.flush()
-	id = m.interp.Decide(0)
-	m.interp.FlushStats(1) // single-threaded module: publish per decision
-	ok = id >= 0
-	if ds := m.stats; ds != nil {
-		ds.Decisions.Inc()
-		if !ok {
-			ds.Empty.Inc()
-		}
-	}
-	if !ok {
+	col := m.Batch(1)
+	col[0] = 0
+	m.DecideBatch(col)
+	if col[0] < 0 {
 		return 0, false
 	}
-	return id, true
+	return col[0], true
 }
 
 // Metrics returns a copy of the resource's current metric tuple, or ok=false

@@ -3,10 +3,10 @@ package smbm
 import "testing"
 
 // TestWritePathZeroAlloc pins the steady-state probe-processing writes:
-// Update, churn-style Add/Delete, and the amortized UpdateBatch must not
-// allocate once the table's columnar arenas and batch scratch are warm.
+// Update and churn-style Add/Delete must not allocate once the table's
+// columnar arenas are warm.
 func TestWritePathZeroAlloc(t *testing.T) {
-	const n, m, batch = 128, 4, 16
+	const n, m = 128, 4
 	s := New(n, m)
 	for id := 0; id < n; id++ {
 		if err := s.Add(id, []int64{int64(id % 7), int64(-id), int64(id * 3), 9}); err != nil {
@@ -14,15 +14,6 @@ func TestWritePathZeroAlloc(t *testing.T) {
 		}
 	}
 	vals := []int64{0, 1, 2, 3}
-	ids := make([]int, batch)
-	metrics := make([][]int64, batch)
-	for j := range metrics {
-		ids[j] = j * 5
-		metrics[j] = []int64{int64(j), 1, 2, 3}
-	}
-	if err := s.UpdateBatch(ids, metrics); err != nil {
-		t.Fatal(err) // warm the batch scratch
-	}
 
 	i := 0
 	if got := testing.AllocsPerRun(100, func() {
@@ -33,18 +24,6 @@ func TestWritePathZeroAlloc(t *testing.T) {
 		i++
 	}); got != 0 {
 		t.Errorf("Update allocates %.1f times per call, want 0", got)
-	}
-
-	if got := testing.AllocsPerRun(100, func() {
-		for j := range ids {
-			metrics[j][0] = int64(i + j)
-		}
-		if err := s.UpdateBatch(ids, metrics); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	}); got != 0 {
-		t.Errorf("UpdateBatch allocates %.1f times per call, want 0", got)
 	}
 
 	if got := testing.AllocsPerRun(100, func() {

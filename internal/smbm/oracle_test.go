@@ -308,92 +308,3 @@ func TestSMBMOracleChurnBurst(t *testing.T) {
 		}
 	}
 }
-
-// TestSMBMUpdateBatchMatchesSequential proves the amortized batch path is
-// observationally identical to applying the same updates one at a time in
-// batch order — including FIFO tie-break placement, version advancement,
-// and the modeled cycle cost.
-func TestSMBMUpdateBatchMatchesSequential(t *testing.T) {
-	const (
-		capN = 48
-		m    = 3
-	)
-	for _, seed := range []int64{1, 9, 77} {
-		r := rand.New(rand.NewSource(seed))
-		batched, sequential := New(capN, m), New(capN, m)
-		o := newOracle(capN, m)
-		live := []int{}
-		for id := 0; id < capN; id++ {
-			if r.Intn(4) == 0 {
-				continue // leave holes so positions and ids diverge
-			}
-			vals := []int64{int64(r.Intn(5)), int64(r.Intn(5)), int64(r.Intn(5))}
-			o.add(id, vals)
-			if batched.Add(id, vals) != nil || sequential.Add(id, vals) != nil {
-				t.Fatal("fill failed")
-			}
-			live = append(live, id)
-		}
-		for round := 0; round < 40; round++ {
-			k := 1 + r.Intn(len(live))
-			perm := r.Perm(len(live))[:k]
-			ids := make([]int, k)
-			rows := make([][]int64, k)
-			for b := 0; b < k; b++ {
-				ids[b] = live[perm[b]]
-				rows[b] = []int64{int64(r.Intn(5)), int64(r.Intn(5)), int64(r.Intn(5))}
-			}
-			if err := batched.UpdateBatch(ids, rows); err != nil {
-				t.Fatalf("round %d: UpdateBatch: %v", round, err)
-			}
-			for b := 0; b < k; b++ {
-				o.update(ids[b], rows[b])
-				if err := sequential.Update(ids[b], rows[b]); err != nil {
-					t.Fatalf("round %d: Update(%d): %v", round, ids[b], err)
-				}
-			}
-			o.compare(t, batched, round)
-			o.compare(t, sequential, round)
-			if batched.Cycles() != sequential.Cycles() {
-				t.Fatalf("round %d: batch cycles %d != sequential %d", round, batched.Cycles(), sequential.Cycles())
-			}
-		}
-	}
-}
-
-// TestSMBMUpdateBatchRejects checks batch validation leaves the table
-// untouched on every error class.
-func TestSMBMUpdateBatchRejects(t *testing.T) {
-	s := New(8, 2)
-	for id := 0; id < 4; id++ {
-		if err := s.Add(id, []int64{int64(id), int64(-id)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := s.Version()
-	cases := []struct {
-		name string
-		ids  []int
-		rows [][]int64
-	}{
-		{"absent id", []int{2, 7}, [][]int64{{1, 1}, {2, 2}}},
-		{"out of range", []int{2, 8}, [][]int64{{1, 1}, {2, 2}}},
-		{"duplicate in batch", []int{2, 2}, [][]int64{{1, 1}, {2, 2}}},
-		{"row arity", []int{1, 2}, [][]int64{{1, 1}, {2}}},
-		{"outer arity", []int{1, 2}, [][]int64{{1, 1}}},
-	}
-	for _, tc := range cases {
-		if err := s.UpdateBatch(tc.ids, tc.rows); err == nil {
-			t.Errorf("%s: batch accepted", tc.name)
-		}
-		if err := s.CheckInvariants(); err != nil {
-			t.Errorf("%s: table corrupted by rejected batch: %v", tc.name, err)
-		}
-		if s.Version() != before {
-			t.Errorf("%s: version advanced on rejected batch", tc.name)
-		}
-	}
-	if err := s.UpdateBatch(nil, nil); err != nil {
-		t.Errorf("empty batch: %v", err)
-	}
-}

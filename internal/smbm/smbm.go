@@ -79,14 +79,6 @@ type SMBM struct {
 	members *bitvec.Vector // maintained incrementally by Add/Delete
 	clock   hw.Clock
 	tel     *telemetry.TableStats // nil unless AttachTelemetry was called
-
-	// UpdateBatch scratch, sized lazily on first use.
-	batchOrd  []int32
-	ordTmp    []int32
-	mergeVals []int64
-	mergeIDs  []int32
-	stamp     []uint32
-	stampGen  uint32
 }
 
 // AttachTelemetry wires op counters and the size gauge into this table
@@ -131,6 +123,23 @@ func New(n, m int) *SMBM {
 		s.valByID = make([]int64, n*m)
 	}
 	return s
+}
+
+// Copy returns an independent table laid out like New's, holding s's
+// contents: every dimension's sorted column, so equal values keep the
+// first-in-first-out order their writes gave them (§5.1.2), the pointer
+// columns, the version and the cycles consumed. No telemetry is attached.
+func (s *SMBM) Copy() *SMBM {
+	c := New(s.n, s.m)
+	c.size, c.version, c.clock = s.size, s.version, s.clock
+	c.members.CopyFrom(s.members)
+	for j := range s.vals {
+		c.vals[j] = append(c.vals[j], s.vals[j]...)
+		c.dimIDs[j] = append(c.dimIDs[j], s.dimIDs[j]...)
+	}
+	copy(c.pos, s.pos)
+	copy(c.valByID, s.valByID)
+	return c
 }
 
 // Capacity returns N, the maximum number of resources (and the width of bit
@@ -320,153 +329,6 @@ func (s *SMBM) Update(id int, metrics []int64) error {
 	return nil
 }
 
-// UpdateBatch replaces the metric values of len(ids) existing resources in
-// one sweep per dimension, equivalent to calling Update(ids[b], metrics[b])
-// in order b = 0, 1, ... but with the shift work amortized: each dimension
-// stably sorts the k new values (O(k log k)) and merges them with the
-// surviving entries in a single O(n) pass, so a churn burst costs
-// O(m·(n + k log k)) instead of the O(m·k·n) of k separate worst-case
-// updates. FIFO tie-break is preserved exactly: re-entering values land
-// after all equal surviving values, ordered among themselves by batch
-// position. The batch is validated before any mutation; on error the table
-// is unchanged. It consumes k × 2×WriteCycles cycles on success.
-func (s *SMBM) UpdateBatch(ids []int, metrics [][]int64) error {
-	k := len(ids)
-	if len(metrics) != k {
-		return fmt.Errorf("%w: %d metric rows for %d ids", ErrMetricsArity, len(metrics), k)
-	}
-	if s.stamp == nil {
-		s.stamp = make([]uint32, s.n)
-	}
-	s.stampGen++
-	if s.stampGen == 0 {
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
-		s.stampGen = 1
-	}
-	for b, id := range ids {
-		if id < 0 || id >= s.n || !s.members.Get(id) {
-			return fmt.Errorf("%w: %d", ErrNotFound, id)
-		}
-		if s.stamp[id] == s.stampGen {
-			return fmt.Errorf("%w: %d repeated in batch", ErrDuplicateID, id)
-		}
-		s.stamp[id] = s.stampGen
-		if len(metrics[b]) != s.m {
-			return fmt.Errorf("%w: row %d has %d, want %d", ErrMetricsArity, b, len(metrics[b]), s.m)
-		}
-	}
-	if k == 0 || s.m == 0 {
-		if k > 0 {
-			s.finishBatch(k)
-		}
-		return nil
-	}
-
-	if cap(s.mergeVals) < s.n {
-		s.mergeVals = make([]int64, s.n)
-		s.mergeIDs = make([]int32, s.n)
-	}
-	if cap(s.batchOrd) < k {
-		s.batchOrd = make([]int32, k)
-		s.ordTmp = make([]int32, k)
-	}
-
-	for j := 0; j < s.m; j++ {
-		// Stable order of the incoming values: ascending, batch order on
-		// ties, so the merge below reads them like a sorted run.
-		ord := s.batchOrd[:k]
-		for b := range ord {
-			ord[b] = int32(b)
-		}
-		stableSortOrd(ord, s.ordTmp[:k], metrics, j)
-
-		// One pass: surviving entries keep their relative order; a batch
-		// value is emitted only once every survivor ≤ it has been (FIFO).
-		col, idsj := s.vals[j], s.dimIDs[j]
-		mv, mi := s.mergeVals[:0], s.mergeIDs[:0]
-		bi := 0
-		for p := 0; p < s.size; p++ {
-			id := idsj[p]
-			if s.stamp[id] == s.stampGen {
-				continue // updated entry: re-enters from the batch run
-			}
-			v := col[p]
-			for bi < k && metrics[ord[bi]][j] < v {
-				b := ord[bi]
-				mv = append(mv, metrics[b][j])
-				mi = append(mi, int32(ids[b]))
-				bi++
-			}
-			mv = append(mv, v)
-			mi = append(mi, id)
-		}
-		for ; bi < k; bi++ {
-			b := ord[bi]
-			mv = append(mv, metrics[b][j])
-			mi = append(mi, int32(ids[b]))
-		}
-
-		copy(col[:s.size], mv)
-		copy(idsj[:s.size], mi)
-		for p := 0; p < s.size; p++ {
-			s.pos[int(idsj[p])*s.m+j] = int32(p)
-		}
-		for b, id := range ids {
-			s.valByID[id*s.m+j] = metrics[b][j]
-		}
-	}
-	s.finishBatch(k)
-	return nil
-}
-
-// stableSortOrd stably sorts the batch indices in ord ascending by their
-// dimension-j metric value, preserving batch order on ties (the FIFO
-// contract). Bottom-up merge sort through the caller-provided tmp scratch:
-// O(k log k) comparisons and zero allocations, unlike sort.SliceStable whose
-// reflection-based swapper heap-allocates per call.
-func stableSortOrd(ord, tmp []int32, metrics [][]int64, j int) {
-	n := len(ord)
-	for width := 1; width < n; width *= 2 {
-		for lo := 0; lo+width < n; lo += 2 * width {
-			mid := lo + width
-			hi := mid + width
-			if hi > n {
-				hi = n
-			}
-			x, y, o := lo, mid, lo
-			for x < mid && y < hi {
-				// Strict < keeps the left run (earlier batch order) first
-				// on equal values.
-				if metrics[ord[y]][j] < metrics[ord[x]][j] {
-					tmp[o] = ord[y]
-					y++
-				} else {
-					tmp[o] = ord[x]
-					x++
-				}
-				o++
-			}
-			copy(tmp[o:], ord[x:mid])
-			copy(tmp[o+(mid-x):hi], ord[y:hi])
-			copy(ord[lo:hi], tmp[lo:hi])
-		}
-	}
-}
-
-func (s *SMBM) finishBatch(k int) {
-	s.version++
-	s.clock.Tick(uint64(k) * 2 * WriteCycles)
-	if t := s.tel; t != nil {
-		t.Deletes.Add(uint64(k))
-		t.Adds.Add(uint64(k))
-		t.Updates.Add(uint64(k))
-		t.Size.Set(int64(s.size))
-	}
-	s.assertConsistent("UpdateBatch")
-}
-
 // Upsert adds the resource if absent or updates it if present.
 func (s *SMBM) Upsert(id int, metrics []int64) error {
 	if s.Contains(id) {
@@ -621,6 +483,33 @@ func (s *SMBM) CheckInvariants() error {
 			if s.valByID[id*s.m+j] != col[p] {
 				return fmt.Errorf("value cache mismatch: metric %d pos %d id %d: %d != %d",
 					j, p, id, s.valByID[id*s.m+j], col[p])
+			}
+		}
+	}
+	return nil
+}
+
+// Diff returns nil when s and o hold the same resources with the same values
+// in the same order in every dimension, ties included, so that every filter
+// answers alike over both; otherwise it describes the first difference.
+// Version and cycles are history, not contents, and are not compared.
+func (s *SMBM) Diff(o *SMBM) error {
+	if s.n != o.n || s.m != o.m {
+		return fmt.Errorf("capacity %d with %d metrics, other has %d with %d", s.n, s.m, o.n, o.m)
+	}
+	if s.size != o.size {
+		return fmt.Errorf("holds %d resources, other holds %d", s.size, o.size)
+	}
+	for id := 0; id < s.n; id++ {
+		if s.Contains(id) != o.Contains(id) {
+			return fmt.Errorf("id %d present %v, in other %v", id, s.Contains(id), o.Contains(id))
+		}
+	}
+	for j := 0; j < s.m; j++ {
+		for p := 0; p < s.size; p++ {
+			if s.dimIDs[j][p] != o.dimIDs[j][p] || s.vals[j][p] != o.vals[j][p] {
+				return fmt.Errorf("metric %d position %d holds id %d = %d, other holds id %d = %d",
+					j, p, s.dimIDs[j][p], s.vals[j][p], o.dimIDs[j][p], o.vals[j][p])
 			}
 		}
 	}

@@ -419,3 +419,48 @@ func BenchmarkUpdate512x8(b *testing.B) {
 		}
 	}
 }
+
+// TestCopyAndDiff: a copy keeps contents, tie order and version, is
+// independent of its source, and Diff tells tables apart by tie order alone.
+func TestCopyAndDiff(t *testing.T) {
+	s := New(8, 2)
+	mustAdd(t, s, 3, 5, 1)
+	mustAdd(t, s, 6, 5, 1) // ties 3 in both dimensions, after it
+	mustAdd(t, s, 1, 2, 9)
+	if err := s.Update(3, []int64{5, 1}); err != nil { // 3 now follows 6
+		t.Fatal(err)
+	}
+	c := s.Copy()
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Diff(s); err != nil {
+		t.Fatalf("copy differs: %v", err)
+	}
+	if c.Version() != s.Version() || c.Cycles() != s.Cycles() {
+		t.Errorf("copy version/cycles %d/%d, source %d/%d", c.Version(), c.Cycles(), s.Version(), s.Cycles())
+	}
+	if got := c.Dim(0).IDsSorted(); got[1] != 6 || got[2] != 3 {
+		t.Errorf("copy dimension 0 order %v, want 6 before 3", got)
+	}
+	// Same rows, other tie order: rewriting 6 with its own values moves it
+	// behind 3.
+	if err := c.Update(6, []int64{5, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Diff(s); err == nil {
+		t.Error("Diff misses a tie-order difference")
+	}
+	if s.Dim(0).ID(1) != 6 {
+		t.Error("writing the copy changed its source")
+	}
+	if err := c.Delete(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Diff(s); err == nil {
+		t.Error("Diff misses a missing resource")
+	}
+	if err := New(8, 0).Diff(New(8, 2)); err == nil {
+		t.Error("Diff misses a shape difference")
+	}
+}

@@ -3,11 +3,10 @@ package telemetry
 import "strconv"
 
 // This file defines the pre-wired metric bundles the datapath layers hang
-// onto: table op counts (SMBM, §5.1), chain selectivity (filter chains and
-// the banked pipeline, §5.3), decision outcomes, and load-balancer
-// placement. Each bundle is a plain struct of *Counter/*Gauge/*Histogram
-// handles — concrete pointers, never interfaces, so instrumented calls
-// stay static and pass the hotpathalloc dynamic-call ban.
+// onto: table op counts (SMBM, §5.1) and chain selectivity (filter chains
+// and the banked pipeline, §5.3). Each bundle is a plain struct of
+// *Counter/*Gauge handles — concrete pointers, never interfaces, so
+// instrumented calls stay static and pass the hotpathalloc dynamic-call ban.
 //
 // The New*Stats constructors take a shard count and return one handle
 // struct per shard. All shards of one bundle share the same registered
@@ -89,28 +88,6 @@ func NewChainStats(r *Registry, prefix string, labels []string, shards int) []*C
 			out[i].Invocations[step] = inv.Shard(i)
 			out[i].Candidates[step] = cand.Shard(i)
 		}
-	}
-	return out
-}
-
-// DecideStats counts decision outcomes and, where the caller knows its
-// modeled latency, the per-decision cycle distribution.
-type DecideStats struct {
-	Decisions     *Counter
-	Empty         *Counter
-	LatencyCycles *Histogram
-}
-
-// NewDecideStats registers <prefix>_decisions_total,
-// <prefix>_empty_decisions_total and <prefix>_decision_cycles and returns
-// one handle per shard.
-func NewDecideStats(r *Registry, prefix string, shards int) []*DecideStats {
-	dec := r.NewShardedCounter(prefix+"_decisions_total", "decisions executed", shards)
-	empty := r.NewShardedCounter(prefix+"_empty_decisions_total", "decisions whose final candidate set was empty", shards)
-	lat := r.NewHistogram(prefix+"_decision_cycles", "modeled decision latency in hardware cycles")
-	out := make([]*DecideStats, shards)
-	for i := range out {
-		out[i] = &DecideStats{Decisions: dec.Shard(i), Empty: empty.Shard(i), LatencyCycles: lat}
 	}
 	return out
 }

@@ -251,11 +251,4 @@ func TestStatsBundles(t *testing.T) {
 	if snap["thanos_chain_step1_candidates_total"].(uint64) != 10 {
 		t.Fatalf("chain candidates = %v", snap["thanos_chain_step1_candidates_total"])
 	}
-
-	dec := NewDecideStats(r, "thanos_dec", 1)[0]
-	dec.Decisions.Inc()
-	dec.LatencyCycles.Observe(12)
-	if dec.LatencyCycles.Count() != 1 {
-		t.Fatal("decide latency histogram should record")
-	}
 }
