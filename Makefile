@@ -1,16 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test bench check check-debug check-obs check-perf check-race-depth experiments fuzz-smoke overhead-smoke metrics-demo load-smoke
-
-build:
-	$(GO) build ./...
-
-test:
-	$(GO) test ./...
-
-bench:
-	$(GO) test -bench=. -benchmem ./...
+.PHONY: check check-slow check-perf
 
 # check is the PR gate: build, static analysis, and race-enabled tests over
 # the whole tree — the sharded decision engine, the serving frontend and the
@@ -34,7 +25,8 @@ bench:
 # soak ./internal/server/` selects the long one), and the failure-injection
 # suite: the fault planner, engine shard quarantine/resync, netsim
 # link/switch faults with RTO recovery and the Figure 17/18 failure sweeps.
-check: build
+check:
+	$(GO) build ./...
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists files to reformat:"; echo "$$unformatted"; exit 1; fi
@@ -42,28 +34,50 @@ check: build
 	$(GO) test -race ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# check-race-depth re-runs the suites that start goroutines under the race
-# detector at both ends of the scheduler spectrum: GOMAXPROCS=1 forces
-# cooperative interleavings (goroutines only switch at yield points, so
-# missing shutdown edges hang visibly) and GOMAXPROCS=4 maximizes true
-# parallelism. Schedule-dependent races show up at one setting or the other.
-# Besides the engine and server suites that is the sweep runner's
-# serial-vs-parallel identity tests and the simulator goldens: runner.Map
-# runs independent simulation points on worker goroutines.
-check-race-depth:
+# check-slow runs the gates too slow or too noisy for every edit, one
+# command per line so a failure names its gate.
+#
+# Race depth: the suites that start goroutines, under the race detector at
+# both ends of the scheduler spectrum. GOMAXPROCS=1 forces cooperative
+# interleavings (goroutines only switch at yield points, so missing shutdown
+# edges hang visibly) and GOMAXPROCS=4 maximizes true parallelism;
+# schedule-dependent races show up at one setting or the other. Besides the
+# engine and server suites that is the sweep runner's serial-vs-parallel
+# identity tests and the simulator goldens: runner.Map runs independent
+# simulation points on worker goroutines.
+#
+# Debug build: thanoslint over the thanosdebug-tagged file set, then the
+# suite with the tag: SMBM re-verifies per-dimension sortedness and the
+# id<->metric pointer bijection after every mutating op, and the interpreter
+# leases the tables Exec hands out (a stale read or a write-through panics).
+#
+# Fuzz smoke: each native fuzz target for FUZZTIME (30s default) from its
+# checked-in seed corpus: the DSL parser round-trip, the step-major batch
+# interpreter against one-at-a-time decisions, the bit-vector word-boundary
+# model check, and the wire-protocol frame codec and server decode paths
+# (truncated frames, oversized lengths, garbage opcodes must never panic,
+# over-allocate, or wedge a connection).
+#
+# Strict overhead gates (THANOS_STRICT=1): the fully instrumented batched
+# decision path must stay at zero steady-state allocations and within 5% of
+# uninstrumented throughput; the traced wire path (trace trailer encode,
+# exemplar store, span records) must stay allocation-free and full-rate
+# tracing within 5% of untraced throughput, and a traced client must yield
+# a stitched cross-layer timeline with a server exemplar.
+check-slow:
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/engine/ ./internal/server/...
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'SerialParallel|Golden' ./internal/experiments/
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/engine/ ./internal/server/...
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'SerialParallel|Golden' ./internal/experiments/
-
-# check-debug re-runs the suite with the thanosdebug build tag: SMBM
-# re-verifies per-dimension sortedness and the id<->metric pointer bijection
-# after every mutating op, the interpreter leases the tables Exec hands out
-# (a stale read or a write-through panics), and thanoslint analyzes the
-# tagged file set.
-check-debug:
 	$(GO) run ./cmd/thanoslint -debug .
 	$(GO) test -tags thanosdebug ./...
+	$(GO) test -run=^$$ -fuzz=^FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/policy/
+	$(GO) test -run=^$$ -fuzz=^FuzzDecideBatch$$ -fuzztime=$(FUZZTIME) ./internal/policy/
+	$(GO) test -run=^$$ -fuzz=^FuzzVectorOps$$ -fuzztime=$(FUZZTIME) ./internal/bitvec/
+	$(GO) test -run=^$$ -fuzz=^FuzzFrameRoundTrip$$ -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run=^$$ -fuzz=^FuzzServerDecode$$ -fuzztime=$(FUZZTIME) ./internal/server/
+	THANOS_STRICT=1 $(GO) test -run '^TestTelemetryOverheadSmoke$$' -v ./internal/engine/
+	THANOS_STRICT=1 $(GO) test -count=1 -v -run '^TestTrac' ./internal/server/
 
 # check-perf is the performance-regression gate: it runs the pinned
 # benchmark set (internal/perfcheck) and compares against the newest
@@ -84,72 +98,3 @@ check-perf:
 	$(GO) run ./cmd/thanosbench -checkpoint $(PERFCHECK_OUT) -against "$(PERFCHECK_AGAINST)"
 	PERFCHECK_AGAINST="$(CURDIR)/$(PERFCHECK_AGAINST)" PERFCHECK_OUT="$(abspath $(PERFCHECK_OUT))" \
 		$(GO) test -v -count=1 -run '^TestServerRoundTrip$$' ./internal/perfcheck/
-
-# fuzz-smoke runs each native fuzz target for FUZZTIME (30s default) from
-# its checked-in seed corpus: the DSL parser round-trip, the step-major
-# batch interpreter against one-at-a-time decisions, the bit-vector
-# word-boundary model check, and the wire-protocol frame codec and server
-# decode paths (truncated frames, oversized lengths, garbage opcodes must
-# never panic, over-allocate, or wedge a connection).
-fuzz-smoke:
-	$(GO) test -run=^$$ -fuzz=^FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/policy/
-	$(GO) test -run=^$$ -fuzz=^FuzzDecideBatch$$ -fuzztime=$(FUZZTIME) ./internal/policy/
-	$(GO) test -run=^$$ -fuzz=^FuzzVectorOps$$ -fuzztime=$(FUZZTIME) ./internal/bitvec/
-	$(GO) test -run=^$$ -fuzz=^FuzzFrameRoundTrip$$ -fuzztime=$(FUZZTIME) ./internal/server/
-	$(GO) test -run=^$$ -fuzz=^FuzzServerDecode$$ -fuzztime=$(FUZZTIME) ./internal/server/
-
-# experiments regenerates the full paper-evaluation run (EXPERIMENTS.md's
-# source data) into the ignored artifacts directory; the committed record is
-# the prose in EXPERIMENTS.md, not the raw dump.
-EXPERIMENTS_OUT ?= artifacts/experiments_output.txt
-experiments:
-	@mkdir -p $(dir $(EXPERIMENTS_OUT))
-	$(GO) run ./cmd/thanosbench -exp all | tee $(EXPERIMENTS_OUT)
-
-# load-smoke spawns an in-process thanosd and drives the synthetic
-# million-flow load generator against it for a short window, writing the
-# throughput/latency summary to LOADGEN_OUT for artifact archiving.
-LOADGEN_OUT ?= load_fresh.json
-load-smoke:
-	$(GO) run ./cmd/thanosload -spawn -duration 5s -conns 1 -inflight 1 \
-		-batch 256 -json $(LOADGEN_OUT)
-
-# check-obs is the end-to-end observability gate. It runs the wire-tracing
-# suite in strict mode — the traced decide path's extra work (trace trailer
-# encode, exemplar store, span records) must stay at zero steady-state
-# allocations, and full-rate tracing must stay within 5% of untraced
-# throughput — then drives a sampled thanosload run that must surface a p99
-# exemplar, and archives the stitched cross-layer Chrome trace it produced.
-OBS_OUT ?= artifacts
-check-obs:
-	THANOS_CHECK_OBS=1 $(GO) test -count=1 -v -run '^TestTrac' ./internal/server/
-	@mkdir -p $(OBS_OUT)
-	$(GO) run ./cmd/thanosload -spawn -duration 3s -conns 2 -batch 64 \
-		-trace-every 64 -json $(OBS_OUT)/load_traced.json \
-		-trace-out $(OBS_OUT)/trace_stitched.json
-	@grep -q '"p99_exemplar"' $(OBS_OUT)/load_traced.json || \
-		{ echo "check-obs: no p99 exemplar in $(OBS_OUT)/load_traced.json"; exit 1; }
-
-# overhead-smoke is the telemetry cost gate: the fully instrumented batched
-# decision path must stay at zero steady-state allocations and within 5% of
-# uninstrumented throughput.
-overhead-smoke:
-	THANOS_OVERHEAD_SMOKE=1 $(GO) test -run '^TestTelemetryOverheadSmoke$$' -v ./internal/engine/
-
-# metrics-demo boots one netsim run with the telemetry endpoint, scrapes
-# /metrics while the process holds, and prints the thanos_* samples.
-METRICS_ADDR ?= 127.0.0.1:9090
-metrics-demo: build
-	@$(GO) build -o /tmp/thanos-netsim ./cmd/netsim
-	@/tmp/thanos-netsim -flows 120 -scale 0.2 -metrics $(METRICS_ADDR) -hold 8s & \
-	pid=$$!; \
-	sleep 1; \
-	for i in 1 2 3 4 5 6 7 8; do \
-		if curl -sf http://$(METRICS_ADDR)/metrics >/dev/null 2>&1; then break; fi; \
-		sleep 1; \
-	done; \
-	echo "--- scrape of http://$(METRICS_ADDR)/metrics ---"; \
-	curl -sf http://$(METRICS_ADDR)/metrics | grep '^thanos_'; \
-	status=$$?; \
-	wait $$pid; \
-	exit $$status

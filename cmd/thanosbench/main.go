@@ -15,8 +15,6 @@
 //	thanosbench -exp fig16 -seed 7   # change the workload seed
 //	thanosbench -parallel=false      # force serial sweeps
 //	thanosbench -benchjson out.json  # machine-readable results ("-" = stdout)
-//	thanosbench -engine -shards 8    # sharded decision-engine throughput sweep
-//	                                 # (1..8 shards; also reachable as -exp engine)
 //
 // Performance-trajectory mode (the committed BENCH_<n>.json checkpoints and
 // the `make check-perf` CI gate):
@@ -46,7 +44,6 @@ import (
 	"repro/internal/experiments/runner"
 	"repro/internal/lb"
 	"repro/internal/perfcheck"
-	"repro/internal/telemetry"
 )
 
 // benchRecord is one experiment's entry in the -benchjson output.
@@ -86,9 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	quick := fs.Bool("quick", false, "smaller network runs (for smoke testing)")
 	parallel := fs.Bool("parallel", true, "fan independent experiment points across CPUs")
 	benchjson := fs.String("benchjson", "", "write machine-readable results as JSON to this file (\"-\" for stdout)")
-	engineFlag := fs.Bool("engine", false, "run the sharded decision-engine throughput sweep (shorthand for -exp engine)")
-	shards := fs.Int("shards", 8, "maximum shard count for the engine sweep (sweeps powers of two up to this)")
-	metricsOut := fs.String("metrics", "", "run an instrumented engine point and write its Prometheus text snapshot to this file")
 	checkpointOut := fs.String("checkpoint", "", "run the fixed perf-checkpoint benchmark set and write it as JSON to this file (\"-\" for stdout)")
 	against := fs.String("against", "", "baseline checkpoint to compare the run against; any tracked benchmark regressing more than -regress fails with exit 1")
 	regress := fs.Float64("regress", perfcheck.DefaultThreshold, "regression gate for hot-path benchmarks (0.10 = 10%); noisy wall-clock benchmarks keep their own wider bands from the set definition")
@@ -142,26 +136,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return drillResult(pts), err
 		},
 		"ablation": func() (any, error) { return ablationReport(), nil },
-		"engine": func() (any, error) {
-			batch, batches := 4096, 200
-			if *quick {
-				batches = 20
-			}
-			return experiments.EngineSweep(experiments.EngineShardCounts(*shards), batch, 64, batches, *seed)
-		},
 	}
 
-	// "engine" is a host-machine microbenchmark, not a paper reproduction,
-	// so "all" does not include it; select it with -engine or -exp engine.
 	names := []string{"table1", "table2", "table3", "table4", "table5",
 		"fig16", "fig17", "fig18", "fig19", "drillsweep", "ablation"}
 	var selected []string
-	switch {
-	case *engineFlag:
-		selected = []string{"engine"}
-	case *exp == "all":
+	if *exp == "all" {
 		selected = names
-	default:
+	} else {
 		for _, name := range strings.Split(*exp, ",") {
 			if _, ok := runners[name]; !ok {
 				fmt.Fprintf(stderr, "unknown experiment %q (have %s)\n", name, strings.Join(names, ", "))
@@ -187,37 +169,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			ElapsedMs:  float64(time.Since(start).Microseconds()) / 1000,
 			Result:     res,
 		})
-	}
-	// An instrumented engine point rides along whenever the engine sweep was
-	// selected or a metrics export was requested: its metric snapshot goes
-	// into the benchjson record, and -metrics exports the Prometheus text
-	// alongside.
-	if *engineFlag || *metricsOut != "" {
-		batch, batches := 4096, 200
-		if *quick {
-			batches = 20
-		}
-		start := time.Now()
-		tel, err := experiments.EngineTelemetryPoint(*shards, batch, 64, batches, *seed)
-		if err != nil {
-			fmt.Fprintf(stderr, "engine-telemetry: %v\n", err)
-			return 1
-		}
-		fmt.Fprintln(stdout, tel)
-		records = append(records, benchRecord{
-			Experiment: "engine-telemetry",
-			Seed:       *seed,
-			Quick:      *quick,
-			Workers:    pool.Workers,
-			ElapsedMs:  float64(time.Since(start).Microseconds()) / 1000,
-			Result:     tel,
-		})
-		if *metricsOut != "" {
-			if err := writeMetrics(*metricsOut, tel.Registry); err != nil {
-				fmt.Fprintf(stderr, "metrics: %v\n", err)
-				return 1
-			}
-		}
 	}
 	if *benchjson != "" {
 		if err := writeJSON(*benchjson, records, stdout); err != nil {
@@ -297,18 +248,6 @@ func runCheckpoint(out, against string, threshold float64, stdout, stderr io.Wri
 	}
 	fmt.Fprintf(stdout, "checkpoint: no regression vs %s\n", against)
 	return 0
-}
-
-func writeMetrics(path string, reg *telemetry.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WritePrometheus(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func writeJSON(path string, records []benchRecord, stdout io.Writer) error {

@@ -1,14 +1,11 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
 func TestRun(t *testing.T) {
-	metrics := filepath.Join(t.TempDir(), "engine.prom")
 	cases := []struct {
 		name   string
 		args   []string
@@ -17,7 +14,6 @@ func TestRun(t *testing.T) {
 		stderr string // substring
 	}{
 		{"table1", []string{"-exp", "table1"}, 0, "Table 1: SMBM clock rates and chip area", ""},
-		{"engine metrics", []string{"-engine", "-quick", "-shards", "1", "-metrics", metrics}, 0, "Instrumented engine run (shards=1", ""},
 		{"unknown flag", []string{"-trace", "x"}, 2, "", "flag provided but not defined: -trace"},
 		{"unknown experiment", []string{"-exp", "nosuch"}, 2, "", `unknown experiment "nosuch"`},
 	}
@@ -34,12 +30,5 @@ func TestRun(t *testing.T) {
 				t.Errorf("stderr %q does not contain %q", stderr.String(), c.stderr)
 			}
 		})
-	}
-	prom, err := os.ReadFile(metrics)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(prom), "thanos_engine_chain_step0_candidates_total") {
-		t.Errorf("-metrics output lacks the chain step counters:\n%s", prom)
 	}
 }

@@ -52,7 +52,7 @@ func TestEngineQuarantineAndResync(t *testing.T) {
 	hold := make(chan struct{})
 	e.resyncHold = hold
 
-	// Silently corrupt shard 2: both its snapshots lose id 5 while the
+	// Silently corrupt shard 2: its table loses id 5 while the
 	// authoritative table keeps it.
 	if err := e.CorruptReplica(2, 5); err != nil {
 		t.Fatal(err)

@@ -113,7 +113,7 @@ out worst = max(all, cpu)
 
 // TestEngineConcurrentDecideAndWriteOracle runs several callers inside the
 // engine at once — they execute on the shards themselves, so under -race at
-// GOMAXPROCS ≥ 4 (make check-race-depth) they truly overlap — beside a
+// GOMAXPROCS ≥ 4 (make check-slow) they truly overlap — beside a
 // table writer, a policy flipper and a corrupt-and-scrub loop that cycles
 // shards through quarantine and resync. The table pins its minimum to id 1
 // and its maximum to id 2 whatever the writer and the corruptor do, and both

@@ -273,7 +273,7 @@ func TestFigure14Policy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	members := table.Members()
+	members := table.MembersView().Clone()
 	eligible := bitvec.FromIDs(8, 0, 4, 6) // servers passing all predicates
 	for trial := 0; trial < 100; trial++ {
 		outs, err := p.Exec([]*bitvec.Vector{members, members, members, members})
@@ -336,7 +336,7 @@ func TestPipelineResetState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	members := table.Members()
+	members := table.MembersView().Clone()
 	first, _ := p.Exec([]*bitvec.Vector{members, nil})
 	p.Exec([]*bitvec.Vector{members, nil})
 	p.ResetState()
@@ -364,7 +364,7 @@ func BenchmarkPipelineExecDefault128(b *testing.B) {
 	}
 	ins := make([]*bitvec.Vector, params.Inputs)
 	for i := range ins {
-		ins[i] = table.Members()
+		ins[i] = table.MembersView().Clone()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

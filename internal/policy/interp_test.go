@@ -124,7 +124,7 @@ out all  = union(filter(table, cpu < 50), diff(table, filter(table, cpu < 50)))
 	if got, want := outs[0].String(), "{0, 1, 3, 5, 6}"; got != want {
 		t.Errorf("rest = %s, want %s", got, want)
 	}
-	if !outs[1].Equal(table.Members()) {
+	if !outs[1].Equal(table.MembersView().Clone()) {
 		t.Errorf("union of partition != table: %s", outs[1])
 	}
 }

@@ -2,7 +2,7 @@
 // loopback must produce a complete cross-layer timeline — client enqueue /
 // wire / reply spans, server decide / encode spans, histogram
 // exemplars linking the latency tail back to a trace ID — stitched together
-// by StitchTrace. The overhead smoke (env-gated, run by `make check-obs`)
+// by StitchTrace. The overhead smoke (env-gated, run by `make check-slow`)
 // additionally bounds the traced path's cost against the untraced one.
 package server_test
 
@@ -303,11 +303,11 @@ func TestTracedReplyEncodeAllocs(t *testing.T) {
 
 // TestTracingOverheadSmoke bounds full-rate tracing's cost: the same client
 // workload with TraceEvery=1 must stay within 5% of the untraced rate. The
-// strict bound only applies under THANOS_CHECK_OBS=1 (the `make check-obs`
-// CI job); otherwise the test is a short functional smoke, because a 5%
+// strict bound only applies under THANOS_STRICT=1 (set by `make
+// check-slow`); otherwise the test is a short functional smoke, because a 5%
 // wall-clock bound on a loaded shared machine is not a stable assertion.
 func TestTracingOverheadSmoke(t *testing.T) {
-	strict := os.Getenv("THANOS_CHECK_OBS") == "1"
+	strict := os.Getenv("THANOS_STRICT") == "1"
 	if testing.Short() {
 		t.Skip("overhead smoke skipped in -short mode")
 	}

@@ -94,7 +94,7 @@ func (o *oracle) compare(t *testing.T, s *SMBM, step int) {
 	if s.Size() != len(o.ids) {
 		t.Fatalf("step %d: size %d, oracle %d", step, s.Size(), len(o.ids))
 	}
-	gotIDs := s.Members().IDs()
+	gotIDs := s.MembersView().Clone().IDs()
 	for i, id := range o.ids {
 		if gotIDs[i] != id {
 			t.Fatalf("step %d: member %d is id %d, oracle %d", step, i, gotIDs[i], id)

@@ -389,14 +389,6 @@ func (s *SMBM) PosInDim(id, dim int) int {
 	return int(s.pos[id*s.m+dim])
 }
 
-// Members returns a bit vector of width Capacity() with a 1 for each
-// resource id currently present — the encoding of the full table that feeds
-// the filter pipeline. The result is a fresh copy the caller may mutate;
-// allocation-free readers use MembersInto or MembersView.
-func (s *SMBM) Members() *bitvec.Vector {
-	return s.members.Clone()
-}
-
 // MembersInto overwrites dst with the current membership vector. dst must
 // have width Capacity().
 func (s *SMBM) MembersInto(dst *bitvec.Vector) {

@@ -198,7 +198,7 @@ func TestMembers(t *testing.T) {
 	s := New(8, 0)
 	mustAdd(t, s, 6)
 	mustAdd(t, s, 0)
-	v := s.Members()
+	v := s.MembersView().Clone()
 	if v.Len() != 8 || v.Count() != 2 || !v.Get(0) || !v.Get(6) {
 		t.Fatalf("Members = %v", v)
 	}
