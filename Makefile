@@ -48,8 +48,9 @@ check:
 #
 # Debug build: thanoslint over the thanosdebug-tagged file set, then the
 # suite with the tag: SMBM re-verifies per-dimension sortedness and the
-# id<->metric pointer bijection after every mutating op, and the interpreter
-# leases the tables Exec hands out (a stale read or a write-through panics).
+# id<->metric pointer bijection below each dimension's stale watermark after
+# every mutating op, without repairing, and the interpreter leases the
+# tables Exec hands out (a stale read or a write-through panics).
 #
 # Fuzz smoke: each native fuzz target for FUZZTIME (30s default) from its
 # checked-in seed corpus: the DSL parser round-trip, the step-major batch

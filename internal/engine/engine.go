@@ -126,7 +126,11 @@ type shard struct {
 	// the hot-path telemetry handles below — and, together with Engine.wmu,
 	// the table contents and the mod pointer. The discipline: mutate a
 	// shard's table or replace mod: wmu + mu; decide: mu; control-plane read
-	// of mod or its table: wmu. A writer holds mu for one row operation or
+	// of mod or its table's contents: wmu. The table's id → position
+	// pointers are the exception: a decision's min or max repairs them
+	// (smbm.SMBM.PosInDim), so, like the scratch, they belong to mu, and a
+	// control-plane call that reads positions (CheckInvariants) takes mu
+	// too, after wmu. A writer holds mu for one row operation or
 	// one pointer store, never across building a module or a table, and
 	// never while it quarantines a shard, rebuilds steering, records a flight
 	// event or calls OnQuarantine.
@@ -199,7 +203,8 @@ type Engine struct {
 	// operation sequence as auth, and guards the health transitions. It is
 	// always taken before a shard's mu, never after: the decision path holds
 	// shard locks and never takes wmu. Holding wmu alone is enough to read any
-	// shard's mod and table, since every mutator holds it too.
+	// shard's mod and its table's contents, since every mutator holds it too;
+	// reading a table's positions also needs that shard's mu (see shard.mu).
 	wmu sync.Mutex
 
 	bg       sync.WaitGroup // background resync goroutines, for Close
@@ -563,8 +568,10 @@ func (e *Engine) Size() int {
 // per-dimension order included, and satisfies every SMBM structural
 // invariant. Quarantined shards are
 // excluded — they are known-diverged and out of the serving set.
-// Intended for tests; it takes the writer lock, so in-flight decisions are
-// unaffected but writes are briefly excluded.
+// Intended for tests; it takes the writer lock, so writes are briefly
+// excluded, and each shard's lock while it checks that shard's table:
+// CheckInvariants repairs the table's position pointers, which a deciding
+// caller's min or max may be repairing under the shard lock.
 func (e *Engine) CheckSync() error {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
@@ -576,7 +583,10 @@ func (e *Engine) CheckSync() error {
 		if ShardHealth(s.health.Load()) != Healthy {
 			continue
 		}
-		if err := s.mod.Table.CheckInvariants(); err != nil {
+		s.mu.Lock()
+		err := s.mod.Table.CheckInvariants()
+		s.mu.Unlock()
+		if err != nil {
 			return fmt.Errorf("shard %d: %w", si, err)
 		}
 		if err := e.verifyShard(s); err != nil {

@@ -94,8 +94,9 @@ func (e *Engine) Introspect() EngineStatus {
 		if s.lastErr != nil {
 			ss.LastErr = s.lastErr.Error()
 		}
-		// Safe to read under wmu: deciders never mutate tables, and every
-		// mutator (apply, swap, resync) holds wmu, which we hold.
+		// Safe to read under wmu: a decider writes only a table's position
+		// pointers, never its version or size, and every mutator (apply,
+		// swap, resync) holds wmu, which we hold.
 		ss.TableVersion = s.mod.Table.Version()
 		ss.TableSize = s.mod.Table.Size()
 		st.Shards = append(st.Shards, ss)
@@ -254,7 +255,9 @@ func (e *Engine) VerifyReplicas() int {
 // contents and per-dimension order, since two tables that hold the same rows
 // but broke a tie differently answer a min or max differently. Caller holds
 // wmu (no writes in flight); the reads are safe concurrently with a deciding
-// caller, which never mutates tables.
+// caller, because Diff reads membership and the sorted columns and a
+// decision writes only the position pointers. The authority is never read
+// by a decision, so e.auth needs no shard lock anywhere.
 func (e *Engine) verifyShard(s *shard) error {
 	if err := s.mod.Table.Diff(e.auth); err != nil {
 		return fmt.Errorf("engine: replica diverged from authority: %w", err)

@@ -95,6 +95,75 @@ func TestEngineConcurrentDecideAndWrite(t *testing.T) {
 	}
 }
 
+// TestCheckSyncBesideMinDecisions runs CheckSync beside min decisions right
+// after an Add burst, when every shard table's position pointers are stale:
+// the first min on a shard repairs them (SMBM.PosInDim) under the shard lock,
+// and CheckSync's CheckInvariants repairs them too, so under -race this fails
+// unless CheckSync takes each shard's lock as well as the writer lock.
+func TestCheckSyncBesideMinDecisions(t *testing.T) {
+	const (
+		n        = 64
+		rounds   = 20
+		deciders = 2
+		batches  = 8
+	)
+	e := newTestEngine(t, 2, minPolicySrc)
+	r := rand.New(rand.NewSource(17))
+	for round := 0; round < rounds; round++ {
+		if round > 0 {
+			for id := 0; id < n; id++ {
+				if err := e.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// Distinct cpu values, so min has one right answer.
+		cpus := r.Perm(100)[:n]
+		want := 0
+		for id := n - 1; id >= 0; id-- {
+			if err := e.Add(id, []int64{int64(cpus[id]), 0, 0}); err != nil {
+				t.Fatal(err)
+			}
+			if cpus[id] < cpus[want] {
+				want = id
+			}
+		}
+
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < deciders; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				pkts := make([]Packet, 8)
+				for b := 0; b < batches; b++ {
+					for i := range pkts {
+						pkts[i] = Packet{Key: uint64(b*len(pkts) + i)}
+					}
+					e.DecideBatch(pkts)
+					for i, p := range pkts {
+						if !p.OK || p.ID != want {
+							t.Errorf("round %d packet %d: min picked (%d,%v), want %d", round, i, p.ID, p.OK, want)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if err := e.CheckSync(); err != nil {
+				t.Errorf("round %d: %v", round, err)
+			}
+		}()
+		close(start)
+		wg.Wait()
+	}
+}
+
 // bothPolicySrc and bothAltPolicySrc are two programs of different shape
 // that give the same two deterministic answers, so a decision is the same
 // whichever of them a hot-swap has published.

@@ -74,7 +74,10 @@ func (e *Engine) SwapPolicy(p *policy.Policy) error {
 // and attaches the shard's chain telemetry. Those counters are labeled per
 // program step at construction time; after a hot-swap to a program of
 // another shape they no longer apply and the module runs unattached (table
-// and decision counters continue).
+// and decision counters continue). Binding reads only t's capacity, its
+// metric count and the address of its membership vector, none of which
+// changes, so SwapPolicy may bind over a live shard's table under wmu alone
+// while a decision repairs that table's positions.
 func (s *shard) bind(t *smbm.SMBM, schema policy.Schema, pol *policy.Policy) (*policy.Module, error) {
 	m, err := policy.BindModule(t, schema, pol)
 	if err != nil {

@@ -186,6 +186,7 @@ func Set() []Benchmark {
 		{Name: "FilterModuleDecide", Iters: 50000, Setup: setupFilterModuleDecide},
 		{Name: "SMBMUpdate", Iters: 50000, Setup: setupSMBMUpdate},
 		{Name: "SMBMUpdateChurn", Iters: 4 * churnCycle, Setup: setupSMBMUpdateChurn},
+		{Name: "SMBMInstall1024", Iters: 100, Reps: 3, Setup: setupSMBMInstall1024},
 		{Name: "EngineDecideBatch", Iters: 100, Reps: 3, Threshold: simThreshold, Setup: setupEngineDecideBatch},
 		{Name: "EngineDecideBatchLB1024", Iters: 400, Reps: 3, Setup: setupEngineDecideBatchLB1024},
 		{Name: "EngineDecideBatchDRILL1024", Iters: 100, Reps: 3, Setup: setupEngineDecideBatchDRILL1024},
@@ -313,6 +314,28 @@ func setupSMBMUpdateChurn() (func(int), error) {
 		}
 		if err != nil {
 			panic(fmt.Sprintf("perfcheck: churn step %d: %v", i, err))
+		}
+	}, nil
+}
+
+// setupSMBMInstall1024 is one replica's share of serve_filter's set-up: 1024
+// Adds, in id order, of rows drawn like that workload's (cpu below 100, mem
+// below 8192, bw below 10000) into a new, empty 3-metric table. The engine
+// pays it once for the authority and once per shard. Each iteration builds
+// its own table, so the table's allocation is timed with the Adds.
+func setupSMBMInstall1024() (func(int), error) {
+	const n = 1024
+	r := rand.New(rand.NewSource(3))
+	rows := make([][]int64, n)
+	for id := range rows {
+		rows[id] = []int64{int64(r.Intn(100)), int64(r.Intn(8192)), int64(r.Intn(10000))}
+	}
+	return func(int) {
+		table := smbm.New(n, 3)
+		for id, row := range rows {
+			if err := table.Add(id, row); err != nil {
+				panic(fmt.Sprintf("perfcheck: install row %d: %v", id, err))
+			}
 		}
 	}, nil
 }

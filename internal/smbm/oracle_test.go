@@ -308,3 +308,196 @@ func TestSMBMOracleChurnBurst(t *testing.T) {
 		}
 	}
 }
+
+// pos is id's position in dimension j, or -1 when id is absent.
+func (o *oracle) pos(id, j int) int {
+	for p, e := range o.dims[j] {
+		if e.id == id {
+			return p
+		}
+	}
+	return -1
+}
+
+// TestSMBMOracleDeferredPositions drives bursts of adds and deletes and
+// after each burst runs the position readers in random order — PosInDim, a
+// min and a max over a sparse input (the UFPU's read), Update, Delete, Copy,
+// Diff and CheckInvariants — each against the naive oracle and each behind
+// one more add, which leaves position pointers stale. An eager twin
+// receives the same writes and is repaired after every one, the pointer
+// state eager renumbering keeps; the deferred table must compare equal to it
+// (Diff reads no pointer) and pass the non-repairing check between readers.
+// A copy of the freshly installed table, an engine resync's auth.Copy(),
+// opens the run.
+func TestSMBMOracleDeferredPositions(t *testing.T) {
+	const (
+		capN = 64
+		m    = 3
+	)
+	r := rand.New(rand.NewSource(13))
+	s, eager := New(capN, m), New(capN, m)
+	o := newOracle(capN, m)
+	randMetrics := func() []int64 {
+		v := make([]int64, m)
+		for j := range v {
+			v[j] = int64(r.Intn(6)) // tiny domain: ties everywhere
+		}
+		return v
+	}
+	step := 0
+	// check compares s with the oracle without repairing s.
+	check := func(what string) {
+		t.Helper()
+		o.compare(t, eager, step)
+		if err := s.checkLazy(); err != nil {
+			t.Fatalf("step %d after %s: %v", step, what, err)
+		}
+		if err := s.Diff(eager); err != nil {
+			t.Fatalf("step %d after %s: deferred vs eager: %v", step, what, err)
+		}
+		if err := eager.Diff(s); err != nil {
+			t.Fatalf("step %d after %s: eager vs deferred: %v", step, what, err)
+		}
+	}
+	write := func(id int, add bool) {
+		t.Helper()
+		var err, eagerErr error
+		wantOK := false
+		if add {
+			vals := randMetrics()
+			wantOK = o.add(id, vals)
+			err, eagerErr = s.Add(id, vals), eager.Add(id, vals)
+		} else {
+			wantOK = o.del(id)
+			err, eagerErr = s.Delete(id), eager.Delete(id)
+		}
+		if (err == nil) != wantOK || (eagerErr == nil) != wantOK {
+			t.Fatalf("step %d: add=%v id %d: err=%v eager err=%v, oracle ok=%v", step, add, id, err, eagerErr, wantOK)
+		}
+		if err := eager.CheckInvariants(); err != nil {
+			t.Fatalf("step %d: eager twin: %v", step, err)
+		}
+		step++
+	}
+	copyAndCompare := func() {
+		t.Helper()
+		c := s.Copy()
+		o.compare(t, c, step)
+		if err := c.Diff(s); err != nil {
+			t.Fatalf("step %d: copy vs source: %v", step, err)
+		}
+	}
+
+	// Install, then copy at once: the resync case.
+	for _, id := range r.Perm(capN) {
+		write(id, true)
+	}
+	copyAndCompare()
+
+	staleReads := 0
+	readers := []func(){
+		func() { // PosInDim, present and absent ids
+			for k := 0; k < 8; k++ {
+				id, j := r.Intn(capN), r.Intn(m)
+				if got, want := s.PosInDim(id, j), o.pos(id, j); got != want {
+					t.Fatalf("step %d: PosInDim(%d,%d) = %d, oracle %d", step, id, j, got, want)
+				}
+			}
+			check("PosInDim")
+		},
+		func() { // min and max over a sparse input, as a UFPU reads them
+			in := map[int]bool{}
+			for k := 1 + r.Intn(6); k > 0; k-- {
+				in[r.Intn(capN)] = true
+			}
+			j := r.Intn(m)
+			minID, maxID, minP, maxP := -1, -1, -1, -1
+			for id := 0; id < capN; id++ {
+				if !in[id] || !s.Contains(id) {
+					continue
+				}
+				p := s.PosInDim(id, j)
+				if minP < 0 || p < minP {
+					minID, minP = id, p
+				}
+				if p > maxP {
+					maxID, maxP = id, p
+				}
+			}
+			wantMin, wantMax := -1, -1
+			for _, e := range o.dims[j] {
+				if in[e.id] {
+					if wantMin < 0 {
+						wantMin = e.id
+					}
+					wantMax = e.id
+				}
+			}
+			if minID != wantMin || maxID != wantMax {
+				t.Fatalf("step %d: dim %d min/max = %d/%d, oracle %d/%d", step, j, minID, maxID, wantMin, wantMax)
+			}
+			check("min/max")
+		},
+		func() { // Update
+			id, vals := r.Intn(capN), randMetrics()
+			wantOK := o.update(id, vals)
+			if err := s.Update(id, vals); (err == nil) != wantOK {
+				t.Fatalf("step %d: Update(%d) err=%v, oracle ok=%v", step, id, err, wantOK)
+			}
+			if err := eager.Update(id, vals); (err == nil) != wantOK {
+				t.Fatalf("step %d: eager Update(%d) err=%v, oracle ok=%v", step, id, err, wantOK)
+			}
+			step++
+			check("Update")
+		},
+		func() { // Delete
+			write(r.Intn(capN), false)
+			check("Delete")
+		},
+		func() { // Copy of a possibly stale table, then Diff against it
+			copyAndCompare()
+			check("Copy")
+		},
+		func() { // Diff alone reads no pointer
+			check("Diff")
+		},
+		func() { // CheckInvariants repairs, after which every pointer is exact
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			for j := 0; j < m; j++ {
+				for p, e := range o.dims[j] {
+					if got := int(s.pos[e.id*m+j]); got != p {
+						t.Fatalf("step %d: after CheckInvariants pos of id %d in dim %d = %d, oracle %d", step, e.id, j, got, p)
+					}
+				}
+			}
+			check("CheckInvariants")
+		},
+	}
+
+	for burst := 0; burst < 200; burst++ {
+		for k := 1 + r.Intn(24); k > 0; k-- {
+			id := r.Intn(capN)
+			write(id, !o.contains(id))
+		}
+		for _, i := range r.Perm(len(readers)) {
+			for _, id := range r.Perm(capN) {
+				if !o.contains(id) {
+					write(id, true)
+					break
+				}
+			}
+			for j := 0; j < m; j++ {
+				if s.stale[j] < s.Size() {
+					staleReads++
+					break
+				}
+			}
+			readers[i]()
+		}
+	}
+	if staleReads < 200*len(readers)*3/4 {
+		t.Fatalf("only %d readers met a stale dimension; the deferred state went untested", staleReads)
+	}
+}

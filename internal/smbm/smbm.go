@@ -16,9 +16,15 @@
 // bidirectional pointers are id-indexed arrays giving every present
 // resource's position and value in each dimension in O(1). Because sorted
 // positions point at ids rather than at slots of the id list, shifting one
-// dimension never touches another: an insert or delete memmoves one value
-// column and renumbers only the shifted suffix, instead of the full
-// cross-dimension pointer fixup a slot-pointer representation needs.
+// dimension never touches another: an insert memmoves one value column and
+// one id column per dimension, the hardware's one parallel shift, and
+// renumbers nothing. Each dimension instead keeps a stale watermark, the
+// first position whose id → position pointer may be out of date; an insert
+// only lowers it, and the first read that needs an exact position (PosInDim,
+// Update, Delete, Copy, CheckInvariants) renumbers the stale suffix once, in
+// one sequential pass. Such a read therefore writes, and needs the same
+// exclusion as a write. A delete or update then renumbers only the entries
+// it moves.
 //
 // The functional model mirrors the hardware costs: add and delete each take
 // exactly WriteCycles (2) clock cycles and the structure can be read in full
@@ -72,9 +78,12 @@ type SMBM struct {
 
 	// Id-indexed pointer columns, valid while an id is present: the id →
 	// metric pointer pos[id*m+j] gives id's position in dimension j, and
-	// valByID[id*m+j] caches its value there for O(1) reads.
+	// valByID[id*m+j] caches its value there for O(1) reads. pos is exact
+	// for the entries at positions below stale[j] in dimension j, and
+	// stale[j] <= size; stale[j] == size means the whole dimension is exact.
 	pos     []int32
 	valByID []int64
+	stale   []int
 
 	members *bitvec.Vector // maintained incrementally by Add/Delete
 	clock   hw.Clock
@@ -121,6 +130,7 @@ func New(n, m int) *SMBM {
 		}
 		s.pos = make([]int32, n*m)
 		s.valByID = make([]int64, n*m)
+		s.stale = make([]int, m)
 	}
 	return s
 }
@@ -128,8 +138,10 @@ func New(n, m int) *SMBM {
 // Copy returns an independent table laid out like New's, holding s's
 // contents: every dimension's sorted column, so equal values keep the
 // first-in-first-out order their writes gave them (§5.1.2), the pointer
-// columns, the version and the cycles consumed. No telemetry is attached.
+// columns, the version and the cycles consumed. It repairs s's position
+// pointers first, so both tables come out exact. No telemetry is attached.
 func (s *SMBM) Copy() *SMBM {
+	s.repairAll()
 	c := New(s.n, s.m)
 	c.size, c.version, c.clock = s.size, s.version, s.clock
 	c.members.CopyFrom(s.members)
@@ -139,6 +151,7 @@ func (s *SMBM) Copy() *SMBM {
 	}
 	copy(c.pos, s.pos)
 	copy(c.valByID, s.valByID)
+	copy(c.stale, s.stale)
 	return c
 }
 
@@ -182,8 +195,8 @@ func upperBound(a []int64, v int64) int {
 // consumes exactly WriteCycles cycles on success. The paper's two-phase
 // implementation (§5.1.2) — cycle 1: parallel search of all lists for
 // insertion points; cycle 2: parallel shift-and-write — maps onto one
-// binary search plus one suffix memmove per dimension; only the shifted
-// suffix is renumbered.
+// binary search plus one suffix memmove per dimension. No position pointer
+// is written: the insertion point lowers the dimension's stale watermark.
 func (s *SMBM) Add(id int, metrics []int64) error {
 	if id < 0 || id >= s.n {
 		return fmt.Errorf("%w: %d not in [0,%d)", ErrBadID, id, s.n)
@@ -211,10 +224,7 @@ func (s *SMBM) Add(id int, metrics []int64) error {
 		copy(idsj[p+1:], idsj[p:])
 		idsj[p] = int32(id)
 		s.dimIDs[j] = idsj
-		for q := p + 1; q <= s.size; q++ {
-			s.pos[int(idsj[q])*s.m+j] = int32(q)
-		}
-		s.pos[id*s.m+j] = int32(p)
+		s.stale[j] = min(s.stale[j], p)
 		s.valByID[id*s.m+j] = v
 	}
 	s.size++
@@ -231,13 +241,16 @@ func (s *SMBM) Add(id int, metrics []int64) error {
 }
 
 // Delete removes the resource with the given id. It consumes exactly
-// WriteCycles cycles on success.
+// WriteCycles cycles on success. Finding the entry needs its exact position,
+// so Delete repairs each stale dimension first, then renumbers the suffix it
+// shifts and leaves every dimension exact.
 func (s *SMBM) Delete(id int) error {
 	if id < 0 || id >= s.n || !s.members.Get(id) {
 		return fmt.Errorf("%w: %d", ErrNotFound, id)
 	}
 
 	for j := 0; j < s.m; j++ {
+		s.repair(j)
 		p := int(s.pos[id*s.m+j])
 		col := s.vals[j]
 		copy(col[p:], col[p+1:])
@@ -250,6 +263,7 @@ func (s *SMBM) Delete(id int) error {
 		for q := p; q < len(idsj); q++ {
 			s.pos[int(idsj[q])*s.m+j] = int32(q)
 		}
+		s.stale[j] = len(idsj)
 	}
 	s.size--
 	s.members.Clear(id)
@@ -270,7 +284,9 @@ func (s *SMBM) Delete(id int) error {
 // dimension performs one displacement-bounded rotate: only the entries
 // between the old and new sorted positions move, so an update that barely
 // changes a value (the steady-state probe pattern) costs O(log n) search
-// and a near-empty move instead of two full shifts.
+// and a near-empty move instead of two full shifts. It repairs each stale
+// dimension first, then renumbers exactly the entries it moves, so it leaves
+// every dimension exact.
 func (s *SMBM) Update(id int, metrics []int64) error {
 	if len(metrics) != s.m {
 		return fmt.Errorf("%w: got %d, want %d", ErrMetricsArity, len(metrics), s.m)
@@ -280,6 +296,7 @@ func (s *SMBM) Update(id int, metrics []int64) error {
 	}
 
 	for j := 0; j < s.m; j++ {
+		s.repair(j)
 		v := metrics[j]
 		col := s.vals[j]
 		idsj := s.dimIDs[j]
@@ -380,13 +397,38 @@ func (s *SMBM) Value(id, dim int) (val int64, ok bool) {
 
 // PosInDim returns the sorted position of the given id within metric
 // dimension dim, or -1 if the id is absent — the id → metric pointer of
-// §5.1.1, resolved in O(1). It panics if dim is out of range.
+// §5.1.1, resolved in O(1) once the dimension is exact. The first call after
+// a shift repairs the dimension's stale suffix, so PosInDim writes and needs
+// the same exclusion as a table write. It panics if dim is out of range.
 func (s *SMBM) PosInDim(id, dim int) int {
 	s.checkDim(dim)
 	if !s.Contains(id) {
 		return -1
 	}
+	s.repair(dim)
 	return int(s.pos[id*s.m+dim])
+}
+
+// repair makes dimension j's position pointers exact: one sequential pass
+// renumbers the entries from its stale watermark to the end, which is at
+// most what the shifts since the last repair would have renumbered eagerly.
+// Exact dimensions cost one compare.
+func (s *SMBM) repair(j int) {
+	if s.stale[j] == s.size {
+		return
+	}
+	idsj := s.dimIDs[j]
+	for q := s.stale[j]; q < len(idsj); q++ {
+		s.pos[int(idsj[q])*s.m+j] = int32(q)
+	}
+	s.stale[j] = len(idsj)
+}
+
+// repairAll makes every dimension exact.
+func (s *SMBM) repairAll() {
+	for j := 0; j < s.m; j++ {
+		s.repair(j)
+	}
 }
 
 // MembersInto overwrites dst with the current membership vector. dst must
@@ -442,9 +484,19 @@ func (d Dim) IDsSorted() []int {
 
 // CheckInvariants verifies every structural invariant of the SMBM:
 // dimensions sorted, pointer bidirectionality, consistent sizes, unique ids.
-// It returns a descriptive error on the first violation. Intended for tests
-// and fuzzing.
+// It repairs the position pointers first, so every pointer is checked, and
+// like PosInDim it needs the exclusion a write needs. It returns a
+// descriptive error on the first violation. Intended for tests and fuzzing.
 func (s *SMBM) CheckInvariants() error {
+	s.repairAll()
+	return s.checkLazy()
+}
+
+// checkLazy verifies the invariants without repairing anything: sizes,
+// membership, each watermark's bound, sorted columns with member ids, the
+// value cache at every position, and the position pointers below each
+// watermark. With every dimension exact that is the full invariant set.
+func (s *SMBM) checkLazy() error {
 	if s.size < 0 || s.size > s.n {
 		return fmt.Errorf("size %d out of range [0,%d]", s.size, s.n)
 	}
@@ -455,6 +507,9 @@ func (s *SMBM) CheckInvariants() error {
 		col, idsj := s.vals[j], s.dimIDs[j]
 		if len(col) != s.size || len(idsj) != s.size {
 			return fmt.Errorf("metric %d has %d values and %d ids, want size %d", j, len(col), len(idsj), s.size)
+		}
+		if s.stale[j] < 0 || s.stale[j] > s.size {
+			return fmt.Errorf("metric %d stale watermark %d out of range [0,%d]", j, s.stale[j], s.size)
 		}
 		for p := 1; p < s.size; p++ {
 			if col[p-1] > col[p] {
@@ -469,7 +524,7 @@ func (s *SMBM) CheckInvariants() error {
 			if !s.members.Get(id) {
 				return fmt.Errorf("metric %d pos %d: id %d not a member", j, p, id)
 			}
-			if got := int(s.pos[id*s.m+j]); got != p {
+			if got := int(s.pos[id*s.m+j]); p < s.stale[j] && got != p {
 				return fmt.Errorf("pointer mismatch: metric %d pos %d -> id %d -> metric pos %d", j, p, id, got)
 			}
 			if s.valByID[id*s.m+j] != col[p] {
