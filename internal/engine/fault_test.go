@@ -377,3 +377,47 @@ func TestEngineCloseDuringWrite(t *testing.T) {
 		t.Fatalf("Metrics(0) = %v, want [1 2 3]", got)
 	}
 }
+
+// TestLastShardErrorDuringWrite: reading a shard's last divergence while a
+// write is parked at the authority — holding wmu, about to take each shard's
+// lock in turn — returns once the write finishes, and the write finishes.
+// The write orders wmu before a shard's mu, so a reader that took a shard's
+// mu and then waited for wmu would deadlock against it.
+func TestLastShardErrorDuringWrite(t *testing.T) {
+	e, err := New(Config{Shards: 2, Capacity: 32, Schema: testSchema, Policy: policy.MustParse(minPolicySrc)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillRandom(t, e, 8, 2)
+	entered, release := make(chan struct{}), make(chan struct{})
+	wrote := make(chan error, 1)
+	go func() {
+		wrote <- e.apply(func(tb *smbm.SMBM) error {
+			if tb == e.auth {
+				close(entered)
+				<-release
+			}
+			return tb.Update(0, []int64{1, 2, 3})
+		})
+	}()
+	<-entered
+	read := make(chan error, 1)
+	go func() { read <- e.LastShardError(0) }()
+	time.Sleep(20 * time.Millisecond) // the reader is at its locks by now
+	close(release)
+	deadline := time.After(10 * time.Second)
+	for _, ch := range []chan error{wrote, read} {
+		select {
+		case err := <-ch:
+			if err != nil {
+				t.Fatalf("write or read beside each other: %v", err)
+			}
+		case <-deadline:
+			t.Fatal("LastShardError and a write in flight deadlocked")
+		}
+	}
+	if err := e.CheckSync(); err != nil {
+		t.Fatalf("after the write: %v", err)
+	}
+	e.Close() // not deferred: after a deadlock, Close would wait on it
+}

@@ -130,7 +130,8 @@ func (e *Engine) quarantineLocked(si int, cause error) {
 // deterministically (k-th dead shard → k mod live). With no healthy shards
 // every entry is -1 and DecideBatch fails batches instead of executing them.
 // It also records whether the shard count is a power of two, which lets
-// DecideBatch find a home shard with a mask instead of a divide.
+// DecideBatch find a home shard with a mask instead of a divide, and whether
+// the table is the identity, which spares DecideBatch the failover count.
 // Callers hold wmu (or are New), which makes them the table's only writer;
 // batches already steered by the previous table finish on it.
 func (e *Engine) rebuildSteering() {
@@ -141,7 +142,7 @@ func (e *Engine) rebuildSteering() {
 			liveIdx = append(liveIdx, int32(i))
 		}
 	}
-	k := 0
+	k, ident := 0, true
 	for i := range to {
 		switch {
 		case len(liveIdx) == 0:
@@ -152,8 +153,9 @@ func (e *Engine) rebuildSteering() {
 			to[i] = liveIdx[k%len(liveIdx)]
 			k++
 		}
+		ident = ident && to[i] == int32(i)
 	}
-	e.steer.Store(&steering{to: to, live: len(liveIdx), pow2: len(to)&(len(to)-1) == 0})
+	e.steer.Store(&steering{to: to, live: len(liveIdx), pow2: len(to)&(len(to)-1) == 0, ident: ident})
 }
 
 // resync drives one quarantined shard back to health: one rebuild from the

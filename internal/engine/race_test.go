@@ -349,17 +349,24 @@ func TestEngineConcurrentWriters(t *testing.T) {
 // matching the ExecInto contract under concurrency. Once a batch of the
 // largest size has grown the shards' scratch, every smaller batch must be
 // free too, for a tail-free program and for one with per-packet tail steps.
+// The sizes are the served ones: the frame limit, a serve_filter batch and
+// every size up to 256. A visit sizes its module's column to the rest of the
+// batch, so the column grows once, at the warm-up, and then re-slices.
 // The contract holds at every stage of degradation: with one shard
 // quarantined (its traffic fails over), with every shard quarantined and
 // after Close (the engine fails every packet in place), failing a batch
 // allocates no more than deciding it.
 func TestEngineDecideBatchZeroAlloc(t *testing.T) {
+	batchSizes := []int{maxServedBatch, 1024}
+	for n := 256; n >= 1; n-- {
+		batchSizes = append(batchSizes, n)
+	}
 	for _, src := range []string{testPolicySrc, tailPolicySrc} {
 		e := newTestEngine(t, 4, src)
 		fillRandom(t, e, 64, 17)
 		e.resyncHold = make(chan struct{}) // quarantined shards stay out
 
-		pkts := make([]Packet, 256)
+		pkts := make([]Packet, maxServedBatch)
 		for i := range pkts {
 			pkts[i] = Packet{Key: uint64(i) * 0x9E3779B97F4A7C15, Out: i % 2}
 		}
@@ -391,7 +398,7 @@ func TestEngineDecideBatchZeroAlloc(t *testing.T) {
 				t.Fatalf("%s: %d healthy shards, want %d", st.name, e.HealthyShards(), st.live)
 			}
 			e.DecideBatch(pkts) // warm the version-cached sets, grow the scratch
-			for n := len(pkts); n >= 1; n-- {
+			for _, n := range batchSizes {
 				allocs := testing.AllocsPerRun(5, func() {
 					e.DecideBatch(pkts[:n])
 				})
@@ -413,6 +420,10 @@ func TestEngineDecideBatchZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// maxServedBatch is server.MaxBatch, the largest batch a frame carries
+// (package server imports this one, so the test cannot name it).
+const maxServedBatch = 4096
 
 // tailPolicySrc has tail steps: a min over a two-sample and a predicate over
 // a random run per packet, after the batch's front draws.

@@ -136,7 +136,7 @@ func TestFullSetIsWellFormed(t *testing.T) {
 			t.Errorf("SMBMUpdateChurn iters %d not a multiple of the %d-op cycle", b.Iters, churnCycle)
 		}
 	}
-	for _, want := range []string{"FilterModuleDecide", "SMBMUpdate", "SMBMUpdateChurn", "SMBMInstall1024", "EngineDecideBatch", "EngineDecideBatchLB1024", "EngineDecideBatchDRILL1024", "UFPURandomSelect1024"} {
+	for _, want := range []string{"FilterModuleDecide", "SMBMUpdate", "SMBMUpdateChurn", "SMBMInstall1024", "EngineDecideBatch", "EngineDecideBatchLB1024", "EngineDecideBatchLB1024x2", "EngineDecideBatchDRILL1024", "UFPURandomSelect1024"} {
 		if !seen[want] {
 			t.Errorf("tracked benchmark %s missing from the set", want)
 		}

@@ -189,6 +189,7 @@ func Set() []Benchmark {
 		{Name: "SMBMInstall1024", Iters: 100, Reps: 3, Setup: setupSMBMInstall1024},
 		{Name: "EngineDecideBatch", Iters: 100, Reps: 3, Threshold: simThreshold, Setup: setupEngineDecideBatch},
 		{Name: "EngineDecideBatchLB1024", Iters: 400, Reps: 3, Setup: setupEngineDecideBatchLB1024},
+		{Name: "EngineDecideBatchLB1024x2", Iters: 400, Reps: 3, Setup: setupEngineDecideBatchLB1024x2},
 		{Name: "EngineDecideBatchDRILL1024", Iters: 100, Reps: 3, Setup: setupEngineDecideBatchDRILL1024},
 		{Name: "UFPURandomSelect1024", Iters: 20000, Reps: 3, Threshold: kernelThreshold, Setup: setupUFPURandomSelect1024},
 	}
@@ -359,6 +360,13 @@ func setupEngineDecideBatch() (func(int), error) {
 // whether the first group is evaluated per packet or per table version.
 func setupEngineDecideBatchLB1024() (func(int), error) {
 	return setupEngineBatch(lb.PolicyResourceAware, 1, 1024, 1024, [3]int{100, 8192, 10000})
+}
+
+// setupEngineDecideBatchLB1024x2 is EngineDecideBatchLB1024 over two
+// replicas, serve_filter's engine shape: the batch is steered across both
+// shards, so it also times the steering pass and each shard visit's gather.
+func setupEngineDecideBatchLB1024x2() (func(int), error) {
+	return setupEngineBatch(lb.PolicyResourceAware, 2, 1024, 1024, [3]int{100, 8192, 10000})
 }
 
 // drillPolicySrc is DRILL's shape (Fig. 18) over lb.Schema: a min over two

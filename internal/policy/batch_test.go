@@ -3,6 +3,7 @@ package policy
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/smbm"
@@ -90,7 +91,7 @@ func TestDecideBatchMatchesDecide(t *testing.T) {
 		}
 	}
 	t.Logf("batch path: %d programs, %+v", len(corpus), cov)
-	if cov.fronts == 0 || cov.tails == 0 || cov.failed == 0 || cov.skipped == 0 || cov.drawn == 0 || cov.fellBack == 0 {
+	if cov.fronts == 0 || cov.tails == 0 || cov.failed == 0 || cov.skipped == 0 || cov.drawn == 0 || cov.fellBack == 0 || cov.single == 0 {
 		t.Errorf("coverage collapsed: %+v", cov)
 	}
 }
@@ -99,10 +100,12 @@ func TestDecideBatchMatchesDecide(t *testing.T) {
 // packets failed for naming no output and, over tail-free batches of more
 // than one packet, the front steps advanced by Skip and those drawn for
 // every packet, and the batches in which some packet's output had emptied
-// so a fallback's column answered.
+// so a fallback's column answered. single counts the tail-free batches in
+// which every packet named one valid output, which resolve by a column copy.
 type batchCoverage struct {
 	fronts, tails, failed    int
 	skipped, drawn, fellBack int
+	single                   int
 }
 
 // FuzzDecideBatch drives batchTrial's oracle with fuzzer-chosen programs,
@@ -205,6 +208,9 @@ func batchTrial(t *testing.T, name string, schema Schema, p *Policy, seed int64,
 		cov.failed += bad
 		if bat.fin != nil && n-bad > 1 {
 			cov.countFinals(bat, asked)
+		}
+		if bat.fin != nil && bad == 0 && slices.Min(asked) == slices.Max(asked) {
+			cov.single++
 		}
 		compareInterps(t, fmt.Sprintf("%s round %d (batch of %d)", name, round, n), bat, one, batStats, oneStats)
 		bv, ov := bat.Exec(), one.Exec()

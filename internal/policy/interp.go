@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitvec"
 	"repro/internal/filter"
@@ -548,28 +549,42 @@ func (it *Interp) DecideBatch(col []int) (failed int) {
 			it.setPick(i, int(st.col[m-1]))
 		}
 	}
-	k := 0
-	for j, out := range col {
-		if out < 0 {
-			continue
-		}
-		if len(tail) != 0 {
-			for _, i := range front {
-				it.setPick(i, int(it.prog[i].col[k]))
+	if len(tail) == 0 && failed == 0 && asked&(asked-1) == 0 && len(it.fin) <= 64 {
+		// Every packet asks one output: resolution is one copy of the column
+		// its chain ends at, or one fill with its constant id.
+		if f := it.fin[bits.TrailingZeros64(asked)]; f.step < 0 {
+			for j := range col {
+				col[j] = f.id
 			}
-			it.run(tail)
-			if it.stats != nil {
-				for _, i := range it.popIdx {
-					it.pendCand[i] += uint64(it.vals[i].Count())
-				}
-			}
-			col[j] = it.resolve(k, out)
-		} else if f := it.fin[out]; f.step >= 0 {
-			col[j] = int(it.prog[f.step].col[k])
 		} else {
-			col[j] = f.id
+			for j, id := range it.prog[f.step].col[:m] {
+				col[j] = int(id)
+			}
 		}
-		k++
+	} else {
+		k := 0
+		for j, out := range col {
+			if out < 0 {
+				continue
+			}
+			if len(tail) != 0 {
+				for _, i := range front {
+					it.setPick(i, int(it.prog[i].col[k]))
+				}
+				it.run(tail)
+				if it.stats != nil {
+					for _, i := range it.popIdx {
+						it.pendCand[i] += uint64(it.vals[i].Count())
+					}
+				}
+				col[j] = it.resolve(k, out)
+			} else if f := it.fin[out]; f.step >= 0 {
+				col[j] = int(it.prog[f.step].col[k])
+			} else {
+				col[j] = f.id
+			}
+			k++
+		}
 	}
 	if stale {
 		// Pop-static includes selection units over static inputs, whose
