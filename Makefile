@@ -14,17 +14,16 @@ FUZZTIME ?= 30s
 # hot-path allocation freedom and the telemetry layer's lock-free hot-safe
 # API discipline — plus the call-graph analyzers (lockorder, wireproto) over
 # the serving stack's concurrency and protocol contracts — lockorder is what
-# proves wmu → shard.mu is the engine's only order. The steering table's
-# publish order, the paper's latency constants, simulation determinism and
-# the Close joins are pinned by tests instead (the race-enabled engine
-# suite, TestLatencyContract, the simulator goldens, the serial/parallel
+# proves wmu → shard.mu is the engine's only order. The paper's latency
+# constants, simulation determinism and the Close joins are pinned by tests
+# instead (TestLatencyContract, the simulator goldens, the serial/parallel
 # identity tests and the engine, server and client Close tests). The race
-# pass checks the engine's lock
-# discipline itself, and covers the
-# serving frontend too, with the short fault-injected soak (`go test -tags
-# soak ./internal/server/` selects the long one), and the failure-injection
-# suite: the fault planner, engine shard quarantine/resync, netsim
-# link/switch faults with RTO recovery and the Figure 17/18 failure sweeps.
+# pass checks the engine's lock discipline itself, including the inline
+# rebuild of a diverged replica beside decisions, writes and swaps, and
+# covers the serving frontend too, with the short fault-injected soak (`go
+# test -tags soak ./internal/server/` selects the long one), and the
+# failure-injection suite: the fault planner, netsim link/switch faults with
+# RTO recovery and the Figure 17/18 failure sweeps.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...

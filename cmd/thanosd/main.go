@@ -98,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 	reg := telemetry.NewRegistry()
 	// The flight recorder runs always-on: the engine and server record their
 	// recent spans and state transitions into per-component rings for ~free,
-	// and a shard quarantine or SIGQUIT dumps the history to stderr.
+	// and a diverged replica's rebuild or SIGQUIT dumps the history to stderr.
 	flight := telemetry.NewFlightRecorder()
 	flight.SetAutoDump(stderr)
 	eng, err := engine.New(engine.Config{
@@ -109,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		Telemetry: reg,
 		Flight:    flight.Ring("engine", *flightCap),
 		OnQuarantine: func(shard int, cause error) {
-			flight.Trip(fmt.Sprintf("shard %d quarantined: %v", shard, cause))
+			flight.Trip(fmt.Sprintf("shard %d rebuilt after divergence: %v", shard, cause))
 		},
 	})
 	if err != nil {

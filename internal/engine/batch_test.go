@@ -23,25 +23,22 @@ fallback best -> any
 // every packet of a batch gets the ID and OK a twin engine gives it when it
 // decides the same packets one DecideBatch call each. It runs a tail-free
 // program and a tail program over 1, 2, 3, 4 and 6 shards (non-power-of-two
-// counts steer by a divide), healthy and with one shard quarantined, at batch
-// sizes 1 to 1024, each size three times: every packet asking one output,
-// mixed outputs, and mixed outputs with invalid ones. A write lands between
-// batches. The failover counter must count exactly the packets whose home
-// shard is quarantined, the failed counter the invalid ones, and the shards'
-// decision and empty-decision counters the rest.
+// counts steer by a divide), at batch sizes 1 to 1024, each size three times:
+// every packet asking one output, mixed outputs, and mixed outputs with
+// invalid ones. A write lands between batches. The failed counter must count
+// exactly the invalid packets, the shards' decision and empty-decision
+// counters the rest, and no write may rebuild a replica.
 func TestDecideBatchMatchesOneAtATime(t *testing.T) {
 	for _, src := range []string{lb.PolicyResourceAware, drillTailSrc} {
 		for _, shards := range []int{1, 2, 3, 4, 6} {
-			for _, quarantine := range []bool{false, true} {
-				batchDifferential(t, src, shards, quarantine)
-			}
+			batchDifferential(t, src, shards)
 		}
 	}
 }
 
-func batchDifferential(t *testing.T, src string, shards int, quarantine bool) {
+func batchDifferential(t *testing.T, src string, shards int) {
 	pol := policy.MustParse(src)
-	name := fmt.Sprintf("%s, %d shards, quarantine %v", pol.Name, shards, quarantine)
+	name := fmt.Sprintf("%s, %d shards", pol.Name, shards)
 	nOut := len(pol.Outputs)
 	newEngine := func() *Engine {
 		e, err := New(Config{Shards: shards, Capacity: 64, Schema: lb.Schema, Policy: pol, Telemetry: telemetry.NewRegistry()})
@@ -49,16 +46,7 @@ func batchDifferential(t *testing.T, src string, shards int, quarantine bool) {
 			t.Fatal(err)
 		}
 		t.Cleanup(e.Close)
-		e.resyncHold = make(chan struct{}) // a quarantined shard stays out
 		fillRandom(t, e, 64, 31)
-		if quarantine {
-			if err := e.CorruptReplica(shards-1, 7); err != nil {
-				t.Fatal(err)
-			}
-			if n := e.VerifyReplicas(); n != 1 {
-				t.Fatalf("%s: VerifyReplicas() = %d, want 1", name, n)
-			}
-		}
 		return e
 	}
 	bat, one := newEngine(), newEngine()
@@ -67,7 +55,7 @@ func batchDifferential(t *testing.T, src string, shards int, quarantine bool) {
 		for kind, what := range []string{"one output", "mixed outputs", "invalid outputs"} {
 			pkts := make([]Packet, n)
 			focus := r.Intn(nOut)
-			var wantDiverted, wantFailed uint64
+			var wantFailed uint64
 			for i := range pkts {
 				pkts[i] = Packet{Key: r.Uint64(), Out: focus, ID: 99, OK: true}
 				if kind > 0 {
@@ -76,20 +64,12 @@ func batchDifferential(t *testing.T, src string, shards int, quarantine bool) {
 				if kind == 2 && r.Intn(8) == 0 {
 					pkts[i].Out = []int{-1, nOut}[r.Intn(2)]
 				}
-				switch home := int(pkts[i].Key % uint64(shards)); {
-				case quarantine && shards == 1:
-					wantFailed++ // no healthy shard: every packet fails in place
-				case pkts[i].Out < 0 || pkts[i].Out >= nOut:
+				if pkts[i].Out < 0 || pkts[i].Out >= nOut {
 					wantFailed++
-					if quarantine && home == shards-1 {
-						wantDiverted++
-					}
-				case quarantine && home == shards-1:
-					wantDiverted++
 				}
 			}
 			twin := append([]Packet(nil), pkts...)
-			diverted, failed := bat.failoverCtr.Value(), bat.failedCtr.Value()
+			failed := bat.failedCtr.Value()
 			decided, empty := shardCounts(bat)
 			bat.DecideBatch(pkts)
 			for i := range twin {
@@ -100,9 +80,6 @@ func batchDifferential(t *testing.T, src string, shards int, quarantine bool) {
 					t.Fatalf("%s, batch of %d (%s): packet %d (key %#x, out %d) got (%d,%v), one at a time (%d,%v)",
 						name, n, what, i, pkts[i].Key, pkts[i].Out, pkts[i].ID, pkts[i].OK, twin[i].ID, twin[i].OK)
 				}
-			}
-			if got := bat.failoverCtr.Value() - diverted; got != wantDiverted {
-				t.Fatalf("%s, batch of %d (%s): failover counter moved %d, want %d", name, n, what, got, wantDiverted)
 			}
 			if got := bat.failedCtr.Value() - failed; got != wantFailed {
 				t.Fatalf("%s, batch of %d (%s): failed counter moved %d, want %d", name, n, what, got, wantFailed)
@@ -125,6 +102,9 @@ func batchDifferential(t *testing.T, src string, shards int, quarantine bool) {
 				}
 			}
 		}
+	}
+	if n := bat.rebuilds.Value(); n != 0 {
+		t.Fatalf("%s: %d replica rebuilds on a healthy engine, want 0", name, n)
 	}
 }
 

@@ -16,13 +16,14 @@
 // gives the same atomicity with the one lock a shard already has. Each shard
 // holds exactly one module, and everything that touches it does so under the
 // shard's mutex: a decision holds it for its visit, a table write holds it
-// for one single-row SMBM operation, and a policy swap or a resync binds its
-// module (over the shard's table, or a copy of the authority's) first and
-// holds it only to replace the module pointer. Decisions therefore always
-// observe a fully-written table and a complete program. What the hardware
-// has and this does not is stall-free reads: a decision can wait for a write
-// on its shard, bounded by one row operation or one pointer store — next to
-// the whole visit it already waits behind any other decision on that shard.
+// for one single-row SMBM operation, and a policy swap or a replica rebuild
+// binds its module (over the shard's table, or a copy of the authority's)
+// first and holds it only to replace the module pointer. Decisions therefore
+// always observe a fully-written table and a complete program. What the
+// hardware has and this does not is stall-free reads: a decision can wait for
+// a write on its shard, bounded by one row operation or one pointer store —
+// next to the whole visit it already waits behind any other decision on that
+// shard.
 //
 // # Batched decisions, run to completion
 //
@@ -34,27 +35,25 @@
 // packets in one branch-free pass, decides them step-major — each selection
 // unit runs once over the whole visit (policy.Module.DecideBatch) — and moves
 // on. The packets themselves carry the partition (see steerTag), so callers
-// share no scratch outside a shard lock. While every shard is healthy,
-// steering tags each packet with its home shard and nothing else; only a
-// degraded steering table adds a pass that counts the failovers.
+// share no scratch outside a shard lock. Steering is a fixed function of the
+// key: every shard is always in service.
 // The only ordering a stateful data plane owes is per flow key, which the
 // shard lock gives; there is no engine-wide lock, queue or hand-off on the
 // path. The steady-state path — steering, policy execution, fallback
 // resolution — performs zero heap allocations.
 //
-// # Graceful degradation
+// # A diverged replica is rebuilt inline
 //
-// A replica that diverges from the authoritative table (memory corruption, a
-// failed broadcast write) is not a crash: the shard moves from healthy to
-// quarantined and back. A quarantined shard is left out of the steering
-// table — its traffic fails over to healthy shards — while a background
-// goroutine rebuilds its module over a copy of the authoritative table in
-// one attempt. The copy keeps every dimension's order, so ties break as on
-// every other replica (§5.1.2), and binding a validated policy cannot fail,
-// so there is nothing to retry. With no healthy shard left, DecideBatch fails
-// every packet in place. Likewise, using the engine after Close degrades
-// (decisions come back OK=false, writes return ErrClosed) instead of
-// panicking. See health.go.
+// Every replica takes the same writes in the same order as the authoritative
+// table, under one writer lock, so replicas do not diverge (§5.1.5). A
+// replica that still rejects a write the authority accepted has a diverged
+// table, which only a defect can cause. The write rebuilds that shard on the
+// spot: it binds the current policy over a copy of the authority — same
+// contents, same per-dimension order, so ties break as on every other replica
+// (§5.1.2) — publishes it with one pointer store, and reports the divergence
+// as an ErrReplicaDivergence-wrapped error. No shard is ever out of service.
+// Using the engine after Close degrades (decisions come back OK=false, writes
+// return ErrClosed) instead of panicking.
 package engine
 
 import (
@@ -63,6 +62,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/policy"
 	"repro/internal/smbm"
@@ -103,19 +103,18 @@ type Config struct {
 	Policy *policy.Policy
 	// Telemetry, when non-nil, registers the engine's metrics — per-shard
 	// decision counts, chain selectivity, table op counts, the batch-size
-	// histogram, policy-swap and degradation counters — under this registry.
-	// All handles are created here, at construction; telemetry adds no
-	// allocation and no lock to the decision path.
+	// histogram, policy-swap, rebuild and failed-decision counters — under
+	// this registry. All handles are created here, at construction;
+	// telemetry adds no allocation and no lock to the decision path.
 	Telemetry *telemetry.Registry
-	// Flight, when non-nil, receives the engine's state transitions
-	// (quarantine, resync completion, policy swap) for the always-on flight
-	// recorder. Records are lock-free and allocation-free; nil disables
-	// recording.
+	// Flight, when non-nil, receives the engine's state transitions (replica
+	// rebuild, policy swap) for the always-on flight recorder. Records are
+	// lock-free and allocation-free; nil disables recording.
 	Flight *telemetry.SpanRing
-	// OnQuarantine, when non-nil, is called once per shard quarantine with
-	// the shard index and the divergence that caused it. It runs on the
-	// background resync goroutine, never under the engine's locks, so it may
-	// block or do I/O (e.g. dump the flight recorder).
+	// OnQuarantine, when non-nil, is called once per inline replica rebuild
+	// with the shard index and the divergence that caused it. It runs on the
+	// writer's goroutine after the write has released the engine's locks, so
+	// it may block or do I/O (e.g. dump the flight recorder).
 	OnQuarantine func(shard int, cause error)
 }
 
@@ -132,10 +131,9 @@ type shard struct {
 	// pointers are the exception: a decision's min or max repairs them
 	// (smbm.SMBM.PosInDim), so, like the scratch, they belong to mu, and a
 	// control-plane call that reads positions (CheckInvariants) takes mu
-	// too, after wmu. A writer holds mu for one row operation or
-	// one pointer store, never across building a module or a table, and
-	// never while it quarantines a shard, rebuilds steering, records a flight
-	// event or calls OnQuarantine.
+	// too, after wmu. A writer holds mu for one row operation or one pointer
+	// store, never across building a module or a table, recording a flight
+	// event or calling OnQuarantine.
 	mu sync.Mutex
 	// mod is the shard's one replica. See mu for who may touch it.
 	mod *policy.Module
@@ -145,34 +143,15 @@ type shard struct {
 	// across visits so the steady state does not allocate.
 	idx []int32
 
-	// health is the shard's position in the degradation state machine
-	// (Healthy/Quarantined). Transitions happen under Engine.wmu;
-	// the atomic lets scrapers read it lock-free.
-	health atomic.Int32
-	// lastErr records the divergence that quarantined the shard; guarded by
-	// Engine.wmu.
-	lastErr error
-
 	// Telemetry handles, nil unless Config.Telemetry was set. decCtr and
 	// emptyCtr are this shard's padded slots of the engine-wide sharded
 	// counters. On the hot path they are touched only under mu.
-	// chainTel is kept for the modules a swap or a resync builds, tableTel
-	// for the table a resync copies.
+	// chainTel is kept for the modules a swap or a rebuild binds, tableTel
+	// for the table a rebuild copies.
 	decCtr   *telemetry.Counter
 	emptyCtr *telemetry.Counter
 	chainTel *telemetry.ChainStats
 	tableTel *telemetry.TableStats
-}
-
-// steering maps a packet's home shard (Key mod Shards) to the shard that
-// serves it: the identity while every shard is healthy, a healthy substitute
-// for quarantined homes (failover), and -1 everywhere while live==0. A
-// steering table is immutable once published through Engine.steer.
-type steering struct {
-	to    []int32
-	live  int  // healthy shards
-	pow2  bool // len(to) is a power of two: Key mod Shards is Key & (Shards-1)
-	ident bool // to is the identity: every packet is served by its home shard
 }
 
 // home returns the home shard of key k, k mod ns, with a mask when pow2.
@@ -189,67 +168,50 @@ func home(k, ns uint64, pow2 bool) uint64 {
 type Engine struct {
 	shards []*shard
 	schema policy.Schema
+	// ns is the shard count and pow2 whether it is a power of two, which
+	// lets steering find a home shard with a mask instead of a divide.
+	ns   uint64
+	pow2 bool
 
 	// pol is the most recently published policy. Stored under wmu (SwapPolicy)
-	// and read by resync under wmu; atomic so Policy() needs no lock.
+	// and read by rebuilds under wmu; atomic so Policy() needs no lock.
 	pol atomic.Pointer[policy.Policy]
 
 	// auth is the authoritative control-plane table: every accepted write
-	// lands here first, and quarantined shards rebuild from it. Guarded by
+	// lands here first, and a diverged shard is rebuilt from it. Guarded by
 	// wmu; never read by the decision path.
 	auth *smbm.SMBM
 
-	// steer is the current steering table, replaced wholesale under wmu on
-	// every health transition and loaded once per batch. A batch that loaded
-	// the previous table may still execute on a shard quarantined since; the
-	// shard lock keeps that safe (it runs before or after a resync's pointer
-	// store, never during) and the decision is one the shard could have given
-	// just before the transition.
-	steer atomic.Pointer[steering]
-
 	rrKey  atomic.Uint64 // round-robin steering key for Decide
-	closed atomic.Bool   // Close has begun
+	closed atomic.Bool   // Close has begun; writers check it under wmu
 
 	// wmu serializes writers, so every replica advances through the same
-	// operation sequence as auth, and guards the health transitions. It is
-	// always taken before a shard's mu, never after: the decision path holds
-	// shard locks and never takes wmu. Holding wmu alone is enough to read any
-	// shard's mod and its table's contents, since every mutator holds it too;
-	// reading a table's positions also needs that shard's mu (see shard.mu).
+	// operation sequence as auth. It is always taken before a shard's mu,
+	// never after: the decision path holds shard locks and never takes wmu.
+	// Holding wmu alone is enough to read any shard's mod and its table's
+	// contents, since every mutator holds it too; reading a table's
+	// positions also needs that shard's mu (see shard.mu).
 	wmu sync.Mutex
 
-	bg       sync.WaitGroup // background resync goroutines, for Close
-	closedCh chan struct{}  // closed by Close; bails writers and resyncs
-
 	// flight receives state-transition events (nil-safe); onQuar is the
-	// user's quarantine callback, invoked from resync outside all locks.
+	// user's rebuild callback, invoked by apply outside all locks.
 	flight *telemetry.SpanRing
 	onQuar func(shard int, cause error)
 
-	// resyncHold, when set by a test before a quarantine, holds every resync
-	// until it is closed (or the engine closes), keeping the shard out of
-	// the serving set for as long as the test needs.
-	resyncHold chan struct{}
-
 	// Telemetry, nil unless Config.Telemetry was set. All handles are atomic
-	// instruments: batchHist and the failover/failed counters are observed
-	// by deciding callers, polSwaps on the (wmu-serialized) write path.
+	// instruments: batchHist and failedCtr are observed by deciding callers,
+	// polSwaps and rebuilds on the (wmu-serialized) write path.
 	reg       *telemetry.Registry
 	batchHist *telemetry.Histogram // DecideBatch sizes
 	polSwaps  *telemetry.Counter   // policy hot-swaps published (SwapPolicy successes)
-
-	// Degradation telemetry, nil-safe like every other handle.
-	quarCtr     *telemetry.Counter // shards quarantined after divergence
-	resyncCtr   *telemetry.Counter // resyncs completed
-	failoverCtr *telemetry.Counter // decisions diverted to a non-home shard
-	failedCtr   *telemetry.Counter // decisions failed: engine closed, no healthy shard, or no such output
-	quarGauge   *telemetry.Gauge   // shards currently quarantined
+	rebuilds  *telemetry.Counter   // diverged replicas rebuilt inline
+	failedCtr *telemetry.Counter   // decisions failed: engine closed or no such output
 }
 
 // New builds the engine: per shard, one policy.Module. All replicas start
 // empty and identical; every interpreter draws the same deterministic seed
-// assignment, so shards model identically-configured pipeline replicas. A
-// healthy engine owns no goroutines.
+// assignment, so shards model identically-configured pipeline replicas. The
+// engine owns no goroutines.
 func New(cfg Config) (*Engine, error) {
 	n := cfg.Shards
 	if n <= 0 {
@@ -262,11 +224,12 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine: nil policy")
 	}
 	e := &Engine{
-		schema:   cfg.Schema,
-		auth:     smbm.New(cfg.Capacity, len(cfg.Schema.Attrs)),
-		closedCh: make(chan struct{}),
-		flight:   cfg.Flight,
-		onQuar:   cfg.OnQuarantine,
+		schema: cfg.Schema,
+		ns:     uint64(n),
+		pow2:   n&(n-1) == 0,
+		auth:   smbm.New(cfg.Capacity, len(cfg.Schema.Attrs)),
+		flight: cfg.Flight,
+		onQuar: cfg.OnQuarantine,
 	}
 	e.pol.Store(cfg.Policy)
 	for i := 0; i < n; i++ {
@@ -276,7 +239,6 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.shards = append(e.shards, &shard{mod: m})
 	}
-	e.rebuildSteering()
 	if cfg.Telemetry != nil {
 		e.setupTelemetry(cfg.Telemetry, n)
 	}
@@ -294,12 +256,11 @@ func (e *Engine) setupTelemetry(reg *telemetry.Registry, n int) {
 	dec := reg.NewShardedCounter("thanos_engine_decisions_total", "decisions executed across all shards", n)
 	empty := reg.NewShardedCounter("thanos_engine_empty_decisions_total", "decisions whose final candidate set was empty", n)
 	e.batchHist = reg.NewHistogram("thanos_engine_batch_size", "DecideBatch request sizes in packets")
-	e.polSwaps = reg.NewCounter("thanos_engine_policy_swaps_total", "policy hot-swaps published to every healthy shard")
-	e.quarCtr = reg.NewCounter("thanos_engine_shards_quarantined_total", "shards quarantined after replica divergence")
-	e.resyncCtr = reg.NewCounter("thanos_engine_resyncs_completed_total", "quarantined shards rebuilt from the authoritative table and returned to service")
-	e.failoverCtr = reg.NewCounter("thanos_engine_failover_decisions_total", "decisions diverted from a quarantined home shard to a healthy one")
-	e.failedCtr = reg.NewCounter("thanos_engine_failed_decisions_total", "decisions failed because the engine was closed, no shard was healthy, or the policy has no such output")
-	e.quarGauge = reg.NewGauge("thanos_engine_quarantined_shards", "shards currently quarantined")
+	e.polSwaps = reg.NewCounter("thanos_engine_policy_swaps_total", "policy hot-swaps published to every shard")
+	// The rebuild counter keeps the name it had when a diverged shard was
+	// quarantined: the benchmark refuses a run on which it is non-zero.
+	e.rebuilds = reg.NewCounter("thanos_engine_shards_quarantined_total", "shards rebuilt from the authoritative table after rejecting a write it accepted")
+	e.failedCtr = reg.NewCounter("thanos_engine_failed_decisions_total", "decisions failed because the engine was closed or the policy has no such output")
 	reg.NewGaugeFunc("thanos_engine_shards", "pipeline replicas", func() int64 { return int64(n) })
 	// thanos_engine_table_size (the TableStats gauge above) tracks the
 	// replica size as writes reach the replicas; this one asks the
@@ -335,23 +296,22 @@ func (e *Engine) Schema() policy.Schema { return e.schema }
 func (e *Engine) Capacity() int { return e.auth.Capacity() }
 
 // Close shuts the engine down: it marks every shard closed under that
-// shard's lock — so it returns only after every decision already executing
-// has finished — and stops and waits for any background resyncs. Close is
-// idempotent. Using the engine after Close degrades instead of crashing:
-// DecideBatch and Decide fill every packet with ID=-1/OK=false (a batch
-// racing Close is served on the shards it reached first), and control-plane
-// writes return ErrClosed.
+// shard's lock, so it returns only after every decision already executing
+// has finished. It takes no writer lock: a write that passed its closed
+// check before Close began still reaches every replica. Close is idempotent.
+// Using the engine after Close degrades instead of crashing: DecideBatch and
+// Decide fill every packet with ID=-1/OK=false (a batch racing Close is
+// served on the shards it reached first), and control-plane writes return
+// ErrClosed.
 func (e *Engine) Close() {
 	if !e.closed.CompareAndSwap(false, true) {
 		return
 	}
-	close(e.closedCh)
 	for _, s := range e.shards {
 		s.mu.Lock()
 		s.closed = true
 		s.mu.Unlock()
 	}
-	e.bg.Wait()
 }
 
 // steerTag marks a packet as steered but not yet decided: DecideBatch sets
@@ -373,37 +333,12 @@ func (e *Engine) DecideBatch(pkts []Packet) {
 	if len(pkts) == 0 {
 		return
 	}
-	st := e.steer.Load()
-	if st.live == 0 {
-		// Degraded: every shard is quarantined. Fail the batch in place —
-		// callers observe OK=false — instead of blocking on a total fault.
-		for i := range pkts {
-			pkts[i].ID = -1
-			pkts[i].OK = false
-		}
-		e.failedCtr.Add(uint64(len(pkts)))
-		return
-	}
 	e.batchHist.Observe(uint64(len(pkts)))
-	// The table's fields in locals: through st, every store to a packet
+	// The engine's fields in locals: through e, every store to a packet
 	// would reload them.
-	to, ns, pow2, ident := st.to, uint64(len(st.to)), st.pow2, st.ident
+	ns, pow2 := e.ns, e.pow2
 	for i := range pkts {
-		h := home(pkts[i].Key, ns, pow2)
-		if !ident {
-			h = uint64(to[h])
-		}
-		pkts[i].ID = steerTag - int(h)
-	}
-	if !ident {
-		// Degraded: count the packets the table sent away from home.
-		var diverted uint64
-		for i := range pkts {
-			if uint64(steerTag-pkts[i].ID) != home(pkts[i].Key, ns, pow2) {
-				diverted++
-			}
-		}
-		e.failoverCtr.Add(diverted)
+		pkts[i].ID = steerTag - int(home(pkts[i].Key, ns, pow2))
 	}
 	// Visit shards in order of first appearance: the first packet still
 	// tagged names the next shard, which then decides all of its packets.
@@ -510,53 +445,87 @@ func (e *Engine) Upsert(id int, vals []int64) error {
 }
 
 // apply propagates one table operation to the authoritative table and then
-// to the table of every healthy shard, each under that shard's lock. The
-// operation is validated against the authoritative table first; a validation
-// failure (duplicate id, missing id, full table) leaves every replica
-// untouched.
+// to the table of every shard, each under that shard's lock. The operation is
+// validated against the authoritative table first; a validation failure
+// (duplicate id, missing id, full table) leaves every replica untouched.
 //
 // A failure on a shard replica after the authority accepted the write means
-// that replica has diverged. That used to panic; now the shard is
-// quarantined — its traffic fails over to healthy shards while a background
-// resync rebuilds it from the authority — and apply reports the first
-// divergence as an ErrReplicaDivergence-wrapped error. Healthy shards still
-// receive the write, so the serving set stays consistent.
+// that replica has diverged. apply rebuilds the shard from the authority on
+// the spot (see rebuild), carries on to the next shard, and reports the first
+// divergence as an ErrReplicaDivergence-wrapped error. OnQuarantine then
+// hears of each rebuild, once the writer lock is released.
 func (e *Engine) apply(op func(*smbm.SMBM) error) error {
+	rebuilt, err := e.broadcast(op)
+	for _, d := range rebuilt {
+		if e.onQuar != nil {
+			e.onQuar(d.shard, d.cause)
+		}
+	}
+	return err
+}
+
+// divergence names a shard that rejected a write and the error it gave.
+type divergence struct {
+	shard int
+	cause error
+}
+
+// broadcast is apply's part under the writer lock. It returns the shards it
+// rebuilt, with the error each gave.
+func (e *Engine) broadcast(op func(*smbm.SMBM) error) (rebuilt []divergence, err error) {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	select {
-	case <-e.closedCh:
-		return ErrClosed
-	default:
+	if e.closed.Load() {
+		return nil, ErrClosed
 	}
 	if err := op(e.auth); err != nil {
-		return err
+		return nil, err
 	}
-	var firstDiv error
 	for si, s := range e.shards {
-		if ShardHealth(s.health.Load()) != Healthy {
-			continue // will rebuild from e.auth on resync
+		werr := s.write(op)
+		if werr == nil {
+			continue
 		}
-		if err := s.write(op); err != nil {
-			e.quarantineLocked(si, err)
-			if firstDiv == nil {
-				firstDiv = fmt.Errorf("engine: shard %d quarantined: %w: %w",
-					si, smbm.ErrReplicaDivergence, err)
-			}
+		e.rebuild(si)
+		if err == nil {
+			err = fmt.Errorf("engine: shard %d rebuilt: %w: %w", si, smbm.ErrReplicaDivergence, werr)
 		}
+		rebuilt = append(rebuilt, divergence{si, werr})
 	}
-	return firstDiv
+	return rebuilt, err
 }
 
 // write runs one already-validated single-row operation on the shard's
 // table. The shard lock is held for exactly that operation, which is the
 // longest a decision steered here can wait for a writer; an error means the
 // replica rejected a write the authority accepted, i.e. it has diverged.
-// Caller holds wmu and quarantines outside the shard lock.
+// Caller holds wmu.
 func (s *shard) write(op func(*smbm.SMBM) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return op(s.mod.Table)
+}
+
+// rebuild replaces shard si's module with the current policy bound over a
+// copy of the authoritative table (SMBM.Copy): same contents, same
+// per-dimension order, so ties break as on every other shard, and same
+// version. The module is built with no shard lock held, which is taken only
+// to replace the module pointer, so a decision on the shard waits for a
+// pointer store, never for the rebuild. Caller holds wmu, which gives it a
+// stable authority.
+func (e *Engine) rebuild(si int) {
+	s := e.shards[si]
+	t := e.auth.Copy()
+	t.AttachTelemetry(s.tableTel)
+	fresh, err := s.bind(t, e.schema, e.pol.Load())
+	if err != nil {
+		// The current policy is bound over every shard's table already, and
+		// the copy has the same shape, so binding it again cannot fail.
+		panic(fmt.Sprintf("engine: rebuild shard %d: %v", si, err))
+	}
+	s.publish(fresh)
+	e.rebuilds.Inc()
+	e.flight.Event(telemetry.EventQuarantine, 0, time.Now().UnixNano(), int64(si))
 }
 
 // Metrics returns a copy of the metric values for id from the authoritative
@@ -575,34 +544,64 @@ func (e *Engine) Size() int {
 }
 
 // CheckSync verifies the engine-wide InSync invariant: the replica table of
-// every healthy shard holds contents identical to the authoritative table,
-// per-dimension order included, and satisfies every SMBM structural
-// invariant. Quarantined shards are
-// excluded — they are known-diverged and out of the serving set.
-// Intended for tests; it takes the writer lock, so writes are briefly
-// excluded, and each shard's lock while it checks that shard's table:
-// CheckInvariants repairs the table's position pointers, which a deciding
-// caller's min or max may be repairing under the shard lock.
+// every shard holds contents identical to the authoritative table,
+// per-dimension order included (two tables that hold the same rows but broke
+// a tie differently answer a min or max differently), and satisfies every
+// SMBM structural invariant. Intended for tests; it takes the writer lock, so
+// writes are briefly excluded, and each shard's lock while it checks that
+// shard's table: CheckInvariants repairs the table's position pointers,
+// which a deciding caller's min or max may be repairing under the shard lock.
 func (e *Engine) CheckSync() error {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	base := e.auth
-	if err := base.CheckInvariants(); err != nil {
+	if err := e.auth.CheckInvariants(); err != nil {
 		return fmt.Errorf("authoritative table: %w", err)
 	}
 	for si, s := range e.shards {
-		if ShardHealth(s.health.Load()) != Healthy {
-			continue
-		}
 		s.mu.Lock()
 		err := s.mod.Table.CheckInvariants()
+		if err == nil {
+			err = s.mod.Table.Diff(e.auth)
+		}
 		s.mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", si, err)
 		}
-		if err := e.verifyShard(s); err != nil {
-			return fmt.Errorf("shard %d: %w", si, err)
-		}
 	}
 	return nil
+}
+
+// ShardStatus is one shard's slice of an engine introspection snapshot.
+type ShardStatus struct {
+	// TableVersion is the shard table's SMBM mutation counter. It agrees
+	// with AuthVersion: every accepted write advances both, and a rebuild
+	// copies the authority's version with its contents.
+	TableVersion uint64 `json:"table_version"`
+	TableSize    int    `json:"table_size"`
+}
+
+// EngineStatus is the engine's introspection snapshot (/debug/thanos).
+type EngineStatus struct {
+	Shards      []ShardStatus `json:"shards"`
+	Resources   int           `json:"resources"`
+	AuthVersion uint64        `json:"auth_version"`
+}
+
+// Introspect snapshots every shard's table version and size beside the
+// authoritative table's. Control-plane only: it takes the writer lock, so
+// the snapshot is consistent with respect to writes, while decisions keep
+// flowing. Reading a table's version and size under wmu alone is safe: a
+// decider writes only a table's position pointers.
+func (e *Engine) Introspect() EngineStatus {
+	e.wmu.Lock()
+	defer e.wmu.Unlock()
+	st := EngineStatus{
+		Shards:      make([]ShardStatus, len(e.shards)),
+		Resources:   e.auth.Size(),
+		AuthVersion: e.auth.Version(),
+	}
+	for si, s := range e.shards {
+		st.Shards[si] = ShardStatus{TableVersion: s.mod.Table.Version(), TableSize: s.mod.Table.Size()}
+	}
+	return st
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/policy"
 	"repro/internal/smbm"
+	"repro/internal/telemetry"
 )
 
 // TestEngineConcurrentDecideAndWrite hammers DecideBatch from several
@@ -183,17 +184,17 @@ out worst = max(all, cpu)
 // TestEngineConcurrentDecideAndWriteOracle runs several callers inside the
 // engine at once — they execute on the shards themselves, so under -race at
 // GOMAXPROCS ≥ 4 (make check-slow) they truly overlap — beside a
-// table writer, a policy flipper and a corrupt-and-scrub loop that cycles
-// shards through quarantine and resync. The table pins its minimum to id 1
-// and its maximum to id 2 whatever the writer and the corruptor do, and both
-// policies agree, so every decision has one right answer: the one a private,
-// single-threaded, never-written oracle engine gives for the same packet.
+// table writer, a policy flipper and a corruptor that drops an id from one
+// shard's table and then writes that id, which rebuilds the shard inline.
+// The table pins its minimum to id 1 and its maximum to id 2 whatever the
+// writer and the corruptor do, and both policies agree, so every decision has
+// one right answer: the one a private, single-threaded, never-written oracle
+// engine gives for the same packet. Every rebuild is one the corruptor caused.
 //
 // The one-shard case is the decider half of the liveness pair (its mirror is
-// TestSwapPolicyConcurrentDecides): every caller meets the streaming writer
-// and the flipper on the same shard lock, and every DecideBatch must still
-// return, oracle-correct, inside the wall bound. With one shard there is
-// nowhere to fail over to, so that case runs without the corruptor.
+// TestSwapPolicyConcurrentDecides): every caller meets the streaming writer,
+// the flipper and the rebuilds on the same shard lock, and every DecideBatch
+// must still return, oracle-correct, inside the wall bound.
 func TestEngineConcurrentDecideAndWriteOracle(t *testing.T) {
 	t.Run("shards=4", func(t *testing.T) { concurrentDecideAndWriteOracle(t, 4) })
 	t.Run("shards=1", func(t *testing.T) { concurrentDecideAndWriteOracle(t, 1) })
@@ -212,18 +213,17 @@ func concurrentDecideAndWriteOracle(t *testing.T, shards int) {
 			}
 		}
 	}
-	e := newTestEngine(t, shards, bothPolicySrc)
+	e := newTelemetryEngine(t, shards, bothPolicySrc, telemetry.NewRegistry())
 	fillPinned(e)
 
 	const (
 		callers          = 4
 		batchesPerCaller = 200
 	)
-	corrupt := shards > 1
 	var stop atomic.Bool
-	var quarantines atomic.Int32
-	// Callers keep going until the corruptor has produced a few quarantine
-	// cycles, bounded so a wedged resync fails instead of hanging.
+	var repairs atomic.Int32
+	// Callers keep going until the corruptor has caused a few rebuilds,
+	// bounded so a stuck corruptor fails instead of hanging.
 	start := time.Now()
 	deadline := start.Add(20 * time.Second)
 	var callersWG, mutatorsWG sync.WaitGroup
@@ -236,7 +236,7 @@ func concurrentDecideAndWriteOracle(t *testing.T, shards int) {
 			r := rand.New(rand.NewSource(seed))
 			pkts := make([]Packet, 64)
 			want := make([]Packet, len(pkts))
-			for b := 0; b < batchesPerCaller || (corrupt && quarantines.Load() < 3 && time.Now().Before(deadline)); b++ {
+			for b := 0; b < batchesPerCaller || (repairs.Load() < 3 && time.Now().Before(deadline)); b++ {
 				for i := range pkts {
 					pkts[i] = Packet{Key: r.Uint64(), Out: r.Intn(2)}
 				}
@@ -280,20 +280,24 @@ func concurrentDecideAndWriteOracle(t *testing.T, shards int) {
 			}
 		}
 	}()
-	// Corruptor: drop a mid-range id from one shard's replicas, then audit so
-	// the shard is quarantined and resynced; one shard out at a time.
+	// Corruptor: drop a mid-range id from one shard's table, then write that
+	// id with its own values: the write finds the divergence and rebuilds the
+	// shard from the authority.
 	mutatorsWG.Add(1)
 	go func() {
 		defer mutatorsWG.Done()
 		r := rand.New(rand.NewSource(7))
-		for corrupt && !stop.Load() {
-			if e.HealthyShards() < shards {
-				time.Sleep(100 * time.Microsecond)
-				continue
+		for !stop.Load() {
+			id := 3 + r.Intn(8)
+			if err := e.corruptReplica(r.Intn(shards), id); err != nil {
+				t.Errorf("corruptor: %v", err)
+				return
 			}
-			if err := e.CorruptReplica(r.Intn(shards), 3+r.Intn(8)); err == nil {
-				quarantines.Add(int32(e.VerifyReplicas()))
+			if err := e.Update(id, []int64{700, 0, 0}); !errors.Is(err, smbm.ErrReplicaDivergence) {
+				t.Errorf("corruptor: write to a lost id: err = %v, want ErrReplicaDivergence", err)
+				return
 			}
+			repairs.Add(1)
 		}
 	}()
 
@@ -303,11 +307,11 @@ func concurrentDecideAndWriteOracle(t *testing.T, shards int) {
 	}
 	stop.Store(true)
 	mutatorsWG.Wait()
-	if corrupt && quarantines.Load() == 0 {
-		t.Fatal("no shard was ever quarantined; the test did not cover failover")
+	if n := repairs.Load(); n < 3 {
+		t.Fatalf("%d rebuilds beside the callers, want at least 3", n)
 	}
-	for si := 0; si < shards; si++ {
-		waitHealth(t, e, si, Healthy)
+	if got, want := e.rebuilds.Value(), uint64(repairs.Load()); got != want {
+		t.Fatalf("rebuild counter %d, corruptor caused %d", got, want)
 	}
 	if err := e.CheckSync(); err != nil {
 		t.Fatal(err)
@@ -352,10 +356,8 @@ func TestEngineConcurrentWriters(t *testing.T) {
 // The sizes are the served ones: the frame limit, a serve_filter batch and
 // every size up to 256. A visit sizes its module's column to the rest of the
 // batch, so the column grows once, at the warm-up, and then re-slices.
-// The contract holds at every stage of degradation: with one shard
-// quarantined (its traffic fails over), with every shard quarantined and
-// after Close (the engine fails every packet in place), failing a batch
-// allocates no more than deciding it.
+// The contract holds after Close too (the engine fails every packet in
+// place): failing a batch allocates no more than deciding it.
 func TestEngineDecideBatchZeroAlloc(t *testing.T) {
 	batchSizes := []int{maxServedBatch, 1024}
 	for n := 256; n >= 1; n-- {
@@ -364,39 +366,21 @@ func TestEngineDecideBatchZeroAlloc(t *testing.T) {
 	for _, src := range []string{testPolicySrc, tailPolicySrc} {
 		e := newTestEngine(t, 4, src)
 		fillRandom(t, e, 64, 17)
-		e.resyncHold = make(chan struct{}) // quarantined shards stay out
 
 		pkts := make([]Packet, maxServedBatch)
 		for i := range pkts {
 			pkts[i] = Packet{Key: uint64(i) * 0x9E3779B97F4A7C15, Out: i % 2}
 		}
-		quarantine := func(shards ...int) func() {
-			return func() {
-				for _, si := range shards {
-					if err := e.CorruptReplica(si, si); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if n := e.VerifyReplicas(); n != len(shards) {
-					t.Fatalf("VerifyReplicas() = %d, want %d", n, len(shards))
-				}
-			}
-		}
 		stages := []struct {
-			name  string
-			enter func()
-			live  int // healthy shards in the stage; 0 fails every packet
+			name   string
+			enter  func()
+			closed bool // the stage fails every packet
 		}{
-			{"healthy", func() {}, 4},
-			{"failover", quarantine(1), 3},
-			{"all quarantined", quarantine(0, 2, 3), 0},
-			{"closed", e.Close, 0},
+			{"healthy", func() {}, false},
+			{"closed", e.Close, true},
 		}
 		for _, st := range stages {
 			st.enter()
-			if st.live != 0 && e.HealthyShards() != st.live {
-				t.Fatalf("%s: %d healthy shards, want %d", st.name, e.HealthyShards(), st.live)
-			}
 			e.DecideBatch(pkts) // warm the version-cached sets, grow the scratch
 			for _, n := range batchSizes {
 				allocs := testing.AllocsPerRun(5, func() {
@@ -405,7 +389,7 @@ func TestEngineDecideBatchZeroAlloc(t *testing.T) {
 				if allocs != 0 {
 					t.Fatalf("steady-state DecideBatch of %d (%s) allocates %.1f times per batch, want 0\n%s", n, st.name, allocs, src)
 				}
-				if st.live != 0 {
+				if !st.closed {
 					continue
 				}
 				for i := range pkts[:n] {

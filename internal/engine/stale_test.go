@@ -16,8 +16,8 @@ import (
 // minimum; after each one, every shard must answer exactly what a freshly
 // built single-threaded policy.Module answers after replaying the same
 // writes. Every shard's interpreter is read with an older result still in
-// its buffers. The same must hold through quarantine (failover), after
-// resync's rebuilt tables, and after SwapPolicy's rebuilt interpreters.
+// its buffers. The same must hold after a diverged shard's inline rebuild
+// and after SwapPolicy's rebuilt interpreters.
 func TestEngineDecisionsTrackEveryWrite(t *testing.T) {
 	const shards = 2
 	e := newTestEngine(t, shards, minPolicySrc)
@@ -66,7 +66,7 @@ func TestEngineDecisionsTrackEveryWrite(t *testing.T) {
 	}
 
 	// Distinct cpu values throughout: no ties, so the answer does not depend
-	// on insertion order (resync re-adds in id order).
+	// on insertion order.
 	for id := 0; id < 8; id++ {
 		if err := upsert(id, int64(100+10*id)); err != nil {
 			t.Fatal(err)
@@ -87,20 +87,18 @@ func TestEngineDecisionsTrackEveryWrite(t *testing.T) {
 	}
 
 	// Corrupt shard 1; the Update that detects it (an Upsert would quietly
-	// re-add the id) quarantines the shard and still lands everywhere else,
-	// so failover answers must follow it.
-	if err := e.CorruptReplica(1, 5); err != nil {
+	// re-add the id) rebuilds the shard from the authority, so its answers
+	// must follow the write too.
+	if err := e.corruptReplica(1, 5); err != nil {
 		t.Fatal(err)
 	}
 	if err := apply(e.Update, 5, cpu); !errors.Is(err, smbm.ErrReplicaDivergence) {
 		t.Fatalf("write to corrupted id: err = %v, want ErrReplicaDivergence", err)
 	}
 	cpu--
-	check("quarantined or resynced")
-	waitHealth(t, e, 1, Healthy)
-	check("resynced")
-	next("write after resync", 2)
-	next("second write after resync", 6)
+	check("rebuilt")
+	next("write after rebuild", 2)
+	next("second write after rebuild", 6)
 
 	// An equivalent program, freshly parsed: new interpreters over the same
 	// tables, at whatever versions those tables have reached.

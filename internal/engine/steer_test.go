@@ -9,43 +9,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestRebuildSteeringFailoverMap pins the exact failover map: a healthy shard
-// serves itself, and the k-th quarantined home in shard order fails over to
-// the (k mod live)-th healthy shard in shard order. Each map is rebuilt
-// repeatedly, so an order that depends on anything but the shard indices
-// (a map walk, a rand draw) shows up as a differing entry.
-func TestRebuildSteeringFailoverMap(t *testing.T) {
-	for _, tc := range []struct {
-		shards int
-		dead   []int
-		want   []int32
-	}{
-		{4, nil, []int32{0, 1, 2, 3}},
-		{4, []int{1, 3}, []int32{0, 0, 2, 2}},
-		{6, []int{1, 3, 4}, []int32{0, 0, 2, 2, 5, 5}},
-		{8, []int{0, 2, 3, 6}, []int32{1, 1, 4, 5, 4, 5, 7, 7}},
-		{5, []int{0, 1, 2, 3}, []int32{4, 4, 4, 4, 4}},
-		{3, []int{0, 1, 2}, []int32{-1, -1, -1}},
-	} {
-		e := newTestEngine(t, tc.shards, minPolicySrc)
-		for _, si := range tc.dead {
-			e.shards[si].health.Store(int32(Quarantined))
-		}
-		for rep := 0; rep < 16; rep++ {
-			e.wmu.Lock()
-			e.rebuildSteering()
-			e.wmu.Unlock()
-			st := e.steer.Load()
-			if got, want := fmt.Sprint(st.to), fmt.Sprint(tc.want); got != want {
-				t.Fatalf("%d shards, %v quarantined, rebuild %d: steering %s, want %s", tc.shards, tc.dead, rep, got, want)
-			}
-			if st.live != tc.shards-len(tc.dead) {
-				t.Fatalf("%d shards, %v quarantined: live %d, want %d", tc.shards, tc.dead, st.live, tc.shards-len(tc.dead))
-			}
-		}
-	}
-}
-
 // TestDecideSteersRoundRobin pins Engine.Decide's steering order: call i lands
 // on shard i mod Shards, read from the per-shard decision counters.
 func TestDecideSteersRoundRobin(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 
 // SwapPolicy replaces the policy every shard executes, without stopping the
 // decision path — the serving frontend's live reconfiguration primitive. Per
-// healthy shard a new module is bound to the shard's existing table with no
+// shard a new module is bound to the shard's existing table with no
 // shard lock held; only then is each shard's lock taken, just long enough to
 // replace its module pointer. A decision therefore never waits on
 // interpreter construction and always executes a complete program against a
@@ -20,22 +20,18 @@ import (
 //
 // The new policy is validated against the engine's schema before anything is
 // published; on validation or construction failure the engine keeps serving
-// the old policy everywhere. Shards that are quarantined when the swap lands
-// pick the new policy up when their resync rebuilds them: resync always
-// builds from the current policy, and NewInterp rejects nothing that Validate
-// accepts over a table of the engine's schema, so the rebuild cannot fail on
-// the policy published here.
+// the old policy everywhere. A later replica rebuild binds the policy
+// published here, and NewInterp rejects nothing that Validate accepts over a
+// table of the engine's schema, so that rebuild cannot fail.
 //
 // Per-step chain telemetry is labeled for the construction-time policy; when
 // the swapped-in program has a different shape those counters detach from the
-// affected shards (decision, table and degradation telemetry continue).
+// affected shards (decision, table and rebuild telemetry continue).
 func (e *Engine) SwapPolicy(p *policy.Policy) error {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	select {
-	case <-e.closedCh:
+	if e.closed.Load() {
 		return ErrClosed
-	default:
 	}
 	if p == nil {
 		return fmt.Errorf("engine: nil policy")
@@ -49,11 +45,8 @@ func (e *Engine) SwapPolicy(p *policy.Policy) error {
 		s     *shard
 		fresh *policy.Module
 	}
-	var plan []pending
+	plan := make([]pending, 0, len(e.shards))
 	for si, s := range e.shards {
-		if ShardHealth(s.health.Load()) != Healthy {
-			continue
-		}
 		fresh, err := s.bind(s.mod.Table, e.schema, p)
 		if err != nil {
 			return fmt.Errorf("engine: swap policy on shard %d: %w", si, err)
@@ -63,7 +56,7 @@ func (e *Engine) SwapPolicy(p *policy.Policy) error {
 	for _, pd := range plan {
 		pd.s.publish(pd.fresh)
 	}
-	// Publish the policy Policy() reports and later resyncs build from.
+	// Publish the policy Policy() reports and later rebuilds bind.
 	e.pol.Store(p)
 	e.polSwaps.Inc()
 	e.flight.Event(telemetry.EventSwap, 0, time.Now().UnixNano(), int64(len(plan)))

@@ -244,15 +244,17 @@ func TestSwapPolicyTelemetry(t *testing.T) {
 	if got := snap["thanos_engine_decisions_total"].(uint64); got == 0 {
 		t.Fatal("decisions_total did not move after swap")
 	}
-	// A quarantine after the swap must resync with the swapped-in policy
-	// (and must not panic re-attaching mismatched chain telemetry).
-	if err := e.CorruptReplica(0, 0); err != nil {
+	// A rebuild after the swap must bind the swapped-in policy (and must not
+	// panic re-attaching mismatched chain telemetry).
+	if err := e.corruptReplica(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Update(0, []int64{9, 9, 9}); err == nil {
 		t.Fatal("write touching corrupted id did not report divergence")
 	}
-	waitHealth(t, e, 0, Healthy)
+	if got := e.shards[0].mod.Policy; got != e.Policy() {
+		t.Fatalf("rebuilt shard runs policy %q, want the swapped-in %q", got.Name, e.Policy().Name)
+	}
 	if err := e.CheckSync(); err != nil {
 		t.Fatal(err)
 	}

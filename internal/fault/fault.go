@@ -1,7 +1,7 @@
 // Package fault is a deterministic, seed-driven fault injector for the
 // Thanos simulations: it generates a schedule of link failures, switch
-// failures, control-plane update loss/delay, and replica corruption, and
-// arms that schedule on a sim.Scheduler. Every random draw comes from a
+// failures and control-plane update loss/delay, and arms that schedule on a
+// sim.Scheduler. Every random draw comes from a
 // caller-supplied *rand.Rand (normally sim.Scheduler.Rand(), i.e. the
 // simulation seed), so the same seed always produces the same fault
 // schedule and therefore the same end-to-end simulation results — faults
@@ -9,9 +9,9 @@
 //
 // The package is deliberately mechanism-only: it decides *when* faults
 // happen and invokes caller-supplied hooks that decide *what* a fault means
-// (netsim's Switch.SetFailed, Port.SetLinkDown, engine's CorruptReplica, a
-// control plane's resync). That keeps it usable across the simulator, the
-// engine tests, and the failure-sweep experiments.
+// (netsim's Switch.SetFailed, Port.SetLinkDown, a control plane's resync).
+// That keeps it usable across the simulator and the failure-sweep
+// experiments.
 package fault
 
 import (
@@ -35,8 +35,6 @@ const (
 	SwitchFail
 	// SwitchRecover restores a previously failed switch.
 	SwitchRecover
-	// ReplicaCorrupt silently corrupts one engine shard's replica tables.
-	ReplicaCorrupt
 )
 
 func (k Kind) String() string {
@@ -49,8 +47,6 @@ func (k Kind) String() string {
 		return "switch-fail"
 	case SwitchRecover:
 		return "switch-recover"
-	case ReplicaCorrupt:
-		return "replica-corrupt"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -70,8 +66,6 @@ type Event struct {
 	Link Link
 	// Switch is the affected switch id for SwitchFail/SwitchRecover.
 	Switch int
-	// Shard is the affected engine shard for ReplicaCorrupt.
-	Shard int
 }
 
 // Plan is a fault schedule, sorted by time (ties keep generation order, so
@@ -91,12 +85,6 @@ type Config struct {
 	// SwitchMTTF/SwitchMTTR are the mean time to failure/repair per switch.
 	SwitchMTTF sim.Time
 	SwitchMTTR sim.Time
-	// CorruptMTTF is the mean time between replica corruptions across the
-	// engine (one uniformly random shard per event).
-	CorruptMTTF sim.Time
-	// Shards is the shard-id space for ReplicaCorrupt events; required when
-	// CorruptMTTF > 0.
-	Shards int
 }
 
 // Validate sanity-checks the generation bounds.
@@ -104,7 +92,7 @@ func (c Config) Validate() error {
 	if c.Horizon <= 0 {
 		return fmt.Errorf("fault: non-positive horizon")
 	}
-	if c.LinkMTTF < 0 || c.LinkMTTR < 0 || c.SwitchMTTF < 0 || c.SwitchMTTR < 0 || c.CorruptMTTF < 0 {
+	if c.LinkMTTF < 0 || c.LinkMTTR < 0 || c.SwitchMTTF < 0 || c.SwitchMTTR < 0 {
 		return fmt.Errorf("fault: negative mean time")
 	}
 	if (c.LinkMTTF > 0) != (c.LinkMTTR > 0) {
@@ -112,9 +100,6 @@ func (c Config) Validate() error {
 	}
 	if (c.SwitchMTTF > 0) != (c.SwitchMTTR > 0) {
 		return fmt.Errorf("fault: switch MTTF and MTTR must be set together")
-	}
-	if c.CorruptMTTF > 0 && c.Shards <= 0 {
-		return fmt.Errorf("fault: replica corruption needs a positive shard count")
 	}
 	return nil
 }
@@ -130,7 +115,7 @@ func expGap(r *rand.Rand, mean sim.Time) sim.Time {
 }
 
 // NewPlan generates a fault schedule. Entities are processed in the order
-// given (links, then switches, then corruption), each drawing from r in a
+// given (links, then switches), each drawing from r in a
 // fixed sequence, so identical inputs yield an identical plan. Every
 // down/fail event is paired with its up/recover event when the repair lands
 // inside the horizon; repairs beyond the horizon are clamped to it so a
@@ -167,11 +152,6 @@ func NewPlan(cfg Config, r *rand.Rand, links []Link, switches []int) (Plan, erro
 			}
 		}
 	}
-	if cfg.CorruptMTTF > 0 {
-		for t := expGap(r, cfg.CorruptMTTF); t < cfg.Horizon; t += expGap(r, cfg.CorruptMTTF) {
-			plan = append(plan, Event{At: t, Kind: ReplicaCorrupt, Shard: r.Intn(cfg.Shards)})
-		}
-	}
 	sort.SliceStable(plan, func(i, j int) bool { return plan[i].At < plan[j].At })
 	return plan, nil
 }
@@ -184,17 +164,14 @@ type Hooks struct {
 	// Switch is called with failed=true on SwitchFail and failed=false on
 	// SwitchRecover.
 	Switch func(id int, failed bool)
-	// Corrupt is called on ReplicaCorrupt with the target shard.
-	Corrupt func(shard int)
 }
 
 // Counts aggregates what an Injector has fired so far.
 type Counts struct {
-	Injected   uint64 // faults fired: link-down + switch-fail + corrupt
+	Injected   uint64 // faults fired: link-down + switch-fail
 	Recovered  uint64 // recoveries fired: link-up + switch-recover
 	LinkFaults uint64
 	SwitchFail uint64
-	Corrupted  uint64
 }
 
 // Injector arms fault plans on a scheduler and counts what fires. It is
@@ -245,12 +222,6 @@ func (in *Injector) fire(ev Event, h Hooks) {
 		in.counts.Recovered++
 		if h.Switch != nil {
 			h.Switch(ev.Switch, false)
-		}
-	case ReplicaCorrupt:
-		in.counts.Injected++
-		in.counts.Corrupted++
-		if h.Corrupt != nil {
-			h.Corrupt(ev.Shard)
 		}
 	}
 }

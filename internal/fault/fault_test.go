@@ -14,13 +14,11 @@ import (
 
 func testConfig() fault.Config {
 	return fault.Config{
-		Horizon:     200 * sim.Millisecond,
-		LinkMTTF:    40 * sim.Millisecond,
-		LinkMTTR:    2 * sim.Millisecond,
-		SwitchMTTF:  120 * sim.Millisecond,
-		SwitchMTTR:  5 * sim.Millisecond,
-		CorruptMTTF: 60 * sim.Millisecond,
-		Shards:      4,
+		Horizon:    200 * sim.Millisecond,
+		LinkMTTF:   40 * sim.Millisecond,
+		LinkMTTR:   2 * sim.Millisecond,
+		SwitchMTTF: 120 * sim.Millisecond,
+		SwitchMTTR: 5 * sim.Millisecond,
 	}
 }
 
@@ -32,12 +30,11 @@ func testEntities() ([]fault.Link, []int) {
 
 func TestKindString(t *testing.T) {
 	want := map[fault.Kind]string{
-		fault.LinkDown:       "link-down",
-		fault.LinkUp:         "link-up",
-		fault.SwitchFail:     "switch-fail",
-		fault.SwitchRecover:  "switch-recover",
-		fault.ReplicaCorrupt: "replica-corrupt",
-		fault.Kind(99):       "Kind(99)",
+		fault.LinkDown:      "link-down",
+		fault.LinkUp:        "link-up",
+		fault.SwitchFail:    "switch-fail",
+		fault.SwitchRecover: "switch-recover",
+		fault.Kind(99):      "Kind(99)",
 	}
 	for k, s := range want {
 		if k.String() != s {
@@ -55,7 +52,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative mean", func(c *fault.Config) { c.LinkMTTF = -1 }},
 		{"link mttf without mttr", func(c *fault.Config) { c.LinkMTTR = 0 }},
 		{"switch mttr without mttf", func(c *fault.Config) { c.SwitchMTTF = 0 }},
-		{"corruption without shards", func(c *fault.Config) { c.Shards = 0 }},
 	}
 	for _, tc := range cases {
 		cfg := testConfig()
@@ -117,10 +113,6 @@ func TestNewPlanSortedPairedAndBounded(t *testing.T) {
 			fails++
 		case fault.SwitchRecover:
 			recovers++
-		case fault.ReplicaCorrupt:
-			if ev.Shard < 0 || ev.Shard >= cfg.Shards {
-				t.Fatalf("corrupt event shard %d out of range", ev.Shard)
-			}
 		}
 	}
 	if downs == 0 {
@@ -137,7 +129,6 @@ func TestInjectorFiresPlanInOrder(t *testing.T) {
 	plan := fault.Plan{
 		{At: 10, Kind: fault.LinkDown, Link: fault.Link{Switch: 0, Port: 2}},
 		{At: 20, Kind: fault.SwitchFail, Switch: 4},
-		{At: 25, Kind: fault.ReplicaCorrupt, Shard: 3},
 		{At: 30, Kind: fault.LinkUp, Link: fault.Link{Switch: 0, Port: 2}},
 		{At: 40, Kind: fault.SwitchRecover, Switch: 4},
 	}
@@ -149,15 +140,11 @@ func TestInjectorFiresPlanInOrder(t *testing.T) {
 		Switch: func(id int, failed bool) {
 			trace = append(trace, fmt.Sprintf("switch %d failed=%v @%d", id, failed, sched.Now()))
 		},
-		Corrupt: func(shard int) {
-			trace = append(trace, fmt.Sprintf("corrupt %d @%d", shard, sched.Now()))
-		},
 	})
 	sched.Run()
 	want := []string{
 		"link 0/2 down=true @10",
 		"switch 4 failed=true @20",
-		"corrupt 3 @25",
 		"link 0/2 down=false @30",
 		"switch 4 failed=false @40",
 	}
@@ -165,7 +152,7 @@ func TestInjectorFiresPlanInOrder(t *testing.T) {
 		t.Fatalf("hook trace mismatch:\n got %v\nwant %v", trace, want)
 	}
 	c := in.Counts()
-	if c.Injected != 3 || c.Recovered != 2 || c.LinkFaults != 1 || c.SwitchFail != 1 || c.Corrupted != 1 {
+	if c.Injected != 2 || c.Recovered != 2 || c.LinkFaults != 1 || c.SwitchFail != 1 {
 		t.Fatalf("counts = %+v", c)
 	}
 }
@@ -241,20 +228,17 @@ func faultedRun(t *testing.T, seed int64) string {
 	}
 	switches := []int{len(clos.Leaves), len(clos.Leaves) + 1} // spine ids follow leaves
 	cfg := fault.Config{
-		Horizon:     50 * sim.Millisecond,
-		LinkMTTF:    20 * sim.Millisecond,
-		LinkMTTR:    1 * sim.Millisecond,
-		SwitchMTTF:  40 * sim.Millisecond,
-		SwitchMTTR:  2 * sim.Millisecond,
-		CorruptMTTF: 25 * sim.Millisecond,
-		Shards:      4,
+		Horizon:    50 * sim.Millisecond,
+		LinkMTTF:   20 * sim.Millisecond,
+		LinkMTTR:   1 * sim.Millisecond,
+		SwitchMTTF: 40 * sim.Millisecond,
+		SwitchMTTR: 2 * sim.Millisecond,
 	}
 	plan, err := fault.NewPlan(cfg, n.Sched.Rand(), links, switches)
 	if err != nil {
 		t.Fatalf("NewPlan: %v", err)
 	}
 
-	var corrupted []int
 	in := fault.NewInjector(n.Sched)
 	in.Arm(plan, fault.Hooks{
 		Link: func(l fault.Link, down bool) {
@@ -263,7 +247,6 @@ func faultedRun(t *testing.T, seed int64) string {
 		Switch: func(id int, failed bool) {
 			n.Switches[id].SetFailed(failed)
 		},
-		Corrupt: func(shard int) { corrupted = append(corrupted, shard) },
 	})
 
 	// Seeded all-to-all workload drawn from the same scheduler rand.
@@ -295,8 +278,8 @@ func faultedRun(t *testing.T, seed int64) string {
 		fmt.Fprintf(&sb, "f%d %d->%d %dB [%d,%d];", rec.FlowID, rec.Src, rec.Dst, rec.Bytes, rec.Start, rec.End)
 	}
 	c := in.Counts()
-	fmt.Fprintf(&sb, " faults=%+v corrupted=%v drops=%d faultDrops=%d",
-		c, corrupted, totalRetx(n), n.FaultDrops())
+	fmt.Fprintf(&sb, " faults=%+v drops=%d faultDrops=%d",
+		c, totalRetx(n), n.FaultDrops())
 	return sb.String()
 }
 
@@ -311,7 +294,7 @@ func totalRetx(n *netsim.Network) uint64 {
 
 // TestEndToEndDeterminism is the second half of the determinism satellite:
 // the same seed must reproduce the identical end-to-end result — every flow
-// completion time, fault counter, and corruption target — including when
+// completion time and fault counter — including when
 // several seeds run concurrently as parallel subtests (the sweep runner
 // executes experiments exactly that way).
 func TestEndToEndDeterminism(t *testing.T) {

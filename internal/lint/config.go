@@ -22,12 +22,8 @@ func DefaultConfig() Config {
 				"OpDecide": "OpDecided",
 				"OpTable":  "OpTableAck",
 				"OpSwap":   "OpSwapAck",
-				"OpPing":   "OpPong",
 			},
 			Universal: []string{"OpReject", "OpErr"},
-			// OpPong left Bodyless in protocol v2: it now carries uptime +
-			// build info, so DecodePong is required.
-			Bodyless:  []string{"OpPing"},
 			CapConsts: []string{"MaxPayload", "MaxBatch"},
 			CapArgs: map[string]int{
 				"NewFrameReader": 1,

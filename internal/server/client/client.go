@@ -441,21 +441,6 @@ func (c *Client) SwapPolicy(dsl string) error {
 	return nil
 }
 
-// Ping round-trips a liveness frame and returns the server's identity
-// (uptime + build).
-func (c *Client) Ping() (server.PongInfo, error) {
-	r, err := c.roundTrip(func(dst []byte, seq uint32) []byte {
-		return server.AppendPing(dst, seq)
-	})
-	if err != nil {
-		return server.PongInfo{}, err
-	}
-	if r.op != server.OpPong {
-		return server.PongInfo{}, fmt.Errorf("%w: op 0x%02x to ping", ErrRemote, r.op)
-	}
-	return server.DecodePong(r.body)
-}
-
 // Close tears the connection down; all pending calls fail with ErrConnReset
 // and future calls fail with ErrClosed.
 func (c *Client) Close() {

@@ -341,12 +341,12 @@ func TestRedialFollowsBackoffSchedule(t *testing.T) {
 	// back reset, the client holds no connection and has not dialed yet.
 	lost := make(chan error, 1)
 	go func() {
-		_, err := c.Ping()
+		_, err := c.Hello()
 		lost <- err
 	}()
 	p.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if op, _, _, err := p.fr.Next(); err != nil || op != server.OpPing {
-		t.Fatalf("ping before the server goes: op=%#x err=%v", op, err)
+	if op, _, _, err := p.fr.Next(); err != nil || op != server.OpHello {
+		t.Fatalf("hello before the server goes: op=%#x err=%v", op, err)
 	}
 	l.Close()
 	p.nc.Close()
@@ -362,11 +362,11 @@ func TestRedialFollowsBackoffSchedule(t *testing.T) {
 		schedule += bo.Next()
 	}
 	start := time.Now()
-	_, err := c.Ping()
+	_, err := c.Hello()
 	elapsed := time.Since(start)
 	want := fmt.Sprintf("redial failed after %d attempts", client.MaxDialAttempts)
 	if err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("ping with the server gone: %v, want %q", err, want)
+		t.Fatalf("hello with the server gone: %v, want %q", err, want)
 	}
 	if errors.Is(err, client.ErrConnReset) {
 		t.Fatalf("redial failure reported as a reset: %v", err)
@@ -381,22 +381,23 @@ func TestRedialFollowsBackoffSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	pong := make(chan error, 1)
+	back := make(chan error, 1)
 	go func() {
-		_, err := c.Ping()
-		pong <- err
+		_, err := c.Hello()
+		back <- err
 	}()
 	p2 := accept(t, l2)
 	p2.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 	op, seq, _, err := p2.fr.Next()
-	if err != nil || op != server.OpPing {
-		t.Fatalf("after the server came back: op=%#x err=%v, want Ping", op, err)
+	if err != nil || op != server.OpHello {
+		t.Fatalf("after the server came back: op=%#x err=%v, want Hello", op, err)
 	}
-	if _, err := p2.nc.Write(server.AppendPong(nil, seq, server.PongInfo{UptimeNs: 1, Build: "back"})); err != nil {
+	info := server.HelloInfo{Version: server.Version, Dims: 1, Capacity: 8, Shards: 1, Outputs: 1}
+	if _, err := p2.nc.Write(server.AppendHelloAck(nil, seq, info)); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-pong; err != nil {
-		t.Fatalf("ping after the server came back: %v", err)
+	if err := <-back; err != nil {
+		t.Fatalf("hello after the server came back: %v", err)
 	}
 }
 

@@ -54,7 +54,7 @@ func TestCloseJoinsReader(t *testing.T) {
 	defer nc.Close()
 
 	c.mu.Lock() // a caller in its state transition
-	if _, err := nc.Write(server.AppendPong(nil, 99, server.PongInfo{})); err != nil {
+	if _, err := nc.Write(server.AppendHelloAck(nil, 99, server.HelloInfo{})); err != nil {
 		c.mu.Unlock()
 		t.Fatal(err)
 	}

@@ -134,8 +134,6 @@ func (c *conn) decode(body []byte) (err error) {
 		req.dsl, err = DecodeSwap(body, req.dsl)
 	case OpHello:
 		_, _, err = DecodeHello(body)
-	case OpPing:
-		// empty body; tolerate any
 	default:
 		err = errors.New("unknown opcode")
 	}
@@ -192,8 +190,6 @@ func (c *conn) execute() bool {
 		return c.reply(AppendSwapAck(c.out, req.seq, status, msg))
 	case OpHello:
 		return c.reply(AppendHelloAck(c.out, req.seq, c.srv.helloInfo()))
-	case OpPing:
-		return c.reply(AppendPong(c.out, req.seq, c.srv.pongInfo()))
 	}
 	return true // unreachable: decode admits only the opcodes above
 }
@@ -203,8 +199,8 @@ func nowNs() int64 { return time.Now().UnixNano() }
 
 // applyTableOp runs one SMBM op and maps its result to a wire status.
 // Replica divergence maps to StatusOK: the write landed on the
-// authoritative table; the diverged shard is quarantined and resynced by
-// the engine's health machinery, invisible to the protocol contract.
+// authoritative table and on every replica, the diverged one by the
+// engine's inline rebuild, invisible to the protocol contract.
 func (c *conn) applyTableOp(op *TableOp) byte {
 	var err error
 	id := int(op.ID)

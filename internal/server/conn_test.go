@@ -163,16 +163,16 @@ func waitGoroutines(t *testing.T, want int, what string) {
 	}
 }
 
-// ping round-trips one Ping through the connection's reader, proving the
+// hello round-trips one Hello through the connection's reader, proving the
 // connection's goroutine is serving.
-func ping(t *testing.T, nc net.Conn, fr *FrameReader) {
+func hello(t *testing.T, nc net.Conn, fr *FrameReader) {
 	t.Helper()
-	if _, err := nc.Write(AppendPing(nil, 1)); err != nil {
+	if _, err := nc.Write(AppendHello(nil, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if op, _, _, err := fr.Next(); err != nil || op != OpPong {
-		t.Fatalf("ping: op=%#x err=%v", op, err)
+	if op, _, _, err := fr.Next(); err != nil || op != OpHelloAck {
+		t.Fatalf("hello: op=%#x err=%v", op, err)
 	}
 }
 
@@ -189,10 +189,10 @@ func TestServerOneGoroutinePerConn(t *testing.T) {
 	defer srv.Close()
 	const n = 8
 	first, fr := dialTestServer(t, srv)
-	ping(t, first, fr)
+	hello(t, first, fr)
 	for i := 1; i < n; i++ {
 		nc, fr := redial(t, first)
-		ping(t, nc, fr)
+		hello(t, nc, fr)
 	}
 	// The accept loop plus one goroutine per connection.
 	if got := runtime.NumGoroutine(); got != base+1+n {
@@ -211,12 +211,12 @@ func burst(n int) []byte {
 	return buf
 }
 
-// pings appends n Ping frames, seq from..from+n-1. A Pong (uptime + build
-// string) is larger than its Ping, so a Ping burst grows the coalesced reply
+// hellos appends n Hello frames, seq from..from+n-1. A HelloAck (12 B body)
+// is larger than its Hello (4 B), so a Hello burst grows the coalesced reply
 // buffer faster than the read buffer drains.
-func pings(buf []byte, from, n uint32) []byte {
+func hellos(buf []byte, from, n uint32) []byte {
 	for seq := from; seq < from+n; seq++ {
-		buf = AppendPing(buf, seq)
+		buf = AppendHello(buf, seq, 0)
 	}
 	return buf
 }
@@ -289,8 +289,8 @@ func TestPipelinedBurstAnsweredInOrder(t *testing.T) {
 	if w, r := cnt.writes.Load(), cnt.reads.Load(); w > n/8 || r > n/8 {
 		t.Fatalf("%d writes and %d reads for a burst of %d frames, want at most %d of each", w, r, n, n/8)
 	}
-	// The burst is fully answered: a ping is the next reply, not a stray frame.
-	ping(t, nc, fr)
+	// The burst is fully answered: a hello is the next reply, not a stray frame.
+	hello(t, nc, fr)
 	if got := srv.m.inflight.Value(); got != 0 {
 		t.Fatalf("inflight = %d after the burst drained, want 0", got)
 	}
@@ -310,7 +310,7 @@ func TestOneFrameAtATimeOneWritePerReply(t *testing.T) {
 	nc, fr, cnt := dialCounted(t, srv)
 	const n = 16
 	for i := 0; i < n; i++ {
-		ping(t, nc, fr)
+		hello(t, nc, fr)
 	}
 	if got := cnt.writes.Load(); got != n {
 		t.Fatalf("%d writes for %d one-at-a-time requests, want %d", got, n, n)
@@ -375,8 +375,8 @@ func (c *scriptConn) Close() error                     { return nil }
 func (c *scriptConn) SetWriteDeadline(time.Time) error { return nil }
 
 // TestReplyBufferCap: when the read buffer holds more requests than outCap
-// holds replies — a large frame grew it, then a burst of Pings, whose Pongs
-// are larger than they are — the coalesced replies are written each time they
+// holds replies — a large frame grew it, then a burst of Hellos, whose
+// HelloAcks are larger than they are — the coalesced replies are written each time they
 // pass outCap instead of growing with the burst. Every reply still arrives
 // once, in order.
 func TestReplyBufferCap(t *testing.T) {
@@ -390,11 +390,11 @@ func TestReplyBufferCap(t *testing.T) {
 
 	const n = 20000
 	big := AppendDecide(nil, 1, make([]uint64, MaxBatch), make([]uint16, MaxBatch))
-	pong := len(AppendPong(nil, 0, srv.pongInfo()))
-	if n*pong < 4*outCap || len(big) < outCap/2 {
-		t.Fatalf("script too small to pass outCap: %d pongs of %d B, %d B frame", n, pong, len(big))
+	ack := len(AppendHelloAck(nil, 0, srv.helloInfo()))
+	if n*ack < 4*outCap || len(big) < outCap/2 {
+		t.Fatalf("script too small to pass outCap: %d hello acks of %d B, %d B frame", n, ack, len(big))
 	}
-	sc := &scriptConn{in: bytes.NewReader(pings(big, 2, n))}
+	sc := &scriptConn{in: bytes.NewReader(hellos(big, 2, n))}
 	srv.admit(sc)
 	for deadline := time.Now().Add(10 * time.Second); srv.m.connsOpen.Value() != 0; {
 		if time.Now().After(deadline) {
@@ -420,7 +420,7 @@ func TestReplyBufferCap(t *testing.T) {
 	fr := NewFrameReader(&sc.out, MaxPayload)
 	for want := uint32(1); want <= n+1; want++ {
 		op, seq, _, err := fr.Next()
-		wantOp := byte(OpPong)
+		wantOp := byte(OpHelloAck)
 		if want == 1 {
 			wantOp = OpDecided
 		}
@@ -520,12 +520,13 @@ func TestCloseMidBurst(t *testing.T) {
 			t.Fatalf("inflight = %d after Close, want 0", got)
 		}
 	})
-	// Pings answer with frames larger than the request and need no backend:
+	// Hellos answer with frames larger than the request and do not block in
+	// the backend:
 	// the peer keeps bursts coming while it reads, Close lands somewhere in
 	// the stream with replies coalesced and requests buffered, and the peer
 	// has read one gapless sequence that ends at the last frame the server
 	// took.
-	t.Run("ping", func(t *testing.T) {
+	t.Run("hello", func(t *testing.T) {
 		be := newBlockBackend()
 		reg := telemetry.NewRegistry()
 		srv, err := New(Config{Backend: be, Telemetry: reg})
@@ -537,20 +538,20 @@ func TestCloseMidBurst(t *testing.T) {
 		go func() {
 			nc.SetWriteDeadline(time.Now().Add(10 * time.Second))
 			for from := uint32(1); ; from += 64 {
-				if _, err := nc.Write(pings(nil, from, 64)); err != nil {
+				if _, err := nc.Write(hellos(nil, from, 64)); err != nil {
 					return
 				}
 			}
 		}()
 		nc.SetReadDeadline(time.Now().Add(10 * time.Second))
 		for want := uint32(1); want <= 1000; want++ {
-			if op, seq, _, err := fr.Next(); err != nil || op != OpPong || seq != want {
-				t.Fatalf("reply op=%#x seq=%d err=%v, want Pong seq=%d", op, seq, err, want)
+			if op, seq, _, err := fr.Next(); err != nil || op != OpHelloAck || seq != want {
+				t.Fatalf("reply op=%#x seq=%d err=%v, want HelloAck seq=%d", op, seq, err, want)
 			}
 		}
 		closed := make(chan struct{})
 		go func() { srv.Close(); close(closed) }() // the peer keeps reading: Close's flush must not wait on it
-		k, _ := readInOrder(t, fr, OpPong, 1001)
+		k, _ := readInOrder(t, fr, OpHelloAck, 1001)
 		<-closed
 		if got := srv.m.framesTotal.Value(); got != uint64(k) {
 			t.Fatalf("frames_total = %d with %d replies read, want them equal", got, k)
@@ -566,13 +567,13 @@ func TestCloseMidBurst(t *testing.T) {
 // goroutine in a write. The write deadline closes the connection, counts it,
 // records a flight event and frees the MaxConns slot and the goroutine; until
 // then no write is larger than outCap plus one reply, whether the stream is
-// large Decides or (after one large frame has grown the read buffer) Pings,
+// large Decides or (after one large frame has grown the read buffer) Hellos,
 // whose replies outgrow the requests.
 func TestStalledPeerWriteTimeout(t *testing.T) {
 	keys, outs := make([]uint64, MaxBatch), make([]uint16, MaxBatch)
 	decide := AppendDecide(nil, 1, keys, outs)
 	t.Run("decide", func(t *testing.T) { stalledPeer(t, decide, decide) })
-	t.Run("ping", func(t *testing.T) { stalledPeer(t, decide, pings(nil, 2, 4096)) })
+	t.Run("hello", func(t *testing.T) { stalledPeer(t, decide, hellos(nil, 2, 4096)) })
 }
 
 // stalledPeer writes first once and then chunk forever, never reading.
@@ -632,9 +633,39 @@ func stalledPeer(t *testing.T, first, chunk []byte) {
 
 	// The MaxConns=1 slot is free again: a second connection is served.
 	second, fr := redial(t, nc)
-	ping(t, second, fr)
+	hello(t, second, fr)
 	srv.Close()
 	waitGoroutines(t, base, "after the stalled connection and Close")
+}
+
+// TestUnassignedOpcodeIsProtocolError: a frame whose opcode the protocol
+// does not assign — the retired 0x09 and 0x0A among them — gets an Err frame
+// echoing its seq, and the connection closes.
+func TestUnassignedOpcodeIsProtocolError(t *testing.T) {
+	be := newBlockBackend()
+	close(be.gate)
+	srv, err := New(Config{Backend: be})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	nc, fr := dialTestServer(t, srv)
+	for i, op := range []byte{0x09, 0x0A, 0xEE} {
+		if i > 0 {
+			nc, fr = redial(t, nc)
+		}
+		if _, err := nc.Write(AppendFrame(nil, op, 5, nil)); err != nil {
+			t.Fatal(err)
+		}
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		got, seq, body, err := fr.Next()
+		if err != nil || got != OpErr || seq != 5 || string(body) != "unknown opcode" {
+			t.Fatalf("op %#x: reply op=%#x seq=%d body=%q err=%v, want Err seq 5", op, got, seq, body, err)
+		}
+		if _, _, _, err := fr.Next(); err == nil {
+			t.Fatalf("op %#x: connection stayed open after the protocol error", op)
+		}
+	}
 }
 
 // TestAdmissionLimit: connections over MaxConns get a courtesy Err frame and
@@ -649,7 +680,7 @@ func TestAdmissionLimit(t *testing.T) {
 	defer srv.Close()
 	first, fr := dialTestServer(t, srv)
 	// Confirm the first connection is live before racing the second in.
-	ping(t, first, fr)
+	hello(t, first, fr)
 
 	second, fr2 := redial(t, first)
 	second.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -731,7 +762,7 @@ func TestUnreadRejectDoesNotStallServer(t *testing.T) {
 	go srv.Serve(l)
 	first := l.dial(make(chan struct{}))
 	defer first.Close()
-	ping(t, first, NewFrameReader(first, MaxPayload))
+	hello(t, first, NewFrameReader(first, MaxPayload))
 
 	writing := make(chan struct{})
 	second := l.dial(writing)

@@ -59,7 +59,7 @@ func mixedStream(t *testing.T) ([]byte, []wantFrame) {
 	}
 	add(func(dst []byte, seq uint32) []byte { return AppendHello(dst, seq, 3) })
 	add(decide(1))
-	add(func(dst []byte, seq uint32) []byte { return AppendPing(dst, seq) })
+	add(func(dst []byte, seq uint32) []byte { return AppendFrame(dst, OpHello, seq, nil) })
 	add(decide(8))
 	add(decide(MaxBatch)) // 40 KiB: larger than readBufInit
 	add(func(dst []byte, seq uint32) []byte {
@@ -79,13 +79,13 @@ func mixedStream(t *testing.T) ([]byte, []wantFrame) {
 		return AppendSwap(dst, seq, "policy p\nout a = min(table, cpu)\n")
 	})
 	for i := 0; i < 40; i++ { // a burst of empty bodies
-		add(func(dst []byte, seq uint32) []byte { return AppendPing(dst, seq) })
+		add(func(dst []byte, seq uint32) []byte { return AppendFrame(dst, OpHello, seq, nil) })
 	}
 	add(func(dst []byte, seq uint32) []byte {
 		return AppendFrame(dst, OpSwap, seq, bytes.Repeat([]byte{0xA5}, MaxPayload-headerLen))
 	})
 	add(decide(8))
-	add(func(dst []byte, seq uint32) []byte { return AppendPing(dst, seq) })
+	add(func(dst []byte, seq uint32) []byte { return AppendFrame(dst, OpHello, seq, nil) })
 	return stream, want
 }
 
@@ -102,10 +102,10 @@ func TestFrameReaderChunkingDifferential(t *testing.T) {
 	}{
 		{"clean EOF", nil, func(err error) bool { return err == io.EOF }},
 		{"cut in the length word", []byte{9, 0}, func(err error) bool { return err == io.ErrUnexpectedEOF }},
-		{"cut in the header", []byte{9, 0, 0, 0, OpPing, 1}, func(err error) bool { return err == io.ErrUnexpectedEOF }},
+		{"cut in the header", []byte{9, 0, 0, 0, OpHello, 1}, func(err error) bool { return err == io.ErrUnexpectedEOF }},
 		{"cut in the body", AppendDecide(nil, 99, []uint64{1, 2}, []uint16{0, 0})[:20], func(err error) bool { return err == io.ErrUnexpectedEOF }},
 		{"length over the cap", []byte{0xff, 0xff, 0xff, 0x7f, OpDecide}, func(err error) bool { return errors.Is(err, ErrFrameTooLarge) }},
-		{"length under the header", []byte{4, 0, 0, 0, OpPing, 0, 0, 0, 0}, func(err error) bool { return errors.Is(err, ErrMalformed) }},
+		{"length under the header", []byte{4, 0, 0, 0, OpHello, 0, 0, 0, 0}, func(err error) bool { return errors.Is(err, ErrMalformed) }},
 	}
 	rng := rand.New(rand.NewSource(18))
 	readers := []struct {
@@ -150,7 +150,7 @@ func TestFrameReaderBufferGrowth(t *testing.T) {
 	decide := func(keys int) []byte {
 		return AppendDecide(nil, 1, make([]uint64, keys), make([]uint16, keys))
 	}
-	full := appendHeader(nil, OpPing, 9, MaxPayload-headerLen)
+	full := appendHeader(nil, OpSwap, 9, MaxPayload-headerLen)
 	full = append(full, make([]byte, MaxPayload-headerLen)...)
 	steps := []struct {
 		frame []byte
@@ -198,7 +198,7 @@ func (c *cycleReader) Read(p []byte) (int, error) {
 func TestFrameReaderSteadyStateAllocs(t *testing.T) {
 	var stream []byte
 	stream = AppendDecide(stream, 1, make([]uint64, 8), make([]uint16, 8))
-	stream = AppendPing(stream, 2)
+	stream = AppendHello(stream, 2, 3)
 	stream = AppendDecide(stream, 3, make([]uint64, 1024), make([]uint16, 1024))
 	fr := NewFrameReader(&cycleReader{data: stream}, 0)
 	next := func() {

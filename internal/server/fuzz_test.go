@@ -31,9 +31,8 @@ func fuzzSeeds() [][]byte {
 		AppendSwap(nil, 3, "policy p\nout a = min(table, cpu)\n"),
 		AppendSwapAck(nil, 3, StatusOK, ""),
 		AppendTableAck(nil, 4, []byte{StatusOK, StatusInvalid}),
-		AppendPing(nil, 5),
-		AppendPong(nil, 5, PongInfo{UptimeNs: 42, Build: "fuzz"}),
-		AppendPong(nil, 5, PongInfo{}),
+		AppendHello(nil, 5, 0),
+		AppendHelloAck(nil, 5, HelloInfo{}),
 		AppendReject(nil, 6, RejectBusy),
 		AppendErr(nil, 7, "boom"),
 	)
@@ -47,10 +46,11 @@ func fuzzSeeds() [][]byte {
 	// Oversized declared length with a tiny actual body.
 	seeds = append(seeds, []byte{0xff, 0xff, 0xff, 0x7f, OpDecide, 0, 0, 0, 0, 1, 2})
 	// Zero and under-header declared lengths.
-	seeds = append(seeds, []byte{0, 0, 0, 0, OpPing})
-	seeds = append(seeds, []byte{2, 0, 0, 0, OpPing, 0})
-	// Garbage opcode, count/length disagreements.
+	seeds = append(seeds, []byte{0, 0, 0, 0, OpHello})
+	seeds = append(seeds, []byte{2, 0, 0, 0, OpHello, 0})
+	// Garbage and unassigned opcodes, count/length disagreements.
 	seeds = append(seeds, AppendFrame(nil, 0xEE, 9, []byte{1, 2, 3}))
+	seeds = append(seeds, AppendFrame(nil, 0x09, 9, nil))
 	seeds = append(seeds, AppendFrame(nil, OpTable, 10, []byte{0xff, 0xff, TableAdd, 0}))
 	seeds = append(seeds, AppendFrame(nil, OpDecide, 11, []byte{0xff, 0xff, 0, 0}))
 	return seeds
@@ -120,8 +120,6 @@ func FuzzFrameRoundTrip(f *testing.F) {
 				_, _ = DecodeTableAck(body, MaxBatch, nil)
 			case OpSwapAck:
 				_, _, _ = DecodeSwapAck(body)
-			case OpPong:
-				_, _ = DecodePong(body)
 			case OpReject:
 				_, _ = DecodeReject(body)
 			case OpHello:
@@ -165,7 +163,7 @@ func FuzzServerDecode(f *testing.F) {
 	}
 	// A multi-frame stream: valid traffic, then garbage.
 	var mixed []byte
-	mixed = AppendPing(mixed, 1)
+	mixed = AppendHello(mixed, 1, 3)
 	mixed = AppendDecide(mixed, 2, []uint64{7}, []uint16{0})
 	mixed = AppendFrame(mixed, 0x7F, 3, []byte("junk"))
 	f.Add(mixed)

@@ -255,12 +255,6 @@ func (s *Server) helloInfo() HelloInfo {
 	}
 }
 
-// pongInfo snapshots the server identity for a Pong reply: its uptime and
-// the Go toolchain that built it.
-func (s *Server) pongInfo() PongInfo {
-	return PongInfo{UptimeNs: uint64(time.Since(s.start)), Build: runtime.Version()}
-}
-
 // Status is the server's introspection snapshot (/debug/thanos). There are
 // no per-connection rows: a connection holds no queue, so its whole state is
 // "open", and how many are executing right now is the inflight gauge.

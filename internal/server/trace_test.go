@@ -220,17 +220,8 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Errorf("introspect: version=%d build=%q conns=%d", st.Version, st.Build, st.Conns)
 	}
 	est := h.eng.Introspect()
-	if est.Live != 2 || len(est.Shards) != 2 {
-		t.Errorf("engine introspect: live=%d shards=%d", est.Live, len(est.Shards))
-	}
-
-	// Ping surfaces server identity over the wire.
-	pong, err := cli.Ping()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pong.Build != runtime.Version() || pong.UptimeNs == 0 {
-		t.Errorf("pong: build=%q uptime=%d", pong.Build, pong.UptimeNs)
+	if len(est.Shards) != 2 || est.Shards[1].TableVersion != est.AuthVersion {
+		t.Errorf("engine introspect: %+v, want 2 shards at the authority's version", est)
 	}
 }
 

@@ -22,7 +22,6 @@
 //	Table   -> TableAck   batched SMBM ops: add/update/upsert/delete
 //	Swap    -> SwapAck    live policy hot-swap (DSL text)
 //	Hello   -> HelloAck   version + schema handshake
-//	Ping    -> Pong       liveness
 //	any     -> Reject     not executed, retry later (EAGAIN); defined and
 //	                      decodable, but this server never sends it
 //	any     -> Err        protocol error; the server closes the connection
@@ -93,10 +92,10 @@ const (
 	OpTableAck = 0x06
 	OpSwap     = 0x07
 	OpSwapAck  = 0x08
-	OpPing     = 0x09
-	OpPong     = 0x0A
-	OpReject   = 0x0B
-	OpErr      = 0x0C
+	// 0x09 and 0x0A are unassigned: a server answers them as unknown
+	// opcodes.
+	OpReject = 0x0B
+	OpErr    = 0x0C
 )
 
 // Table op kinds (TableOp.Kind).
@@ -161,13 +160,6 @@ type DecideTrace struct {
 
 // decideTraceLen is the wire size of a DecideTrace trailer.
 const decideTraceLen = 40
-
-// PongInfo is the server identity carried by a Pong reply: how long the
-// server has been up and what build is serving.
-type PongInfo struct {
-	UptimeNs uint64
-	Build    string
-}
 
 // --- encoding ---
 // All encoders append one complete frame to dst and return the extended
@@ -329,17 +321,6 @@ func AppendErr(dst []byte, seq uint32, msg string) []byte {
 	return append(dst, msg...)
 }
 
-// AppendPing appends a liveness request (empty body).
-func AppendPing(dst []byte, seq uint32) []byte { return appendHeader(dst, OpPing, seq, 0) }
-
-// AppendPong appends the liveness reply carrying the server identity:
-// u64 uptime nanoseconds followed by the build string.
-func AppendPong(dst []byte, seq uint32, info PongInfo) []byte {
-	dst = appendHeader(dst, OpPong, seq, 8+len(info.Build))
-	dst = binary.LittleEndian.AppendUint64(dst, info.UptimeNs)
-	return append(dst, info.Build...)
-}
-
 // --- decoding ---
 // Decoders validate the declared counts against the actual body length
 // before touching any data, never allocate proportionally to a declared
@@ -441,17 +422,6 @@ func DecodeDecided(body []byte, maxBatch int, ids []int32) ([]int32, DecideTrace
 		}
 	}
 	return ids, tr, nil
-}
-
-// DecodePong parses a Pong body.
-func DecodePong(body []byte) (PongInfo, error) {
-	if len(body) < 8 {
-		return PongInfo{}, fmt.Errorf("%w: pong body %d bytes", ErrMalformed, len(body))
-	}
-	return PongInfo{
-		UptimeNs: binary.LittleEndian.Uint64(body),
-		Build:    string(body[8:]),
-	}, nil
 }
 
 // DecodeTable parses a Table body under a dims-wide schema into ops, with

@@ -178,7 +178,7 @@ func TestWireAckFrames(t *testing.T) {
 }
 
 func TestFrameReaderRejectsOversized(t *testing.T) {
-	frame := AppendFrame(nil, OpPing, 1, make([]byte, 128))
+	frame := AppendFrame(nil, OpSwap, 1, make([]byte, 128))
 	fr := NewFrameReader(bytes.NewReader(frame), 64)
 	if _, _, _, err := fr.Next(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
@@ -187,7 +187,7 @@ func TestFrameReaderRejectsOversized(t *testing.T) {
 
 func TestFrameReaderRejectsUndersized(t *testing.T) {
 	// Declared payload below the opcode+seq prefix can never be valid.
-	fr := NewFrameReader(bytes.NewReader([]byte{4, 0, 0, 0, OpPing, 0, 0, 0, 0}), 0)
+	fr := NewFrameReader(bytes.NewReader([]byte{4, 0, 0, 0, OpHello, 0, 0, 0, 0}), 0)
 	if _, _, _, err := fr.Next(); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("err = %v, want ErrMalformed", err)
 	}
@@ -215,11 +215,11 @@ func TestFrameReaderTruncation(t *testing.T) {
 
 func TestFrameReaderSequence(t *testing.T) {
 	var stream []byte
-	stream = AppendPing(stream, 1)
+	stream = AppendHello(stream, 1, 3)
 	stream = AppendDecide(stream, 2, []uint64{5}, []uint16{0})
 	stream = AppendSwap(stream, 3, "policy p\nout a = min(table, cpu)\n")
 	fr := NewFrameReader(bytes.NewReader(stream), 0)
-	wantOps := []byte{OpPing, OpDecide, OpSwap}
+	wantOps := []byte{OpHello, OpDecide, OpSwap}
 	for i, want := range wantOps {
 		op, seq, _, err := fr.Next()
 		if err != nil {
@@ -342,21 +342,5 @@ func TestWireTracedUntracedCompat(t *testing.T) {
 	}
 	if MaxBatch&TraceFlag != 0 {
 		t.Fatal("TraceFlag collides with a legal batch count")
-	}
-}
-
-func TestWirePongRoundTrip(t *testing.T) {
-	info := PongInfo{UptimeNs: 123456789, Build: "go1.22 thanosd test"}
-	op, seq, body := readOne(t, AppendPong(nil, 21, info))
-	if op != OpPong || seq != 21 {
-		t.Fatalf("op=%#x seq=%d", op, seq)
-	}
-	got, err := DecodePong(body)
-	if err != nil || got != info {
-		t.Fatalf("pong -> %+v err=%v, want %+v", got, err, info)
-	}
-	// A body below the uptime word is malformed.
-	if _, err := DecodePong([]byte{1, 2, 3}); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("short pong err = %v, want ErrMalformed", err)
 	}
 }

@@ -58,8 +58,7 @@ var (
 // ErrReplicaDivergence reports a broadcast write that the authoritative
 // table accepted but a pipeline replica rejected: that replica no longer
 // mirrors the authority (memory corruption, a missed update) and must be
-// rebuilt from it. The healthy replicas stay mutually consistent, so the
-// data plane keeps serving from them meanwhile.
+// rebuilt from it. The engine rebuilds it inside the write that found it.
 var ErrReplicaDivergence = errors.New("smbm: replica divergence")
 
 // SMBM is a sorted multidimensional bidirectional map. It is not safe for

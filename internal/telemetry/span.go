@@ -34,8 +34,9 @@ const (
 
 // Event spans (component state transitions, flight-recorder material).
 const (
+	// EventQuarantine: the engine rebuilt a diverged replica from the
+	// authoritative table (Arg: the shard).
 	EventQuarantine SpanKind = iota + 32
-	EventResync
 	EventSwap
 	EventReconnect
 	EventProtoErr
@@ -53,7 +54,6 @@ var spanKindNames = map[SpanKind]string{
 	SpanEncode:        "encode",
 	SpanReply:         "reply",
 	EventQuarantine:   "quarantine",
-	EventResync:       "resync",
 	EventSwap:         "swap",
 	EventReconnect:    "reconnect",
 	EventProtoErr:     "proto_error",
@@ -76,7 +76,7 @@ func (k SpanKind) Event() bool { return k >= EventQuarantine }
 
 // Span is one recorded phase or event. Start/End are unix nanoseconds from
 // the recording process's clock; Arg is kind-specific (batch size for
-// decide phases, shard index for quarantine/resync, request seq, ...).
+// decide phases, shard index for a replica rebuild, request seq, ...).
 // Seq is the ring claim order and doubles as the validity marker: a zero
 // Seq is an empty slot.
 type Span struct {
@@ -209,7 +209,7 @@ func (r *SpanRing) Snapshot() []Span {
 
 // FlightRecorder is an always-on set of per-component span rings plus an
 // auto-dump hook: components record continuously into their rings for
-// ~free, and when something trips (shard quarantine, soak failure,
+// ~free, and when something trips (replica rebuild, soak failure,
 // SIGQUIT) the recent history is dumped as JSON. The zero value is not
 // usable; a nil *FlightRecorder hands out nil rings, so wiring is
 // optional end to end.

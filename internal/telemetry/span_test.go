@@ -374,7 +374,7 @@ func TestSpanKindNames(t *testing.T) {
 			t.Fatalf("phase kind %d misclassified (%q, event=%v)", k, k.String(), k.Event())
 		}
 	}
-	for _, k := range []SpanKind{EventQuarantine, EventResync, EventSwap, EventReconnect, EventProtoErr, EventConnOpen, EventConnClose, EventWriteTimeout} {
+	for _, k := range []SpanKind{EventQuarantine, EventSwap, EventReconnect, EventProtoErr, EventConnOpen, EventConnClose, EventWriteTimeout} {
 		if k.String() == "unknown" || !k.Event() {
 			t.Fatalf("event kind %d misclassified (%q, event=%v)", k, k.String(), k.Event())
 		}
