@@ -3,33 +3,29 @@ FUZZTIME ?= 30s
 
 .PHONY: check check-slow check-perf
 
-# check is the PR gate: build, static analysis, and race-enabled tests over
-# the whole tree — the sharded decision engine, the serving frontend and the
+# check is the PR gate: build, vet, gofmt and race-enabled tests over the
+# whole tree — the sharded decision engine, the serving frontend and the
 # event kernel all carry concurrency-sensitive invariants — plus
 # vet and tests of the benchmark module, which has its own go.mod (so the
 # root ./... cannot see it) and compiles against the engine and server APIs.
 # vet is also the lock-copy guard (copylocks) for the engine's shard mutex.
 # gofmt fails the gate when it would reformat any file (it lists them).
-# thanoslint runs after vet and mechanically enforces what tests miss:
-# hot-path allocation freedom and the telemetry layer's lock-free hot-safe
-# API discipline — plus the call-graph analyzers (lockorder, wireproto) over
-# the serving stack's concurrency and protocol contracts — lockorder is what
-# proves wmu → shard.mu is the engine's only order. The paper's latency
-# constants, simulation determinism and the Close joins are pinned by tests
-# instead (TestLatencyContract, the simulator goldens, the serial/parallel
-# identity tests and the engine, server and client Close tests). The race
-# pass checks the engine's lock discipline itself, including the inline
-# rebuild of a diverged replica beside decisions, writes and swaps, and
-# covers the serving frontend too, with the short fault-injected soak (`go
-# test -tags soak ./internal/server/` selects the long one), and the
-# failure-injection suite: the fault planner, netsim link/switch faults with
-# RTO recovery and the Figure 17/18 failure sweeps.
+# Each invariant has one mechanism, a test (DESIGN.md's invariant table
+# names them): hot-path allocation freedom is the AllocsPerRun tests,
+# instruments that never block TestHotInstrumentsNeverBlock, the engine's
+# wmu → shard.mu order TestCheckSyncBesideWrites and
+# TestEngineCloseDuringWrite, the wire contract the server and client
+# suites. The race pass checks the engine's lock discipline itself,
+# including the inline rebuild of a diverged replica beside decisions,
+# writes and swaps, and covers the serving frontend too, with the short
+# fault-injected soak (`go test -tags soak ./internal/server/` selects the
+# long one), and the failure-injection suite: the fault planner, netsim
+# link/switch faults with RTO recovery and the Figure 17/18 failure sweeps.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists files to reformat:"; echo "$$unformatted"; exit 1; fi
-	$(GO) run ./cmd/thanoslint .
 	$(GO) test -race ./...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
@@ -45,11 +41,11 @@ check:
 # identity tests and the simulator goldens: runner.Map runs independent
 # simulation points on worker goroutines.
 #
-# Debug build: thanoslint over the thanosdebug-tagged file set, then the
-# suite with the tag: SMBM re-verifies per-dimension sortedness and the
-# id<->metric pointer bijection below each dimension's stale watermark after
-# every mutating op, without repairing, and the interpreter leases the
-# tables Exec hands out (a stale read or a write-through panics).
+# Debug build: the suite with the thanosdebug tag. SMBM re-verifies
+# per-dimension sortedness and the id<->metric pointer bijection below each
+# dimension's stale watermark after every mutating op, without repairing,
+# and the interpreter leases the tables Exec hands out (a stale read or a
+# write-through panics).
 #
 # Fuzz smoke: each native fuzz target for FUZZTIME (30s default) from its
 # checked-in seed corpus: the DSL parser round-trip, the step-major batch
@@ -69,7 +65,6 @@ check-slow:
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'SerialParallel|Golden' ./internal/experiments/
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/engine/ ./internal/server/...
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'SerialParallel|Golden' ./internal/experiments/
-	$(GO) run ./cmd/thanoslint -debug .
 	$(GO) test -tags thanosdebug ./...
 	$(GO) test -run=^$$ -fuzz=^FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/policy/
 	$(GO) test -run=^$$ -fuzz=^FuzzDecideBatch$$ -fuzztime=$(FUZZTIME) ./internal/policy/

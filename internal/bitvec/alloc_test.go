@@ -7,9 +7,8 @@ import (
 
 // The fused kernels exist so hot paths can skip materializing intermediate
 // vectors; that only pays off if the kernels themselves never touch the
-// heap. This is the dynamic counterpart of the hotpathalloc analyzer for
-// package bitvec: every word-parallel kernel added for the select path must
-// run allocation-free.
+// heap: every word-parallel kernel added for the select path must run
+// allocation-free.
 
 var allocSink int
 

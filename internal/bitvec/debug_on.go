@@ -33,7 +33,8 @@ type Lessor struct {
 // vectors depend on) moves, whichever comes first. The headers are fresh on
 // every call: that is what tells a held view from its successor.
 //
-//thanos:coldpath debug builds only: the shipping Lease (debug_off.go) returns vs itself
+// It allocates by design, in debug builds only: the shipping Lease
+// (debug_off.go) returns vs itself.
 func (l *Lessor) Lease(vs []*Vector, also *uint64) []*Vector {
 	l.Expire()
 	l.views, l.snaps = make([]*Vector, len(vs)), make([][]uint64, len(vs))

@@ -96,8 +96,6 @@ func (m *FilterModule) Process() ([]*bitvec.Vector, error) {
 // Decide runs one packet and resolves output index out through the
 // policy's fallback MUX, returning the id of the first selected resource.
 // ok is false when even the fallback is empty.
-//
-//thanos:hotpath
 func (m *FilterModule) Decide(out int) (id int, ok bool) {
 	outs, err := m.Process()
 	if err != nil {

@@ -8,14 +8,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file is the dynamic counterpart of the hotpathalloc analyzer: the
-// static check proves no allocating construct is reachable from the
-// //thanos:hotpath roots, and these tests prove the runtime agrees. The
-// batched path has the same contract in TestEngineDecideBatchZeroAlloc
-// (race_test.go); here we pin the two single-packet entry points.
+// The decision path allocates nothing in steady state. The batched path's
+// contract is pinned in TestEngineDecideBatchZeroAlloc (race_test.go); here
+// we pin the two single-packet entry points.
 
 // TestDecideZeroAlloc pins the single-packet path: Engine.Decide rides the
-// same //thanos:hotpath graph through the interpreter and fallback MUX.
+// batched path through the interpreter and fallback MUX.
 func TestDecideZeroAlloc(t *testing.T) {
 	e := newTestEngine(t, 1, minPolicySrc)
 	fillRandom(t, e, 32, 7)

@@ -327,8 +327,6 @@ const steerTag = -2
 // they meet on a shard.
 //
 // The steady-state path performs no heap allocations.
-//
-//thanos:hotpath
 func (e *Engine) DecideBatch(pkts []Packet) {
 	if len(pkts) == 0 {
 		return
@@ -355,8 +353,6 @@ func (e *Engine) DecideBatch(pkts []Packet) {
 
 // Decide runs a single decision for policy output 0, steering it to shards
 // round-robin.
-//
-//thanos:hotpath
 func (e *Engine) Decide() (id int, ok bool) {
 	one := [1]Packet{{Key: e.rrKey.Add(1) - 1}}
 	e.DecideBatch(one[:])
@@ -365,7 +361,8 @@ func (e *Engine) Decide() (id int, ok bool) {
 
 // reserveIdx returns the shard's index scratch with room for n entries.
 //
-//thanos:coldpath amortized: grows only when a visit scans more packets than any before it on this shard; steady state is a re-slice
+// Amortized: it grows only when a visit scans more packets than any before
+// it on this shard; the steady state is a re-slice.
 func (s *shard) reserveIdx(n int) []int32 {
 	if cap(s.idx) < n {
 		s.idx = make([]int32, n)
@@ -379,8 +376,6 @@ func (s *shard) reserveIdx(n int) []int32 {
 // pointer only under mu, so execution never observes a table mid-write or a
 // program half-swapped, and the table version is the same for every packet
 // of the visit.
-//
-//thanos:hotpath
 func (s *shard) process(pkts []Packet, tag int) (failed uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

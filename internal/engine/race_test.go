@@ -165,6 +165,56 @@ func TestCheckSyncBesideMinDecisions(t *testing.T) {
 	}
 }
 
+// TestCheckSyncBesideWrites runs CheckSync and the other control-plane reads
+// that take wmu (Size, Metrics, Introspect) in a loop beside a loop of
+// Updates on a 2-shard engine. A write holds wmu while it takes each shard's
+// lock, so a read that took a shard's lock before wmu would deadlock against
+// it; the guard turns that deadlock into a failure. The engine is built
+// without newTestEngine's cleanup: Close would wait forever on the shard
+// lock a deadlocked reader holds.
+func TestCheckSyncBesideWrites(t *testing.T) {
+	const rounds = 2000
+	e, err := New(Config{Shards: 2, Capacity: 64, Schema: testSchema, Policy: policy.MustParse(minPolicySrc)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillRandom(t, e, 16, 5)
+	done := make(chan error, 2)
+	go func() {
+		for i := 0; i < rounds; i++ {
+			if err := e.CheckSync(); err != nil {
+				done <- err
+				return
+			}
+			e.Size()
+			e.Metrics(i % 16)
+			e.Introspect()
+		}
+		done <- nil
+	}()
+	go func() {
+		for i := 0; i < rounds; i++ {
+			if err := e.Update(i%16, []int64{int64(i % 100), int64(i), 0}); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	guard := time.After(20 * time.Second)
+	for range 2 {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-guard:
+			t.Fatal("the reads and Update did not finish in 20s: they wait on each other's lock")
+		}
+	}
+	e.Close()
+}
+
 // bothPolicySrc and bothAltPolicySrc are two programs of different shape
 // that give the same two deterministic answers, so a decision is the same
 // whichever of them a hot-swap has published.

@@ -54,8 +54,6 @@ func (b *BFPU) Exec(in1, in2 *bitvec.Vector) *bitvec.Vector {
 // ExecInto is Exec writing its result into a caller-provided vector instead
 // of allocating one — the steady-state datapath. out must have the inputs'
 // width; it may alias in1 or in2 (the operations are word-wise).
-//
-//thanos:hotpath
 func (b *BFPU) ExecInto(out, in1, in2 *bitvec.Vector) {
 	if in1.Len() != in2.Len() {
 		panic(fmt.Sprintf("filter: BFPU input widths differ: %d vs %d", in1.Len(), in2.Len()))

@@ -100,8 +100,6 @@ func (k *KUFPU) Exec(in *bitvec.Vector, kActive int) *bitvec.Vector {
 // ExecInto is Exec writing its result into a caller-provided vector instead
 // of allocating one — the steady-state datapath. out must have the input's
 // width and must not alias in; any prior contents are overwritten.
-//
-//thanos:hotpath
 func (k *KUFPU) ExecInto(out, in *bitvec.Vector, kActive int) {
 	if kActive < 0 || kActive > len(k.units) {
 		panic(fmt.Sprintf("filter: K=%d outside [0,%d]", kActive, len(k.units)))

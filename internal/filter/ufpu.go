@@ -103,8 +103,6 @@ func (u *UFPU) Exec(in *bitvec.Vector) *bitvec.Vector {
 // of allocating one — the steady-state datapath. out must have the input's
 // width and must not alias in (the hardware's output register is distinct
 // from its input bus); any prior contents of out are overwritten.
-//
-//thanos:hotpath
 func (u *UFPU) ExecInto(out, in *bitvec.Vector) {
 	if u.cfg.Op.Selects() {
 		// A selection opcode ends in a priority encoder; the output bus is
@@ -151,8 +149,6 @@ func (u *UFPU) badWidth(in *bitvec.Vector) {
 
 // Select is SelectInto for one packet: the id it picks — the index the
 // unit's priority encoder emits (§5.2.1) — or -1 when no input entry is live.
-//
-//thanos:hotpath
 func (u *UFPU) Select(in *bitvec.Vector) int {
 	var id [1]int32
 	u.SelectInto(in, id[:])
@@ -163,8 +159,6 @@ func (u *UFPU) Select(in *bitvec.Vector) int {
 // input, writing packet j's pick into ids[j] and charging UFPUCycles each:
 // the one implementation of the selection opcodes. It panics on no-op and
 // predicate, whose outputs are sets.
-//
-//thanos:hotpath
 func (u *UFPU) SelectInto(in *bitvec.Vector, ids []int32) {
 	u.checkWidth(in)
 	u.clock.Tick(uint64(len(ids)) * UFPUCycles)
@@ -224,8 +218,6 @@ func (u *UFPU) SelectInto(in *bitvec.Vector, ids []int32) {
 // none of them. Random steps its LFSR n times (one draw per selection,
 // whatever the draw hits), round-robin runs its datapath n times, and min
 // and max are stateless. It panics on no-op and predicate, like SelectInto.
-//
-//thanos:hotpath
 func (u *UFPU) Skip(in *bitvec.Vector, n int) {
 	u.checkWidth(in)
 	u.clock.Tick(uint64(n) * UFPUCycles)

@@ -249,8 +249,6 @@ func (p *Pipeline) Table() *smbm.SMBM { return p.table }
 // they are valid until the next Exec call, which overwrites them. Callers
 // must copy anything they need to keep and must not feed returned vectors
 // back in as inputs. Inputs are never written.
-//
-//thanos:hotpath
 func (p *Pipeline) Exec(inputs []*bitvec.Vector) ([]*bitvec.Vector, error) {
 	n := p.cfg.Params.Inputs
 	width := p.table.Capacity()

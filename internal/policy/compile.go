@@ -100,8 +100,6 @@ func (c *Compiled) Run(pl *pipeline.Pipeline) ([]*bitvec.Vector, error) {
 // slice (len = number of policy outputs) instead of allocating one — the
 // steady-state datapath. The pipeline reads the table's live membership view
 // directly, so a full filter evaluation allocates nothing.
-//
-//thanos:hotpath
 func (c *Compiled) RunInto(dst []*bitvec.Vector, pl *pipeline.Pipeline) error {
 	if len(dst) != len(c.OutputLines) {
 		return fmt.Errorf("policy: dst holds %d outputs, policy has %d", len(dst), len(c.OutputLines))

@@ -419,8 +419,6 @@ func (it *Interp) AttachTelemetry(cs *telemetry.ChainStats) {
 // table's current version — flush before mutating the table — so every
 // pop-static step is charged n × the version's cached popcount. No-op
 // without attached telemetry or when n is zero.
-//
-//thanos:hotpath
 func (it *Interp) FlushStats(n uint64) {
 	cs := it.stats
 	if cs == nil || n == 0 {
@@ -450,8 +448,6 @@ func (it *Interp) FlushStats(n uint64) {
 // patched one bit at a time, so a caller that modified a view in place would
 // corrupt every later result: copy (Clone, IDs) what must be kept or changed.
 // thanosdebug builds trap both violations (bitvec.Lessor).
-//
-//thanos:hotpath
 func (it *Interp) Exec() []*bitvec.Vector {
 	it.Decide(0)
 	return it.leases.Lease(it.outs, it.table.DebugVersion())
@@ -463,8 +459,6 @@ func (it *Interp) Exec() []*bitvec.Vector {
 // 14's MUX stage only asks each table "empty or not", which a selection
 // output's id answers; a set-valued output costs one priority encode. It is
 // DecideBatch's one-packet case.
-//
-//thanos:hotpath
 func (it *Interp) Decide(out int) int {
 	col := it.Batch(1)
 	col[0] = out
@@ -475,7 +469,8 @@ func (it *Interp) Decide(out int) int {
 // Batch returns an n-packet column for DecideBatch: interpreter scratch,
 // valid until the next Batch, Decide or Exec.
 //
-//thanos:coldpath amortized: grows only when a batch is larger than any before it on this interpreter; steady state is a re-slice
+// Amortized: it grows only when a batch is larger than any before it on
+// this interpreter; the steady state is a re-slice.
 func (it *Interp) Batch(n int) []int {
 	if n <= len(it.batch) {
 		return it.batch[:n]
@@ -498,8 +493,6 @@ func (it *Interp) Batch(n int) []int {
 // tail-free program a front step whose picks no requested output reads
 // advances by Skip and draws for the last packet only, whose pick its buffer
 // keeps.
-//
-//thanos:hotpath
 func (it *Interp) DecideBatch(col []int) (failed int) {
 	it.leases.Expire()
 	// asked has bit out mod 64 set for every requested output: with more
@@ -603,8 +596,6 @@ func (it *Interp) DecideBatch(col []int) (failed int) {
 // rule, cycles included, walked over each output's emptiness instead of a
 // packet's ids. A front step is empty exactly when its static input holds
 // no live member; a nonempty one is answered by its column.
-//
-//thanos:hotpath
 func (it *Interp) refreshFinals() {
 	fb := it.policy.FallbackOf
 	for o := range it.fin {
@@ -633,8 +624,6 @@ func (it *Interp) refreshFinals() {
 }
 
 // setPick moves selection step i's one-hot buffer to id, one bit at a time.
-//
-//thanos:hotpath
 func (it *Interp) setPick(i, id int) {
 	if st := &it.prog[i]; id != st.pick {
 		if st.pick >= 0 {
@@ -648,8 +637,6 @@ func (it *Interp) setPick(i, id int) {
 }
 
 // resolve returns the batch's k-th valid packet's id from output out.
-//
-//thanos:hotpath
 func (it *Interp) resolve(k, out int) int {
 	fb := it.policy.FallbackOf
 	for hops := 0; hops < len(it.outIdx); hops++ { // one hop per output at most: see Resolve
@@ -671,8 +658,6 @@ func (it *Interp) resolve(k, out int) int {
 
 // run evaluates the listed steps, in list order, each into its own buffer —
 // the one evaluation loop of the static phase and the tail.
-//
-//thanos:hotpath
 func (it *Interp) run(steps []int) {
 	for _, i := range steps {
 		st := &it.prog[i]
@@ -703,8 +688,6 @@ func (it *Interp) ResetState() {
 // returns the table for output i, or — when that table is empty — the table
 // of its fallback output, following chains. This is the job Figure 14
 // assigns to the RMT match-action stage immediately after the filter module.
-//
-//thanos:hotpath
 func Resolve(p *Policy, outs []*bitvec.Vector, i int) *bitvec.Vector {
 	if len(outs) != len(p.Outputs) {
 		panic(fmt.Sprintf("policy: %d outputs for policy with %d", len(outs), len(p.Outputs)))

@@ -96,8 +96,6 @@ func (m *Module) Remove(id int) error {
 // written into the table before the next read or direct write. Staging id
 // again replaces the row and moves id to the back of the write order. It
 // fails with the errors Table.Update would return, at stage time.
-//
-//thanos:hotpath
 func (m *Module) Stage(id int, vals []int64) error {
 	nm := m.Table.NumMetrics()
 	if len(vals) != nm {
@@ -153,7 +151,8 @@ func (m *Module) flush() {
 // Batch returns an n-packet column for DecideBatch: module scratch, valid
 // until the next Batch, Decide, DecideBatch or Exec.
 //
-//thanos:coldpath amortized: grows only when a batch is larger than any before it on this module; steady state is a re-slice
+// Amortized: it grows only when a batch is larger than any before it on
+// this module; the steady state is a re-slice.
 func (m *Module) Batch(n int) []int { return m.interp.Batch(n) }
 
 // DecideBatch decides a Batch column in arrival order: packet j's output
@@ -161,8 +160,6 @@ func (m *Module) Batch(n int) []int { return m.interp.Batch(n) }
 // the chain ends empty or the output does not exist (those count in
 // failed). Staged rows are written first, and the per-step chain counts of
 // the batch are published once, at the end.
-//
-//thanos:hotpath
 func (m *Module) DecideBatch(col []int) (failed int) {
 	m.flush()
 	failed = m.interp.DecideBatch(col)
@@ -174,8 +171,6 @@ func (m *Module) DecideBatch(col []int) (failed int) {
 // resource id from output 0 (after fallback resolution). ok is false when
 // even the fallback produced an empty table. It is DecideBatch's one-packet
 // case.
-//
-//thanos:hotpath
 func (m *Module) Decide() (id int, ok bool) {
 	col := m.Batch(1)
 	col[0] = 0

@@ -441,9 +441,10 @@ func TestServerErrFrameReachesCaller(t *testing.T) {
 }
 
 // TestFullBatchesThroughServer: batches at the protocol's cap travel through
-// the client and the real server intact, traced and untraced. Both ends
-// bound a batch by server.MaxBatch, so the largest batch either end accepts
-// is one the other end accepts too.
+// the client and the real server intact, traced and untraced, and so does a
+// frame at the payload cap. Both ends bound a batch by server.MaxBatch and a
+// frame by server.MaxPayload, so the largest one either end accepts is one
+// the other end accepts too.
 func TestFullBatchesThroughServer(t *testing.T) {
 	gate := make(chan struct{})
 	close(gate)
@@ -499,6 +500,14 @@ func TestFullBatchesThroughServer(t *testing.T) {
 				t.Fatalf("apply %d ops: status[%d] = %#x", n, i, st)
 			}
 		}
+	}
+
+	// A swap padded to the payload cap, which counts the frame's opcode byte
+	// and seq word (5 bytes) beside the body.
+	dsl := "policy echo\nout best = min(table, cpu)\n"
+	dsl += strings.Repeat("\n", server.MaxPayload-5-len(dsl))
+	if err := c.SwapPolicy(dsl); err != nil {
+		t.Fatalf("swap of a %d-byte policy: %v", len(dsl), err)
 	}
 }
 

@@ -789,3 +789,42 @@ func TestUnreadRejectDoesNotStallServer(t *testing.T) {
 		t.Fatalf("rejected peer read op=%#x body=%q err=%v, want Err \"server full\"", op, body, err)
 	}
 }
+
+// TestUnreadReplyDoesNotStallServer: an admitted peer that never reads its
+// reply holds up only its own connection's write. The server's bookkeeping
+// stays available meanwhile, and the reply is there when the peer does read.
+func TestUnreadReplyDoesNotStallServer(t *testing.T) {
+	srv, err := New(Config{Backend: newBlockBackend()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	l := newPipeListener()
+	go srv.Serve(l)
+	writing := make(chan struct{})
+	peer := l.dial(writing)
+	defer peer.Close()
+	if _, err := peer.Write(AppendHello(nil, 1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-writing:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the server never wrote the HelloAck")
+	}
+	status := make(chan Status, 1)
+	go func() { status <- srv.Introspect() }()
+	select {
+	case st := <-status:
+		if st.Conns != 1 {
+			t.Fatalf("Introspect: %d conns, want 1", st.Conns)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Introspect blocked behind an unread reply")
+	}
+
+	peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if op, _, _, err := NewFrameReader(peer, MaxPayload).Next(); err != nil || op != OpHelloAck {
+		t.Fatalf("peer read op=%#x err=%v, want HelloAck", op, err)
+	}
+}

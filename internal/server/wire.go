@@ -75,7 +75,8 @@ const (
 	// the leading u16 count, it flags a trailing trace section (a u64 trace
 	// ID on Decide; a DecideTrace record on Decided). The bit can never
 	// collide with a real count because counts are capped at MaxBatch,
-	// which is far below bit 15 — wireproto lint enforces that statically.
+	// which is far below bit 15; TestFullBatchesThroughServer sends MaxBatch
+	// counts traced and untraced.
 	TraceFlag = 0x8000
 
 	// headerLen is opcode + seq, the fixed payload prefix.

@@ -6,7 +6,7 @@ import "strconv"
 // onto: table op counts (SMBM, §5.1) and chain selectivity (filter chains
 // and the banked pipeline, §5.3). Each bundle is a plain struct of
 // *Counter/*Gauge handles — concrete pointers, never interfaces, so
-// instrumented calls stay static and pass the hotpathalloc dynamic-call ban.
+// instrumented calls stay static.
 //
 // The New*Stats constructors take a shard count and return one handle
 // struct per shard. All shards of one bundle share the same registered

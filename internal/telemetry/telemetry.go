@@ -20,9 +20,8 @@
 //     (span.go), the one tracing model.
 //
 // Everything is pre-registered at construction (registry.go); the packet
-// path performs zero heap allocations and acquires zero locks, a contract
-// enforced statically by the thanoslint hotpathalloc and telemetrysafety
-// analyzers and dynamically by AllocsPerRun tests.
+// path performs zero heap allocations and never blocks, a contract pinned
+// by the AllocsPerRun tests and TestHotInstrumentsNeverBlock.
 //
 // Hot-path mutators tolerate nil receivers, so instrumented code runs
 // unchanged — and unmeasured — when no telemetry is attached.
