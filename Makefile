@@ -19,8 +19,7 @@ FUZZTIME ?= 30s
 # including the inline rebuild of a diverged replica beside decisions,
 # writes and swaps, and covers the serving frontend too, with the short
 # fault-injected soak (`go test -tags soak ./internal/server/` selects the
-# long one), and the failure-injection suite: the fault planner, netsim
-# link/switch faults with RTO recovery and the Figure 17/18 failure sweeps.
+# long one), and netsim's link/switch faults with RTO recovery.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...

@@ -9,12 +9,6 @@
 //	netsim -policy multidim -load 0.8
 //	netsim -topo fattree -k 4 -policy ecmp -flows 500
 //	netsim -policy drill -d 2 -m 1 -load 0.9
-//
-// Failure sweeps (§ graceful degradation) inject a spine or leaf-uplink
-// failure mid-run and report fault and control-plane counters:
-//
-//	netsim -policy multidim -fail spine -fail-spine 0
-//	netsim -policy minutil -fail uplink -fail-leaf 1 -ctrl-drop 0.1
 package main
 
 import (
@@ -71,15 +65,6 @@ func run(args []string, stdout io.Writer) error {
 	metrics := fs.String("metrics", "", "serve /metrics and /debug/vars on this address (e.g. :9090)")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof on the -metrics address")
 	hold := fs.Duration("hold", 0, "keep the process (and the metrics endpoint) alive this long after the run")
-	failMode := fs.String("fail", "", "failure scenario: spine | uplink (clos only)")
-	failSpine := fs.Int("fail-spine", 0, "spine to fail")
-	failLeaf := fs.Int("fail-leaf", 0, "leaf losing its uplink (-fail uplink)")
-	failAt := fs.Duration("fail-at", 2*time.Millisecond, "simulated time of the fault")
-	recoverAt := fs.Duration("recover-at", 30*time.Millisecond, "simulated time of the recovery")
-	detect := fs.Duration("detect", 100*time.Microsecond, "control-plane failure-detection latency")
-	syncEvery := fs.Duration("sync", 5*time.Millisecond, "control-plane reconciliation interval (0 disables)")
-	ctrlDrop := fs.Float64("ctrl-drop", 0.05, "control-plane update drop probability")
-	ctrlDelay := fs.Duration("ctrl-delay", 200*time.Microsecond, "control-plane update delay bound")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return err
@@ -87,29 +72,7 @@ func run(args []string, stdout io.Writer) error {
 		return flagError{err}
 	}
 
-	var failCfg *experiments.FailureConfig
-	switch *failMode {
-	case "":
-	case "spine", "uplink":
-		failCfg = &experiments.FailureConfig{
-			Scenario:       experiments.FailSpine,
-			Spine:          *failSpine,
-			Leaf:           *failLeaf,
-			FailAt:         sim.Time(failAt.Nanoseconds()),
-			RecoverAt:      sim.Time(recoverAt.Nanoseconds()),
-			DetectDelay:    sim.Time(detect.Nanoseconds()),
-			SyncInterval:   sim.Time(syncEvery.Nanoseconds()),
-			UpdateDropProb: *ctrlDrop,
-			UpdateMaxDelay: sim.Time(ctrlDelay.Nanoseconds()),
-		}
-		if *failMode == "uplink" {
-			failCfg.Scenario = experiments.FailLeafUplink
-		}
-	default:
-		return fmt.Errorf("unknown -fail mode %q", *failMode)
-	}
-
-	return simulate(stdout, *topo, *kAry, *leaves, *spines, *hostsPerLeaf, *pol, *load, *flows, *scale, *seed, *d, *m, *metrics, *pprofOn, *hold, failCfg, sim.Time(coreDelay.Nanoseconds()))
+	return simulate(stdout, *topo, *kAry, *leaves, *spines, *hostsPerLeaf, *pol, *load, *flows, *scale, *seed, *d, *m, *metrics, *pprofOn, *hold, sim.Time(coreDelay.Nanoseconds()))
 }
 
 // serveMetrics binds addr synchronously (so a bad address fails the run
@@ -132,58 +95,31 @@ func serveMetrics(stdout io.Writer, addr string, pprof bool, reg *telemetry.Regi
 
 func simulate(stdout io.Writer, topo string, kAry, leaves, spines, hostsPerLeaf int, pol string,
 	load float64, flows int, scale float64, seed int64, d, m int,
-	metricsAddr string, pprof bool, hold time.Duration, failCfg *experiments.FailureConfig,
-	coreDelay sim.Time) error {
+	metricsAddr string, pprof bool, hold time.Duration, coreDelay sim.Time) error {
 
 	cfg := experiments.DefaultNetConfig(seed)
 	cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf = leaves, spines, hostsPerLeaf
 	cfg.Flows, cfg.SizeScale = flows, scale
 	cfg.DrillD, cfg.DrillM = d, m
-	if failCfg != nil {
-		failCfg.Net = cfg
-		if topo != "clos" {
-			return fmt.Errorf("failure scenarios need -topo clos")
-		}
-	}
-
-	buildRouting := func(p experiments.RoutingPolicy) (*netsim.Network, *experiments.FailureProbe, error) {
-		if failCfg != nil {
-			return experiments.BuildRoutingFailure(*failCfg, p)
-		}
-		n, err := experiments.BuildRouting(cfg, p)
-		return n, nil, err
-	}
-	buildPortLB := func(p experiments.PortPolicy) (*netsim.Network, *experiments.FailureProbe, error) {
-		if failCfg != nil {
-			return experiments.BuildPortLBFailure(*failCfg, p)
-		}
-		n, err := experiments.BuildPortLB(cfg, p)
-		return n, nil, err
-	}
 
 	var net *netsim.Network
-	var probe *experiments.FailureProbe
 	var err error
 	switch {
 	case topo == "fattree":
 		if pol != "ecmp" {
 			return fmt.Errorf("fat tree currently runs ECMP only")
 		}
-		if net, err = buildFatTree(seed, kAry, coreDelay); err != nil {
-			return err
-		}
-		cfg.Leaves = kAry // hosts calculation below uses cfg fields
-		cfg.HostsPerLeaf = kAry * kAry / 4
+		net, err = buildFatTree(seed, kAry, coreDelay)
 	case pol == "ecmp":
-		net, probe, err = buildRouting(experiments.RouteECMP)
+		net, err = experiments.BuildRouting(cfg, experiments.RouteECMP)
 	case pol == "minutil":
-		net, probe, err = buildRouting(experiments.RouteMinUtil)
+		net, err = experiments.BuildRouting(cfg, experiments.RouteMinUtil)
 	case pol == "multidim":
-		net, probe, err = buildRouting(experiments.RouteMultiDim)
+		net, err = experiments.BuildRouting(cfg, experiments.RouteMultiDim)
 	case pol == "minq":
-		net, probe, err = buildPortLB(experiments.PortMinQueue)
+		net, err = experiments.BuildPortLB(cfg, experiments.PortMinQueue)
 	case pol == "drill":
-		net, probe, err = buildPortLB(experiments.PortDRILL)
+		net, err = experiments.BuildPortLB(cfg, experiments.PortDRILL)
 	default:
 		return fmt.Errorf("unknown policy %q", pol)
 	}
@@ -193,9 +129,6 @@ func simulate(stdout io.Writer, topo string, kAry, leaves, spines, hostsPerLeaf 
 	if metricsAddr != "" {
 		reg := telemetry.NewRegistry()
 		net.RegisterTelemetry(reg, "thanos_netsim")
-		if probe != nil {
-			probe.RegisterTelemetry(reg, "thanos_netsim")
-		}
 		if err := serveMetrics(stdout, metricsAddr, pprof, reg); err != nil {
 			return err
 		}
@@ -253,14 +186,6 @@ func simulate(stdout io.Writer, topo string, kAry, leaves, spines, hostsPerLeaf 
 		}
 	}
 	fmt.Fprintf(stdout, "switch drops: %d, simulated time: %v, wall clock: %v\n", drops, simEnd, elapsed.Round(time.Millisecond))
-	if probe != nil {
-		c := probe.Injector.Counts()
-		fmt.Fprintf(stdout, "faults: injected %d, recovered %d, fault drops %d, reroutes %d\n",
-			c.Injected, c.Recovered, probe.FaultDrops(), probe.Reroutes())
-		fmt.Fprintf(stdout, "control plane: detections %d, syncs %d, updates delivered %d / dropped %d / delayed %d\n",
-			probe.Detections(), probe.Syncs(),
-			probe.Control.Delivered(), probe.Control.Dropped(), probe.Control.Delayed())
-	}
 	if hold > 0 {
 		fmt.Fprintf(stdout, "holding %v for metric scrapes...\n", hold)
 		time.Sleep(hold)

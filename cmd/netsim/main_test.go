@@ -16,6 +16,7 @@ func TestRunSmoke(t *testing.T) {
 		args []string
 	}{
 		{"clos-multidim", []string{"-policy", "multidim", "-flows", "40", "-scale", "0.1"}},
+		{"clos-drill", []string{"-policy", "drill", "-flows", "40", "-scale", "0.1"}},
 		{"fattree-long-core", []string{"-topo", "fattree", "-core-delay", "10us", "-flows", "40", "-scale", "0.1"}},
 	}
 	for _, c := range cases {

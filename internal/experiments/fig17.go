@@ -119,94 +119,9 @@ fallback primary -> backup
 	panic("experiments: no DSL source for " + p.String())
 }
 
-// routingNet is a built Figure-17 network plus the per-leaf control
-// surfaces the failure experiments manipulate: the policy module and path
-// router of every leaf, and the control plane's per-leaf view of which
-// spines are usable. Fault-free runs never touch the view, so the hot path
-// is identical to the pre-failure-model code.
-type routingNet struct {
-	Net     *netsim.Network
-	Clos    *topology.Clos
-	Policy  RoutingPolicy
-	Modules []*policy.Module     // per leaf; nil for RouteECMP
-	Routers []*netsim.PathRouter // per leaf; nil for RouteECMP
-	dead    [][]bool             // [leaf][spine]: control plane marked the path unusable
-}
-
-// deadMetric is the pessimal attribute value written for a spine the
-// control plane considers dead: any min/minK policy term steers away from
-// it without the table entry being deleted (deleting would make router
-// decisions fall back to candidate order rather than policy).
-const deadMetric = int64(1) << 30
-
-// setSpineDead applies the control plane's verdict on spine s to leaf l and
-// returns how many pinned flows were reroutes off the dead uplink. It is
-// idempotent, so periodic reconciliation can re-deliver the current view.
-func (rn *routingNet) setSpineDead(l, s int, dead bool) int {
-	if rn.dead[l][s] == dead {
-		return 0
-	}
-	rn.dead[l][s] = dead
-	reroutes := 0
-	if rn.Modules[l] != nil {
-		if vals, ok := rn.Modules[l].Metrics(s); ok {
-			for i := range vals {
-				if dead {
-					vals[i] = deadMetric
-				} else {
-					vals[i] = 0 // next metric tick restores live readings
-				}
-			}
-			if err := rn.Modules[l].Stage(s, vals); err != nil {
-				panic(err) // resource exists: Metrics just returned it
-			}
-		}
-		if dead {
-			reroutes = rn.Routers[l].Invalidate(rn.Clos.UplinkPort(s))
-		}
-	}
-	rn.applyCandidates(l)
-	return reroutes
-}
-
-// applyCandidates rewrites leaf l's remote-destination candidate sets to
-// the uplinks the control plane considers live. ECMP leaves steer entirely
-// by candidates; policy leaves keep them in sync so the no-decision
-// fallback (cands[0]) also avoids dead paths. With every spine dead the
-// full set is kept — traffic blackholes either way, and an empty candidate
-// set would panic the forwarder.
-func (rn *routingNet) applyCandidates(l int) {
-	live := make([]int, 0, len(rn.dead[l]))
-	for s, d := range rn.dead[l] {
-		if !d {
-			live = append(live, rn.Clos.UplinkPort(s))
-		}
-	}
-	if len(live) == 0 {
-		for s := range rn.dead[l] {
-			live = append(live, rn.Clos.UplinkPort(s))
-		}
-	}
-	for dst := 0; dst < rn.Clos.NumHosts(); dst++ {
-		if dst/rn.Clos.HostsPerLeaf == l {
-			continue
-		}
-		rn.Clos.Leaves[l].SetCandidates(dst, live)
-	}
-}
-
 // buildRoutingNetwork constructs the Clos, installs the chosen routing
 // policy on every leaf, and returns the network ready for traffic.
 func buildRoutingNetwork(cfg NetConfig, pol RoutingPolicy) (*netsim.Network, error) {
-	rn, err := buildRoutingNet(cfg, pol)
-	if err != nil {
-		return nil, err
-	}
-	return rn.Net, nil
-}
-
-// buildRoutingNet is buildRoutingNetwork exposing the control surfaces.
-func buildRoutingNet(cfg NetConfig, pol RoutingPolicy) (*routingNet, error) {
 	ncfg := netsim.DefaultConfig()
 	if cfg.QueuePkts > 0 {
 		ncfg.QueuePkts = cfg.QueuePkts
@@ -219,21 +134,11 @@ func buildRoutingNet(cfg NetConfig, pol RoutingPolicy) (*routingNet, error) {
 	if err != nil {
 		return nil, err
 	}
-	rn := &routingNet{
-		Net: net, Clos: clos, Policy: pol,
-		Modules: make([]*policy.Module, cfg.Leaves),
-		Routers: make([]*netsim.PathRouter, cfg.Leaves),
-		dead:    make([][]bool, cfg.Leaves),
-	}
-	for l := range rn.dead {
-		rn.dead[l] = make([]bool, cfg.Spines)
-	}
 	if pol == RouteECMP {
-		return rn, nil // topology default is ECMP everywhere
+		return net, nil // topology default is ECMP everywhere
 	}
 	src := routingPolicySource(pol, cfg.topX())
-	for li, leaf := range clos.Leaves {
-		li, leaf := li, leaf
+	for _, leaf := range clos.Leaves {
 		pp, err := policy.Parse(src)
 		if err != nil {
 			return nil, err
@@ -247,13 +152,10 @@ func buildRoutingNet(cfg NetConfig, pol RoutingPolicy) (*routingNet, error) {
 				return nil, err
 			}
 		}
-		rn.Modules[li] = module
-		rn.Routers[li] = netsim.NewPathRouter(leaf, module, func(res int) int { return clos.UplinkPort(res) })
+		netsim.NewPathRouter(leaf, module, func(res int) int { return clos.UplinkPort(res) })
 
 		// Local queue occupancy updates event-driven (§3); utilization and
-		// loss refresh on the probe/metric tick. Spines the control plane
-		// marked dead keep their pessimal values until revived — a fresh
-		// reading would erase the mark and steer traffic into the fault.
+		// loss refresh on the probe/metric tick.
 		uplinkOfQueue := make([]int, leaf.NumPorts()) // port → spine, -1 for host-facing ports
 		for q := range uplinkOfQueue {
 			uplinkOfQueue[q] = -1
@@ -268,7 +170,7 @@ func buildRoutingNet(cfg NetConfig, pol RoutingPolicy) (*routingNet, error) {
 				prev(q, newLen)
 			}
 			res := uplinkOfQueue[q]
-			if res < 0 || rn.dead[li][res] || !module.MetricsInto(res, vals) {
+			if res < 0 || !module.MetricsInto(res, vals) {
 				return
 			}
 			vals[1] = newLen
@@ -278,9 +180,6 @@ func buildRoutingNet(cfg NetConfig, pol RoutingPolicy) (*routingNet, error) {
 		}
 		leaf.OnMetricTick = func() {
 			for s := 0; s < cfg.Spines; s++ {
-				if rn.dead[li][s] {
-					continue
-				}
 				p := leaf.Port(clos.UplinkPort(s))
 				if !module.MetricsInto(s, vals) {
 					continue
@@ -294,7 +193,7 @@ func buildRoutingNet(cfg NetConfig, pol RoutingPolicy) (*routingNet, error) {
 		}
 	}
 	net.StartMetricTicks()
-	return rn, nil
+	return net, nil
 }
 
 // offerTraffic schedules cfg.Flows web-search flows with Poisson arrivals

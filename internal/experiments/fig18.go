@@ -48,79 +48,10 @@ func portPolicySource(p PortPolicy, d, m int) string {
 	panic("experiments: no DSL source for " + p.String())
 }
 
-// portNet is a built Figure-18 network plus the per-leaf control surfaces
-// the failure experiments manipulate; see routingNet for the routing-policy
-// counterpart.
-type portNet struct {
-	Net     *netsim.Network
-	Clos    *topology.Clos
-	Policy  PortPolicy
-	Modules []*policy.Module // per leaf; nil for PortRandom
-	dead    [][]bool         // [leaf][spine]
-}
-
-// setSpineDead applies the control plane's verdict on spine s to leaf l.
-// A dead uplink's queue metrics are pinned pessimal so min-queue and DRILL
-// stop spraying into it (its real queue drains to zero once the link is
-// down, which would otherwise make the dead port look the *most*
-// attractive). Per-packet selectors pin no flow state, so there is nothing
-// to invalidate.
-func (pn *portNet) setSpineDead(l, s int, dead bool) int {
-	if pn.dead[l][s] == dead {
-		return 0
-	}
-	pn.dead[l][s] = dead
-	if pn.Modules[l] != nil {
-		if vals, ok := pn.Modules[l].Metrics(s); ok {
-			for i := range vals {
-				if dead {
-					vals[i] = deadMetric
-				} else {
-					vals[i] = 0 // next slot tick restores live readings
-				}
-			}
-			if err := pn.Modules[l].Stage(s, vals); err != nil {
-				panic(err) // resource exists: Metrics just returned it
-			}
-		}
-	}
-	pn.applyCandidates(l)
-	return 0
-}
-
-func (pn *portNet) applyCandidates(l int) {
-	live := make([]int, 0, len(pn.dead[l]))
-	for s, d := range pn.dead[l] {
-		if !d {
-			live = append(live, pn.Clos.UplinkPort(s))
-		}
-	}
-	if len(live) == 0 {
-		for s := range pn.dead[l] {
-			live = append(live, pn.Clos.UplinkPort(s))
-		}
-	}
-	for dst := 0; dst < pn.Clos.NumHosts(); dst++ {
-		if dst/pn.Clos.HostsPerLeaf == l {
-			continue
-		}
-		pn.Clos.Leaves[l].SetCandidates(dst, live)
-	}
-}
-
 // buildPortLBNetwork constructs the Clos and installs per-packet
 // policy-driven uplink selection on every leaf (downstream hops are
 // single-path in a two-tier Clos).
 func buildPortLBNetwork(cfg NetConfig, pol PortPolicy, d, m int) (*netsim.Network, error) {
-	pn, err := buildPortLBNet(cfg, pol, d, m)
-	if err != nil {
-		return nil, err
-	}
-	return pn.Net, nil
-}
-
-// buildPortLBNet is buildPortLBNetwork exposing the control surfaces.
-func buildPortLBNet(cfg NetConfig, pol PortPolicy, d, m int) (*portNet, error) {
 	// Per-packet spraying reorders packets; like DRILL's evaluation, the
 	// transport uses a raised duplicate-ACK threshold so reordering is not
 	// mistaken for loss.
@@ -143,20 +74,12 @@ func buildPortLBNet(cfg NetConfig, pol PortPolicy, d, m int) (*portNet, error) {
 	if err != nil {
 		return nil, err
 	}
-	pn := &portNet{
-		Net: net, Clos: clos, Policy: pol,
-		Modules: make([]*policy.Module, cfg.Leaves),
-		dead:    make([][]bool, cfg.Leaves),
-	}
-	for l := range pn.dead {
-		pn.dead[l] = make([]bool, cfg.Spines)
-	}
 	if pol == PortRandom {
 		// Policy 1: uniform random port per flow — ECMP [35], the paper's
 		// own gloss for the random filter (Table 5: "K=1, random (e.g.,
 		// ECMP)"), and the topology default.
 		net.StartMetricTicks()
-		return pn, nil
+		return net, nil
 	}
 	if d > cfg.Spines {
 		d = cfg.Spines
@@ -165,7 +88,7 @@ func buildPortLBNet(cfg NetConfig, pol PortPolicy, d, m int) (*portNet, error) {
 		m = cfg.Spines
 	}
 	src := portPolicySource(pol, d, m)
-	for li, leaf := range clos.Leaves {
+	for _, leaf := range clos.Leaves {
 		pp, err := policy.Parse(src)
 		if err != nil {
 			return nil, err
@@ -181,21 +104,14 @@ func buildPortLBNet(cfg NetConfig, pol PortPolicy, d, m int) (*portNet, error) {
 			}
 			resourceToPort[s] = clos.UplinkPort(s)
 		}
-		pn.Modules[li] = module
 		netsim.NewPortSelector(leaf, module, resourceToPort)
 
 		// Slot boundary: queue <- current occupancy snapshot, and
 		// qprev <- the previous slot's snapshot (DRILL's "m least loaded
-		// samples from the last time slot"). Dead uplinks keep their
-		// pessimal marks — a drained dead queue would otherwise look like
-		// the best port in the table.
-		li, leaf := li, leaf
+		// samples from the last time slot").
 		vals := make([]int64, len(portSchema.Attrs)) // reused: Stage copies out of it
 		leaf.OnMetricTick = func() {
 			for s := 0; s < cfg.Spines; s++ {
-				if pn.dead[li][s] {
-					continue
-				}
 				if !module.MetricsInto(s, vals) {
 					continue
 				}
@@ -208,7 +124,7 @@ func buildPortLBNet(cfg NetConfig, pol PortPolicy, d, m int) (*portNet, error) {
 		}
 	}
 	net.StartMetricTicks()
-	return pn, nil
+	return net, nil
 }
 
 // Fig18Result is the Figure 18 reproduction: mean FCT per load per port

@@ -124,6 +124,27 @@ func TestGoldenSerialClosMultiDim(t *testing.T) {
 	}
 }
 
+// TestGoldenSerialClosPortDRILL pins the Figure 18 builder: the same Clos
+// and traffic as TestGoldenSerialClosMultiDim, with every leaf spraying
+// packets by DRILL(2, 1) on 25 µs queue snapshots.
+func TestGoldenSerialClosPortDRILL(t *testing.T) {
+	cfg := DefaultNetConfig(7)
+	cfg.Flows = 60
+	cfg.SizeScale = 0.1
+	net, err := BuildPortLB(cfg, PortDRILL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := offerTraffic(cfg, net, 0.8); err != nil {
+		t.Fatal(err)
+	}
+	events := runGolden(t, net)
+	const wantEvents, wantDigest = 143119, "f780469e651d80cd2cc183cb8ea31267"
+	if got := goldenDigest(net); events != wantEvents || got != wantDigest {
+		t.Fatalf("events %d digest %s, golden %d %s", events, got, wantEvents, wantDigest)
+	}
+}
+
 // TestGoldenSerialFatTreeLongCore pins a hop longer than the scheduler's
 // near span: a k=4 fat tree whose agg–core links take 10 µs.
 func TestGoldenSerialFatTreeLongCore(t *testing.T) {

@@ -1,3 +1,5 @@
+// Package fault holds Backoff, the seed-driven retry schedule the server
+// client redials by, so that reconnect storms replay exactly in tests.
 package fault
 
 import (
@@ -8,9 +10,8 @@ import (
 // Backoff is a deterministic, seed-driven retry schedule: capped exponential
 // growth with uniform jitter drawn from a local generator. It produces the
 // same delay sequence for the same (base, max, seed) triple, which makes
-// reconnect storms replayable in tests the same way the fault planner makes
-// link failures replayable — the caller owns the clock; Backoff only ever
-// computes durations.
+// reconnect storms replayable in tests — the caller owns the clock; Backoff
+// only ever computes durations.
 //
 // The jittered delay for attempt n is uniform in [base·2ⁿ/2, base·2ⁿ],
 // clamped to max — "equal jitter", which keeps the mean growth exponential

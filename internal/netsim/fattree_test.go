@@ -4,6 +4,8 @@ package netsim_test
 // topologies.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -48,27 +50,32 @@ func offerRandom(t testing.TB, net *netsim.Network, flows int) {
 }
 
 // runToSettle drives the network until every flow completes, then on to a
-// fixed settle horizon.
-func runToSettle(t testing.TB, net *netsim.Network, settle sim.Time) {
+// fixed settle horizon, and returns the number of events executed.
+func runToSettle(t testing.TB, net *netsim.Network, settle sim.Time) int {
 	t.Helper()
+	events := 0
 	deadline := sim.Time(0)
 	for net.ActiveFlows() > 0 {
 		deadline += 10 * sim.Millisecond
-		net.Sched.RunUntil(deadline)
+		events += net.Sched.RunUntil(deadline)
 		if deadline > settle {
 			t.Fatalf("%d flows did not complete by %v", net.ActiveFlows(), settle)
 		}
 	}
-	net.Sched.RunUntil(settle)
+	return events + net.Sched.RunUntil(settle)
 }
 
 // TestConservationUnderFaultInterleaving: a seeded storm of
-// mid-transmission link flips and a switch kill, scheduled the way
-// fault.Injector's hooks apply them (SetLinkDown/SetFailed from events on
-// Network.Sched), must never double-count or lose a packet. Every packet a
-// port starts transmitting delivers exactly once (sent == peer recvs),
-// queues and the event-driven trackers read empty at quiescence, and every
-// flow completes.
+// mid-transmission link flips and a switch kill, applied by plain
+// Network.Sched.At events calling SetLinkDown/SetFailed, must never
+// double-count or lose a packet. Every packet a port starts transmitting
+// delivers exactly once (sent == peer recvs), queues and the event-driven
+// trackers read empty at quiescence, and every flow completes.
+//
+// It is also the faulted identity golden: the executed event count and a
+// digest of every flow record, each host's RTO and fast retransmits, and
+// Network.FaultDrops are pinned, so a change that is meant to keep
+// behaviour under link and switch faults must leave them green.
 func TestConservationUnderFaultInterleaving(t *testing.T) {
 	net, ft := buildFT(t, 1234, 4)
 
@@ -99,7 +106,7 @@ func TestConservationUnderFaultInterleaving(t *testing.T) {
 	net.Sched.At(2500*sim.Microsecond, func() { killed.SetFailed(false) })
 
 	offerRandom(t, net, 150)
-	runToSettle(t, net, 200*sim.Millisecond)
+	events := runToSettle(t, net, 200*sim.Millisecond)
 
 	checkPort := func(where string, p *netsim.Port) {
 		if p == nil || p.Peer() == nil {
@@ -125,6 +132,23 @@ func TestConservationUnderFaultInterleaving(t *testing.T) {
 	}
 	if got := len(net.Records()); got != 150 {
 		t.Fatalf("completed %d of 150 flows", got)
+	}
+
+	if net.FaultDrops() == 0 {
+		t.Fatal("no packet met a fault: the golden below is vacuous")
+	}
+	h := sha256.New()
+	for _, r := range net.Records() {
+		fmt.Fprintf(h, "flow %d %d->%d %dB [%d,%d]\n", r.FlowID, r.Src, r.Dst, r.Bytes, int64(r.Start), int64(r.End))
+	}
+	for _, host := range net.Hosts {
+		rto, fast := host.Retransmits()
+		fmt.Fprintf(h, "h%d rto=%d fast=%d\n", host.ID(), rto, fast)
+	}
+	fmt.Fprintf(h, "faultDrops=%d\n", net.FaultDrops())
+	const wantEvents, wantDigest = 70066, "c65b95246c4047eb0880ab9c0d332b56"
+	if got := hex.EncodeToString(h.Sum(nil)[:16]); events != wantEvents || got != wantDigest {
+		t.Fatalf("events %d digest %s, golden %d %s", events, got, wantEvents, wantDigest)
 	}
 }
 

@@ -21,9 +21,10 @@ package netsim
 //
 // The class order is pinned by the serial goldens in internal/experiments
 // and by the benchmark's sim_digest: reordering the classes reorders events.
-// Priority 0 (plain At/After) is what fault.Injector and the control channel
-// schedule with; it sorts before every keyed class, so a fault or control
-// update at an instant is seen by every packet event at that instant.
+// Priority 0 (plain At/After) is what tests and hooks schedule with, such
+// as the fault tests' SetLinkDown/SetFailed events; it sorts before every
+// keyed class, so a link or switch state change at an instant is seen by
+// every packet event at that instant.
 const (
 	priStart  uint64 = (iota + 1) << 32 // flow starts, keyed by flow id
 	priTimer                            // RTO expiries, keyed by flow id

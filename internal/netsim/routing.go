@@ -68,22 +68,6 @@ func (r *PathRouter) forward(pkt *Packet) int {
 	return port
 }
 
-// Invalidate unpins every flow currently routed through port, returning how
-// many were cleared. The control plane calls this when a path fails: each
-// affected flow re-consults the module (which by then should exclude the
-// dead uplink) on its next packet — typically the retransmission that
-// recovers the loss. Flows on healthy paths keep their pins.
-func (r *PathRouter) Invalidate(port int) int {
-	n := 0
-	for id, p := range r.flowPath {
-		if p == port+1 {
-			r.flowPath[id] = 0
-			n++
-		}
-	}
-	return n
-}
-
 // PortSelector makes per-packet output-port decisions (§7.2.4): every
 // packet with more than one candidate port consults the Thanos module,
 // whose table holds one resource per port with live queue metrics.
