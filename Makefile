@@ -85,10 +85,14 @@ check-slow:
 # server and client) is measured by a second step, from the perfcheck test
 # binary: linked into thanosbench, the serving stack moves the bit-vector
 # kernels' code alignment and their timings with it. The step gates against
-# the same checkpoint and adds its entry to PERFCHECK_OUT.
+# the same checkpoint and adds its entry to PERFCHECK_OUT. Both steps run
+# whatever the first one's verdict, so a red kernel step does not hide the
+# served path's, and the target fails if either step failed.
 PERFCHECK_OUT ?= bench_fresh.json
 PERFCHECK_AGAINST = $$(ls BENCH_*.json | sort -t_ -k2 -n | tail -1)
 check-perf:
-	$(GO) run ./cmd/thanosbench -checkpoint $(PERFCHECK_OUT) -against "$(PERFCHECK_AGAINST)"
+	status=0; \
+	$(GO) run ./cmd/thanosbench -checkpoint $(PERFCHECK_OUT) -against "$(PERFCHECK_AGAINST)" || status=1; \
 	PERFCHECK_AGAINST="$(CURDIR)/$(PERFCHECK_AGAINST)" PERFCHECK_OUT="$(abspath $(PERFCHECK_OUT))" \
-		$(GO) test -v -count=1 -run '^TestServerRoundTrip$$' ./internal/perfcheck/
+		$(GO) test -v -count=1 -run '^TestServerRoundTrip$$' ./internal/perfcheck/ || status=1; \
+	exit $$status

@@ -127,13 +127,16 @@ type shard struct {
 	// the hot-path telemetry handles below — and, together with Engine.wmu,
 	// the table contents and the mod pointer. The discipline: mutate a
 	// shard's table or replace mod: wmu + mu; decide: mu; control-plane read
-	// of mod or its table's contents: wmu. The table's id → position
-	// pointers are the exception: a decision's min or max repairs them
-	// (smbm.SMBM.PosInDim), so, like the scratch, they belong to mu, and a
-	// control-plane call that reads positions (CheckInvariants) takes mu
-	// too, after wmu. A writer holds mu for one row operation or one pointer
-	// store, never across building a module or a table, recording a flight
-	// event or calling OnQuarantine.
+	// of mod or its table's contents: wmu. The table's sorted order and its
+	// id → position pointers are the exception. Add appends behind each
+	// dimension's sorted prefix, and a decision's first sorted read after
+	// an add merges that tail in (smbm.SMBM.Dim for a predicate, PosInDim
+	// for a min or max, which also repairs positions), under mu. So, like
+	// the scratch, they belong to mu, and a control-plane call that reads
+	// sorted order or positions (CheckInvariants, Diff) takes mu too, after
+	// wmu. A writer holds mu for one row operation or one pointer store,
+	// never across building a module or a table, recording a flight event
+	// or calling OnQuarantine.
 	mu sync.Mutex
 	// mod is the shard's one replica. See mu for who may touch it.
 	mod *policy.Module
@@ -189,8 +192,9 @@ type Engine struct {
 	// operation sequence as auth. It is always taken before a shard's mu,
 	// never after: the decision path holds shard locks and never takes wmu.
 	// Holding wmu alone is enough to read any shard's mod and its table's
-	// contents, since every mutator holds it too; reading a table's
-	// positions also needs that shard's mu (see shard.mu).
+	// contents, since every mutator holds it too; reading a table's sorted
+	// order or positions also needs that shard's mu (see shard.mu). The
+	// authority is read only under wmu, so it settles only under wmu.
 	wmu sync.Mutex
 
 	// flight receives state-transition events (nil-safe); onQuar is the
@@ -526,9 +530,13 @@ func (e *Engine) rebuild(si int) {
 // Metrics returns a copy of the metric values for id from the authoritative
 // table, or ok=false if absent. Control-plane read.
 func (e *Engine) Metrics(id int) ([]int64, bool) {
+	vals := make([]int64, e.auth.NumMetrics())
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	return e.auth.Metrics(id)
+	if !e.auth.MetricsInto(id, vals) {
+		return nil, false
+	}
+	return vals, true
 }
 
 // Size returns the number of resources currently stored.
@@ -544,8 +552,9 @@ func (e *Engine) Size() int {
 // a tie differently answer a min or max differently), and satisfies every
 // SMBM structural invariant. Intended for tests; it takes the writer lock, so
 // writes are briefly excluded, and each shard's lock while it checks that
-// shard's table: CheckInvariants repairs the table's position pointers,
-// which a deciding caller's min or max may be repairing under the shard lock.
+// shard's table: CheckInvariants and Diff settle the table and repair its
+// position pointers, which a deciding caller may be doing under the shard
+// lock.
 func (e *Engine) CheckSync() error {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
@@ -586,7 +595,8 @@ type EngineStatus struct {
 // authoritative table's. Control-plane only: it takes the writer lock, so
 // the snapshot is consistent with respect to writes, while decisions keep
 // flowing. Reading a table's version and size under wmu alone is safe: a
-// decider writes only a table's position pointers.
+// decider changes only a table's order of storage (merging the tail) and
+// its position pointers.
 func (e *Engine) Introspect() EngineStatus {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()

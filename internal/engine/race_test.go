@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -213,6 +214,104 @@ func TestCheckSyncBesideWrites(t *testing.T) {
 		}
 	}
 	e.Close()
+}
+
+// TestFirstDecisionsAfterInstallBesideSwaps races the first decisions after
+// a 1024-row install — every table, the authority's included, then holds
+// its rows as an unsorted tail, which the first sorted read merges in —
+// against a loop of SwapPolicy and a loop of CheckSync on a 2-shard engine.
+// A decision settles its shard's table under the shard lock and CheckSync
+// settles the authority and each shard under wmu and the shard lock, while
+// SwapPolicy binds the new program over each live table under wmu alone;
+// under -race this fails if binding ever reads the table's sorted order.
+// make check-slow runs it at GOMAXPROCS 1 and 4. Every decision has one
+// right answer, since both programs give the same min and max of distinct
+// values. The engine is built without newTestEngine's cleanup, and a guard
+// fails the test when the loops do not finish, as a deadlock would leave
+// them: Close would wait forever on a shard lock a stuck caller holds.
+func TestFirstDecisionsAfterInstallBesideSwaps(t *testing.T) {
+	const (
+		n        = 1024
+		rounds   = 3
+		deciders = 2
+		batches  = 20
+		swaps    = 20
+	)
+	pols := []*policy.Policy{policy.MustParse(bothPolicySrc), policy.MustParse(bothAltPolicySrc)}
+	guard := time.After(60 * time.Second)
+	for round := 0; round < rounds; round++ {
+		e, err := New(Config{Shards: 2, Capacity: n, Schema: testSchema, Policy: pols[0]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cpus := rand.New(rand.NewSource(int64(round))).Perm(n)
+		lo, hi := 0, 0
+		for id, cpu := range cpus {
+			if err := e.Add(id, []int64{int64(cpu), int64(id), 0}); err != nil {
+				t.Fatal(err)
+			}
+			if cpu < cpus[lo] {
+				lo = id
+			}
+			if cpu > cpus[hi] {
+				hi = id
+			}
+		}
+
+		start := make(chan struct{})
+		done := make(chan error, deciders+2)
+		for g := 0; g < deciders; g++ {
+			go func(g int) {
+				<-start
+				pkts := make([]Packet, 64)
+				for b := 0; b < batches; b++ {
+					for i := range pkts {
+						pkts[i] = Packet{Key: uint64(g*batches*len(pkts) + b*len(pkts) + i), Out: i % 2}
+					}
+					e.DecideBatch(pkts)
+					for i, p := range pkts {
+						if want := []int{lo, hi}[p.Out]; !p.OK || p.ID != want {
+							done <- fmt.Errorf("round %d packet %d output %d: got (%d,%v), want %d", round, i, p.Out, p.ID, p.OK, want)
+							return
+						}
+					}
+				}
+				done <- nil
+			}(g)
+		}
+		go func() {
+			<-start
+			for i := 1; i <= swaps; i++ {
+				if err := e.SwapPolicy(pols[i%2]); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+		go func() {
+			<-start
+			for i := 0; i < swaps; i++ {
+				if err := e.CheckSync(); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+		close(start)
+		for range deciders + 2 {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-guard:
+				t.Fatal("decisions, swaps and CheckSync did not finish in 60s: they wait on each other's lock")
+			}
+		}
+		e.Close()
+	}
 }
 
 // bothPolicySrc and bothAltPolicySrc are two programs of different shape

@@ -69,8 +69,9 @@ func (e *Engine) SwapPolicy(p *policy.Policy) error {
 // another shape they no longer apply and the module runs unattached (table
 // and decision counters continue). Binding reads only t's capacity, its
 // metric count and the address of its membership vector, none of which
-// changes, so SwapPolicy may bind over a live shard's table under wmu alone
-// while a decision repairs that table's positions.
+// changes, and never its sorted order, so SwapPolicy may bind over a live
+// shard's table under wmu alone while a decision settles that table's tail
+// or repairs its positions (TestFirstDecisionsAfterInstallBesideSwaps).
 func (s *shard) bind(t *smbm.SMBM, schema policy.Schema, pol *policy.Policy) (*policy.Module, error) {
 	m, err := policy.BindModule(t, schema, pol)
 	if err != nil {

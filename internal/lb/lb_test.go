@@ -17,8 +17,8 @@ func TestProbeRoundTrip(t *testing.T) {
 	if err := b.HandleProbe(MakeProbe(2, 45.7, 3000, 5000)); err != nil {
 		t.Fatal(err)
 	}
-	vals, ok := b.mod.Table.Metrics(2)
-	if !ok {
+	vals := make([]int64, 3)
+	if !b.mod.Table.MetricsInto(2, vals) {
 		t.Fatal("probe did not install server")
 	}
 	if vals[0] != 45 || vals[1] != 3000 || vals[2] != 5000 {
@@ -28,7 +28,7 @@ func TestProbeRoundTrip(t *testing.T) {
 	if err := b.HandleProbe(MakeProbe(3, -5, -1, -1)); err != nil {
 		t.Fatal(err)
 	}
-	vals, _ = b.mod.Table.Metrics(3)
+	b.mod.Table.MetricsInto(3, vals)
 	if vals[0] != 0 || vals[1] != 0 {
 		t.Fatalf("clamped metrics = %v", vals)
 	}

@@ -180,12 +180,14 @@ func mutateDiff(t *testing.T, r *rand.Rand, table *smbm.SMBM) string {
 		// Same id, same values, two writes: membership and metrics end where
 		// they began, but the entry re-enters every dimension after its
 		// equals (FIFO tie-break), so min/max may legitimately move.
-		vals, _ := table.Metrics(present)
+		vals := make([]int64, table.NumMetrics())
+		table.MetricsInto(present, vals)
 		must(table.Delete(present))
 		must(table.Add(present, vals))
 		return "delete-readd"
 	case op == 5 && present >= 0:
-		vals, _ := table.Metrics(present)
+		vals := make([]int64, table.NumMetrics())
+		table.MetricsInto(present, vals)
 		must(table.Update(present, vals))
 		return "update-identical"
 	default:

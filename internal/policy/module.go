@@ -17,7 +17,7 @@ import (
 // Metric refreshes that arrive faster than decisions go through Stage: the
 // module keeps the newest row per resource and writes the staged rows into
 // Table, in the order they were last staged, just before the next read
-// (Decide, DecideBatch, Exec, Metrics) or direct write (Upsert, Remove). Every SMBM
+// (Decide, DecideBatch, Exec) or direct write (Upsert, Remove). Every SMBM
 // dimension is sorted by (value, order of last write) — Update re-inserts
 // after every equal value — so an overwritten row leaves no trace and the
 // flushed table is the one eager Updates would have built. Table is
@@ -179,13 +179,6 @@ func (m *Module) Decide() (id int, ok bool) {
 		return 0, false
 	}
 	return col[0], true
-}
-
-// Metrics returns a copy of the resource's current metric tuple, or ok=false
-// if the resource is absent.
-func (m *Module) Metrics(id int) ([]int64, bool) {
-	m.flush()
-	return m.Table.Metrics(id)
 }
 
 // Exec evaluates the policy and returns the raw output tables, for callers

@@ -21,7 +21,7 @@ fallback primary -> backup
 
 // TestStagedWritesMatchImmediate drives a staging module and a twin that
 // writes every refresh straight into its table through random interleavings
-// of Stage, Upsert, Remove, Decide, Exec and Metrics. Values come from
+// of Stage, Upsert, Remove, Decide, Exec and MetricsInto. Values come from
 // {0, 1, 2}, so tie runs are long and a row applied out of last-write order
 // would land at the wrong place in its run. After every read the two agree
 // on the decision, on every output table, and on every dimension's sorted
@@ -111,9 +111,12 @@ func TestStagedWritesMatchImmediate(t *testing.T) {
 				if gotOK != wantOK || !slices.Equal(got, want) {
 					fail("MetricsInto = %v,%v, want %v,%v", got, gotOK, want, wantOK)
 				}
-				vals, ok := staged.Metrics(id)
-				if ok != wantOK || ok && !slices.Equal(vals, want) {
-					fail("Metrics = %v,%v, want %v,%v", vals, ok, want, wantOK)
+				// The flushed table holds what MetricsInto read through the
+				// staged rows.
+				staged.flush()
+				vals := make([]int64, 3)
+				if ok := staged.Table.MetricsInto(id, vals); ok != wantOK || ok && !slices.Equal(vals, want) {
+					fail("flushed table's MetricsInto = %v,%v, want %v,%v", vals, ok, want, wantOK)
 				}
 				compare()
 			}

@@ -116,17 +116,13 @@ func (o *oracle) compare(t *testing.T, s *SMBM, step int) {
 		}
 	}
 	for id, want := range o.vals {
-		got, ok := s.Metrics(id)
-		if !ok {
-			t.Fatalf("step %d: id %d missing", step, id)
-		}
 		into := make([]int64, len(want))
 		if !s.MetricsInto(id, into) {
 			t.Fatalf("step %d: MetricsInto reports id %d missing", step, id)
 		}
 		for j := range want {
-			if got[j] != want[j] || into[j] != want[j] {
-				t.Fatalf("step %d: id %d metric %d = %d (into a buffer: %d), oracle %d", step, id, j, got[j], into[j], want[j])
+			if into[j] != want[j] {
+				t.Fatalf("step %d: id %d metric %d = %d, oracle %d", step, id, j, into[j], want[j])
 			}
 		}
 	}

@@ -15,16 +15,24 @@
 // values and owning ids) carved from one contiguous arena, and the
 // bidirectional pointers are id-indexed arrays giving every present
 // resource's position and value in each dimension in O(1). Because sorted
-// positions point at ids rather than at slots of the id list, shifting one
-// dimension never touches another: an insert memmoves one value column and
-// one id column per dimension, the hardware's one parallel shift, and
-// renumbers nothing. Each dimension instead keeps a stale watermark, the
-// first position whose id → position pointer may be out of date; an insert
-// only lowers it, and the first read that needs an exact position (PosInDim,
-// Update, Delete, Copy, CheckInvariants) renumbers the stale suffix once, in
-// one sequential pass. Such a read therefore writes, and needs the same
-// exclusion as a write. A delete or update then renumbers only the entries
-// it moves.
+// positions point at ids rather than at slots of the id list, moving entries
+// in one dimension never touches another.
+//
+// Both halves of an insert's cost are deferred to the first read that needs
+// them. Add appends the new (value, id) pair behind each dimension's sorted
+// prefix; the first read that needs sorted order (Dim, PosInDim, Update,
+// Delete, Copy, CheckInvariants, Diff) settles the tail: it sorts the tail
+// stably by value and merges it backwards into the prefix, moving every
+// prefix entry at most once, so an N-row install costs one sort per
+// dimension instead of N shifts. Ties break as sequential inserts break
+// them: existing equal values stay ahead of new ones, and equal new values
+// keep their add order. Each dimension also keeps a stale watermark, the
+// first position whose id → position pointer may be out of date; a merge
+// only lowers it, and the first read that needs an exact position renumbers
+// the stale suffix once, in one sequential pass. Such reads therefore
+// write, and need the same exclusion as a write. A delete or update then
+// renumbers only the entries it moves. Add, Contains, Value, MetricsInto,
+// MembersView, Size and Version never settle.
 //
 // The functional model mirrors the hardware costs: add and delete each take
 // exactly WriteCycles (2) clock cycles and the structure can be read in full
@@ -69,20 +77,30 @@ type SMBM struct {
 	size    int
 	version uint64
 
-	// Per-metric sorted columns, both len size and carved from contiguous
-	// arenas: vals[j][p] is the p-th smallest value of metric j and
-	// dimIDs[j][p] the id owning it (the metric → id pointer).
+	// Per-metric columns, both len size and carved from contiguous arenas.
+	// Positions below sorted are every dimension's sorted prefix: vals[j][p]
+	// is the p-th smallest value of metric j and dimIDs[j][p] the id owning
+	// it (the metric → id pointer). Positions [sorted, size) are the tail,
+	// the rows added since the last settle, in add order.
 	vals   [][]int64
 	dimIDs [][]int32
+	sorted int
 
 	// Id-indexed pointer columns, valid while an id is present: the id →
 	// metric pointer pos[id*m+j] gives id's position in dimension j, and
 	// valByID[id*m+j] caches its value there for O(1) reads. pos is exact
 	// for the entries at positions below stale[j] in dimension j, and
-	// stale[j] <= size; stale[j] == size means the whole dimension is exact.
+	// stale[j] <= sorted; stale[j] == size means the whole dimension is
+	// settled and exact.
 	pos     []int32
 	valByID []int64
 	stale   []int
+
+	// Merge scratch for settle: the tail, sorted, while it merges into the
+	// prefix. It grows to the longest tail of two or more entries settled so
+	// far and is shared by every dimension.
+	tailVals []int64
+	tailIDs  []int32
 
 	members *bitvec.Vector // maintained incrementally by Add/Delete
 	clock   hw.Clock
@@ -137,12 +155,13 @@ func New(n, m int) *SMBM {
 // Copy returns an independent table laid out like New's, holding s's
 // contents: every dimension's sorted column, so equal values keep the
 // first-in-first-out order their writes gave them (§5.1.2), the pointer
-// columns, the version and the cycles consumed. It repairs s's position
-// pointers first, so both tables come out exact. No telemetry is attached.
+// columns, the version and the cycles consumed. It settles s and repairs
+// its position pointers first, so both tables come out exact. No telemetry
+// is attached.
 func (s *SMBM) Copy() *SMBM {
 	s.repairAll()
 	c := New(s.n, s.m)
-	c.size, c.version, c.clock = s.size, s.version, s.clock
+	c.size, c.sorted, c.version, c.clock = s.size, s.sorted, s.version, s.clock
 	c.members.CopyFrom(s.members)
 	for j := range s.vals {
 		c.vals[j] = append(c.vals[j], s.vals[j]...)
@@ -190,12 +209,12 @@ func upperBound(a []int64, v int64) int {
 }
 
 // Add inserts a new resource with the given id and metric values, keeping
-// every dimension sorted and all bidirectional pointers consistent. It
-// consumes exactly WriteCycles cycles on success. The paper's two-phase
-// implementation (§5.1.2) — cycle 1: parallel search of all lists for
-// insertion points; cycle 2: parallel shift-and-write — maps onto one
-// binary search plus one suffix memmove per dimension. No position pointer
-// is written: the insertion point lowers the dimension's stale watermark.
+// all bidirectional pointers consistent. It consumes exactly WriteCycles
+// cycles on success. The paper's two-phase implementation (§5.1.2) — cycle 1:
+// parallel search of all lists for insertion points; cycle 2: parallel
+// shift-and-write — is deferred to the next sorted read: Add appends the row
+// behind each dimension's sorted prefix, and settle places it later, with
+// every other row added since, in one merge per dimension.
 func (s *SMBM) Add(id int, metrics []int64) error {
 	if id < 0 || id >= s.n {
 		return fmt.Errorf("%w: %d not in [0,%d)", ErrBadID, id, s.n)
@@ -212,18 +231,8 @@ func (s *SMBM) Add(id int, metrics []int64) error {
 
 	for j := 0; j < s.m; j++ {
 		v := metrics[j]
-		col := s.vals[j]
-		p := upperBound(col, v)
-		col = col[: s.size+1 : cap(col)]
-		copy(col[p+1:], col[p:])
-		col[p] = v
-		s.vals[j] = col
-
-		idsj := s.dimIDs[j][: s.size+1 : cap(s.dimIDs[j])]
-		copy(idsj[p+1:], idsj[p:])
-		idsj[p] = int32(id)
-		s.dimIDs[j] = idsj
-		s.stale[j] = min(s.stale[j], p)
+		s.vals[j] = append(s.vals[j], v)
+		s.dimIDs[j] = append(s.dimIDs[j], int32(id))
 		s.valByID[id*s.m+j] = v
 	}
 	s.size++
@@ -239,10 +248,98 @@ func (s *SMBM) Add(id int, metrics []int64) error {
 	return nil
 }
 
+// settle merges the tail into the sorted prefix of every dimension, so every
+// position below size is sorted. Settled tables cost one compare.
+func (s *SMBM) settle() {
+	if s.sorted != s.size {
+		s.mergeTails()
+	}
+}
+
+// mergeTails is settle's slow path, out of line so the check inlines.
+func (s *SMBM) mergeTails() {
+	for j := 0; j < s.m; j++ {
+		s.mergeTail(j)
+	}
+	s.sorted = s.size
+}
+
+// mergeTail settles dimension j. The tail, sorted stably by value, is merged
+// backwards: each tail entry, largest first, goes to its upperBound in the
+// part of the prefix not yet moved, and the block above that point moves up
+// by the number of tail entries still to place, in one copy. Every prefix
+// entry moves at most once, an existing equal value stays ahead of a new
+// one, and equal new values keep their add order — the order sequential
+// inserts with the FIFO tie-break (§5.1.2) would have given. A one-entry
+// tail is one binary search and one block move, an eager insert's cost. The
+// stale watermark drops to the lowest slot the merge wrote.
+func (s *SMBM) mergeTail(j int) {
+	col, idsj := s.vals[j], s.dimIDs[j]
+	tv, ti := s.sortTail(col[s.sorted:], idsj[s.sorted:])
+	hi := s.sorted // prefix entries at [hi, sorted) have moved
+	for i := len(tv) - 1; i >= 0; i-- {
+		v, id := tv[i], ti[i]
+		p := upperBound(col[:hi], v)
+		copy(col[p+i+1:hi+i+1], col[p:hi])
+		copy(idsj[p+i+1:hi+i+1], idsj[p:hi])
+		col[p+i], idsj[p+i] = v, id
+		hi = p
+	}
+	s.stale[j] = min(s.stale[j], hi)
+}
+
+// signBit flips an int64's sign so that its bits order as an unsigned key.
+const signBit = 1 << 63
+
+// sortTail returns the tail entries (vals[i], ids[i]) sorted stably by value.
+// A one-entry tail comes back as is; a longer one is sorted by an LSD radix
+// sort on the sign-flipped value that skips every byte all the values share,
+// ping-ponging between the tail itself and the merge scratch, and comes back
+// in the scratch, since the merge overwrites the tail's slots.
+func (s *SMBM) sortTail(vals []int64, ids []int32) ([]int64, []int32) {
+	k := len(vals)
+	if k < 2 {
+		return vals, ids
+	}
+	if cap(s.tailVals) < k {
+		s.tailVals, s.tailIDs = make([]int64, k), make([]int32, k)
+	}
+	bv, bi := s.tailVals[:k], s.tailIDs[:k]
+	var differ uint64 // bits where some value differs from the first
+	for _, v := range vals[1:] {
+		differ |= uint64(v ^ vals[0])
+	}
+	src, srcIDs, dst, dstIDs := vals, ids, bv, bi
+	for shift := uint(0); shift < 64; shift += 8 {
+		if byte(differ>>shift) == 0 {
+			continue
+		}
+		var start [256]int
+		for _, v := range src {
+			start[byte((uint64(v)^signBit)>>shift)]++
+		}
+		sum := 0
+		for b, c := range start {
+			start[b], sum = sum, sum+c
+		}
+		for i, v := range src {
+			b := byte((uint64(v) ^ signBit) >> shift)
+			dst[start[b]], dstIDs[start[b]] = v, srcIDs[i]
+			start[b]++
+		}
+		src, srcIDs, dst, dstIDs = dst, dstIDs, src, srcIDs
+	}
+	if &src[0] != &bv[0] {
+		copy(bv, src)
+		copy(bi, srcIDs)
+	}
+	return bv, bi
+}
+
 // Delete removes the resource with the given id. It consumes exactly
 // WriteCycles cycles on success. Finding the entry needs its exact position,
-// so Delete repairs each stale dimension first, then renumbers the suffix it
-// shifts and leaves every dimension exact.
+// so Delete settles the table and repairs each stale dimension first, then
+// renumbers the suffix it shifts and leaves every dimension exact.
 func (s *SMBM) Delete(id int) error {
 	if id < 0 || id >= s.n || !s.members.Get(id) {
 		return fmt.Errorf("%w: %d", ErrNotFound, id)
@@ -265,6 +362,7 @@ func (s *SMBM) Delete(id int) error {
 		s.stale[j] = len(idsj)
 	}
 	s.size--
+	s.sorted = s.size
 	s.members.Clear(id)
 	s.version++
 
@@ -283,9 +381,9 @@ func (s *SMBM) Delete(id int) error {
 // dimension performs one displacement-bounded rotate: only the entries
 // between the old and new sorted positions move, so an update that barely
 // changes a value (the steady-state probe pattern) costs O(log n) search
-// and a near-empty move instead of two full shifts. It repairs each stale
-// dimension first, then renumbers exactly the entries it moves, so it leaves
-// every dimension exact.
+// and a near-empty move instead of two full shifts. It settles the table and
+// repairs each stale dimension first, then renumbers exactly the entries it
+// moves, so it leaves every dimension exact.
 func (s *SMBM) Update(id int, metrics []int64) error {
 	if len(metrics) != s.m {
 		return fmt.Errorf("%w: got %d, want %d", ErrMetricsArity, len(metrics), s.m)
@@ -358,21 +456,9 @@ func (s *SMBM) Contains(id int) bool {
 	return id >= 0 && id < s.n && s.members.Get(id)
 }
 
-// Metrics returns a copy of the metric values for the given id, or ok=false
-// if absent.
-func (s *SMBM) Metrics(id int) (vals []int64, ok bool) {
-	if !s.Contains(id) {
-		return nil, false
-	}
-	vals = make([]int64, s.m)
-	copy(vals, s.valByID[id*s.m:id*s.m+s.m])
-	return vals, true
-}
-
 // MetricsInto overwrites dst with the metric values for the given id and
 // reports whether the id is present; absent, dst is untouched. dst must have
-// length NumMetrics(). It is Metrics for a caller that reads on every queue
-// event and keeps one buffer.
+// length NumMetrics().
 func (s *SMBM) MetricsInto(id int, dst []int64) bool {
 	if !s.Contains(id) {
 		return false
@@ -397,8 +483,9 @@ func (s *SMBM) Value(id, dim int) (val int64, ok bool) {
 // PosInDim returns the sorted position of the given id within metric
 // dimension dim, or -1 if the id is absent — the id → metric pointer of
 // §5.1.1, resolved in O(1) once the dimension is exact. The first call after
-// a shift repairs the dimension's stale suffix, so PosInDim writes and needs
-// the same exclusion as a table write. It panics if dim is out of range.
+// an add or a shift settles the table and repairs the dimension's stale
+// suffix, so PosInDim writes and needs the same exclusion as a table write.
+// It panics if dim is out of range.
 func (s *SMBM) PosInDim(id, dim int) int {
 	s.checkDim(dim)
 	if !s.Contains(id) {
@@ -408,14 +495,19 @@ func (s *SMBM) PosInDim(id, dim int) int {
 	return int(s.pos[id*s.m+dim])
 }
 
-// repair makes dimension j's position pointers exact: one sequential pass
-// renumbers the entries from its stale watermark to the end, which is at
-// most what the shifts since the last repair would have renumbered eagerly.
-// Exact dimensions cost one compare.
+// repair settles the table and makes dimension j's position pointers exact:
+// one sequential pass renumbers the entries from its stale watermark to the
+// end, which is at most what the shifts since the last repair would have
+// renumbered eagerly. Exact dimensions cost one compare.
 func (s *SMBM) repair(j int) {
-	if s.stale[j] == s.size {
-		return
+	if s.stale[j] != s.size {
+		s.renumber(j)
 	}
+}
+
+// renumber is repair's slow path, out of line so the check inlines.
+func (s *SMBM) renumber(j int) {
+	s.settle()
 	idsj := s.dimIDs[j]
 	for q := s.stale[j]; q < len(idsj); q++ {
 		s.pos[int(idsj[q])*s.m+j] = int32(q)
@@ -446,16 +538,20 @@ func (s *SMBM) MembersView() *bitvec.Vector {
 
 // Dim provides read access to one sorted metric dimension, the view a UFPU
 // copies into its temp_list in its first clock cycle (§5.2.1). Positions run
-// 0..Len()-1 in sorted (increasing) order.
+// 0..Len()-1 in sorted (increasing) order. A view is valid until the next
+// write to the table: an Add appends behind the sorted prefix, and only the
+// next Dim call merges it in.
 type Dim struct {
 	s   *SMBM
 	dim int
 }
 
-// Dim returns a view of metric dimension dim. It panics if dim is out of
-// range [0, NumMetrics()).
+// Dim returns a view of metric dimension dim, settling the table first, so
+// like PosInDim it needs the exclusion a write needs. It panics if dim is
+// out of range [0, NumMetrics()).
 func (s *SMBM) Dim(dim int) Dim {
 	s.checkDim(dim)
+	s.settle()
 	return Dim{s: s, dim: dim}
 }
 
@@ -483,21 +579,27 @@ func (d Dim) IDsSorted() []int {
 
 // CheckInvariants verifies every structural invariant of the SMBM:
 // dimensions sorted, pointer bidirectionality, consistent sizes, unique ids.
-// It repairs the position pointers first, so every pointer is checked, and
-// like PosInDim it needs the exclusion a write needs. It returns a
-// descriptive error on the first violation. Intended for tests and fuzzing.
+// It settles the table and repairs the position pointers first, so every
+// pointer is checked, and like PosInDim it needs the exclusion a write
+// needs. It returns a descriptive error on the first violation. Intended for
+// tests and fuzzing.
 func (s *SMBM) CheckInvariants() error {
 	s.repairAll()
 	return s.checkLazy()
 }
 
-// checkLazy verifies the invariants without repairing anything: sizes,
-// membership, each watermark's bound, sorted columns with member ids, the
-// value cache at every position, and the position pointers below each
-// watermark. With every dimension exact that is the full invariant set.
+// checkLazy verifies the invariants without settling or repairing anything:
+// sizes, membership, the sorted prefix's and each watermark's bounds, a
+// sorted prefix, member ids at every position, the value cache at every
+// position (tail included), and the position pointers below each watermark.
+// With the table settled and every dimension exact that is the full
+// invariant set.
 func (s *SMBM) checkLazy() error {
 	if s.size < 0 || s.size > s.n {
 		return fmt.Errorf("size %d out of range [0,%d]", s.size, s.n)
+	}
+	if s.sorted < 0 || s.sorted > s.size {
+		return fmt.Errorf("sorted prefix %d out of range [0,%d]", s.sorted, s.size)
 	}
 	if s.members.Count() != s.size {
 		return fmt.Errorf("membership vector has %d bits set, want size %d", s.members.Count(), s.size)
@@ -507,10 +609,10 @@ func (s *SMBM) checkLazy() error {
 		if len(col) != s.size || len(idsj) != s.size {
 			return fmt.Errorf("metric %d has %d values and %d ids, want size %d", j, len(col), len(idsj), s.size)
 		}
-		if s.stale[j] < 0 || s.stale[j] > s.size {
-			return fmt.Errorf("metric %d stale watermark %d out of range [0,%d]", j, s.stale[j], s.size)
+		if s.stale[j] < 0 || s.stale[j] > s.sorted {
+			return fmt.Errorf("metric %d stale watermark %d out of range [0,%d]", j, s.stale[j], s.sorted)
 		}
-		for p := 1; p < s.size; p++ {
+		for p := 1; p < s.sorted; p++ {
 			if col[p-1] > col[p] {
 				return fmt.Errorf("metric %d not sorted at %d", j, p)
 			}
@@ -538,7 +640,9 @@ func (s *SMBM) checkLazy() error {
 // Diff returns nil when s and o hold the same resources with the same values
 // in the same order in every dimension, ties included, so that every filter
 // answers alike over both; otherwise it describes the first difference.
-// Version and cycles are history, not contents, and are not compared.
+// Version and cycles are history, not contents, and are not compared. It
+// settles both tables first, so it needs the exclusion a write needs on
+// both.
 func (s *SMBM) Diff(o *SMBM) error {
 	if s.n != o.n || s.m != o.m {
 		return fmt.Errorf("capacity %d with %d metrics, other has %d with %d", s.n, s.m, o.n, o.m)
@@ -551,6 +655,8 @@ func (s *SMBM) Diff(o *SMBM) error {
 			return fmt.Errorf("id %d present %v, in other %v", id, s.Contains(id), o.Contains(id))
 		}
 	}
+	s.settle()
+	o.settle()
 	for j := 0; j < s.m; j++ {
 		for p := 0; p < s.size; p++ {
 			if s.dimIDs[j][p] != o.dimIDs[j][p] || s.vals[j][p] != o.vals[j][p] {

@@ -39,9 +39,9 @@ func TestAddAndLookup(t *testing.T) {
 	if !s.Contains(1) || !s.Contains(3) || !s.Contains(5) || s.Contains(0) {
 		t.Fatal("Contains wrong")
 	}
-	vals, ok := s.Metrics(3)
-	if !ok || vals[0] != 10 || vals[1] != 20 {
-		t.Fatalf("Metrics(3) = %v, %v", vals, ok)
+	vals := make([]int64, 2)
+	if ok := s.MetricsInto(3, vals); !ok || vals[0] != 10 || vals[1] != 20 {
+		t.Fatalf("MetricsInto(3) = %v, %v", vals, ok)
 	}
 	if v, ok := s.Value(1, 1); !ok || v != 5 {
 		t.Fatalf("Value(1,1) = %d, %v", v, ok)
@@ -217,8 +217,8 @@ func TestDimPanicsOutOfRange(t *testing.T) {
 func TestZeroMetricsTable(t *testing.T) {
 	s := New(4, 0)
 	mustAdd(t, s, 2)
-	if vals, ok := s.Metrics(2); !ok || len(vals) != 0 {
-		t.Fatalf("Metrics = %v, %v", vals, ok)
+	if !s.MetricsInto(2, nil) || s.MetricsInto(1, nil) {
+		t.Fatal("MetricsInto on a zero-metric table does not report membership")
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -284,8 +284,8 @@ func TestPropertyRandomOpsKeepInvariants(t *testing.T) {
 			return false
 		}
 		for id, want := range oracle {
-			got, ok := s.Metrics(id)
-			if !ok {
+			got := make([]int64, len(want))
+			if !s.MetricsInto(id, got) {
 				return false
 			}
 			for j := range want {
