@@ -43,8 +43,8 @@ func BenchmarkEngineDecideBatchTelemetry(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineWrite measures the cost of one propagated write (the
-// authoritative table, then one row operation under each shard's lock) as
+// BenchmarkEngineWrite measures the cost of one propagated write (one row
+// operation under each shard's lock, shard 0's first, which validates it) as
 // shards grow — the price of replica consistency, linear in the replica
 // count like the paper's broadcast updates.
 func BenchmarkEngineWrite(b *testing.B) {

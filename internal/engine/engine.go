@@ -17,13 +17,12 @@
 // holds exactly one module, and everything that touches it does so under the
 // shard's mutex: a decision holds it for its visit, a table write holds it
 // for one single-row SMBM operation, and a policy swap or a replica rebuild
-// binds its module (over the shard's table, or a copy of the authority's)
-// first and holds it only to replace the module pointer. Decisions therefore
-// always observe a fully-written table and a complete program. What the
-// hardware has and this does not is stall-free reads: a decision can wait for
-// a write on its shard, bounded by one row operation or one pointer store —
-// next to the whole visit it already waits behind any other decision on that
-// shard.
+// binds its module (over the shard's table, or a copy of shard 0's) first
+// and holds it only to replace the module pointer. Decisions therefore always
+// observe a fully-written table and a complete program. What the hardware has
+// and this does not is stall-free reads: a decision can wait for a write on
+// its shard, bounded by one row operation or one pointer store — next to the
+// whole visit it already waits behind any other decision on that shard.
 //
 // # Batched decisions, run to completion
 //
@@ -44,14 +43,18 @@
 //
 // # A diverged replica is rebuilt inline
 //
-// Every replica takes the same writes in the same order as the authoritative
-// table, under one writer lock, so replicas do not diverge (§5.1.5). A
-// replica that still rejects a write the authority accepted has a diverged
-// table, which only a defect can cause. The write rebuilds that shard on the
-// spot: it binds the current policy over a copy of the authority — same
-// contents, same per-dimension order, so ties break as on every other replica
-// (§5.1.2) — publishes it with one pointer store, and reports the divergence
-// as an ErrReplicaDivergence-wrapped error. No shard is ever out of service.
+// There is no master copy: as in §5.1.5, a write is broadcast to the
+// replicas, and they are the only tables. Every replica takes the same writes
+// in the same order under one writer lock, so replicas do not diverge. Shard
+// 0 validates each write: an SMBM rejects a write on its shape and membership
+// alone, before it changes anything, and every replica shares both op for
+// op, so a write shard 0 rejects leaves every table untouched. A later
+// replica that still rejects a write shard 0 accepted has a diverged table,
+// which only a defect can cause. The write rebuilds that shard on the spot:
+// it binds the current policy over a copy of shard 0's table — same contents,
+// same per-dimension order, so ties break as on every other replica (§5.1.2)
+// — publishes it with one pointer store, and reports the divergence as an
+// ErrReplicaDivergence-wrapped error. No shard is ever out of service.
 // Using the engine after Close degrades (decisions come back OK=false, writes
 // return ErrClosed) instead of panicking.
 package engine
@@ -133,10 +136,10 @@ type shard struct {
 	// an add merges that tail in (smbm.SMBM.Dim for a predicate, PosInDim
 	// for a min or max, which also repairs positions), under mu. So, like
 	// the scratch, they belong to mu, and a control-plane call that reads
-	// sorted order or positions (CheckInvariants, Diff) takes mu too, after
-	// wmu. A writer holds mu for one row operation or one pointer store,
-	// never across building a module or a table, recording a flight event
-	// or calling OnQuarantine.
+	// sorted order or positions (CheckInvariants, Diff, Copy) takes mu too,
+	// after wmu. A writer holds mu for one row operation, one pointer store
+	// or, on shard 0 for a rebuild, one SMBM.Copy; never across binding a
+	// module, recording a flight event or calling OnQuarantine.
 	mu sync.Mutex
 	// mod is the shard's one replica. See mu for who may touch it.
 	mod *policy.Module
@@ -176,25 +179,24 @@ type Engine struct {
 	ns   uint64
 	pow2 bool
 
+	// capacity is N, every replica table's slot count, fixed by New.
+	capacity int
+
 	// pol is the most recently published policy. Stored under wmu (SwapPolicy)
 	// and read by rebuilds under wmu; atomic so Policy() needs no lock.
 	pol atomic.Pointer[policy.Policy]
-
-	// auth is the authoritative control-plane table: every accepted write
-	// lands here first, and a diverged shard is rebuilt from it. Guarded by
-	// wmu; never read by the decision path.
-	auth *smbm.SMBM
 
 	rrKey  atomic.Uint64 // round-robin steering key for Decide
 	closed atomic.Bool   // Close has begun; writers check it under wmu
 
 	// wmu serializes writers, so every replica advances through the same
-	// operation sequence as auth. It is always taken before a shard's mu,
-	// never after: the decision path holds shard locks and never takes wmu.
-	// Holding wmu alone is enough to read any shard's mod and its table's
-	// contents, since every mutator holds it too; reading a table's sorted
-	// order or positions also needs that shard's mu (see shard.mu). The
-	// authority is read only under wmu, so it settles only under wmu.
+	// operation sequence as shard 0, which validates each write. It is
+	// always taken before a shard's mu, never after, and no path holds two
+	// shard locks: the decision path holds one shard lock at a time and
+	// never takes wmu. Holding wmu alone is enough to read any shard's mod
+	// and its table's contents, since every mutator holds it too; reading a
+	// table's sorted order or positions, or copying it, also needs that
+	// shard's mu (see shard.mu).
 	wmu sync.Mutex
 
 	// flight receives state-transition events (nil-safe); onQuar is the
@@ -205,7 +207,6 @@ type Engine struct {
 	// Telemetry, nil unless Config.Telemetry was set. All handles are atomic
 	// instruments: batchHist and failedCtr are observed by deciding callers,
 	// polSwaps and rebuilds on the (wmu-serialized) write path.
-	reg       *telemetry.Registry
 	batchHist *telemetry.Histogram // DecideBatch sizes
 	polSwaps  *telemetry.Counter   // policy hot-swaps published (SwapPolicy successes)
 	rebuilds  *telemetry.Counter   // diverged replicas rebuilt inline
@@ -228,12 +229,12 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine: nil policy")
 	}
 	e := &Engine{
-		schema: cfg.Schema,
-		ns:     uint64(n),
-		pow2:   n&(n-1) == 0,
-		auth:   smbm.New(cfg.Capacity, len(cfg.Schema.Attrs)),
-		flight: cfg.Flight,
-		onQuar: cfg.OnQuarantine,
+		schema:   cfg.Schema,
+		ns:       uint64(n),
+		pow2:     n&(n-1) == 0,
+		capacity: cfg.Capacity,
+		flight:   cfg.Flight,
+		onQuar:   cfg.OnQuarantine,
 	}
 	e.pol.Store(cfg.Policy)
 	for i := 0; i < n; i++ {
@@ -253,7 +254,6 @@ func New(cfg Config) (*Engine, error) {
 // shard its padded counter slots and chain/table stats.
 // Runs once, inside New, so no synchronization with readers is needed.
 func (e *Engine) setupTelemetry(reg *telemetry.Registry, n int) {
-	e.reg = reg
 	labels := e.shards[0].mod.StepLabels()
 	chains := telemetry.NewChainStats(reg, "thanos_engine_chain", labels, n)
 	tables := telemetry.NewTableStats(reg, "thanos_engine_table", n)
@@ -263,13 +263,13 @@ func (e *Engine) setupTelemetry(reg *telemetry.Registry, n int) {
 	e.polSwaps = reg.NewCounter("thanos_engine_policy_swaps_total", "policy hot-swaps published to every shard")
 	// The rebuild counter keeps the name it had when a diverged shard was
 	// quarantined: the benchmark refuses a run on which it is non-zero.
-	e.rebuilds = reg.NewCounter("thanos_engine_shards_quarantined_total", "shards rebuilt from the authoritative table after rejecting a write it accepted")
+	e.rebuilds = reg.NewCounter("thanos_engine_shards_quarantined_total", "shards rebuilt from shard 0's table after rejecting a write shard 0 accepted")
 	e.failedCtr = reg.NewCounter("thanos_engine_failed_decisions_total", "decisions failed because the engine was closed or the policy has no such output")
 	reg.NewGaugeFunc("thanos_engine_shards", "pipeline replicas", func() int64 { return int64(n) })
-	// thanos_engine_table_size (the TableStats gauge above) tracks the
-	// replica size as writes reach the replicas; this one asks the
-	// authoritative replica directly at scrape time.
-	reg.NewGaugeFunc("thanos_engine_resources", "resources in the authoritative replica at scrape time", func() int64 { return int64(e.Size()) })
+	// thanos_engine_table_size (the TableStats gauge above) tracks each
+	// replica's size as writes reach it; this one asks shard 0's table at
+	// scrape time.
+	reg.NewGaugeFunc("thanos_engine_resources", "resources in shard 0's table at scrape time", func() int64 { return int64(e.Size()) })
 	for i, s := range e.shards {
 		s.decCtr = dec.Shard(i)
 		s.emptyCtr = empty.Shard(i)
@@ -279,9 +279,6 @@ func (e *Engine) setupTelemetry(reg *telemetry.Registry, n int) {
 		s.mod.Table.AttachTelemetry(tables[i])
 	}
 }
-
-// Telemetry returns the registry the engine was configured with, or nil.
-func (e *Engine) Telemetry() *telemetry.Registry { return e.reg }
 
 // Shards returns the number of pipeline replicas.
 func (e *Engine) Shards() int { return len(e.shards) }
@@ -297,7 +294,7 @@ func (e *Engine) Schema() policy.Schema { return e.schema }
 
 // Capacity returns N, the resource-slot count of the replica tables. Like
 // the schema it is fixed at construction, so no lock is needed to read it.
-func (e *Engine) Capacity() int { return e.auth.Capacity() }
+func (e *Engine) Capacity() int { return e.capacity }
 
 // Close shuts the engine down: it marks every shard closed under that
 // shard's lock, so it returns only after every decision already executing
@@ -443,14 +440,16 @@ func (e *Engine) Upsert(id int, vals []int64) error {
 	return e.apply(func(t *smbm.SMBM) error { return t.Upsert(id, vals) })
 }
 
-// apply propagates one table operation to the authoritative table and then
-// to the table of every shard, each under that shard's lock. The operation is
-// validated against the authoritative table first; a validation failure
-// (duplicate id, missing id, full table) leaves every replica untouched.
+// apply propagates one table operation to the table of every shard, each
+// under that shard's lock, shard 0 first. Shard 0 validates the operation: a
+// validation failure (bad id, wrong arity, full table, duplicate or missing
+// id) depends only on the table's shape and membership, which every replica
+// shares, and an SMBM returns it before changing anything, so it leaves every
+// replica untouched.
 //
-// A failure on a shard replica after the authority accepted the write means
-// that replica has diverged. apply rebuilds the shard from the authority on
-// the spot (see rebuild), carries on to the next shard, and reports the first
+// A failure on a later shard after shard 0 accepted the write means that
+// replica has diverged. apply rebuilds the shard from shard 0 on the spot
+// (see rebuild), carries on to the next shard, and reports the first
 // divergence as an ErrReplicaDivergence-wrapped error. OnQuarantine then
 // hears of each rebuild, once the writer lock is released.
 func (e *Engine) apply(op func(*smbm.SMBM) error) error {
@@ -477,11 +476,11 @@ func (e *Engine) broadcast(op func(*smbm.SMBM) error) (rebuilt []divergence, err
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
-	if err := op(e.auth); err != nil {
+	if err := e.shards[0].write(op); err != nil {
 		return nil, err
 	}
-	for si, s := range e.shards {
-		werr := s.write(op)
+	for si := 1; si < len(e.shards); si++ {
+		werr := e.shards[si].write(op)
 		if werr == nil {
 			continue
 		}
@@ -494,11 +493,11 @@ func (e *Engine) broadcast(op func(*smbm.SMBM) error) (rebuilt []divergence, err
 	return rebuilt, err
 }
 
-// write runs one already-validated single-row operation on the shard's
-// table. The shard lock is held for exactly that operation, which is the
-// longest a decision steered here can wait for a writer; an error means the
-// replica rejected a write the authority accepted, i.e. it has diverged.
-// Caller holds wmu.
+// write runs one single-row operation on the shard's table. The shard lock is
+// held for exactly that operation, which is the longest a decision steered
+// here can wait for a writer. On shard 0 an error is a rejected write; on any
+// other shard it means the replica rejected a write shard 0 accepted, i.e.
+// it has diverged. Caller holds wmu.
 func (s *shard) write(op func(*smbm.SMBM) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -506,15 +505,18 @@ func (s *shard) write(op func(*smbm.SMBM) error) error {
 }
 
 // rebuild replaces shard si's module with the current policy bound over a
-// copy of the authoritative table (SMBM.Copy): same contents, same
-// per-dimension order, so ties break as on every other shard, and same
-// version. The module is built with no shard lock held, which is taken only
-// to replace the module pointer, so a decision on the shard waits for a
-// pointer store, never for the rebuild. Caller holds wmu, which gives it a
-// stable authority.
+// copy of shard 0's table (SMBM.Copy): same contents, same per-dimension
+// order, so ties break as on every other shard, and same version. The copy
+// settles shard 0's table and repairs its positions, as a decision on it may
+// be doing, so it is taken under shard 0's lock. The module is built with no
+// shard lock held, and shard si's lock is taken only to replace the module
+// pointer, so a decision on shard si waits for a pointer store, never for the
+// rebuild. Caller holds wmu, which gives it a stable shard 0.
 func (e *Engine) rebuild(si int) {
-	s := e.shards[si]
-	t := e.auth.Copy()
+	s, s0 := e.shards[si], e.shards[0]
+	s0.mu.Lock()
+	t := s0.mod.Table.Copy()
+	s0.mu.Unlock()
 	t.AttachTelemetry(s.tableTel)
 	fresh, err := s.bind(t, e.schema, e.pol.Load())
 	if err != nil {
@@ -527,45 +529,36 @@ func (e *Engine) rebuild(si int) {
 	e.flight.Event(telemetry.EventQuarantine, 0, time.Now().UnixNano(), int64(si))
 }
 
-// Metrics returns a copy of the metric values for id from the authoritative
-// table, or ok=false if absent. Control-plane read.
-func (e *Engine) Metrics(id int) ([]int64, bool) {
-	vals := make([]int64, e.auth.NumMetrics())
-	e.wmu.Lock()
-	defer e.wmu.Unlock()
-	if !e.auth.MetricsInto(id, vals) {
-		return nil, false
-	}
-	return vals, true
-}
-
 // Size returns the number of resources currently stored.
 func (e *Engine) Size() int {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	return e.auth.Size()
+	return e.shards[0].mod.Table.Size()
 }
 
-// CheckSync verifies the engine-wide InSync invariant: the replica table of
-// every shard holds contents identical to the authoritative table,
-// per-dimension order included (two tables that hold the same rows but broke
-// a tie differently answer a min or max differently), and satisfies every
-// SMBM structural invariant. Intended for tests; it takes the writer lock, so
-// writes are briefly excluded, and each shard's lock while it checks that
-// shard's table: CheckInvariants and Diff settle the table and repair its
-// position pointers, which a deciding caller may be doing under the shard
-// lock.
+// CheckSync verifies the engine-wide InSync invariant: every shard's table
+// satisfies every SMBM structural invariant, and the table of each of shards
+// 1 to S−1 holds contents identical to shard 0's, per-dimension order
+// included (two tables that hold the same rows but broke a tie differently
+// answer a min or max differently). Intended for tests; it takes the writer
+// lock, so writes are briefly excluded, and each shard's lock while it
+// checks that shard's table: CheckInvariants, Copy and Diff settle the table
+// and repair its position pointers, which a deciding caller may be doing
+// under the shard lock. Shard 0 is compared through a copy taken under its
+// lock, so no two shard locks are ever held at once.
 func (e *Engine) CheckSync() error {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	if err := e.auth.CheckInvariants(); err != nil {
-		return fmt.Errorf("authoritative table: %w", err)
-	}
+	var ref *smbm.SMBM
 	for si, s := range e.shards {
 		s.mu.Lock()
 		err := s.mod.Table.CheckInvariants()
 		if err == nil {
-			err = s.mod.Table.Diff(e.auth)
+			if ref == nil {
+				ref = s.mod.Table.Copy()
+			} else {
+				err = s.mod.Table.Diff(ref)
+			}
 		}
 		s.mu.Unlock()
 		if err != nil {
@@ -577,36 +570,32 @@ func (e *Engine) CheckSync() error {
 
 // ShardStatus is one shard's slice of an engine introspection snapshot.
 type ShardStatus struct {
-	// TableVersion is the shard table's SMBM mutation counter. It agrees
-	// with AuthVersion: every accepted write advances both, and a rebuild
-	// copies the authority's version with its contents.
+	// TableVersion is the shard table's SMBM mutation counter. Every shard
+	// reports the same one: every accepted write advances each table's, and
+	// a rebuild copies shard 0's version with its contents.
 	TableVersion uint64 `json:"table_version"`
 	TableSize    int    `json:"table_size"`
 }
 
 // EngineStatus is the engine's introspection snapshot (/debug/thanos).
 type EngineStatus struct {
-	Shards      []ShardStatus `json:"shards"`
-	Resources   int           `json:"resources"`
-	AuthVersion uint64        `json:"auth_version"`
+	Shards    []ShardStatus `json:"shards"`
+	Resources int           `json:"resources"`
 }
 
-// Introspect snapshots every shard's table version and size beside the
-// authoritative table's. Control-plane only: it takes the writer lock, so
-// the snapshot is consistent with respect to writes, while decisions keep
+// Introspect snapshots every shard's table version and size, and shard 0's
+// size as the resource count. Control-plane only: it takes the writer lock,
+// so the snapshot is consistent with respect to writes, while decisions keep
 // flowing. Reading a table's version and size under wmu alone is safe: a
 // decider changes only a table's order of storage (merging the tail) and
 // its position pointers.
 func (e *Engine) Introspect() EngineStatus {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	st := EngineStatus{
-		Shards:      make([]ShardStatus, len(e.shards)),
-		Resources:   e.auth.Size(),
-		AuthVersion: e.auth.Version(),
-	}
+	st := EngineStatus{Shards: make([]ShardStatus, len(e.shards))}
 	for si, s := range e.shards {
 		st.Shards[si] = ShardStatus{TableVersion: s.mod.Table.Version(), TableSize: s.mod.Table.Size()}
 	}
+	st.Resources = st.Shards[0].TableSize
 	return st
 }

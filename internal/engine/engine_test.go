@@ -2,11 +2,15 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/policy"
+	"repro/internal/smbm"
+	"repro/internal/telemetry"
 )
 
 var testSchema = policy.Schema{Attrs: []string{"cpu", "mem", "bw"}}
@@ -49,6 +53,19 @@ func fillRandom(t testing.TB, e *Engine, n int, seed int64) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// shardMetrics reads id's metric values from shard si's table under the
+// writer lock, or returns nil if the id is absent there.
+func (e *Engine) shardMetrics(si, id int) []int64 {
+	e.wmu.Lock()
+	defer e.wmu.Unlock()
+	t := e.shards[si].mod.Table
+	vals := make([]int64, t.NumMetrics())
+	if !t.MetricsInto(id, vals) {
+		return nil
+	}
+	return vals
 }
 
 func TestEngineConfigErrors(t *testing.T) {
@@ -161,29 +178,58 @@ func TestEngineFallback(t *testing.T) {
 	}
 }
 
-// TestEngineWriteErrorsLeaveReplicasUntouched: a write the authoritative
-// table rejects must leave every replica identical.
+// TestEngineWriteErrorsLeaveReplicasUntouched pins the write-error contract
+// that lets one replica validate every write: each of the SMBM's five write
+// errors comes back as itself, not as a divergence, and leaves every shard's
+// table at the version and size it had, rebuilds no shard and keeps the
+// replicas in sync. Each error depends only on the table's shape and
+// membership, which every replica shares op for op.
 func TestEngineWriteErrorsLeaveReplicasUntouched(t *testing.T) {
-	e := newTestEngine(t, 3, minPolicySrc)
+	reg := telemetry.NewRegistry()
+	e := newTelemetryEngine(t, 3, minPolicySrc, reg)
 	fillRandom(t, e, 8, 5)
 
-	if err := e.Add(3, []int64{1, 1, 1}); err == nil {
-		t.Fatal("duplicate add accepted")
+	expect := func(name string, want error, write func() error) {
+		t.Helper()
+		before := e.Introspect().Shards
+		err := write()
+		if !errors.Is(err, want) || errors.Is(err, smbm.ErrReplicaDivergence) {
+			t.Fatalf("%s: err = %v, want %v", name, err, want)
+		}
+		if after := e.Introspect().Shards; !slices.Equal(after, before) {
+			t.Fatalf("%s: shard tables went from %+v to %+v", name, before, after)
+		}
+		if n := snapCounter(t, reg.Snapshot(), "thanos_engine_shards_quarantined_total"); n != 0 {
+			t.Fatalf("%s: %d shards rebuilt, want 0", name, n)
+		}
+		if err := e.CheckSync(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
-	if err := e.Delete(60); err == nil {
-		t.Fatal("delete of absent id accepted")
+	three, two := []int64{1, 1, 1}, []int64{1, 1}
+	for _, id := range []int{-1, e.Capacity()} {
+		expect(fmt.Sprintf("Add(%d)", id), smbm.ErrBadID, func() error { return e.Add(id, three) })
+		expect(fmt.Sprintf("Upsert(%d)", id), smbm.ErrBadID, func() error { return e.Upsert(id, three) })
 	}
-	if err := e.Update(61, []int64{1, 1, 1}); err == nil {
-		t.Fatal("update of absent id accepted")
+	expect("Add of two values", smbm.ErrMetricsArity, func() error { return e.Add(20, two) })
+	expect("Update of two values", smbm.ErrMetricsArity, func() error { return e.Update(3, two) })
+	expect("Upsert of two values to a present id", smbm.ErrMetricsArity, func() error { return e.Upsert(3, two) })
+	expect("Upsert of two values to an absent id", smbm.ErrMetricsArity, func() error { return e.Upsert(20, two) })
+	expect("Add of a present id", smbm.ErrDuplicateID, func() error { return e.Add(3, three) })
+	expect("Delete of an absent id", smbm.ErrNotFound, func() error { return e.Delete(60) })
+	expect("Update of an absent id", smbm.ErrNotFound, func() error { return e.Update(61, three) })
+
+	// Every slot taken: an add is refused for room before its id is looked up.
+	for id := 8; id < e.Capacity(); id++ {
+		if err := e.Add(id, three); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := e.Size(); got != 8 {
-		t.Fatalf("size %d after failed writes, want 8", got)
-	}
-	if err := e.CheckSync(); err != nil {
-		t.Fatal(err)
-	}
+	expect("Add to a full table", smbm.ErrFull, func() error { return e.Add(3, three) })
 }
 
+// TestEngineUpsertAndMetrics: an upsert of an absent id adds it and one of a
+// present id replaces its values, on every shard's table.
 func TestEngineUpsertAndMetrics(t *testing.T) {
 	e := newTestEngine(t, 2, minPolicySrc)
 	if err := e.Upsert(4, []int64{10, 20, 30}); err != nil {
@@ -192,12 +238,13 @@ func TestEngineUpsertAndMetrics(t *testing.T) {
 	if err := e.Upsert(4, []int64{11, 21, 31}); err != nil {
 		t.Fatal(err)
 	}
-	vals, ok := e.Metrics(4)
-	if !ok || vals[0] != 11 || vals[1] != 21 || vals[2] != 31 {
-		t.Fatalf("Metrics(4) = %v, %v", vals, ok)
-	}
-	if _, ok := e.Metrics(5); ok {
-		t.Fatal("Metrics of absent id reported ok")
+	for si := range e.shards {
+		if vals := e.shardMetrics(si, 4); !slices.Equal(vals, []int64{11, 21, 31}) {
+			t.Fatalf("shard %d holds id 4 = %v, want [11 21 31]", si, vals)
+		}
+		if vals := e.shardMetrics(si, 5); vals != nil {
+			t.Fatalf("shard %d holds absent id 5 = %v", si, vals)
+		}
 	}
 	if err := e.CheckSync(); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -104,7 +105,10 @@ func TestEngineCloseWaitsForInflightDecision(t *testing.T) {
 // TestEngineCloseDuringWrite: a write that passed its closed check before
 // Close began still reaches every replica, and Close returns without waiting
 // for it. The write holds wmu while it takes the shard locks one by one, so
-// Close must take each shard lock without wmu.
+// Close must take each shard lock without wmu. The writer here is broadcast's
+// body after its closed check, stalled where a write holds wmu and no shard
+// lock: a Close that took wmu under a shard's lock would hold that lock
+// waiting for wmu while the write waited for the lock.
 func TestEngineCloseDuringWrite(t *testing.T) {
 	e, err := New(Config{Shards: 2, Capacity: 32, Schema: testSchema, Policy: policy.MustParse(minPolicySrc)})
 	if err != nil {
@@ -114,16 +118,20 @@ func TestEngineCloseDuringWrite(t *testing.T) {
 	entered := make(chan struct{})
 	wrote := make(chan error, 1)
 	go func() {
-		wrote <- e.apply(func(tb *smbm.SMBM) error {
-			if tb == e.auth {
-				close(entered)
-				for !e.closed.Load() {
-					runtime.Gosched()
-				}
-				time.Sleep(20 * time.Millisecond) // Close is at the shard locks by now
+		e.wmu.Lock()
+		defer e.wmu.Unlock()
+		close(entered)
+		for !e.closed.Load() {
+			runtime.Gosched()
+		}
+		time.Sleep(20 * time.Millisecond) // Close is at the shard locks by now
+		for _, s := range e.shards {
+			if err := s.write(func(tb *smbm.SMBM) error { return tb.Update(0, []int64{1, 2, 3}) }); err != nil {
+				wrote <- err
+				return
 			}
-			return tb.Update(0, []int64{1, 2, 3})
-		})
+		}
+		wrote <- nil
 	}()
 	<-entered
 	closed := make(chan struct{})
@@ -148,7 +156,9 @@ func TestEngineCloseDuringWrite(t *testing.T) {
 	if err := e.CheckSync(); err != nil {
 		t.Fatalf("after the write: %v", err)
 	}
-	if got, _ := e.Metrics(0); got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("Metrics(0) = %v, want [1 2 3]", got)
+	for si := range e.shards {
+		if got := e.shardMetrics(si, 0); !slices.Equal(got, []int64{1, 2, 3}) {
+			t.Fatalf("shard %d holds id 0 = %v, want [1 2 3]", si, got)
+		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // and rebuilds it must land an EventQuarantine in the flight ring and fire
 // the OnQuarantine callback (with the shard index and cause); a policy
 // hot-swap must land an EventSwap. Introspect must then report every shard at
-// the authority's version and size.
+// shard 0's version and size.
 func TestEngineFlightAndQuarantineHook(t *testing.T) {
 	flight := telemetry.NewSpanRing("engine", 64)
 	type quar struct {
@@ -73,13 +73,14 @@ func TestEngineFlightAndQuarantineHook(t *testing.T) {
 	if len(st.Shards) != 2 {
 		t.Fatalf("Introspect after the rebuild = %+v, want 2 shards", st)
 	}
+	ref := st.Shards[0]
 	for si, ss := range st.Shards {
-		if ss.TableVersion != st.AuthVersion || ss.TableSize != st.Resources {
-			t.Errorf("shard %d version=%d size=%d, authority version=%d resources=%d",
-				si, ss.TableVersion, ss.TableSize, st.AuthVersion, st.Resources)
+		if ss.TableVersion != ref.TableVersion || ss.TableSize != st.Resources {
+			t.Errorf("shard %d version=%d size=%d, shard 0 version=%d resources=%d",
+				si, ss.TableVersion, ss.TableSize, ref.TableVersion, st.Resources)
 		}
 	}
-	if st.AuthVersion == 0 || st.Resources != 16 {
-		t.Errorf("auth_version=%d resources=%d, want nonzero/16", st.AuthVersion, st.Resources)
+	if ref.TableVersion == 0 || st.Resources != 16 {
+		t.Errorf("shard 0 version=%d resources=%d, want nonzero/16", ref.TableVersion, st.Resources)
 	}
 }

@@ -167,12 +167,12 @@ func TestCheckSyncBesideMinDecisions(t *testing.T) {
 }
 
 // TestCheckSyncBesideWrites runs CheckSync and the other control-plane reads
-// that take wmu (Size, Metrics, Introspect) in a loop beside a loop of
-// Updates on a 2-shard engine. A write holds wmu while it takes each shard's
-// lock, so a read that took a shard's lock before wmu would deadlock against
-// it; the guard turns that deadlock into a failure. The engine is built
-// without newTestEngine's cleanup: Close would wait forever on the shard
-// lock a deadlocked reader holds.
+// that take wmu (Size, Introspect, a row read from shard 0) in a loop beside
+// a loop of Updates on a 2-shard engine. A write holds wmu while it takes
+// each shard's lock, so a read that took a shard's lock before wmu would
+// deadlock against it; the guard turns that deadlock into a failure. The
+// engine is built without newTestEngine's cleanup: Close would wait forever
+// on the shard lock a deadlocked reader holds.
 func TestCheckSyncBesideWrites(t *testing.T) {
 	const rounds = 2000
 	e, err := New(Config{Shards: 2, Capacity: 64, Schema: testSchema, Policy: policy.MustParse(minPolicySrc)})
@@ -188,7 +188,7 @@ func TestCheckSyncBesideWrites(t *testing.T) {
 				return
 			}
 			e.Size()
-			e.Metrics(i % 16)
+			e.shardMetrics(0, i%16)
 			e.Introspect()
 		}
 		done <- nil
@@ -217,11 +217,11 @@ func TestCheckSyncBesideWrites(t *testing.T) {
 }
 
 // TestFirstDecisionsAfterInstallBesideSwaps races the first decisions after
-// a 1024-row install — every table, the authority's included, then holds
-// its rows as an unsorted tail, which the first sorted read merges in —
+// a 1024-row install — every shard's table then holds its rows as an
+// unsorted tail, which the first sorted read merges in —
 // against a loop of SwapPolicy and a loop of CheckSync on a 2-shard engine.
 // A decision settles its shard's table under the shard lock and CheckSync
-// settles the authority and each shard under wmu and the shard lock, while
+// settles each shard's table under wmu and the shard lock, while
 // SwapPolicy binds the new program over each live table under wmu alone;
 // under -race this fails if binding ever reads the table's sorted order.
 // make check-slow runs it at GOMAXPROCS 1 and 4. Every decision has one
@@ -333,8 +333,10 @@ out worst = max(all, cpu)
 // TestEngineConcurrentDecideAndWriteOracle runs several callers inside the
 // engine at once — they execute on the shards themselves, so under -race at
 // GOMAXPROCS ≥ 4 (make check-slow) they truly overlap — beside a
-// table writer, a policy flipper and a corruptor that drops an id from one
-// shard's table and then writes that id, which rebuilds the shard inline.
+// table writer, a policy flipper and a corruptor that drops an id from the
+// table of one shard other than shard 0, which validates writes, and then
+// writes that id, which rebuilds the shard inline. With one shard no replica
+// can diverge from shard 0, so that case runs no corruptor.
 // The table pins its minimum to id 1 and its maximum to id 2 whatever the
 // writer and the corruptor do, and both policies agree, so every decision has
 // one right answer: the one a private, single-threaded, never-written oracle
@@ -342,7 +344,7 @@ out worst = max(all, cpu)
 //
 // The one-shard case is the decider half of the liveness pair (its mirror is
 // TestSwapPolicyConcurrentDecides): every caller meets the streaming writer,
-// the flipper and the rebuilds on the same shard lock, and every DecideBatch
+// and the flipper on the same shard lock, and every DecideBatch
 // must still return, oracle-correct, inside the wall bound.
 func TestEngineConcurrentDecideAndWriteOracle(t *testing.T) {
 	t.Run("shards=4", func(t *testing.T) { concurrentDecideAndWriteOracle(t, 4) })
@@ -371,6 +373,10 @@ func concurrentDecideAndWriteOracle(t *testing.T, shards int) {
 	)
 	var stop atomic.Bool
 	var repairs atomic.Int32
+	minRepairs := int32(3)
+	if shards == 1 {
+		minRepairs = 0
+	}
 	// Callers keep going until the corruptor has caused a few rebuilds,
 	// bounded so a stuck corruptor fails instead of hanging.
 	start := time.Now()
@@ -385,7 +391,7 @@ func concurrentDecideAndWriteOracle(t *testing.T, shards int) {
 			r := rand.New(rand.NewSource(seed))
 			pkts := make([]Packet, 64)
 			want := make([]Packet, len(pkts))
-			for b := 0; b < batchesPerCaller || (repairs.Load() < 3 && time.Now().Before(deadline)); b++ {
+			for b := 0; b < batchesPerCaller || (repairs.Load() < minRepairs && time.Now().Before(deadline)); b++ {
 				for i := range pkts {
 					pkts[i] = Packet{Key: r.Uint64(), Out: r.Intn(2)}
 				}
@@ -429,26 +435,28 @@ func concurrentDecideAndWriteOracle(t *testing.T, shards int) {
 			}
 		}
 	}()
-	// Corruptor: drop a mid-range id from one shard's table, then write that
-	// id with its own values: the write finds the divergence and rebuilds the
-	// shard from the authority.
-	mutatorsWG.Add(1)
-	go func() {
-		defer mutatorsWG.Done()
-		r := rand.New(rand.NewSource(7))
-		for !stop.Load() {
-			id := 3 + r.Intn(8)
-			if err := e.corruptReplica(r.Intn(shards), id); err != nil {
-				t.Errorf("corruptor: %v", err)
-				return
+	// Corruptor: drop a mid-range id from the table of a shard other than
+	// shard 0, then write that id with its own values: the write finds the
+	// divergence and rebuilds the shard from shard 0.
+	if shards > 1 {
+		mutatorsWG.Add(1)
+		go func() {
+			defer mutatorsWG.Done()
+			r := rand.New(rand.NewSource(7))
+			for !stop.Load() {
+				id := 3 + r.Intn(8)
+				if err := e.corruptReplica(1+r.Intn(shards-1), id); err != nil {
+					t.Errorf("corruptor: %v", err)
+					return
+				}
+				if err := e.Update(id, []int64{700, 0, 0}); !errors.Is(err, smbm.ErrReplicaDivergence) {
+					t.Errorf("corruptor: write to a lost id: err = %v, want ErrReplicaDivergence", err)
+					return
+				}
+				repairs.Add(1)
 			}
-			if err := e.Update(id, []int64{700, 0, 0}); !errors.Is(err, smbm.ErrReplicaDivergence) {
-				t.Errorf("corruptor: write to a lost id: err = %v, want ErrReplicaDivergence", err)
-				return
-			}
-			repairs.Add(1)
-		}
-	}()
+		}()
+	}
 
 	callersWG.Wait()
 	if d := time.Since(start); d > time.Minute {
@@ -456,8 +464,8 @@ func concurrentDecideAndWriteOracle(t *testing.T, shards int) {
 	}
 	stop.Store(true)
 	mutatorsWG.Wait()
-	if n := repairs.Load(); n < 3 {
-		t.Fatalf("%d rebuilds beside the callers, want at least 3", n)
+	if n := repairs.Load(); n < minRepairs {
+		t.Fatalf("%d rebuilds beside the callers, want at least %d", n, minRepairs)
 	}
 	if got, want := e.rebuilds.Value(), uint64(repairs.Load()); got != want {
 		t.Fatalf("rebuild counter %d, corruptor caused %d", got, want)

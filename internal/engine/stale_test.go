@@ -87,7 +87,7 @@ func TestEngineDecisionsTrackEveryWrite(t *testing.T) {
 	}
 
 	// Corrupt shard 1; the Update that detects it (an Upsert would quietly
-	// re-add the id) rebuilds the shard from the authority, so its answers
+	// re-add the id) rebuilds the shard from shard 0, so its answers
 	// must follow the write too.
 	if err := e.corruptReplica(1, 5); err != nil {
 		t.Fatal(err)

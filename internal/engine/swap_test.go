@@ -246,13 +246,13 @@ func TestSwapPolicyTelemetry(t *testing.T) {
 	}
 	// A rebuild after the swap must bind the swapped-in policy (and must not
 	// panic re-attaching mismatched chain telemetry).
-	if err := e.corruptReplica(0, 0); err != nil {
+	if err := e.corruptReplica(1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Update(0, []int64{9, 9, 9}); err == nil {
 		t.Fatal("write touching corrupted id did not report divergence")
 	}
-	if got := e.shards[0].mod.Policy; got != e.Policy() {
+	if got := e.shards[1].mod.Policy; got != e.Policy() {
 		t.Fatalf("rebuilt shard runs policy %q, want the swapped-in %q", got.Name, e.Policy().Name)
 	}
 	if err := e.CheckSync(); err != nil {

@@ -101,9 +101,6 @@ func TestEngineTelemetryCounters(t *testing.T) {
 	if bh.Sum != decisions {
 		t.Errorf("batch_size histogram sum = %d, want %d", bh.Sum, decisions)
 	}
-	if e.Telemetry() != reg {
-		t.Error("Telemetry() did not return the configured registry")
-	}
 	// The chain step counters, the per-step provenance of every decision,
 	// reach the Prometheus export.
 	var prom strings.Builder
@@ -116,8 +113,8 @@ func TestEngineTelemetryCounters(t *testing.T) {
 }
 
 // TestEngineWriteAppliesOncePerShard pins the write amplification: a logical
-// write is applied to the authority (uncounted) and once to each shard's one
-// table, so N upserts of a present id on S shards count N·S table updates.
+// write is applied once to each shard's one table, and to no other, so N
+// upserts of a present id on S shards count N·S table updates.
 func TestEngineWriteAppliesOncePerShard(t *testing.T) {
 	const (
 		shards  = 3

@@ -12,10 +12,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// corruptReplica deletes id from shard si's table alone, leaving the
-// authoritative table untouched: the stand-in for a replica whose table
-// memory no longer matches the control plane (a bit flip, a missed update).
-// The divergence stays latent until a write touches id.
+// corruptReplica deletes id from shard si's table alone, leaving the other
+// replicas untouched: the stand-in for a replica whose table memory no
+// longer matches the control plane (a bit flip, a missed update). The
+// divergence stays latent until a write touches id. Shard 0 validates every
+// write, so si must be another shard for a write to find the divergence.
 func (e *Engine) corruptReplica(si, id int) error {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
@@ -24,10 +25,9 @@ func (e *Engine) corruptReplica(si, id int) error {
 
 // TestResyncKeepsTieOrder: an SMBM dimension breaks ties first-in-first-out
 // (§5.1.2), so every replica must rank equal values in the order the
-// authority wrote them — a shard rebuilt from the authority included:
-// rebuilding it by replaying the authority's rows in id order ranks the ties
-// by id instead, and that shard then answers min(table, cpu) differently
-// from its peers.
+// writes reached them — a shard rebuilt from shard 0 included: rebuilding it
+// by replaying shard 0's rows in id order ranks the ties by id instead, and
+// that shard then answers min(table, cpu) differently from its peers.
 //
 // A membership-only divergence (shard 1 loses id 1) is found by the next
 // write to id 1, which rebuilds shard 1 inline and reports
@@ -115,8 +115,8 @@ func TestResyncKeepsTieOrder(t *testing.T) {
 	}
 	allPick("after the membership rebuild", 7)
 	st := e.Introspect()
-	if v := st.Shards[1].TableVersion; v != st.AuthVersion {
-		t.Errorf("rebuilt shard table version %d, authority %d", v, st.AuthVersion)
+	if v, ref := st.Shards[1].TableVersion, st.Shards[0].TableVersion; v != ref {
+		t.Errorf("rebuilt shard table version %d, shard 0 %d", v, ref)
 	}
 	if n := rebuilds(); n != 1 {
 		t.Fatalf("%d rebuilds after one divergence, want 1", n)
@@ -126,7 +126,7 @@ func TestResyncKeepsTieOrder(t *testing.T) {
 	}
 
 	// Order-only: rewrite id 7 with its own values on shard 1 alone, so
-	// shard 1 holds the authority's rows but ranks 3 before 7.
+	// shard 1 holds shard 0's rows but ranks 3 before 7.
 	e.wmu.Lock()
 	err = e.shards[1].write(func(t *smbm.SMBM) error { return t.Update(7, []int64{5, 0, 0}) })
 	e.wmu.Unlock()
@@ -137,7 +137,7 @@ func TestResyncKeepsTieOrder(t *testing.T) {
 		t.Fatalf("reordered shard picks %d, want 3", got)
 	}
 	if err := e.CheckSync(); err == nil {
-		t.Fatal("CheckSync passes a replica whose tie order differs from the authority's")
+		t.Fatal("CheckSync passes a replica whose tie order differs from shard 0's")
 	}
 	e.wmu.Lock()
 	e.rebuild(1)

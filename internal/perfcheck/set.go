@@ -323,7 +323,7 @@ func setupSMBMUpdateChurn() (func(int), error) {
 // Adds, in id order, of rows drawn like that workload's (cpu below 100, mem
 // below 8192, bw below 10000) into a new, empty 3-metric table, then the
 // first sorted read of each dimension, as the first decision makes it. The
-// engine pays it once for the authority and once per shard. The read is
+// engine pays it once per shard. The read is
 // timed with the Adds because the table defers sorting to it, so a gain that
 // only moved work from Add to the first read does not show. Each iteration
 // builds its own table, so the table's allocation is timed too.

@@ -198,9 +198,9 @@ func (c *conn) execute() bool {
 func nowNs() int64 { return time.Now().UnixNano() }
 
 // applyTableOp runs one SMBM op and maps its result to a wire status.
-// Replica divergence maps to StatusOK: the write landed on the
-// authoritative table and on every replica, the diverged one by the
-// engine's inline rebuild, invisible to the protocol contract.
+// Replica divergence maps to StatusOK: the write landed on every replica,
+// the diverged one by the engine's inline rebuild from shard 0, invisible to
+// the protocol contract.
 func (c *conn) applyTableOp(op *TableOp) byte {
 	var err error
 	id := int(op.ID)

@@ -109,7 +109,7 @@ const (
 
 // Per-op statuses in a TableAck body.
 const (
-	StatusOK      = 0x00 // applied to the authoritative table
+	StatusOK      = 0x00 // applied to every replica table
 	StatusInvalid = 0x01 // table validation rejected it (dup/missing id, full)
 	StatusClosed  = 0x02 // engine closed
 )

@@ -323,8 +323,8 @@ func (o *oracle) pos(id, j int) int {
 // receives the same writes and is repaired after every one, the pointer
 // state eager renumbering keeps; the deferred table must compare equal to it
 // (Diff reads no pointer) and pass the non-repairing check between readers.
-// A copy of the freshly installed table, an engine resync's auth.Copy(),
-// opens the run.
+// A copy of the freshly installed table, as an engine rebuild copies shard
+// 0's table, opens the run.
 func TestSMBMOracleDeferredPositions(t *testing.T) {
 	const (
 		capN = 64

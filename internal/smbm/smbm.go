@@ -63,10 +63,11 @@ var (
 	ErrMetricsArity = errors.New("smbm: wrong number of metric values")
 )
 
-// ErrReplicaDivergence reports a broadcast write that the authoritative
-// table accepted but a pipeline replica rejected: that replica no longer
-// mirrors the authority (memory corruption, a missed update) and must be
-// rebuilt from it. The engine rebuilds it inside the write that found it.
+// ErrReplicaDivergence reports a broadcast write that the engine's shard 0,
+// which validates every write, accepted but another pipeline replica
+// rejected: that replica no longer mirrors shard 0 (memory corruption, a
+// missed update) and must be rebuilt from it. The engine rebuilds it inside
+// the write that found it.
 var ErrReplicaDivergence = errors.New("smbm: replica divergence")
 
 // SMBM is a sorted multidimensional bidirectional map. It is not safe for

@@ -34,8 +34,8 @@ const (
 
 // Event spans (component state transitions, flight-recorder material).
 const (
-	// EventQuarantine: the engine rebuilt a diverged replica from the
-	// authoritative table (Arg: the shard).
+	// EventQuarantine: the engine rebuilt a diverged replica from shard 0's
+	// table (Arg: the shard).
 	EventQuarantine SpanKind = iota + 32
 	EventSwap
 	EventReconnect
